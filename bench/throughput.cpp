@@ -168,7 +168,9 @@ double report_observed_run(bin_count n, step_count m, step_count interval, std::
 //                        window interleaving off (the memory-latency
 //                        tuning's recorded before/after),
 //   * shard-parallel  -- the intra-run shard engine, kernel inside shards.
-// Every leg is timed warm (kWarmup) with median-of-kReps.
+// Every leg is timed warm (kWarmup) with median-of-kReps.  Kernel and
+// shard legs also report their engine's per-window phase split
+// (window_phases_ms: snapshot, kernel, merge, commit).
 
 struct scale_measurement {
   double gap = 0.0;
@@ -237,6 +239,9 @@ struct scale_entry {
   double speedup_vs_1t = 0.0;
   double efficiency = 0.0;
   bool parity_checked = false;
+  /// Kernel and shard legs: where the leg engine's windows spent their
+  /// time over all its shots (emitted per window as window_phases_ms).
+  window_phase_times phases;
 };
 
 /// --isa override in effect for every engine the scale legs construct
@@ -262,6 +267,22 @@ void annotate_env(scale_entry& entry, const hugepage_stats_t& before) {
   const kernel_tuning tune = current_kernel_tuning();
   entry.prefetch = tune.prefetch;
   entry.interleave = tune.interleave;
+}
+
+/// Records `phases` on a kernel/shard leg and prints its per-window split.
+void note_phases(scale_entry& entry, const window_phase_times& phases) {
+  entry.phases = phases;
+  if (phases.windows == 0) return;
+  const double ms = 1e-6 / static_cast<double>(phases.windows);
+  const double total = static_cast<double>(phases.snapshot_ns + phases.kernel_ns +
+                                           phases.merge_ns + phases.commit_ns);
+  std::printf("    per window: snapshot %.3f ms, kernel %.3f ms, merge %.3f ms, commit %.3f ms "
+              "(commit %.0f%%)\n",
+              static_cast<double>(phases.snapshot_ns) * ms,
+              static_cast<double>(phases.kernel_ns) * ms,
+              static_cast<double>(phases.merge_ns) * ms,
+              static_cast<double>(phases.commit_ns) * ms,
+              total > 0.0 ? 100.0 * static_cast<double>(phases.commit_ns) / total : 0.0);
 }
 
 /// "ipc 1.23, llc 4.5e+07" console tail for a leg, or the explicit
@@ -330,6 +351,7 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
                        [&engine](b_batch& p, rng_t& rng, step_count chunk) {
                          step_many_parallel(p, rng, chunk, engine);
                        });
+    note_phases(entry, engine.phases());
     // Per-leg parity replay: 1 worker, scalar backend, same (seed,
     // shards, lanes) sampling contract.
     shard_engine replay_engine(shard_options{
@@ -537,6 +559,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         [&engine](b_batch& p, rng_t& rng, step_count chunk) {
           step_many_kernel(p, rng, chunk, engine);
         }));
+    note_phases(results.back(), engine.phases());
   }
 
   // Untuned leg: the best requested backend re-timed with software
@@ -645,6 +668,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       [&engine](b_batch& p, rng_t& rng, step_count chunk) {
         step_many_parallel(p, rng, chunk, engine);
       }));
+  note_phases(results.back(), engine.phases());
   const scale_entry shard = results.back();  // copy: the alias leg below may reallocate
   std::printf("  shard vs fused        %14.2fx on %u hardware cores\n",
               shard.timing.rate_median(work) / fused_rate, std::thread::hardware_concurrency());
@@ -895,6 +919,17 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                      ",\n     \"speedup_vs_1thread\": %.4f, \"parallel_efficiency\": %.4f,\n"
                      "     \"bit_identical_to_1thread\": %s",
                      e.speedup_vs_1t, e.efficiency, e.parity_checked ? "true" : "false");
+      }
+      if (e.phases.windows > 0) {
+        const double ms = 1e-6 / static_cast<double>(e.phases.windows);
+        std::fprintf(f,
+                     ",\n     \"window_phases_ms\": {\"windows\": %lld, \"snapshot\": %.4f, "
+                     "\"kernel\": %.4f, \"merge\": %.4f, \"commit\": %.4f}",
+                     static_cast<long long>(e.phases.windows),
+                     static_cast<double>(e.phases.snapshot_ns) * ms,
+                     static_cast<double>(e.phases.kernel_ns) * ms,
+                     static_cast<double>(e.phases.merge_ns) * ms,
+                     static_cast<double>(e.phases.commit_ns) * ms);
       }
       if (e.perf.available) {
         std::fprintf(f, ",\n     \"perf\": {\"cycles\": %.6e, \"instructions\": %.6e, "

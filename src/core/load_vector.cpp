@@ -38,6 +38,15 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads) {
     if (x < mn) mn = x;
     if (x > mx) mx = x;
   }
+  return assign(loads, mn, mx);
+}
+
+bool compact_snapshot::assign(const load_state& state) {
+  return assign(state.loads(), state.min_load(), state.max_load());
+}
+
+bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_t mx) {
+  NB_ASSERT(!loads.empty() && mn <= mx);
   base_ = mn;
   ok_ = (mx - mn) <= 255;
   if (!ok_) return false;
@@ -89,6 +98,19 @@ void shard_deltas::sum_rows(std::vector<std::uint32_t>& out) const {
   sum_rows(out, 0, n_);
 }
 
+template <typename Delta>
+void load_state::add_and_reindex(const Delta& delta) {
+  load_t mn = std::numeric_limits<load_t>::max();
+  load_t mx = std::numeric_limits<load_t>::min();
+  for (std::size_t i = 0; i < loads_.size(); ++i) {
+    const load_t x = loads_[i] + delta(i);
+    loads_[i] = x;
+    mn = x < mn ? x : mn;
+    mx = x > mx ? x : mx;
+  }
+  levels_ok_ = levels_.rebuild(loads_, mn, mx);
+}
+
 void load_state::apply_increments(const std::vector<std::uint32_t>& add,
                                   weight_t weight_per_ball) {
   NB_ASSERT(!bulk_);
@@ -103,9 +125,7 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
   NB_REQUIRE(total <= (max_total_weight - total_weight()) / weight_per_ball,
              "window would overflow the total-weight accumulator (max_total_weight)");
   if (weight_per_ball == 1) {
-    for (std::size_t i = 0; i < loads_.size(); ++i) {
-      loads_[i] += static_cast<load_t>(add[i]);
-    }
+    add_and_reindex([&](std::size_t i) { return static_cast<load_t>(add[i]); });
   } else {
     // Validate every bin BEFORE mutating any (strong exception safety,
     // like allocate(i, w)): a mid-loop throw must not leave a prefix of
@@ -117,9 +137,9 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
                      bin_cap,
                  "window would overflow a bin's 32-bit load");
     }
-    for (std::size_t i = 0; i < loads_.size(); ++i) {
-      loads_[i] += static_cast<load_t>(static_cast<weight_t>(add[i]) * weight_per_ball);
-    }
+    add_and_reindex([&](std::size_t i) {
+      return static_cast<load_t>(static_cast<weight_t>(add[i]) * weight_per_ball);
+    });
   }
   balls_ += total;
   extra_weight_ += total * (weight_per_ball - 1);
@@ -137,7 +157,6 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
       }
     }
   }
-  levels_ok_ = levels_.rebuild(loads_);
 }
 
 void load_state::apply_increments(const std::vector<std::int64_t>& delta,
@@ -170,12 +189,9 @@ void load_state::apply_increments(const std::vector<std::int64_t>& delta,
              "signed window would leave the extra-weight accumulator negative");
   NB_REQUIRE(net <= max_total_weight - total_weight(),
              "window would overflow the total-weight accumulator (max_total_weight)");
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    loads_[i] = static_cast<load_t>(static_cast<weight_t>(loads_[i]) + delta[i]);
-  }
+  add_and_reindex([&](std::size_t i) { return static_cast<load_t>(delta[i]); });
   balls_ = balls_after;
   extra_weight_ = extra_after;
-  levels_ok_ = levels_.rebuild(loads_);
 }
 
 void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
@@ -189,14 +205,19 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
              "expires per-ball through release_oldest)");
   // Validate every bin and the totals BEFORE mutating any (strong
   // exception safety, matching both apply_increments overloads), with the
-  // same bin-and-weight error vocabulary as release(i, w).
+  // same bin-and-weight error vocabulary as release(i, w).  The sweep is
+  // branch-free; only a failing block re-walks to name its first culprit.
   step_count total = 0;
+  bool underflow = false;
   for (std::size_t i = 0; i < rel.size(); ++i) {
+    underflow |= static_cast<weight_t>(rel[i]) * weight_per_ball > loads_[i];
+    total += rel[i];
+  }
+  for (std::size_t i = 0; underflow && i < rel.size(); ++i) {
     const weight_t retired = static_cast<weight_t>(rel[i]) * weight_per_ball;
     NB_REQUIRE(retired <= static_cast<weight_t>(loads_[i]),
                "release of weight " + std::to_string(retired) + " would underflow bin " +
                    std::to_string(i) + " (currently " + std::to_string(loads_[i]) + ")");
-    total += rel[i];
   }
   NB_REQUIRE(total == k, "departure block counts do not sum to the block size");
   NB_REQUIRE(balls_ >= k, "release with no resident balls");
@@ -204,12 +225,11 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
              "departure block of weight " + std::to_string(weight_per_ball) +
                  " per ball exceeds the resident extra weight (" +
                  std::to_string(extra_weight_) + ")");
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    loads_[i] -= static_cast<load_t>(static_cast<weight_t>(rel[i]) * weight_per_ball);
-  }
+  add_and_reindex([&](std::size_t i) {
+    return -static_cast<load_t>(static_cast<weight_t>(rel[i]) * weight_per_ball);
+  });
   balls_ -= k;
   extra_weight_ -= k * (weight_per_ball - 1);
-  levels_ok_ = levels_.rebuild(loads_);
 }
 
 void load_state::save(state_writer& w) const {

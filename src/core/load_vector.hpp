@@ -160,6 +160,14 @@ class level_index {
       if (x < mn) mn = x;
       if (x > mx) mx = x;
     }
+    return rebuild(loads, mn, mx);
+  }
+
+  /// rebuild() for a caller that already knows the range -- the pass that
+  /// just wrote the loads tracked it -- so only the counting sweep runs.
+  /// `mn` and `mx` must be exactly the minimum and maximum of `loads`.
+  [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx) {
+    NB_ASSERT(mn <= mx);
     if (mx - mn > max_dense_span) return false;
     base_ = mn;
     min_ = mn;
@@ -218,6 +226,8 @@ class level_index {
   bin_count n_ = 0;
 };
 
+class load_state;
+
 /// Compact 8-bit view of a frozen load vector: off(i) = loads[i] - base
 /// with base = min load.  Valid whenever the span max - min fits in 255,
 /// which is the paper regime by a huge margin -- Gap(m) + underload gap is
@@ -236,6 +246,11 @@ class compact_snapshot {
   /// the full-width loads.
   bool assign(const std::vector<load_t>& loads);
 
+  /// Snapshot of the live loads of `state`, ranged by its level index in
+  /// O(1) (an O(n) scan only once the index gave up, see levels_valid()).
+  /// Same bytes, base() and max_off() as assign(state.loads()).
+  bool assign(const load_state& state);
+
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] load_t base() const noexcept { return base_; }
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
@@ -246,6 +261,10 @@ class compact_snapshot {
   [[nodiscard]] std::uint8_t max_off() const noexcept { return span_; }
 
  private:
+  /// assign() with the range already known: `mn` and `mx` must be exactly
+  /// the minimum and maximum of `loads`.
+  bool assign(const std::vector<load_t>& loads, load_t mn, load_t mx);
+
   std::vector<std::uint8_t> off_;  ///< n_ offsets + tail_padding zero bytes
   /// Buffer the last huge-page advice was issued for: assign() re-advises
   /// only when the storage actually moved, not once per window.
@@ -444,7 +463,8 @@ class load_state {
 
   /// Applies a merged parallel-window delta: loads_[i] += add[i] *
   /// weight_per_ball for every bin and balls_ += sum(add), then rebuilds
-  /// the level index once (O(n + span)).  The resulting state is
+  /// the level index once from the range the add pass tracked (one
+  /// counting sweep, no separate min/max scan).  The resulting state is
   /// query-identical to having allocated the same balls one at a time.
   /// `add` must have size n; must not be called inside a bulk window.
   /// weight_per_ball covers the deterministic weightings the frozen-window
@@ -499,14 +519,17 @@ class load_state {
   }
 
   /// Expires the oldest resident ball: releases its recorded weight from
-  /// its recorded bin.  Requires lease tracking and a resident ball.
-  void release_oldest() {
+  /// its recorded bin, and returns that bin.  Requires lease tracking and
+  /// a resident ball.
+  bin_index release_oldest() {
     NB_REQUIRE(lease_on_, "release_oldest requires lease tracking");
     NB_REQUIRE(lease_count_ > 0, "release_oldest with no resident leases");
     const std::uint64_t slot = lease_slots_[lease_head_];
     lease_head_ = (lease_head_ + 1) % lease_slots_.size();
     --lease_count_;
-    release(static_cast<bin_index>(slot & 0xFFFFFFFFu), static_cast<weight_t>(slot >> 32));
+    const auto bin = static_cast<bin_index>(slot & 0xFFFFFFFFu);
+    release(bin, static_cast<weight_t>(slot >> 32));
+    return bin;
   }
 
   /// O(1) while the level index is dense; O(n) scan in the wide-span
@@ -588,6 +611,12 @@ class load_state {
     bulk_ = false;
     levels_ok_ = levels_.rebuild(loads_);
   }
+
+  /// The commit pass shared by the window/block appliers: loads_[i] +=
+  /// delta(i) for every bin (already validated), tracking the running
+  /// min/max on the way so the level rebuild needs no range scan.
+  template <typename Delta>
+  void add_and_reindex(const Delta& delta);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

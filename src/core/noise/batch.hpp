@@ -6,12 +6,23 @@
 //
 // b-Batch is the fully synchronized instance of tau-Delay with tau = b.
 //
-// Implementation: a `stale` snapshot vector plus the list of bins touched
-// in the current batch; at a batch boundary only the touched bins are
-// refreshed, so the total maintenance cost is O(m) for the whole run
-// regardless of b (a naive per-batch copy would be O(m/b * n)).
+// Implementation: a `stale` snapshot vector, refreshed so that at every
+// batch boundary it equals the loads (the boundary law; departures, which
+// may land anywhere in a batch, become visible at the next boundary like
+// arrivals).  What moved since the last boundary is recorded one of two
+// ways, and the refresh follows the record:
+//   * serial events (step, depart) append their bin to `touched`, and the
+//     boundary re-reads just those bins -- O(m) maintenance over the run
+//     regardless of b, where a per-batch copy would cost O(m/b * n);
+//   * engine commits (a merged window, a departure block) are O(n)
+//     already, so they only flag the whole vector, and the boundary does
+//     one contiguous copy of the loads -- no per-bin branch, no list.
+// Right after a boundary nothing is recorded, so the snapshot provably IS
+// the live loads (snapshot_is_live), which lets the engines range the next
+// window's compact snapshot from the level index instead of scanning it.
 #pragma once
 
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -52,6 +63,7 @@ class b_batch {
     state_.reset();
     std::fill(stale_.begin(), stale_.end(), 0);
     touched_.clear();
+    stale_all_ = false;
   }
 
   [[nodiscard]] std::string name() const {
@@ -63,11 +75,19 @@ class b_batch {
   void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
   [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
 
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
+  /// One departure event through the model's channel (see depart_ball);
+  /// the bin it left is refreshed at the next boundary.
+  void depart(rng_t& rng) { touched_.push_back(depart_ball(state_, model_, rng)); }
   /// Applies one engine-merged departure block (see apply_departure_block).
+  /// Lease blocks pop O(k) balls and record their bins; drain/random
+  /// blocks already sweep every bin, so they flag a whole-vector refresh.
   void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
+    if (model_.departures.is_lease()) {
+      for (step_count t = 0; t < k; ++t) touched_.push_back(state_.release_oldest());
+      return;
+    }
     apply_departure_block(state_, model_, rel, k);
+    stale_all_ = true;
   }
 
   /// The load of bin i as reported during the current batch (for tests).
@@ -75,11 +95,18 @@ class b_batch {
 
   /// Checkpoint contract.  The stale snapshot is real mid-run state (it
   /// froze at the last batch boundary, which the current loads cannot
-  /// reconstruct), so it is serialized along with the touched list.
+  /// reconstruct), so it is serialized along with the touched list.  A
+  /// whole-vector flag is written as the equivalent list of every bin.
   void save_checkpoint(state_writer& w) const {
     state_.save(w);
     w.put_vec(stale_);
-    w.put_vec(touched_);
+    if (stale_all_) {
+      std::vector<bin_index> all(stale_.size());
+      std::iota(all.begin(), all.end(), bin_index{0});
+      w.put_vec(all);
+    } else {
+      w.put_vec(touched_);
+    }
   }
   void restore_checkpoint(state_reader& r) {
     state_.restore(r);
@@ -95,6 +122,10 @@ class b_batch {
     }
     stale_ = std::move(stale);
     touched_ = std::move(touched);
+    // An empty list must mean "stale == loads" (snapshot_is_live relies on
+    // it).  Checkpoints from before departures were recorded can break
+    // that; the next boundary then copies every bin, restoring the law.
+    stale_all_ = touched_.empty() && stale_ != state_.loads();
   }
 
   // --- window-parallel contract (see process.hpp) ------------------------
@@ -109,6 +140,10 @@ class b_batch {
 
   /// The frozen loads the current batch's decisions read.
   [[nodiscard]] const std::vector<load_t>& window_snapshot() const noexcept { return stale_; }
+
+  /// True when nothing moved since the last refresh, i.e. the window
+  /// snapshot equals the live loads (see live_snapshot_probed).
+  [[nodiscard]] bool snapshot_is_live() const noexcept { return !stale_all_ && touched_.empty(); }
 
   /// b-Batch's snapshot_decide IS the canonical two-sample min rule, so
   /// its windows may run through the lane-interleaved SIMD kernel (the
@@ -129,27 +164,16 @@ class b_batch {
   }
 
   /// Applies a merged window delta (inc[i] balls into bin i, all decided
-  /// against the current snapshot) and refreshes exactly like the serial
-  /// path: at a batch boundary the touched bins are re-read from the true
-  /// loads; mid-batch (a partial window) they are only recorded as touched
-  /// so a later boundary refresh covers them.  Each counted ball deposits
-  /// the model's (deterministic) weight; the engines never route random
-  /// weightings here.
+  /// against the current snapshot) and flags the whole vector stale; a
+  /// window that ends a batch then refreshes with one contiguous copy of
+  /// the loads, a partial window leaves the copy to a later boundary.
+  /// Each counted ball deposits the model's (deterministic) weight; the
+  /// engines never route random weightings here.
   void commit_window(const std::vector<std::uint32_t>& inc, step_count balls) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
     state_.apply_increments(inc, model_.weighting.fixed_weight());
-    const bin_count n = state_.n();
-    if (state_.balls() % b_ == 0) {
-      for (const bin_index i : touched_) stale_[i] = state_.load(i);
-      touched_.clear();
-      for (bin_index i = 0; i < n; ++i) {
-        if (inc[i] != 0) stale_[i] = state_.load(i);
-      }
-    } else {
-      for (bin_index i = 0; i < n; ++i) {
-        if (inc[i] != 0) touched_.push_back(i);
-      }
-    }
+    stale_all_ = true;
+    if (state_.balls() % b_ == 0) refresh_snapshot();
   }
 
  private:
@@ -170,16 +194,26 @@ class b_batch {
     touched_.push_back(chosen);
   }
 
+  /// The boundary refresh: afterwards stale_ == loads, and nothing is
+  /// recorded.
   void refresh_snapshot() {
-    for (const bin_index i : touched_) stale_[i] = state_.load(i);
+    if (stale_all_) {
+      stale_ = state_.loads();  // equal sizes: a plain copy, no reallocation
+    } else {
+      for (const bin_index i : touched_) stale_[i] = state_.load(i);
+    }
     touched_.clear();
+    stale_all_ = false;
   }
 
   load_state state_;
   alloc_model model_;
   step_count b_;
   std::vector<load_t> stale_;
+  /// Bins serial events moved since the last refresh (may repeat).
   std::vector<bin_index> touched_;
+  /// An engine commit moved bins since the last refresh: copy them all.
+  bool stale_all_ = false;
 };
 
 static_assert(allocation_process<b_batch>);

@@ -26,7 +26,9 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <concepts>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -173,9 +175,11 @@ inline void install_model(load_state& state, alloc_model& slot, alloc_model m) {
 }
 
 /// Removes one departure event's worth of load from `state` per the
-/// model's departure channel.  The departure counterpart of deposit():
-/// every library process's depart() delegates here, so the three channel
-/// laws live in exactly one place.
+/// model's departure channel, and returns the bin it left (processes that
+/// keep a stale view record it, so the departure becomes visible at their
+/// next refresh).  The departure counterpart of deposit(): every library
+/// process's depart() delegates here, so the three channel laws live in
+/// exactly one place.
 ///
 ///   * random -- one resident load unit uniformly at random: rejection-
 ///     sample (bin draw, acceptance draw) pairs until a draw lands on
@@ -197,7 +201,7 @@ inline void install_model(load_state& state, alloc_model& slot, alloc_model m) {
 /// Draw order is part of the sampling contract exactly like arrivals:
 /// each channel's draws above are exhaustive and consumed in the order
 /// listed, so per-event and interleaved execution are bit-identical.
-inline void depart_ball(load_state& state, const alloc_model& model, rng_t& rng) {
+inline bin_index depart_ball(load_state& state, const alloc_model& model, rng_t& rng) {
   const departure_model& departures = model.departures;
   NB_REQUIRE(!departures.is_none(),
              "depart() needs a departure channel, but the model's departure_model is 'none'");
@@ -206,7 +210,7 @@ inline void depart_ball(load_state& state, const alloc_model& model, rng_t& rng)
   const auto& loads = state.loads();
   switch (departures.departure_kind()) {
     case departure_model::kind::none:
-      return;  // unreachable: guarded above
+      break;
     case departure_model::kind::random: {
       // Acceptance bound hoisted: the maximum cannot change while we
       // reject, and in the degraded wide-span regime max_load() is an
@@ -216,13 +220,12 @@ inline void depart_ball(load_state& state, const alloc_model& model, rng_t& rng)
         const auto j = static_cast<bin_index>(bounded(rng, n));
         if (bounded(rng, bound) < static_cast<std::uint64_t>(loads[j])) {
           state.release(j);
-          return;
+          return j;
         }
       }
     }
     case departure_model::kind::lease:
-      state.release_oldest();
-      return;
+      return state.release_oldest();
     case departure_model::kind::drain: {
       const weight_t w = drain_weight(model.weighting);
       for (;;) {
@@ -238,10 +241,11 @@ inline void depart_ball(load_state& state, const alloc_model& model, rng_t& rng)
           chosen = (rng.next() >> 63) != 0 ? i : j;
         }
         state.release(chosen, w);
-        return;
+        return chosen;
       }
     }
   }
+  return 0;  // kind::none: unreachable, guarded above
 }
 
 /// A process that can serve one departure event.
@@ -389,6 +393,11 @@ concept window_probed = requires(const P p) {
 ///   * commit_window(inc, balls): apply the merged per-bin increments and
 ///     refresh whatever the process keeps stale (inc[i] balls into bin i,
 ///     sum(inc) == balls == the window length the engine ran).
+///
+/// Optionally, snapshot_is_live() proves the window snapshot equals the
+/// live loads right now (b-Batch right after a boundary commit); the
+/// engines then range the compact snapshot from the level index in O(1)
+/// instead of scanning the frozen vector (see live_snapshot_probed).
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
     requires(P p, const P cp, rng_t& g, const std::uint8_t* snap, bin_index i,
@@ -410,7 +419,46 @@ concept kernel_window_parallel = window_parallel<P> && requires {
   requires P::kernel_min_select;
 };
 
+/// A window-parallel process that can prove its window snapshot is the
+/// live load vector.  Execution-only: the compact snapshot's bytes are the
+/// same either way, only the range scan is skipped.
+template <typename P>
+concept live_snapshot_probed = requires(const P p) {
+  { p.snapshot_is_live() } -> std::convertible_to<bool>;
+};
+
+/// Execution-only wall time an engine spent in the phases of its
+/// fast-path windows, summed over `windows` windows: compact snapshot
+/// assignment, sampling (row/counter zeroing plus the kernel or shard
+/// fan-out), the fixed-order shard-row merge (0 on the kernel engine) and
+/// the process's commit_window.  Never read by the sampling code.
+struct window_phase_times {
+  step_count windows = 0;
+  std::int64_t snapshot_ns = 0;
+  std::int64_t kernel_ns = 0;
+  std::int64_t merge_ns = 0;
+  std::int64_t commit_ns = 0;
+};
+
 namespace engine_detail {
+
+/// Monotonic nanoseconds for window_phase_times.
+inline std::int64_t phase_clock_ns() noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Assigns the window's compact snapshot: from the live loads' O(1)
+/// level range when the process proves the frozen snapshot is live, by a
+/// full scan of the frozen vector otherwise.
+template <typename P>
+bool assign_window_snapshot(compact_snapshot& snapshot, const P& process) {
+  if constexpr (live_snapshot_probed<P>) {
+    if (process.snapshot_is_live()) return snapshot.assign(process.state());
+  }
+  return snapshot.assign(process.window_snapshot());
+}
 
 /// The stale-snapshot window walk shared by shard_engine and
 /// kernel_engine: cuts `count` at window boundaries (and at `cap`, which
@@ -423,10 +471,12 @@ namespace engine_detail {
 /// engine alternates two buffers so assigning window k+1 never overwrites
 /// the buffer window k's shards may still be reading, the kernel engine
 /// reuses one.  Keeping the routing in one place keeps both engines'
-/// window selection identical.
+/// window selection identical.  Snapshot time and the window count go to
+/// `phases`; `fast` books its own phases there.
 template <window_probed P, typename Acquire, typename Fast>
 void walk_windows(P& process, rng_t& rng, step_count count, step_count cap,
-                  step_count min_window, const Acquire& acquire, const Fast& fast) {
+                  step_count min_window, window_phase_times& phases, const Acquire& acquire,
+                  const Fast& fast) {
   while (count > 0) {
     const step_count window = process.snapshot_window();
     if (window <= 0) {  // no frozen window: serial for the whole rest
@@ -440,9 +490,13 @@ void walk_windows(P& process, rng_t& rng, step_count count, step_count cap,
       nb::step_many(process, rng, k);
     } else {
       compact_snapshot& snapshot = acquire();
-      if (!snapshot.assign(process.window_snapshot())) {
+      const std::int64_t t0 = phase_clock_ns();
+      const bool compact = assign_window_snapshot(snapshot, process);
+      phases.snapshot_ns += phase_clock_ns() - t0;
+      if (!compact) {
         nb::step_many(process, rng, k);
       } else {
+        ++phases.windows;
         fast(k, snapshot);
       }
     }
@@ -503,6 +557,8 @@ class shard_engine {
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
   /// The resolved kernel backend this engine's shards execute with.
   [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
+  /// Where this engine's parallel windows spent their time so far.
+  [[nodiscard]] const window_phase_times& phases() const noexcept { return phases_; }
 
   /// Allocates `count` balls through `process`.  Window-parallel processes
   /// run each sufficiently large stale-snapshot window across the pool;
@@ -544,7 +600,7 @@ class shard_engine {
       const step_count cap =
           static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
       engine_detail::walk_windows(
-          process, rng, count, cap, opt_.min_window,
+          process, rng, count, cap, opt_.min_window, phases_,
           // Double-buffered snapshot: alternate buffers so assigning the
           // next window's snapshot on the master thread never races the
           // pool work still in flight from the previous window (today the
@@ -632,7 +688,7 @@ class shard_engine {
     // block's deferred row clears may still be in flight on the pool.
     snapshot_index_ ^= 1;
     compact_snapshot& snapshot = snapshots_[snapshot_index_];
-    if (!snapshot.assign(process.state().loads())) return false;
+    if (!snapshot.assign(process.state())) return false;
     const bin_count n = process.state().n();
     const std::size_t shards = opt_.shards;
     drain_deferred_clears();
@@ -684,8 +740,10 @@ class shard_engine {
     };
     step_count total = 0;
     for (bin_index i = 0; i < n; ++i) {
-      const auto capacity = static_cast<std::uint32_t>(
-          (static_cast<weight_t>(base) + snap[i]) / w);
+      // Unit weights skip the 64-bit division: per bin it costs more than
+      // the rest of this pass together.
+      const weight_t load = static_cast<weight_t>(base) + snap[i];
+      const auto capacity = static_cast<std::uint32_t>(w == 1 ? load : load / w);
       if (merged_[i] > capacity) merged_[i] = capacity;
       total += merged_[i];
     }
@@ -765,6 +823,7 @@ class shard_engine {
     }
     // The previous window's deferred row clears may still be running on
     // the pool; everything below touches the delta rows, so drain first.
+    const std::int64_t t_kernel = engine_detail::phase_clock_ns();
     drain_deferred_clears();
     if (deltas_.shards() != shards || deltas_.bins() != n) {
       deltas_.reset(shards, n);
@@ -799,6 +858,8 @@ class shard_engine {
     }
     pool_.wait_idle();
     rows_clean_ = false;
+    const std::int64_t t_merge = engine_detail::phase_clock_ns();
+    phases_.kernel_ns += t_merge - t_kernel;
     // Merge: fixed shard order per bin, bin ranges summed concurrently
     // (disjoint, so still deterministic).
     merged_.resize(n);
@@ -817,7 +878,10 @@ class shard_engine {
       pool_.submit([this, s] { deltas_.clear_row(s); });
     }
     clears_pending_ = true;
+    const std::int64_t t_commit = engine_detail::phase_clock_ns();
+    phases_.merge_ns += t_commit - t_merge;
     process.commit_window(merged_, k);
+    phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
   }
 
   /// Joins the deferred row clears of the previous window (no-op in the
@@ -881,6 +945,7 @@ class shard_engine {
   shard_deltas deltas_;
   std::vector<shard_arena> arenas_;
   std::vector<std::uint32_t> merged_;
+  window_phase_times phases_;
   /// Deferred-clear state: true while the previous window's row-clear
   /// tasks may still be on the pool / once they finished, respectively.
   bool clears_pending_ = false;
@@ -920,6 +985,8 @@ class kernel_engine {
   [[nodiscard]] const kernel_options& options() const noexcept { return opt_; }
   /// The resolved backend windows execute with.
   [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
+  /// Where this engine's kernel windows spent their time so far.
+  [[nodiscard]] const window_phase_times& phases() const noexcept { return phases_; }
 
   /// Allocates `count` balls through `process`: min-select frozen windows
   /// go through the kernel, everything else (and every undersized or
@@ -956,7 +1023,7 @@ class kernel_engine {
       // engine, so a single snapshot buffer suffices (nothing outlives
       // the window that could race the next assign).
       engine_detail::walk_windows(
-          process, rng, count, max_run_balls, opt_.min_window,
+          process, rng, count, max_run_balls, opt_.min_window, phases_,
           [&]() -> compact_snapshot& { return snapshot_; },
           [&](step_count k, const compact_snapshot& snapshot) {
             // One master-stream draw per window (same cadence as the
@@ -964,6 +1031,7 @@ class kernel_engine {
             // -- the alias lane path when the model samples non-uniformly.
             const std::uint64_t token = rng.next();
             const bin_count n = process.state().n();
+            const std::int64_t t_kernel = engine_detail::phase_clock_ns();
             inc_.assign(n, 0);
             const alias_table* table = nullptr;
             if constexpr (modeled_process<P>) {
@@ -977,7 +1045,10 @@ class kernel_engine {
             } else {
               kernel_run(isa_, opt_.lanes, n, snapshot.data(), inc_.data(), k, token);
             }
+            const std::int64_t t_commit = engine_detail::phase_clock_ns();
+            phases_.kernel_ns += t_commit - t_kernel;
             process.commit_window(inc_, k);
+            phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
           });
     }
   }
@@ -1025,7 +1096,7 @@ class kernel_engine {
         nb::depart_many(process, rng, count);
         return;
       }
-      if (!snapshot_.assign(process.state().loads())) {
+      if (!snapshot_.assign(process.state())) {
         warn_once("depart-engine-span/" + process.name(),
                   "batched departures fall back to the serial per-event loop on process '" +
                       process.name() +
@@ -1050,6 +1121,7 @@ class kernel_engine {
   compact_snapshot snapshot_;
   std::vector<std::uint32_t> inc_;
   std::vector<std::uint32_t> rel_;
+  window_phase_times phases_;
 };
 
 /// Type-erased handle so heterogeneous processes can share registries,

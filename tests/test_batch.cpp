@@ -1,7 +1,12 @@
 // Tests for the b-Batch process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "test_support.hpp"
 
@@ -118,5 +123,130 @@ TEST(BBatch, ResetClearsSnapshotState) {
 }
 
 TEST(BBatch, NameEncodesBatchSize) { EXPECT_EQ(b_batch(8, 3).name(), "b-batch[b=3]"); }
+
+// ---------------------------------------------------------------------------
+// The boundary law: at every batch boundary the stale snapshot equals the
+// loads -- departures included -- whichever path moved them.
+
+/// One way of driving b-Batch: arrivals and departures through the serial
+/// loops or one of the engines (min_window 1, so every window of at least
+/// n/4 balls takes the engine's fast path and shorter ones go serial).
+struct route {
+  std::string name;
+  std::function<void(b_batch&, rng_t&, step_count)> arrive;
+  std::function<void(b_batch&, rng_t&, step_count)> depart;
+};
+
+std::vector<route> all_routes() {
+  std::vector<route> routes;
+  routes.push_back({"serial", [](b_batch& p, rng_t& rng, step_count k) { step_many(p, rng, k); },
+                    [](b_batch& p, rng_t& rng, step_count k) { depart_many(p, rng, k); }});
+  auto kernel = std::make_shared<kernel_engine>(kernel_options{.min_window = 1});
+  routes.push_back(
+      {"kernel",
+       [kernel](b_batch& p, rng_t& rng, step_count k) { step_many_kernel(p, rng, k, *kernel); },
+       [kernel](b_batch& p, rng_t& rng, step_count k) { depart_many_kernel(p, rng, k, *kernel); }});
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    auto shard = std::make_shared<shard_engine>(
+        shard_options{.threads = threads, .shards = 4, .min_window = 1});
+    routes.push_back(
+        {"shard t=" + std::to_string(threads),
+         [shard](b_batch& p, rng_t& rng, step_count k) { step_many_parallel(p, rng, k, *shard); },
+         [shard](b_batch& p, rng_t& rng, step_count k) {
+           depart_many_parallel(p, rng, k, *shard);
+         }});
+  }
+  return routes;
+}
+
+/// snapshot_is_live() is a proof the engines act on (they snapshot the
+/// live loads instead of the frozen ones), so it must imply equality.
+void expect_live_claim_sound(const b_batch& p) {
+  if (p.snapshot_is_live()) {
+    EXPECT_EQ(p.window_snapshot(), p.state().loads());
+  }
+}
+
+/// Allocates `balls` through `r` in calls cut at irregular sizes (never
+/// across a boundary, so every call is one window), checking the law after
+/// each call that ends a batch.  Returns the number of boundaries checked.
+int arrive_checking_boundaries(b_batch& p, rng_t& rng, const route& r, step_count balls) {
+  static constexpr step_count cuts[] = {5, 13, 40, 3, 64, 21};
+  int boundaries = 0;
+  for (std::size_t c = 0; balls > 0; ++c) {
+    const step_count k = std::min({cuts[c % std::size(cuts)], p.snapshot_window(), balls});
+    r.arrive(p, rng, k);
+    balls -= k;
+    expect_live_claim_sound(p);
+    if (p.state().balls() % p.batch_size() == 0) {
+      ++boundaries;
+      EXPECT_EQ(p.window_snapshot(), p.state().loads())
+          << r.name << ": boundary at ball " << p.state().balls();
+      EXPECT_TRUE(p.snapshot_is_live());
+    }
+  }
+  return boundaries;
+}
+
+constexpr bin_count kLawBins = 64;
+constexpr step_count kLawBatch = 32;  // >= n/4: whole batches take the engines' fast path
+
+TEST(BBatchBoundaryLaw, DeparturesVisibleAtNextBoundary) {
+  for (const std::string channel : {"drain", "random", "lease"}) {
+    for (const route& r : all_routes()) {
+      SCOPED_TRACE(r.name + ", " + channel);
+      b_batch p(kLawBins, kLawBatch);
+      p.set_model(make_model("unit", "uniform", kLawBins, channel));
+      rng_t rng(7);
+      r.arrive(p, rng, 4 * kLawBatch);  // ends on a boundary
+      const std::vector<load_t> before = p.state().loads();
+      r.depart(p, rng, kLawBatch);
+      EXPECT_FALSE(p.snapshot_is_live());
+      const std::vector<load_t> drained = p.state().loads();
+      r.arrive(p, rng, kLawBatch);  // the next boundary
+      int drained_without_arrival = 0;
+      for (bin_index i = 0; i < kLawBins; ++i) {
+        if (drained[i] < before[i] && p.state().load(i) == drained[i]) ++drained_without_arrival;
+        EXPECT_EQ(p.reported_load(i), p.state().load(i)) << "bin " << i;
+      }
+      // The case an arrivals-only refresh misses must actually occur.
+      EXPECT_GT(drained_without_arrival, 0);
+    }
+  }
+}
+
+TEST(BBatchBoundaryLaw, SnapshotEqualsLoadsAfterEveryBatchEndingWindow) {
+  for (const std::string weighting : {"unit", "fixed:2"}) {
+    for (const route& r : all_routes()) {
+      SCOPED_TRACE(r.name + ", " + weighting);
+      b_batch p(kLawBins, kLawBatch);
+      p.set_model(make_model(weighting, "uniform", kLawBins));
+      rng_t rng(8);
+      EXPECT_EQ(arrive_checking_boundaries(p, rng, r, 20 * kLawBatch), 20);
+    }
+  }
+}
+
+TEST(BBatchBoundaryLaw, HoldsAfterMidBatchCheckpointRestore) {
+  for (const route& r : all_routes()) {
+    SCOPED_TRACE(r.name);
+    b_batch uninterrupted(kLawBins, kLawBatch);
+    rng_t rng(9);
+    // 3 batches plus a partial window of 20 balls (>= n/4, so the engines
+    // commit it mid-batch).
+    r.arrive(uninterrupted, rng, 3 * kLawBatch + 20);
+    state_writer w;
+    uninterrupted.save_checkpoint(w);
+    b_batch restored(kLawBins, kLawBatch);
+    state_reader reader(w.bytes());
+    restored.restore_checkpoint(reader);
+    EXPECT_EQ(restored.window_snapshot(), uninterrupted.window_snapshot());
+    rng_t rng_restored = rng;
+    EXPECT_EQ(arrive_checking_boundaries(restored, rng_restored, r, 4 * kLawBatch - 20), 4);
+    arrive_checking_boundaries(uninterrupted, rng, r, 4 * kLawBatch - 20);
+    EXPECT_EQ(restored.state().loads(), uninterrupted.state().loads());
+    EXPECT_EQ(rng_restored.state(), rng.state());
+  }
+}
 
 }  // namespace

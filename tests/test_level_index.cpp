@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
+#include <vector>
 
 #include "test_support.hpp"
 
@@ -76,6 +78,87 @@ void expect_levels_consistent(const load_state& s) {
     visited += count;
   });
   EXPECT_EQ(visited, s.n());
+}
+
+/// The state's index after a fused commit (apply_increments /
+/// apply_releases track the range in their add pass) must equal a
+/// from-scratch rebuild of the same loads: min, max and every count.
+void expect_index_equals_rebuild(const load_state& s) {
+  level_index fresh;
+  const bool dense = fresh.rebuild(s.loads());
+  ASSERT_EQ(s.levels_valid(), dense);
+  if (!dense) return;
+  const level_index& got = s.levels();
+  EXPECT_EQ(got.min_level(), fresh.min_level());
+  EXPECT_EQ(got.max_level(), fresh.max_level());
+  for (load_t l = fresh.min_level(); l <= fresh.max_level(); ++l) {
+    EXPECT_EQ(got.count_at(l), fresh.count_at(l)) << "level " << l;
+  }
+}
+
+TEST(LevelIndex, FusedApplyIncrementsMatchesRebuild) {
+  const bin_count n = 40;
+  load_state s(n);
+  rng_t rng(5);
+  std::vector<std::uint32_t> add(n);
+  for (const weight_t w : {weight_t{1}, weight_t{3}}) {
+    for (int round = 0; round < 30; ++round) {
+      for (auto& a : add) a = static_cast<std::uint32_t>(bounded(rng, 4));
+      s.apply_increments(add, w);
+      expect_index_equals_rebuild(s);
+    }
+  }
+  std::vector<std::uint32_t> rel(n, 0);
+  for (bin_index i = 0; i < n; i += 3) rel[i] = 1;
+  s.apply_releases(rel, 1, (n + 2) / 3);
+  expect_index_equals_rebuild(s);
+  std::vector<std::int64_t> delta(n, 0);
+  delta[1] = -2;
+  delta[2] = 5;
+  s.apply_increments(delta, 1);
+  expect_index_equals_rebuild(s);
+  // Dense-span degrade: one heavy window pushes the span past
+  // max_dense_span, and lifting every other bin by the same weight brings
+  // the index back.
+  const weight_t heavy = level_index::max_dense_span + 1;
+  std::vector<std::uint32_t> one(n, 0);
+  one[7] = 1;
+  s.apply_increments(one, heavy);
+  EXPECT_FALSE(s.levels_valid());
+  expect_index_equals_rebuild(s);
+  std::vector<std::uint32_t> rest(n, 1);
+  rest[7] = 0;
+  s.apply_increments(rest, heavy);
+  EXPECT_TRUE(s.levels_valid());
+  expect_index_equals_rebuild(s);
+}
+
+TEST(LevelIndex, FusedApplyGuardsLeaveStateUntouched) {
+  const bin_count n = 128;
+  load_state s(n);
+  s.apply_increments(std::vector<std::uint32_t>(n, 2), 5);
+  const std::vector<load_t> loads = s.loads();
+  const step_count balls = s.balls();
+  const weight_t weight = s.total_weight();
+  const auto expect_untouched = [&] {
+    EXPECT_EQ(s.loads(), loads);
+    EXPECT_EQ(s.balls(), balls);
+    EXPECT_EQ(s.total_weight(), weight);
+    EXPECT_TRUE(s.levels_valid());
+    EXPECT_EQ(s.levels().min_level(), 10);
+    EXPECT_EQ(s.levels().max_level(), 10);
+    EXPECT_EQ(s.levels().count_at(10), n);
+  };
+  // Per-bin guard: one bin would pass its 32-bit load.
+  std::vector<std::uint32_t> big(n, 0);
+  big[3] = std::numeric_limits<load_t>::max() / 4;
+  EXPECT_THROW(s.apply_increments(big, 4), contract_error);
+  expect_untouched();
+  // Total-weight guard: 128 * (2^32 - 1) balls of weight 2^24 pass
+  // max_total_weight.
+  EXPECT_THROW(s.apply_increments(std::vector<std::uint32_t>(n, 0xFFFFFFFFu), max_ball_weight),
+               contract_error);
+  expect_untouched();
 }
 
 TEST(LevelIndex, FreshStateIsAllAtZero) {

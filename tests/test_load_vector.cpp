@@ -1,9 +1,12 @@
 // Unit tests for load_state, the process-state substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "core/load_vector.hpp"
+#include "rng/rng.hpp"
 
 namespace {
 
@@ -114,6 +117,67 @@ TEST(LoadState, SingleBinDegenerateCase) {
   s.allocate(0);
   EXPECT_DOUBLE_EQ(s.gap(), 0.0);  // max == average when n == 1
   EXPECT_EQ(s.overloaded_count(), 1u);
+}
+
+/// assign(state) -- ranged by the level index -- must yield exactly the
+/// bytes, base() and max_off() of a full assign(loads) scan, and refuse
+/// exactly when the scan does.
+void expect_ranged_snapshot_parity(const load_state& s) {
+  nb::compact_snapshot full;
+  nb::compact_snapshot ranged;
+  const bool ok = full.assign(s.loads());
+  ASSERT_EQ(ranged.assign(s), ok);
+  EXPECT_EQ(ranged.ok(), ok);
+  EXPECT_EQ(ranged.base(), full.base());
+  if (!ok) return;
+  EXPECT_EQ(ranged.max_off(), full.max_off());
+  ASSERT_EQ(ranged.size(), full.size());
+  const std::size_t bytes = full.size() + nb::compact_snapshot::tail_padding;
+  EXPECT_TRUE(std::equal(full.data(), full.data() + bytes, ranged.data()));
+}
+
+TEST(CompactSnapshot, LevelRangedAssignMatchesFullScan) {
+  const nb::bin_count n = 97;
+  load_state s(n);
+  nb::xoshiro256pp rng(3);
+  expect_ranged_snapshot_parity(s);
+  for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < 150; ++k) s.allocate(static_cast<nb::bin_index>(nb::bounded(rng, n)));
+    expect_ranged_snapshot_parity(s);
+  }
+  // Merged windows and departures move the range through the other paths.
+  std::vector<std::uint32_t> add(n, 0);
+  add[5] = 40;
+  s.apply_increments(add);
+  expect_ranged_snapshot_parity(s);
+  std::vector<std::uint32_t> rel(n, 0);
+  rel[5] = 30;
+  s.apply_releases(rel, 1, 30);
+  s.release(7);
+  expect_ranged_snapshot_parity(s);
+  // Span over 255: both refuse, reporting the same base.
+  for (int k = 0; k < 300; ++k) s.allocate(0);
+  ASSERT_GT(s.max_load() - s.min_load(), 255);
+  expect_ranged_snapshot_parity(s);
+}
+
+TEST(CompactSnapshot, LevelRangedAssignScansOnceLevelsGiveUp) {
+  const nb::bin_count n = 16;
+  load_state s(n);
+  const nb::weight_t heavy = nb::level_index::max_dense_span + 1;
+  s.allocate(0, heavy);
+  ASSERT_FALSE(s.levels_valid());
+  expect_ranged_snapshot_parity(s);  // span way over 255
+  // Lift every other bin by the same weight: the span is small again, but
+  // no rebuild has run, so the index stays invalid and assign(state) must
+  // fall back to scanning.
+  for (nb::bin_index i = 1; i < n; ++i) s.allocate(i, heavy);
+  s.allocate(3, 7);
+  ASSERT_FALSE(s.levels_valid());
+  nb::compact_snapshot ranged;
+  EXPECT_TRUE(ranged.assign(s));
+  EXPECT_EQ(ranged.max_off(), 7);
+  expect_ranged_snapshot_parity(s);
 }
 
 }  // namespace

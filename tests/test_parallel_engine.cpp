@@ -328,4 +328,28 @@ TEST(ShardEngine, RunCeilingUsesNamedConstant) {
                contract_error);
 }
 
+TEST(EnginePhases, CountEveryFastPathWindow) {
+  // Execution-only phase timers: one entry per fast-path window, none for
+  // windows routed to the serial loop, and no merge on the kernel engine.
+  const bin_count n = 64;
+  b_batch a(n, n);
+  b_batch b(n, n);
+  rng_t rng_a(3);
+  rng_t rng_b(3);
+  kernel_engine kernel(kernel_options{.min_window = 1});
+  shard_engine shard(shard_options{.threads = 2, .shards = 4, .min_window = 1});
+  step_many_kernel(a, rng_a, 5 * n, kernel);
+  step_many_parallel(b, rng_b, 5 * n, shard);
+  EXPECT_EQ(kernel.phases().windows, 5);
+  EXPECT_EQ(shard.phases().windows, 5);
+  EXPECT_EQ(kernel.phases().merge_ns, 0);
+  for (const window_phase_times* phases : {&kernel.phases(), &shard.phases()}) {
+    EXPECT_GE(phases->snapshot_ns, 0);
+    EXPECT_GT(phases->kernel_ns, 0);
+    EXPECT_GT(phases->commit_ns, 0);
+  }
+  step_many_kernel(a, rng_a, 3, kernel);  // 3 < n/4: serial, not a window
+  EXPECT_EQ(kernel.phases().windows, 5);
+}
+
 }  // namespace
