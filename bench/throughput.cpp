@@ -208,7 +208,7 @@ scale_measurement scale_observed_run(bin_count n, step_count m, step_count inter
 
 /// One timed leg of the scale benchmark (a row of the JSON results array).
 struct scale_entry {
-  std::string kernel;  // off | kernel | kernel-untuned | shard | campaign
+  std::string kernel;  // off | kernel | kernel-untuned | shard | campaign | churn*
   std::string isa;     // resolved backend ("none" for the fused loop)
   std::size_t threads = 1;
   std::string process = "b-batch";   // workload the leg times
@@ -242,6 +242,9 @@ struct scale_entry {
   /// Kernel and shard legs: where the leg engine's windows spent their
   /// time over all its shots (emitted per window as window_phases_ms).
   window_phase_times phases;
+  /// Engine churn legs: the same split for the engine's departure blocks
+  /// (emitted per block as depart_phases_ms).
+  window_phase_times depart_phases;
 };
 
 /// --isa override in effect for every engine the scale legs construct
@@ -283,6 +286,18 @@ void note_phases(scale_entry& entry, const window_phase_times& phases) {
               static_cast<double>(phases.merge_ns) * ms,
               static_cast<double>(phases.commit_ns) * ms,
               total > 0.0 ? 100.0 * static_cast<double>(phases.commit_ns) / total : 0.0);
+}
+
+/// Prints an engine churn leg's per-departure-block split.
+void note_depart_phases(const window_phase_times& phases) {
+  if (phases.windows == 0) return;
+  const double ms = 1e-6 / static_cast<double>(phases.windows);
+  std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, merge + clamp %.3f ms, "
+              "commit %.3f ms\n",
+              static_cast<double>(phases.snapshot_ns) * ms,
+              static_cast<double>(phases.kernel_ns) * ms,
+              static_cast<double>(phases.merge_ns) * ms,
+              static_cast<double>(phases.commit_ns) * ms);
 }
 
 /// "ipc 1.23, llc 4.5e+07" console tail for a leg, or the explicit
@@ -705,24 +720,30 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   }
 
   // Steady-state churn legs: the event-stream API under load, per
-  // departure channel.  Each channel gets two legs reporting EVENTS per
-  // second (arrivals + departures) at fixed occupancy:
-  //   * "churn"        -- the serial per-event reference: a two-choice
-  //                       system warmed to `churn_occupancy` residents,
-  //                       then advance() on the master stream (PR 9's
-  //                       committed baseline key, law unchanged);
-  //   * "churn-kernel" -- the batched path: a b-Batch system (b = the
-  //                       churn cycle, so arrivals vectorize too -- the
-  //                       windowless two-choice would serialize them) in
-  //                       cycles of kernel arrivals + kernel departure
-  //                       blocks through the serial kernel engine.  The
-  //                       cycle is max(min_window, n) -- the committed
-  //                       observed-run window b = n, which amortizes the
-  //                       per-block O(n) snapshot/commit passes over a
-  //                       full window of events.
-  // Keyed by (kernel, process, departures) in the JSON; the tail records
-  // per-channel kernel-vs-serial speedups.  --departures narrows to one
-  // channel; the default sweeps all three.
+  // departure channel, each reporting EVENTS per second (arrivals +
+  // departures) at fixed occupancy:
+  //   * "churn"        -- a workload leg: a two-choice system warmed to
+  //                       `churn_occupancy` residents, then advance() on
+  //                       the master stream (the committed key, law
+  //                       unchanged).  A different process, so it is no
+  //                       ratio's reference.
+  //   * "churn-serial" -- the serial per-event reference of the batched
+  //                       legs: the SAME warmed b-Batch system (b = the
+  //                       churn cycle, so arrivals vectorize on the
+  //                       engines) churned in the SAME cycles of arrivals
+  //                       then departures, through step_many and the
+  //                       per-event depart_many.
+  //   * "churn-kernel" -- those cycles through the serial kernel engine
+  //                       (kernel arrivals + kernel departure blocks);
+  //   * "churn-shard"  -- those cycles through the shard engine.
+  // The cycle is max(min_window, n) -- the committed observed-run window
+  // b = n, which amortizes the per-block O(n) snapshot/commit passes over
+  // a full window of events.  Engine legs also report their departure
+  // blocks' phase split (depart_phases_ms).  Keyed by (kernel, process,
+  // departures) in the JSON; the tail records per-channel speedups of
+  // churn-kernel over churn-serial (like with like: same process, same
+  // cycle, same warmed state).  --departures narrows to one channel; the
+  // default sweeps all three.
   const step_count churn_pairs = m / 10;
   std::vector<std::pair<std::string, double>> churn_speedups;
   if (churn_pairs > 0) {
@@ -733,8 +754,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     const step_count occupancy =
         churn_occupancy > 0 ? churn_occupancy : static_cast<step_count>(n);
     const double churn_work = 2.0 * static_cast<double>(churn_pairs);
+    const step_count cycle = std::max<step_count>(4096, static_cast<step_count>(n));
     for (const std::string& channel : channels) {
-      double serial_rate = 0.0;
       {
         scale_entry leg;
         leg.kernel = "churn";
@@ -760,36 +781,37 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         });
         leg.perf = churn_counters.stop();
         annotate_env(leg, hp_before);
-        serial_rate = leg.timing.rate_median(churn_work);
-        std::printf("  %-10s dep=%-8s t=1 %12.3e events/s  (two-choice at occupancy %lld, "
-                    "gap %.1f, %s)\n",
-                    "churn", channel.c_str(), serial_rate, static_cast<long long>(occupancy),
-                    leg.run.gap, perf_note(leg.perf).c_str());
+        std::printf("  %-12s dep=%-8s t=1 %12.3e events/s  (workload: two-choice at occupancy "
+                    "%lld, gap %.1f, %s)\n",
+                    "churn", channel.c_str(), leg.timing.rate_median(churn_work),
+                    static_cast<long long>(occupancy), leg.run.gap, perf_note(leg.perf).c_str());
         results.push_back(std::move(leg));
       }
+      // One warmed b-Batch system for the three like-with-like legs.
+      b_batch warmed(n, cycle);
+      warmed.set_model(make_model("unit", "uniform", n, channel));
+      rng_t warm_rng(seed);
       {
-        const step_count cycle = std::max<step_count>(4096, static_cast<step_count>(n));
+        kernel_engine warm_engine(kernel_options{.lanes = lanes, .isa = g_isa_request});
+        step_many_kernel(warmed, warm_rng, occupancy, warm_engine);
+      }
+      // Times cycles of `arrive` then `depart` from the warmed system.
+      const auto time_batch_churn = [&](const char* kernel, std::size_t leg_threads,
+                                        perf_counter_set& churn_counters, const auto& arrive,
+                                        const auto& depart) {
         scale_entry leg;
-        leg.kernel = "churn-kernel";
-        leg.threads = 1;
+        leg.kernel = kernel;
+        leg.threads = leg_threads;
         leg.process = "b-batch";
         leg.departures = channel;
-        perf_counter_set churn_counters;
         const hugepage_stats_t hp_before = hugepage_stats();
-        kernel_engine engine(kernel_options{.lanes = lanes, .isa = g_isa_request});
-        leg.isa = kernel_isa_name(engine.isa());
-        b_batch warmed(n, cycle);
-        warmed.set_model(make_model("unit", "uniform", n, channel));
-        rng_t warm_rng(seed);
-        step_many_kernel(warmed, warm_rng, occupancy, engine);
-        churn_counters.start();
         leg.timing = time_median_of(kWarmup, kReps, [&] {
           b_batch p = warmed;
           rng_t rng = warm_rng;
           for (step_count served = 0; served < churn_pairs;) {
             const step_count k = std::min(cycle, churn_pairs - served);
-            step_many_kernel(p, rng, k, engine);
-            depart_many_kernel(p, rng, k, engine);
+            arrive(p, rng, k);
+            depart(p, rng, k);
             served += k;
           }
           const auto& s = p.state();
@@ -799,14 +821,60 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         });
         leg.perf = churn_counters.stop();
         annotate_env(leg, hp_before);
-        const double kernel_rate = leg.timing.rate_median(churn_work);
-        if (serial_rate > 0.0) churn_speedups.emplace_back(channel, kernel_rate / serial_rate);
-        std::printf("  %-10s dep=%-8s isa=%-7s %10.3e events/s  (b-batch cycle %lld, "
-                    "%5.2fx vs serial, gap %.1f, %s)\n",
-                    "churn-kern", channel.c_str(), leg.isa.c_str(), kernel_rate,
-                    static_cast<long long>(cycle),
-                    serial_rate > 0.0 ? kernel_rate / serial_rate : 0.0, leg.run.gap,
-                    perf_note(leg.perf).c_str());
+        return leg;
+      };
+      const auto print_batch_leg = [&](const scale_entry& leg, double reference) {
+        const double rate = leg.timing.rate_median(churn_work);
+        std::printf("  %-12s dep=%-8s isa=%-7s t=%zu %10.3e events/s  (b-batch cycle %lld",
+                    leg.kernel.c_str(), channel.c_str(), leg.isa.c_str(), leg.threads, rate,
+                    static_cast<long long>(cycle));
+        if (reference > 0.0) std::printf(", %5.2fx vs churn-serial", rate / reference);
+        std::printf(", gap %.1f, %s)\n", leg.run.gap, perf_note(leg.perf).c_str());
+        note_depart_phases(leg.depart_phases);
+      };
+      double serial_rate = 0.0;
+      {
+        perf_counter_set churn_counters;
+        churn_counters.start();
+        scale_entry leg = time_batch_churn(
+            "churn-serial", 1, churn_counters,
+            [](b_batch& p, rng_t& rng, step_count k) { nb::step_many(p, rng, k); },
+            [](b_batch& p, rng_t& rng, step_count k) { nb::depart_many(p, rng, k); });
+        leg.isa = "none";
+        serial_rate = leg.timing.rate_median(churn_work);
+        print_batch_leg(leg, 0.0);
+        results.push_back(std::move(leg));
+      }
+      {
+        perf_counter_set churn_counters;
+        kernel_engine kengine(kernel_options{.lanes = lanes, .isa = g_isa_request});
+        churn_counters.start();
+        scale_entry leg = time_batch_churn(
+            "churn-kernel", 1, churn_counters,
+            [&](b_batch& p, rng_t& rng, step_count k) { step_many_kernel(p, rng, k, kengine); },
+            [&](b_batch& p, rng_t& rng, step_count k) { depart_many_kernel(p, rng, k, kengine); });
+        leg.isa = kernel_isa_name(kengine.isa());
+        leg.depart_phases = kengine.depart_phases();
+        if (serial_rate > 0.0) {
+          churn_speedups.emplace_back(channel, leg.timing.rate_median(churn_work) / serial_rate);
+        }
+        print_batch_leg(leg, serial_rate);
+        results.push_back(std::move(leg));
+      }
+      {
+        perf_counter_set churn_counters;  // before the engine: pool threads inherit it
+        churn_counters.start();
+        shard_engine sengine(shard_options{
+            .threads = threads, .shards = shards, .lanes = lanes, .isa = g_isa_request});
+        scale_entry leg = time_batch_churn(
+            "churn-shard", sengine.threads(), churn_counters,
+            [&](b_batch& p, rng_t& rng, step_count k) { step_many_parallel(p, rng, k, sengine); },
+            [&](b_batch& p, rng_t& rng, step_count k) {
+              depart_many_parallel(p, rng, k, sengine);
+            });
+        leg.isa = kernel_isa_name(sengine.isa());
+        leg.depart_phases = sengine.depart_phases();
+        print_batch_leg(leg, serial_rate);
         results.push_back(std::move(leg));
       }
     }
@@ -893,9 +961,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       // use their own work terms.
       const double leg_work =
           e.kernel == "campaign" ? static_cast<double>(std::max<step_count>(1, m / 2 / 8)) * 8.0
-          : e.kernel == "churn" || e.kernel == "churn-kernel"
-              ? 2.0 * static_cast<double>(churn_pairs)
-              : work;
+          : e.kernel.rfind("churn", 0) == 0 ? 2.0 * static_cast<double>(churn_pairs)
+                                             : work;
       std::fprintf(f,
                    "    {\"kernel\": \"%s\", \"isa\": \"%s\", \"threads\": %zu,\n"
                    "     \"process\": \"%s\", \"weighting\": \"%s\", \"sampler\": \"%s\",\n"
@@ -920,17 +987,21 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                      "     \"bit_identical_to_1thread\": %s",
                      e.speedup_vs_1t, e.efficiency, e.parity_checked ? "true" : "false");
       }
-      if (e.phases.windows > 0) {
-        const double ms = 1e-6 / static_cast<double>(e.phases.windows);
+      // Per-window (per-block) phase splits, when the leg's engine booked any.
+      const auto emit_phases = [f](const char* key, const char* count_key,
+                                   const window_phase_times& p) {
+        if (p.windows == 0) return;
+        const double ms = 1e-6 / static_cast<double>(p.windows);
         std::fprintf(f,
-                     ",\n     \"window_phases_ms\": {\"windows\": %lld, \"snapshot\": %.4f, "
-                     "\"kernel\": %.4f, \"merge\": %.4f, \"commit\": %.4f}",
-                     static_cast<long long>(e.phases.windows),
-                     static_cast<double>(e.phases.snapshot_ns) * ms,
-                     static_cast<double>(e.phases.kernel_ns) * ms,
-                     static_cast<double>(e.phases.merge_ns) * ms,
-                     static_cast<double>(e.phases.commit_ns) * ms);
-      }
+                     ",\n     \"%s\": {\"%s\": %lld, \"snapshot\": %.4f, \"kernel\": %.4f, "
+                     "\"merge\": %.4f, \"commit\": %.4f}",
+                     key, count_key, static_cast<long long>(p.windows),
+                     static_cast<double>(p.snapshot_ns) * ms,
+                     static_cast<double>(p.kernel_ns) * ms, static_cast<double>(p.merge_ns) * ms,
+                     static_cast<double>(p.commit_ns) * ms);
+      };
+      emit_phases("window_phases_ms", "windows", e.phases);
+      emit_phases("depart_phases_ms", "blocks", e.depart_phases);
       if (e.perf.available) {
         std::fprintf(f, ",\n     \"perf\": {\"cycles\": %.6e, \"instructions\": %.6e, "
                         "\"ipc\": %.4f, ",
@@ -960,7 +1031,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                  "  \"shard_vs_fused_speedup\": %.4f,\n",
                  kernel_speedup, tuning_speedup, shard.timing.rate_median(work) / fused_rate);
     // Per-channel batched-departure speedups: churn-kernel events/s over
-    // the serial churn reference on the same channel.
+    // churn-serial (same b-Batch process, cycle and warmed state).
     if (churn_speedups.empty()) {
       std::fprintf(f, "  \"churn_kernel_vs_serial_speedup\": null,\n");
     } else {

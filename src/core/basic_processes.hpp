@@ -47,8 +47,9 @@ class one_choice {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
   }
 
   /// Checkpoint contract: the load state is the only mutable member
@@ -90,8 +91,9 @@ class two_choice {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
   }
 
   /// Checkpoint contract: the load state is the only mutable member
@@ -151,8 +153,9 @@ class d_choice {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
   }
 
   /// Checkpoint contract: the load state is the only mutable member
@@ -215,8 +218,9 @@ class one_plus_beta {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
   }
 
   /// Checkpoint contract: the load state is the only mutable member

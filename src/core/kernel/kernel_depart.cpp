@@ -12,10 +12,8 @@
 #include "core/kernel/kernel_depart.hpp"
 
 #include <string>
-#include <vector>
 
 #include "core/kernel/kernel_common.hpp"
-#include "core/load_vector.hpp"
 
 namespace nb {
 namespace {
@@ -66,11 +64,12 @@ kernel_detail::fill_pair_fn pick_fill_pair(kernel_isa resolved) noexcept {
   }
 }
 
-/// Drain: fill backends decide "fuller of two snapshot samples" over the
-/// byte-inverted snapshot; the fold retires weight w per event with a
-/// per-event remaining-capacity check.
+/// Drain: fill backends decide "fuller of two snapshot samples" as the
+/// canonical min-select over the caller's byte-inverted snapshot `inv`
+/// (compact_snapshot::assign_inverted); the fold retires weight w per
+/// event with a per-event remaining-capacity check.
 template <typename Row>
-void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* inv,
                   load_t snap_base, weight_t w, Row* rel, step_count k, std::uint64_t seed) {
   const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
   const kernel_tuning tune = current_kernel_tuning();
@@ -78,22 +77,14 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
 
-  // Byte-inverted snapshot: max-select over off[] IS the canonical
-  // min-select over 255 - off[] with identical tie semantics, so the
-  // allocation fill backends serve drain verbatim.  Thread-local so shard
-  // tasks reuse their buffer across windows; the tail padding stays
-  // readable for the vector gathers, its values are never used.
-  thread_local std::vector<std::uint8_t> inv;
-  inv.resize(static_cast<std::size_t>(n) + compact_snapshot::tail_padding);
-  for (bin_count i = 0; i < n; ++i) inv[i] = static_cast<std::uint8_t>(255 - snap[i]);
-  for (std::size_t p = n; p < inv.size(); ++p) inv[p] = 0;
-
   // Dedicated scalar stream for drained-dry picks: lane streams occupy
   // derive_seed(seed, 0..lanes-1), so the replay stream is the next one.
   xoshiro256pp replay(derive_seed(seed, lanes));
 
+  // A bin's snapshot load is base + 255 - inv[c].
+  const weight_t top = static_cast<weight_t>(snap_base) + 255;
   const auto remaining = [&](std::uint32_t c) noexcept -> weight_t {
-    return static_cast<weight_t>(snap_base) + snap[c] - static_cast<weight_t>(rel[c]) * w;
+    return top - inv[c] - static_cast<weight_t>(rel[c]) * w;
   };
   const auto replay_one = [&]() {
     for (int attempt = 0; attempt < kDrainReplayAttempts; ++attempt) {
@@ -132,7 +123,7 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
   while (k > 0) {
     const std::size_t count =
         k < static_cast<step_count>(block) ? static_cast<std::size_t>(k) : block;
-    fill(state, n, threshold, inv.data(), chosen, count, tune);
+    fill(state, n, threshold, inv, chosen, count, tune);
     for (std::size_t t = 0; t < count; ++t) {
       const std::uint32_t c = chosen[t];
       if (remaining(c) >= w) {

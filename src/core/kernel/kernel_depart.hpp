@@ -14,6 +14,10 @@
 //     snapshot (255 - off[i]) with identical tie semantics, so every
 //     fill backend -- scalar, SSE2, AVX2, AVX-512, NEON -- is reused
 //     verbatim and cross-backend bit-identity is inherited, not re-proven.
+//     The caller passes that inverted snapshot (compact_snapshot::
+//     assign_inverted writes it in its one assignment pass, once per
+//     block); the kernel reads it as given -- no per-call copy or
+//     inversion pass -- and a bin's snapshot load is base + 255 - byte.
 //     At fold time the chosen bin's *remaining* load (snapshot load minus
 //     this call's own departures) must still cover the per-ball weight; a
 //     drained-dry pick is re-served from a dedicated scalar replay stream
@@ -66,12 +70,17 @@ enum class depart_channel : std::uint8_t {
 
 /// Serves `k` departures against `snap` (n bins, 8-bit offsets over
 /// `snap_base`, `snap_span` = max offset, tail-padded like kernel_run) and
-/// accumulates `++rel[chosen]` per departing ball.  `weight_per_ball` is
+/// accumulates `++rel[chosen]` per departing ball.  The drain channel
+/// takes the INVERTED snapshot (bytes 255 - offset, as written by
+/// compact_snapshot::assign_inverted); the random channel takes the plain
+/// one (compact_snapshot::assign).  `weight_per_ball` is
 /// the weight each drain departure retires (deterministic weightings only;
-/// must be 1 for the random channel) -- the capacity fold guarantees
-/// snap_base + snap[i] - weight_per_ball * rel[i] stays non-negative for
-/// every bin, so the caller can apply the counts with
-/// load_state::apply_releases unguarded.  The uint16 overload is the
+/// must be 1 for the random channel) -- the capacity fold guarantees that
+/// every bin's snapshot load minus weight_per_ball * rel[i] stays
+/// non-negative, where the snapshot load is snap_base + 255 - snap[i] on
+/// the drain channel and snap_base + snap[i] on the random channel, so
+/// the caller can apply the counts with load_state::apply_releases
+/// unguarded.  The uint16 overload is the
 /// shard-engine row (caller caps per-call departures like the allocation
 /// row cap); the uint32 overload serves whole serial blocks.
 void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "util/hugepage.hpp"
 
@@ -30,7 +32,10 @@ void load_state::reset() {
   lease_count_ = 0;
 }
 
-bool compact_snapshot::assign(const std::vector<load_t>& loads) {
+namespace {
+
+/// Exact minimum and maximum of a non-empty load vector.
+std::pair<load_t, load_t> load_range(const std::vector<load_t>& loads) {
   NB_ASSERT(!loads.empty());
   load_t mn = loads.front();
   load_t mx = loads.front();
@@ -38,14 +43,31 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads) {
     if (x < mn) mn = x;
     if (x > mx) mx = x;
   }
-  return assign(loads, mn, mx);
+  return {mn, mx};
+}
+
+}  // namespace
+
+bool compact_snapshot::assign(const std::vector<load_t>& loads) {
+  const auto [mn, mx] = load_range(loads);
+  return assign(loads, mn, mx, 0);
 }
 
 bool compact_snapshot::assign(const load_state& state) {
-  return assign(state.loads(), state.min_load(), state.max_load());
+  return assign(state.loads(), state.min_load(), state.max_load(), 0);
 }
 
-bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_t mx) {
+bool compact_snapshot::assign_inverted(const std::vector<load_t>& loads) {
+  const auto [mn, mx] = load_range(loads);
+  return assign(loads, mn, mx, 0xFF);
+}
+
+bool compact_snapshot::assign_inverted(const load_state& state) {
+  return assign(state.loads(), state.min_load(), state.max_load(), 0xFF);
+}
+
+bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_t mx,
+                              std::uint8_t mask) {
   NB_ASSERT(!loads.empty() && mn <= mx);
   base_ = mn;
   ok_ = (mx - mn) <= 255;
@@ -60,9 +82,44 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_
     advised_ = off_.data();
   }
   for (std::size_t i = 0; i < n_; ++i) {
-    off_[i] = static_cast<std::uint8_t>(loads[i] - mn);
+    off_[i] = static_cast<std::uint8_t>(static_cast<std::uint8_t>(loads[i] - mn) ^ mask);
   }
   for (std::size_t p = n_; p < off_.size(); ++p) off_[p] = 0;
+  return true;
+}
+
+bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx,
+                          const range_executor& exec) {
+  NB_ASSERT(mn <= mx);
+  if (mx - mn > max_dense_span) return false;
+  base_ = mn;
+  min_ = mn;
+  max_ = mx;
+  const std::size_t n = loads.size();
+  n_ = static_cast<bin_count>(n);
+  const auto levels = static_cast<std::size_t>(mx - mn) + 1;
+  counts_.assign(levels, 0);
+  // One histogram per range, a cache line apart (plus a line of slack) so
+  // neighbouring ranges never count into a shared line.  When the
+  // histograms would outweigh the bins (a wide but still dense span), one
+  // sweep on the calling thread counts instead.
+  const std::size_t ranges = exec.ranges();
+  if (ranges == 1 || levels * ranges > n) {
+    for (const load_t x : loads) ++counts_[static_cast<std::size_t>(x - mn)];
+    return true;
+  }
+  constexpr std::size_t line = 64 / sizeof(bin_count);
+  const std::size_t stride = (levels + 2 * line - 1) / line * line;
+  std::vector<bin_count> partial(ranges * stride, 0);
+  exec.run([&](std::size_t r) {
+    const auto [lo, hi] = exec.bounds(r, n);
+    bin_count* h = partial.data() + r * stride;
+    for (std::size_t i = lo; i < hi; ++i) ++h[static_cast<std::size_t>(loads[i] - mn)];
+  });
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const bin_count* h = partial.data() + r * stride;
+    for (std::size_t l = 0; l < levels; ++l) counts_[l] += h[l];
+  }
   return true;
 }
 
@@ -99,47 +156,85 @@ void shard_deltas::sum_rows(std::vector<std::uint32_t>& out) const {
 }
 
 template <typename Delta>
-void load_state::add_and_reindex(const Delta& delta) {
+void load_state::add_and_reindex(const Delta& delta, const range_executor& exec) {
+  const std::size_t n = loads_.size();
+  std::vector<std::pair<load_t, load_t>> range(exec.ranges());
+  exec.run([&](std::size_t r) {
+    const auto [lo, hi] = exec.bounds(r, n);
+    load_t mn = std::numeric_limits<load_t>::max();
+    load_t mx = std::numeric_limits<load_t>::min();
+    for (std::size_t i = lo; i < hi; ++i) {
+      const load_t x = loads_[i] + delta(i);
+      loads_[i] = x;
+      mn = x < mn ? x : mn;
+      mx = x > mx ? x : mx;
+    }
+    range[r] = {mn, mx};
+  });
   load_t mn = std::numeric_limits<load_t>::max();
   load_t mx = std::numeric_limits<load_t>::min();
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    const load_t x = loads_[i] + delta(i);
-    loads_[i] = x;
-    mn = x < mn ? x : mn;
-    mx = x > mx ? x : mx;
+  for (const auto& [lo, hi] : range) {  // empty ranges keep the identities
+    mn = lo < mn ? lo : mn;
+    mx = hi > mx ? hi : mx;
   }
-  levels_ok_ = levels_.rebuild(loads_, mn, mx);
+  levels_ok_ = levels_.rebuild(loads_, mn, mx, exec);
 }
 
 void load_state::apply_increments(const std::vector<std::uint32_t>& add,
-                                  weight_t weight_per_ball) {
+                                  weight_t weight_per_ball, const range_executor& exec) {
   NB_ASSERT(!bulk_);
   NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
              "per-ball weight must be in [1, max_ball_weight]");
+  // Sum, and under fixed weights validate every bin, BEFORE mutating any
+  // (strong exception safety, like allocate(i, w)): a throw must not leave
+  // a prefix of bins inflated while balls_/levels_ still reflect the old
+  // state.  Each range records its total and its first culprit bin (n =
+  // none); the sweep is branch-free and only a failing range re-walks.
+  const std::size_t n = loads_.size();
+  constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
+  std::vector<step_count> totals(exec.ranges(), 0);
+  std::vector<std::size_t> culprits(exec.ranges(), n);
+  exec.run([&](std::size_t r) {
+    const auto [lo, hi] = exec.bounds(r, n);
+    step_count total = 0;
+    for (std::size_t i = lo; i < hi; ++i) total += add[i];
+    totals[r] = total;
+    if (weight_per_ball == 1) return;
+    bool over = false;
+    for (std::size_t i = lo; i < hi; ++i) {
+      over |= static_cast<weight_t>(loads_[i]) + static_cast<weight_t>(add[i]) * weight_per_ball >
+              bin_cap;
+    }
+    for (std::size_t i = lo; over && i < hi; ++i) {
+      if (static_cast<weight_t>(loads_[i]) + static_cast<weight_t>(add[i]) * weight_per_ball >
+          bin_cap) {
+        culprits[r] = i;
+        break;
+      }
+    }
+  });
   step_count total = 0;
-  for (const std::uint32_t a : add) total += a;
+  for (const step_count t : totals) total += t;
   // Same int64-overflow audit as the weighted allocate(), phrased as a
   // division so the bound itself cannot overflow (total * weight_per_ball
   // may exceed int64 at the ceilings' corner).
   NB_REQUIRE(total <= (max_total_weight - total_weight()) / weight_per_ball,
              "window would overflow the total-weight accumulator (max_total_weight)");
+  for (const std::size_t i : culprits) {  // ranges in bin order: first culprit
+    NB_REQUIRE(i == n, "window of " + std::to_string(add[i]) + " balls of weight " +
+                           std::to_string(weight_per_ball) + " would overflow bin " +
+                           std::to_string(i) + "'s 32-bit load (currently " +
+                           std::to_string(loads_[i]) + ")");
+  }
   if (weight_per_ball == 1) {
-    add_and_reindex([&](std::size_t i) { return static_cast<load_t>(add[i]); });
+    add_and_reindex([&](std::size_t i) { return static_cast<load_t>(add[i]); }, exec);
   } else {
-    // Validate every bin BEFORE mutating any (strong exception safety,
-    // like allocate(i, w)): a mid-loop throw must not leave a prefix of
-    // bins inflated while balls_/levels_ still reflect the old state.
-    constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
-    for (std::size_t i = 0; i < loads_.size(); ++i) {
-      NB_REQUIRE(static_cast<weight_t>(loads_[i]) +
-                         static_cast<weight_t>(add[i]) * weight_per_ball <=
-                     bin_cap,
-                 "window would overflow a bin's 32-bit load");
-    }
-    add_and_reindex([&](std::size_t i) {
-      return static_cast<load_t>(static_cast<weight_t>(add[i]) * weight_per_ball);
-    });
+    add_and_reindex(
+        [&](std::size_t i) {
+          return static_cast<load_t>(static_cast<weight_t>(add[i]) * weight_per_ball);
+        },
+        exec);
   }
   balls_ += total;
   extra_weight_ += total * (weight_per_ball - 1);
@@ -189,13 +284,15 @@ void load_state::apply_increments(const std::vector<std::int64_t>& delta,
              "signed window would leave the extra-weight accumulator negative");
   NB_REQUIRE(net <= max_total_weight - total_weight(),
              "window would overflow the total-weight accumulator (max_total_weight)");
-  add_and_reindex([&](std::size_t i) { return static_cast<load_t>(delta[i]); });
+  add_and_reindex([&](std::size_t i) { return static_cast<load_t>(delta[i]); },
+                  range_executor{});
   balls_ = balls_after;
   extra_weight_ = extra_after;
 }
 
 void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
-                                weight_t weight_per_ball, step_count k) {
+                                weight_t weight_per_ball, step_count k,
+                                const range_executor& exec) {
   NB_ASSERT(!bulk_);
   NB_REQUIRE(rel.size() == loads_.size(), "release vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
@@ -205,29 +302,47 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
              "expires per-ball through release_oldest)");
   // Validate every bin and the totals BEFORE mutating any (strong
   // exception safety, matching both apply_increments overloads), with the
-  // same bin-and-weight error vocabulary as release(i, w).  The sweep is
-  // branch-free; only a failing block re-walks to name its first culprit.
+  // same bin-and-weight error vocabulary as release(i, w).  Each range
+  // records its total and its first culprit bin (n = none); the sweep is
+  // branch-free and only a failing range re-walks.
+  const std::size_t n = loads_.size();
+  std::vector<step_count> totals(exec.ranges(), 0);
+  std::vector<std::size_t> culprits(exec.ranges(), n);
+  exec.run([&](std::size_t r) {
+    const auto [lo, hi] = exec.bounds(r, n);
+    step_count total = 0;
+    bool underflow = false;
+    for (std::size_t i = lo; i < hi; ++i) {
+      underflow |= static_cast<weight_t>(rel[i]) * weight_per_ball > loads_[i];
+      total += rel[i];
+    }
+    totals[r] = total;
+    for (std::size_t i = lo; underflow && i < hi; ++i) {
+      if (static_cast<weight_t>(rel[i]) * weight_per_ball > loads_[i]) {
+        culprits[r] = i;
+        break;
+      }
+    }
+  });
+  for (const std::size_t i : culprits) {  // ranges in bin order: first culprit
+    NB_REQUIRE(i == n, "release of weight " +
+                           std::to_string(static_cast<weight_t>(rel[i]) * weight_per_ball) +
+                           " would underflow bin " + std::to_string(i) + " (currently " +
+                           std::to_string(loads_[i]) + ")");
+  }
   step_count total = 0;
-  bool underflow = false;
-  for (std::size_t i = 0; i < rel.size(); ++i) {
-    underflow |= static_cast<weight_t>(rel[i]) * weight_per_ball > loads_[i];
-    total += rel[i];
-  }
-  for (std::size_t i = 0; underflow && i < rel.size(); ++i) {
-    const weight_t retired = static_cast<weight_t>(rel[i]) * weight_per_ball;
-    NB_REQUIRE(retired <= static_cast<weight_t>(loads_[i]),
-               "release of weight " + std::to_string(retired) + " would underflow bin " +
-                   std::to_string(i) + " (currently " + std::to_string(loads_[i]) + ")");
-  }
+  for (const step_count t : totals) total += t;
   NB_REQUIRE(total == k, "departure block counts do not sum to the block size");
   NB_REQUIRE(balls_ >= k, "release with no resident balls");
   NB_REQUIRE(extra_weight_ >= k * (weight_per_ball - 1),
              "departure block of weight " + std::to_string(weight_per_ball) +
                  " per ball exceeds the resident extra weight (" +
                  std::to_string(extra_weight_) + ")");
-  add_and_reindex([&](std::size_t i) {
-    return -static_cast<load_t>(static_cast<weight_t>(rel[i]) * weight_per_ball);
-  });
+  add_and_reindex(
+      [&](std::size_t i) {
+        return -static_cast<load_t>(static_cast<weight_t>(rel[i]) * weight_per_ball);
+      },
+      exec);
   balls_ -= k;
   extra_weight_ -= k * (weight_per_ball - 1);
 }

@@ -28,8 +28,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -37,6 +39,52 @@
 #include "common/types.hpp"
 
 namespace nb {
+
+/// Executes an O(n) pass over the bins as ranges() disjoint contiguous bin
+/// ranges: run(body) calls body(r) exactly once for every r in
+/// [0, ranges()) and returns once every call finished.  The default runs
+/// one range on the calling thread; the shard engine hands in its worker
+/// pool (pool_ranges in core/process.hpp), and the calls then run
+/// concurrently.  Bodies therefore write only their own range's bins and
+/// per-range slots, and never throw: a pass records failures per range and
+/// the caller raises the first one after the pass.  Execution-only: every
+/// pass built on it leaves the same state for any range count.
+class range_executor {
+ public:
+  using body_fn = std::function<void(std::size_t)>;
+  /// Calls body(r) for every r in [0, ranges) and returns when all did.
+  using runner_fn = std::function<void(std::size_t, const body_fn&)>;
+
+  range_executor() = default;
+  range_executor(std::size_t ranges, runner_fn runner)
+      : ranges_(ranges), runner_(std::move(runner)) {
+    NB_REQUIRE(ranges_ >= 1 && runner_ != nullptr,
+               "a range executor needs at least one range and a runner");
+  }
+
+  [[nodiscard]] std::size_t ranges() const noexcept { return ranges_; }
+
+  void run(const body_fn& body) const {
+    if (runner_ == nullptr) {
+      body(0);
+    } else {
+      runner_(ranges_, body);
+    }
+  }
+
+  /// Bins [first, second) of range r over n bins: ceil(n / ranges()) bins
+  /// each, so trailing ranges are empty when ranges() > n.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> bounds(std::size_t r,
+                                                           std::size_t n) const noexcept {
+    const std::size_t chunk = (n + ranges_ - 1) / ranges_;
+    const std::size_t lo = std::min(r * chunk, n);
+    return {lo, std::min(lo + chunk, n)};
+  }
+
+ private:
+  std::size_t ranges_ = 1;
+  runner_fn runner_;
+};
 
 /// Level-compressed summary of a load vector: for each load level L in
 /// [min_level, max_level], how many bins currently hold weight exactly L.
@@ -167,16 +215,16 @@ class level_index {
   /// just wrote the loads tracked it -- so only the counting sweep runs.
   /// `mn` and `mx` must be exactly the minimum and maximum of `loads`.
   [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx) {
-    NB_ASSERT(mn <= mx);
-    if (mx - mn > max_dense_span) return false;
-    base_ = mn;
-    min_ = mn;
-    max_ = mx;
-    n_ = static_cast<bin_count>(loads.size());
-    counts_.assign(static_cast<std::size_t>(mx - mn) + 1, 0);
-    for (const load_t x : loads) ++counts_[static_cast<std::size_t>(x - mn)];
-    return true;
+    return rebuild(loads, mn, mx, range_executor{});
   }
+
+  /// The same counting sweep run by bin range through `exec`: each range
+  /// counts into its own histogram and the histograms are summed.  Falls
+  /// back to one sweep on the calling thread when the per-range
+  /// histograms would outweigh the bins (a wide but still dense span), so
+  /// the pass never allocates ranges * span counters for a large span.
+  [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx,
+                             const range_executor& exec);
 
   [[nodiscard]] load_t min_level() const noexcept { return min_; }
   [[nodiscard]] load_t max_level() const noexcept { return max_; }
@@ -235,15 +283,21 @@ class load_state;
 /// the snapshot only need the offsets (common base), and n = 10^6 bins
 /// shrink from 4 MB to 1 MB, so an entire b-Batch window snapshot stays
 /// L2-resident while shards hammer it with random reads.
+///
+/// An inverted assignment (assign_inverted) stores 255 - off(i) instead:
+/// the drain departure kernel's "fuller of two" select is the allocation
+/// kernel's "less loaded of two" over those bytes, so it reads them as
+/// they are instead of inverting a private copy per call.  Same range
+/// check, base() and max_off(); only the byte encoding differs.
 class compact_snapshot {
  public:
   /// Zero bytes kept readable past the last offset so the allocation
   /// kernel's vector backends may gather 4 bytes at any valid bin index.
   static constexpr std::size_t tail_padding = 3;
 
-  /// Rebuilds from `loads`.  O(n).  Returns false (and marks the snapshot
-  /// unusable) when the span exceeds 255; callers must then fall back to
-  /// the full-width loads.
+  /// Rebuilds from `loads`: byte i = loads[i] - base.  O(n), one pass.
+  /// Returns false (and marks the snapshot unusable) when the span exceeds
+  /// 255; callers must then fall back to the full-width loads.
   bool assign(const std::vector<load_t>& loads);
 
   /// Snapshot of the live loads of `state`, ranged by its level index in
@@ -251,19 +305,30 @@ class compact_snapshot {
   /// Same bytes, base() and max_off() as assign(state.loads()).
   bool assign(const load_state& state);
 
+  /// assign() with every byte inverted: byte i = 255 - (loads[i] - base),
+  /// written by the same single pass.  Same return value, base() and
+  /// max_off() as assign(loads); a bin's load is base() + 255 - byte.
+  bool assign_inverted(const std::vector<load_t>& loads);
+
+  /// assign(state) inverted: O(1) ranging, bytes as assign_inverted(loads).
+  bool assign_inverted(const load_state& state);
+
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] load_t base() const noexcept { return base_; }
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] const std::uint8_t* data() const noexcept { return off_.data(); }
+  /// Raw byte i: the offset, or 255 minus it after assign_inverted.
   [[nodiscard]] std::uint8_t off(bin_index i) const noexcept { return off_[i]; }
-  /// Largest offset (= span of the frozen loads).  The departure kernel's
-  /// random channel uses base() + max_off() as its frozen acceptance bound.
+  /// Largest offset (= span of the frozen loads), in either encoding.  The
+  /// departure kernel's random channel uses base() + max_off() as its
+  /// frozen acceptance bound.
   [[nodiscard]] std::uint8_t max_off() const noexcept { return span_; }
 
  private:
-  /// assign() with the range already known: `mn` and `mx` must be exactly
-  /// the minimum and maximum of `loads`.
-  bool assign(const std::vector<load_t>& loads, load_t mn, load_t mx);
+  /// The one assignment pass: `mn` and `mx` must be exactly the minimum
+  /// and maximum of `loads`; byte i = (loads[i] - mn) ^ mask, where mask
+  /// 0xFF is the inversion (255 - x == x ^ 255 on a byte).
+  bool assign(const std::vector<load_t>& loads, load_t mn, load_t mx, std::uint8_t mask);
 
   std::vector<std::uint8_t> off_;  ///< n_ offsets + tail_padding zero bytes
   /// Buffer the last huge-page advice was issued for: assign() re-advises
@@ -470,7 +535,14 @@ class load_state {
   /// weight_per_ball covers the deterministic weightings the frozen-window
   /// engines support (unit and fixed); RNG-driven weights never reach this
   /// path (the engines fall back to the serial fused loop).
-  void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball = 1);
+  ///
+  /// The sum/validate, add + min/max and level-count passes run by bin
+  /// range through `exec` (default: one range on the calling thread);
+  /// the result, and any error, is the same for every executor.  A bin
+  /// the window would push past the 32-bit load is named in the error
+  /// (the first such bin), and nothing is mutated.
+  void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball = 1,
+                        const range_executor& exec = {});
 
   /// Signed generalization for churn windows: loads_[i] += delta[i]
   /// (weight units, may be negative) and balls_ += ball_delta, validated
@@ -489,9 +561,10 @@ class load_state {
   /// departure, and the extra-weight accumulator must cover the retired
   /// weight.  Rebuilds the level index once.  Refuses under lease tracking
   /// (a merged block cannot say *which* resident balls departed; the lease
-  /// channel expires per-ball through release_oldest()).
+  /// channel expires per-ball through release_oldest()).  Passes run by
+  /// bin range through `exec`, exactly like apply_increments.
   void apply_releases(const std::vector<std::uint32_t>& rel, weight_t weight_per_ball,
-                      step_count k);
+                      step_count k, const range_executor& exec = {});
 
   /// ------------------------------------------------------------------
   /// FIFO lease ring (the "lease" departure channel): while tracking is
@@ -614,9 +687,10 @@ class load_state {
 
   /// The commit pass shared by the window/block appliers: loads_[i] +=
   /// delta(i) for every bin (already validated), tracking the running
-  /// min/max on the way so the level rebuild needs no range scan.
+  /// min/max on the way so the level rebuild needs no range scan.  Both
+  /// the add pass and the rebuild run by bin range through `exec`.
   template <typename Delta>
-  void add_and_reindex(const Delta& delta);
+  void add_and_reindex(const Delta& delta, const range_executor& exec);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

@@ -81,8 +81,9 @@ class g_adv_load {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
   }
 
   /// Checkpoint contract: the strategy and parameters are configuration,

@@ -22,6 +22,7 @@
 // window's compact snapshot from the level index instead of scanning it.
 #pragma once
 
+#include <algorithm>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -80,13 +81,15 @@ class b_batch {
   void depart(rng_t& rng) { touched_.push_back(depart_ball(state_, model_, rng)); }
   /// Applies one engine-merged departure block (see apply_departure_block).
   /// Lease blocks pop O(k) balls and record their bins; drain/random
-  /// blocks already sweep every bin, so they flag a whole-vector refresh.
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
+  /// blocks already sweep every bin (by range through `exec`), so they
+  /// flag a whole-vector refresh.
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
     if (model_.departures.is_lease()) {
       for (step_count t = 0; t < k; ++t) touched_.push_back(state_.release_oldest());
       return;
     }
-    apply_departure_block(state_, model_, rel, k);
+    apply_departure_block(state_, model_, rel, k, exec);
     stale_all_ = true;
   }
 
@@ -168,12 +171,14 @@ class b_batch {
   /// window that ends a batch then refreshes with one contiguous copy of
   /// the loads, a partial window leaves the copy to a later boundary.
   /// Each counted ball deposits the model's (deterministic) weight; the
-  /// engines never route random weightings here.
-  void commit_window(const std::vector<std::uint32_t>& inc, step_count balls) {
+  /// engines never route random weightings here.  The commit passes and
+  /// the boundary copy run by bin range through `exec`.
+  void commit_window(const std::vector<std::uint32_t>& inc, step_count balls,
+                     const range_executor& exec = {}) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
-    state_.apply_increments(inc, model_.weighting.fixed_weight());
+    state_.apply_increments(inc, model_.weighting.fixed_weight(), exec);
     stale_all_ = true;
-    if (state_.balls() % b_ == 0) refresh_snapshot();
+    if (state_.balls() % b_ == 0) refresh_snapshot(exec);
   }
 
  private:
@@ -195,10 +200,16 @@ class b_batch {
   }
 
   /// The boundary refresh: afterwards stale_ == loads, and nothing is
-  /// recorded.
-  void refresh_snapshot() {
+  /// recorded.  A whole-vector refresh is one contiguous copy per range.
+  void refresh_snapshot(const range_executor& exec = {}) {
     if (stale_all_) {
-      stale_ = state_.loads();  // equal sizes: a plain copy, no reallocation
+      const std::vector<load_t>& loads = state_.loads();
+      exec.run([&](std::size_t r) {
+        const auto [lo, hi] = exec.bounds(r, loads.size());
+        std::copy(loads.begin() + static_cast<std::ptrdiff_t>(lo),
+                  loads.begin() + static_cast<std::ptrdiff_t>(hi),
+                  stale_.begin() + static_cast<std::ptrdiff_t>(lo));
+      });
     } else {
       for (const bin_index i : touched_) stale_[i] = state_.load(i);
     }

@@ -107,8 +107,9 @@ class rho_noisy_comp {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
   }
 
   /// Checkpoint contract: rho is configuration, the load state is the only
@@ -176,8 +177,9 @@ class sigma_noisy_load_gaussian {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
   }
 
   /// Checkpoint contract.  Box-Muller draws Gaussians in pairs, so the

@@ -272,8 +272,11 @@ inline void depart_many(P& process, rng_t& rng, step_count count) {
 /// random apply a departure kernel's per-bin counts in one validated
 /// pass, retiring the drain weight (resp. unit quanta) per departing
 /// ball with release()'s contract-error vocabulary on any overdraw.
+/// Those passes run by bin range through `exec` (load_state::
+/// apply_releases); the lease pop is inherently sequential.
 inline void apply_departure_block(load_state& state, const alloc_model& model,
-                                  const std::vector<std::uint32_t>& rel, step_count k) {
+                                  const std::vector<std::uint32_t>& rel, step_count k,
+                                  const range_executor& exec = {}) {
   const departure_model& departures = model.departures;
   NB_REQUIRE(!departures.is_none(),
              "commit_departures needs a departure channel, but the model's "
@@ -285,22 +288,26 @@ inline void apply_departure_block(load_state& state, const alloc_model& model,
       for (step_count t = 0; t < k; ++t) state.release_oldest();
       return;
     case departure_model::kind::drain:
-      state.apply_releases(rel, drain_weight(model.weighting), k);
+      state.apply_releases(rel, drain_weight(model.weighting), k, exec);
       return;
     case departure_model::kind::random:
-      state.apply_releases(rel, 1, k);
+      state.apply_releases(rel, 1, k, exec);
       return;
   }
 }
 
 /// A process whose departures can be served in merged blocks: it exposes
 /// its model (the engines route on the departure channel) and applies a
-/// per-bin departure-count row in one commit.  Every library process
-/// implements commit_departures via apply_departure_block.
+/// per-bin departure-count row in one commit, its O(n) passes run by bin
+/// range through the caller's executor (default: one range on the calling
+/// thread).  Every library process implements commit_departures via
+/// apply_departure_block.
 template <typename P>
 concept batch_departable = departable_process<P> && modeled_process<P> &&
-    requires(P p, const std::vector<std::uint32_t>& rel, step_count k) {
+    requires(P p, const std::vector<std::uint32_t>& rel, step_count k,
+             const range_executor& exec) {
       { p.commit_departures(rel, k) } -> std::same_as<void>;
+      { p.commit_departures(rel, k, exec) } -> std::same_as<void>;
     };
 
 /// An arrival/departure mix for advance(): `arrivals` balls arrive and
@@ -390,9 +397,11 @@ concept window_probed = requires(const P p) {
 ///   * snapshot_decide(snap, i1, i2, rng): the decision rule over the
 ///     compact 8-bit snapshot -- must be a pure function of (snap[i1],
 ///     snap[i2], rng draws),
-///   * commit_window(inc, balls): apply the merged per-bin increments and
-///     refresh whatever the process keeps stale (inc[i] balls into bin i,
-///     sum(inc) == balls == the window length the engine ran).
+///   * commit_window(inc, balls[, exec]): apply the merged per-bin
+///     increments and refresh whatever the process keeps stale (inc[i]
+///     balls into bin i, sum(inc) == balls == the window length the engine
+///     ran), its O(n) passes run by bin range through `exec` (default: one
+///     range on the calling thread).
 ///
 /// Optionally, snapshot_is_live() proves the window snapshot equals the
 /// live loads right now (b-Batch right after a boundary commit); the
@@ -401,10 +410,11 @@ concept window_probed = requires(const P p) {
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
     requires(P p, const P cp, rng_t& g, const std::uint8_t* snap, bin_index i,
-             const std::vector<std::uint32_t>& inc, step_count k) {
+             const std::vector<std::uint32_t>& inc, step_count k, const range_executor& exec) {
       { cp.window_snapshot() } -> std::convertible_to<const std::vector<load_t>&>;
       { P::snapshot_decide(snap, i, i, g) } -> std::convertible_to<bin_index>;
       { p.commit_window(inc, k) } -> std::same_as<void>;
+      { p.commit_window(inc, k, exec) } -> std::same_as<void>;
     };
 
 /// Window-parallel process whose snapshot_decide is the canonical
@@ -431,7 +441,10 @@ concept live_snapshot_probed = requires(const P p) {
 /// fast-path windows, summed over `windows` windows: compact snapshot
 /// assignment, sampling (row/counter zeroing plus the kernel or shard
 /// fan-out), the fixed-order shard-row merge (0 on the kernel engine) and
-/// the process's commit_window.  Never read by the sampling code.
+/// the process's commit_window.  The engines book their departure blocks
+/// into a second record of the same shape (`windows` counts blocks, merge
+/// is the shard-row merge + clamp + repair, commit is commit_departures).
+/// Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
   std::int64_t snapshot_ns = 0;
@@ -447,6 +460,19 @@ inline std::int64_t phase_clock_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// The engines' departure-count guard, checked before the first block so
+/// an impossible request leaves the state untouched: every batched
+/// channel retires whole resident balls, so more departures than resident
+/// balls can never be served (the per-event law runs dry mid-stream, the
+/// kernels would redraw forever).
+template <typename P>
+void require_resident(const P& process, step_count count) {
+  const step_count resident = process.state().balls();
+  NB_REQUIRE(count <= resident, "departure request of " + std::to_string(count) +
+                                    " events exceeds the " + std::to_string(resident) +
+                                    " resident balls");
 }
 
 /// Assigns the window's compact snapshot: from the live loads' O(1)
@@ -506,6 +532,20 @@ void walk_windows(P& process, rng_t& rng, step_count count, step_count cap,
 
 }  // namespace engine_detail
 
+/// A range_executor running its `ranges` bin ranges as tasks on `pool` and
+/// returning once they finished.  It joins through wait_idle, so work
+/// queued on the pool ahead of it is waited for too: queue deferred work
+/// after the pass, not before.
+inline range_executor pool_ranges(thread_pool& pool, std::size_t ranges) {
+  return range_executor(ranges,
+                        [&pool](std::size_t count, const range_executor::body_fn& body) {
+                          for (std::size_t r = 0; r < count; ++r) {
+                            pool.submit([&body, r] { body(r); });
+                          }
+                          pool.wait_idle();
+                        });
+}
+
 /// Configuration for intra-run shard parallelism.  `shards` is part of the
 /// sampling contract (changing it changes which substreams exist and hence
 /// the drawn randomness); `threads` is execution only and never affects
@@ -542,6 +582,7 @@ class shard_engine {
     NB_REQUIRE(opt.min_window >= 1, "min_window must be positive");
     NB_REQUIRE(opt.lanes >= 1 && opt.lanes <= kernel_max_lanes,
                "kernel lanes must be in [1, kernel_max_lanes]");
+    ranges_ = pool_ranges(pool_, opt.shards);
     // More workers than hardware threads only time-slices (results are
     // thread-count-independent by contract, so oversubscribing buys
     // nothing); this is the threads_per_run > cores trap, say so once.
@@ -559,6 +600,10 @@ class shard_engine {
   [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
   /// Where this engine's parallel windows spent their time so far.
   [[nodiscard]] const window_phase_times& phases() const noexcept { return phases_; }
+  /// Where this engine's parallel departure blocks spent their time so far.
+  [[nodiscard]] const window_phase_times& depart_phases() const noexcept {
+    return depart_phases_;
+  }
 
   /// Allocates `count` balls through `process`.  Window-parallel processes
   /// run each sufficiently large stale-snapshot window across the pool;
@@ -630,7 +675,8 @@ class shard_engine {
   /// like step_many (threads only execute shards).  The lease channel
   /// commits in bulk unconditionally (RNG-free); undersized blocks and
   /// span-saturated loads fall back to the serial per-event loop with a
-  /// one-time diagnostic.
+  /// one-time diagnostic.  A request for more departures than resident
+  /// balls throws contract_error before any block, state untouched.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
@@ -648,6 +694,7 @@ class shard_engine {
         nb::depart_many(process, rng, count);
         return;
       }
+      engine_detail::require_resident(process, count);
       if (departures.is_lease()) {
         merged_.clear();
         process.commit_departures(merged_, count);
@@ -684,11 +731,21 @@ class shard_engine {
   /// live loads cannot compact (caller falls back to the serial loop).
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
+    const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
     // Same double-buffer rotation as arrival windows: the previous
     // block's deferred row clears may still be in flight on the pool.
     snapshot_index_ ^= 1;
     compact_snapshot& snapshot = snapshots_[snapshot_index_];
-    if (!snapshot.assign(process.state())) return false;
+    const bool drain =
+        process.model().departures.departure_kind() == departure_model::kind::drain;
+    // Drain shards read the inverted bytes as they are (kernel_depart.hpp):
+    // one inverted assignment here serves every shard of the block.
+    const bool compact =
+        drain ? snapshot.assign_inverted(process.state()) : snapshot.assign(process.state());
+    const std::int64_t t_kernel = engine_detail::phase_clock_ns();
+    depart_phases_.snapshot_ns += t_kernel - t_snapshot;
+    if (!compact) return false;
+    ++depart_phases_.windows;
     const bin_count n = process.state().n();
     const std::size_t shards = opt_.shards;
     drain_deferred_clears();
@@ -700,8 +757,6 @@ class shard_engine {
     const std::uint8_t* snap = snapshot.data();
     const load_t base = snapshot.base();
     const std::uint8_t span = snapshot.max_off();
-    const bool drain =
-        process.model().departures.departure_kind() == departure_model::kind::drain;
     const depart_channel channel = drain ? depart_channel::drain : depart_channel::random;
     const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
     const bool clean = rows_clean_;
@@ -714,6 +769,8 @@ class shard_engine {
         if (!clean) deltas_.clear_row(s);
         continue;
       }
+      // Cannot throw: depart_many admitted at most the resident balls, so
+      // no shard's drain ever runs out of snapshot capacity.
       pool_.submit([n, snap, base, span, channel, w, row, shard_events, clean,
                     seed = shard_stream_seed(token, s), lanes = opt_.lanes, isa = isa_] {
         if (!clean) std::fill_n(row, n, std::uint16_t{0});
@@ -722,31 +779,39 @@ class shard_engine {
     }
     pool_.wait_idle();
     rows_clean_ = false;
+    const std::int64_t t_merge = engine_detail::phase_clock_ns();
+    depart_phases_.kernel_ns += t_merge - t_kernel;
+    // Merge and clamp, by bin range on the pool: each shard guarded only
+    // its own counts, so the merged row may overdraw a bin.  Every range
+    // sums its bins in fixed shard order, clamps each to its snapshot
+    // capacity and books its clamped total.  A bin's snapshot load is
+    // base + (byte ^ mask) in either snapshot encoding.
+    const std::uint8_t mask = drain ? 0xFF : 0;
     merged_.resize(n);
-    const auto chunk = static_cast<bin_count>((n + shards - 1) / shards);
-    for (bin_index lo = 0; lo < n; lo += chunk) {
-      const bin_index hi = lo + chunk < n ? lo + chunk : n;
-      pool_.submit([this, lo, hi] { deltas_.sum_rows(merged_, lo, hi); });
-    }
-    pool_.wait_idle();
-    // Clamp and repair: each shard guarded only its own counts, so the
-    // merged row may overdraw a bin.  Clamp every bin to its snapshot
-    // capacity, then re-serve the deficit serially from the stream one
-    // past the shard substreams -- the same law the kernel's drain
-    // replay uses, here over the merged remaining loads.
+    range_totals_.assign(ranges_.ranges(), 0);
+    ranges_.run([&](std::size_t r) {
+      const auto [lo, hi] = ranges_.bounds(r, n);
+      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
+      step_count total = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        // Unit weights skip the 64-bit division: per bin it costs more
+        // than the rest of this pass together.
+        const weight_t load = static_cast<weight_t>(base) + (snap[i] ^ mask);
+        const auto capacity = static_cast<std::uint32_t>(w == 1 ? load : load / w);
+        if (merged_[i] > capacity) merged_[i] = capacity;
+        total += merged_[i];
+      }
+      range_totals_[r] = total;
+    });
+    step_count total = 0;
+    for (const step_count t : range_totals_) total += t;
+    // Repair: re-serve the clamped deficit serially from the stream one
+    // past the shard substreams -- the same law the kernel's drain replay
+    // uses, here over the merged remaining loads.
     const auto remaining = [&](bin_index c) -> weight_t {
-      return static_cast<weight_t>(base) + snap[c] -
+      return static_cast<weight_t>(base) + (snap[c] ^ mask) -
              static_cast<weight_t>(merged_[c]) * w;
     };
-    step_count total = 0;
-    for (bin_index i = 0; i < n; ++i) {
-      // Unit weights skip the 64-bit division: per bin it costs more than
-      // the rest of this pass together.
-      const weight_t load = static_cast<weight_t>(base) + snap[i];
-      const auto capacity = static_cast<std::uint32_t>(w == 1 ? load : load / w);
-      if (merged_[i] > capacity) merged_[i] = capacity;
-      total += merged_[i];
-    }
     if (total < k) {
       rng_t repair(derive_seed(token, shards));
       const std::uint64_t bound = static_cast<std::uint64_t>(base) + span;
@@ -791,11 +856,12 @@ class shard_engine {
         }
       }
     }
-    for (std::size_t s = 0; s < shards; ++s) {
-      pool_.submit([this, s] { deltas_.clear_row(s); });
-    }
-    clears_pending_ = true;
-    process.commit_departures(merged_, k);
+    const std::int64_t t_commit = engine_detail::phase_clock_ns();
+    depart_phases_.merge_ns += t_commit - t_merge;
+    commit_and_clear(n, [&](const range_executor& exec) {
+      process.commit_departures(merged_, k, exec);
+      depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+    });
     return true;
   }
 
@@ -804,6 +870,16 @@ class shard_engine {
   /// shard task allocates nothing per window and two shards' scratch
   /// never false-shares; 16 KiB per shard keeps each block L1-resident.
   static constexpr std::size_t kGenericBlock = 2048;
+  /// Fewest bins whose commit runs by range on the pool (commit_and_clear).
+  /// Below it the pool round trips of the commit's passes cost more than
+  /// they split.  Measured with bench/throughput.cpp --scale (b-Batch b = n,
+  /// 4 threads, 16 shards, drain churn at 8n) on a 4-core AVX-512 Xeon VM,
+  /// median of 5 alternating runs, shard / churn-shard events per second,
+  /// pooled vs calling-thread commit: 2^14 bins 3.4e7 / 3.1e7 vs 6.1e7 /
+  /// 6.1e7; 2^16 bins 5.5e7 / 5.3e7 vs 6.8e7 / 8.6e7; 2^17 bins 1.29e8 /
+  /// 1.05e8 vs 1.20e8 / 1.04e8; 2^18 bins 1.35e8 / 1.16e8 vs 1.30e8 /
+  /// 1.07e8.
+  static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
   struct alignas(64) shard_arena {
     std::array<bin_index, 2 * kGenericBlock> idx;
   };
@@ -863,25 +939,43 @@ class shard_engine {
     // Merge: fixed shard order per bin, bin ranges summed concurrently
     // (disjoint, so still deterministic).
     merged_.resize(n);
-    const auto chunk = static_cast<bin_count>((n + shards - 1) / shards);
-    for (bin_index lo = 0; lo < n; lo += chunk) {
-      const bin_index hi = lo + chunk < n ? lo + chunk : n;
-      pool_.submit([this, lo, hi] { deltas_.sum_rows(merged_, lo, hi); });
+    ranges_.run([&](std::size_t r) {
+      const auto [lo, hi] = ranges_.bounds(r, n);
+      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
+    });
+    const std::int64_t t_commit = engine_detail::phase_clock_ns();
+    phases_.merge_ns += t_commit - t_merge;
+    commit_and_clear(n, [&](const range_executor& exec) {
+      process.commit_window(merged_, k, exec);
+      phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+    });
+  }
+
+  /// Runs `commit(exec)` over n bins and queues the next window's row
+  /// clears (~2n bytes per shard of stores) on the pool around it.  From
+  /// kMinPooledCommitBins bins up the commit runs by range on the pool and
+  /// the clears go AFTER it: its range tasks join through wait_idle, so
+  /// clears queued ahead would hold it back, and they overlap the master
+  /// thread's next snapshot assignment instead.  Below that the commit
+  /// runs on the calling thread with the clears queued first, overlapping
+  /// it.
+  template <typename Commit>
+  void commit_and_clear(bin_count n, Commit&& commit) {
+    if (n < kMinPooledCommitBins) {
+      queue_row_clears();
+      commit(range_executor{});
+    } else {
+      commit(ranges_);
+      queue_row_clears();
     }
-    pool_.wait_idle();
-    // Overlap the next window's row clears (pool) with this window's
-    // commit (master thread): the clears touch only the delta rows, the
-    // commit only merged_ + the process state, so the two are disjoint.
-    // At n = 10^6 and 16 shards the clears are ~32 MB of stores per
-    // window -- off the serial path entirely in the steady state.
-    for (std::size_t s = 0; s < shards; ++s) {
+  }
+
+  /// Queues the next window's row clears on the pool.
+  void queue_row_clears() {
+    for (std::size_t s = 0; s < deltas_.shards(); ++s) {
       pool_.submit([this, s] { deltas_.clear_row(s); });
     }
     clears_pending_ = true;
-    const std::int64_t t_commit = engine_detail::phase_clock_ns();
-    phases_.merge_ns += t_commit - t_merge;
-    process.commit_window(merged_, k);
-    phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
   }
 
   /// Joins the deferred row clears of the previous window (no-op in the
@@ -942,10 +1036,16 @@ class shard_engine {
   /// acquire lambda in step_many).
   compact_snapshot snapshots_[2];
   std::size_t snapshot_index_ = 0;
+  /// The pool as a bin-range executor, one range per shard: the merge
+  /// (and departure clamp) pass and the commit.
+  range_executor ranges_;
   shard_deltas deltas_;
   std::vector<shard_arena> arenas_;
   std::vector<std::uint32_t> merged_;
+  /// Per-range clamped departure totals of the current block.
+  std::vector<step_count> range_totals_;
   window_phase_times phases_;
+  window_phase_times depart_phases_;
   /// Deferred-clear state: true while the previous window's row-clear
   /// tasks may still be on the pool / once they finished, respectively.
   bool clears_pending_ = false;
@@ -987,6 +1087,11 @@ class kernel_engine {
   [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
   /// Where this engine's kernel windows spent their time so far.
   [[nodiscard]] const window_phase_times& phases() const noexcept { return phases_; }
+  /// Where this engine's kernel departure blocks spent their time so far
+  /// (merge stays 0: one uint32 row, nothing to merge or clamp).
+  [[nodiscard]] const window_phase_times& depart_phases() const noexcept {
+    return depart_phases_;
+  }
 
   /// Allocates `count` balls through `process`: min-select frozen windows
   /// go through the kernel, everything else (and every undersized or
@@ -1062,7 +1167,9 @@ class kernel_engine {
   /// ring popping and commits in bulk unconditionally.  Undersized blocks
   /// and span-saturated loads fall back to the serial per-event loop with
   /// a one-time diagnostic -- like every engine fallback, accepted but
-  /// ineffective is something the caller must hear about.
+  /// ineffective is something the caller must hear about.  A request for
+  /// more departures than resident balls throws contract_error up front,
+  /// state untouched.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
@@ -1081,6 +1188,7 @@ class kernel_engine {
         nb::depart_many(process, rng, count);
         return;
       }
+      engine_detail::require_resident(process, count);
       if (departures.is_lease()) {
         rel_.clear();
         process.commit_departures(rel_, count);
@@ -1096,7 +1204,14 @@ class kernel_engine {
         nb::depart_many(process, rng, count);
         return;
       }
-      if (!snapshot_.assign(process.state())) {
+      const bool drain = departures.departure_kind() == departure_model::kind::drain;
+      // Drain reads the inverted snapshot as it is (kernel_depart.hpp).
+      const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
+      const bool compact =
+          drain ? snapshot_.assign_inverted(process.state()) : snapshot_.assign(process.state());
+      const std::int64_t t_kernel = engine_detail::phase_clock_ns();
+      depart_phases_.snapshot_ns += t_kernel - t_snapshot;
+      if (!compact) {
         warn_once("depart-engine-span/" + process.name(),
                   "batched departures fall back to the serial per-event loop on process '" +
                       process.name() +
@@ -1104,14 +1219,17 @@ class kernel_engine {
         nb::depart_many(process, rng, count);
         return;
       }
-      const bool drain = departures.departure_kind() == departure_model::kind::drain;
+      ++depart_phases_.windows;
       const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
       const std::uint64_t token = rng.next();
       rel_.assign(n, 0);
       kernel_depart(isa_, opt_.lanes, drain ? depart_channel::drain : depart_channel::random, n,
                     snapshot_.data(), snapshot_.base(), snapshot_.max_off(), w, rel_.data(),
                     count, token);
+      const std::int64_t t_commit = engine_detail::phase_clock_ns();
+      depart_phases_.kernel_ns += t_commit - t_kernel;
       process.commit_departures(rel_, count);
+      depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
     }
   }
 
@@ -1122,6 +1240,7 @@ class kernel_engine {
   std::vector<std::uint32_t> inc_;
   std::vector<std::uint32_t> rel_;
   window_phase_times phases_;
+  window_phase_times depart_phases_;
 };
 
 /// Type-erased handle so heterogeneous processes can share registries,

@@ -17,7 +17,11 @@
 //   (5) the engines' batched-departure routing: ISA- and thread-count
 //       invariance, the bulk lease pop, and the warn_once diagnostics on
 //       every silent serial fallback (no commit_departures, undersized
-//       block, span-saturated snapshot).
+//       block, span-saturated snapshot), and the up-front refusal of a
+//       request for more departures than there are resident balls.
+// Drain calls hand the kernel the inverted snapshot bytes (what
+// compact_snapshot::assign_inverted writes); references and golden values
+// are stated over the plain snapshot.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -62,13 +66,26 @@ std::uint8_t span_of(const std::vector<std::uint8_t>& snap, bin_count n) {
   return mx;
 }
 
+/// The bytes kernel_depart reads for `channel`: the drain channel takes the
+/// inverted snapshot (255 - offset, what compact_snapshot::assign_inverted
+/// writes), the random channel the plain one.
+std::vector<std::uint8_t> kernel_bytes(depart_channel channel,
+                                       const std::vector<std::uint8_t>& snap, bin_count n) {
+  if (channel != depart_channel::drain) return snap;
+  std::vector<std::uint8_t> inv(snap.size(), 0);
+  for (bin_count i = 0; i < n; ++i) inv[i] = static_cast<std::uint8_t>(255 - snap[i]);
+  return inv;
+}
+
+/// Departure counts of one kernel_depart call over the plain snapshot
+/// `snap` (inverted on the way in for drain).
 std::vector<std::uint32_t> depart_counts(kernel_isa isa, std::size_t lanes,
                                          depart_channel channel, bin_count n,
                                          const std::vector<std::uint8_t>& snap, load_t base,
                                          weight_t w, step_count k, std::uint64_t seed) {
   std::vector<std::uint32_t> rel(n, 0);
-  kernel_depart(isa, lanes, channel, n, snap.data(), base, span_of(snap, n), w, rel.data(), k,
-                seed);
+  kernel_depart(isa, lanes, channel, n, kernel_bytes(channel, snap, n).data(), base,
+                span_of(snap, n), w, rel.data(), k, seed);
   return rel;
 }
 
@@ -268,8 +285,8 @@ TEST(DepartKernel, UInt16AndUInt32RowsAgree) {
   for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
     for (const kernel_isa isa : supported_backends()) {
       std::vector<std::uint16_t> row16(n, 0);
-      kernel_depart(isa, 8, channel, n, snap.data(), 25000, span_of(snap, n), 1, row16.data(),
-                    9999, 5);
+      kernel_depart(isa, 8, channel, n, kernel_bytes(channel, snap, n).data(), 25000,
+                    span_of(snap, n), 1, row16.data(), 9999, 5);
       const auto row32 = depart_counts(isa, 8, channel, n, snap, 25000, 1, 9999, 5);
       for (bin_index i = 0; i < n; ++i) {
         EXPECT_EQ(row16[i], row32[i])
@@ -460,6 +477,39 @@ TEST(DepartEngineShard, BatchedBitIdenticalAcrossThreadCountsAndBackends) {
   }
 }
 
+TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {
+  // Pins each engine's drain block to the documented kernel call: one
+  // kernel_depart over the inverted snapshot of the live loads, seeded by
+  // the block token on the kernel engine and by shard_stream_seed(token,
+  // 0) on a one-shard engine (a lone shard never overdraws, so neither
+  // clamp nor repair moves a count).
+  const bin_count n = 512;
+  const step_count k = 6000;
+  for (const bool shard : {false, true}) {
+    rng_t rng(0);
+    any_process process = churned_process("drain", n, 20000, 3, rng);
+    load_state expected = process.state();
+    rng_t expected_rng = rng;
+    const std::uint64_t token = expected_rng.next();
+    compact_snapshot inv;
+    ASSERT_TRUE(inv.assign_inverted(expected));
+    std::vector<std::uint32_t> rel(n, 0);
+    kernel_depart(kernel_isa::scalar, 8, depart_channel::drain, n, inv.data(), inv.base(),
+                  inv.max_off(), 1, rel.data(), k, shard ? shard_stream_seed(token, 0) : token);
+    expected.apply_releases(rel, 1, k);
+
+    if (shard) {
+      shard_engine engine(shard_options{.threads = 2, .shards = 1, .min_window = 1});
+      depart_many_parallel(process, rng, k, engine);
+    } else {
+      kernel_engine engine(kernel_options{.min_window = 1});
+      depart_many_kernel(process, rng, k, engine);
+    }
+    EXPECT_EQ(process.state().loads(), expected.loads()) << (shard ? "shard" : "kernel");
+    EXPECT_EQ(rng.state(), expected_rng.state()) << (shard ? "shard" : "kernel");
+  }
+}
+
 TEST(DepartEngineKernel, BulkLeasePopIsBitIdenticalToSerial) {
   // The lease channel is RNG-free FIFO popping: the engine's bulk path
   // must be the serial per-event loop exactly, stream position included.
@@ -548,6 +598,71 @@ struct bare_departer {
   [[nodiscard]] const load_state& state() const { return st; }
   [[nodiscard]] std::string name() const { return "bare-departer"; }
 };
+
+// ---------------------------------------------------------------------------
+// (8) Asking for more departures than there are resident balls: both
+// engines refuse before the first block -- contract_error naming both
+// counts, state and stream untouched -- instead of redrawing forever
+// (random) or throwing inside a pool task (shard drain).
+
+/// Serves `count` departures from `p` through engine `mode`: 0 = the
+/// kernel engine, 1 / 4 = the shard engine at that many threads.
+void engine_depart(int mode, b_batch& p, rng_t& rng, step_count count) {
+  if (mode == 0) {
+    kernel_engine engine;
+    engine.depart_many(p, rng, count);
+  } else {
+    shard_engine engine(shard_options{.threads = static_cast<std::size_t>(mode)});
+    engine.depart_many(p, rng, count);
+  }
+}
+
+TEST(DepartEngine, MoreDeparturesThanResidentBallsThrowUpFront) {
+  const bin_count n = 8192;
+  struct ask {
+    const char* channel;
+    step_count resident;
+    step_count request;
+  };
+  for (const ask& a : {ask{"random", 5000, 6000}, ask{"drain", 200, 4096}}) {
+    for (const int mode : {0, 1, 4}) {
+      b_batch p(n, n);
+      p.set_model(make_model("unit", "uniform", n, a.channel));
+      rng_t rng(4);
+      step_many(p, rng, a.resident);
+      const std::vector<load_t> loads = p.state().loads();
+      const auto stream = rng.state();
+      try {
+        engine_depart(mode, p, rng, a.request);
+        FAIL() << a.channel << " mode " << mode << " must refuse";
+      } catch (const contract_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::to_string(a.request)), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(a.resident)), std::string::npos) << what;
+      }
+      EXPECT_EQ(p.state().loads(), loads) << a.channel << " mode " << mode;
+      EXPECT_EQ(p.state().balls(), a.resident) << a.channel << " mode " << mode;
+      EXPECT_EQ(rng.state(), stream) << a.channel << " mode " << mode;
+    }
+  }
+}
+
+TEST(DepartEngine, DepartingEveryResidentBallEmptiesTheSystem) {
+  // The boundary of the guard: exactly the resident count is served, on
+  // every engine, through the clamp/repair path at its most stressed.
+  const bin_count n = 8192;
+  for (const char* channel : {"random", "drain"}) {
+    for (const int mode : {0, 1, 4}) {
+      b_batch p(n, n);
+      p.set_model(make_model("unit", "uniform", n, channel));
+      rng_t rng(6);
+      step_many(p, rng, 5000);
+      engine_depart(mode, p, rng, 5000);
+      EXPECT_EQ(p.state().balls(), 0) << channel << " mode " << mode;
+      EXPECT_EQ(p.state().max_load(), 0) << channel << " mode " << mode;
+    }
+  }
+}
 
 TEST(DepartEngine, NonBatchDepartableFallsBackToSerialWithDiagnostic) {
   bare_departer process;

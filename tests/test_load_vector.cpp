@@ -180,4 +180,75 @@ TEST(CompactSnapshot, LevelRangedAssignScansOnceLevelsGiveUp) {
   expect_ranged_snapshot_parity(s);
 }
 
+/// assign_inverted -- from the state (level-ranged) and from the raw
+/// loads -- must write 255 minus the plain assign's bytes, with the same
+/// base(), max_off() and refusal, and keep the tail padding zero.
+void expect_inverted_snapshot_parity(const load_state& s) {
+  nb::compact_snapshot plain;
+  const bool ok = plain.assign(s.loads());
+  nb::compact_snapshot from_state;
+  nb::compact_snapshot from_loads;
+  ASSERT_EQ(from_state.assign_inverted(s), ok);
+  ASSERT_EQ(from_loads.assign_inverted(s.loads()), ok);
+  for (const nb::compact_snapshot* inv : {&from_state, &from_loads}) {
+    EXPECT_EQ(inv->ok(), ok);
+    EXPECT_EQ(inv->base(), plain.base());
+    if (!ok) continue;
+    EXPECT_EQ(inv->max_off(), plain.max_off());
+    ASSERT_EQ(inv->size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      ASSERT_EQ(inv->data()[i], 255 - plain.data()[i]) << "bin " << i;
+      ASSERT_EQ(inv->base() + 255 - inv->data()[i], s.load(static_cast<nb::bin_index>(i)));
+    }
+    for (std::size_t p = 0; p < nb::compact_snapshot::tail_padding; ++p) {
+      EXPECT_EQ(inv->data()[plain.size() + p], 0) << "tail byte " << p;
+    }
+  }
+}
+
+TEST(CompactSnapshot, InvertedAssignIsTheComplementOfThePlainBytes) {
+  const nb::bin_count n = 97;
+  load_state s(n);
+  nb::xoshiro256pp rng(5);
+  expect_inverted_snapshot_parity(s);  // all-zero loads: every byte 255
+  for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < 150; ++k) s.allocate(static_cast<nb::bin_index>(nb::bounded(rng, n)));
+    expect_inverted_snapshot_parity(s);
+  }
+  std::vector<std::uint32_t> rel(n, 0);
+  rel[11] = 25;
+  s.apply_releases(rel, 1, 25);
+  expect_inverted_snapshot_parity(s);
+  // A plain assignment after an inverted one is plain again.
+  nb::compact_snapshot snap;
+  ASSERT_TRUE(snap.assign_inverted(s));
+  ASSERT_TRUE(snap.assign(s));
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    ASSERT_EQ(snap.base() + snap.data()[i], s.load(static_cast<nb::bin_index>(i))) << "bin " << i;
+  }
+  // Span over 255: every assignment refuses, reporting the same base.
+  for (int k = 0; k < 300; ++k) s.allocate(0);
+  ASSERT_GT(s.max_load() - s.min_load(), 255);
+  expect_inverted_snapshot_parity(s);
+  EXPECT_FALSE(snap.assign_inverted(s));
+  EXPECT_FALSE(snap.assign_inverted(s.loads()));
+}
+
+TEST(CompactSnapshot, InvertedAssignScansOnceLevelsGiveUp) {
+  const nb::bin_count n = 16;
+  load_state s(n);
+  const nb::weight_t heavy = nb::level_index::max_dense_span + 1;
+  s.allocate(0, heavy);
+  ASSERT_FALSE(s.levels_valid());
+  expect_inverted_snapshot_parity(s);  // span way over 255: refused
+  for (nb::bin_index i = 1; i < n; ++i) s.allocate(i, heavy);
+  s.allocate(3, 7);
+  ASSERT_FALSE(s.levels_valid());
+  nb::compact_snapshot inv;
+  EXPECT_TRUE(inv.assign_inverted(s));
+  EXPECT_EQ(inv.max_off(), 7);
+  EXPECT_EQ(inv.off(3), 255 - 7);
+  expect_inverted_snapshot_parity(s);
+}
+
 }  // namespace
