@@ -364,7 +364,7 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
     scale_entry entry =
         time_scale_leg("shard", kernel_isa_name(engine.isa()), t, n, m, interval, seed, counters,
                        [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-                         step_many_parallel(p, rng, chunk, engine);
+                         engine.step_many(p, rng, chunk);
                        });
     note_phases(entry, engine.phases());
     // Per-leg parity replay: 1 worker, scalar backend, same (seed,
@@ -373,7 +373,7 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
         .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
     const auto replay = scale_observed_run(
         n, m, interval, seed, [&replay_engine](b_batch& p, rng_t& rng, step_count chunk) {
-          step_many_parallel(p, rng, chunk, replay_engine);
+          replay_engine.step_many(p, rng, chunk);
         });
     if (replay.loads != entry.run.loads || replay.sink != entry.run.sink) {
       std::printf("DETERMINISM FAILURE: %zu-thread %s leg diverged from its 1-thread "
@@ -491,7 +491,7 @@ double measure_checkpoint_overhead(bin_count n, step_count m, step_count every,
     return time_median_of(kWarmup, kReps, [&] {
       any_process process = make_process(spec);
       rng_t rng(seed);
-      run_engine engine((engine_options{}));
+      run_engine engine((engine_config{}));
       (void)run_checkpointed(process, m, rng, engine, cadence, [&](step_count) {
         write_checkpoint_file(path,
                               capture_checkpoint(process, rng, engine.fingerprint(), 0, seed));
@@ -568,11 +568,11 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   const std::size_t first_kernel_leg = results.size();
   for (const kernel_isa isa : backends) {
     perf_counter_set counters;
-    kernel_engine engine(kernel_options{.lanes = lanes, .isa = isa});
+    shard_engine engine(shard_options{.shards = 1, .lanes = lanes, .isa = isa});
     results.push_back(time_scale_leg(
         "kernel", kernel_isa_name(engine.isa()), 1, n, m, interval, seed, counters,
         [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-          step_many_kernel(p, rng, chunk, engine);
+          engine.step_many(p, rng, chunk);
         }));
     note_phases(results.back(), engine.phases());
   }
@@ -591,9 +591,9 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   double tuning_speedup = 0.0;
   {
     const kernel_tuning tuned_cfg = current_kernel_tuning();
-    kernel_engine engine(kernel_options{.lanes = lanes, .isa = backends.back()});
+    shard_engine engine(shard_options{.shards = 1, .lanes = lanes, .isa = backends.back()});
     const auto move = [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-      step_many_kernel(p, rng, chunk, engine);
+      engine.step_many(p, rng, chunk);
     };
     scale_entry entry;
     entry.kernel = "kernel-untuned";
@@ -681,7 +681,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       "shard", kernel_isa_name(engine.isa()), engine.threads(), n, m, interval, seed,
       shard_counters,
       [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-        step_many_parallel(p, rng, chunk, engine);
+        engine.step_many(p, rng, chunk);
       }));
   note_phases(results.back(), engine.phases());
   const scale_entry shard = results.back();  // copy: the alias leg below may reallocate
@@ -792,8 +792,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       warmed.set_model(make_model("unit", "uniform", n, channel));
       rng_t warm_rng(seed);
       {
-        kernel_engine warm_engine(kernel_options{.lanes = lanes, .isa = g_isa_request});
-        step_many_kernel(warmed, warm_rng, occupancy, warm_engine);
+        shard_engine warm_engine(shard_options{.shards = 1, .lanes = lanes, .isa = g_isa_request});
+        warm_engine.step_many(warmed, warm_rng, occupancy);
       }
       // Times cycles of `arrive` then `depart` from the warmed system.
       const auto time_batch_churn = [&](const char* kernel, std::size_t leg_threads,
@@ -847,12 +847,12 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       }
       {
         perf_counter_set churn_counters;
-        kernel_engine kengine(kernel_options{.lanes = lanes, .isa = g_isa_request});
+        shard_engine kengine(shard_options{.shards = 1, .lanes = lanes, .isa = g_isa_request});
         churn_counters.start();
         scale_entry leg = time_batch_churn(
             "churn-kernel", 1, churn_counters,
-            [&](b_batch& p, rng_t& rng, step_count k) { step_many_kernel(p, rng, k, kengine); },
-            [&](b_batch& p, rng_t& rng, step_count k) { depart_many_kernel(p, rng, k, kengine); });
+            [&](b_batch& p, rng_t& rng, step_count k) { kengine.step_many(p, rng, k); },
+            [&](b_batch& p, rng_t& rng, step_count k) { kengine.depart_many(p, rng, k); });
         leg.isa = kernel_isa_name(kengine.isa());
         leg.depart_phases = kengine.depart_phases();
         if (serial_rate > 0.0) {
@@ -868,9 +868,9 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
             .threads = threads, .shards = shards, .lanes = lanes, .isa = g_isa_request});
         scale_entry leg = time_batch_churn(
             "churn-shard", sengine.threads(), churn_counters,
-            [&](b_batch& p, rng_t& rng, step_count k) { step_many_parallel(p, rng, k, sengine); },
+            [&](b_batch& p, rng_t& rng, step_count k) { sengine.step_many(p, rng, k); },
             [&](b_batch& p, rng_t& rng, step_count k) {
-              depart_many_parallel(p, rng, k, sengine);
+              sengine.depart_many(p, rng, k);
             });
         leg.isa = kernel_isa_name(sengine.isa());
         leg.depart_phases = sengine.depart_phases();
@@ -896,7 +896,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
     const auto replay = scale_observed_run(
         n, m, interval, seed, [&engine1](b_batch& p, rng_t& rng, step_count chunk) {
-          step_many_parallel(p, rng, chunk, engine1);
+          engine1.step_many(p, rng, chunk);
         });
     identical = replay.loads == shard.run.loads && replay.sink == shard.run.sink;
     if (!identical) {

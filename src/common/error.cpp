@@ -21,6 +21,9 @@ bool warn_once(const std::string& key, const std::string& message) {
     const std::lock_guard<std::mutex> lock(warn_mutex);
     if (!warned_keys().insert(key).second) return false;
   }
+  // Flush stdout first: a bench row still buffered there would otherwise
+  // be split by the warning when both streams share a terminal or file.
+  std::fflush(stdout);
   std::fprintf(stderr, "noisebalance: warning: %s\n", message.c_str());
   return true;
 }

@@ -150,7 +150,7 @@ class b_batch {
 
   /// b-Batch's snapshot_decide IS the canonical two-sample min rule, so
   /// its windows may run through the lane-interleaved SIMD kernel (the
-  /// kernel_window_parallel contract; cross-checked by test_kernel.cpp).
+  /// window_parallel contract; cross-checked by test_kernel.cpp).
   static constexpr bool kernel_min_select = true;
 
   /// One b-Batch decision over the compact snapshot: less loaded of the

@@ -30,6 +30,7 @@
 #include <concepts>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -358,26 +359,32 @@ inline void advance(P& process, rng_t& rng, const traffic_spec& traffic) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-run shard parallelism.
+// The windowed engine.
 //
 // In the paper's batched/delayed settings every allocation decision inside
 // one stale-snapshot window depends only on state frozen at the window
 // start, so the window's balls are embarrassingly parallel.  A process that
 // can expose such windows implements the window_parallel contract below;
-// shard_engine then splits each window into a *fixed* number of shards,
-// gives every shard its own derived RNG substream
-// (shard_stream_seed(window_token, s)), lets shards accumulate per-bin
-// increment counts in disjoint rows, and merges the rows in fixed shard
-// order.  Consequence: for one (seed, shard count) the result is
-// bit-identical for ANY thread count -- threads only execute shards, they
-// never influence sampling or merge order.  Relative to the serial bulk
-// path the parallel path draws different (but identically distributed)
-// randomness, so serial-vs-parallel agreement is distributional, not
+// shard_engine then runs each large enough window through the
+// lane-interleaved allocation kernel (core/kernel/) with one master-stream
+// token per window.  The shard count picks the leaf body:
+//   * one shard: the whole window is one kernel call into one uint32 row
+//     seeded by the token itself (lane l draws from derive_seed(token, l)),
+//     committed on the calling thread -- no pool, no merge;
+//   * S >= 2 shards: the window splits into S fixed shards, shard s draws
+//     from the substream shard_stream_seed(token, s) into its own uint16
+//     row, a worker pool executes the shards, and the rows merge in fixed
+//     shard order.
+// Consequence: for one (seed, shards, lanes) the result is bit-identical
+// for ANY thread count and ISA backend -- threads only execute shards,
+// they never influence sampling or merge order.  Relative to the serial
+// bulk path the engine draws different (but identically distributed)
+// randomness, so serial-vs-engine agreement is distributional, not
 // bitwise; tests enforce both contracts.
 //
-// The chunk pattern handed to step_many_parallel is also part of the
-// sampling contract: a call boundary inside a window splits it into two
-// smaller windows (two tokens).  Cuts on window boundaries -- the natural
+// The chunk pattern handed to step_many is also part of the sampling
+// contract: a call boundary inside a window splits it into two smaller
+// windows (two tokens).  Cuts on window boundaries -- the natural
 // checkpoint cadence, e.g. every b balls for b-Batch -- leave the window
 // sequence and therefore the results unchanged.
 
@@ -390,13 +397,15 @@ concept window_probed = requires(const P p) {
   { p.snapshot_window() } -> std::convertible_to<step_count>;
 };
 
-/// Full intra-run window-parallel contract (two-sample processes):
+/// Full intra-run window-parallel contract:
 ///   * snapshot_window(): how many upcoming balls decide against frozen
 ///     state (0 = none; the engine falls back to the serial fused loop),
 ///   * window_snapshot(): the frozen loads those decisions read,
-///   * snapshot_decide(snap, i1, i2, rng): the decision rule over the
-///     compact 8-bit snapshot -- must be a pure function of (snap[i1],
-///     snap[i2], rng draws),
+///   * `static constexpr bool kernel_min_select = true`: the decision rule
+///     is the canonical two-sample min rule the kernel implements ("less
+///     loaded of the two sampled bins, ties broken by the next draw's top
+///     bit"; cross-checked against the process's own rule by the kernel
+///     test suite),
 ///   * commit_window(inc, balls[, exec]): apply the merged per-bin
 ///     increments and refresh whatever the process keeps stale (inc[i]
 ///     balls into bin i, sum(inc) == balls == the window length the engine
@@ -405,29 +414,17 @@ concept window_probed = requires(const P p) {
 ///
 /// Optionally, snapshot_is_live() proves the window snapshot equals the
 /// live loads right now (b-Batch right after a boundary commit); the
-/// engines then range the compact snapshot from the level index in O(1)
+/// engine then ranges the compact snapshot from the level index in O(1)
 /// instead of scanning the frozen vector (see live_snapshot_probed).
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
-    requires(P p, const P cp, rng_t& g, const std::uint8_t* snap, bin_index i,
-             const std::vector<std::uint32_t>& inc, step_count k, const range_executor& exec) {
+    requires(P p, const P cp, const std::vector<std::uint32_t>& inc, step_count k,
+             const range_executor& exec) {
+      requires P::kernel_min_select;
       { cp.window_snapshot() } -> std::convertible_to<const std::vector<load_t>&>;
-      { P::snapshot_decide(snap, i, i, g) } -> std::convertible_to<bin_index>;
       { p.commit_window(inc, k) } -> std::same_as<void>;
       { p.commit_window(inc, k, exec) } -> std::same_as<void>;
     };
-
-/// Window-parallel process whose snapshot_decide is the canonical
-/// two-sample min rule ("less loaded of the two sampled bins, ties broken
-/// by the next draw's top bit") -- declared by the process via
-/// `static constexpr bool kernel_min_select = true` and cross-checked
-/// against its snapshot_decide by the kernel test suite.  Only such
-/// processes may run through the lane-interleaved allocation kernel
-/// (core/kernel/); anything else keeps the generic snapshot_decide loop.
-template <typename P>
-concept kernel_window_parallel = window_parallel<P> && requires {
-  requires P::kernel_min_select;
-};
 
 /// A window-parallel process that can prove its window snapshot is the
 /// live load vector.  Execution-only: the compact snapshot's bytes are the
@@ -437,14 +434,14 @@ concept live_snapshot_probed = requires(const P p) {
   { p.snapshot_is_live() } -> std::convertible_to<bool>;
 };
 
-/// Execution-only wall time an engine spent in the phases of its
+/// Execution-only wall time the engine spent in the phases of its
 /// fast-path windows, summed over `windows` windows: compact snapshot
 /// assignment, sampling (row/counter zeroing plus the kernel or shard
-/// fan-out), the fixed-order shard-row merge (0 on the kernel engine) and
-/// the process's commit_window.  The engines book their departure blocks
-/// into a second record of the same shape (`windows` counts blocks, merge
-/// is the shard-row merge + clamp + repair, commit is commit_departures).
-/// Never read by the sampling code.
+/// fan-out), the fixed-order shard-row merge (0 with one shard) and the
+/// process's commit_window.  The engine books its departure blocks into a
+/// second record of the same shape (`windows` counts blocks, merge is the
+/// shard-row merge + clamp + repair, commit is commit_departures).  Never
+/// read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
   std::int64_t snapshot_ns = 0;
@@ -460,74 +457,6 @@ inline std::int64_t phase_clock_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// The engines' departure-count guard, checked before the first block so
-/// an impossible request leaves the state untouched: every batched
-/// channel retires whole resident balls, so more departures than resident
-/// balls can never be served (the per-event law runs dry mid-stream, the
-/// kernels would redraw forever).
-template <typename P>
-void require_resident(const P& process, step_count count) {
-  const step_count resident = process.state().balls();
-  NB_REQUIRE(count <= resident, "departure request of " + std::to_string(count) +
-                                    " events exceeds the " + std::to_string(resident) +
-                                    " resident balls");
-}
-
-/// Assigns the window's compact snapshot: from the live loads' O(1)
-/// level range when the process proves the frozen snapshot is live, by a
-/// full scan of the frozen vector otherwise.
-template <typename P>
-bool assign_window_snapshot(compact_snapshot& snapshot, const P& process) {
-  if constexpr (live_snapshot_probed<P>) {
-    if (process.snapshot_is_live()) return snapshot.assign(process.state());
-  }
-  return snapshot.assign(process.window_snapshot());
-}
-
-/// The stale-snapshot window walk shared by shard_engine and
-/// kernel_engine: cuts `count` at window boundaries (and at `cap`, which
-/// deterministically splits oversized windows), routes undersized windows
-/// (below `min_window` or shorter than n/4 balls, where the per-window
-/// O(n) work would not amortize) and span-saturated snapshots to the
-/// serial fused loop on the master stream, and hands every remaining
-/// window to `fast(k, snapshot)` with the snapshot freshly assigned.
-/// `acquire()` hands out the compact_snapshot to assign into -- the shard
-/// engine alternates two buffers so assigning window k+1 never overwrites
-/// the buffer window k's shards may still be reading, the kernel engine
-/// reuses one.  Keeping the routing in one place keeps both engines'
-/// window selection identical.  Snapshot time and the window count go to
-/// `phases`; `fast` books its own phases there.
-template <window_probed P, typename Acquire, typename Fast>
-void walk_windows(P& process, rng_t& rng, step_count count, step_count cap,
-                  step_count min_window, window_phase_times& phases, const Acquire& acquire,
-                  const Fast& fast) {
-  while (count > 0) {
-    const step_count window = process.snapshot_window();
-    if (window <= 0) {  // no frozen window: serial for the whole rest
-      nb::step_many(process, rng, count);
-      return;
-    }
-    step_count k = window < count ? window : count;
-    if (k > cap) k = cap;
-    const auto n = static_cast<step_count>(process.state().n());
-    if (k < min_window || k * 4 < n) {
-      nb::step_many(process, rng, k);
-    } else {
-      compact_snapshot& snapshot = acquire();
-      const std::int64_t t0 = phase_clock_ns();
-      const bool compact = assign_window_snapshot(snapshot, process);
-      phases.snapshot_ns += phase_clock_ns() - t0;
-      if (!compact) {
-        nb::step_many(process, rng, k);
-      } else {
-        ++phases.windows;
-        fast(k, snapshot);
-      }
-    }
-    count -= k;
-  }
 }
 
 }  // namespace engine_detail
@@ -546,23 +475,25 @@ inline range_executor pool_ranges(thread_pool& pool, std::size_t ranges) {
                         });
 }
 
-/// Configuration for intra-run shard parallelism.  `shards` is part of the
-/// sampling contract (changing it changes which substreams exist and hence
-/// the drawn randomness); `threads` is execution only and never affects
-/// results.
+/// Configuration of the windowed engine.  `shards` and `lanes` are part of
+/// the sampling contract (they decide which streams exist and hence the
+/// drawn randomness); `threads` and `isa` are execution only and never
+/// affect results.
 struct shard_options {
-  /// Pool workers; 0 = one per hardware core.
+  /// Pool workers; 0 = one per hardware core.  Only a multi-shard engine
+  /// has a pool: one shard always runs on the calling thread.
   std::size_t threads = 0;
-  /// Fixed shard count per window.  Keep it >= the largest thread count
-  /// you will run with; the default covers typical desktops/CI runners.
+  /// Fixed shard count per window.  1 is the serial SIMD engine; for more,
+  /// keep it >= the largest thread count you will run with (the default
+  /// covers typical desktops/CI runners).
   std::size_t shards = 16;
-  /// Windows shorter than this run serially (shard + merge overhead would
-  /// dominate); the engine also requires window >= n/4 so the O(n) merge
-  /// amortizes.
+  /// Windows shorter than this run serially (snapshot + commit overhead
+  /// would dominate); the engine also requires window >= n/4 so its O(n)
+  /// passes amortize.
   step_count min_window = 4096;
   /// Kernel lanes per shard.  Part of the sampling contract exactly like
-  /// `shards`: lane seeds derive from the shard substream, so changing
-  /// the lane count changes the drawn randomness.
+  /// `shards`: lane seeds derive from the shard stream, so changing the
+  /// lane count changes the drawn randomness.
   std::size_t lanes = 8;
   /// Kernel instruction-set backend.  Execution only: backends are
   /// bit-identical for a fixed lane count (kernel contract, enforced by
@@ -570,56 +501,76 @@ struct shard_options {
   kernel_isa isa = kernel_isa::auto_detect;
 };
 
-/// The intra-run shard-parallel batch engine.  Owns the worker pool and
-/// the per-window scratch (compact snapshot, shard delta rows), so one
-/// engine instance amortizes both across all windows of a run -- create it
-/// once per run (or reuse across runs of the same configuration).
+/// The options of the single-shard case under its older name, kept as an
+/// alias because the repo benchmark (perfbench/) reads
+/// kernel_options{}.min_window for its engine-route probes.
+using kernel_options = shard_options;
+
+class any_process;
+
+/// The windowed batch engine.  Owns the per-window scratch (compact
+/// snapshot, count rows) and, with two or more shards, the worker pool, so
+/// one engine instance amortizes both across all windows of a run --
+/// create it once per run (or reuse across runs of the same
+/// configuration).
 class shard_engine {
  public:
   explicit shard_engine(shard_options opt = {})
-      : opt_(opt), isa_(resolve_kernel_isa(opt.isa)), pool_(opt.threads) {
+      : opt_(opt), isa_(resolve_kernel_isa(opt.isa)) {
     NB_REQUIRE(opt.shards >= 1, "need at least one shard");
     NB_REQUIRE(opt.min_window >= 1, "min_window must be positive");
     NB_REQUIRE(opt.lanes >= 1 && opt.lanes <= kernel_max_lanes,
                "kernel lanes must be in [1, kernel_max_lanes]");
-    ranges_ = pool_ranges(pool_, opt.shards);
-    // More workers than hardware threads only time-slices (results are
-    // thread-count-independent by contract, so oversubscribing buys
-    // nothing); this is the threads_per_run > cores trap, say so once.
-    warn_if_oversubscribed(pool_.size(), "shard-engine threads_per_run");
+    if (opt.shards > 1) {
+      pool_.emplace(opt.threads);
+      ranges_ = pool_ranges(*pool_, opt.shards);
+      // More workers than hardware threads only time-slices (results are
+      // thread-count-independent by contract, so oversubscribing buys
+      // nothing); this is the threads_per_run > cores trap, say so once.
+      warn_if_oversubscribed(pool_->size(), "shard-engine threads_per_run");
+    }
   }
 
   /// Deferred row clears may still be queued on the pool; they touch
   /// deltas_, which is destroyed before pool_ (reverse declaration
   /// order), so join them first.
-  ~shard_engine() { pool_.wait_idle(); }
+  ~shard_engine() {
+    if (pool_) pool_->wait_idle();
+  }
 
   [[nodiscard]] const shard_options& options() const noexcept { return opt_; }
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
+  /// Threads executing shards: the pool's workers, or 1 for one shard.
+  [[nodiscard]] std::size_t threads() const noexcept { return pool_ ? pool_->size() : 1; }
   /// The resolved kernel backend this engine's shards execute with.
   [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
-  /// Where this engine's parallel windows spent their time so far.
+  /// Where this engine's fast-path windows spent their time so far.
   [[nodiscard]] const window_phase_times& phases() const noexcept { return phases_; }
-  /// Where this engine's parallel departure blocks spent their time so far.
+  /// Where this engine's batched departure blocks spent their time so far.
   [[nodiscard]] const window_phase_times& depart_phases() const noexcept {
     return depart_phases_;
   }
 
   /// Allocates `count` balls through `process`.  Window-parallel processes
-  /// run each sufficiently large stale-snapshot window across the pool;
-  /// everything else (and every undersized or saturated window) takes the
-  /// serial fused loop, drawing from `rng` exactly like nb::step_many.
+  /// run each sufficiently large stale-snapshot window through the kernel;
+  /// everything else takes the serial fused loop, drawing from `rng`
+  /// exactly like nb::step_many.  The walk cuts `count` at window
+  /// boundaries (and at the row cap, which splits oversized windows
+  /// deterministically) and routes undersized windows (below min_window
+  /// or shorter than n/4 balls, where the per-window O(n) work would not
+  /// amortize) and span-saturated snapshots to the serial loop on the
+  /// master stream.
   template <single_steppable P>
   void step_many(P& process, rng_t& rng, step_count count) {
     NB_ASSERT(count >= 0);
     if constexpr (!window_parallel<P>) {
-      // The caller asked for intra-run parallelism (threads_per_run) but
-      // this process exposes no parallel snapshot windows -- the request
-      // is accepted but has no effect, which has historically been a
-      // silent trap.  Say so, once per process kind.
+      // The caller asked for the engine (threads_per_run or use_kernel)
+      // but this process exposes no kernel windows -- the request is
+      // accepted but has no effect, which has historically been a silent
+      // trap.  Say so, once per process kind.
       warn_once("shard-engine/" + process.name(),
-                "threads_per_run has no effect on process '" + process.name() +
-                    "': it exposes no parallel snapshot windows (window_parallel); "
+                "the windowed engine (threads_per_run / use_kernel) has no effect on process '" +
+                    process.name() +
+                    "': it exposes no min-select snapshot windows (window_parallel); "
                     "running the serial fused loop instead");
       nb::step_many(process, rng, count);
     } else {
@@ -630,7 +581,7 @@ class shard_engine {
         // like the no-window trap above -- say so once.
         if (process.model().weighting.is_random()) {
           warn_once("shard-engine-weighted/" + process.name(),
-                    "threads_per_run has no effect on process '" + process.name() +
+                    "the windowed engine has no effect on process '" + process.name() +
                         "' with random ball weighting " + process.model().weighting.label() +
                         ": merged count rows cannot carry per-ball weight draws; "
                         "running the serial fused loop instead");
@@ -638,45 +589,51 @@ class shard_engine {
           return;
         }
       }
-      // Cap parallel windows so even a shard that routed every one of its
-      // balls into a single bin cannot overflow a 16-bit delta row; the
-      // cap splits oversized windows deterministically (it depends only
-      // on the shard count, never on threads).
-      const step_count cap =
-          static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
-      engine_detail::walk_windows(
-          process, rng, count, cap, opt_.min_window, phases_,
-          // Double-buffered snapshot: alternate buffers so assigning the
-          // next window's snapshot on the master thread never races the
-          // pool work still in flight from the previous window (today the
-          // deferred row clears; the buffer swap is what makes any such
-          // overlap safe by construction).
-          [&]() -> compact_snapshot& {
-            snapshot_index_ ^= 1;
-            return snapshots_[snapshot_index_];
-          },
-          [&](step_count k, const compact_snapshot& snapshot) {
+      const auto n = static_cast<step_count>(process.state().n());
+      while (count > 0) {
+        const step_count window = process.snapshot_window();
+        if (window <= 0) {  // no frozen window: serial for the whole rest
+          nb::step_many(process, rng, count);
+          return;
+        }
+        const step_count k = std::min({window, count, block_cap()});
+        if (k < opt_.min_window || k * 4 < n) {
+          nb::step_many(process, rng, k);
+        } else {
+          compact_snapshot& snapshot = next_snapshot();
+          const std::int64_t t0 = engine_detail::phase_clock_ns();
+          const bool compact = assign_window_snapshot(snapshot, process);
+          phases_.snapshot_ns += engine_detail::phase_clock_ns() - t0;
+          if (compact) {
+            ++phases_.windows;
             run_window(process, rng, k, snapshot);
-          });
+          } else {
+            nb::step_many(process, rng, k);
+          }
+        }
+        count -= k;
+      }
     }
   }
 
-  /// Serves `count` departure events through `process`, shard-parallel:
-  /// each sufficiently large drain/random block snapshots the live loads,
-  /// splits its events across the fixed shard set (shard s serves its
-  /// share through the departure kernel on substream
-  /// shard_stream_seed(token, s), counting into its own uint16 row), and
-  /// merges the rows in fixed shard order.  Shards capacity-check against
-  /// the shared snapshot with only their OWN counts, so the merged row
-  /// can overdraw a bin; the merge clamps each bin to its snapshot
-  /// capacity and re-serves the deficit from the dedicated scalar stream
-  /// rng_t(derive_seed(token, shards)) under the serial channel law over
-  /// remaining loads -- deterministic, and thread-count invariant exactly
-  /// like step_many (threads only execute shards).  The lease channel
-  /// commits in bulk unconditionally (RNG-free); undersized blocks and
-  /// span-saturated loads fall back to the serial per-event loop with a
-  /// one-time diagnostic.  A request for more departures than resident
-  /// balls throws contract_error before any block, state untouched.
+  /// Serves `count` departure events through `process`.  Each
+  /// sufficiently large drain/random block snapshots the LIVE loads
+  /// (departures need no frozen window of their own -- the block freezes
+  /// its snapshot at the block start, so windowless processes batch too),
+  /// draws one master-stream token and runs the SIMD departure kernel.
+  /// One shard serves the whole block in one kernel call seeded by the
+  /// token.  With more, shard s serves its share on substream
+  /// shard_stream_seed(token, s) into its own uint16 row; shards
+  /// capacity-check against the shared snapshot with only their OWN
+  /// counts, so the merged row can overdraw a bin, and the merge clamps
+  /// each bin to its snapshot capacity and re-serves the deficit from the
+  /// dedicated scalar stream rng_t(derive_seed(token, shards)) under the
+  /// serial channel law over remaining loads -- deterministic, and
+  /// thread-count invariant like step_many.  The lease channel commits in
+  /// bulk unconditionally (RNG-free); undersized blocks and span-saturated
+  /// loads fall back to the serial per-event loop with a one-time
+  /// diagnostic.  A request for more departures than resident balls
+  /// throws contract_error before any block, state untouched.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
@@ -691,22 +648,25 @@ class shard_engine {
     } else {
       const departure_model& departures = process.model().departures;
       if (departures.is_none()) {
+        // Let the per-event law raise its configuration error.
         nb::depart_many(process, rng, count);
         return;
       }
-      engine_detail::require_resident(process, count);
+      // Every batched channel retires whole resident balls, so more
+      // departures than resident balls can never be served (the per-event
+      // law runs dry mid-stream, the kernels would redraw forever).
+      const step_count resident = process.state().balls();
+      NB_REQUIRE(count <= resident, "departure request of " + std::to_string(count) +
+                                        " events exceeds the " + std::to_string(resident) +
+                                        " resident balls");
       if (departures.is_lease()) {
         merged_.clear();
         process.commit_departures(merged_, count);
         return;
       }
       const auto n = static_cast<step_count>(process.state().n());
-      // Same uint16-row overflow cap as arrival windows: chunk oversized
-      // blocks deterministically (depends only on the shard count).
-      const step_count cap =
-          static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
       while (count > 0) {
-        const step_count k = count < cap ? count : cap;
+        const step_count k = std::min(count, block_cap());
         if (k < opt_.min_window || k * 4 < n) {
           warn_once("depart-engine-window/" + process.name(),
                     "batched departures fall back to the serial per-event loop on process '" +
@@ -726,20 +686,161 @@ class shard_engine {
     }
   }
 
+  /// Type-erased processes: one virtual call per chunk, engine dispatch on
+  /// the wrapped concrete type behind it (defined after any_process).
+  void step_many(any_process& process, rng_t& rng, step_count count);
+  void depart_many(any_process& process, rng_t& rng, step_count count);
+
  private:
-  /// One shard-parallel departure block of `k` events; false when the
-  /// live loads cannot compact (caller falls back to the serial loop).
+  /// Fewest bins whose commit runs by range on the pool (commit_and_clear).
+  /// Below it the pool round trips of the commit's passes cost more than
+  /// they split.  Measured with bench/throughput.cpp --scale (b-Batch b = n,
+  /// 4 threads, 16 shards, drain churn at 8n) on a 4-core AVX-512 Xeon VM,
+  /// median of 5 alternating runs, shard / churn-shard events per second,
+  /// pooled vs calling-thread commit: 2^14 bins 3.4e7 / 3.1e7 vs 6.1e7 /
+  /// 6.1e7; 2^16 bins 5.5e7 / 5.3e7 vs 6.8e7 / 8.6e7; 2^17 bins 1.29e8 /
+  /// 1.05e8 vs 1.20e8 / 1.04e8; 2^18 bins 1.35e8 / 1.16e8 vs 1.30e8 /
+  /// 1.07e8.
+  static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
+
+  /// Largest window/block one call serves: a shard that routed every one
+  /// of its balls into a single bin must not overflow its 16-bit row, so
+  /// multi-shard windows split deterministically (the cap depends only on
+  /// the shard count, never on threads).  One shard counts into uint32
+  /// and a run is bounded by max_run_balls anyway.
+  [[nodiscard]] step_count block_cap() const noexcept {
+    return pool_ ? static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count
+                 : max_run_balls;
+  }
+
+  /// The compact snapshot to assign next.  With a pool the two buffers
+  /// alternate, so assigning window k+1's snapshot on the master thread
+  /// never races pool work still in flight from window k (today the
+  /// deferred row clears; the swap makes any such overlap safe by
+  /// construction).  One shard reuses the first buffer.
+  compact_snapshot& next_snapshot() noexcept {
+    if (pool_) snapshot_index_ ^= 1;
+    return snapshots_[snapshot_index_];
+  }
+
+  /// Assigns the window's compact snapshot: from the live loads' O(1)
+  /// level range when the process proves the frozen snapshot is live, by a
+  /// full scan of the frozen vector otherwise.
+  template <typename P>
+  static bool assign_window_snapshot(compact_snapshot& snapshot, const P& process) {
+    if constexpr (live_snapshot_probed<P>) {
+      if (process.snapshot_is_live()) return snapshot.assign(process.state());
+    }
+    return snapshot.assign(process.window_snapshot());
+  }
+
+  /// Leaf body: `balls` kernel decisions against `snap`, counted into
+  /// `row`, lane streams derived from `seed`.  Non-uniform samplers take
+  /// the kernel's alias lane path.
+  template <typename Row>
+  void run_leaf(bin_count n, const std::uint8_t* snap, const alias_table* table, Row* row,
+                step_count balls, std::uint64_t seed) const {
+    if (table != nullptr) {
+      kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(), row,
+                       balls, seed);
+    } else {
+      kernel_run(isa_, opt_.lanes, n, snap, row, balls, seed);
+    }
+  }
+
+  /// Balls (or events) of shard s when k split over the shards.
+  [[nodiscard]] step_count shard_share(step_count k, std::size_t s) const noexcept {
+    const auto shards = static_cast<step_count>(opt_.shards);
+    return k / shards + (static_cast<step_count>(s) < k % shards ? 1 : 0);
+  }
+
+  /// Makes the delta rows fit (shards, n) after joining the previous
+  /// window's deferred clears; returns whether every row is already zero.
+  bool prepare_rows(bin_count n) {
+    drain_deferred_clears();
+    if (deltas_.shards() != opt_.shards || deltas_.bins() != n) {
+      deltas_.reset(opt_.shards, n);
+      rows_clean_ = true;
+    }
+    return rows_clean_;
+  }
+
+  /// One fast-path window of `k` balls, all decided against `snapshot`.
+  template <window_parallel P>
+  void run_window(P& process, rng_t& rng, step_count k, const compact_snapshot& snapshot) {
+    const bin_count n = process.state().n();
+    // Non-uniform bin sampling rides the same window machinery: leaves
+    // draw their bin pairs from the model's alias table instead of the
+    // uniform Lemire path.  The table is immutable for the whole window
+    // (the process is not stepped while leaves run).
+    const alias_table* table = nullptr;
+    if constexpr (modeled_process<P>) {
+      if (!process.model().sampler.is_uniform()) table = &process.model().sampler.table();
+    }
+    const std::uint8_t* snap = snapshot.data();
+    const std::int64_t t_kernel = engine_detail::phase_clock_ns();
+    if (!pool_) {
+      // One master-stream draw per window seeds the whole window.
+      const std::uint64_t token = rng.next();
+      merged_.assign(n, 0);
+      run_leaf(n, snap, table, merged_.data(), k, token);
+      const std::int64_t t_commit = engine_detail::phase_clock_ns();
+      phases_.kernel_ns += t_commit - t_kernel;
+      process.commit_window(merged_, k);
+      phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+      return;
+    }
+    // rows_clean: the previous window's clears already zeroed every row
+    // (the steady state), so shard tasks skip the redundant re-clear; the
+    // first window after a geometry change is clean via reset().
+    const bool clean = prepare_rows(n);
+    // One draw from the master stream per window; every shard substream
+    // derives from this token, so shard results cannot depend on threads.
+    const std::uint64_t token = rng.next();
+    for (std::size_t s = 0; s < opt_.shards; ++s) {
+      const step_count shard_balls = shard_share(k, s);
+      std::uint16_t* row = deltas_.row(s);
+      if (shard_balls == 0) {
+        // Ball-less shard (k < shards): its row still feeds the merge, so
+        // make sure no counts linger from the previous window.
+        if (!clean) deltas_.clear_row(s);
+        continue;
+      }
+      pool_->submit([this, n, snap, table, row, shard_balls, clean,
+                     seed = shard_stream_seed(token, s)] {
+        if (!clean) std::fill_n(row, n, std::uint16_t{0});
+        run_leaf(n, snap, table, row, shard_balls, seed);
+      });
+    }
+    pool_->wait_idle();
+    rows_clean_ = false;
+    const std::int64_t t_merge = engine_detail::phase_clock_ns();
+    phases_.kernel_ns += t_merge - t_kernel;
+    // Merge: fixed shard order per bin, bin ranges summed concurrently
+    // (disjoint, so still deterministic).
+    merged_.resize(n);
+    ranges_.run([&](std::size_t r) {
+      const auto [lo, hi] = ranges_.bounds(r, n);
+      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
+    });
+    const std::int64_t t_commit = engine_detail::phase_clock_ns();
+    phases_.merge_ns += t_commit - t_merge;
+    commit_and_clear(n, [&](const range_executor& exec) {
+      process.commit_window(merged_, k, exec);
+      phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+    });
+  }
+
+  /// One batched departure block of `k` events; false when the live loads
+  /// cannot compact (caller falls back to the serial loop).
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
     const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
-    // Same double-buffer rotation as arrival windows: the previous
-    // block's deferred row clears may still be in flight on the pool.
-    snapshot_index_ ^= 1;
-    compact_snapshot& snapshot = snapshots_[snapshot_index_];
+    compact_snapshot& snapshot = next_snapshot();
     const bool drain =
         process.model().departures.departure_kind() == departure_model::kind::drain;
-    // Drain shards read the inverted bytes as they are (kernel_depart.hpp):
-    // one inverted assignment here serves every shard of the block.
+    // The drain kernel reads the inverted bytes as they are
+    // (kernel_depart.hpp): one inverted assignment serves the whole block.
     const bool compact =
         drain ? snapshot.assign_inverted(process.state()) : snapshot.assign(process.state());
     const std::int64_t t_kernel = engine_detail::phase_clock_ns();
@@ -747,23 +848,28 @@ class shard_engine {
     if (!compact) return false;
     ++depart_phases_.windows;
     const bin_count n = process.state().n();
-    const std::size_t shards = opt_.shards;
-    drain_deferred_clears();
-    if (deltas_.shards() != shards || deltas_.bins() != n) {
-      deltas_.reset(shards, n);
-      rows_clean_ = true;
-    }
-    const std::uint64_t token = rng.next();
     const std::uint8_t* snap = snapshot.data();
     const load_t base = snapshot.base();
     const std::uint8_t span = snapshot.max_off();
     const depart_channel channel = drain ? depart_channel::drain : depart_channel::random;
     const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
-    const bool clean = rows_clean_;
+    if (!pool_) {
+      // One shard never overdraws: the kernel's own capacity fold keeps
+      // every count within its bin, so there is nothing to clamp.
+      const std::uint64_t token = rng.next();
+      merged_.assign(n, 0);
+      kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, merged_.data(), k, token);
+      const std::int64_t t_commit = engine_detail::phase_clock_ns();
+      depart_phases_.kernel_ns += t_commit - t_kernel;
+      process.commit_departures(merged_, k);
+      depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+      return true;
+    }
+    const std::size_t shards = opt_.shards;
+    const bool clean = prepare_rows(n);
+    const std::uint64_t token = rng.next();
     for (std::size_t s = 0; s < shards; ++s) {
-      const step_count shard_events =
-          k / static_cast<step_count>(shards) +
-          (static_cast<step_count>(s) < k % static_cast<step_count>(shards) ? 1 : 0);
+      const step_count shard_events = shard_share(k, s);
       std::uint16_t* row = deltas_.row(s);
       if (shard_events == 0) {
         if (!clean) deltas_.clear_row(s);
@@ -771,13 +877,13 @@ class shard_engine {
       }
       // Cannot throw: depart_many admitted at most the resident balls, so
       // no shard's drain ever runs out of snapshot capacity.
-      pool_.submit([n, snap, base, span, channel, w, row, shard_events, clean,
-                    seed = shard_stream_seed(token, s), lanes = opt_.lanes, isa = isa_] {
+      pool_->submit([n, snap, base, span, channel, w, row, shard_events, clean,
+                     seed = shard_stream_seed(token, s), lanes = opt_.lanes, isa = isa_] {
         if (!clean) std::fill_n(row, n, std::uint16_t{0});
         kernel_depart(isa, lanes, channel, n, snap, base, span, w, row, shard_events, seed);
       });
     }
-    pool_.wait_idle();
+    pool_->wait_idle();
     rows_clean_ = false;
     const std::int64_t t_merge = engine_detail::phase_clock_ns();
     depart_phases_.kernel_ns += t_merge - t_kernel;
@@ -865,92 +971,6 @@ class shard_engine {
     return true;
   }
 
-  /// Per-shard scratch that outlives one window: the generic (non-kernel)
-  /// decide loop's index block.  Engine-owned and cache-line-aligned so a
-  /// shard task allocates nothing per window and two shards' scratch
-  /// never false-shares; 16 KiB per shard keeps each block L1-resident.
-  static constexpr std::size_t kGenericBlock = 2048;
-  /// Fewest bins whose commit runs by range on the pool (commit_and_clear).
-  /// Below it the pool round trips of the commit's passes cost more than
-  /// they split.  Measured with bench/throughput.cpp --scale (b-Batch b = n,
-  /// 4 threads, 16 shards, drain churn at 8n) on a 4-core AVX-512 Xeon VM,
-  /// median of 5 alternating runs, shard / churn-shard events per second,
-  /// pooled vs calling-thread commit: 2^14 bins 3.4e7 / 3.1e7 vs 6.1e7 /
-  /// 6.1e7; 2^16 bins 5.5e7 / 5.3e7 vs 6.8e7 / 8.6e7; 2^17 bins 1.29e8 /
-  /// 1.05e8 vs 1.20e8 / 1.04e8; 2^18 bins 1.35e8 / 1.16e8 vs 1.30e8 /
-  /// 1.07e8.
-  static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
-  struct alignas(64) shard_arena {
-    std::array<bin_index, 2 * kGenericBlock> idx;
-  };
-
-  /// One parallel window of `k` balls, all decided against `snapshot`.
-  template <window_parallel P>
-  void run_window(P& process, rng_t& rng, step_count k, const compact_snapshot& snapshot) {
-    const bin_count n = process.state().n();
-    const std::size_t shards = opt_.shards;
-    // Non-uniform bin sampling rides the same window machinery: shards
-    // draw their bin pairs from the model's alias table instead of the
-    // uniform Lemire path.  The table is immutable for the whole window
-    // (the process is not stepped while shards run).
-    const alias_table* table = nullptr;
-    if constexpr (modeled_process<P>) {
-      if (!process.model().sampler.is_uniform()) table = &process.model().sampler.table();
-    }
-    // The previous window's deferred row clears may still be running on
-    // the pool; everything below touches the delta rows, so drain first.
-    const std::int64_t t_kernel = engine_detail::phase_clock_ns();
-    drain_deferred_clears();
-    if (deltas_.shards() != shards || deltas_.bins() != n) {
-      deltas_.reset(shards, n);
-      rows_clean_ = true;
-    }
-    if (arenas_.size() != shards) arenas_ = std::vector<shard_arena>(shards);
-    // One draw from the master stream per window; every shard substream
-    // derives from this token, so shard results cannot depend on threads.
-    const std::uint64_t window_token = rng.next();
-    const std::uint8_t* snap = snapshot.data();
-    // rows_clean_: the previous window's clears already zeroed every row
-    // (the steady state), so shard tasks skip the redundant re-clear; the
-    // first window after a geometry change is clean via reset().
-    const bool clean = rows_clean_;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const step_count shard_balls =
-          k / static_cast<step_count>(shards) +
-          (static_cast<step_count>(s) < k % static_cast<step_count>(shards) ? 1 : 0);
-      std::uint16_t* row = deltas_.row(s);
-      if (shard_balls == 0) {
-        // Ball-less shard (k < shards): its row still feeds the merge, so
-        // make sure no counts linger from the previous window.
-        if (!clean) deltas_.clear_row(s);
-        continue;
-      }
-      pool_.submit([n, snap, row, shard_balls, clean,
-                    seed = shard_stream_seed(window_token, s), lanes = opt_.lanes, isa = isa_,
-                    table, arena = &arenas_[s]] {
-        if (!clean) std::fill_n(row, n, std::uint16_t{0});
-        run_shard<P>(n, snap, row, shard_balls, seed, lanes, isa, table, arena->idx.data());
-      });
-    }
-    pool_.wait_idle();
-    rows_clean_ = false;
-    const std::int64_t t_merge = engine_detail::phase_clock_ns();
-    phases_.kernel_ns += t_merge - t_kernel;
-    // Merge: fixed shard order per bin, bin ranges summed concurrently
-    // (disjoint, so still deterministic).
-    merged_.resize(n);
-    ranges_.run([&](std::size_t r) {
-      const auto [lo, hi] = ranges_.bounds(r, n);
-      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
-    });
-    const std::int64_t t_commit = engine_detail::phase_clock_ns();
-    phases_.merge_ns += t_commit - t_merge;
-    commit_and_clear(n, [&](const range_executor& exec) {
-      process.commit_window(merged_, k, exec);
-      phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-    });
-  }
-
   /// Runs `commit(exec)` over n bins and queues the next window's row
   /// clears (~2n bytes per shard of stores) on the pool around it.  From
   /// kMinPooledCommitBins bins up the commit runs by range on the pool and
@@ -973,7 +993,7 @@ class shard_engine {
   /// Queues the next window's row clears on the pool.
   void queue_row_clears() {
     for (std::size_t s = 0; s < deltas_.shards(); ++s) {
-      pool_.submit([this, s] { deltas_.clear_row(s); });
+      pool_->submit([this, s] { deltas_.clear_row(s); });
     }
     clears_pending_ = true;
   }
@@ -983,64 +1003,25 @@ class shard_engine {
   /// thread was busy committing / assigning the next snapshot).
   void drain_deferred_clears() {
     if (!clears_pending_) return;
-    pool_.wait_idle();
+    pool_->wait_idle();
     clears_pending_ = false;
     rows_clean_ = true;
   }
 
-  /// Shard body.  Min-select processes run the lane-interleaved SIMD
-  /// kernel (vectorized block RNG + branchless snapshot decide, see
-  /// core/kernel/); non-uniform samplers take the kernel's alias lane
-  /// path.  Lane seeds derive from this shard's substream, so the
-  /// sampling contract stays (seed, shards, lanes) and never sees threads
-  /// or the ISA backend.  Processes with a bespoke snapshot_decide keep
-  /// the generic block-sampled loop (uniform Lemire blocks or alias
-  /// blocks, per the model) over `idx_block`, this shard's arena scratch
-  /// (2 * kGenericBlock entries).
-  template <window_parallel P>
-  static void run_shard(bin_count n, const std::uint8_t* snap, std::uint16_t* row,
-                        step_count shard_balls, std::uint64_t seed, std::size_t lanes,
-                        kernel_isa isa, const alias_table* table, bin_index* idx_block) {
-    if constexpr (kernel_window_parallel<P>) {
-      if (table != nullptr) {
-        kernel_run_alias(isa, lanes, n, snap, table->thresholds(), table->aliases(), row,
-                         shard_balls, seed);
-      } else {
-        kernel_run(isa, lanes, n, snap, row, shard_balls, seed);
-      }
-    } else {
-      rng_t srng(seed);
-      while (shard_balls > 0) {
-        const std::size_t chunk = shard_balls < static_cast<step_count>(kGenericBlock)
-                                      ? static_cast<std::size_t>(shard_balls)
-                                      : kGenericBlock;
-        if (table != nullptr) {
-          table->sample_block(srng, idx_block, 2 * chunk);
-        } else {
-          bounded_block(srng, n, idx_block, 2 * chunk);
-        }
-        for (std::size_t t = 0; t < chunk; ++t) {
-          const bin_index chosen =
-              P::snapshot_decide(snap, idx_block[2 * t], idx_block[2 * t + 1], srng);
-          ++row[chosen];
-        }
-        shard_balls -= static_cast<step_count>(chunk);
-      }
-    }
-  }
-
   shard_options opt_;
   kernel_isa isa_;
-  thread_pool pool_;
-  /// Two snapshot buffers, alternated per parallel window (see the
-  /// acquire lambda in step_many).
+  /// The workers executing shards; empty for one shard.
+  std::optional<thread_pool> pool_;
+  /// Two snapshot buffers, alternated per window with a pool (see
+  /// next_snapshot); one shard only ever assigns the first.
   compact_snapshot snapshots_[2];
   std::size_t snapshot_index_ = 0;
   /// The pool as a bin-range executor, one range per shard: the merge
   /// (and departure clamp) pass and the commit.
   range_executor ranges_;
   shard_deltas deltas_;
-  std::vector<shard_arena> arenas_;
+  /// The merged per-bin counts the process commits (with one shard, the
+  /// kernel's own row).
   std::vector<std::uint32_t> merged_;
   /// Per-range clamped departure totals of the current block.
   std::vector<step_count> range_totals_;
@@ -1050,197 +1031,6 @@ class shard_engine {
   /// tasks may still be on the pool / once they finished, respectively.
   bool clears_pending_ = false;
   bool rows_clean_ = false;
-};
-
-/// Configuration of the serial kernel engine.  `lanes` is part of the
-/// sampling contract (lane streams are derived per window token); `isa`
-/// is execution only and never affects results.
-struct kernel_options {
-  std::size_t lanes = 8;
-  kernel_isa isa = kernel_isa::auto_detect;
-  /// Windows shorter than this (or shorter than n/4 balls) take the plain
-  /// serial fused loop -- the per-window O(n) snapshot/commit would not
-  /// amortize.
-  step_count min_window = 4096;
-};
-
-/// Serial counterpart of shard_engine: every sufficiently large
-/// stale-snapshot window runs through the lane-interleaved allocation
-/// kernel -- no threads, no shard split, one uint32 increment vector --
-/// so single-threaded drivers get the SIMD speedup too.  Sampling
-/// contract: one token per window from the master stream; lane l of that
-/// window draws from derive_seed(token, l).  For a fixed (seed, lanes)
-/// the result is bit-identical across ISA backends; like the shard
-/// engine it draws different (identically distributed) randomness than
-/// the serial fused loop, so agreement with that path is distributional.
-class kernel_engine {
- public:
-  explicit kernel_engine(kernel_options opt = {})
-      : opt_(opt), isa_(resolve_kernel_isa(opt.isa)) {
-    NB_REQUIRE(opt.lanes >= 1 && opt.lanes <= kernel_max_lanes,
-               "kernel lanes must be in [1, kernel_max_lanes]");
-    NB_REQUIRE(opt.min_window >= 1, "min_window must be positive");
-  }
-
-  [[nodiscard]] const kernel_options& options() const noexcept { return opt_; }
-  /// The resolved backend windows execute with.
-  [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
-  /// Where this engine's kernel windows spent their time so far.
-  [[nodiscard]] const window_phase_times& phases() const noexcept { return phases_; }
-  /// Where this engine's kernel departure blocks spent their time so far
-  /// (merge stays 0: one uint32 row, nothing to merge or clamp).
-  [[nodiscard]] const window_phase_times& depart_phases() const noexcept {
-    return depart_phases_;
-  }
-
-  /// Allocates `count` balls through `process`: min-select frozen windows
-  /// go through the kernel, everything else (and every undersized or
-  /// saturated window) takes the serial fused loop, drawing from `rng`
-  /// exactly like nb::step_many.
-  template <single_steppable P>
-  void step_many(P& process, rng_t& rng, step_count count) {
-    NB_ASSERT(count >= 0);
-    if constexpr (!kernel_window_parallel<P>) {
-      // Same accepted-but-ineffective trap as the shard engine: use_kernel
-      // only accelerates min-select frozen windows.
-      warn_once("kernel-engine/" + process.name(),
-                "use_kernel has no effect on process '" + process.name() +
-                    "': it exposes no min-select snapshot windows (kernel_min_select); "
-                    "running the serial fused loop instead");
-      nb::step_many(process, rng, count);
-    } else {
-      if constexpr (modeled_process<P>) {
-        // Same merged-count limitation as the shard engine: random ball
-        // weights force the serial fused loop.  One-time diagnostic so
-        // the silent fallback is visible.
-        if (process.model().weighting.is_random()) {
-          warn_once("kernel-engine-weighted/" + process.name(),
-                    "use_kernel has no effect on process '" + process.name() +
-                        "' with random ball weighting " + process.model().weighting.label() +
-                        ": merged count rows cannot carry per-ball weight draws; "
-                        "running the serial fused loop instead");
-          nb::step_many(process, rng, count);
-          return;
-        }
-      }
-      // No row-width cap needed: whole windows accumulate into uint32
-      // counters and a run is bounded by max_run_balls anyway.  Serial
-      // engine, so a single snapshot buffer suffices (nothing outlives
-      // the window that could race the next assign).
-      engine_detail::walk_windows(
-          process, rng, count, max_run_balls, opt_.min_window, phases_,
-          [&]() -> compact_snapshot& { return snapshot_; },
-          [&](step_count k, const compact_snapshot& snapshot) {
-            // One master-stream draw per window (same cadence as the
-            // shard engine), then the whole window decides in the kernel
-            // -- the alias lane path when the model samples non-uniformly.
-            const std::uint64_t token = rng.next();
-            const bin_count n = process.state().n();
-            const std::int64_t t_kernel = engine_detail::phase_clock_ns();
-            inc_.assign(n, 0);
-            const alias_table* table = nullptr;
-            if constexpr (modeled_process<P>) {
-              if (!process.model().sampler.is_uniform()) {
-                table = &process.model().sampler.table();
-              }
-            }
-            if (table != nullptr) {
-              kernel_run_alias(isa_, opt_.lanes, n, snapshot.data(), table->thresholds(),
-                               table->aliases(), inc_.data(), k, token);
-            } else {
-              kernel_run(isa_, opt_.lanes, n, snapshot.data(), inc_.data(), k, token);
-            }
-            const std::int64_t t_commit = engine_detail::phase_clock_ns();
-            phases_.kernel_ns += t_commit - t_kernel;
-            process.commit_window(inc_, k);
-            phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-          });
-    }
-  }
-
-  /// Serves `count` departure events through `process`.  Sufficiently
-  /// large drain/random blocks run the SIMD departure kernel against a
-  /// snapshot of the LIVE loads (departures need no frozen window of
-  /// their own -- the block freezes its snapshot at the block start, so
-  /// windowless processes batch too) with one master-stream token per
-  /// block, exactly the step_many cadence; the lease channel is RNG-free
-  /// ring popping and commits in bulk unconditionally.  Undersized blocks
-  /// and span-saturated loads fall back to the serial per-event loop with
-  /// a one-time diagnostic -- like every engine fallback, accepted but
-  /// ineffective is something the caller must hear about.  A request for
-  /// more departures than resident balls throws contract_error up front,
-  /// state untouched.
-  template <single_steppable P>
-    requires departable_process<P>
-  void depart_many(P& process, rng_t& rng, step_count count) {
-    NB_ASSERT(count >= 0);
-    if (count == 0) return;
-    if constexpr (!batch_departable<P>) {
-      warn_once("depart-engine/" + process.name(),
-                "batched departures have no effect on process '" + process.name() +
-                    "': it has no commit_departures (batch_departable); "
-                    "running the serial per-event loop instead");
-      nb::depart_many(process, rng, count);
-    } else {
-      const departure_model& departures = process.model().departures;
-      if (departures.is_none()) {
-        // Let the per-event law raise its configuration error.
-        nb::depart_many(process, rng, count);
-        return;
-      }
-      engine_detail::require_resident(process, count);
-      if (departures.is_lease()) {
-        rel_.clear();
-        process.commit_departures(rel_, count);
-        return;
-      }
-      const bin_count n = process.state().n();
-      if (count < opt_.min_window || count * 4 < static_cast<step_count>(n)) {
-        warn_once("depart-engine-window/" + process.name(),
-                  "batched departures fall back to the serial per-event loop on process '" +
-                      process.name() +
-                      "': departure blocks under min_window (or shorter than n/4 events) "
-                      "cannot amortize the per-block snapshot");
-        nb::depart_many(process, rng, count);
-        return;
-      }
-      const bool drain = departures.departure_kind() == departure_model::kind::drain;
-      // Drain reads the inverted snapshot as it is (kernel_depart.hpp).
-      const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
-      const bool compact =
-          drain ? snapshot_.assign_inverted(process.state()) : snapshot_.assign(process.state());
-      const std::int64_t t_kernel = engine_detail::phase_clock_ns();
-      depart_phases_.snapshot_ns += t_kernel - t_snapshot;
-      if (!compact) {
-        warn_once("depart-engine-span/" + process.name(),
-                  "batched departures fall back to the serial per-event loop on process '" +
-                      process.name() +
-                      "': the live load span exceeds the compact snapshot's 8-bit range");
-        nb::depart_many(process, rng, count);
-        return;
-      }
-      ++depart_phases_.windows;
-      const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
-      const std::uint64_t token = rng.next();
-      rel_.assign(n, 0);
-      kernel_depart(isa_, opt_.lanes, drain ? depart_channel::drain : depart_channel::random, n,
-                    snapshot_.data(), snapshot_.base(), snapshot_.max_off(), w, rel_.data(),
-                    count, token);
-      const std::int64_t t_commit = engine_detail::phase_clock_ns();
-      depart_phases_.kernel_ns += t_commit - t_kernel;
-      process.commit_departures(rel_, count);
-      depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-    }
-  }
-
- private:
-  kernel_options opt_;
-  kernel_isa isa_;
-  compact_snapshot snapshot_;
-  std::vector<std::uint32_t> inc_;
-  std::vector<std::uint32_t> rel_;
-  window_phase_times phases_;
-  window_phase_times depart_phases_;
 };
 
 /// Type-erased handle so heterogeneous processes can share registries,
@@ -1263,16 +1053,12 @@ class any_process {
   /// One indirect call for the whole chunk; the wrapped process's fused
   /// loop (or the fallback loop) runs fully inlined behind it.
   void step_many(rng_t& rng, step_count count) { impl_->step_many(rng, count); }
-  /// One indirect call per chunk into the shard engine: window-parallel
-  /// wrapped types run shard-parallel, everything else takes the serial
-  /// fused loop -- same dispatch as the template path, behind type erasure.
-  void step_many_parallel(rng_t& rng, step_count count, shard_engine& engine) {
-    impl_->step_many_parallel(rng, count, engine);
-  }
-  /// Same, into the serial kernel engine: min-select frozen windows run
-  /// the SIMD kernel, everything else the serial fused loop.
-  void step_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) {
-    impl_->step_many_kernel(rng, count, engine);
+  /// One indirect call per chunk into the windowed engine: window-parallel
+  /// wrapped types run their windows through it, everything else takes the
+  /// serial fused loop -- same dispatch as the template path, behind type
+  /// erasure.
+  void step_many(rng_t& rng, step_count count, shard_engine& engine) {
+    impl_->step_many(rng, count, engine);
   }
   /// One departure event through the wrapped process's channel.  Throws
   /// contract_error when the wrapped type is not departable (pre-churn
@@ -1281,15 +1067,11 @@ class any_process {
   /// `count` departure events through the wrapped process's serial
   /// per-event loop -- one indirect call for the whole block.
   void depart_many(rng_t& rng, step_count count) { impl_->depart_many(rng, count); }
-  /// Same, shard-parallel through the engine's batched departure path
+  /// Same, through the windowed engine's batched departure path
   /// (batch-departable wrapped types; everything else falls back to the
   /// serial per-event loop inside the engine).
-  void depart_many_parallel(rng_t& rng, step_count count, shard_engine& engine) {
-    impl_->depart_many_parallel(rng, count, engine);
-  }
-  /// Same, through the serial kernel engine's batched departure path.
-  void depart_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) {
-    impl_->depart_many_kernel(rng, count, engine);
+  void depart_many(rng_t& rng, step_count count, shard_engine& engine) {
+    impl_->depart_many(rng, count, engine);
   }
   [[nodiscard]] const load_state& state() const { return impl_->state(); }
   void reset() { impl_->reset(); }
@@ -1318,12 +1100,10 @@ class any_process {
     virtual ~base() = default;
     virtual void step(rng_t&) = 0;
     virtual void step_many(rng_t&, step_count) = 0;
-    virtual void step_many_parallel(rng_t&, step_count, shard_engine&) = 0;
-    virtual void step_many_kernel(rng_t&, step_count, kernel_engine&) = 0;
+    virtual void step_many(rng_t&, step_count, shard_engine&) = 0;
     virtual void depart(rng_t&) = 0;
     virtual void depart_many(rng_t&, step_count) = 0;
-    virtual void depart_many_parallel(rng_t&, step_count, shard_engine&) = 0;
-    virtual void depart_many_kernel(rng_t&, step_count, kernel_engine&) = 0;
+    virtual void depart_many(rng_t&, step_count, shard_engine&) = 0;
     [[nodiscard]] virtual const load_state& state() const = 0;
     virtual void reset() = 0;
     [[nodiscard]] virtual std::string name() const = 0;
@@ -1343,10 +1123,7 @@ class any_process {
     void step_many(rng_t& rng, step_count count) override {
       nb::step_many(process, rng, count);
     }
-    void step_many_parallel(rng_t& rng, step_count count, shard_engine& engine) override {
-      engine.step_many(process, rng, count);
-    }
-    void step_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) override {
+    void step_many(rng_t& rng, step_count count, shard_engine& engine) override {
       engine.step_many(process, rng, count);
     }
     void depart(rng_t& rng) override {
@@ -1363,14 +1140,7 @@ class any_process {
         throw contract_error("process '" + process.name() + "' does not support departures");
       }
     }
-    void depart_many_parallel(rng_t& rng, step_count count, shard_engine& engine) override {
-      if constexpr (departable_process<P>) {
-        engine.depart_many(process, rng, count);
-      } else {
-        throw contract_error("process '" + process.name() + "' does not support departures");
-      }
-    }
-    void depart_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) override {
+    void depart_many(rng_t& rng, step_count count, shard_engine& engine) override {
       if constexpr (departable_process<P>) {
         engine.depart_many(process, rng, count);
       } else {
@@ -1434,67 +1204,17 @@ class any_process {
 static_assert(allocation_process<any_process>);
 static_assert(departable_process<any_process>);
 
-/// Parallel counterpart of step_many(): allocates `count` balls through
-/// `engine`, shard-parallel wherever the process exposes stale-snapshot
-/// windows and serially everywhere else.  Drivers pick this entry point
-/// when the caller asked for intra-run threads (threads_per_run > 0).
-template <single_steppable P>
-inline void step_many_parallel(P& process, rng_t& rng, step_count count, shard_engine& engine) {
-  engine.step_many(process, rng, count);
+inline void shard_engine::step_many(any_process& process, rng_t& rng, step_count count) {
+  process.step_many(rng, count, *this);
 }
 
-/// Type-erased overload: one virtual call per chunk, engine dispatch on
-/// the wrapped concrete type behind it.
-inline void step_many_parallel(any_process& process, rng_t& rng, step_count count,
-                               shard_engine& engine) {
-  process.step_many_parallel(rng, count, engine);
-}
-
-/// Serial-kernel counterpart of step_many(): allocates `count` balls
-/// through `engine`, SIMD-kernel wherever the process exposes min-select
-/// stale-snapshot windows and the serial fused loop everywhere else.
-template <single_steppable P>
-inline void step_many_kernel(P& process, rng_t& rng, step_count count, kernel_engine& engine) {
-  engine.step_many(process, rng, count);
-}
-
-/// Type-erased overload.
-inline void step_many_kernel(any_process& process, rng_t& rng, step_count count,
-                             kernel_engine& engine) {
-  process.step_many_kernel(rng, count, engine);
+inline void shard_engine::depart_many(any_process& process, rng_t& rng, step_count count) {
+  process.depart_many(rng, count, *this);
 }
 
 /// Type-erased overload of the serial reference depart_many.
 inline void depart_many(any_process& process, rng_t& rng, step_count count) {
   process.depart_many(rng, count);
-}
-
-/// Batched-departure counterparts of step_many_parallel/step_many_kernel:
-/// serve `count` departure events through the engine, kernel-batched
-/// wherever the process is batch-departable and its channel/block size
-/// qualify, serially (with the engine's one-time fallback diagnostics)
-/// everywhere else.
-template <single_steppable P>
-  requires departable_process<P>
-inline void depart_many_parallel(P& process, rng_t& rng, step_count count,
-                                 shard_engine& engine) {
-  engine.depart_many(process, rng, count);
-}
-
-inline void depart_many_parallel(any_process& process, rng_t& rng, step_count count,
-                                 shard_engine& engine) {
-  process.depart_many_parallel(rng, count, engine);
-}
-
-template <single_steppable P>
-  requires departable_process<P>
-inline void depart_many_kernel(P& process, rng_t& rng, step_count count, kernel_engine& engine) {
-  engine.depart_many(process, rng, count);
-}
-
-inline void depart_many_kernel(any_process& process, rng_t& rng, step_count count,
-                               kernel_engine& engine) {
-  process.depart_many_kernel(rng, count, engine);
 }
 
 }  // namespace nb

@@ -86,7 +86,13 @@ namespace {
 /// (campaign seed, cell index), so without this a journal from a
 /// same-shaped campaign over a *different* grid (other m, n, kinds or
 /// labels) would pass every seed check and silently mix in on resume.
-std::uint64_t grid_fingerprint(const std::vector<campaign_config>& configs) {
+///
+/// The engine joins the hash too, when it is not the serial one: a
+/// journal written under use_kernel or threads_per_run/shards holds cells
+/// of a different sampling contract, so it must not resume under another
+/// engine.  Serial journals keep their hash and keep resuming.
+std::uint64_t grid_fingerprint(const std::vector<campaign_config>& configs,
+                               const std::string& engine) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](const std::string& field) {
     for (const unsigned char c : field) {
@@ -116,6 +122,7 @@ std::uint64_t grid_fingerprint(const std::vector<campaign_config>& configs) {
       mix(std::to_string(config.churn_occupancy));
     }
   }
+  if (engine != "serial") mix(engine);
   return h;
 }
 
@@ -233,7 +240,9 @@ campaign_result run_campaign(const std::vector<campaign_config>& configs,
   // Resume: fold the journal's completed cells in before scheduling.
   std::vector<char> done(total, 0);
   std::vector<journal_entry> preserved;
-  const journal_header header{configs.size(), opt.repeats, opt.seed, grid_fingerprint(configs)};
+  const std::string engine = run_engine::fingerprint_of(opt.engine());
+  const journal_header header{configs.size(), opt.repeats, opt.seed,
+                              grid_fingerprint(configs, engine)};
   if (opt.resume) {
     NB_REQUIRE(!opt.journal_path.empty(), "resume needs a journal path");
     auto replay = replay_journal(opt.journal_path);
@@ -243,9 +252,12 @@ campaign_result run_campaign(const std::vector<campaign_config>& configs,
                "cannot resume: '" + opt.journal_path +
                    "' exists but is not a campaign journal; refusing to overwrite it");
     if (replay.header_valid) {
-      NB_REQUIRE(replay.header == header,
-                 "journal belongs to a different campaign "
-                 "(configs/repeats/seed/grid mismatch)");
+      NB_REQUIRE(replay.header.configs == header.configs &&
+                     replay.header.repeats == header.repeats && replay.header.seed == header.seed,
+                 "journal belongs to a different campaign (configs/repeats/seed mismatch)");
+      NB_REQUIRE(replay.header.grid == header.grid,
+                 "journal belongs to a different campaign (grid mismatch: the configuration "
+                 "grid or the engine differs; this run's engine is '" + engine + "')");
       for (auto& entry : replay.entries) {
         NB_REQUIRE(entry.cell < total, "journal cell index out of range");
         NB_REQUIRE(entry.result.seed == derive_seed(opt.seed, entry.cell),

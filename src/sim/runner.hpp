@@ -38,10 +38,12 @@ struct run_result {
 
 /// THE engine-selection struct, shared by every driver that moves balls
 /// (run_repeated_with, the campaign orchestrator, the checkpointed-run
-/// driver, the churn driver).  threads_per_run > 0 selects the shard
-/// engine, else use_kernel the serial kernel engine, else the plain fused
-/// loop.  shards / use_kernel / lanes are part of the sampling contract;
-/// threads_per_run and isa are execution-only and never affect results.
+/// driver, the churn driver).  threads_per_run > 0 selects the windowed
+/// engine with `shards` shards on that many workers, else use_kernel the
+/// same engine with one shard (the serial SIMD engine), else the plain
+/// fused loop.  shards / use_kernel / lanes are part of the sampling
+/// contract; threads_per_run and isa are execution-only and never affect
+/// results.
 ///
 /// repeat_options and campaign_options still expose these as flat fields
 /// (deprecated; kept so existing call sites and journals keep working) and
@@ -54,31 +56,19 @@ struct engine_config {
   kernel_isa isa = kernel_isa::auto_detect;
 };
 
-/// Deprecated name for engine_config (pre-churn API).
-using engine_options = engine_config;
-
-/// One run's engine: owns the optional shard/kernel engine the options
-/// select and presents a single step() entry point, so drivers stop
-/// duplicating the three-way dispatch.  Create one per run (the engines
-/// amortize their scratch across all chunks of that run).
+/// One run's engine: owns the shard_engine the options select (if any)
+/// and presents a single step() entry point, so drivers stop duplicating
+/// the serial/engine dispatch.  Create one per run (the engine amortizes
+/// its scratch across all chunks of that run).
 class run_engine {
  public:
-  explicit run_engine(const engine_config& opt) {
-    if (opt.threads_per_run > 0) {
-      shard_.emplace(shard_options{.threads = opt.threads_per_run,
-                                   .shards = opt.shards,
-                                   .lanes = opt.lanes,
-                                   .isa = opt.isa});
-      fingerprint_ = "shard[shards=" + std::to_string(opt.shards) +
-                     ",lanes=" + std::to_string(opt.lanes) + "]";
-    } else if (opt.use_kernel) {
-      kernel_.emplace(kernel_options{.lanes = opt.lanes, .isa = opt.isa});
-      fingerprint_ = "kernel[lanes=" + std::to_string(opt.lanes) + "]";
-    } else {
-      fingerprint_ = "serial";
-    }
+  explicit run_engine(const engine_config& opt) : fingerprint_(fingerprint_of(opt)) {
     churn_fingerprint_ = fingerprint_;
-    if (shard_.has_value() || kernel_.has_value()) {
+    if (opt.threads_per_run > 0 || opt.use_kernel) {
+      engine_.emplace(shard_options{.threads = opt.threads_per_run,
+                                    .shards = opt.threads_per_run > 0 ? opt.shards : 1,
+                                    .lanes = opt.lanes,
+                                    .isa = opt.isa});
       // Engine-selected runs serve departure blocks through the batched
       // path, an additional sampling-contract parameter the insertion
       // fingerprint does not carry (insertion-only journals stay
@@ -87,30 +77,36 @@ class run_engine {
     }
   }
 
+  /// The fingerprint() of the engine `opt` selects, without building it:
+  /// "serial", "kernel[lanes=L]" for one shard (use_kernel, or
+  /// threads_per_run with shards = 1), "shard[shards=S,lanes=L]" for more.
+  [[nodiscard]] static std::string fingerprint_of(const engine_config& opt) {
+    if (opt.threads_per_run == 0 && !opt.use_kernel) return "serial";
+    const std::string lanes = "lanes=" + std::to_string(opt.lanes) + "]";
+    if (opt.threads_per_run == 0 || opt.shards == 1) return "kernel[" + lanes;
+    return "shard[shards=" + std::to_string(opt.shards) + "," + lanes;
+  }
+
   /// Allocates `count` balls through the selected engine, drawing from
-  /// `rng` exactly like the corresponding step_many* free function.
+  /// `rng` exactly like shard_engine::step_many (or nb::step_many when no
+  /// engine is selected).
   template <single_steppable P>
   void step(P& process, rng_t& rng, step_count count) {
-    if (shard_.has_value()) {
-      step_many_parallel(process, rng, count, *shard_);
-    } else if (kernel_.has_value()) {
-      step_many_kernel(process, rng, count, *kernel_);
+    if (engine_.has_value()) {
+      engine_->step_many(process, rng, count);
     } else {
       nb::step_many(process, rng, count);
     }
   }
 
   /// Serves `count` departure events through the selected engine: the
-  /// SIMD departure kernel (shard-parallel or serial) for qualifying
-  /// drain/random blocks, the bulk lease pop, or the serial per-event
-  /// reference loop -- exactly the depart_many* free-function dispatch.
+  /// SIMD departure kernel for qualifying drain/random blocks, the bulk
+  /// lease pop, or the serial per-event reference loop.
   template <single_steppable P>
     requires departable_process<P>
   void depart(P& process, rng_t& rng, step_count count) {
-    if (shard_.has_value()) {
-      depart_many_parallel(process, rng, count, *shard_);
-    } else if (kernel_.has_value()) {
-      depart_many_kernel(process, rng, count, *kernel_);
+    if (engine_.has_value()) {
+      engine_->depart_many(process, rng, count);
     } else {
       nb::depart_many(process, rng, count);
     }
@@ -125,18 +121,17 @@ class run_engine {
 
   /// The sampling-contract identity of runs that also serve departures
   /// through this engine (churn runs): equal to fingerprint() for the
-  /// serial engine, and tagged with the batched-departure contract for
-  /// the shard/kernel engines (e.g. "kernel[lanes=8,depart=batch]") --
-  /// a churn checkpoint written under the batched path must not resume
-  /// under a pre-batch journal's engine, and vice versa.  Insertion-only
+  /// serial engine, and tagged with the batched-departure contract
+  /// otherwise (e.g. "kernel[lanes=8,depart=batch]") -- a churn
+  /// checkpoint written under the batched path must not resume under a
+  /// pre-batch journal's engine, and vice versa.  Insertion-only
   /// checkpoints keep using fingerprint(), which is unchanged.
   [[nodiscard]] const std::string& churn_fingerprint() const noexcept {
     return churn_fingerprint_;
   }
 
  private:
-  std::optional<shard_engine> shard_;
-  std::optional<kernel_engine> kernel_;
+  std::optional<shard_engine> engine_;
   std::string fingerprint_;
   std::string churn_fingerprint_;
 };
@@ -162,14 +157,13 @@ struct repeat_options {
   /// Fixed shard count for the intra-run engine (sampling contract).
   std::size_t shards = 16;
   /// threads_per_run == 0 only: when true, serial runs move through the
-  /// lane-interleaved allocation kernel (kernel_engine) instead of the
-  /// plain fused loop -- the single-threaded SIMD path.  Results depend
-  /// on `lanes`, never on `isa`.
+  /// lane-interleaved allocation kernel (the one-shard windowed engine)
+  /// instead of the plain fused loop -- the single-threaded SIMD path.
+  /// Results depend on `lanes`, never on `isa`.
   bool use_kernel = false;
-  /// Kernel lanes for both engines (sampling contract, like `shards`).
+  /// Kernel lanes (sampling contract, like `shards`).
   std::size_t lanes = 8;
-  /// Kernel ISA backend for both engines (execution only; bit-identical
-  /// across backends).
+  /// Kernel ISA backend (execution only; bit-identical across backends).
   kernel_isa isa = kernel_isa::auto_detect;
   /// Generalized allocation model applied to every run's process (specs
   /// per make_weighting / make_sampler).  The defaults leave the factory's
@@ -243,33 +237,9 @@ run_result simulate(P& process, step_count m, rng_t& rng) {
   return detail::collect_run_result(process);
 }
 
-/// Intra-run parallel variant: moves the m balls through `engine`, so
-/// stale-snapshot windows run shard-parallel (serial fused loop for
-/// everything else).  Same observables as simulate(); results are
-/// bit-identical for any engine thread count but differ bitwise (not
-/// distributionally) from the serial path's stream usage.
-template <allocation_process P>
-run_result simulate_parallel(P& process, step_count m, rng_t& rng, shard_engine& engine) {
-  detail::check_run_ceiling(process, m);
-  step_many_parallel(process, rng, m, engine);
-  return detail::collect_run_result(process);
-}
-
-/// Serial-kernel variant: moves the m balls through the lane-interleaved
-/// allocation kernel wherever the process exposes min-select frozen
-/// windows (serial fused loop elsewhere).  Same observables as simulate();
-/// results are bit-identical across ISA backends for a fixed lane count.
-template <allocation_process P>
-run_result simulate_kernel(P& process, step_count m, rng_t& rng, kernel_engine& engine) {
-  detail::check_run_ceiling(process, m);
-  step_many_kernel(process, rng, m, engine);
-  return detail::collect_run_result(process);
-}
-
 /// Options-routed variant: moves the m balls through whichever engine the
 /// options selected (run_engine).  This is what run_repeated_with and the
-/// campaign cells use; the three simulate* templates above stay for
-/// callers that manage an engine themselves.
+/// campaign cells use.
 template <allocation_process P>
 run_result simulate_with(P& process, step_count m, rng_t& rng, run_engine& engine) {
   detail::check_run_ceiling(process, m);

@@ -141,20 +141,16 @@ std::vector<route> all_routes() {
   std::vector<route> routes;
   routes.push_back({"serial", [](b_batch& p, rng_t& rng, step_count k) { step_many(p, rng, k); },
                     [](b_batch& p, rng_t& rng, step_count k) { depart_many(p, rng, k); }});
-  auto kernel = std::make_shared<kernel_engine>(kernel_options{.min_window = 1});
-  routes.push_back(
-      {"kernel",
-       [kernel](b_batch& p, rng_t& rng, step_count k) { step_many_kernel(p, rng, k, *kernel); },
-       [kernel](b_batch& p, rng_t& rng, step_count k) { depart_many_kernel(p, rng, k, *kernel); }});
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto shard = std::make_shared<shard_engine>(
-        shard_options{.threads = threads, .shards = 4, .min_window = 1});
+  // One shard on the calling thread (the serial SIMD engine), then four
+  // shards on one and on four workers.
+  for (const auto& [label, options] :
+       {std::pair{"kernel", shard_options{.shards = 1, .min_window = 1}},
+        std::pair{"shard t=1", shard_options{.threads = 1, .shards = 4, .min_window = 1}},
+        std::pair{"shard t=4", shard_options{.threads = 4, .shards = 4, .min_window = 1}}}) {
+    auto engine = std::make_shared<shard_engine>(options);
     routes.push_back(
-        {"shard t=" + std::to_string(threads),
-         [shard](b_batch& p, rng_t& rng, step_count k) { step_many_parallel(p, rng, k, *shard); },
-         [shard](b_batch& p, rng_t& rng, step_count k) {
-           depart_many_parallel(p, rng, k, *shard);
-         }});
+        {label, [engine](b_batch& p, rng_t& rng, step_count k) { engine->step_many(p, rng, k); },
+         [engine](b_batch& p, rng_t& rng, step_count k) { engine->depart_many(p, rng, k); }});
   }
   return routes;
 }

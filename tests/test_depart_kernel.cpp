@@ -416,8 +416,8 @@ TEST(DepartKernel, RejectsContractViolations) {
 }
 
 // ---------------------------------------------------------------------------
-// (6) Engine routing: batched departures through the serial kernel engine
-// and the shard engine.
+// (6) Engine routing: batched departures through the windowed engine, with
+// one shard and with several.
 
 any_process churned_process(const char* channel, bin_count n, step_count warm,
                             std::uint64_t seed, rng_t& rng) {
@@ -435,8 +435,8 @@ TEST(DepartEngineKernel, BatchedBitIdenticalAcrossIsaBackends) {
     for (const kernel_isa isa : supported_backends()) {
       rng_t rng(7);
       any_process process = churned_process(channel, 64, 20000, 7, rng);
-      kernel_engine engine(kernel_options{.lanes = 8, .isa = isa, .min_window = 1});
-      depart_many_kernel(process, rng, 8000, engine);
+      shard_engine engine(shard_options{.shards = 1, .min_window = 1, .lanes = 8, .isa = isa});
+      engine.depart_many(process, rng, 8000);
       EXPECT_EQ(process.state().balls(), 12000) << channel;
       if (reference.empty()) {
         reference = process.state().loads();
@@ -465,7 +465,7 @@ TEST(DepartEngineShard, BatchedBitIdenticalAcrossThreadCountsAndBackends) {
       any_process process = churned_process("drain", 64, 20000, 21, rng);
       shard_engine engine(shard_options{
           .threads = threads, .shards = 8, .min_window = 1, .lanes = 8, .isa = isa});
-      depart_many_parallel(process, rng, 8000, engine);
+      engine.depart_many(process, rng, 8000);
       EXPECT_EQ(process.state().balls(), 12000);
       if (reference.empty()) {
         reference = process.state().loads();
@@ -478,14 +478,14 @@ TEST(DepartEngineShard, BatchedBitIdenticalAcrossThreadCountsAndBackends) {
 }
 
 TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {
-  // Pins each engine's drain block to the documented kernel call: one
+  // Pins the one-shard drain block to the documented kernel call: one
   // kernel_depart over the inverted snapshot of the live loads, seeded by
-  // the block token on the kernel engine and by shard_stream_seed(token,
-  // 0) on a one-shard engine (a lone shard never overdraws, so neither
-  // clamp nor repair moves a count).
+  // the block token itself -- on the calling thread whatever the thread
+  // count (a lone shard never overdraws, so nothing is clamped or
+  // repaired).
   const bin_count n = 512;
   const step_count k = 6000;
-  for (const bool shard : {false, true}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     rng_t rng(0);
     any_process process = churned_process("drain", n, 20000, 3, rng);
     load_state expected = process.state();
@@ -495,18 +495,16 @@ TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {
     ASSERT_TRUE(inv.assign_inverted(expected));
     std::vector<std::uint32_t> rel(n, 0);
     kernel_depart(kernel_isa::scalar, 8, depart_channel::drain, n, inv.data(), inv.base(),
-                  inv.max_off(), 1, rel.data(), k, shard ? shard_stream_seed(token, 0) : token);
+                  inv.max_off(), 1, rel.data(), k, token);
     expected.apply_releases(rel, 1, k);
 
-    if (shard) {
-      shard_engine engine(shard_options{.threads = 2, .shards = 1, .min_window = 1});
-      depart_many_parallel(process, rng, k, engine);
-    } else {
-      kernel_engine engine(kernel_options{.min_window = 1});
-      depart_many_kernel(process, rng, k, engine);
-    }
-    EXPECT_EQ(process.state().loads(), expected.loads()) << (shard ? "shard" : "kernel");
-    EXPECT_EQ(rng.state(), expected_rng.state()) << (shard ? "shard" : "kernel");
+    shard_engine engine(shard_options{.threads = threads, .shards = 1, .min_window = 1});
+    engine.depart_many(process, rng, k);
+    EXPECT_EQ(engine.threads(), 1u);
+    EXPECT_EQ(engine.depart_phases().windows, 1);
+    EXPECT_EQ(engine.depart_phases().merge_ns, 0);
+    EXPECT_EQ(process.state().loads(), expected.loads()) << threads << " threads";
+    EXPECT_EQ(rng.state(), expected_rng.state()) << threads << " threads";
   }
 }
 
@@ -515,8 +513,8 @@ TEST(DepartEngineKernel, BulkLeasePopIsBitIdenticalToSerial) {
   // must be the serial per-event loop exactly, stream position included.
   rng_t rng_a(3);
   any_process batched = churned_process("lease", 32, 5000, 3, rng_a);
-  kernel_engine engine(kernel_options{.min_window = 1});
-  depart_many_kernel(batched, rng_a, 4000, engine);
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  engine.depart_many(batched, rng_a, 4000);
 
   rng_t rng_b(3);
   any_process serial = churned_process("lease", 32, 5000, 3, rng_b);
@@ -536,8 +534,8 @@ TEST(DepartEngineKernel, WeightedDrainRetiresTheBallsActualWeight) {
   rng_t rng(9);
   step_many(process, rng, 3000);
   ASSERT_EQ(nb::testing::total_balls(process.state().loads()), 9000);
-  kernel_engine engine(kernel_options{.min_window = 1});
-  depart_many_kernel(process, rng, 1000, engine);
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  engine.depart_many(process, rng, 1000);
   EXPECT_EQ(process.state().balls(), 2000);
   EXPECT_EQ(nb::testing::total_balls(process.state().loads()), 6000);
 }
@@ -552,8 +550,8 @@ TEST(DepartEngineKernel, UndersizedBlocksFallBackToSerialWithDiagnostic) {
   rng_t rng_a(13);
   any_process via_engine = churned_process("drain", 64, 2000, 13, rng_a);
   const std::string key = "depart-engine-window/" + via_engine.name();
-  kernel_engine engine(kernel_options{});  // default min_window = 4096
-  depart_many_kernel(via_engine, rng_a, 100, engine);
+  shard_engine engine(shard_options{.shards = 1});  // default min_window = 4096
+  engine.depart_many(via_engine, rng_a, 100);
   EXPECT_TRUE(warned(key)) << key;
 
   rng_t rng_b(13);
@@ -573,8 +571,8 @@ TEST(DepartEngineKernel, SpanSaturatedLoadsFallBackToSerialWithDiagnostic) {
   step_many(process, rng, 3);
   ASSERT_EQ(nb::testing::total_balls(process.state().loads()), 900);
   const std::string key = "depart-engine-span/" + process.name();
-  kernel_engine engine(kernel_options{.min_window = 1});
-  depart_many_kernel(process, rng, 1, engine);
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  engine.depart_many(process, rng, 1);
   EXPECT_TRUE(warned(key)) << key;
   EXPECT_EQ(process.state().balls(), 2);
   EXPECT_EQ(nb::testing::total_balls(process.state().loads()), 600);
@@ -605,16 +603,12 @@ struct bare_departer {
 // counts, state and stream untouched -- instead of redrawing forever
 // (random) or throwing inside a pool task (shard drain).
 
-/// Serves `count` departures from `p` through engine `mode`: 0 = the
-/// kernel engine, 1 / 4 = the shard engine at that many threads.
+/// Serves `count` departures from `p` through engine `mode`: 0 = one
+/// shard, 1 / 4 = the default 16 shards at that many threads.
 void engine_depart(int mode, b_batch& p, rng_t& rng, step_count count) {
-  if (mode == 0) {
-    kernel_engine engine;
-    engine.depart_many(p, rng, count);
-  } else {
-    shard_engine engine(shard_options{.threads = static_cast<std::size_t>(mode)});
-    engine.depart_many(p, rng, count);
-  }
+  shard_engine engine(mode == 0 ? shard_options{.shards = 1}
+                                : shard_options{.threads = static_cast<std::size_t>(mode)});
+  engine.depart_many(p, rng, count);
 }
 
 TEST(DepartEngine, MoreDeparturesThanResidentBallsThrowUpFront) {
@@ -668,7 +662,7 @@ TEST(DepartEngine, NonBatchDepartableFallsBackToSerialWithDiagnostic) {
   bare_departer process;
   rng_t rng(2);
   for (int i = 0; i < 50; ++i) process.step(rng);
-  kernel_engine kernel(kernel_options{.min_window = 1});
+  shard_engine kernel(shard_options{.shards = 1, .min_window = 1});
   kernel.depart_many(process, rng, 5);
   EXPECT_TRUE(warned("depart-engine/bare-departer"));
   EXPECT_EQ(process.state().balls(), 45);

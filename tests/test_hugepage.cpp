@@ -83,8 +83,8 @@ TEST_F(HugepageTest, BackingNeverAffectsResults) {
   const auto run_loads = [] {
     b_batch process(256, 256);
     rng_t rng(77);
-    kernel_engine engine(kernel_options{.min_window = 1});
-    step_many_kernel(process, rng, 256 * 64, engine);
+    shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+    engine.step_many(process, rng, 256 * 64);
     return process.state().loads();
   };
   set_hugepages_enabled(false);

@@ -8,9 +8,9 @@
 //       documented per-ball draw order (Lemire i1, Lemire i2, tie draw),
 //   (3) every vector backend to the scalar backend, bit for bit, including
 //       partial rounds, remainder lanes and the rejection replay path,
-//   (4) the engines (serial kernel_engine, shard_engine with the kernel
-//       engaged) to ISA- and thread-count-invariance for every registered
-//       process, plus distributional parity with the serial bulk path,
+//   (4) the windowed engine (one shard and several) to ISA- and
+//       thread-count-invariance for every registered process, plus
+//       distributional parity with the serial bulk path,
 //   (5) a lane-count golden value so the sampling contract cannot drift
 //       silently between releases.
 #include <gtest/gtest.h>
@@ -375,27 +375,56 @@ TEST(Kernel, TuningIsExecutionOnly) {
 // (4) Engines: ISA- and thread-count invariance, serial fallbacks, and
 // distributional parity.
 
-std::vector<load_t> kernel_engine_loads(kernel_isa isa, std::size_t lanes, bin_count n,
+std::vector<load_t> single_shard_loads(kernel_isa isa, std::size_t lanes, bin_count n,
                                         step_count m, std::uint64_t seed) {
   b_batch process(n, n);
   rng_t rng(seed);
-  kernel_engine engine(kernel_options{.lanes = lanes, .isa = isa, .min_window = 1});
-  step_many_kernel(process, rng, m, engine);
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1, .lanes = lanes, .isa = isa});
+  engine.step_many(process, rng, m);
   return process.state().loads();
 }
 
 TEST(KernelEngine, BitIdenticalAcrossIsaBackends) {
   const bin_count n = 1024;
   const step_count m = 64 * n;
-  const auto reference = kernel_engine_loads(kernel_isa::scalar, 8, n, m, 7);
+  const auto reference = single_shard_loads(kernel_isa::scalar, 8, n, m, 7);
   EXPECT_EQ(nb::testing::total_balls(reference), m);
   for (const kernel_isa isa : supported_backends()) {
-    EXPECT_EQ(kernel_engine_loads(isa, 8, n, m, 7), reference) << kernel_isa_name(isa);
+    EXPECT_EQ(single_shard_loads(isa, 8, n, m, 7), reference) << kernel_isa_name(isa);
   }
   // auto_detect resolves to one of the backends, so it matches too.
-  EXPECT_EQ(kernel_engine_loads(kernel_isa::auto_detect, 8, n, m, 7), reference);
+  EXPECT_EQ(single_shard_loads(kernel_isa::auto_detect, 8, n, m, 7), reference);
   // Different lanes: different sampling.
-  EXPECT_NE(kernel_engine_loads(kernel_isa::scalar, 4, n, m, 7), reference);
+  EXPECT_NE(single_shard_loads(kernel_isa::scalar, 4, n, m, 7), reference);
+}
+
+TEST(KernelEngine, WindowIsOneKernelCallSeededByTheToken) {
+  // Pins the one-shard arrival window to the documented kernel call: one
+  // kernel_run over the window's compact snapshot into a uint32 row,
+  // seeded by the window token itself -- on the calling thread whatever
+  // the thread count, so the stream is that of a plain kernel replay.
+  const bin_count n = 512;
+  const step_count b = 2048;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    b_batch process(n, b);
+    rng_t rng(5);
+    step_many(process, rng, 3 * b);  // serial batches: a boundary, uneven loads
+    b_batch expected = process;
+    rng_t expected_rng = rng;
+    const std::uint64_t token = expected_rng.next();
+    compact_snapshot snap;
+    ASSERT_TRUE(snap.assign(expected.window_snapshot()));
+    std::vector<std::uint32_t> inc(n, 0);
+    kernel_run(kernel_isa::scalar, 8, n, snap.data(), inc.data(), b, token);
+    expected.commit_window(inc, b);
+
+    shard_engine engine(shard_options{.threads = threads, .shards = 1, .min_window = 1});
+    engine.step_many(process, rng, b);
+    EXPECT_EQ(engine.threads(), 1u);
+    EXPECT_EQ(engine.phases().windows, 1);
+    EXPECT_EQ(process.state().loads(), expected.state().loads()) << threads << " threads";
+    EXPECT_EQ(rng.state(), expected_rng.state()) << threads << " threads";
+  }
 }
 
 TEST(KernelEngine, UndersizedWindowsFallBackToSerialExactly) {
@@ -406,8 +435,8 @@ TEST(KernelEngine, UndersizedWindowsFallBackToSerialExactly) {
   b_batch serial(32, 32);
   rng_t rng_a(21);
   rng_t rng_b(21);
-  kernel_engine engine(kernel_options{.min_window = 1 << 20});
-  step_many_kernel(via_engine, rng_a, 3210, engine);
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1 << 20});
+  engine.step_many(via_engine, rng_a, 3210);
   step_many(serial, rng_b, 3210);
   EXPECT_EQ(via_engine.state().loads(), serial.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());
@@ -420,8 +449,8 @@ TEST(KernelEngine, NonMinSelectProcessesFallBackToSerialExactly) {
   two_choice tc_serial(32);
   rng_t rng_a(5);
   rng_t rng_b(5);
-  kernel_engine engine(kernel_options{.min_window = 1});
-  step_many_kernel(tc_kernel, rng_a, 2000, engine);
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  engine.step_many(tc_kernel, rng_a, 2000);
   step_many(tc_serial, rng_b, 2000);
   EXPECT_EQ(tc_kernel.state().loads(), tc_serial.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());
@@ -430,7 +459,7 @@ TEST(KernelEngine, NonMinSelectProcessesFallBackToSerialExactly) {
   tau_delay<delay_adversarial> td_serial(32, 9);
   rng_t rng_c(6);
   rng_t rng_d(6);
-  step_many_kernel(td_kernel, rng_c, 2000, engine);
+  engine.step_many(td_kernel, rng_c, 2000);
   step_many(td_serial, rng_d, 2000);
   EXPECT_EQ(td_kernel.state().loads(), td_serial.state().loads());
 }
@@ -442,9 +471,9 @@ TEST(KernelEngine, TypeErasedRouteMatchesTemplateRoute) {
   any_process erased{b_batch(n, n)};
   rng_t rng_a(88);
   rng_t rng_b(88);
-  kernel_engine engine(kernel_options{.min_window = 1});
-  step_many_kernel(direct, rng_a, m, engine);
-  step_many_kernel(erased, rng_b, m, engine);
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  engine.step_many(direct, rng_a, m);
+  engine.step_many(erased, rng_b, m);
   EXPECT_EQ(direct.state().loads(), erased.state().loads());
 }
 
@@ -465,8 +494,8 @@ TEST(KernelEngine, GapDistributionMatchesSerialBulkPath) {
 
     b_batch kern(n, n);
     rng_t rng_k(derive_seed(4000, r));
-    kernel_engine engine(kernel_options{.min_window = 1});
-    step_many_kernel(kern, rng_k, m, engine);
+    shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+    engine.step_many(kern, rng_k, m);
     kernel_mean += kern.state().gap();
     EXPECT_EQ(kern.state().balls(), m);
   }
@@ -479,7 +508,7 @@ std::vector<load_t> shard_kernel_loads(std::size_t threads, kernel_isa isa, bin_
   rng_t rng(seed);
   shard_engine engine(shard_options{
       .threads = threads, .shards = 8, .min_window = 1, .lanes = 8, .isa = isa});
-  step_many_parallel(process, rng, m, engine);
+  engine.step_many(process, rng, m);
   return process.state().loads();
 }
 
@@ -531,15 +560,15 @@ TEST(ShardEngineKernel, GapHistogramInvariantAcrossBackendsForRegistry) {
   }
 }
 
-TEST(KernelEngine, SimulateKernelAndRepeatRouting) {
+TEST(KernelEngine, SimulateWithAndRepeatRouting) {
   b_batch process(64, 64);
   rng_t rng(3);
-  kernel_engine engine(kernel_options{.min_window = 1});
-  const auto result = simulate_kernel(process, 640, rng, engine);
+  run_engine engine(engine_config{.use_kernel = true});
+  const auto result = simulate_with(process, 640, rng, engine);
   EXPECT_EQ(result.balls, 640);
   EXPECT_DOUBLE_EQ(result.gap, process.state().gap());
 
-  // use_kernel routes run_repeated through the serial kernel engine;
+  // use_kernel routes run_repeated through the one-shard engine;
   // results must not depend on the ISA backend.
   repeat_options opt;
   opt.runs = 3;
@@ -618,7 +647,9 @@ TEST(Kernel, RejectsContractViolations) {
   EXPECT_THROW(kernel_run(kernel_isa::scalar, 8, 0, snap.data(), row.data(), 10, 1),
                contract_error);
   EXPECT_THROW(static_cast<void>(shard_engine(shard_options{.lanes = 0})), contract_error);
-  EXPECT_THROW(static_cast<void>(kernel_engine(kernel_options{.lanes = 65})), contract_error);
+  EXPECT_THROW(static_cast<void>(shard_engine(shard_options{.shards = 1, .lanes = 65})),
+               contract_error);
+  EXPECT_THROW(static_cast<void>(shard_engine(shard_options{.shards = 0})), contract_error);
 }
 
 }  // namespace

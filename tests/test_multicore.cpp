@@ -36,7 +36,7 @@ std::vector<load_t> engine_loads(std::size_t threads, std::uint64_t seed) {
   b_batch process(n, n);
   rng_t rng(seed);
   shard_engine engine(shard_options{.threads = threads, .shards = 16, .min_window = 1});
-  step_many_parallel(process, rng, 8 * static_cast<step_count>(n), engine);
+  engine.step_many(process, rng, 8 * static_cast<step_count>(n));
   return process.state().loads();
 }
 

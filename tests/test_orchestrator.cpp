@@ -316,6 +316,41 @@ TEST(Campaign, ResumeRejectsSameShapedDifferentGrid) {
   std::remove(journal.c_str());
 }
 
+TEST(Campaign, ResumeRejectsJournalOfAnotherEngine) {
+  // A journal written under use_kernel holds cells of the kernel sampling
+  // contract: resuming it serially or on a four-shard engine would mix two
+  // contracts, so both refuse with a message naming the mismatch.  The
+  // same engine (any ISA) resumes.
+  const std::string journal = temp_path("resume_engine.jsonl");
+  std::vector<campaign_config> configs;
+  configs.push_back({"b-batch", {}, 640, process_spec{"b-batch", 32, 32.0}});
+  campaign_options opt;
+  opt.repeats = 2;
+  opt.seed = 5;
+  opt.journal_path = journal;
+  opt.set_engine(engine_config{.use_kernel = true});
+  (void)run_campaign(configs, opt);
+
+  opt.resume = true;
+  for (const engine_config& other :
+       {engine_config{}, engine_config{.threads_per_run = 2, .shards = 4}}) {
+    opt.set_engine(other);
+    try {
+      (void)run_campaign(configs, opt);
+      FAIL() << run_engine::fingerprint_of(other) << " must refuse a kernel journal";
+    } catch (const contract_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("grid mismatch"), std::string::npos) << what;
+      EXPECT_NE(what.find("engine"), std::string::npos) << what;
+      EXPECT_NE(what.find(run_engine::fingerprint_of(other)), std::string::npos) << what;
+    }
+  }
+  opt.set_engine(engine_config{.use_kernel = true, .isa = kernel_isa::scalar});
+  const auto resumed = run_campaign(configs, opt);
+  EXPECT_EQ(resumed.cells_resumed, 2u);
+  std::remove(journal.c_str());
+}
+
 TEST(Campaign, ResumeRefusesToOverwriteNonJournalFile) {
   const std::string journal = temp_path("resume_not_a_journal.jsonl");
   write_text(journal, "important results the user typed the wrong path for\n");

@@ -352,7 +352,7 @@ std::vector<load_t> run_weighted_batch_kernel(kernel_isa isa, const std::string&
   const step_count m = 100000;
   b_batch process(n, 8192);
   process.set_model(make_model("fixed:2", sampler, n));
-  kernel_engine engine(kernel_options{.lanes = 4, .isa = isa, .min_window = 1024});
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1024, .lanes = 4, .isa = isa});
   rng_t rng(78);
   engine.step_many(process, rng, m);
   return process.state().loads();
@@ -409,8 +409,8 @@ TEST(GeneralizedEngines, KernelEngineRandomWeightingFallsBackSeriallyWithDiagnos
   const bin_count n = 128;
   b_batch process(n, 8192);
   process.set_model(make_model("two-point:1,50,0.2", "uniform", n));
-  const std::string key = "kernel-engine-weighted/" + process.name();
-  kernel_engine engine(kernel_options{.min_window = 1024});
+  const std::string key = "shard-engine-weighted/" + process.name();
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1024});
   rng_t rng(32);
   engine.step_many(process, rng, 50000);
   EXPECT_TRUE(warned(key));

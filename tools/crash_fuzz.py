@@ -15,6 +15,12 @@ With --departures the registry-backed cells run as steady-state churn
 cells (warm-up + arrival/departure pairs), so the kill points also land
 mid-churn with the lease ring / occupancy counter in flight.
 
+--kernel, --threads-per-run, --shards and --lanes pass through to the
+campaign's engine flags, so the kill points can land inside the windowed
+engine's one-shard (--kernel scalar) or multi-shard (--threads-per-run 2
+--shards 4) windows and departure blocks; pick --n >= 8192 so b-Batch
+windows clear the engine's min_window.
+
 Exit status 0 iff every trial produced byte-identical output.
 """
 
@@ -42,6 +48,10 @@ def campaign_cmd(binary, args, json_path, journal=None, resume=False):
     ]
     if args.departures != "none":
         cmd += ["--departures", args.departures]
+    for flag in ("kernel", "threads_per_run", "shards", "lanes"):
+        value = getattr(args, flag)
+        if value is not None:
+            cmd += ["--" + flag.replace("_", "-"), str(value)]
     if journal is not None:
         cmd += ["--journal", journal, "--checkpoint-every", str(args.checkpoint_every)]
     if resume:
@@ -124,6 +134,14 @@ def main():
                         help="departure channel for the registry-backed cells "
                              "(none | random | lease | drain); non-none runs "
                              "them as steady-state churn cells")
+    parser.add_argument("--kernel", default=None,
+                        help="campaign --kernel backend (off | scalar | simd | ...)")
+    parser.add_argument("--threads-per-run", type=int, default=None,
+                        help="campaign --threads-per-run (windowed engine workers)")
+    parser.add_argument("--shards", type=int, default=None,
+                        help="campaign --shards (sampling contract)")
+    parser.add_argument("--lanes", type=int, default=None,
+                        help="campaign --lanes (sampling contract)")
     parser.add_argument("--max-resumes", type=int, default=40)
     args = parser.parse_args()
 
