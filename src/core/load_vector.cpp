@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "util/hugepage.hpp"
@@ -46,6 +47,73 @@ std::pair<load_t, load_t> load_range(const std::vector<load_t>& loads) {
   return {mn, mx};
 }
 
+// The snapshot encoder and the commit's add pass each have a second build
+// compiled for AVX2, picked at run time when the CPU has it.  The
+// portable x86 baseline is SSE2, which narrows 32-bit loads to bytes
+// through pack sequences and has no 32-bit min/max, so both loops are
+// instruction-bound there at n = 10^6 (on a 4-core AVX-512 Xeon VM the
+// AVX2 builds measured ~30% and ~20% faster).  Same loop, same results:
+// execution-only.
+#if defined(__x86_64__) || defined(__i386__)
+#define NB_TGT_AVX2 __attribute__((target("avx2")))
+#else
+#define NB_TGT_AVX2
+#endif
+
+bool use_avx2() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  return avx2;
+#else
+  return false;
+#endif
+}
+
+/// The snapshot encoder's narrowing map, dst[i] = (src[i] - mn) ^ mask.
+[[gnu::always_inline]] inline void encode_offsets(const load_t* src, std::uint8_t* dst,
+                                                  std::size_t n, load_t mn, std::uint8_t mask) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::uint8_t>(static_cast<std::uint8_t>(src[i] - mn) ^ mask);
+  }
+}
+
+NB_TGT_AVX2 void encode_offsets_avx2(const load_t* src, std::uint8_t* dst, std::size_t n,
+                                     load_t mn, std::uint8_t mask) {
+  encode_offsets(src, dst, n, mn, mask);
+}
+
+/// One range of the commit's add pass: its new loads' min and max and the
+/// sum of its deltas.
+struct added_range {
+  load_t mn = std::numeric_limits<load_t>::max();  // identities for an empty range
+  load_t mx = std::numeric_limits<load_t>::min();
+  weight_t net = 0;
+};
+
+/// loads[i] += delta(i) for i in [lo, hi).
+template <typename Delta>
+[[gnu::always_inline]] inline added_range add_range(load_t* loads, const Delta& delta,
+                                                    std::size_t lo, std::size_t hi) {
+  load_t mn = std::numeric_limits<load_t>::max();
+  load_t mx = std::numeric_limits<load_t>::min();
+  weight_t net = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const load_t d = delta(i);
+    const load_t x = loads[i] + d;
+    loads[i] = x;
+    mn = x < mn ? x : mn;
+    mx = x > mx ? x : mx;
+    net += d;
+  }
+  return {mn, mx, net};
+}
+
+template <typename Delta>
+NB_TGT_AVX2 added_range add_range_avx2(load_t* loads, const Delta& delta, std::size_t lo,
+                                       std::size_t hi) {
+  return add_range(loads, delta, lo, hi);
+}
+
 }  // namespace
 
 bool compact_snapshot::assign(const std::vector<load_t>& loads) {
@@ -81,10 +149,18 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_
     advise_hugepages(off_.data(), off_.size());
     advised_ = off_.data();
   }
-  for (std::size_t i = 0; i < n_; ++i) {
-    off_[i] = static_cast<std::uint8_t>(static_cast<std::uint8_t>(loads[i] - mn) ^ mask);
+  // Pointers and length in locals, not members: a byte store may alias
+  // off_'s and n_'s own storage, so a loop over the members reloads them
+  // per element and never vectorizes.
+  const load_t* src = loads.data();
+  std::uint8_t* dst = off_.data();
+  const std::size_t n = n_;
+  if (use_avx2()) {
+    encode_offsets_avx2(src, dst, n, mn, mask);
+  } else {
+    encode_offsets(src, dst, n, mn, mask);
   }
-  for (std::size_t p = n_; p < off_.size(); ++p) off_[p] = 0;
+  std::fill_n(dst + n, tail_padding, std::uint8_t{0});
   return true;
 }
 
@@ -99,26 +175,47 @@ bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx
   n_ = static_cast<bin_count>(n);
   const auto levels = static_cast<std::size_t>(mx - mn) + 1;
   counts_.assign(levels, 0);
-  // One histogram per range, a cache line apart (plus a line of slack) so
-  // neighbouring ranges never count into a shared line.  When the
-  // histograms would outweigh the bins (a wide but still dense span), one
-  // sweep on the calling thread counts instead.
-  const std::size_t ranges = exec.ranges();
-  if (ranges == 1 || levels * ranges > n) {
+  // Ranges count into their own histograms, unless those would outweigh
+  // the bins (a wide but still dense span): then one range, on the
+  // calling thread.  Within a range, bin i counts into sub-histogram
+  // i % ways: consecutive bins at one level (the common case -- spans are
+  // tiny) then increment `ways` different counters instead of queueing on
+  // one counter's store-to-load forwarding.  Same fallback rule for them.
+  const std::size_t ranges = levels * exec.ranges() > n ? 1 : exec.ranges();
+  const std::size_t ways = levels * ranges * count_ways <= n ? count_ways : 1;
+  if (ranges * ways == 1) {
     for (const load_t x : loads) ++counts_[static_cast<std::size_t>(x - mn)];
     return true;
   }
+  // Histograms a cache line apart (plus a line of slack) so neighbouring
+  // ranges never count into a shared line.
   constexpr std::size_t line = 64 / sizeof(bin_count);
   const std::size_t stride = (levels + 2 * line - 1) / line * line;
-  std::vector<bin_count> partial(ranges * stride, 0);
-  exec.run([&](std::size_t r) {
-    const auto [lo, hi] = exec.bounds(r, n);
-    bin_count* h = partial.data() + r * stride;
-    for (std::size_t i = lo; i < hi; ++i) ++h[static_cast<std::size_t>(loads[i] - mn)];
-  });
-  for (std::size_t r = 0; r < ranges; ++r) {
-    const bin_count* h = partial.data() + r * stride;
-    for (std::size_t l = 0; l < levels; ++l) counts_[l] += h[l];
+  scratch_.assign(ranges * ways * stride, 0);
+  const load_t* x = loads.data();
+  const auto count = [&](std::size_t r) {
+    std::size_t lo = 0;
+    std::size_t hi = n;
+    if (ranges > 1) std::tie(lo, hi) = exec.bounds(r, n);
+    bin_count* h = scratch_.data() + r * ways * stride;
+    std::size_t i = lo;
+    if (ways == count_ways) {
+      for (; i + count_ways <= hi; i += count_ways) {
+        for (std::size_t k = 0; k < count_ways; ++k) {
+          ++h[k * stride + static_cast<std::size_t>(x[i + k] - mn)];
+        }
+      }
+    }
+    for (; i < hi; ++i) ++h[static_cast<std::size_t>(x[i] - mn)];
+  };
+  if (ranges == 1) {
+    count(0);
+  } else {
+    exec.run(count);
+  }
+  for (std::size_t h = 0; h < ranges * ways; ++h) {
+    const bin_count* sub = scratch_.data() + h * stride;
+    for (std::size_t l = 0; l < levels; ++l) counts_[l] += sub[l];
   }
   return true;
 }
@@ -156,28 +253,22 @@ void shard_deltas::sum_rows(std::vector<std::uint32_t>& out) const {
 }
 
 template <typename Delta>
-void load_state::add_and_reindex(const Delta& delta, const range_executor& exec) {
+weight_t load_state::add_and_reindex(const Delta& delta, const range_executor& exec) {
   const std::size_t n = loads_.size();
-  std::vector<std::pair<load_t, load_t>> range(exec.ranges());
+  std::vector<added_range> range(exec.ranges());
   exec.run([&](std::size_t r) {
     const auto [lo, hi] = exec.bounds(r, n);
-    load_t mn = std::numeric_limits<load_t>::max();
-    load_t mx = std::numeric_limits<load_t>::min();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const load_t x = loads_[i] + delta(i);
-      loads_[i] = x;
-      mn = x < mn ? x : mn;
-      mx = x > mx ? x : mx;
-    }
-    range[r] = {mn, mx};
+    range[r] = use_avx2() ? add_range_avx2(loads_.data(), delta, lo, hi)
+                          : add_range(loads_.data(), delta, lo, hi);
   });
-  load_t mn = std::numeric_limits<load_t>::max();
-  load_t mx = std::numeric_limits<load_t>::min();
-  for (const auto& [lo, hi] : range) {  // empty ranges keep the identities
-    mn = lo < mn ? lo : mn;
-    mx = hi > mx ? hi : mx;
+  added_range all;
+  for (const added_range& part : range) {  // empty ranges keep the identities
+    all.mn = part.mn < all.mn ? part.mn : all.mn;
+    all.mx = part.mx > all.mx ? part.mx : all.mx;
+    all.net += part.net;
   }
-  levels_ok_ = levels_.rebuild(loads_, mn, mx, exec);
+  levels_ok_ = levels_.rebuild(loads_, all.mn, all.mx, exec);
+  return all.net;
 }
 
 void load_state::apply_increments(const std::vector<std::uint32_t>& add,
@@ -186,49 +277,62 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
   NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
              "per-ball weight must be in [1, max_ball_weight]");
-  // Sum, and under fixed weights validate every bin, BEFORE mutating any
-  // (strong exception safety, like allocate(i, w)): a throw must not leave
-  // a prefix of bins inflated while balls_/levels_ still reflect the old
-  // state.  Each range records its total and its first culprit bin (n =
-  // none); the sweep is branch-free and only a failing range re-walks.
   const std::size_t n = loads_.size();
-  constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
-  std::vector<step_count> totals(exec.ranges(), 0);
-  std::vector<std::size_t> culprits(exec.ranges(), n);
-  exec.run([&](std::size_t r) {
-    const auto [lo, hi] = exec.bounds(r, n);
-    step_count total = 0;
-    for (std::size_t i = lo; i < hi; ++i) total += add[i];
-    totals[r] = total;
-    if (weight_per_ball == 1) return;
-    bool over = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-      over |= static_cast<weight_t>(loads_[i]) + static_cast<weight_t>(add[i]) * weight_per_ball >
-              bin_cap;
-    }
-    for (std::size_t i = lo; over && i < hi; ++i) {
-      if (static_cast<weight_t>(loads_[i]) + static_cast<weight_t>(add[i]) * weight_per_ball >
-          bin_cap) {
-        culprits[r] = i;
-        break;
-      }
-    }
-  });
+  // Unit weights validate only the total-weight ceiling.  While no n
+  // uint32 counts could reach it, the validation pass is skipped and the
+  // add pass sums the window instead: one sweep of `add` less.
+  constexpr weight_t count_cap = std::numeric_limits<std::uint32_t>::max();
+  const bool sum_in_add_pass =
+      weight_per_ball == 1 &&
+      static_cast<weight_t>(n) <= (max_total_weight - total_weight()) / count_cap;
   step_count total = 0;
-  for (const step_count t : totals) total += t;
-  // Same int64-overflow audit as the weighted allocate(), phrased as a
-  // division so the bound itself cannot overflow (total * weight_per_ball
-  // may exceed int64 at the ceilings' corner).
-  NB_REQUIRE(total <= (max_total_weight - total_weight()) / weight_per_ball,
-             "window would overflow the total-weight accumulator (max_total_weight)");
-  for (const std::size_t i : culprits) {  // ranges in bin order: first culprit
-    NB_REQUIRE(i == n, "window of " + std::to_string(add[i]) + " balls of weight " +
-                           std::to_string(weight_per_ball) + " would overflow bin " +
-                           std::to_string(i) + "'s 32-bit load (currently " +
-                           std::to_string(loads_[i]) + ")");
+  if (!sum_in_add_pass) {
+    // Sum, and under fixed weights validate every bin, BEFORE mutating any
+    // (strong exception safety, like allocate(i, w)): a throw must not
+    // leave a prefix of bins inflated while balls_/levels_ still reflect
+    // the old state.  Each range records its total and its first culprit
+    // bin (n = none); the sweep is branch-free and only a failing range
+    // re-walks.
+    constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
+    std::vector<step_count> totals(exec.ranges(), 0);
+    std::vector<std::size_t> culprits(exec.ranges(), n);
+    exec.run([&](std::size_t r) {
+      const auto [lo, hi] = exec.bounds(r, n);
+      step_count range_total = 0;
+      for (std::size_t i = lo; i < hi; ++i) range_total += add[i];
+      totals[r] = range_total;
+      if (weight_per_ball == 1) return;
+      bool over = false;
+      for (std::size_t i = lo; i < hi; ++i) {
+        over |= static_cast<weight_t>(loads_[i]) +
+                    static_cast<weight_t>(add[i]) * weight_per_ball >
+                bin_cap;
+      }
+      for (std::size_t i = lo; over && i < hi; ++i) {
+        if (static_cast<weight_t>(loads_[i]) + static_cast<weight_t>(add[i]) * weight_per_ball >
+            bin_cap) {
+          culprits[r] = i;
+          break;
+        }
+      }
+    });
+    for (const step_count t : totals) total += t;
+    // Same int64-overflow audit as the weighted allocate(), phrased as a
+    // division so the bound itself cannot overflow (total * weight_per_ball
+    // may exceed int64 at the ceilings' corner).
+    NB_REQUIRE(total <= (max_total_weight - total_weight()) / weight_per_ball,
+               "window would overflow the total-weight accumulator (max_total_weight)");
+    for (const std::size_t i : culprits) {  // ranges in bin order: first culprit
+      NB_REQUIRE(i == n, "window of " + std::to_string(add[i]) + " balls of weight " +
+                             std::to_string(weight_per_ball) + " would overflow bin " +
+                             std::to_string(i) + "'s 32-bit load (currently " +
+                             std::to_string(loads_[i]) + ")");
+    }
   }
   if (weight_per_ball == 1) {
-    add_and_reindex([&](std::size_t i) { return static_cast<load_t>(add[i]); }, exec);
+    const weight_t net =
+        add_and_reindex([&](std::size_t i) { return static_cast<load_t>(add[i]); }, exec);
+    if (sum_in_add_pass) total = net;
   } else {
     add_and_reindex(
         [&](std::size_t i) {

@@ -108,6 +108,11 @@ class level_index {
   /// cross this.
   static constexpr load_t max_dense_span = load_t{1} << 20;
 
+  /// Interleaved sub-histograms a rebuild range counts into (bin i into
+  /// sub-histogram i % count_ways), unless count_ways histograms of the
+  /// span would outweigh the range's bins.  Execution-only.
+  static constexpr std::size_t count_ways = 8;
+
   level_index() = default;
 
   /// All n bins at level 0.
@@ -219,10 +224,11 @@ class level_index {
   }
 
   /// The same counting sweep run by bin range through `exec`: each range
-  /// counts into its own histogram and the histograms are summed.  Falls
-  /// back to one sweep on the calling thread when the per-range
-  /// histograms would outweigh the bins (a wide but still dense span), so
-  /// the pass never allocates ranges * span counters for a large span.
+  /// counts into its own count_ways interleaved histograms and the
+  /// histograms are summed.  Falls back to one range on the calling thread
+  /// when the per-range histograms would outweigh the bins (a wide but
+  /// still dense span), and to one histogram per range on the same rule,
+  /// so the pass never holds more counters than bins.
   [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx,
                              const range_executor& exec);
 
@@ -268,6 +274,9 @@ class level_index {
   }
 
   std::vector<bin_count> counts_;  ///< counts_[k] = bins at level base_ + k
+  /// The rebuild's per-range sub-histograms, kept so a rebuild per window
+  /// reuses one buffer.
+  std::vector<bin_count> scratch_;
   load_t base_ = 0;
   load_t min_ = 0;
   load_t max_ = 0;
@@ -689,8 +698,9 @@ class load_state {
   /// delta(i) for every bin (already validated), tracking the running
   /// min/max on the way so the level rebuild needs no range scan.  Both
   /// the add pass and the rebuild run by bin range through `exec`.
+  /// Returns the sum of the deltas, accumulated by the same pass.
   template <typename Delta>
-  void add_and_reindex(const Delta& delta, const range_executor& exec);
+  weight_t add_and_reindex(const Delta& delta, const range_executor& exec);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

@@ -20,6 +20,16 @@
 // Right after a boundary nothing is recorded, so the snapshot provably IS
 // the live loads (snapshot_is_live), which lets the engines range the next
 // window's compact snapshot from the level index instead of scanning it.
+//
+// A boundary reached by an engine commit does not even copy: it only marks
+// the copy pending.  While pending, the boundary loads ARE the live loads,
+// so every reader (window_snapshot, reported_load, save_checkpoint) reads
+// those, and the first mutator that needs the frozen loads to stay put --
+// step, step_many, depart, commit_departures, a commit_window that does
+// not end the batch -- makes the copy first, through its own executor.  A
+// run driven one whole batch per engine window therefore never copies at
+// all.  Execution-only: the copy holds the same loads whenever it is made,
+// and checkpoints write the same bytes.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +49,7 @@ class b_batch {
   }
 
   void step(rng_t& rng) {
+    materialize_boundary();
     step_one(rng, state_.n());
     if (state_.balls() % b_ == 0) refresh_snapshot();
   }
@@ -48,6 +59,7 @@ class b_batch {
   /// then the snapshot refresh is paid once per batch.
   void step_many(rng_t& rng, step_count count) {
     const bin_count n = state_.n();
+    materialize_boundary();
     const load_state::bulk_window window(state_, count);
     while (count > 0) {
       const step_count to_boundary = b_ - (state_.balls() % b_);
@@ -65,6 +77,7 @@ class b_batch {
     std::fill(stale_.begin(), stale_.end(), 0);
     touched_.clear();
     stale_all_ = false;
+    copy_pending_ = false;
   }
 
   [[nodiscard]] std::string name() const {
@@ -78,13 +91,18 @@ class b_batch {
 
   /// One departure event through the model's channel (see depart_ball);
   /// the bin it left is refreshed at the next boundary.
-  void depart(rng_t& rng) { touched_.push_back(depart_ball(state_, model_, rng)); }
+  void depart(rng_t& rng) {
+    materialize_boundary();
+    touched_.push_back(depart_ball(state_, model_, rng));
+  }
   /// Applies one engine-merged departure block (see apply_departure_block).
   /// Lease blocks pop O(k) balls and record their bins; drain/random
   /// blocks already sweep every bin (by range through `exec`), so they
-  /// flag a whole-vector refresh.
+  /// flag a whole-vector refresh.  A pending boundary copy is made first,
+  /// by range through `exec`.
   void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
                          const range_executor& exec = {}) {
+    materialize_boundary(exec);
     if (model_.departures.is_lease()) {
       for (step_count t = 0; t < k; ++t) touched_.push_back(state_.release_oldest());
       return;
@@ -94,15 +112,16 @@ class b_batch {
   }
 
   /// The load of bin i as reported during the current batch (for tests).
-  [[nodiscard]] load_t reported_load(bin_index i) const { return stale_[i]; }
+  [[nodiscard]] load_t reported_load(bin_index i) const { return window_snapshot()[i]; }
 
   /// Checkpoint contract.  The stale snapshot is real mid-run state (it
   /// froze at the last batch boundary, which the current loads cannot
   /// reconstruct), so it is serialized along with the touched list.  A
-  /// whole-vector flag is written as the equivalent list of every bin.
+  /// whole-vector flag is written as the equivalent list of every bin, and
+  /// a pending boundary copy as the loads it would copy.
   void save_checkpoint(state_writer& w) const {
     state_.save(w);
-    w.put_vec(stale_);
+    w.put_vec(window_snapshot());
     if (stale_all_) {
       std::vector<bin_index> all(stale_.size());
       std::iota(all.begin(), all.end(), bin_index{0});
@@ -129,6 +148,7 @@ class b_batch {
     // it).  Checkpoints from before departures were recorded can break
     // that; the next boundary then copies every bin, restoring the law.
     stale_all_ = touched_.empty() && stale_ != state_.loads();
+    copy_pending_ = false;
   }
 
   // --- window-parallel contract (see process.hpp) ------------------------
@@ -141,12 +161,28 @@ class b_batch {
     return b_ - state_.balls() % b_;
   }
 
-  /// The frozen loads the current batch's decisions read.
-  [[nodiscard]] const std::vector<load_t>& window_snapshot() const noexcept { return stale_; }
+  /// The frozen loads the current batch's decisions read: the live loads
+  /// while the boundary copy is pending (they are equal then).
+  [[nodiscard]] const std::vector<load_t>& window_snapshot() const noexcept {
+    return copy_pending_ ? state_.loads() : stale_;
+  }
 
   /// True when nothing moved since the last refresh, i.e. the window
   /// snapshot equals the live loads (see live_snapshot_probed).
   [[nodiscard]] bool snapshot_is_live() const noexcept { return !stale_all_ && touched_.empty(); }
+
+  /// True while a batch-ending engine commit's boundary copy is still
+  /// owed (see the header).  Execution-only, like the copy itself.
+  [[nodiscard]] bool boundary_copy_pending() const noexcept { return copy_pending_; }
+
+  /// Makes a pending boundary copy now, by range through `exec`; a no-op
+  /// otherwise.  Every mutator calls it before it moves the loads away
+  /// from the boundary.
+  void materialize_boundary(const range_executor& exec = {}) {
+    if (!copy_pending_) return;
+    copy_loads(exec);
+    copy_pending_ = false;
+  }
 
   /// b-Batch's snapshot_decide IS the canonical two-sample min rule, so
   /// its windows may run through the lane-interleaved SIMD kernel (the
@@ -167,18 +203,25 @@ class b_batch {
   }
 
   /// Applies a merged window delta (inc[i] balls into bin i, all decided
-  /// against the current snapshot) and flags the whole vector stale; a
-  /// window that ends a batch then refreshes with one contiguous copy of
-  /// the loads, a partial window leaves the copy to a later boundary.
-  /// Each counted ball deposits the model's (deterministic) weight; the
-  /// engines never route random weightings here.  The commit passes and
-  /// the boundary copy run by bin range through `exec`.
+  /// against the current snapshot).  A window that ends a batch leaves the
+  /// boundary copy pending (see the header); a partial window first makes
+  /// a pending copy, then flags the whole vector stale for a later
+  /// boundary.  Each counted ball deposits the model's (deterministic)
+  /// weight; the engines never route random weightings here.  The commit
+  /// passes and any copy run by bin range through `exec`.
   void commit_window(const std::vector<std::uint32_t>& inc, step_count balls,
                      const range_executor& exec = {}) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
+    const bool ends_batch = balls == snapshot_window();
+    if (!ends_batch) materialize_boundary(exec);
     state_.apply_increments(inc, model_.weighting.fixed_weight(), exec);
-    stale_all_ = true;
-    if (state_.balls() % b_ == 0) refresh_snapshot(exec);
+    if (ends_batch) {
+      touched_.clear();
+      stale_all_ = false;
+      copy_pending_ = true;
+    } else {
+      stale_all_ = true;
+    }
   }
 
  private:
@@ -199,22 +242,29 @@ class b_batch {
     touched_.push_back(chosen);
   }
 
-  /// The boundary refresh: afterwards stale_ == loads, and nothing is
-  /// recorded.  A whole-vector refresh is one contiguous copy per range.
-  void refresh_snapshot(const range_executor& exec = {}) {
+  /// The serial boundary refresh: afterwards stale_ == loads, and nothing
+  /// is recorded.  Never runs with the copy pending (the serial paths
+  /// materialize it before their first ball).
+  void refresh_snapshot() {
+    NB_ASSERT(!copy_pending_);
     if (stale_all_) {
-      const std::vector<load_t>& loads = state_.loads();
-      exec.run([&](std::size_t r) {
-        const auto [lo, hi] = exec.bounds(r, loads.size());
-        std::copy(loads.begin() + static_cast<std::ptrdiff_t>(lo),
-                  loads.begin() + static_cast<std::ptrdiff_t>(hi),
-                  stale_.begin() + static_cast<std::ptrdiff_t>(lo));
-      });
+      copy_loads(range_executor{});
     } else {
       for (const bin_index i : touched_) stale_[i] = state_.load(i);
     }
     touched_.clear();
     stale_all_ = false;
+  }
+
+  /// stale_ = loads, one contiguous copy per range.
+  void copy_loads(const range_executor& exec) {
+    const std::vector<load_t>& loads = state_.loads();
+    exec.run([&](std::size_t r) {
+      const auto [lo, hi] = exec.bounds(r, loads.size());
+      std::copy(loads.begin() + static_cast<std::ptrdiff_t>(lo),
+                loads.begin() + static_cast<std::ptrdiff_t>(hi),
+                stale_.begin() + static_cast<std::ptrdiff_t>(lo));
+    });
   }
 
   load_state state_;
@@ -225,6 +275,10 @@ class b_batch {
   std::vector<bin_index> touched_;
   /// An engine commit moved bins since the last refresh: copy them all.
   bool stale_all_ = false;
+  /// An engine commit ended the batch: the boundary loads are the live
+  /// loads, and stale_ is out of date until materialize_boundary copies
+  /// them.  Implies !stale_all_ and an empty touched_.
+  bool copy_pending_ = false;
 };
 
 static_assert(allocation_process<b_batch>);

@@ -400,7 +400,10 @@ concept window_probed = requires(const P p) {
 /// Full intra-run window-parallel contract:
 ///   * snapshot_window(): how many upcoming balls decide against frozen
 ///     state (0 = none; the engine falls back to the serial fused loop),
-///   * window_snapshot(): the frozen loads those decisions read,
+///   * window_snapshot(): the frozen loads those decisions read (the
+///     live loads are a valid answer while they equal the frozen ones:
+///     b-Batch returns them while a batch-ending commit's boundary copy
+///     is pending, see below),
 ///   * `static constexpr bool kernel_min_select = true`: the decision rule
 ///     is the canonical two-sample min rule the kernel implements ("less
 ///     loaded of the two sampled bins, ties broken by the next draw's top
@@ -410,12 +413,17 @@ concept window_probed = requires(const P p) {
 ///     increments and refresh whatever the process keeps stale (inc[i]
 ///     balls into bin i, sum(inc) == balls == the window length the engine
 ///     ran), its O(n) passes run by bin range through `exec` (default: one
-///     range on the calling thread).
+///     range on the calling thread).  The refresh may be deferred: a
+///     b-Batch commit that ends a batch only marks its boundary copy
+///     pending, and the process's next mutator makes it (through that
+///     mutator's executor), so back-to-back whole-batch windows never
+///     copy.
 ///
 /// Optionally, snapshot_is_live() proves the window snapshot equals the
-/// live loads right now (b-Batch right after a boundary commit); the
-/// engine then ranges the compact snapshot from the level index in O(1)
-/// instead of scanning the frozen vector (see live_snapshot_probed).
+/// live loads right now (b-Batch right after a boundary commit, pending
+/// copy or not); the engine then ranges the compact snapshot from the
+/// level index in O(1) instead of scanning the frozen vector (see
+/// live_snapshot_probed).
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
     requires(P p, const P cp, const std::vector<std::uint32_t>& inc, step_count k,
@@ -428,7 +436,10 @@ concept window_parallel = allocation_process<P> && window_probed<P> &&
 
 /// A window-parallel process that can prove its window snapshot is the
 /// live load vector.  Execution-only: the compact snapshot's bytes are the
-/// same either way, only the range scan is skipped.
+/// same either way, only the range scan is skipped.  While b-Batch's
+/// boundary copy is pending the proof is trivial -- window_snapshot() then
+/// IS the live vector -- and the engine's snapshot reads the loads the
+/// copy would have duplicated, so the copy is never needed.
 template <typename P>
 concept live_snapshot_probed = requires(const P p) {
   { p.snapshot_is_live() } -> std::convertible_to<bool>;

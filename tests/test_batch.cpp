@@ -245,4 +245,117 @@ TEST(BBatchBoundaryLaw, HoldsAfterMidBatchCheckpointRestore) {
   }
 }
 
+// The deferred boundary copy: a batch-ending engine commit leaves the copy
+// pending, readers see the live loads (equal to the boundary loads), and
+// the first mutator makes the copy before moving anything.
+
+constexpr step_count kPendingBatch = 256;  // room for a whole op sequence
+
+/// A process whose last engine window ended a batch: the copy is pending.
+b_batch pending_process(shard_engine& engine, rng_t& rng, const std::string& channel) {
+  b_batch p(kLawBins, kPendingBatch);
+  p.set_model(make_model("unit", "uniform", kLawBins, channel));
+  engine.step_many(p, rng, 4 * kPendingBatch);
+  EXPECT_TRUE(p.boundary_copy_pending());
+  EXPECT_TRUE(p.snapshot_is_live());
+  return p;
+}
+
+std::vector<std::uint8_t> checkpoint_bytes(const b_batch& p) {
+  state_writer w;
+  p.save_checkpoint(w);
+  return w.bytes();
+}
+
+TEST(BBatchBoundaryLaw, PendingCopyCheckpointIsByteIdenticalToAMaterializedOne) {
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  rng_t rng(21);
+  b_batch p = pending_process(engine, rng, "drain");
+  const std::vector<std::uint8_t> pending = checkpoint_bytes(p);
+  p.materialize_boundary();
+  ASSERT_FALSE(p.boundary_copy_pending());
+  EXPECT_EQ(checkpoint_bytes(p), pending);
+  // The materialized form is the one every earlier build wrote, so the
+  // format is unchanged; either restores to the same continuing run.
+  b_batch restored(kLawBins, kPendingBatch);
+  restored.set_model(p.model());
+  state_reader reader(pending);
+  restored.restore_checkpoint(reader);
+  EXPECT_FALSE(restored.boundary_copy_pending());
+  EXPECT_EQ(restored.window_snapshot(), p.window_snapshot());
+  rng_t rng_restored = rng;
+  engine.step_many(p, rng, kPendingBatch + 40);
+  engine.step_many(restored, rng_restored, kPendingBatch + 40);
+  EXPECT_EQ(restored.state().loads(), p.state().loads());
+  EXPECT_EQ(restored.window_snapshot(), p.window_snapshot());
+  EXPECT_EQ(checkpoint_bytes(restored), checkpoint_bytes(p));
+}
+
+TEST(BBatchBoundaryLaw, EveryMutatorKeepsReportingTheBoundaryWhileTheCopyIsPending) {
+  // Each op runs alone right after a pending boundary, then all of them in
+  // sequence; the law is checked after every op.  None of the sequences
+  // reaches the next boundary.
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  const std::vector<std::pair<std::string, std::function<void(b_batch&, rng_t&)>>> ops = {
+      {"serial step_many", [](b_batch& p, rng_t& rng) { p.step_many(rng, 3); }},
+      {"serial depart", [](b_batch& p, rng_t& rng) { p.depart(rng); }},
+      {"partial window", [&](b_batch& p, rng_t& rng) { engine.step_many(p, rng, 20); }},
+      {"departure block", [&](b_batch& p, rng_t& rng) { engine.depart_many(p, rng, 40); }},
+      {"serial step", [](b_batch& p, rng_t& rng) { p.step(rng); }},
+  };
+  std::vector<std::vector<std::size_t>> sequences;
+  for (std::size_t o = 0; o < ops.size(); ++o) sequences.push_back({o});
+  sequences.push_back({0, 1, 2, 3, 4});
+  for (const std::string channel : {"drain", "lease"}) {
+    for (const auto& sequence : sequences) {
+      rng_t rng(30 + sequence.size() + sequence.front());
+      b_batch p = pending_process(engine, rng, channel);
+      const std::vector<load_t> boundary = p.state().loads();
+      for (const std::size_t o : sequence) {
+        SCOPED_TRACE(channel + ": " + ops[o].first + " after " + std::to_string(p.state().balls()) +
+                     " balls");
+        ops[o].second(p, rng);
+        ASSERT_NE(p.state().balls() % kPendingBatch, 0) << "the sequence reached a boundary";
+        EXPECT_FALSE(p.boundary_copy_pending());
+        EXPECT_EQ(p.window_snapshot(), boundary);
+        for (bin_index i = 0; i < kLawBins; ++i) {
+          ASSERT_EQ(p.reported_load(i), boundary[i]) << "bin " << i;
+        }
+      }
+      // Finishing the batch with an engine window (one of at least n/4
+      // balls) makes the copy pending again; a shorter one runs serially.
+      const step_count rest = p.snapshot_window();
+      engine.step_many(p, rng, rest);
+      EXPECT_EQ(p.boundary_copy_pending(), rest * 4 >= static_cast<step_count>(kLawBins));
+      for (bin_index i = 0; i < kLawBins; ++i) {
+        ASSERT_EQ(p.reported_load(i), p.state().load(i)) << "bin " << i;
+      }
+    }
+  }
+}
+
+TEST(BBatchBoundaryLaw, ResetAndRestoreClearThePendingCopy) {
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+  rng_t rng(41);
+  b_batch p = pending_process(engine, rng, "drain");
+  p.reset();
+  EXPECT_FALSE(p.boundary_copy_pending());
+  EXPECT_EQ(p.window_snapshot(), std::vector<load_t>(kLawBins, 0));
+  // A mid-batch checkpoint restored over a pending process: the restored
+  // frozen loads, not the restored live ones, are what it reports.
+  b_batch saved = pending_process(engine, rng, "drain");
+  engine.step_many(saved, rng, 20);
+  ASSERT_FALSE(saved.boundary_copy_pending());
+  ASSERT_NE(saved.window_snapshot(), saved.state().loads());
+  b_batch q = pending_process(engine, rng, "drain");
+  const std::vector<std::uint8_t> bytes = checkpoint_bytes(saved);
+  state_reader reader(bytes);
+  q.restore_checkpoint(reader);
+  EXPECT_FALSE(q.boundary_copy_pending());
+  EXPECT_EQ(q.window_snapshot(), saved.window_snapshot());
+  for (bin_index i = 0; i < kLawBins; ++i) {
+    EXPECT_EQ(q.reported_load(i), saved.reported_load(i)) << "bin " << i;
+  }
+}
+
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/load_vector.hpp"
@@ -232,6 +233,52 @@ TEST(CompactSnapshot, InvertedAssignIsTheComplementOfThePlainBytes) {
   expect_inverted_snapshot_parity(s);
   EXPECT_FALSE(snap.assign_inverted(s));
   EXPECT_FALSE(snap.assign_inverted(s.loads()));
+}
+
+/// The assignment pass is a vectorized narrowing map, so its head and tail
+/// are where an off-by-one would hide: check every byte, in both
+/// encodings, against a per-element scalar reference, and the padding
+/// behind the last offset.  `snap` is reused across calls, so a padding
+/// byte left over from a longer earlier assignment would show.
+void expect_scalar_reference_bytes(nb::compact_snapshot& snap, const std::vector<nb::load_t>& loads) {
+  const nb::load_t mn = *std::min_element(loads.begin(), loads.end());
+  const nb::load_t mx = *std::max_element(loads.begin(), loads.end());
+  const bool fits = mx - mn <= 255;
+  for (const std::uint8_t mask : {std::uint8_t{0}, std::uint8_t{0xFF}}) {
+    SCOPED_TRACE("n=" + std::to_string(loads.size()) + " span=" + std::to_string(mx - mn) +
+                 (mask != 0 ? " inverted" : " plain"));
+    const bool ok = mask != 0 ? snap.assign_inverted(loads) : snap.assign(loads);
+    ASSERT_EQ(ok, fits);
+    EXPECT_EQ(snap.base(), mn);
+    if (!fits) continue;
+    EXPECT_EQ(snap.max_off(), mx - mn);
+    ASSERT_EQ(snap.size(), loads.size());
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      const auto want = static_cast<std::uint8_t>((loads[i] - mn) ^ mask);
+      ASSERT_EQ(snap.data()[i], want) << "bin " << i;
+    }
+    for (std::size_t p = 0; p < nb::compact_snapshot::tail_padding; ++p) {
+      EXPECT_EQ(snap.data()[loads.size() + p], 0) << "tail byte " << p;
+    }
+  }
+}
+
+TEST(CompactSnapshot, BytesMatchAScalarReferenceAtEveryLength) {
+  nb::compact_snapshot snap;
+  nb::xoshiro256pp rng(11);
+  // Longest first: every shorter assignment then reuses a buffer whose
+  // bytes past the new end held offsets.
+  for (const std::size_t n : {4099u, 63u, 17u, 16u, 15u, 1u}) {
+    for (const nb::load_t span : {0, 1, 7, 255, 256}) {
+      // A large base: the offsets are differences, not truncated loads.
+      std::vector<nb::load_t> loads(n);
+      for (auto& x : loads) x = 1'000'000'007 + static_cast<nb::load_t>(nb::bounded(rng, span + 1));
+      // Pin both ends of the span (one bin holds both when n == 1).
+      loads[n / 2] = 1'000'000'007;
+      loads[n - 1] = n == 1 ? loads[0] : 1'000'000'007 + span;
+      expect_scalar_reference_bytes(snap, loads);
+    }
+  }
 }
 
 TEST(CompactSnapshot, InvertedAssignScansOnceLevelsGiveUp) {

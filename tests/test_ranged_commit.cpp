@@ -165,6 +165,50 @@ TEST(RangedCommit, WideDenseSpanCountsSeriallyAndMatches) {
       "wide dense span");
 }
 
+TEST(RangedCommit, RebuildCountsMatchANaiveRecountAtEveryShape) {
+  // The rebuild counts each range into level_index::count_ways interleaved
+  // sub-histograms, one histogram where count_ways of them would outweigh
+  // the bins, and one range where even the per-range histograms would.
+  // Every shape must count exactly what a naive recount does, including
+  // the bins past the last whole group of count_ways.
+  constexpr std::size_t ways = level_index::count_ways;
+  struct shape {
+    std::string name;
+    std::size_t n;
+    load_t levels;
+  };
+  const std::vector<shape> shapes = {
+      {"one level", 1001, 1},
+      {"256 levels", 256 * 7 * ways + 5, 256},
+      {"levels * ways > n", 1001, 200},
+      {"n % ways != 0", 8 * ways * 7 + 3, 8},
+  };
+  thread_pool pool(4);
+  level_index index;  // reused: every rebuild must reset what the last left
+  for (const shape& sh : shapes) {
+    ASSERT_NE(sh.n % ways, 0u) << sh.name;
+    rng_t rng(static_cast<std::uint64_t>(sh.levels));
+    std::vector<load_t> loads(sh.n);
+    for (auto& x : loads) x = 40 + static_cast<load_t>(bounded(rng, sh.levels));
+    loads.front() = 40;  // pin the range
+    loads.back() = 40 + sh.levels - 1;
+    std::vector<bin_count> recount(static_cast<std::size_t>(sh.levels), 0);
+    for (const load_t x : loads) ++recount[static_cast<std::size_t>(x - 40)];
+    for (const std::size_t ranges : {1u, 3u, 7u}) {
+      SCOPED_TRACE(sh.name + ", ranges=" + std::to_string(ranges));
+      ASSERT_TRUE(index.rebuild(loads, 40, 40 + sh.levels - 1, pool_ranges(pool, ranges)));
+      EXPECT_EQ(index.min_level(), 40);
+      EXPECT_EQ(index.max_level(), 40 + sh.levels - 1);
+      EXPECT_EQ(index.bins(), sh.n);
+      EXPECT_EQ(index.count_at(39), 0u);
+      EXPECT_EQ(index.count_at(40 + sh.levels), 0u);
+      for (load_t l = 0; l < sh.levels; ++l) {
+        ASSERT_EQ(index.count_at(40 + l), recount[static_cast<std::size_t>(l)]) << "level " << l;
+      }
+    }
+  }
+}
+
 TEST(RangedCommit, WideSpanDegradeMatchesSerial) {
   // Past max_dense_span the index gives up (levels_valid() == false) on
   // every executor alike, and the scan-based queries agree.
