@@ -32,11 +32,7 @@ struct bench_config {
   std::int64_t m_multiplier = 1000; // m = multiplier * n (the paper's ratio)
   std::uint64_t seed = 1;
   std::size_t threads = 0;          // 0 = hardware concurrency
-  std::size_t threads_per_run = 0;  // 0 = serial runs; > 0 = intra-run shard engine
-  std::size_t shards = 16;          // shard count (sampling contract)
-  std::string kernel = "off";       // off | scalar | sse2 | avx2 | auto | simd
-  std::size_t lanes = 8;            // kernel lanes (sampling contract)
-  bool hugepages = false;           // THP request (execution-only)
+  engine_config engine;             // --threads-per-run/--shards/--kernel/--lanes
   std::string weighting = "unit";   // ball-weighting spec (make_weighting)
   std::string sampler = "uniform";  // bin-sampler spec (make_sampler)
   std::string departures = "none";  // departure-channel spec (make_departures)
@@ -48,11 +44,6 @@ struct bench_config {
   std::string json;                 // optional campaign aggregate JSON ("" = none)
 
   [[nodiscard]] bool paper_mode() const { return mode == "paper"; }
-
-  /// The kernel backend the --kernel flag selected, or nullopt for "off".
-  [[nodiscard]] std::optional<kernel_isa> kernel_backend() const {
-    return kernel_isa_from_name(kernel);
-  }
 
   [[nodiscard]] std::vector<bin_count> bin_counts() const {
     if (n_override > 0) return {static_cast<bin_count>(n_override)};
@@ -101,17 +92,7 @@ inline std::optional<bench_config> parse_standard(cli_parser& cli, int argc,
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   NB_REQUIRE(cli.get_int("threads") >= 0, "--threads must be >= 0");
   cfg.threads = static_cast<std::size_t>(cli.get_int("threads"));
-  const engine_flag_values engine = get_engine_flags(cli);
-  cfg.threads_per_run = static_cast<std::size_t>(engine.threads_per_run);
-  cfg.shards = static_cast<std::size_t>(engine.shards);
-  cfg.kernel = engine.kernel;
-  NB_REQUIRE(cfg.kernel == "off" || kernel_isa_from_name(cfg.kernel).has_value(),
-             "--kernel must be off, scalar, sse2, avx2, avx512, neon, auto or simd");
-  NB_REQUIRE(engine.lanes <= static_cast<std::int64_t>(kernel_max_lanes),
-             "--lanes must be in [1, kernel_max_lanes]");
-  cfg.lanes = static_cast<std::size_t>(engine.lanes);
-  cfg.hugepages = engine.hugepages;
-  if (cfg.hugepages) set_hugepages_enabled(true);
+  cfg.engine = engine_from_flags(get_engine_flags(cli));
   const model_flag_values model = get_model_flags(cli);
   cfg.weighting = model.weighting;
   cfg.sampler = model.sampler;
@@ -138,13 +119,7 @@ inline campaign_options campaign_options_for(const bench_config& cfg) {
   opt.repeats = cfg.runs();
   opt.seed = cfg.seed;
   opt.threads = cfg.threads;
-  engine_config engine;
-  engine.threads_per_run = cfg.threads_per_run;
-  engine.shards = cfg.shards;
-  engine.use_kernel = cfg.kernel_backend().has_value() && cfg.threads_per_run == 0;
-  engine.lanes = cfg.lanes;
-  engine.isa = cfg.kernel_backend().value_or(kernel_isa::auto_detect);
-  opt.set_engine(engine);
+  opt.engine = cfg.engine;
   opt.journal_path = cfg.journal;
   opt.resume = cfg.resume;
   opt.churn_telemetry_every = static_cast<step_count>(cfg.churn_telemetry);

@@ -37,34 +37,11 @@
 namespace {
 
 using namespace nb;
-using nb::bench::stopwatch;
 using nb::bench::time_median_of;
 using nb::bench::timing_stats;
 
-/// timing_stats over externally collected shot times (the paired
-/// tuned/untuned legs time their own shots instead of time_median_of).
-timing_stats stats_from_samples(std::vector<double> samples, int warmup) {
-  std::sort(samples.begin(), samples.end());
-  timing_stats out;
-  out.warmup = warmup;
-  out.reps = static_cast<int>(samples.size());
-  out.min_s = samples.front();
-  out.max_s = samples.back();
-  const std::size_t mid = samples.size() / 2;
-  out.median_s =
-      samples.size() % 2 != 0 ? samples[mid] : 0.5 * (samples[mid - 1] + samples[mid]);
-  return out;
-}
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 != 0 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
-
 constexpr int kWarmup = 1;  // untimed warm-in shots per workload
 constexpr int kReps = 3;    // timed reps; medians suppress scheduling noise
-constexpr int kTuningPairs = 5;  // alternating tuned/untuned shot pairs
 
 struct measurement {
   timing_stats timing;
@@ -161,12 +138,9 @@ double report_observed_run(bin_count n, step_count m, step_count interval, std::
 //   * kernel off      -- PR 1's serial fused step_many loop,
 //   * kernel scalar   -- the lane-interleaved kernel, portable backend,
 //   * kernel <simd>   -- the same kernel on every SIMD backend this CPU
-//                        supports (sse2 / avx2 / avx512 / neon;
-//                        bit-identical to scalar by contract, verified
-//                        here run against run),
-//   * kernel-untuned  -- the best backend with software prefetch and
-//                        window interleaving off (the memory-latency
-//                        tuning's recorded before/after),
+//                        supports (avx2 / avx512 / neon; bit-identical to
+//                        scalar by contract, verified here run against
+//                        run),
 //   * shard-parallel  -- the intra-run shard engine, kernel inside shards.
 // Every leg is timed warm (kWarmup) with median-of-kReps.  Kernel and
 // shard legs also report their engine's per-window phase split
@@ -208,7 +182,7 @@ scale_measurement scale_observed_run(bin_count n, step_count m, step_count inter
 
 /// One timed leg of the scale benchmark (a row of the JSON results array).
 struct scale_entry {
-  std::string kernel;  // off | kernel | kernel-untuned | shard | campaign | churn*
+  std::string kernel;  // off | kernel | shard | campaign | churn*
   std::string isa;     // resolved backend ("none" for the fused loop)
   std::size_t threads = 1;
   std::string process = "b-batch";   // workload the leg times
@@ -221,16 +195,10 @@ struct scale_entry {
   /// false on runners without a usable PMU; emitted as "perf": null).
   perf_sample perf;
   /// Execution environment the leg actually ran under, so a committed
-  /// baseline number is attributable: the CPU's detected best backend, a
-  /// --isa override if one forced the legs ("" = none), the huge-page
-  /// outcome (off / granted / fallback + errno) observed while the leg
-  /// allocated its buffers, and the kernel tuning in effect.
+  /// baseline number is attributable: the CPU's detected best backend and
+  /// a --isa override if one forced the legs ("" = none).
   std::string isa_detected;
   std::string isa_forced;
-  std::string hugepages = "off";
-  int hugepage_errno = 0;
-  bool prefetch = true;
-  bool interleave = true;
   /// Scaling-matrix legs additionally report speedup and efficiency
   /// against the matrix's 1-thread leg, plus whether the single-threaded
   /// parity replay passed (it exits on failure, so an emitted leg always
@@ -252,24 +220,10 @@ struct scale_entry {
 kernel_isa g_isa_request = kernel_isa::auto_detect;
 std::string g_isa_forced;
 
-/// Stamps the environment fields on a finished leg; `before` is the
-/// hugepage-stats snapshot taken when the leg started, so the outcome
-/// reflects this leg's own allocations.
-void annotate_env(scale_entry& entry, const hugepage_stats_t& before) {
+/// Stamps the environment fields on a finished leg.
+void annotate_env(scale_entry& entry) {
   entry.isa_detected = kernel_isa_name(detect_kernel_isa());
   entry.isa_forced = g_isa_forced;
-  const hugepage_stats_t after = hugepage_stats();
-  if (after.failed > before.failed) {
-    entry.hugepages = "fallback";
-    entry.hugepage_errno = after.last_errno;
-  } else if (after.advised > before.advised) {
-    entry.hugepages = "granted";
-  } else {
-    entry.hugepages = "off";
-  }
-  const kernel_tuning tune = current_kernel_tuning();
-  entry.prefetch = tune.prefetch;
-  entry.interleave = tune.interleave;
 }
 
 /// Records `phases` on a kernel/shard leg and prints its per-window split.
@@ -321,12 +275,11 @@ scale_entry time_scale_leg(std::string kernel, std::string isa, std::size_t thre
   entry.kernel = std::move(kernel);
   entry.isa = std::move(isa);
   entry.threads = threads;
-  const hugepage_stats_t hp_before = hugepage_stats();
   counters.start();
   entry.timing =
       time_median_of(kWarmup, kReps, [&] { entry.run = scale_observed_run(n, m, interval, seed, move); });
   entry.perf = counters.stop();
-  annotate_env(entry, hp_before);
+  annotate_env(entry);
   const auto work = static_cast<double>(m);
   std::printf("  %-10s isa=%-7s t=%zu %12.3e balls/s   (min %.3e, max %.3e, gap %.1f, %s)\n",
               entry.kernel.c_str(), entry.isa.c_str(), entry.threads,
@@ -436,11 +389,8 @@ void run_workers_matrix(bin_count n, step_count total_m,
     opt.repeats = 1;
     opt.seed = seed;
     opt.threads = w;
-    opt.use_kernel = true;
-    opt.lanes = lanes;
-    opt.isa = g_isa_request;
+    opt.engine = engine_config{.use_kernel = true, .lanes = lanes, .isa = g_isa_request};
     perf_counter_set counters;
-    const hugepage_stats_t hp_before = hugepage_stats();
     counters.start();
     scale_entry entry;
     entry.kernel = "campaign";
@@ -453,7 +403,7 @@ void run_workers_matrix(bin_count n, step_count total_m,
       json = campaign.to_json();
     });
     entry.perf = counters.stop();
-    annotate_env(entry, hp_before);
+    annotate_env(entry);
     if (reference_json.empty()) {
       reference_json = json;  // workers_list starts with 1 (normalized)
     } else if (json != reference_json) {
@@ -560,8 +510,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     backends = {best};
   } else {  // auto
     backends = {kernel_isa::scalar};
-    for (const kernel_isa isa :
-         {kernel_isa::sse2, kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
+    for (const kernel_isa isa : {kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
       if (kernel_isa_supported(isa)) backends.push_back(isa);
     }
   }
@@ -577,67 +526,9 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     note_phases(results.back(), engine.phases());
   }
 
-  // Untuned leg: the best requested backend re-timed with software
-  // prefetch and window interleaving off.  Tuning is execution-only
-  // (bit-identical by contract, revalidated by the parity sweep below),
-  // so this tuned/untuned pair is the recorded evidence of what the
-  // memory-latency work buys.  Keyed "kernel-untuned" so the regression
-  // gate tracks it separately from the tuned leg of the same ISA.
-  //
-  // Timed as PAIRED alternating shots (tuned, untuned, tuned, ...): on
-  // shared/virtualized hosts slow drift between two separately timed
-  // legs swamps a few-percent tuning delta, while the per-pair ratio
-  // cancels it.  kernel_tuning_speedup is the median per-pair ratio.
-  double tuning_speedup = 0.0;
-  {
-    const kernel_tuning tuned_cfg = current_kernel_tuning();
-    shard_engine engine(shard_options{.shards = 1, .lanes = lanes, .isa = backends.back()});
-    const auto move = [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-      engine.step_many(p, rng, chunk);
-    };
-    scale_entry entry;
-    entry.kernel = "kernel-untuned";
-    entry.isa = kernel_isa_name(engine.isa());
-    entry.threads = 1;
-    const hugepage_stats_t hp_before = hugepage_stats();
-    perf_counter_set counters;
-    counters.start();
-    (void)scale_observed_run(n, m, interval, seed, move);  // warm-in
-    std::vector<double> untuned_s;
-    std::vector<double> ratios;
-    for (int pair = 0; pair < kTuningPairs; ++pair) {
-      double tuned_shot = 0.0;
-      {
-        const stopwatch clock;
-        (void)scale_observed_run(n, m, interval, seed, move);
-        tuned_shot = clock.seconds();
-      }
-      set_kernel_tuning(kernel_tuning{.prefetch = false, .interleave = false});
-      {
-        const stopwatch clock;
-        entry.run = scale_observed_run(n, m, interval, seed, move);
-        untuned_s.push_back(clock.seconds());
-      }
-      set_kernel_tuning(tuned_cfg);
-      ratios.push_back(untuned_s.back() / tuned_shot);  // > 1 = tuning wins
-    }
-    entry.perf = counters.stop();
-    annotate_env(entry, hp_before);
-    entry.prefetch = false;  // what the leg's timed shots ran under
-    entry.interleave = false;
-    entry.timing = stats_from_samples(untuned_s, 1);
-    tuning_speedup = median_of(ratios);
-    std::printf("  %-10s isa=%-7s t=1 %12.3e balls/s   (min %.3e, max %.3e, gap %.1f, %s)\n",
-                entry.kernel.c_str(), entry.isa.c_str(), entry.timing.rate_median(work),
-                entry.timing.rate_min(work), entry.timing.rate_max(work), entry.run.gap,
-                perf_note(entry.perf).c_str());
-    results.push_back(std::move(entry));
-  }
-  const std::size_t untuned_leg = results.size() - 1;
-
-  // Kernel contract spot-check at full scale: every kernel leg -- all
-  // backends AND the untuned leg -- ran the same (seed, lanes) sampling,
-  // so loads AND observations must be bit-identical across the board.
+  // Kernel contract spot-check at full scale: every backend's leg ran the
+  // same (seed, lanes) sampling, so loads AND observations must be
+  // bit-identical across the board.
   for (std::size_t i = first_kernel_leg + 1; i < results.size(); ++i) {
     if (results[i].run.loads != results[first_kernel_leg].run.loads ||
         results[i].run.sink != results[first_kernel_leg].run.sink) {
@@ -655,10 +546,10 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                 backends.size(), kernel_isa_name(backends.front()),
                 kernel_isa_name(backends.back()));
   }
-  // Headline speedup: the fastest tuned kernel leg (backends.back() is
-  // the best requested ISA in every mode, but let the measurement decide).
+  // Headline speedup: the fastest kernel leg (backends.back() is the best
+  // requested ISA in every mode, but let the measurement decide).
   std::size_t best_kernel_leg = first_kernel_leg;
-  for (std::size_t i = first_kernel_leg; i < untuned_leg; ++i) {
+  for (std::size_t i = first_kernel_leg; i < results.size(); ++i) {
     if (results[i].timing.rate_median(work) >
         results[best_kernel_leg].timing.rate_median(work)) {
       best_kernel_leg = i;
@@ -668,9 +559,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       results[best_kernel_leg].timing.rate_median(work) / fused_rate;
   std::printf("  kernel vs fused       %14.2fx (%s, 1 thread)\n", kernel_speedup,
               results[best_kernel_leg].isa.c_str());
-  std::printf("  tuned vs untuned      %14.2fx (prefetch + interleave on %s, median of %d "
-              "paired shots)\n",
-              tuning_speedup, results[untuned_leg].isa.c_str(), kTuningPairs);
 
   // Shard leg: the shard-parallel engine with the kernel inside each
   // shard (counters before the engine so pool threads are inherited).
@@ -705,7 +593,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       return p;
     };
     perf_counter_set counters;
-    const hugepage_stats_t hp_before = hugepage_stats();
     counters.start();
     alias_leg.timing = time_median_of(kWarmup, kReps, [&] {
       alias_leg.run = scale_observed_run_with(
@@ -713,7 +600,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
           [](two_choice& p, rng_t& rng, step_count chunk) { step_many(p, rng, chunk); });
     });
     alias_leg.perf = counters.stop();
-    annotate_env(alias_leg, hp_before);
+    annotate_env(alias_leg);
     std::printf("  %-10s sampler=%-9s t=1 %12.3e balls/s   (two-choice, gap %.1f)\n", "off",
                 alias_spec.c_str(), alias_leg.timing.rate_median(work), alias_leg.run.gap);
     results.push_back(std::move(alias_leg));
@@ -764,7 +651,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         leg.process = "two-choice";
         leg.departures = channel;
         perf_counter_set churn_counters;
-        const hugepage_stats_t hp_before = hugepage_stats();
         two_choice warmed(n);
         warmed.set_model(make_model("unit", "uniform", n, channel));
         rng_t warm_rng(seed);
@@ -780,7 +666,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
           leg.run.loads = s.loads();
         });
         leg.perf = churn_counters.stop();
-        annotate_env(leg, hp_before);
+        annotate_env(leg);
         std::printf("  %-12s dep=%-8s t=1 %12.3e events/s  (workload: two-choice at occupancy "
                     "%lld, gap %.1f, %s)\n",
                     "churn", channel.c_str(), leg.timing.rate_median(churn_work),
@@ -804,7 +690,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         leg.threads = leg_threads;
         leg.process = "b-batch";
         leg.departures = channel;
-        const hugepage_stats_t hp_before = hugepage_stats();
         leg.timing = time_median_of(kWarmup, kReps, [&] {
           b_batch p = warmed;
           rng_t rng = warm_rng;
@@ -820,7 +705,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
           leg.run.loads = s.loads();
         });
         leg.perf = churn_counters.stop();
-        annotate_env(leg, hp_before);
+        annotate_env(leg);
         return leg;
       };
       const auto print_batch_leg = [&](const scale_entry& leg, double reference) {
@@ -926,8 +811,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     // regression gate uses this to skip (with notice) baseline legs whose
     // ISA a fresh runner cannot reproduce, instead of failing them.
     std::string supported_isas;
-    for (const kernel_isa isa : {kernel_isa::scalar, kernel_isa::sse2, kernel_isa::avx2,
-                                 kernel_isa::avx512, kernel_isa::neon}) {
+    for (const kernel_isa isa :
+         {kernel_isa::scalar, kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
       if (!kernel_isa_supported(isa)) continue;
       if (!supported_isas.empty()) supported_isas += ", ";
       supported_isas += '"';
@@ -945,15 +830,13 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                  "  \"cache_line\": %zu,\n"
                  "  \"supported_isas\": [%s],\n"
                  "  \"isa_forced\": %s%s%s,\n"
-                 "  \"hugepages_requested\": %s,\n"
                  "  \"timing\": {\"warmup\": %d, \"reps\": %d, \"statistic\": \"median\"},\n"
                  "  \"results\": [\n",
                  n, static_cast<long long>(m), n, static_cast<long long>(interval),
                  static_cast<unsigned long long>(seed), shards, lanes, cpu_model.c_str(),
                  host.hardware_concurrency, host.cache_line_size, supported_isas.c_str(),
                  g_isa_forced.empty() ? "null" : "\"", g_isa_forced.c_str(),
-                 g_isa_forced.empty() ? "" : "\"", hugepages_enabled() ? "true" : "false",
-                 kWarmup, kReps);
+                 g_isa_forced.empty() ? "" : "\"", kWarmup, kReps);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const scale_entry& e = results[i];
       // Campaign legs split the work over half the balls (see above) and
@@ -968,8 +851,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                    "     \"process\": \"%s\", \"weighting\": \"%s\", \"sampler\": \"%s\",\n"
                    "     \"departures\": \"%s\",\n"
                    "     \"isa_detected\": \"%s\", \"isa_forced\": %s%s%s,\n"
-                   "     \"hugepages\": \"%s\", \"hugepage_errno\": %d,\n"
-                   "     \"prefetch\": %s, \"interleave\": %s,\n"
                    "     \"balls_per_sec\": %.6e, \"balls_per_sec_min\": %.6e,\n"
                    "     \"balls_per_sec_max\": %.6e, \"seconds_median\": %.6f,\n"
                    "     \"gap\": %.2f",
@@ -977,8 +858,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                    e.weighting.c_str(), e.sampler.c_str(), e.departures.c_str(),
                    e.isa_detected.c_str(),
                    e.isa_forced.empty() ? "null" : "\"", e.isa_forced.c_str(),
-                   e.isa_forced.empty() ? "" : "\"", e.hugepages.c_str(), e.hugepage_errno,
-                   e.prefetch ? "true" : "false", e.interleave ? "true" : "false",
+                   e.isa_forced.empty() ? "" : "\"",
                    e.timing.rate_median(leg_work), e.timing.rate_min(leg_work),
                    e.timing.rate_max(leg_work), e.timing.median_s, e.run.gap);
       if (e.has_scaling) {
@@ -1027,9 +907,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     std::fprintf(f,
                  "  ],\n"
                  "  \"kernel_vs_fused_speedup\": %.4f,\n"
-                 "  \"kernel_tuning_speedup\": %.4f,\n"
                  "  \"shard_vs_fused_speedup\": %.4f,\n",
-                 kernel_speedup, tuning_speedup, shard.timing.rate_median(work) / fused_rate);
+                 kernel_speedup, shard.timing.rate_median(work) / fused_rate);
     // Per-channel batched-departure speedups: churn-kernel events/s over
     // churn-serial (same b-Batch process, cycle and warmed state).
     if (churn_speedups.empty()) {
@@ -1105,12 +984,9 @@ int main(int argc, char** argv) {
                  "scale-benchmark kernel legs: scalar | simd | auto (auto = compare "
                  "scalar against every SIMD backend this CPU supports)");
   cli.add_string("isa", "",
-                 "force one kernel ISA backend for every scale leg (scalar | sse2 | avx2 "
-                 "| avx512 | neon; \"\" = auto-detect; unsupported requests warn once and "
+                 "force one kernel ISA backend for every scale leg (scalar | avx2 | "
+                 "avx512 | neon; \"\" = auto-detect; unsupported requests warn once and "
                  "fall back)");
-  cli.add_bool("hugepages", false,
-               "request transparent-huge-page backing for the load array and compact "
-               "snapshot (madvise; execution-only, fail-soft; also via NB_HUGEPAGES=1)");
   cli.add_int("lanes", 8, "kernel RNG lanes (sampling contract, like shards)");
   cli.add_bool("scale-verify", true,
                "replay the shard leg on 1 thread with the scalar backend and require bit parity");
@@ -1178,23 +1054,19 @@ int main(int argc, char** argv) {
                "--scale-m must be in [1, max_run_balls]");
     NB_REQUIRE(cli.get_int("shards") >= 1, "--shards must be positive");
     NB_REQUIRE(cli.get_int("scale-threads") >= 0, "--scale-threads must be >= 0");
-    NB_REQUIRE(cli.get_int("lanes") >= 1 &&
-                   cli.get_int("lanes") <= static_cast<std::int64_t>(kernel_max_lanes),
-               "--lanes must be in [1, kernel_max_lanes]");
+    const std::size_t lanes = kernel_lanes_flag(cli.get_int("lanes"));
     const std::string kernel_flag = cli.get_string("kernel");
     NB_REQUIRE(kernel_flag == "scalar" || kernel_flag == "simd" || kernel_flag == "auto",
-               "--kernel must be scalar, simd or auto");
+               "--kernel got '" + kernel_flag + "'; accepted: scalar, simd, auto");
     NB_REQUIRE(cli.get_int("checkpoint-every") >= 0, "--checkpoint-every must be >= 0");
     const std::string isa_flag = cli.get_string("isa");
     if (!isa_flag.empty()) {
-      const auto parsed = kernel_isa_from_name(isa_flag);
-      NB_REQUIRE(parsed.has_value(), "--isa must name a kernel backend (see --help)");
+      const auto parsed = kernel_isa_flag("--isa", isa_flag, false);
       if (*parsed != kernel_isa::auto_detect) {  // "--isa auto" = no force
         g_isa_request = *parsed;
         g_isa_forced = kernel_isa_name(*parsed);
       }
     }
-    if (cli.get_bool("hugepages")) set_hugepages_enabled(true);
     const churn_flag_values churn = get_churn_flags(cli);
     // "none" (the default) sweeps all three churn channels; an explicit
     // --departures narrows the churn legs to that one channel.
@@ -1211,7 +1083,7 @@ int main(int argc, char** argv) {
                         static_cast<step_count>(cli.get_int("scale-m")),
                         static_cast<std::size_t>(cli.get_int("scale-threads")),
                         static_cast<std::size_t>(cli.get_int("shards")),
-                        static_cast<std::size_t>(cli.get_int("lanes")), kernel_flag, seed,
+                        lanes, kernel_flag, seed,
                         cli.get_bool("scale-verify"), cli.get_string("alias-sampler"),
                         static_cast<step_count>(cli.get_int("checkpoint-every")),
                         parse_count_list("threads-list", cli.get_string("threads-list")),

@@ -8,16 +8,15 @@
 //
 // The fold loop is where the kernel actually hits the memory wall at
 // paper scale: `++row[chosen[i]]` is a random read-modify-write over a
-// 4 MB uint32 row (n = 10^6), so with tuning.prefetch the driver issues a
-// software prefetch a fixed distance ahead -- the chosen buffer already
-// holds the whole block's targets, making this the rare case where the
-// prefetch address is known thousands of cycles early.  Execution-only:
-// the folded counts are identical either way.
+// 4 MB uint32 row (n = 10^6), so the driver issues a software prefetch a
+// fixed distance ahead -- the chosen buffer already holds the whole
+// block's targets, making this the rare case where the prefetch address
+// is known thousands of cycles early.  Execution-only: the folded counts
+// do not depend on it.
 #include "core/kernel/kernel.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "core/kernel/kernel_common.hpp"
 
@@ -30,43 +29,22 @@ namespace {
 constexpr std::size_t kBlockBalls = 8192;
 static_assert(kBlockBalls % kernel_max_lanes == 0);
 
+/// Every backend's name, the one table kernel_isa_name, kernel_isa_from_name
+/// and the flag validators read.
+constexpr std::pair<const char*, kernel_isa> kIsaNames[] = {
+    {"scalar", kernel_isa::scalar}, {"avx2", kernel_isa::avx2},
+    {"avx512", kernel_isa::avx512}, {"neon", kernel_isa::neon},
+    {"auto", kernel_isa::auto_detect},
+};
+
 /// How many fold iterations ahead the row prefetch runs: far enough to
 /// cover an LLC miss at ~1 fold per few cycles, near enough that the line
 /// is still resident when the increment arrives.
 constexpr std::size_t kFoldPrefetchDist = 48;
 
-/// Process-wide tuning, encoded in one atomic byte (bit 0 = prefetch,
-/// bit 1 = interleave); 0xFF = not yet initialized from the environment.
-std::atomic<std::uint8_t> g_tuning{0xFF};
-
-bool env_disabled(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "0" || s == "off" || s == "OFF" || s == "false";
-}
-
-std::uint8_t encode_tuning(kernel_tuning t) noexcept {
-  return static_cast<std::uint8_t>((t.prefetch ? 1u : 0u) | (t.interleave ? 2u : 0u));
-}
-
-std::uint8_t tuning_byte() noexcept {
-  std::uint8_t b = g_tuning.load(std::memory_order_relaxed);
-  if (b == 0xFF) [[unlikely]] {
-    kernel_tuning t;
-    t.prefetch = !env_disabled("NB_KERNEL_PREFETCH");
-    t.interleave = !env_disabled("NB_KERNEL_INTERLEAVE");
-    b = encode_tuning(t);
-    g_tuning.store(b, std::memory_order_relaxed);
-  }
-  return b;
-}
-
 kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_avx2;
     case kernel_isa::avx512:
@@ -81,20 +59,16 @@ kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
   }
 }
 
-/// Folds one decided block into the caller's row, optionally prefetching
-/// the increment targets kFoldPrefetchDist balls ahead.
+/// Folds one decided block into the caller's row, prefetching the
+/// increment targets kFoldPrefetchDist balls ahead.
 template <typename Row>
-void fold_block(Row* row, const std::uint32_t* chosen, std::size_t count, bool prefetch) {
-  if (prefetch && count > kFoldPrefetchDist) {
-    const std::size_t main = count - kFoldPrefetchDist;
-    for (std::size_t i = 0; i < main; ++i) {
-      __builtin_prefetch(&row[chosen[i + kFoldPrefetchDist]], 1, 1);
-      ++row[chosen[i]];
-    }
-    for (std::size_t i = main; i < count; ++i) ++row[chosen[i]];
-  } else {
-    for (std::size_t i = 0; i < count; ++i) ++row[chosen[i]];
+void fold_block(Row* row, const std::uint32_t* chosen, std::size_t count) {
+  const std::size_t main = count > kFoldPrefetchDist ? count - kFoldPrefetchDist : 0;
+  for (std::size_t i = 0; i < main; ++i) {
+    __builtin_prefetch(&row[chosen[i + kFoldPrefetchDist]], 1, 1);
+    ++row[chosen[i]];
   }
+  for (std::size_t i = main; i < count; ++i) ++row[chosen[i]];
 }
 
 template <typename Row>
@@ -104,7 +78,6 @@ void run_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
   NB_ASSERT(balls >= 0 && snap != nullptr && row != nullptr);
   const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
-  const kernel_tuning tune = current_kernel_tuning();
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
@@ -113,8 +86,8 @@ void run_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    fill(state, n, threshold, snap, chosen, count, tune);
-    fold_block(row, chosen, count, tune.prefetch);
+    fill(state, n, threshold, snap, chosen, count);
+    fold_block(row, chosen, count);
     balls -= static_cast<step_count>(count);
   }
 }
@@ -122,8 +95,6 @@ void run_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t
 kernel_detail::fill_alias_fn pick_fill_alias(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_alias_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_alias_avx2;
     case kernel_isa::avx512:
@@ -147,7 +118,6 @@ void run_alias_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::u
   NB_ASSERT(balls >= 0 && snap != nullptr && thresh != nullptr && alias != nullptr &&
             row != nullptr);
   const kernel_detail::fill_alias_fn fill = pick_fill_alias(resolve_kernel_isa(isa));
-  const kernel_tuning tune = current_kernel_tuning();
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
@@ -156,25 +126,13 @@ void run_alias_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::u
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    fill(state, n, threshold, snap, thresh, alias, chosen, count, tune);
-    fold_block(row, chosen, count, tune.prefetch);
+    fill(state, n, threshold, snap, thresh, alias, chosen, count);
+    fold_block(row, chosen, count);
     balls -= static_cast<step_count>(count);
   }
 }
 
 }  // namespace
-
-kernel_tuning current_kernel_tuning() noexcept {
-  const std::uint8_t b = tuning_byte();
-  kernel_tuning t;
-  t.prefetch = (b & 1u) != 0;
-  t.interleave = (b & 2u) != 0;
-  return t;
-}
-
-void set_kernel_tuning(kernel_tuning tuning) noexcept {
-  g_tuning.store(encode_tuning(tuning), std::memory_order_relaxed);
-}
 
 kernel_isa detect_kernel_isa() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -187,7 +145,6 @@ kernel_isa detect_kernel_isa() noexcept {
     return kernel_isa::avx512;
   }
   if (__builtin_cpu_supports("avx2")) return kernel_isa::avx2;
-  if (__builtin_cpu_supports("sse2")) return kernel_isa::sse2;
 #elif defined(__aarch64__)
   return kernel_isa::neon;  // AdvSIMD is architecturally mandatory on aarch64
 #endif
@@ -199,12 +156,6 @@ bool kernel_isa_supported(kernel_isa isa) noexcept {
     case kernel_isa::scalar:
     case kernel_isa::auto_detect:
       return true;
-    case kernel_isa::sse2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse2") != 0;
-#else
-      return false;
-#endif
     case kernel_isa::avx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") != 0;
@@ -244,31 +195,35 @@ kernel_isa resolve_kernel_isa(kernel_isa requested) noexcept {
 }
 
 const char* kernel_isa_name(kernel_isa isa) noexcept {
-  switch (isa) {
-    case kernel_isa::scalar:
-      return "scalar";
-    case kernel_isa::sse2:
-      return "sse2";
-    case kernel_isa::avx2:
-      return "avx2";
-    case kernel_isa::avx512:
-      return "avx512";
-    case kernel_isa::neon:
-      return "neon";
-    case kernel_isa::auto_detect:
-      return "auto";
+  for (const auto& [name, value] : kIsaNames) {
+    if (value == isa) return name;
   }
   return "unknown";
 }
 
 std::optional<kernel_isa> kernel_isa_from_name(std::string_view name) noexcept {
-  if (name == "scalar") return kernel_isa::scalar;
-  if (name == "sse2") return kernel_isa::sse2;
-  if (name == "avx2") return kernel_isa::avx2;
-  if (name == "avx512") return kernel_isa::avx512;
-  if (name == "neon") return kernel_isa::neon;
-  if (name == "auto" || name == "simd") return kernel_isa::auto_detect;
+  for (const auto& [spelling, value] : kIsaNames) {
+    if (name == spelling) return value;
+  }
+  if (name == "simd") return kernel_isa::auto_detect;
   return std::nullopt;
+}
+
+std::optional<kernel_isa> kernel_isa_flag(std::string_view flag, std::string_view value,
+                                          bool allow_off) {
+  const std::optional<kernel_isa> isa = kernel_isa_from_name(value);
+  if (isa.has_value() || (allow_off && value == "off")) return isa;
+  std::string accepted = allow_off ? "off, " : "";
+  for (const auto& entry : kIsaNames) accepted += std::string(entry.first) + ", ";
+  throw contract_error(std::string(flag) + " got '" + std::string(value) +
+                       "'; accepted: " + accepted + "simd");
+}
+
+std::size_t kernel_lanes_flag(std::int64_t lanes) {
+  NB_REQUIRE(lanes >= 1 && lanes <= static_cast<std::int64_t>(kernel_max_lanes),
+             "--lanes got " + std::to_string(lanes) + "; it must be in [1, " +
+                 std::to_string(kernel_max_lanes) + "]");
+  return static_cast<std::size_t>(lanes);
 }
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,

@@ -20,12 +20,13 @@
 //
 // CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts are
 // a pure function of (lanes, n, snapshot, balls, seed).  The instruction-
-// set backend -- scalar, SSE2, AVX2, AVX-512 or NEON, selected at runtime
-// -- is execution only and NEVER affects results; `lanes` is a sampling
+// set backend -- scalar, AVX2, AVX-512 or NEON, selected at runtime -- is
+// execution only and NEVER affects results; `lanes` is a sampling
 // parameter exactly like shard_options::shards (changing it changes which
-// lane streams exist and therefore the drawn randomness).  The same holds
-// for the kernel_tuning knobs (software prefetch, round interleaving):
-// they reorder memory traffic, never draws.
+// lane streams exist and therefore the drawn randomness).  Each backend
+// runs one fixed schedule: the driver prefetches the count row while
+// folding a block, and AVX-512 decides two lane rounds per iteration.
+// Both reorder memory traffic, never draws.
 //
 // Snapshot gather safety: vector backends read the snapshot 4 bytes at a
 // time, so `snap` must stay readable for 3 bytes past index n - 1.
@@ -47,18 +48,18 @@ namespace nb {
 /// bench JSON both use the names), so the enum may grow freely.
 enum class kernel_isa : std::uint8_t {
   scalar = 0,       ///< portable reference (defines the contract)
-  sse2 = 1,         ///< 2 lanes per vector (x86-64 baseline)
-  avx2 = 2,         ///< 4 lanes per vector + hardware gathers
-  avx512 = 3,       ///< 8 lanes per vector, masked rejection replay
-  neon = 4,         ///< aarch64 baseline: vector RNG/Lemire, scalar gathers
-  auto_detect = 5,  ///< resolve to the best backend this CPU supports
+  avx2 = 1,         ///< 4 lanes per vector + hardware gathers
+  avx512 = 2,       ///< 8 lanes per vector, masked rejection replay
+  neon = 3,         ///< aarch64 baseline: vector RNG/Lemire, scalar gathers
+  auto_detect = 4,  ///< resolve to the best backend this CPU supports
 };
 
 /// Ceiling on the lane count (keeps lane state stack-resident; far above
 /// any useful configuration -- AVX2 consumes 4 lanes per vector).
 inline constexpr std::size_t kernel_max_lanes = 64;
 
-/// Best backend the running CPU supports (never auto_detect).
+/// Best backend the running CPU supports (never auto_detect).  x86 CPUs
+/// without AVX2 resolve to scalar.
 [[nodiscard]] kernel_isa detect_kernel_isa() noexcept;
 
 /// True when `isa` can execute on this CPU (auto_detect is always true).
@@ -71,35 +72,24 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 /// --isa that silently fell back is visible, not just legal.
 [[nodiscard]] kernel_isa resolve_kernel_isa(kernel_isa requested) noexcept;
 
-/// "scalar" / "sse2" / "avx2" / "avx512" / "neon" / "auto".
+/// "scalar" / "avx2" / "avx512" / "neon" / "auto".
 [[nodiscard]] const char* kernel_isa_name(kernel_isa isa) noexcept;
 
 /// Inverse of kernel_isa_name, plus the aliases "simd" (= auto_detect)
 /// used by bench CLIs.  nullopt for anything else.
 [[nodiscard]] std::optional<kernel_isa> kernel_isa_from_name(std::string_view name) noexcept;
 
-/// Memory-latency tuning of the kernel's execution.  Execution-only, like
-/// the ISA backend: every combination is bit-identical (gtest-enforced) --
-/// prefetching and round interleaving reorder loads and stores, never the
-/// lane draws.  Defaults come from the environment once per process
-/// (NB_KERNEL_PREFETCH / NB_KERNEL_INTERLEAVE, "0" or "off" disables) and
-/// can be overridden programmatically for A/B benching.
-struct kernel_tuning {
-  /// Software-prefetch the count row entries a fixed distance ahead while
-  /// folding a decided block (the dominant cache-miss source at paper
-  /// scale: random increments over a 4 MB row).
-  bool prefetch = true;
-  /// Wide backends (AVX-512) draw and decide two lane rounds per loop
-  /// iteration so the two rounds' snapshot gathers overlap in flight.
-  bool interleave = true;
-};
+/// Validates the value of a backend flag (`flag` is its spelling, e.g.
+/// "--kernel" or "--isa"): returns the backend kernel_isa_from_name
+/// gives, or nullopt for "off" when `allow_off`.  Anything else throws
+/// contract_error naming the flag and the rejected value and listing
+/// every accepted name.
+[[nodiscard]] std::optional<kernel_isa> kernel_isa_flag(std::string_view flag,
+                                                        std::string_view value, bool allow_off);
 
-/// The process-wide tuning currently in effect (env-seeded on first use).
-[[nodiscard]] kernel_tuning current_kernel_tuning() noexcept;
-
-/// Replaces the process-wide tuning (bench/tests; thread-safe, takes
-/// effect on the next kernel_run call).
-void set_kernel_tuning(kernel_tuning tuning) noexcept;
+/// Validates a --lanes value: returns it as a lane count, or throws
+/// contract_error naming the value unless it lies in [1, kernel_max_lanes].
+[[nodiscard]] std::size_t kernel_lanes_flag(std::int64_t lanes);
 
 /// Runs `balls` lane-interleaved decisions against `snap` (n bins, 8-bit
 /// offsets, 3 bytes of tail padding) and accumulates `++row[chosen]` per
@@ -118,9 +108,9 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// an nb::alias_table).  The decision over the snapshot is unchanged.
 /// Same hard contract as kernel_run with the table joining the pure-
 /// function inputs: counts depend only on (lanes, n, snap, thresh, alias,
-/// balls, seed); backends are bit-identical (AVX2 gathers the tables and
-/// the snapshot; SSE2 vectorizes the draw generation and picks scalar --
-/// table lookups without hardware gathers don't pay).
+/// balls, seed); backends are bit-identical (AVX2 and AVX-512 gather the
+/// tables and the snapshot; NEON vectorizes the draw generation and picks
+/// scalar -- table lookups without hardware gathers don't pay).
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint16_t* row,
                       step_count balls, std::uint64_t seed);

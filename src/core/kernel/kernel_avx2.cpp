@@ -326,19 +326,19 @@ NB_TGT_AVX2 void fill_alias_avx2_impl(lane_soa& st, bin_count n, std::uint64_t t
 }  // namespace
 
 void fill_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls, kernel_tuning /*tune*/) {
+               std::uint32_t* chosen, std::size_t balls) {
   fill_avx2_impl(st, n, threshold, snap, chosen, balls);
 }
 
 void fill_pair_avx2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                     std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                    std::size_t count, kernel_tuning /*tune*/) {
+                    std::size_t count) {
   fill_pair_avx2_impl(st, b1, t1, b2, t2, out1, out2, count);
 }
 
 void fill_alias_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls, kernel_tuning /*tune*/) {
+                     std::size_t balls) {
   fill_alias_avx2_impl(st, n, threshold, snap, thresh, alias, chosen, balls);
 }
 

@@ -19,13 +19,13 @@
 //    never leave the vector path, so a rejection costs one lane's
 //    replay, not a whole group's.
 //
-// With tune.interleave the uniform path additionally draws and decides
-// TWO lane rounds per loop iteration, issuing both rounds' snapshot
-// gathers back to back so their cache misses overlap in flight; a
-// rejection in either round replays both of the affected lane's balls
-// through one shared 6-draw queue (ball_stream keeps the cursor across
-// the two balls).  Execution-only by construction -- the drawn values
-// and the decisions are identical either way.
+// The uniform path draws and decides TWO lane rounds per loop iteration,
+// issuing both rounds' snapshot gathers back to back so their cache
+// misses overlap in flight; a rejection in either round replays both of
+// the affected lane's balls through one shared 6-draw queue (ball_stream
+// keeps the cursor across the two balls).  A trailing odd round runs
+// alone.  Execution-only by construction -- the drawn values and the
+// decisions are those of one round at a time.
 //
 // Compiled with per-function target attributes so the rest of the build
 // stays portable; dispatch requires avx512f+dq+bw+vl (Skylake-SP+).
@@ -80,7 +80,7 @@ NB_TGT_AVX512 inline __m256i select8(__m512i i1, __m512i i2, __m512i c,
 
 NB_TGT_AVX512 void fill_avx512_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
                                     const std::uint8_t* snap, std::uint32_t* chosen,
-                                    std::size_t balls, bool interleave) {
+                                    std::size_t balls) {
   const std::size_t lanes = st.lanes;
   const std::size_t vec_lanes = lanes - lanes % 8;  // lanes handled 8 at a time
   const auto bound64 = static_cast<std::uint64_t>(n);
@@ -88,76 +88,74 @@ NB_TGT_AVX512 void fill_avx512_impl(lane_soa& st, bin_count n, std::uint64_t thr
   const __m512i thr = _mm512_set1_epi64(static_cast<long long>(threshold));
 
   std::size_t t = 0;
-  if (interleave) {
-    while (t + 2 * lanes <= balls) {  // two full rounds per iteration
-      for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 8) {
-        __m512i s0 = _mm512_load_si512(st.s0.data() + lane0);
-        __m512i s1 = _mm512_load_si512(st.s1.data() + lane0);
-        __m512i s2 = _mm512_load_si512(st.s2.data() + lane0);
-        __m512i s3 = _mm512_load_si512(st.s3.data() + lane0);
-        const __m512i a1 = xo_step(s0, s1, s2, s3);
-        const __m512i b1 = xo_step(s0, s1, s2, s3);
-        const __m512i c1 = xo_step(s0, s1, s2, s3);
-        const __m512i a2 = xo_step(s0, s1, s2, s3);
-        const __m512i b2 = xo_step(s0, s1, s2, s3);
-        const __m512i c2 = xo_step(s0, s1, s2, s3);
-        _mm512_store_si512(st.s0.data() + lane0, s0);
-        _mm512_store_si512(st.s1.data() + lane0, s1);
-        _mm512_store_si512(st.s2.data() + lane0, s2);
-        _mm512_store_si512(st.s3.data() + lane0, s3);
+  while (t + 2 * lanes <= balls) {  // two full rounds per iteration
+    for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 8) {
+      __m512i s0 = _mm512_load_si512(st.s0.data() + lane0);
+      __m512i s1 = _mm512_load_si512(st.s1.data() + lane0);
+      __m512i s2 = _mm512_load_si512(st.s2.data() + lane0);
+      __m512i s3 = _mm512_load_si512(st.s3.data() + lane0);
+      const __m512i a1 = xo_step(s0, s1, s2, s3);
+      const __m512i b1 = xo_step(s0, s1, s2, s3);
+      const __m512i c1 = xo_step(s0, s1, s2, s3);
+      const __m512i a2 = xo_step(s0, s1, s2, s3);
+      const __m512i b2 = xo_step(s0, s1, s2, s3);
+      const __m512i c2 = xo_step(s0, s1, s2, s3);
+      _mm512_store_si512(st.s0.data() + lane0, s0);
+      _mm512_store_si512(st.s1.data() + lane0, s1);
+      _mm512_store_si512(st.s2.data() + lane0, s2);
+      _mm512_store_si512(st.s3.data() + lane0, s3);
 
-        __m512i j1;
-        __m512i j2;
-        __m512i k1;
-        __m512i k2;
-        __m512i lj1;
-        __m512i lj2;
-        __m512i lk1;
-        __m512i lk2;
-        lemire8(a1, bound, j1, lj1);
-        lemire8(b1, bound, j2, lj2);
-        lemire8(a2, bound, k1, lk1);
-        lemire8(b2, bound, k2, lk2);
-        const __mmask8 rej =
-            _mm512_cmplt_epu64_mask(lj1, thr) | _mm512_cmplt_epu64_mask(lj2, thr) |
-            _mm512_cmplt_epu64_mask(lk1, thr) | _mm512_cmplt_epu64_mask(lk2, thr);
+      __m512i j1;
+      __m512i j2;
+      __m512i k1;
+      __m512i k2;
+      __m512i lj1;
+      __m512i lj2;
+      __m512i lk1;
+      __m512i lk2;
+      lemire8(a1, bound, j1, lj1);
+      lemire8(b1, bound, j2, lj2);
+      lemire8(a2, bound, k1, lk1);
+      lemire8(b2, bound, k2, lk2);
+      const __mmask8 rej =
+          _mm512_cmplt_epu64_mask(lj1, thr) | _mm512_cmplt_epu64_mask(lj2, thr) |
+          _mm512_cmplt_epu64_mask(lk1, thr) | _mm512_cmplt_epu64_mask(lk2, thr);
 
-        // Both rounds' gathers issued back to back: four independent
-        // vpgatherqd whose misses overlap -- the interleave payoff.
-        const __m256i ch1 = select8(j1, j2, c1, snap);
-        const __m256i ch2 = select8(k1, k2, c2, snap);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t + lane0), ch1);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t + lanes + lane0), ch2);
+      // Both rounds' gathers issued back to back: four independent
+      // vpgatherqd whose misses overlap -- the interleave payoff.
+      const __m256i ch1 = select8(j1, j2, c1, snap);
+      const __m256i ch2 = select8(k1, k2, c2, snap);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t + lane0), ch1);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t + lanes + lane0), ch2);
 
-        if (rej != 0) [[unlikely]] {
-          alignas(64) std::uint64_t q[6][8];
-          _mm512_store_si512(q[0], a1);
-          _mm512_store_si512(q[1], b1);
-          _mm512_store_si512(q[2], c1);
-          _mm512_store_si512(q[3], a2);
-          _mm512_store_si512(q[4], b2);
-          _mm512_store_si512(q[5], c2);
-          for (std::size_t l = 0; l < 8; ++l) {
-            if (((rej >> l) & 1u) == 0) continue;
-            // Both of this lane's balls replay against ONE shared queue:
-            // the cursor persists, so a rejection in ball 1 shifts ball
-            // 2's draws exactly as the reference stream does.
-            const std::uint64_t queue[6] = {q[0][l], q[1][l], q[2][l],
-                                            q[3][l], q[4][l], q[5][l]};
-            ball_stream stream{st, lane0 + l, queue, 6};
-            chosen[t + lane0 + l] = stream_ball(stream, bound64, threshold, snap);
-            chosen[t + lanes + lane0 + l] = stream_ball(stream, bound64, threshold, snap);
-          }
+      if (rej != 0) [[unlikely]] {
+        alignas(64) std::uint64_t q[6][8];
+        _mm512_store_si512(q[0], a1);
+        _mm512_store_si512(q[1], b1);
+        _mm512_store_si512(q[2], c1);
+        _mm512_store_si512(q[3], a2);
+        _mm512_store_si512(q[4], b2);
+        _mm512_store_si512(q[5], c2);
+        for (std::size_t l = 0; l < 8; ++l) {
+          if (((rej >> l) & 1u) == 0) continue;
+          // Both of this lane's balls replay against ONE shared queue:
+          // the cursor persists, so a rejection in ball 1 shifts ball
+          // 2's draws exactly as the reference stream does.
+          const std::uint64_t queue[6] = {q[0][l], q[1][l], q[2][l],
+                                          q[3][l], q[4][l], q[5][l]};
+          ball_stream stream{st, lane0 + l, queue, 6};
+          chosen[t + lane0 + l] = stream_ball(stream, bound64, threshold, snap);
+          chosen[t + lanes + lane0 + l] = stream_ball(stream, bound64, threshold, snap);
         }
       }
-      for (std::size_t l = vec_lanes; l < lanes; ++l) {  // remainder lanes
-        chosen[t + l] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
-        chosen[t + lanes + l] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
-      }
-      t += 2 * lanes;
     }
+    for (std::size_t l = vec_lanes; l < lanes; ++l) {  // remainder lanes
+      chosen[t + l] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
+      chosen[t + lanes + l] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
+    }
+    t += 2 * lanes;
   }
-  while (t + lanes <= balls) {  // single full rounds
+  if (t + lanes <= balls) {  // a trailing single full round
     for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 8) {
       __m512i s0 = _mm512_load_si512(st.s0.data() + lane0);
       __m512i s1 = _mm512_load_si512(st.s1.data() + lane0);
@@ -357,20 +355,19 @@ NB_TGT_AVX512 void fill_alias_avx512_impl(lane_soa& st, bin_count n, std::uint64
 }  // namespace
 
 void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                 std::uint32_t* chosen, std::size_t balls, kernel_tuning tune) {
-  fill_avx512_impl(st, n, threshold, snap, chosen, balls, tune.interleave);
+                 std::uint32_t* chosen, std::size_t balls) {
+  fill_avx512_impl(st, n, threshold, snap, chosen, balls);
 }
 
 void fill_pair_avx512(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                       std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                      std::size_t count, kernel_tuning /*tune*/) {
+                      std::size_t count) {
   fill_pair_avx512_impl(st, b1, t1, b2, t2, out1, out2, count);
 }
 
 void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
                        const std::uint8_t* snap, const std::uint64_t* thresh,
-                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls,
-                       kernel_tuning /*tune*/) {
+                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls) {
   fill_alias_avx512_impl(st, n, threshold, snap, thresh, alias, chosen, balls);
 }
 

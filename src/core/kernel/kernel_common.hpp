@@ -74,9 +74,9 @@ struct lane_soa {
 /// draws a vector backend already generated), then the lane's live stream,
 /// which by construction sits exactly after the queued draws.  The cursor
 /// persists across calls, so one stream can replay SEVERAL consecutive
-/// balls of its lane against a single pre-drawn queue -- what the
-/// interleaved (two-rounds-per-iteration) backends need when a rejection
-/// fires after both rounds' draws were already taken.
+/// balls of its lane against a single pre-drawn queue -- what the AVX-512
+/// backend's two-rounds-per-iteration loop needs when a rejection fires
+/// after both rounds' draws were already taken.
 struct ball_stream {
   lane_soa& st;
   std::size_t lane;
@@ -123,25 +123,20 @@ struct ball_stream {
 /// A backend fills chosen[0..balls) with the decided bin per ball, in ball
 /// order, continuing the lane rotation from lane 0 (the driver only cuts
 /// blocks at multiples of the lane count, so rotation stays aligned).
-/// `tune` is execution-only (prefetch / interleave scheduling hints);
-/// backends may ignore it and MUST produce identical results either way.
 using fill_fn = void (*)(lane_soa& st, bin_count n, std::uint64_t threshold,
-                         const std::uint8_t* snap, std::uint32_t* chosen, std::size_t balls,
-                         kernel_tuning tune);
+                         const std::uint8_t* snap, std::uint32_t* chosen, std::size_t balls);
 
 void fill_scalar(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                 std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
+                 std::uint32_t* chosen, std::size_t balls);
 #if defined(__x86_64__) || defined(__i386__)
-void fill_sse2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
 void fill_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
+               std::uint32_t* chosen, std::size_t balls);
 void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                 std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
+                 std::uint32_t* chosen, std::size_t balls);
 #endif
 #if defined(__aarch64__)
 void fill_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
+               std::uint32_t* chosen, std::size_t balls);
 #endif
 
 // ---------------------------------------------------------------------------
@@ -199,29 +194,23 @@ void fill_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::ui
 
 using fill_alias_fn = void (*)(lane_soa& st, bin_count n, std::uint64_t threshold,
                                const std::uint8_t* snap, const std::uint64_t* thresh,
-                               const bin_index* alias, std::uint32_t* chosen, std::size_t balls,
-                               kernel_tuning tune);
+                               const bin_index* alias, std::uint32_t* chosen, std::size_t balls);
 
 void fill_alias_scalar(lane_soa& st, bin_count n, std::uint64_t threshold,
                        const std::uint8_t* snap, const std::uint64_t* thresh,
-                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls,
-                       kernel_tuning tune);
+                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls);
 #if defined(__x86_64__) || defined(__i386__)
-void fill_alias_sse2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                     const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls, kernel_tuning tune);
 void fill_alias_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls, kernel_tuning tune);
+                     std::size_t balls);
 void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
                        const std::uint8_t* snap, const std::uint64_t* thresh,
-                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls,
-                       kernel_tuning tune);
+                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls);
 #endif
 #if defined(__aarch64__)
 void fill_alias_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls, kernel_tuning tune);
+                     std::size_t balls);
 #endif
 
 // ---------------------------------------------------------------------------
@@ -253,24 +242,21 @@ inline void replay_pair(lane_soa& st, std::size_t l, std::uint64_t b1, std::uint
 /// A backend fills out1[t] = bounded(b1), out2[t] = bounded(b2) for every
 /// attempt t in ball order, continuing the lane rotation from lane 0 (the
 /// driver cuts blocks at multiples of the lane count).  t1/t2 are the
-/// hoisted Lemire thresholds of b1/b2.  `tune` is execution-only.
+/// hoisted Lemire thresholds of b1/b2.
 using fill_pair_fn = void (*)(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                               std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                              std::size_t count, kernel_tuning tune);
+                              std::size_t count);
 
 void fill_pair_scalar(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                       std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                      std::size_t count, kernel_tuning tune);
+                      std::size_t count);
 #if defined(__x86_64__) || defined(__i386__)
-void fill_pair_sse2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
-                    std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                    std::size_t count, kernel_tuning tune);
 void fill_pair_avx2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                     std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                    std::size_t count, kernel_tuning tune);
+                    std::size_t count);
 void fill_pair_avx512(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                       std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                      std::size_t count, kernel_tuning tune);
+                      std::size_t count);
 #endif
 // No NEON pair fill: the path is pure ALU (no gathers to win back) and the
 // build host cannot execute aarch64 code to validate one; dispatch routes

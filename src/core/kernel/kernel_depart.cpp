@@ -31,8 +31,6 @@ constexpr int kDrainReplayAttempts = 4096;
 kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_avx2;
     case kernel_isa::avx512:
@@ -50,8 +48,6 @@ kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
 kernel_detail::fill_pair_fn pick_fill_pair(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_pair_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_pair_avx2;
     case kernel_isa::avx512:
@@ -72,7 +68,6 @@ template <typename Row>
 void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* inv,
                   load_t snap_base, weight_t w, Row* rel, step_count k, std::uint64_t seed) {
   const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
-  const kernel_tuning tune = current_kernel_tuning();
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
@@ -123,7 +118,7 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
   while (k > 0) {
     const std::size_t count =
         k < static_cast<step_count>(block) ? static_cast<std::size_t>(k) : block;
-    fill(state, n, threshold, inv, chosen, count, tune);
+    fill(state, n, threshold, inv, chosen, count);
     for (std::size_t t = 0; t < count; ++t) {
       const std::uint32_t c = chosen[t];
       if (remaining(c) >= w) {
@@ -148,7 +143,6 @@ void depart_random(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
   const std::uint64_t bound = static_cast<std::uint64_t>(snap_base) + snap_span;
   NB_REQUIRE(bound >= 1, "random departure kernel needs resident load in the snapshot");
   const kernel_detail::fill_pair_fn fill = pick_fill_pair(resolve_kernel_isa(isa));
-  const kernel_tuning tune = current_kernel_tuning();
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t thresh_n = kernel_detail::lemire_threshold(n);
@@ -159,7 +153,7 @@ void depart_random(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
   while (k > 0) {
     // Full fixed-size attempt blocks until k departures are served; the
     // final block's unused tail is discarded (declared draw order).
-    fill(state, n, thresh_n, bound, thresh_b, idx, acc, block, tune);
+    fill(state, n, thresh_n, bound, thresh_b, idx, acc, block);
     for (std::size_t t = 0; t < block && k > 0; ++t) {
       const std::uint32_t j = idx[t];
       const weight_t rem =

@@ -9,7 +9,7 @@
 namespace nb::kernel_detail {
 
 void fill_scalar(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                 std::uint32_t* chosen, std::size_t balls, kernel_tuning /*tune*/) {
+                 std::uint32_t* chosen, std::size_t balls) {
   const std::size_t lanes = st.lanes;
   const auto bound = static_cast<std::uint64_t>(n);
   std::size_t t = 0;
@@ -25,7 +25,7 @@ void fill_scalar(lane_soa& st, bin_count n, std::uint64_t threshold, const std::
 
 void fill_pair_scalar(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                       std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                      std::size_t count, kernel_tuning /*tune*/) {
+                      std::size_t count) {
   const std::size_t lanes = st.lanes;
   std::size_t t = 0;
   while (t + lanes <= count) {  // full rounds: one attempt per lane
@@ -40,8 +40,7 @@ void fill_pair_scalar(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uin
 
 void fill_alias_scalar(lane_soa& st, bin_count n, std::uint64_t threshold,
                        const std::uint8_t* snap, const std::uint64_t* thresh,
-                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls,
-                       kernel_tuning /*tune*/) {
+                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls) {
   const std::size_t lanes = st.lanes;
   const auto bound = static_cast<std::uint64_t>(n);
   std::size_t t = 0;

@@ -8,17 +8,11 @@
 #include <tuple>
 #include <utility>
 
-#include "util/hugepage.hpp"
-
 namespace nb {
 
 load_state::load_state(bin_count n) {
   NB_REQUIRE(n >= 1, "need at least one bin");
   loads_.assign(n, 0);
-  // The loads are the hottest random-access buffer in the system (4 MB at
-  // paper scale); huge-page backing, when enabled, cuts its dTLB footprint
-  // ~500x.  One advice per allocation, execution-only.
-  advise_hugepages(loads_.data(), loads_.size() * sizeof(load_t));
   levels_.reset(n);
 }
 
@@ -143,12 +137,6 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_
   span_ = static_cast<std::uint8_t>(mx - mn);
   n_ = loads.size();
   off_.resize(n_ + tail_padding);
-  if (hugepages_enabled() && off_.data() != advised_) {
-    // assign() runs once per frozen window; only re-advise when the
-    // buffer actually moved (first use or a growth realloc).
-    advise_hugepages(off_.data(), off_.size());
-    advised_ = off_.data();
-  }
   // Pointers and length in locals, not members: a byte store may alias
   // off_'s and n_'s own storage, so a loop over the members reloads them
   // per element and never vectorizes.
@@ -504,7 +492,6 @@ void load_state::restore(state_reader& r) {
     }
   }
   loads_ = std::move(loads);
-  advise_hugepages(loads_.data(), loads_.size() * sizeof(load_t));  // new buffer
   balls_ = balls;
   extra_weight_ = extra;
   bulk_ = false;

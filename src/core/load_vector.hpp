@@ -340,9 +340,6 @@ class compact_snapshot {
   bool assign(const std::vector<load_t>& loads, load_t mn, load_t mx, std::uint8_t mask);
 
   std::vector<std::uint8_t> off_;  ///< n_ offsets + tail_padding zero bytes
-  /// Buffer the last huge-page advice was issued for: assign() re-advises
-  /// only when the storage actually moved, not once per window.
-  const std::uint8_t* advised_ = nullptr;
   std::size_t n_ = 0;
   load_t base_ = 0;
   std::uint8_t span_ = 0;

@@ -11,9 +11,10 @@
 // (enforced by tests/test_orchestrator.cpp).
 //
 // Each cell routes through the fastest applicable engine, exactly like the
-// single-configuration drivers in sim/runner.hpp: threads_per_run > 0
-// engages the intra-run shard engine, use_kernel the serial SIMD kernel
-// engine, anything else the serial fused loop.
+// single-configuration drivers in sim/runner.hpp (campaign_options::engine,
+// an engine_config): threads_per_run > 0 engages the intra-run shard
+// engine, use_kernel the serial SIMD kernel engine, anything else the
+// serial fused loop.
 //
 // Cells are scheduled by parallel_for's chunked work-stealing distributor
 // (util/thread_pool.hpp): heterogeneous cells rebalance onto idle workers
@@ -34,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,26 +90,19 @@ struct model_overrides {
 /// cell (see campaign_config::churn_occupancy).
 void apply_model_overrides(std::vector<campaign_config>& configs, const model_overrides& o);
 
-/// Campaign execution knobs.  Only `repeats`, `seed`, `shards` and `lanes`
-/// are part of the sampling contract; threads, worker counts and the ISA
-/// backend never affect results.
+/// Campaign execution knobs.  Only `repeats`, `seed` and the engine's
+/// mode, shards and lanes are part of the sampling contract; threads,
+/// worker counts and the ISA backend never affect results.
 struct campaign_options {
   std::size_t repeats = 10;
   std::uint64_t seed = 1;
   /// Scheduler workers over cells; 0 = one per hardware core, clamped to
-  /// cores / threads_per_run when intra-run parallelism is also on (the
-  /// product is what actually lands on the machine).  Explicit values are
-  /// honored but warn_once when they oversubscribe.
+  /// cores / engine.threads_per_run when intra-run parallelism is also on
+  /// (the product is what actually lands on the machine).  Explicit values
+  /// are honored but warn_once when they oversubscribe.
   std::size_t threads = 0;
-  /// > 0: every cell runs through the intra-run shard engine with this
-  /// many workers (stale-snapshot windows go shard-parallel).
-  std::size_t threads_per_run = 0;
-  std::size_t shards = 16;
-  /// threads_per_run == 0 only: route cells through the serial
-  /// lane-interleaved SIMD kernel engine.
-  bool use_kernel = false;
-  std::size_t lanes = 8;
-  kernel_isa isa = kernel_isa::auto_detect;
+  /// Engine every cell moves through (see engine_config).
+  engine_config engine;
   /// Non-empty: append every finished cell to this JSONL journal.
   std::string journal_path;
   /// Replay `journal_path` first and run only the missing cells.
@@ -129,26 +122,6 @@ struct campaign_options {
   /// applied to every churn cell.  Execution-observability only: the
   /// trajectory is recorded, not journaled, and never affects results.
   step_count churn_telemetry_every = 0;
-
-  /// The engine-selection slice of these options as the one shared
-  /// struct (see sim/runner.hpp).  The flat threads_per_run / shards /
-  /// use_kernel / lanes / isa fields above are its deprecated spelling,
-  /// kept so existing call sites and journals keep working.
-  [[nodiscard]] engine_config engine() const noexcept {
-    return engine_config{.threads_per_run = threads_per_run,
-                         .shards = shards,
-                         .use_kernel = use_kernel,
-                         .lanes = lanes,
-                         .isa = isa};
-  }
-  /// Writes an engine_config back into the flat (deprecated) fields.
-  void set_engine(const engine_config& e) noexcept {
-    threads_per_run = e.threads_per_run;
-    shards = e.shards;
-    use_kernel = e.use_kernel;
-    lanes = e.lanes;
-    isa = e.isa;
-  }
 };
 
 /// Path of the intra-cell checkpoint file for `cell`, derived from the
@@ -224,12 +197,12 @@ struct campaign_result {
 
 /// The historical bench entry point, now a thin wrapper over the
 /// orchestrator: every (cell, repetition) job shares one work queue, with
-/// seeds derive_seed(master_seed, cell * runs + rep).  threads_per_run
-/// and `kernel` route jobs through the shard / serial-kernel engines as
-/// before; results never depend on `threads` or the backend.
-[[nodiscard]] std::vector<repeat_result> run_cells(
-    const std::vector<cell>& cells, std::size_t runs, std::uint64_t master_seed,
-    std::size_t threads, std::size_t threads_per_run = 0,
-    std::optional<kernel_isa> kernel = std::nullopt, std::size_t lanes = 8);
+/// seeds derive_seed(master_seed, cell * runs + rep).  `engine` routes
+/// jobs exactly like campaign_options::engine; results never depend on
+/// `threads` or the backend.
+[[nodiscard]] std::vector<repeat_result> run_cells(const std::vector<cell>& cells,
+                                                   std::size_t runs, std::uint64_t master_seed,
+                                                   std::size_t threads,
+                                                   const engine_config& engine = {});
 
 }  // namespace nb

@@ -21,7 +21,6 @@
 #include "core/process.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
-#include "util/hugepage.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nb {
@@ -43,18 +42,32 @@ struct run_result {
 /// same engine with one shard (the serial SIMD engine), else the plain
 /// fused loop.  shards / use_kernel / lanes are part of the sampling
 /// contract; threads_per_run and isa are execution-only and never affect
-/// results.
+/// results.  repeat_options and campaign_options each hold one as their
+/// `engine` member.
 ///
-/// repeat_options and campaign_options still expose these as flat fields
-/// (deprecated; kept so existing call sites and journals keep working) and
-/// convert via their engine() / set_engine() accessors.
+/// threads_per_run > 0 is intended for few, huge runs: combined with a
+/// driver's own `threads` > 1 the two multiply.  Processes without
+/// parallel windows run serially regardless; the engine emits a one-time
+/// warn_once diagnostic when that happens.
 struct engine_config {
   std::size_t threads_per_run = 0;
   std::size_t shards = 16;
   bool use_kernel = false;
   std::size_t lanes = 8;
   kernel_isa isa = kernel_isa::auto_detect;
+
+  /// Returns *this, so the older accessor spelling `options.engine()`
+  /// still reads the `engine` member (perfbench's noisy_campaign uses it).
+  [[nodiscard]] const engine_config& operator()() const noexcept { return *this; }
 };
+
+struct engine_flag_values;
+
+/// The engine the shared --threads-per-run / --shards / --kernel / --lanes
+/// flags (util/cli add_engine_flags) select: --kernel off keeps serial runs
+/// on the fused loop, a backend name routes them through the kernel.
+/// Throws contract_error naming the offending --kernel or --lanes value.
+[[nodiscard]] engine_config engine_from_flags(const engine_flag_values& flags);
 
 /// One run's engine: owns the shard_engine the options select (if any)
 /// and presents a single step() entry point, so drivers stop duplicating
@@ -142,58 +155,14 @@ struct repeat_options {
   std::uint64_t master_seed = 1;
   /// 0 = one thread per hardware core.
   std::size_t threads = 0;
-  // -- Engine selection.  DEPRECATED as individual fields: these five are
-  // the flat spelling of engine_config, kept so existing call sites and
-  // journals keep working.  New code should read/write them through
-  // engine() / set_engine().
-  /// > 0 routes every run through the intra-run shard engine with this
-  /// many workers per run (see process.hpp): stale-snapshot windows (e.g.
-  /// b-Batch batches) run shard-parallel inside each run.  Results depend
-  /// on `shards`, never on this thread count.  Intended for few, huge runs
-  /// -- combined with `threads` > 1 the products of the two multiplies.
-  /// Processes without parallel windows run serially regardless; the
-  /// engine emits a one-time warn_once diagnostic when that happens.
-  std::size_t threads_per_run = 0;
-  /// Fixed shard count for the intra-run engine (sampling contract).
-  std::size_t shards = 16;
-  /// threads_per_run == 0 only: when true, serial runs move through the
-  /// lane-interleaved allocation kernel (the one-shard windowed engine)
-  /// instead of the plain fused loop -- the single-threaded SIMD path.
-  /// Results depend on `lanes`, never on `isa`.
-  bool use_kernel = false;
-  /// Kernel lanes (sampling contract, like `shards`).
-  std::size_t lanes = 8;
-  /// Kernel ISA backend (execution only; bit-identical across backends).
-  kernel_isa isa = kernel_isa::auto_detect;
+  /// Engine every run moves through (see engine_config).
+  engine_config engine;
   /// Generalized allocation model applied to every run's process (specs
   /// per make_weighting / make_sampler).  The defaults leave the factory's
   /// processes untouched, so historical call sites are bit-identical.
   /// Both are part of the sampling contract.
   std::string weighting = "unit";
   std::string sampler = "uniform";
-  /// Request transparent-huge-page backing for the load array and compact
-  /// snapshot of every run (see util/hugepage.hpp).  Execution-only and
-  /// fail-soft: results never depend on it, and a refused madvise quietly
-  /// degrades to normal pages.  Also reachable via NB_HUGEPAGES=1.
-  bool hugepages = false;
-
-  /// The engine-selection slice of these options as the one shared struct
-  /// (see engine_config).
-  [[nodiscard]] engine_config engine() const noexcept {
-    return engine_config{.threads_per_run = threads_per_run,
-                         .shards = shards,
-                         .use_kernel = use_kernel,
-                         .lanes = lanes,
-                         .isa = isa};
-  }
-  /// Writes an engine_config back into the flat (deprecated) fields.
-  void set_engine(const engine_config& e) noexcept {
-    threads_per_run = e.threads_per_run;
-    shards = e.shards;
-    use_kernel = e.use_kernel;
-    lanes = e.lanes;
-    isa = e.isa;
-  }
 };
 
 /// Aggregate over repetitions of one configuration.
@@ -253,17 +222,6 @@ run_result simulate_with(P& process, step_count m, rng_t& rng, run_engine& engin
 template <typename Factory>
 repeat_result run_repeated_with(Factory&& factory, step_count m, const repeat_options& opt) {
   NB_REQUIRE(opt.runs >= 1, "need at least one run");
-  // Scoped huge-page request: the knob is process-global (the allocation
-  // sites in load_state / compact_snapshot consult it), so raise it for
-  // the duration of this call and restore on every exit path.  The knob
-  // only adds an madvise; it never lowers an environment-enabled setting.
-  struct hugepage_scope {
-    bool prev = hugepages_enabled();
-    explicit hugepage_scope(bool want) {
-      if (want) set_hugepages_enabled(true);
-    }
-    ~hugepage_scope() { set_hugepages_enabled(prev); }
-  } hp_scope(opt.hugepages);
   // Build the shared allocation model ONCE on the caller's thread (alias
   // tables are O(n) to construct -- zipf alone is one pow per bin) and
   // copy it into every run; this also validates the specs before any pool
@@ -303,7 +261,7 @@ repeat_result run_repeated_with(Factory&& factory, step_count m, const repeat_op
         }
       }
       rng_t rng(derive_seed(opt.master_seed, r));
-      run_engine engine(opt.engine());
+      run_engine engine(opt.engine);
       results[r] = simulate_with(process, m, rng, engine);
       results[r].seed = derive_seed(opt.master_seed, r);
     } catch (...) {

@@ -172,13 +172,10 @@ void add_engine_flags(cli_parser& cli) {
   cli.add_int("shards", 16, "fixed shard count for the parallel engine (sampling contract)");
   cli.add_string("kernel", "off",
                  "allocation-kernel backend for frozen windows: off | scalar | "
-                 "sse2 | avx2 | avx512 | neon | auto | simd (auto/simd = best "
-                 "this CPU supports; an unsupported request warns once and falls "
-                 "back; backends are bit-identical for a fixed lane count)");
+                 "avx2 | avx512 | neon | auto | simd (auto/simd = best this CPU "
+                 "supports; an unsupported request warns once and falls back; "
+                 "backends are bit-identical for a fixed lane count)");
   cli.add_int("lanes", 8, "kernel RNG lanes (sampling contract, like shards)");
-  cli.add_bool("hugepages", false,
-               "request transparent-huge-page backing for the load array and compact "
-               "snapshot (madvise; execution-only, fail-soft; also via NB_HUGEPAGES=1)");
 }
 
 engine_flag_values get_engine_flags(const cli_parser& cli) {
@@ -187,10 +184,8 @@ engine_flag_values get_engine_flags(const cli_parser& cli) {
   v.shards = cli.get_int("shards");
   v.kernel = cli.get_string("kernel");
   v.lanes = cli.get_int("lanes");
-  v.hugepages = cli.get_bool("hugepages");
   NB_REQUIRE(v.threads_per_run >= 0, "--threads-per-run must be >= 0");
   NB_REQUIRE(v.shards >= 1, "--shards must be positive");
-  NB_REQUIRE(v.lanes >= 1, "--lanes must be positive");
   return v;
 }
 

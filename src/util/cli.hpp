@@ -71,10 +71,10 @@ struct engine_flag_values {
   std::int64_t shards = 16;
   std::string kernel;  ///< "off" or a kernel backend spec
   std::int64_t lanes = 8;
-  bool hugepages = false;
 };
 
-/// Registers --threads-per-run, --shards, --kernel, --lanes, --hugepages.
+/// Registers --threads-per-run, --shards, --kernel, --lanes.  --kernel and
+/// --lanes are validated by engine_from_flags (sim/runner.hpp).
 void add_engine_flags(cli_parser& cli);
 [[nodiscard]] engine_flag_values get_engine_flags(const cli_parser& cli);
 

@@ -456,7 +456,7 @@ TEST(CampaignCheckpoint, MidCellRestoreMatchesUninterruptedByteForByte) {
     const campaign_config& config = configs[target / base.repeats];
     any_process process = make_process(config.process);
     rng_t rng(derive_seed(base.seed, target));
-    run_engine engine(copt.engine());
+    run_engine engine(copt.engine);
     std::optional<run_checkpoint> ckpt;
     (void)run_checkpointed(process, config.m, rng, engine, copt.checkpoint_every,
                            [&](step_count) {

@@ -37,9 +37,8 @@ using namespace nb;
 
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
-  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::sse2,
-                                               kernel_isa::avx2, kernel_isa::avx512,
-                                               kernel_isa::neon};
+  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
+                                               kernel_isa::avx512, kernel_isa::neon};
   return isas;
 }
 
@@ -296,29 +295,20 @@ TEST(DepartKernel, UInt16AndUInt32RowsAgree) {
   }
 }
 
-TEST(DepartKernel, TuningIsExecutionOnly) {
-  // The memory-latency knobs reorder loads and stores in the fill
-  // backends, never draws: both channels stay bit-identical under every
-  // combination, on every backend.
-  const kernel_tuning saved = current_kernel_tuning();
+TEST(DepartKernel, FixedScheduleBitIdenticalAcrossBackends) {
+  // Both channels run each backend's one fill schedule (the AVX-512
+  // two-round loop on drain): 30000 departures over 13 lanes end that
+  // loop mid-round, and every backend must match the scalar reference.
   const bin_count n = 257;
   const auto snap = make_snapshot(n);
   for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
-    set_kernel_tuning(kernel_tuning{.prefetch = true, .interleave = true});
     const auto reference =
         depart_counts(kernel_isa::scalar, 13, channel, n, snap, 500, 1, 30000, 2026);
-    for (const bool prefetch : {false, true}) {
-      for (const bool interleave : {false, true}) {
-        set_kernel_tuning(kernel_tuning{.prefetch = prefetch, .interleave = interleave});
-        for (const kernel_isa isa : supported_backends()) {
-          EXPECT_EQ(depart_counts(isa, 13, channel, n, snap, 500, 1, 30000, 2026), reference)
-              << kernel_isa_name(isa) << " channel=" << static_cast<int>(channel)
-              << " prefetch=" << prefetch << " interleave=" << interleave;
-        }
-      }
+    for (const kernel_isa isa : supported_backends()) {
+      EXPECT_EQ(depart_counts(isa, 13, channel, n, snap, 500, 1, 30000, 2026), reference)
+          << kernel_isa_name(isa) << " channel=" << static_cast<int>(channel);
     }
   }
-  set_kernel_tuning(saved);
 }
 
 // ---------------------------------------------------------------------------

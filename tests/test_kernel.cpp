@@ -26,9 +26,8 @@ using namespace nb;
 
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
-  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::sse2,
-                                               kernel_isa::avx2, kernel_isa::avx512,
-                                               kernel_isa::neon};
+  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
+                                               kernel_isa::avx512, kernel_isa::neon};
   return isas;
 }
 
@@ -171,7 +170,7 @@ TEST(Kernel, ReplayBallConsumesQueueThenLiveStream) {
 
 TEST(Kernel, BackendsBitIdenticalAcrossShapes) {
   // Every supported backend must reproduce the scalar counts bit for bit
-  // over awkward shapes: lane counts that leave SSE2/AVX2 remainder lanes
+  // over awkward shapes: lane counts that leave AVX2/AVX-512 remainder lanes
   // (1, 3, 5, 7), tiny bins, ball counts that end mid-round, and multiple
   // blocks (balls > the driver's 8192-ball block).
   const auto isas = supported_backends();
@@ -211,9 +210,9 @@ std::vector<std::uint32_t> kernel_alias_counts(kernel_isa isa, std::size_t lanes
 TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
   // The alias lane path's backend contract, over the same awkward shapes
   // as the uniform path: remainder lanes, tiny bins, mid-round tails,
-  // multi-block runs.  AVX2 uses hardware gathers for the threshold /
-  // alias / snapshot lookups; SSE2 vectorizes only the draw generation --
-  // all must match the scalar reference bit for bit.
+  // multi-block runs.  AVX2 and AVX-512 use hardware gathers for the
+  // threshold / alias / snapshot lookups; NEON vectorizes only the draw
+  // generation -- all must match the scalar reference bit for bit.
   const auto isas = supported_backends();
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
@@ -334,13 +333,13 @@ TEST(Kernel, GoldenLaneContractRegression) {
   }
 }
 
-TEST(Kernel, TuningIsExecutionOnly) {
-  // Every combination of the memory-latency tuning knobs (prefetch,
-  // interleave) must be bit-identical on every backend -- they reorder
-  // loads and stores, never draws.  Shapes cover the interleaved two-round
-  // path (balls >> lanes), its odd-tail handoff to the single-round loop,
-  // remainder lanes, and multi-block runs.
-  const kernel_tuning saved = current_kernel_tuning();
+TEST(Kernel, FixedScheduleBitIdenticalAcrossBackends) {
+  // The one schedule each backend runs (the row prefetch in the fold, the
+  // AVX-512 two-rounds-per-iteration loop) must match the scalar
+  // reference bit for bit, uniform and alias.  Shapes cover the two-round
+  // path (balls >> lanes), odd ball counts that end it mid-round and hand
+  // the tail to the single-round loop, remainder lanes, and multi-block
+  // runs.
   const bin_count n = 257;
   const auto snap = make_snapshot(n);
   std::vector<double> weights(n);
@@ -348,27 +347,17 @@ TEST(Kernel, TuningIsExecutionOnly) {
   const alias_table table(weights);
   for (const std::size_t lanes : {std::size_t{8}, std::size_t{13}, std::size_t{16}}) {
     for (const step_count balls : {step_count{40}, step_count{1001}, step_count{30000}}) {
-      set_kernel_tuning(kernel_tuning{.prefetch = true, .interleave = true});
       const auto reference = kernel_counts(kernel_isa::scalar, lanes, n, snap, balls, 2026);
       const auto alias_reference =
           kernel_alias_counts(kernel_isa::scalar, lanes, n, snap, table, balls, 2026);
-      for (const bool prefetch : {false, true}) {
-        for (const bool interleave : {false, true}) {
-          set_kernel_tuning(kernel_tuning{.prefetch = prefetch, .interleave = interleave});
-          for (const kernel_isa isa : supported_backends()) {
-            EXPECT_EQ(kernel_counts(isa, lanes, n, snap, balls, 2026), reference)
-                << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls
-                << " prefetch=" << prefetch << " interleave=" << interleave;
-            EXPECT_EQ(kernel_alias_counts(isa, lanes, n, snap, table, balls, 2026),
-                      alias_reference)
-                << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls
-                << " prefetch=" << prefetch << " interleave=" << interleave;
-          }
-        }
+      for (const kernel_isa isa : supported_backends()) {
+        EXPECT_EQ(kernel_counts(isa, lanes, n, snap, balls, 2026), reference)
+            << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls;
+        EXPECT_EQ(kernel_alias_counts(isa, lanes, n, snap, table, balls, 2026), alias_reference)
+            << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls;
       }
     }
   }
-  set_kernel_tuning(saved);
 }
 
 // ---------------------------------------------------------------------------
@@ -542,14 +531,14 @@ TEST(ShardEngineKernel, GapHistogramInvariantAcrossBackendsForRegistry) {
     opt.runs = 3;
     opt.master_seed = 17;
     opt.threads = 1;
-    opt.threads_per_run = 1;
-    opt.shards = 4;
-    opt.lanes = 8;
-    opt.isa = kernel_isa::scalar;
+    opt.engine.threads_per_run = 1;
+    opt.engine.shards = 4;
+    opt.engine.lanes = 8;
+    opt.engine.isa = kernel_isa::scalar;
     const auto scalar_run = run_repeated([&] { return make_process(spec); }, 64 * 64, opt);
     opt.threads = 2;
-    opt.threads_per_run = 2;
-    opt.isa = kernel_isa::auto_detect;
+    opt.engine.threads_per_run = 2;
+    opt.engine.isa = kernel_isa::auto_detect;
     const auto simd_run = run_repeated([&] { return make_process(spec); }, 64 * 64, opt);
     ASSERT_EQ(scalar_run.runs.size(), simd_run.runs.size()) << kind;
     for (std::size_t r = 0; r < scalar_run.runs.size(); ++r) {
@@ -573,10 +562,10 @@ TEST(KernelEngine, SimulateWithAndRepeatRouting) {
   repeat_options opt;
   opt.runs = 3;
   opt.master_seed = 9;
-  opt.use_kernel = true;
-  opt.isa = kernel_isa::scalar;
+  opt.engine.use_kernel = true;
+  opt.engine.isa = kernel_isa::scalar;
   const auto a = run_repeated([] { return any_process(b_batch(64, 8192)); }, 64 * 256, opt);
-  opt.isa = kernel_isa::auto_detect;
+  opt.engine.isa = kernel_isa::auto_detect;
   const auto b = run_repeated([] { return any_process(b_batch(64, 8192)); }, 64 * 256, opt);
   ASSERT_EQ(a.runs.size(), b.runs.size());
   for (std::size_t r = 0; r < a.runs.size(); ++r) {
@@ -598,7 +587,50 @@ TEST(KernelIsa, NamesRoundTripAndAliases) {
   EXPECT_EQ(kernel_isa_from_name("auto"), kernel_isa::auto_detect);
   EXPECT_EQ(kernel_isa_from_name("simd"), kernel_isa::auto_detect);
   EXPECT_FALSE(kernel_isa_from_name("sve").has_value());
+  EXPECT_FALSE(kernel_isa_from_name("sse2").has_value());
   EXPECT_FALSE(kernel_isa_from_name("").has_value());
+}
+
+/// The contract_error message `parse` throws, or "" when it does not throw.
+template <typename Parse>
+std::string rejection_message(const Parse& parse) {
+  try {
+    parse();
+  } catch (const contract_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(KernelIsa, FlagValidationNamesTheRejectedValue) {
+  for (const kernel_isa isa : all_backends()) {
+    EXPECT_EQ(kernel_isa_flag("--kernel", kernel_isa_name(isa), true), isa);
+  }
+  EXPECT_EQ(kernel_isa_flag("--kernel", "off", true), std::nullopt);
+  EXPECT_EQ(kernel_isa_flag("--isa", "simd", false), kernel_isa::auto_detect);
+
+  // The shared engine flags, parsed as a binary parses them.
+  const auto engine_for = [](std::vector<const char*> args) {
+    cli_parser cli("test");
+    add_engine_flags(cli);
+    args.insert(args.begin(), "prog");
+    EXPECT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
+    return engine_from_flags(get_engine_flags(cli));
+  };
+  const std::string sse2 = rejection_message([&] { (void)engine_for({"--kernel", "sse2"}); });
+  EXPECT_NE(sse2.find("--kernel"), std::string::npos) << sse2;
+  EXPECT_NE(sse2.find("'sse2'"), std::string::npos) << sse2;
+  for (const kernel_isa isa : all_backends()) {
+    EXPECT_NE(sse2.find(kernel_isa_name(isa)), std::string::npos) << sse2;
+  }
+  const std::string off = rejection_message([] { (void)kernel_isa_flag("--isa", "off", false); });
+  EXPECT_NE(off.find("'off'"), std::string::npos) << off;
+
+  const std::string lanes = rejection_message([&] { (void)engine_for({"--lanes", "65"}); });
+  EXPECT_NE(lanes.find("65"), std::string::npos) << lanes;
+  EXPECT_EQ(engine_for({"--lanes", "64", "--kernel", "scalar"}).lanes, kernel_max_lanes);
+  EXPECT_TRUE(engine_for({"--kernel", "scalar"}).use_kernel);
+  EXPECT_FALSE(engine_for({}).use_kernel);
 }
 
 TEST(KernelIsa, ResolutionIsSupportedAndStable) {

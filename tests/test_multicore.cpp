@@ -78,8 +78,8 @@ std::string campaign_json(std::size_t workers) {
   opt.repeats = 3;
   opt.seed = 77;
   opt.threads = workers;
-  opt.use_kernel = true;
-  opt.lanes = 8;
+  opt.engine.use_kernel = true;
+  opt.engine.lanes = 8;
   return run_campaign(configs, opt).to_json();
 }
 

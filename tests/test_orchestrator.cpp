@@ -148,7 +148,7 @@ TEST(Campaign, KernelRouteIsWorkerCountInvariant) {
   campaign_options opt;
   opt.repeats = 4;
   opt.seed = 7;
-  opt.use_kernel = true;
+  opt.engine.use_kernel = true;
   opt.threads = 1;
   const auto serial = run_campaign(configs, opt);
   opt.threads = 4;
@@ -328,13 +328,13 @@ TEST(Campaign, ResumeRejectsJournalOfAnotherEngine) {
   opt.repeats = 2;
   opt.seed = 5;
   opt.journal_path = journal;
-  opt.set_engine(engine_config{.use_kernel = true});
+  opt.engine = engine_config{.use_kernel = true};
   (void)run_campaign(configs, opt);
 
   opt.resume = true;
   for (const engine_config& other :
        {engine_config{}, engine_config{.threads_per_run = 2, .shards = 4}}) {
-    opt.set_engine(other);
+    opt.engine = other;
     try {
       (void)run_campaign(configs, opt);
       FAIL() << run_engine::fingerprint_of(other) << " must refuse a kernel journal";
@@ -345,7 +345,7 @@ TEST(Campaign, ResumeRejectsJournalOfAnotherEngine) {
       EXPECT_NE(what.find(run_engine::fingerprint_of(other)), std::string::npos) << what;
     }
   }
-  opt.set_engine(engine_config{.use_kernel = true, .isa = kernel_isa::scalar});
+  opt.engine = engine_config{.use_kernel = true, .isa = kernel_isa::scalar};
   const auto resumed = run_campaign(configs, opt);
   EXPECT_EQ(resumed.cells_resumed, 2u);
   std::remove(journal.c_str());

@@ -305,11 +305,11 @@ TEST(ShardEngine, SimulateWithAndRepeatRouting) {
   opt.runs = 4;
   opt.master_seed = 9;
   opt.threads = 2;
-  opt.threads_per_run = 2;
-  opt.shards = 4;
+  opt.engine.threads_per_run = 2;
+  opt.engine.shards = 4;
   const auto a = run_repeated([&] { return any_process(b_batch(64, 8192)); }, 6400, opt);
   opt.threads = 1;
-  opt.threads_per_run = 1;
+  opt.engine.threads_per_run = 1;
   const auto b = run_repeated([&] { return any_process(b_batch(64, 8192)); }, 6400, opt);
   ASSERT_EQ(a.runs.size(), b.runs.size());
   for (std::size_t r = 0; r < a.runs.size(); ++r) {

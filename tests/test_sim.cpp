@@ -113,7 +113,7 @@ TEST(RunRepeated, ThreadsPerRunWithoutParallelWindowsWarnsOnceAndRunsSerially) {
     opt.runs = 3;
     opt.master_seed = 21;
     opt.threads = 1;
-    opt.threads_per_run = threads_per_run;
+    opt.engine.threads_per_run = threads_per_run;
     return run_repeated_with([] { return two_choice(64); }, 2000, opt);
   };
   const auto ignored = run_with(4);

@@ -360,11 +360,11 @@ std::vector<load_t> run_weighted_batch_kernel(kernel_isa isa, const std::string&
 
 TEST(GeneralizedEngines, KernelEngineIsaInvariantUnderAliasSampling) {
   const auto scalar = run_weighted_batch_kernel(kernel_isa::scalar, "zipf:1");
-  if (kernel_isa_supported(kernel_isa::sse2)) {
-    EXPECT_EQ(scalar, run_weighted_batch_kernel(kernel_isa::sse2, "zipf:1"));
-  }
   if (kernel_isa_supported(kernel_isa::avx2)) {
     EXPECT_EQ(scalar, run_weighted_batch_kernel(kernel_isa::avx2, "zipf:1"));
+  }
+  if (kernel_isa_supported(kernel_isa::avx512)) {
+    EXPECT_EQ(scalar, run_weighted_batch_kernel(kernel_isa::avx512, "zipf:1"));
   }
   EXPECT_EQ(nb::testing::total_balls(scalar), 200000);
 }
