@@ -33,15 +33,7 @@
 namespace {
 
 using namespace nb;
-
-double param_for(const std::string& kind) {
-  if (kind == "d-choice") return 4.0;
-  if (kind == "one-plus-beta") return 0.7;
-  if (kind == "b-batch") return 37.0;  // deliberately not a divisor of m
-  if (kind.rfind("tau-delay", 0) == 0) return 17.0;
-  if (kind.rfind("sigma", 0) == 0) return 2.0;
-  return 3.0;  // g for the adversarial kinds; ignored by one/two-choice
-}
+using nb::testing::param_for;
 
 // ---------------------------------------------------------------------------
 // Arrivals-only advance() == step_many, registry-wide.

@@ -34,6 +34,7 @@
 namespace {
 
 using namespace nb;
+using nb::testing::fnv1a;
 
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
@@ -355,23 +356,15 @@ TEST(DepartKernel, GoldenContractRegression) {
   // drift that slipped into all backends at once still fails here.
   const bin_count n = 101;
   const auto snap = make_snapshot(n);
-  const auto fnv_of = [](const std::vector<std::uint32_t>& counts) {
-    std::uint64_t fnv = 0xCBF29CE484222325ULL;
-    for (const std::uint32_t c : counts) {
-      fnv ^= c;
-      fnv *= 0x100000001B3ULL;
-    }
-    return fnv;
-  };
   for (const kernel_isa isa : supported_backends()) {
     const auto drained = depart_counts(isa, 8, depart_channel::drain, n, snap, 2000, 1, 100000, 42);
     EXPECT_EQ(std::accumulate(drained.begin(), drained.end(), std::int64_t{0}), 100000)
         << kernel_isa_name(isa);
-    EXPECT_EQ(fnv_of(drained), 7532978351616542871ULL) << kernel_isa_name(isa);
+    EXPECT_EQ(fnv1a(drained), 7532978351616542871ULL) << kernel_isa_name(isa);
     const auto random = depart_counts(isa, 8, depart_channel::random, n, snap, 2000, 1, 100000, 42);
     EXPECT_EQ(std::accumulate(random.begin(), random.end(), std::int64_t{0}), 100000)
         << kernel_isa_name(isa);
-    EXPECT_EQ(fnv_of(random), 14558517916894183099ULL) << kernel_isa_name(isa);
+    EXPECT_EQ(fnv1a(random), 14558517916894183099ULL) << kernel_isa_name(isa);
   }
 }
 

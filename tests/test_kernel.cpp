@@ -23,6 +23,7 @@
 namespace {
 
 using namespace nb;
+using nb::testing::fnv1a;
 
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
@@ -317,14 +318,9 @@ TEST(Kernel, GoldenLaneContractRegression) {
   const auto snap = make_snapshot(n);
   for (const kernel_isa isa : supported_backends()) {
     const auto counts = kernel_counts(isa, 8, n, snap, 100000, 42);
-    std::uint64_t fnv = 0xCBF29CE484222325ULL;
-    for (const std::uint32_t c : counts) {
-      fnv ^= c;
-      fnv *= 0x100000001B3ULL;
-    }
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::int64_t{0}), 100000)
         << kernel_isa_name(isa);
-    EXPECT_EQ(fnv, 852822278533736135ULL) << kernel_isa_name(isa);
+    EXPECT_EQ(fnv1a(counts), 852822278533736135ULL) << kernel_isa_name(isa);
     EXPECT_EQ(counts[0], 1784u) << kernel_isa_name(isa);
     EXPECT_EQ(counts[1], 1301u) << kernel_isa_name(isa);
     EXPECT_EQ(counts[2], 986u) << kernel_isa_name(isa);

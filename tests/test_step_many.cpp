@@ -5,11 +5,18 @@
 // how the balls are chunked.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <string>
+
 #include "test_support.hpp"
 
 namespace {
 
 using namespace nb;
+using nb::testing::fnv1a;
+using nb::testing::param_for;
 
 /// Steps `bulk` through m balls in a deliberately uneven chunk pattern
 /// (1, 2, 3, ... plus a zero-size chunk) while `per_ball` walks one ball
@@ -41,15 +48,40 @@ void expect_parity(const P& process, step_count m, std::uint64_t seed) {
   expect_parity(process, process, m, seed);
 }
 
-/// Representative parameter for each registered kind.
-double param_for(const std::string& kind) {
-  if (kind == "d-choice") return 4.0;
-  if (kind == "one-plus-beta") return 0.7;
-  if (kind == "b-batch") return 37.0;  // deliberately not a divisor of m
-  if (kind.rfind("tau-delay", 0) == 0) return 17.0;
-  if (kind.rfind("sigma", 0) == 0) return 2.0;
-  return 3.0;  // g for the adversarial kinds; ignored by one/two-choice
-}
+/// Pinned serial streams: for every registered kind (n = 64, param_for,
+/// 2500 per-ball steps from seed fnv1a(kind)), the FNV-1a fold of the
+/// final loads and the generator's next word.  The parity check above
+/// compares two paths of one build, so a draw-order change that hits both
+/// passes it; these values catch it.  A new kind adds its row here.
+struct pinned_stream {
+  const char* kind;
+  std::uint64_t loads_fnv;
+  std::uint64_t next_word;
+};
+
+constexpr pinned_stream kPinnedStreams[] = {
+    {"one-choice", 14260644953111135901ULL, 2029188297944185721ULL},
+    {"two-choice", 3621287285401047303ULL, 12003462962011772495ULL},
+    {"d-choice", 13621655944047548507ULL, 12815942893583853657ULL},
+    {"one-plus-beta", 9756065508455157749ULL, 13456233767981415668ULL},
+    {"g-bounded", 8658360795422747759ULL, 7647780033968647541ULL},
+    {"g-myopic", 5900615494502603855ULL, 3553348675423585428ULL},
+    {"g-adv-boost", 10952777019290401347ULL, 5800700295810198662ULL},
+    {"g-adv-index", 1285363569407153547ULL, 7199793253379301098ULL},
+    {"g-adv-correct", 11441853551378139865ULL, 10824797053999678207ULL},
+    {"g-adv-load", 16425295664222136803ULL, 16425612266192920050ULL},
+    {"g-adv-load-uniform", 212855608474072345ULL, 5344495053098051238ULL},
+    {"sigma-noisy-load", 6347262634509425501ULL, 9886950938102476779ULL},
+    {"sigma-noisy-gauss", 7189912819105468477ULL, 12668802460330201097ULL},
+    {"b-batch", 17486342078490686485ULL, 1312063769863963708ULL},
+    {"tau-delay", 388752497821829293ULL, 10994959924006148045ULL},
+    {"tau-delay-oldest", 16295619102276465057ULL, 9926097092901683682ULL},
+    {"tau-delay-random", 10229331572552277389ULL, 14567755366532922127ULL},
+    {"mean-thinning", 9795795885041691013ULL, 4625995905541046458ULL},
+    {"noisy-mean-thinning", 15479431895128049569ULL, 10948380423640628169ULL},
+    {"noisy-mean-thinning-myopic", 7806735219321199829ULL, 9564077789520262441ULL},
+    {"noisy-one-plus-beta", 11434801008429213221ULL, 14399364414781243980ULL},
+};
 
 TEST(StepMany, EveryRegisteredProcessMatchesPerBallPath) {
   for (const auto& [kind, description] : registered_process_kinds()) {
@@ -58,6 +90,21 @@ TEST(StepMany, EveryRegisteredProcessMatchesPerBallPath) {
     spec.n = 64;
     spec.param = param_for(kind);
     expect_parity(make_process(spec), 2500, 99 + std::hash<std::string>{}(kind));
+
+    any_process process = make_process(spec);
+    rng_t rng(fnv1a(kind));
+    for (step_count t = 0; t < 2500; ++t) process.step(rng);
+    const auto* pinned = std::find_if(std::begin(kPinnedStreams), std::end(kPinnedStreams),
+                                      [&](const pinned_stream& row) { return row.kind == kind; });
+    const std::uint64_t loads_fnv = fnv1a(process.state().loads());
+    const std::uint64_t next_word = rng.next();
+    if (pinned == std::end(kPinnedStreams)) {
+      ADD_FAILURE() << kind << ": no pinned stream; measured {\"" << kind << "\", " << loads_fnv
+                    << "ULL, " << next_word << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(loads_fnv, pinned->loads_fnv) << kind << ": serial stream changed";
+    EXPECT_EQ(next_word, pinned->next_word) << kind << ": serial entropy use changed";
   }
 }
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "noisebalance.hpp"
@@ -46,6 +48,32 @@ double mean_gap_of(Factory&& factory, step_count m, std::size_t runs, std::uint6
     acc += simulate(process, m, rng).gap;
   }
   return acc / static_cast<double>(runs);
+}
+
+/// FNV-1a fold of a sequence of integers, one element per round (each
+/// element is widened through its unsigned type before the xor).  The
+/// golden-value tests pin streams with it: count vectors, load vectors and
+/// kind names alike.
+template <typename Range>
+std::uint64_t fnv1a(const Range& values) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const auto x : values) {
+    using unsigned_t = std::make_unsigned_t<std::remove_cv_t<decltype(x)>>;
+    h ^= static_cast<std::uint64_t>(static_cast<unsigned_t>(x));
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// Representative parameter for each registered process kind, shared by
+/// the registry-wide suites (parity, churn, pinned streams).
+inline double param_for(const std::string& kind) {
+  if (kind == "d-choice") return 4.0;
+  if (kind == "one-plus-beta") return 0.7;
+  if (kind == "b-batch") return 37.0;  // deliberately not a divisor of m
+  if (kind.rfind("tau-delay", 0) == 0) return 17.0;
+  if (kind.rfind("sigma", 0) == 0) return 2.0;
+  return 3.0;  // g for the adversarial kinds; ignored by one/two-choice
 }
 
 /// Total number of balls across bins.
