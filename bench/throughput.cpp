@@ -1031,7 +1031,9 @@ int main(int argc, char** argv) {
   report("d-choice (d=4)", [n] { return d_choice(n, 4); }, m, seed);
   report("(1+beta) beta=0.5", [n] { return one_plus_beta(n, 0.5); }, m, seed);
   report("g-bounded g=8", [n] { return g_bounded(n, 8); }, m, seed);
+  report("g-myopic g=8", [n] { return g_myopic_comp(n, 8); }, m, seed);
   report("sigma-noisy-load s=8", [n] { return sigma_noisy_load(n, rho_gaussian(8.0)); }, m, seed);
+  report("sigma-noisy-gauss s=8", [n] { return sigma_noisy_load_gaussian(n, 8.0); }, m, seed);
   report("b-batch b=n", [n] { return b_batch(n, n); }, m, seed);
   report("b-batch b=n (type-erased driver)", [n] { return any_process(b_batch(n, n)); }, m, seed);
   report("tau-delay tau=n", [n] { return tau_delay<delay_adversarial>(n, n); }, m, seed);

@@ -10,8 +10,9 @@
 //   * (1+beta)       -- Two-Choice step with probability beta, One-Choice
 //                       step otherwise [PTW15].
 //
-// Every process carries an alloc_model (weighted balls + non-uniform bin
-// sampling, default unit/uniform); see the contract note in process.hpp.
+// Each is a process_base (process.hpp) with its own step_one decision
+// rule.  Every process carries an alloc_model (weighted balls + non-uniform
+// bin sampling, default unit/uniform); see the contract note in process.hpp.
 // Bin samples go through the model's sampler, deposits through deposit();
 // the default model reproduces the historical streams bit for bit.
 #pragma once
@@ -22,86 +23,33 @@
 
 namespace nb {
 
-class one_choice {
+class one_choice : public process_base<one_choice> {
  public:
-  explicit one_choice(bin_count n) : state_(n) {}
+  explicit one_choice(bin_count n) : process_base(n) {}
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n hoisted out of the per-ball path.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     return with_model_suffix("one-choice", model_);
   }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: the load state is the only mutable member
-  /// (parameters and model are configuration, rebuilt from the spec).
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<one_choice>;
+
   void step_one(rng_t& rng, bin_count n) {
     deposit(state_, model_.weighting, model_.sampler.sample(rng, n), rng);
   }
-
-  load_state state_;
-  alloc_model model_;
 };
 
-class two_choice {
+class two_choice : public process_base<two_choice> {
  public:
-  explicit two_choice(bin_count n) : state_(n) {}
+  explicit two_choice(bin_count n) : process_base(n) {}
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n hoisted, decision body inlined per iteration.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     return with_model_suffix("two-choice", model_);
   }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: the load state is the only mutable member
-  /// (parameters and model are configuration, rebuilt from the spec).
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<two_choice>;
+
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     const bin_index i2 = model_.sampler.sample(rng, n);
@@ -117,53 +65,25 @@ class two_choice {
     }
     deposit(state_, model_.weighting, chosen, rng);
   }
-
-  load_state state_;
-  alloc_model model_;
 };
 
 /// Least loaded of d independent uniform samples (with replacement); ties
 /// among the minima are broken uniformly via reservoir sampling.
-class d_choice {
+class d_choice : public process_base<d_choice> {
  public:
-  d_choice(bin_count n, int d) : state_(n), d_(d) {
+  d_choice(bin_count n, int d) : process_base(n), d_(d) {
     NB_REQUIRE(d >= 1, "d-choice needs d >= 1");
   }
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n and d stay in registers across balls.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     const std::string base = std::to_string(d_) + "-choice";
     return with_model_suffix(base, model_);
   }
   [[nodiscard]] int d() const noexcept { return d_; }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: the load state is the only mutable member
-  /// (parameters and model are configuration, rebuilt from the spec).
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<d_choice>;
+
   void step_one(rng_t& rng, bin_count n) {
     bin_index best = model_.sampler.sample(rng, n);
     load_t best_load = state_.load(best);
@@ -183,52 +103,25 @@ class d_choice {
     deposit(state_, model_.weighting, best, rng);
   }
 
-  load_state state_;
-  alloc_model model_;
   int d_;
 };
 
 /// The (1+beta)-process of Peres, Talwar and Wieder.
-class one_plus_beta {
+class one_plus_beta : public process_base<one_plus_beta> {
  public:
-  one_plus_beta(bin_count n, double beta) : state_(n), beta_(beta) {
+  one_plus_beta(bin_count n, double beta) : process_base(n), beta_(beta) {
     NB_REQUIRE(beta >= 0.0 && beta <= 1.0, "beta must be in [0,1]");
   }
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n and beta hoisted out of the per-ball path.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     const std::string base = "(1+beta)[" + std::to_string(beta_) + "]";
     return with_model_suffix(base, model_);
   }
   [[nodiscard]] double beta() const noexcept { return beta_; }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: the load state is the only mutable member
-  /// (parameters and model are configuration, rebuilt from the spec).
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<one_plus_beta>;
+
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     if (!bernoulli(rng, beta_)) {
@@ -249,8 +142,6 @@ class one_plus_beta {
     deposit(state_, model_.weighting, chosen, rng);
   }
 
-  load_state state_;
-  alloc_model model_;
   double beta_;
 };
 

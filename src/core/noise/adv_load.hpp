@@ -51,47 +51,24 @@ struct truthful_estimates {
 };
 
 template <typename EstimateStrategy>
-class g_adv_load {
+class g_adv_load : public process_base<g_adv_load<EstimateStrategy>> {
  public:
   g_adv_load(bin_count n, load_t g, EstimateStrategy strategy = EstimateStrategy{})
-      : state_(n), g_(g), strategy_(std::move(strategy)) {
+      : process_base<g_adv_load>(n), g_(g), strategy_(std::move(strategy)) {
     NB_REQUIRE(g >= 0, "estimate perturbation g must be non-negative");
   }
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n and g hoisted out of the per-ball path.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     const std::string base = std::string(EstimateStrategy::label) + "[g=" + std::to_string(g_) + "]";
     return with_model_suffix(base, model_);
   }
   [[nodiscard]] load_t g() const noexcept { return g_; }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: the strategy and parameters are configuration,
-  /// the load state is the only mutable member.
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<g_adv_load>;
+  using process_base<g_adv_load>::state_;
+  using process_base<g_adv_load>::model_;
+
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     const bin_index i2 = model_.sampler.sample(rng, n);
@@ -108,8 +85,6 @@ class g_adv_load {
     deposit(state_, model_.weighting, chosen, rng);
   }
 
-  load_state state_;
-  alloc_model model_;
   load_t g_;
   EstimateStrategy strategy_;
 };

@@ -41,9 +41,11 @@
 
 namespace nb {
 
-class b_batch {
+/// A process_base that keeps its own step/step_many, departures, reset and
+/// checkpoint pair: every one of them moves or reads the stale snapshot.
+class b_batch : public process_base<b_batch> {
  public:
-  b_batch(bin_count n, step_count b) : state_(n), b_(b), stale_(n, 0) {
+  b_batch(bin_count n, step_count b) : process_base(n), b_(b), stale_(n, 0) {
     NB_REQUIRE(b >= 1, "batch size b must be at least 1");
     touched_.reserve(static_cast<std::size_t>(std::min<step_count>(b, 1 << 20)));
   }
@@ -70,8 +72,6 @@ class b_batch {
     }
   }
 
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-
   void reset() {
     state_.reset();
     std::fill(stale_.begin(), stale_.end(), 0);
@@ -85,9 +85,6 @@ class b_batch {
     return with_model_suffix(base, model_);
   }
   [[nodiscard]] step_count batch_size() const noexcept { return b_; }
-
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
 
   /// One departure event through the model's channel (see depart_ball);
   /// the bin it left is refreshed at the next boundary.
@@ -267,8 +264,6 @@ class b_batch {
     });
   }
 
-  load_state state_;
-  alloc_model model_;
   step_count b_;
   std::vector<load_t> stale_;
   /// Bins serial events moved since the last refresh (may repeat).

@@ -71,10 +71,10 @@ struct delay_random {
 };
 
 template <typename Strategy>
-class tau_delay {
+class tau_delay : public process_base<tau_delay<Strategy>> {
  public:
   tau_delay(bin_count n, step_count tau, Strategy strategy = Strategy{})
-      : state_(n),
+      : process_base<tau_delay>(n),
         tau_(tau),
         strategy_(std::move(strategy)),
         window_(static_cast<std::size_t>(tau > 0 ? tau - 1 : 0)),
@@ -82,47 +82,6 @@ class tau_delay {
         in_window_(n, 0) {
     NB_REQUIRE(tau >= 1, "delay tau must be at least 1");
   }
-
-  void step(rng_t& rng) {
-    const bin_index chosen = decide_one(rng, state_.n());
-    const weight_t w = deposit(state_, model_.weighting, chosen, rng);
-    push_allocation(chosen, w);
-  }
-
-  /// Fused bulk loop.  After the first tau-1 allocations the ring buffer
-  /// is full, so the steady-state inner loop evicts unconditionally and
-  /// wraps the ring cursor with a compare instead of a modulo -- the
-  /// fill/full branch is amortized over the whole chunk.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    if (window_.empty()) {  // tau == 1: no hidden allocations to track
-      for (step_count t = 0; t < count; ++t) {
-        deposit(state_, model_.weighting, decide_one(rng, n), rng);
-      }
-      return;
-    }
-    // Fill phase: at most tau-1 balls, per-step bookkeeping.
-    while (count > 0 && window_size_ < window_.size()) {
-      step(rng);
-      --count;
-    }
-    // Steady state: the ring is full for the rest of the chunk.  The
-    // hidden-allocation accounting is weight-denominated: each ring entry
-    // evicts exactly the weight it deposited.
-    const std::size_t wsize = window_.size();
-    for (step_count t = 0; t < count; ++t) {
-      const bin_index chosen = decide_one(rng, n);
-      const weight_t w = deposit(state_, model_.weighting, chosen, rng);
-      in_window_[window_[window_pos_]] -= window_weights_[window_pos_];
-      window_[window_pos_] = chosen;
-      window_weights_[window_pos_] = static_cast<load_t>(w);
-      in_window_[chosen] += static_cast<load_t>(w);
-      if (++window_pos_ == wsize) window_pos_ = 0;
-    }
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
 
   void reset() {
     state_.reset();
@@ -136,17 +95,6 @@ class tau_delay {
     return with_model_suffix(base, model_);
   }
   [[nodiscard]] step_count tau() const noexcept { return tau_; }
-
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
 
   /// Window-parallel probe (see process.hpp): always 0.  tau-Delay's
   /// estimate window [x^{t-tau}, x^{t-1}] *slides* -- ball t+1's estimates
@@ -203,7 +151,15 @@ class tau_delay {
   }
 
  private:
-  bin_index decide_one(rng_t& rng, bin_count n) {
+  friend class process_base<tau_delay>;
+  using process_base<tau_delay>::state_;
+  using process_base<tau_delay>::model_;
+
+  /// One ball: decide against the sliding-window estimates, deposit, and
+  /// push the allocation into the ring.  The hidden-allocation accounting
+  /// is weight-denominated: each ring entry evicts exactly the weight it
+  /// deposited.
+  void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     const bin_index i2 = model_.sampler.sample(rng, n);
     const load_t hi1 = state_.load(i1);
@@ -212,7 +168,7 @@ class tau_delay {
     const load_t lo2 = hi2 - in_window_[i2];
     const bin_index chosen = strategy_.decide(i1, lo1, hi1, i2, lo2, hi2, rng);
     NB_ASSERT(chosen == i1 || chosen == i2);
-    return chosen;
+    push_allocation(chosen, deposit(state_, model_.weighting, chosen, rng));
   }
 
   void push_allocation(bin_index chosen, weight_t w) {
@@ -226,11 +182,9 @@ class tau_delay {
     window_[window_pos_] = chosen;
     window_weights_[window_pos_] = static_cast<load_t>(w);
     in_window_[chosen] += static_cast<load_t>(w);
-    window_pos_ = (window_pos_ + 1) % window_.size();
+    if (++window_pos_ == window_.size()) window_pos_ = 0;
   }
 
-  load_state state_;
-  alloc_model model_;
   step_count tau_;
   Strategy strategy_;
   std::vector<bin_index> window_;       // ring buffer of the last tau-1 targets

@@ -81,43 +81,20 @@ class rho_step {
 };
 
 template <typename Rho>
-class rho_noisy_comp {
+class rho_noisy_comp : public process_base<rho_noisy_comp<Rho>> {
  public:
-  rho_noisy_comp(bin_count n, Rho rho) : state_(n), rho_(std::move(rho)) {}
+  rho_noisy_comp(bin_count n, Rho rho) : process_base<rho_noisy_comp>(n), rho_(std::move(rho)) {}
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n and rho hoisted out of the per-ball path.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     return with_model_suffix(rho_.label(), model_);
   }
   [[nodiscard]] const Rho& rho() const noexcept { return rho_; }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: rho is configuration, the load state is the only
-  /// mutable member.
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<rho_noisy_comp>;
+  using process_base<rho_noisy_comp>::state_;
+  using process_base<rho_noisy_comp>::model_;
+
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     const bin_index i2 = model_.sampler.sample(rng, n);
@@ -135,8 +112,6 @@ class rho_noisy_comp {
     deposit(state_, model_.weighting, chosen, rng);
   }
 
-  load_state state_;
-  alloc_model model_;
   Rho rho_;
 };
 
@@ -145,22 +120,12 @@ using sigma_noisy_load = rho_noisy_comp<rho_gaussian>;
 
 /// sigma-Noisy-Load in the physical form: fresh Gaussian perturbation of
 /// each sampled bin's reported load.
-class sigma_noisy_load_gaussian {
+class sigma_noisy_load_gaussian : public process_base<sigma_noisy_load_gaussian> {
  public:
-  sigma_noisy_load_gaussian(bin_count n, double sigma) : state_(n), sigma_(sigma) {
+  sigma_noisy_load_gaussian(bin_count n, double sigma) : process_base(n), sigma_(sigma) {
     NB_REQUIRE(sigma >= 0.0, "sigma must be non-negative");
   }
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n and sigma hoisted out of the per-ball path.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
   void reset() {
     state_.reset();
     gauss_.reset();
@@ -170,17 +135,6 @@ class sigma_noisy_load_gaussian {
     return with_model_suffix(base, model_);
   }
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
-
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
 
   /// Checkpoint contract.  Box-Muller draws Gaussians in pairs, so the
   /// sampler's cached second half is genuine mid-stream state: dropping it
@@ -198,6 +152,8 @@ class sigma_noisy_load_gaussian {
   }
 
  private:
+  friend class process_base<sigma_noisy_load_gaussian>;
+
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     const bin_index i2 = model_.sampler.sample(rng, n);
@@ -214,8 +170,6 @@ class sigma_noisy_load_gaussian {
     deposit(state_, model_.weighting, chosen, rng);
   }
 
-  load_state state_;
-  alloc_model model_;
   double sigma_;
   gaussian_sampler gauss_;
 };

@@ -54,48 +54,24 @@ struct thinning_correct {
 /// with the `correct` strategy recovers noise-free Mean-Thinning (up to
 /// the measure-zero boundary delta == 0).
 template <typename Strategy>
-class noisy_mean_thinning {
+class noisy_mean_thinning : public process_base<noisy_mean_thinning<Strategy>> {
  public:
   noisy_mean_thinning(bin_count n, load_t g, Strategy strategy = Strategy{})
-      : state_(n), g_(g), strategy_(std::move(strategy)) {
+      : process_base<noisy_mean_thinning>(n), g_(g), strategy_(std::move(strategy)) {
     NB_REQUIRE(g >= 0, "threshold noise g must be non-negative");
   }
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n and the g-band half-width hoisted out of the
-  /// per-ball path (the running average still changes every ball).
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     const std::string base = std::string(Strategy::label) + "[g=" + std::to_string(g_) + "]";
     return with_model_suffix(base, model_);
   }
   [[nodiscard]] load_t g() const noexcept { return g_; }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: the strategy and parameters are configuration,
-  /// the load state is the only mutable member.
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<noisy_mean_thinning>;
+  using process_base<noisy_mean_thinning>::state_;
+  using process_base<noisy_mean_thinning>::model_;
+
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i = model_.sampler.sample(rng, n);
     const double delta = static_cast<double>(state_.load(i)) - state_.average_load();
@@ -109,33 +85,20 @@ class noisy_mean_thinning {
     deposit(state_, model_.weighting, target, rng);
   }
 
-  load_state state_;
-  alloc_model model_;
   load_t g_;
   Strategy strategy_;
 };
 
 /// (1+beta) whose Two-Choice steps run under a g-Adv-Comp adversary.
 template <typename Strategy>
-class noisy_one_plus_beta {
+class noisy_one_plus_beta : public process_base<noisy_one_plus_beta<Strategy>> {
  public:
   noisy_one_plus_beta(bin_count n, double beta, load_t g, Strategy strategy = Strategy{})
-      : state_(n), beta_(beta), g_(g), strategy_(std::move(strategy)) {
+      : process_base<noisy_one_plus_beta>(n), beta_(beta), g_(g), strategy_(std::move(strategy)) {
     NB_REQUIRE(beta >= 0.0 && beta <= 1.0, "beta must be in [0,1]");
     NB_REQUIRE(g >= 0, "adversary power g must be non-negative");
   }
 
-  void step(rng_t& rng) { step_one(rng, state_.n()); }
-
-  /// Fused bulk loop: n, beta and g hoisted out of the per-ball path.
-  void step_many(rng_t& rng, step_count count) {
-    const bin_count n = state_.n();
-    const load_state::bulk_window window(state_, count);
-    for (step_count t = 0; t < count; ++t) step_one(rng, n);
-  }
-
-  [[nodiscard]] const load_state& state() const noexcept { return state_; }
-  void reset() { state_.reset(); }
   [[nodiscard]] std::string name() const {
     const std::string base = "noisy-(1+beta)-" + std::string(Strategy::label) +
                              "[beta=" + std::to_string(beta_) + ",g=" + std::to_string(g_) + "]";
@@ -144,23 +107,11 @@ class noisy_one_plus_beta {
   [[nodiscard]] double beta() const noexcept { return beta_; }
   [[nodiscard]] load_t g() const noexcept { return g_; }
 
-  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
-  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
-
-  /// One departure event through the model's channel (see depart_ball).
-  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(state_, model_, rel, k, exec);
-  }
-
-  /// Checkpoint contract: the strategy and parameters are configuration,
-  /// the load state is the only mutable member.
-  void save_checkpoint(state_writer& w) const { state_.save(w); }
-  void restore_checkpoint(state_reader& r) { state_.restore(r); }
-
  private:
+  friend class process_base<noisy_one_plus_beta>;
+  using process_base<noisy_one_plus_beta>::state_;
+  using process_base<noisy_one_plus_beta>::model_;
+
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     if (!bernoulli(rng, beta_)) {
@@ -180,8 +131,6 @@ class noisy_one_plus_beta {
     deposit(state_, model_.weighting, chosen, rng);
   }
 
-  load_state state_;
-  alloc_model model_;
   double beta_;
   load_t g_;
   Strategy strategy_;

@@ -6,15 +6,22 @@
 // with fully inlined hot loops; `any_process` adds type erasure for
 // registry-style code.
 //
+// Every library process derives from `process_base` (below): the class
+// supplies its decision rule as one `step_one(rng, n)` hook, the base owns
+// the load state, the model, the per-ball and bulk loops, departures and
+// checkpoints.
+//
 // Bulk stepping: the free function `step_many(p, rng, count)` allocates
-// `count` balls.  Processes that define a member `step_many(rng, count)`
-// get a fused batch loop (amortized snapshot/window maintenance, hoisted
-// invariants, and -- through any_process -- one indirect call per chunk
-// instead of one per ball); everything else falls back to a plain loop
-// over step().  Contract: a member step_many must consume randomness in
-// exactly the same order as `count` calls of step(), so per-ball and bulk
-// execution are bit-identical for a fixed seed (enforced by the
-// step/step_many parity tests).
+// `count` balls.  Processes with a member `step_many(rng, count)` -- every
+// process_base, through its one fused loop, and b_batch, whose loop runs
+// to each batch boundary -- amortize per-chunk work (the load state's
+// bulk_window, hoisted n, and through any_process one indirect call per
+// chunk instead of one per ball); everything else falls back to a plain
+// loop over step().  Contract: a member step_many must consume randomness
+// in exactly the same order as `count` calls of step(), so per-ball and
+// bulk execution are bit-identical for a fixed seed (enforced by the
+// step/step_many parity tests, which also pin every registered kind's
+// serial stream).
 //
 // Event streams: arrivals-only stepping is the degenerate case of the
 // general traffic contract.  `advance(p, rng, traffic_spec)` interleaves
@@ -310,6 +317,65 @@ concept batch_departable = departable_process<P> && modeled_process<P> &&
       { p.commit_departures(rel, k) } -> std::same_as<void>;
       { p.commit_departures(rel, k, exec) } -> std::same_as<void>;
     };
+
+/// The skeleton every library process shares.  Each process of the paper
+/// is Two-Choice with its own decision rule, so a process class is its
+/// constructor, parameters, name() and one private hook
+///
+///   void step_one(rng_t& rng, bin_count n);  // decide one ball, deposit it
+///
+/// and derives from process_base<itself> (CRTP: no virtual calls, the hook
+/// inlines into both loops) for the rest: the load state and model,
+/// reset(), step() and the one fused step_many over step_one, depart() and
+/// commit_departures() through depart_ball / apply_departure_block, and the
+/// checkpoint pair of the load state.  A class declares
+/// `friend class process_base<...>;` so the hook can stay private.  A
+/// process with more mutable state re-declares only what must see it:
+/// reset() and the checkpoint pair (the Gaussian cache, tau-Delay's ring),
+/// and for b-Batch also step/step_many and the departure pair, which move
+/// its stale snapshot.
+template <typename Derived>
+class process_base {
+ public:
+  [[nodiscard]] const load_state& state() const noexcept { return state_; }
+  void reset() { state_.reset(); }
+
+  void set_model(alloc_model m) { install_model(state_, model_, std::move(m)); }
+  [[nodiscard]] const alloc_model& model() const noexcept { return model_; }
+
+  void step(rng_t& rng) { self().step_one(rng, state_.n()); }
+
+  /// The fused bulk loop: n hoisted, one bulk_window for the whole chunk
+  /// (deferred level-index maintenance), step_one per ball -- the draws of
+  /// `count` calls of step(), in the same order.
+  void step_many(rng_t& rng, step_count count) {
+    const bin_count n = state_.n();
+    const load_state::bulk_window window(state_, count);
+    for (step_count t = 0; t < count; ++t) self().step_one(rng, n);
+  }
+
+  /// One departure event through the model's channel (see depart_ball).
+  void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
+  /// Applies one engine-merged departure block (see apply_departure_block).
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(state_, model_, rel, k, exec);
+  }
+
+  /// Checkpoint contract: the load state is the only mutable member
+  /// (parameters and model are configuration, rebuilt from the spec).
+  void save_checkpoint(state_writer& w) const { state_.save(w); }
+  void restore_checkpoint(state_reader& r) { state_.restore(r); }
+
+ protected:
+  explicit process_base(bin_count n) : state_(n) {}
+
+  load_state state_;
+  alloc_model model_;
+
+ private:
+  Derived& self() noexcept { return static_cast<Derived&>(*this); }
+};
 
 /// An arrival/departure mix for advance(): `arrivals` balls arrive and
 /// `departures` events depart, spread evenly across the stream.

@@ -418,7 +418,11 @@ std::string campaign_result::to_json() const {
     const auto entries = agg.gap_histogram().entries();
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (i > 0) s += ", ";
-      s += "[" + std::to_string(entries[i].first) + ", " + std::to_string(entries[i].second) + "]";
+      s += '[';
+      s += std::to_string(entries[i].first);
+      s += ", ";
+      s += std::to_string(entries[i].second);
+      s += ']';
     }
     s += "]}";
     s += c + 1 < configs.size() ? ",\n" : "\n";

@@ -9,6 +9,7 @@
 // resume producing byte-identical aggregate JSON).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -20,6 +21,7 @@
 namespace {
 
 using namespace nb;
+using nb::testing::param_for;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "nb_checkpoint_" + name;
@@ -242,21 +244,32 @@ TEST_P(SerialResumeIdentity, ResumedEqualsUninterrupted) {
   expect_resume_identical(GetParam(), 4800, engine_config{}, 700);
 }
 
+/// Every registered kind: the explicit cases below (their parameters
+/// chosen per kind, e.g. a whole-batch and a four-batch b), then each kind
+/// they do not list at its param_for value -- so a process that forgets
+/// part of its checkpoint state fails here as soon as it is registered.
+std::vector<process_spec> resume_specs() {
+  std::vector<process_spec> specs = {
+      {"one-choice", 96, 0.0},         {"two-choice", 96, 0.0},
+      {"d-choice", 96, 3.0},           {"one-plus-beta", 96, 0.5},
+      {"g-bounded", 96, 2.0},          {"g-myopic", 96, 2.0},
+      {"g-adv-boost", 96, 2.0},        {"g-adv-load", 96, 2.0},
+      {"g-adv-load-uniform", 96, 2.0}, {"sigma-noisy-load", 96, 4.0},
+      {"sigma-noisy-gauss", 96, 2.0},  {"b-batch", 96, 96.0},
+      {"b-batch", 96, 384.0},          {"tau-delay", 96, 8.0},
+      {"tau-delay-oldest", 96, 24.0},  {"tau-delay-random", 96, 5.0},
+      {"mean-thinning", 96, 0.0},      {"noisy-mean-thinning", 96, 2.0},
+      {"noisy-one-plus-beta", 96, 2.0}};
+  for (const auto& [kind, description] : registered_process_kinds()) {
+    const bool listed = std::any_of(specs.begin(), specs.end(),
+                                    [&](const process_spec& spec) { return spec.kind == kind; });
+    if (!listed) specs.push_back(process_spec{kind, 96, param_for(kind)});
+  }
+  return specs;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    AllKinds, SerialResumeIdentity,
-    ::testing::Values(process_spec{"one-choice", 96, 0.0}, process_spec{"two-choice", 96, 0.0},
-                      process_spec{"d-choice", 96, 3.0}, process_spec{"one-plus-beta", 96, 0.5},
-                      process_spec{"g-bounded", 96, 2.0}, process_spec{"g-myopic", 96, 2.0},
-                      process_spec{"g-adv-boost", 96, 2.0}, process_spec{"g-adv-load", 96, 2.0},
-                      process_spec{"g-adv-load-uniform", 96, 2.0},
-                      process_spec{"sigma-noisy-load", 96, 4.0},
-                      process_spec{"sigma-noisy-gauss", 96, 2.0},
-                      process_spec{"b-batch", 96, 96.0}, process_spec{"b-batch", 96, 384.0},
-                      process_spec{"tau-delay", 96, 8.0}, process_spec{"tau-delay-oldest", 96, 24.0},
-                      process_spec{"tau-delay-random", 96, 5.0},
-                      process_spec{"mean-thinning", 96, 0.0},
-                      process_spec{"noisy-mean-thinning", 96, 2.0},
-                      process_spec{"noisy-one-plus-beta", 96, 2.0}),
+    AllKinds, SerialResumeIdentity, ::testing::ValuesIn(resume_specs()),
     [](const ::testing::TestParamInfo<process_spec>& info) {
       std::string name = info.param.kind + "_" + std::to_string(static_cast<int>(info.param.param));
       for (char& c : name) {

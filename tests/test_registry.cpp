@@ -1,6 +1,10 @@
 // Tests for the name-based process registry.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <string>
+
 #include "core/process_registry.hpp"
 #include "test_support.hpp"
 
@@ -50,6 +54,37 @@ TEST(Registry, ValidatesIntegerParameters) {
   spec.kind = "b-batch";
   spec.param = 0.0;  // b must be >= 1
   EXPECT_THROW(make_process(spec), contract_error);
+
+  // Values past the target integer type are range-checked before the cast,
+  // and the error names the kind and the value.
+  const auto rejection = [&](const std::string& kind, double param) {
+    spec.kind = kind;
+    spec.param = param;
+    try {
+      static_cast<void>(make_process(spec));
+    } catch (const contract_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string g_too_big = rejection("g-bounded", 5e9);
+  EXPECT_NE(g_too_big.find("g-bounded"), std::string::npos) << g_too_big;
+  EXPECT_NE(g_too_big.find("5000000000"), std::string::npos) << g_too_big;
+  const std::string b_too_big = rejection("b-batch", 1e30);
+  EXPECT_NE(b_too_big.find("b-batch"), std::string::npos) << b_too_big;
+  EXPECT_NE(b_too_big.find("e+30"), std::string::npos) << b_too_big;
+  const std::string d_too_big = rejection("d-choice", 4294967297.0);
+  EXPECT_NE(d_too_big.find("d-choice"), std::string::npos) << d_too_big;
+  EXPECT_NE(d_too_big.find("4294967297"), std::string::npos) << d_too_big;
+  EXPECT_NE(rejection("tau-delay", std::nan("")), "accepted");
+  EXPECT_NE(rejection("mean-thinning", -0.5), "accepted");
+
+  // The largest value of each type is still accepted.
+  spec.kind = "g-bounded";
+  spec.param = 2147483647.0;
+  EXPECT_EQ(make_process(spec).name(), g_bounded(8, 2147483647).name());
+  spec.kind = "d-choice";
+  EXPECT_EQ(make_process(spec).name(), "2147483647-choice");
 }
 
 TEST(Registry, ValidatesBeta) {
