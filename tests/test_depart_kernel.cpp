@@ -460,6 +460,33 @@ TEST(DepartEngineShard, BatchedBitIdenticalAcrossThreadCountsAndBackends) {
   }
 }
 
+/// FNV-1a digest of a multi-shard departure run: the final loads, then the
+/// resident balls, then the master stream's next draw.
+std::uint64_t shard_departure_digest(std::size_t threads, const char* channel) {
+  rng_t rng(5);
+  any_process process{two_choice(64)};
+  process.set_model(make_model("unit", "uniform", 64, channel));
+  step_many(process, rng, 3000);
+  shard_engine engine(
+      shard_options{.threads = threads, .shards = 8, .min_window = 1, .lanes = 8});
+  engine.depart_many(process, rng, 2900);
+  const std::vector<load_t>& loads = process.state().loads();
+  std::vector<std::uint64_t> digest(loads.begin(), loads.end());
+  digest.push_back(static_cast<std::uint64_t>(process.state().balls()));
+  digest.push_back(rng.next());
+  return fnv1a(digest);
+}
+
+TEST(DepartEngineShard, GoldenMultiShardDepartureStreams) {
+  // Pins the multi-shard departure streams, clamp and deficit re-serve
+  // included: 2900 of 3000 balls leave 64 bins, so the shards overdraw and
+  // the merge clamps and re-serves on both channels.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(shard_departure_digest(threads, "drain"), 8006737899295112482ULL) << threads << " threads";
+    EXPECT_EQ(shard_departure_digest(threads, "random"), 16898616805301783270ULL) << threads << " threads";
+  }
+}
+
 TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {
   // Pins the one-shard drain block to the documented kernel call: one
   // kernel_depart over the inverted snapshot of the live loads, seeded by
