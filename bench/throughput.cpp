@@ -297,10 +297,12 @@ scale_entry time_scale_leg(std::string kernel, std::string isa, std::size_t thre
 /// (loads AND checkpoint observations) -- the determinism contract is
 /// *verified at paper scale per leg*, not assumed.  `threads_list` must
 /// start with 1 (the caller normalizes): speedup and efficiency are
-/// relative to that leg.
+/// relative to that leg.  results[shard_leg] is the scale shard leg, the
+/// same configuration at its own thread count: that count joins the
+/// matrix through it instead of being timed twice under one gate key.
 void run_threads_matrix(bin_count n, step_count m, step_count interval,
                         const std::vector<std::size_t>& threads_list, std::size_t shards,
-                        std::size_t lanes, std::uint64_t seed,
+                        std::size_t lanes, std::uint64_t seed, std::size_t shard_leg,
                         std::vector<scale_entry>& results) {
   if (threads_list.empty()) return;
   const auto work = static_cast<double>(m);
@@ -308,31 +310,37 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
               shards);
   double rate_1t = 0.0;
   for (const std::size_t t : threads_list) {
-    // Counters open before the engine so its pool threads, cloned after,
-    // inherit them; the sample then covers the shard work, not just the
-    // master thread.
-    perf_counter_set counters;
-    shard_engine engine(
-        shard_options{.threads = t, .shards = shards, .lanes = lanes, .isa = g_isa_request});
-    scale_entry entry =
-        time_scale_leg("shard", kernel_isa_name(engine.isa()), t, n, m, interval, seed, counters,
-                       [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-                         engine.step_many(p, rng, chunk);
-                       });
-    note_phases(entry, engine.phases());
-    // Per-leg parity replay: 1 worker, scalar backend, same (seed,
-    // shards, lanes) sampling contract.
-    shard_engine replay_engine(shard_options{
-        .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
-    const auto replay = scale_observed_run(
-        n, m, interval, seed, [&replay_engine](b_batch& p, rng_t& rng, step_count chunk) {
-          replay_engine.step_many(p, rng, chunk);
-        });
-    if (replay.loads != entry.run.loads || replay.sink != entry.run.sink) {
-      std::printf("DETERMINISM FAILURE: %zu-thread %s leg diverged from its 1-thread "
-                  "scalar replay\n",
-                  t, entry.isa.c_str());
-      std::exit(1);
+    const bool timed = results[shard_leg].threads == t;
+    if (!timed) {
+      // Counters open before the engine so its pool threads, cloned after,
+      // inherit them; the sample then covers the shard work, not just the
+      // master thread.
+      perf_counter_set counters;
+      shard_engine engine(
+          shard_options{.threads = t, .shards = shards, .lanes = lanes, .isa = g_isa_request});
+      results.push_back(time_scale_leg("shard", kernel_isa_name(engine.isa()), t, n, m, interval,
+                                       seed, counters,
+                                       [&engine](b_batch& p, rng_t& rng, step_count chunk) {
+                                         engine.step_many(p, rng, chunk);
+                                       }));
+      note_phases(results.back(), engine.phases());
+    }
+    scale_entry& entry = timed ? results[shard_leg] : results.back();
+    if (!entry.parity_checked) {
+      // Per-leg parity replay: 1 worker, scalar backend, same (seed,
+      // shards, lanes) sampling contract.
+      shard_engine replay_engine(shard_options{
+          .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
+      const auto replay = scale_observed_run(
+          n, m, interval, seed, [&replay_engine](b_batch& p, rng_t& rng, step_count chunk) {
+            replay_engine.step_many(p, rng, chunk);
+          });
+      if (replay.loads != entry.run.loads || replay.sink != entry.run.sink) {
+        std::printf("DETERMINISM FAILURE: %zu-thread %s leg diverged from its 1-thread "
+                    "scalar replay\n",
+                    t, entry.isa.c_str());
+        std::exit(1);
+      }
     }
     entry.has_scaling = true;
     entry.parity_checked = true;
@@ -345,7 +353,6 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
                 "replay ok  (%s)\n",
                 t, entry.timing.rate_median(work), entry.speedup_vs_1t,
                 100.0 * entry.efficiency, perf_note(entry.perf).c_str());
-    results.push_back(std::move(entry));
   }
 }
 
@@ -572,6 +579,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         engine.step_many(p, rng, chunk);
       }));
   note_phases(results.back(), engine.phases());
+  const std::size_t shard_leg = results.size() - 1;
   const scale_entry shard = results.back();  // copy: the alias leg below may reallocate
   std::printf("  shard vs fused        %14.2fx on %u hardware cores\n",
               shard.timing.rate_median(work) / fused_rate, std::thread::hardware_concurrency());
@@ -789,11 +797,12 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                   shard.threads, shard.isa.c_str());
       std::exit(1);
     }
+    results[shard_leg].parity_checked = true;
     std::printf("  determinism           1-thread scalar replay bit-identical\n");
   }
 
   // The scaling matrix: intra-run threads x cross-run campaign workers.
-  run_threads_matrix(n, m, interval, threads_list, shards, lanes, seed, results);
+  run_threads_matrix(n, m, interval, threads_list, shards, lanes, seed, shard_leg, results);
   // Campaign legs split a half-size total over 8 heterogeneous cells;
   // scheduling overhead, not per-ball throughput, is what they measure.
   run_workers_matrix(n, m / 2, workers_list, lanes, seed, results);

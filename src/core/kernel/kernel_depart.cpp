@@ -6,9 +6,11 @@
 // blocks at lane-count multiples, and folding decided events into the
 // caller's departure-count row.  The fold is also where departures differ
 // from arrivals: counts must never overdraw a bin, so the drain fold
-// checks the chosen bin's remaining load per event (replaying drained-dry
-// picks on a dedicated scalar stream) and the random fold folds the
-// capacity check into the acceptance test itself.
+// checks the chosen bin's remaining load per event (re-serving drained-dry
+// picks under the re-serve law, replay_one, on a dedicated scalar stream)
+// and the random fold folds the capacity check into the acceptance test
+// itself.  replay_one is also exported as depart_replay for the shard
+// engine's clamped deficit.
 #include "core/kernel/kernel_depart.hpp"
 
 #include <string>
@@ -60,13 +62,73 @@ kernel_detail::fill_pair_fn pick_fill_pair(kernel_isa resolved) noexcept {
   }
 }
 
+/// Remaining load of bin c: its snapshot load base + (snap[c] ^ mask) --
+/// mask 0xFF on drain's inverted bytes, 0 on the plain ones -- minus the
+/// weight its counted departures already retired.
+template <typename Row>
+weight_t remaining_load(const std::uint8_t* snap, std::uint8_t mask, load_t base, weight_t w,
+                        const Row* rel, std::uint32_t c) noexcept {
+  return static_cast<weight_t>(base) + (snap[c] ^ mask) - static_cast<weight_t>(rel[c]) * w;
+}
+
+/// The serial re-serve law (kernel_depart.hpp): serves one departure over
+/// remaining load from `replay`.
+template <typename Row>
+void replay_one(depart_channel channel, bin_count n, const std::uint8_t* snap, load_t base,
+                std::uint8_t span, weight_t w, Row* rel, xoshiro256pp& replay) {
+  const std::uint8_t mask = channel == depart_channel::drain ? 0xFF : 0;
+  const auto remaining = [&](std::uint32_t c) noexcept {
+    return remaining_load(snap, mask, base, w, rel, c);
+  };
+  if (channel == depart_channel::random) {
+    const std::uint64_t bound = static_cast<std::uint64_t>(base) + span;
+    for (;;) {
+      const auto j = static_cast<std::uint32_t>(bounded(replay, n));
+      if (bounded(replay, bound) < static_cast<std::uint64_t>(remaining(j))) {
+        ++rel[j];
+        return;
+      }
+    }
+  }
+  for (int attempt = 0; attempt < kDrainReplayAttempts; ++attempt) {
+    const auto i = static_cast<std::uint32_t>(bounded(replay, n));
+    const auto j = static_cast<std::uint32_t>(bounded(replay, n));
+    const weight_t ri = remaining(i);
+    const weight_t rj = remaining(j);
+    // Serial drain's eligibility and selection laws, over remaining load.
+    if (ri < w && rj < w) continue;
+    std::uint32_t c;
+    if (ri != rj) {
+      c = ri > rj ? i : j;
+    } else {
+      c = (replay.next() >> 63) != 0 ? i : j;
+    }
+    ++rel[c];
+    return;
+  }
+  // Deterministic fallback: the fullest remaining bin, first index wins.
+  std::uint32_t best = 0;
+  weight_t best_rem = remaining(0);
+  for (bin_count i = 1; i < n; ++i) {
+    const weight_t r = remaining(i);
+    if (r > best_rem) {
+      best = i;
+      best_rem = r;
+    }
+  }
+  NB_REQUIRE(best_rem >= w, "drain departure block cannot retire weight " + std::to_string(w) +
+                                ": no bin's remaining load covers it");
+  ++rel[best];
+}
+
 /// Drain: fill backends decide "fuller of two snapshot samples" as the
 /// canonical min-select over the caller's byte-inverted snapshot `inv`
 /// (compact_snapshot::assign_inverted); the fold retires weight w per
 /// event with a per-event remaining-capacity check.
 template <typename Row>
 void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* inv,
-                  load_t snap_base, weight_t w, Row* rel, step_count k, std::uint64_t seed) {
+                  load_t snap_base, std::uint8_t snap_span, weight_t w, Row* rel, step_count k,
+                  std::uint64_t seed) {
   const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
@@ -76,43 +138,6 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
   // derive_seed(seed, 0..lanes-1), so the replay stream is the next one.
   xoshiro256pp replay(derive_seed(seed, lanes));
 
-  // A bin's snapshot load is base + 255 - inv[c].
-  const weight_t top = static_cast<weight_t>(snap_base) + 255;
-  const auto remaining = [&](std::uint32_t c) noexcept -> weight_t {
-    return top - inv[c] - static_cast<weight_t>(rel[c]) * w;
-  };
-  const auto replay_one = [&]() {
-    for (int attempt = 0; attempt < kDrainReplayAttempts; ++attempt) {
-      const auto i = static_cast<std::uint32_t>(bounded(replay, n));
-      const auto j = static_cast<std::uint32_t>(bounded(replay, n));
-      const weight_t ri = remaining(i);
-      const weight_t rj = remaining(j);
-      // Serial drain's eligibility and selection laws, over remaining load.
-      if (ri < w && rj < w) continue;
-      std::uint32_t c;
-      if (ri != rj) {
-        c = ri > rj ? i : j;
-      } else {
-        c = (replay.next() >> 63) != 0 ? i : j;
-      }
-      ++rel[c];
-      return;
-    }
-    // Deterministic fallback: the fullest remaining bin, first index wins.
-    std::uint32_t best = 0;
-    weight_t best_rem = remaining(0);
-    for (bin_count i = 1; i < n; ++i) {
-      const weight_t r = remaining(i);
-      if (r > best_rem) {
-        best = i;
-        best_rem = r;
-      }
-    }
-    NB_REQUIRE(best_rem >= w, "drain departure block cannot retire weight " + std::to_string(w) +
-                                  ": no bin's remaining load covers it");
-    ++rel[best];
-  };
-
   const std::size_t block = (kBlockBalls / lanes) * lanes;
   alignas(64) std::uint32_t chosen[kBlockBalls];
   while (k > 0) {
@@ -121,10 +146,10 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
     fill(state, n, threshold, inv, chosen, count);
     for (std::size_t t = 0; t < count; ++t) {
       const std::uint32_t c = chosen[t];
-      if (remaining(c) >= w) {
+      if (remaining_load(inv, 0xFF, snap_base, w, rel, c) >= w) {
         ++rel[c];
       } else {
-        replay_one();
+        replay_one(depart_channel::drain, n, inv, snap_base, snap_span, w, rel, replay);
       }
     }
     k -= static_cast<step_count>(count);
@@ -156,8 +181,7 @@ void depart_random(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
     fill(state, n, thresh_n, bound, thresh_b, idx, acc, block);
     for (std::size_t t = 0; t < block && k > 0; ++t) {
       const std::uint32_t j = idx[t];
-      const weight_t rem =
-          static_cast<weight_t>(snap_base) + snap[j] - static_cast<weight_t>(rel[j]);
+      const weight_t rem = remaining_load(snap, 0, snap_base, 1, rel, j);
       if (rem > 0 && static_cast<weight_t>(acc[t]) < rem) {
         ++rel[j];
         --k;
@@ -177,7 +201,7 @@ void depart_impl(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_
   NB_ASSERT(k >= 0 && snap != nullptr && rel != nullptr);
   switch (channel) {
     case depart_channel::drain:
-      depart_drain(isa, lanes, n, snap, snap_base, weight_per_ball, rel, k, seed);
+      depart_drain(isa, lanes, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed);
       return;
     case depart_channel::random:
       NB_REQUIRE(weight_per_ball == 1, "the random departure channel retires unit quanta");
@@ -200,6 +224,12 @@ void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bi
                    weight_t weight_per_ball, std::uint32_t* rel, step_count k,
                    std::uint64_t seed) {
   depart_impl(isa, lanes, channel, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed);
+}
+
+void depart_replay(depart_channel channel, bin_count n, const std::uint8_t* snap,
+                   load_t snap_base, std::uint8_t snap_span, weight_t weight_per_ball,
+                   std::uint32_t* rel, xoshiro256pp& replay) {
+  replay_one(channel, n, snap, snap_base, snap_span, weight_per_ball, rel, replay);
 }
 
 }  // namespace nb

@@ -20,12 +20,9 @@
 //     inversion pass -- and a bin's snapshot load is base + 255 - byte.
 //     At fold time the chosen bin's *remaining* load (snapshot load minus
 //     this call's own departures) must still cover the per-ball weight; a
-//     drained-dry pick is re-served from a dedicated scalar replay stream
-//     (rng_t(derive_seed(seed, lanes)), the stream "one past" the lanes)
-//     that redraws (i, j[, tie]) over remaining loads under the serial
-//     drain eligibility law, with a deterministic fullest-bin fallback
-//     after a bounded attempt budget (contract_error when even that bin
-//     cannot cover the weight).
+//     drained-dry pick is re-served under the re-serve law below from a
+//     dedicated scalar stream, rng_t(derive_seed(seed, lanes)), the stream
+//     "one past" the lanes.
 //
 //   * random -- vectorized rejection sampling over resident load.  The
 //     acceptance bound freezes at the snapshot maximum B = base + span;
@@ -37,6 +34,21 @@
 //     order until k are served; the unused tail of the final fixed-size
 //     attempt block is discarded (part of the declared draw order).
 //     Retires unit quanta only, like the serial channel.
+//
+// THE RE-SERVE LAW (depart_replay) serves one departure serially over
+// remaining load = base + (byte ^ mask) - rel * w, where mask is 0xFF on
+// drain's inverted bytes and 0 on the plain ones:
+//   * drain -- redraw (i, j[, tie]) under the serial drain law: skip the
+//     pair when neither bin covers w, else the fuller bin wins (ties by
+//     the top bit of one raw draw).  After 4096 attempts it falls back to
+//     the fullest bin, first index winning, and throws contract_error when
+//     even that bin cannot cover w;
+//   * random -- rejection sampling: draw bin j, then u in [0, base + span),
+//     and serve j iff u < remaining(j).
+// It has two callers: the drain fold above, for drained-dry picks, and the
+// shard engine (core/process.hpp), which clamps its merged shard rows to
+// snapshot capacity and re-serves the clamped deficit on either channel
+// from rng_t(derive_seed(token, shards)).
 //
 // CONTRACT (mirroring kernel_run, enforced by tests/test_kernel.cpp): the
 // per-bin departure counts are a pure function of (channel, lanes, n,
@@ -58,6 +70,7 @@
 
 #include "common/types.hpp"
 #include "core/kernel/kernel.hpp"
+#include "rng/rng.hpp"
 
 namespace nb {
 
@@ -91,5 +104,13 @@ void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bi
                    const std::uint8_t* snap, load_t snap_base, std::uint8_t snap_span,
                    weight_t weight_per_ball, std::uint32_t* rel, step_count k,
                    std::uint64_t seed);
+
+/// Serves one departure under the re-serve law (header comment) against
+/// `snap` (encoded per channel as for kernel_depart) and the counts already
+/// in `rel`, drawing from `replay`: `++rel[chosen]`.  Throws contract_error
+/// when no drain bin's remaining load covers `weight_per_ball`.
+void depart_replay(depart_channel channel, bin_count n, const std::uint8_t* snap,
+                   load_t snap_base, std::uint8_t snap_span, weight_t weight_per_ball,
+                   std::uint32_t* rel, xoshiro256pp& replay);
 
 }  // namespace nb

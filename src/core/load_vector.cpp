@@ -346,42 +346,6 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
   }
 }
 
-void load_state::apply_increments(const std::vector<std::int64_t>& delta,
-                                  step_count ball_delta) {
-  NB_ASSERT(!bulk_);
-  NB_REQUIRE(delta.size() == loads_.size(), "delta vector must have one entry per bin");
-  NB_REQUIRE(!lease_on_,
-             "signed increments cannot maintain the lease ring (use per-ball "
-             "allocate/release or release_oldest under lease tracking)");
-  // Validate every bin and the totals BEFORE mutating any (strong
-  // exception safety, like the unsigned path).
-  constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
-  weight_t net = 0;
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    const weight_t updated = static_cast<weight_t>(loads_[i]) + delta[i];
-    NB_REQUIRE(updated >= 0, "signed window would underflow bin " + std::to_string(i) +
-                                 " (currently " + std::to_string(loads_[i]) + ", delta " +
-                                 std::to_string(delta[i]) + ")");
-    NB_REQUIRE(updated <= bin_cap, "signed window would overflow bin " + std::to_string(i) +
-                                       "'s 32-bit load (currently " +
-                                       std::to_string(loads_[i]) + ", delta " +
-                                       std::to_string(delta[i]) + ")");
-    net += delta[i];
-  }
-  const step_count balls_after = balls_ + ball_delta;
-  const weight_t extra_after = extra_weight_ + (net - ball_delta);
-  NB_REQUIRE(balls_after >= 0 && balls_after <= max_run_balls,
-             "signed window would leave the ball count out of [0, max_run_balls]");
-  NB_REQUIRE(extra_after >= 0,
-             "signed window would leave the extra-weight accumulator negative");
-  NB_REQUIRE(net <= max_total_weight - total_weight(),
-             "window would overflow the total-weight accumulator (max_total_weight)");
-  add_and_reindex([&](std::size_t i) { return static_cast<load_t>(delta[i]); },
-                  range_executor{});
-  balls_ = balls_after;
-  extra_weight_ = extra_after;
-}
-
 void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
                                 weight_t weight_per_ball, step_count k,
                                 const range_executor& exec) {
@@ -393,7 +357,7 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
              "bulk releases cannot maintain the lease ring (the lease channel "
              "expires per-ball through release_oldest)");
   // Validate every bin and the totals BEFORE mutating any (strong
-  // exception safety, matching both apply_increments overloads), with the
+  // exception safety, matching apply_increments), with the
   // same bin-and-weight error vocabulary as release(i, w).  Each range
   // records its total and its first culprit bin (n = none); the sweep is
   // branch-free and only a failing range re-walks.

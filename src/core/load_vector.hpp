@@ -550,18 +550,9 @@ class load_state {
   void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball = 1,
                         const range_executor& exec = {});
 
-  /// Signed generalization for churn windows: loads_[i] += delta[i]
-  /// (weight units, may be negative) and balls_ += ball_delta, validated
-  /// BEFORE any mutation (strong exception safety): no bin may go
-  /// negative, ball and extra-weight totals must stay non-negative, and
-  /// the total-weight ceiling still applies.  Rebuilds the level index
-  /// once, like the unsigned path.  Refuses under lease tracking (a merged
-  /// signed window cannot say *which* resident balls departed).
-  void apply_increments(const std::vector<std::int64_t>& delta, step_count ball_delta);
-
   /// Applies a merged departure block: k departing balls, rel[i] of them
-  /// leaving bin i, each retiring weight_per_ball.  The signed mirror of
-  /// the unsigned apply_increments, validated BEFORE any mutation (strong
+  /// leaving bin i, each retiring weight_per_ball.  The mirror of
+  /// apply_increments, validated BEFORE any mutation (strong
   /// exception safety) with the same contract-error vocabulary as
   /// release(i, w): no bin may underflow, a ball must be resident for each
   /// departure, and the extra-weight accumulator must cover the retired

@@ -433,14 +433,18 @@ inline void advance(P& process, rng_t& rng, const traffic_spec& traffic) {
 // can expose such windows implements the window_parallel contract below;
 // shard_engine then runs each large enough window through the
 // lane-interleaved allocation kernel (core/kernel/) with one master-stream
-// token per window.  The shard count picks the leaf body:
+// token per window.  Arrival windows and departure blocks share one block
+// skeleton (run_block): token, leaf, settle, commit.  The shard count
+// picks how the leaf runs:
 //   * one shard: the whole window is one kernel call into one uint32 row
 //     seeded by the token itself (lane l draws from derive_seed(token, l)),
 //     committed on the calling thread -- no pool, no merge;
 //   * S >= 2 shards: the window splits into S fixed shards, shard s draws
 //     from the substream shard_stream_seed(token, s) into its own uint16
-//     row, a worker pool executes the shards, and the rows merge in fixed
-//     shard order.
+//     row, a worker pool executes the shards, and the settle merges the
+//     rows in fixed shard order (a departure block's settle also clamps
+//     the merge and re-serves the deficit under the departure kernel's
+//     re-serve law, depart_replay).
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling or merge order.  Relative to the serial
@@ -517,7 +521,7 @@ concept live_snapshot_probed = requires(const P p) {
 /// fan-out), the fixed-order shard-row merge (0 with one shard) and the
 /// process's commit_window.  The engine books its departure blocks into a
 /// second record of the same shape (`windows` counts blocks, merge is the
-/// shard-row merge + clamp + repair, commit is commit_departures).  Never
+/// shard-row merge + clamp + re-serve, commit is commit_departures).  Never
 /// read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
@@ -674,19 +678,8 @@ class shard_engine {
           return;
         }
         const step_count k = std::min({window, count, block_cap()});
-        if (k < opt_.min_window || k * 4 < n) {
+        if (k < opt_.min_window || k * 4 < n || !run_window(process, rng, k)) {
           nb::step_many(process, rng, k);
-        } else {
-          compact_snapshot& snapshot = next_snapshot();
-          const std::int64_t t0 = engine_detail::phase_clock_ns();
-          const bool compact = assign_window_snapshot(snapshot, process);
-          phases_.snapshot_ns += engine_detail::phase_clock_ns() - t0;
-          if (compact) {
-            ++phases_.windows;
-            run_window(process, rng, k, snapshot);
-          } else {
-            nb::step_many(process, rng, k);
-          }
         }
         count -= k;
       }
@@ -705,7 +698,7 @@ class shard_engine {
   /// counts, so the merged row can overdraw a bin, and the merge clamps
   /// each bin to its snapshot capacity and re-serves the deficit from the
   /// dedicated scalar stream rng_t(derive_seed(token, shards)) under the
-  /// serial channel law over remaining loads -- deterministic, and
+  /// departure kernel's re-serve law (depart_replay) -- deterministic, and
   /// thread-count invariant like step_many.  The lease channel commits in
   /// bulk unconditionally (RNG-free); undersized blocks and span-saturated
   /// loads fall back to the serial per-event loop with a one-time
@@ -790,39 +783,15 @@ class shard_engine {
                  : max_run_balls;
   }
 
-  /// The compact snapshot to assign next.  With a pool the two buffers
-  /// alternate, so assigning window k+1's snapshot on the master thread
-  /// never races pool work still in flight from window k (today the
-  /// deferred row clears; the swap makes any such overlap safe by
-  /// construction).  One shard reuses the first buffer.
-  compact_snapshot& next_snapshot() noexcept {
-    if (pool_) snapshot_index_ ^= 1;
-    return snapshots_[snapshot_index_];
-  }
-
   /// Assigns the window's compact snapshot: from the live loads' O(1)
   /// level range when the process proves the frozen snapshot is live, by a
   /// full scan of the frozen vector otherwise.
   template <typename P>
-  static bool assign_window_snapshot(compact_snapshot& snapshot, const P& process) {
+  bool assign_window_snapshot(const P& process) {
     if constexpr (live_snapshot_probed<P>) {
-      if (process.snapshot_is_live()) return snapshot.assign(process.state());
+      if (process.snapshot_is_live()) return snapshot_.assign(process.state());
     }
-    return snapshot.assign(process.window_snapshot());
-  }
-
-  /// Leaf body: `balls` kernel decisions against `snap`, counted into
-  /// `row`, lane streams derived from `seed`.  Non-uniform samplers take
-  /// the kernel's alias lane path.
-  template <typename Row>
-  void run_leaf(bin_count n, const std::uint8_t* snap, const alias_table* table, Row* row,
-                step_count balls, std::uint64_t seed) const {
-    if (table != nullptr) {
-      kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(), row,
-                       balls, seed);
-    } else {
-      kernel_run(isa_, opt_.lanes, n, snap, row, balls, seed);
-    }
+    return snapshot_.assign(process.window_snapshot());
   }
 
   /// Balls (or events) of shard s when k split over the shards.
@@ -842,10 +811,86 @@ class shard_engine {
     return rows_clean_;
   }
 
-  /// One fast-path window of `k` balls, all decided against `snapshot`.
+  /// The block skeleton of arrival windows and departure blocks alike:
+  /// draws the block's one master-stream token and runs `leaf(row, count,
+  /// seed)` over it.  One shard is one leaf call for all k into merged_ on
+  /// the calling thread, seeded by the token itself; S >= 2 shards are one
+  /// pool task per shard into the shard's uint16 row, seeded by
+  /// shard_stream_seed(token, s), after which `settle(token)` merges the
+  /// rows into merged_.  `commit(exec)` then applies merged_ through
+  /// commit_and_clear.  Every phase after the snapshot is booked here.
+  template <typename Leaf, typename Settle, typename Commit>
+  void run_block(rng_t& rng, bin_count n, step_count k, window_phase_times& phases, Leaf&& leaf,
+                 Settle&& settle, Commit&& commit) {
+    ++phases.windows;
+    const std::int64_t t_kernel = engine_detail::phase_clock_ns();
+    // Every stream of the block derives from this token, so no result can
+    // depend on the thread count.
+    const std::uint64_t token = rng.next();
+    if (!pool_) {
+      merged_.assign(n, 0);
+      leaf(merged_.data(), k, token);
+    } else {
+      // rows_clean: the previous block's clears already zeroed every row
+      // (the steady state), so shard tasks skip the redundant re-clear; the
+      // first block after a geometry change is clean via reset().
+      const bool clean = prepare_rows(n);
+      for (std::size_t s = 0; s < opt_.shards; ++s) {
+        const step_count count = shard_share(k, s);
+        std::uint16_t* row = deltas_.row(s);
+        if (count == 0) {
+          // Ball-less shard (k < shards): its row still feeds the merge, so
+          // make sure no counts linger from the previous block.
+          if (!clean) deltas_.clear_row(s);
+          continue;
+        }
+        pool_->submit([&leaf, n, row, count, clean, seed = shard_stream_seed(token, s)] {
+          if (!clean) std::fill_n(row, n, std::uint16_t{0});
+          leaf(row, count, seed);
+        });
+      }
+      pool_->wait_idle();
+      rows_clean_ = false;
+    }
+    const std::int64_t t_merge = engine_detail::phase_clock_ns();
+    phases.kernel_ns += t_merge - t_kernel;
+    std::int64_t t_commit = t_merge;
+    if (pool_) {
+      settle(token);
+      t_commit = engine_detail::phase_clock_ns();
+      phases.merge_ns += t_commit - t_merge;
+    }
+    commit_and_clear(n, [&](const range_executor& exec) {
+      commit(exec);
+      phases.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+    });
+  }
+
+  /// Sums the shard rows into merged_ by bin range on the pool -- every
+  /// bin in fixed shard order, disjoint ranges concurrently, so still
+  /// deterministic -- and runs `fold(r, lo, hi)` on each range r of bins
+  /// [lo, hi) right after summing it.
+  template <typename Fold>
+  void merge_rows(bin_count n, Fold&& fold) {
+    merged_.resize(n);
+    ranges_.run([&](std::size_t r) {
+      const auto [lo, hi] = ranges_.bounds(r, n);
+      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
+      fold(r, lo, hi);
+    });
+  }
+
+  /// One fast-path window of `k` balls, all decided against the window
+  /// snapshot; false when it cannot compact (the caller runs the window
+  /// serially).
   template <window_parallel P>
-  void run_window(P& process, rng_t& rng, step_count k, const compact_snapshot& snapshot) {
+  bool run_window(P& process, rng_t& rng, step_count k) {
+    const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
+    const bool compact = assign_window_snapshot(process);
+    phases_.snapshot_ns += engine_detail::phase_clock_ns() - t_snapshot;
+    if (!compact) return false;
     const bin_count n = process.state().n();
+    const std::uint8_t* snap = snapshot_.data();
     // Non-uniform bin sampling rides the same window machinery: leaves
     // draw their bin pairs from the model's alias table instead of the
     // uniform Lemire path.  The table is immutable for the whole window
@@ -854,211 +899,95 @@ class shard_engine {
     if constexpr (modeled_process<P>) {
       if (!process.model().sampler.is_uniform()) table = &process.model().sampler.table();
     }
-    const std::uint8_t* snap = snapshot.data();
-    const std::int64_t t_kernel = engine_detail::phase_clock_ns();
-    if (!pool_) {
-      // One master-stream draw per window seeds the whole window.
-      const std::uint64_t token = rng.next();
-      merged_.assign(n, 0);
-      run_leaf(n, snap, table, merged_.data(), k, token);
-      const std::int64_t t_commit = engine_detail::phase_clock_ns();
-      phases_.kernel_ns += t_commit - t_kernel;
-      process.commit_window(merged_, k);
-      phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-      return;
-    }
-    // rows_clean: the previous window's clears already zeroed every row
-    // (the steady state), so shard tasks skip the redundant re-clear; the
-    // first window after a geometry change is clean via reset().
-    const bool clean = prepare_rows(n);
-    // One draw from the master stream per window; every shard substream
-    // derives from this token, so shard results cannot depend on threads.
-    const std::uint64_t token = rng.next();
-    for (std::size_t s = 0; s < opt_.shards; ++s) {
-      const step_count shard_balls = shard_share(k, s);
-      std::uint16_t* row = deltas_.row(s);
-      if (shard_balls == 0) {
-        // Ball-less shard (k < shards): its row still feeds the merge, so
-        // make sure no counts linger from the previous window.
-        if (!clean) deltas_.clear_row(s);
-        continue;
-      }
-      pool_->submit([this, n, snap, table, row, shard_balls, clean,
-                     seed = shard_stream_seed(token, s)] {
-        if (!clean) std::fill_n(row, n, std::uint16_t{0});
-        run_leaf(n, snap, table, row, shard_balls, seed);
-      });
-    }
-    pool_->wait_idle();
-    rows_clean_ = false;
-    const std::int64_t t_merge = engine_detail::phase_clock_ns();
-    phases_.kernel_ns += t_merge - t_kernel;
-    // Merge: fixed shard order per bin, bin ranges summed concurrently
-    // (disjoint, so still deterministic).
-    merged_.resize(n);
-    ranges_.run([&](std::size_t r) {
-      const auto [lo, hi] = ranges_.bounds(r, n);
-      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
-    });
-    const std::int64_t t_commit = engine_detail::phase_clock_ns();
-    phases_.merge_ns += t_commit - t_merge;
-    commit_and_clear(n, [&](const range_executor& exec) {
-      process.commit_window(merged_, k, exec);
-      phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-    });
+    run_block(
+        rng, n, k, phases_,
+        [&](auto* row, step_count balls, std::uint64_t seed) {
+          if (table != nullptr) {
+            kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
+                             row, balls, seed);
+          } else {
+            kernel_run(isa_, opt_.lanes, n, snap, row, balls, seed);
+          }
+        },
+        [&](std::uint64_t) { merge_rows(n, [](std::size_t, std::size_t, std::size_t) {}); },
+        [&](const range_executor& exec) { process.commit_window(merged_, k, exec); });
+    return true;
   }
 
   /// One batched departure block of `k` events; false when the live loads
   /// cannot compact (caller falls back to the serial loop).
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
-    const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
-    compact_snapshot& snapshot = next_snapshot();
     const bool drain =
         process.model().departures.departure_kind() == departure_model::kind::drain;
     // The drain kernel reads the inverted bytes as they are
     // (kernel_depart.hpp): one inverted assignment serves the whole block.
+    const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
     const bool compact =
-        drain ? snapshot.assign_inverted(process.state()) : snapshot.assign(process.state());
-    const std::int64_t t_kernel = engine_detail::phase_clock_ns();
-    depart_phases_.snapshot_ns += t_kernel - t_snapshot;
+        drain ? snapshot_.assign_inverted(process.state()) : snapshot_.assign(process.state());
+    depart_phases_.snapshot_ns += engine_detail::phase_clock_ns() - t_snapshot;
     if (!compact) return false;
-    ++depart_phases_.windows;
     const bin_count n = process.state().n();
-    const std::uint8_t* snap = snapshot.data();
-    const load_t base = snapshot.base();
-    const std::uint8_t span = snapshot.max_off();
+    const std::uint8_t* snap = snapshot_.data();
+    const load_t base = snapshot_.base();
+    const std::uint8_t span = snapshot_.max_off();
     const depart_channel channel = drain ? depart_channel::drain : depart_channel::random;
     const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
-    if (!pool_) {
-      // One shard never overdraws: the kernel's own capacity fold keeps
-      // every count within its bin, so there is nothing to clamp.
-      const std::uint64_t token = rng.next();
-      merged_.assign(n, 0);
-      kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, merged_.data(), k, token);
-      const std::int64_t t_commit = engine_detail::phase_clock_ns();
-      depart_phases_.kernel_ns += t_commit - t_kernel;
-      process.commit_departures(merged_, k);
-      depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-      return true;
-    }
-    const std::size_t shards = opt_.shards;
-    const bool clean = prepare_rows(n);
-    const std::uint64_t token = rng.next();
-    for (std::size_t s = 0; s < shards; ++s) {
-      const step_count shard_events = shard_share(k, s);
-      std::uint16_t* row = deltas_.row(s);
-      if (shard_events == 0) {
-        if (!clean) deltas_.clear_row(s);
-        continue;
-      }
-      // Cannot throw: depart_many admitted at most the resident balls, so
-      // no shard's drain ever runs out of snapshot capacity.
-      pool_->submit([n, snap, base, span, channel, w, row, shard_events, clean,
-                     seed = shard_stream_seed(token, s), lanes = opt_.lanes, isa = isa_] {
-        if (!clean) std::fill_n(row, n, std::uint16_t{0});
-        kernel_depart(isa, lanes, channel, n, snap, base, span, w, row, shard_events, seed);
-      });
-    }
-    pool_->wait_idle();
-    rows_clean_ = false;
-    const std::int64_t t_merge = engine_detail::phase_clock_ns();
-    depart_phases_.kernel_ns += t_merge - t_kernel;
-    // Merge and clamp, by bin range on the pool: each shard guarded only
-    // its own counts, so the merged row may overdraw a bin.  Every range
-    // sums its bins in fixed shard order, clamps each to its snapshot
-    // capacity and books its clamped total.  A bin's snapshot load is
-    // base + (byte ^ mask) in either snapshot encoding.
-    const std::uint8_t mask = drain ? 0xFF : 0;
-    merged_.resize(n);
-    range_totals_.assign(ranges_.ranges(), 0);
-    ranges_.run([&](std::size_t r) {
-      const auto [lo, hi] = ranges_.bounds(r, n);
-      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
-      step_count total = 0;
-      for (std::size_t i = lo; i < hi; ++i) {
-        // Unit weights skip the 64-bit division: per bin it costs more
-        // than the rest of this pass together.
-        const weight_t load = static_cast<weight_t>(base) + (snap[i] ^ mask);
-        const auto capacity = static_cast<std::uint32_t>(w == 1 ? load : load / w);
-        if (merged_[i] > capacity) merged_[i] = capacity;
-        total += merged_[i];
-      }
-      range_totals_[r] = total;
-    });
-    step_count total = 0;
-    for (const step_count t : range_totals_) total += t;
-    // Repair: re-serve the clamped deficit serially from the stream one
-    // past the shard substreams -- the same law the kernel's drain replay
-    // uses, here over the merged remaining loads.
-    const auto remaining = [&](bin_index c) -> weight_t {
-      return static_cast<weight_t>(base) + (snap[c] ^ mask) -
-             static_cast<weight_t>(merged_[c]) * w;
-    };
-    if (total < k) {
-      rng_t repair(derive_seed(token, shards));
-      const std::uint64_t bound = static_cast<std::uint64_t>(base) + span;
-      for (step_count t = total; t < k; ++t) {
-        if (!drain) {  // random: rejection-sample over remaining load
-          for (;;) {
-            const auto j = static_cast<bin_index>(bounded(repair, n));
-            if (bounded(repair, bound) < static_cast<std::uint64_t>(remaining(j))) {
-              ++merged_[j];
-              break;
+    run_block(
+        rng, n, k, depart_phases_,
+        // Cannot throw: depart_many admitted at most the resident balls, so
+        // no shard's drain ever runs out of snapshot capacity.
+        [&](auto* rel, step_count events, std::uint64_t seed) {
+          kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, rel, events, seed);
+        },
+        [&](std::uint64_t token) {
+          // Clamp: each shard guarded only its own counts, so the merged
+          // row may overdraw a bin (one shard never does: the kernel's own
+          // capacity fold keeps its counts in bounds, and it has no
+          // settle).  Every range clamps each bin to its snapshot capacity
+          // and books its clamped total.  A bin's snapshot load is
+          // base + (byte ^ mask) in either encoding.
+          const std::uint8_t mask = drain ? 0xFF : 0;
+          range_totals_.assign(ranges_.ranges(), 0);
+          merge_rows(n, [&](std::size_t r, std::size_t lo, std::size_t hi) {
+            step_count total = 0;
+            for (std::size_t i = lo; i < hi; ++i) {
+              // Unit weights skip the 64-bit division: per bin it costs
+              // more than the rest of this pass together.
+              const weight_t load = static_cast<weight_t>(base) + (snap[i] ^ mask);
+              const auto capacity = static_cast<std::uint32_t>(w == 1 ? load : load / w);
+              if (merged_[i] > capacity) merged_[i] = capacity;
+              total += merged_[i];
             }
+            range_totals_[r] = total;
+          });
+          step_count served = 0;
+          for (const step_count t : range_totals_) served += t;
+          // Re-serve the clamped deficit under the kernel's re-serve law,
+          // from the stream one past the shard substreams.
+          rng_t replay(derive_seed(token, opt_.shards));
+          for (; served < k; ++served) {
+            depart_replay(channel, n, snap, base, span, w, merged_.data(), replay);
           }
-          continue;
-        }
-        int attempts = 0;
-        for (;;) {
-          if (++attempts > 4096) {  // deterministic fullest-bin fallback
-            bin_index best = 0;
-            weight_t best_rem = remaining(0);
-            for (bin_index i = 1; i < n; ++i) {
-              const weight_t r = remaining(i);
-              if (r > best_rem) {
-                best = i;
-                best_rem = r;
-              }
-            }
-            NB_REQUIRE(best_rem >= w, "drain departure block cannot retire weight " +
-                                          std::to_string(w) +
-                                          ": no bin's remaining load covers it");
-            ++merged_[best];
-            break;
-          }
-          const auto i = static_cast<bin_index>(bounded(repair, n));
-          const auto j = static_cast<bin_index>(bounded(repair, n));
-          const weight_t ri = remaining(i);
-          const weight_t rj = remaining(j);
-          if (ri < w && rj < w) continue;
-          const bin_index c =
-              ri != rj ? (ri > rj ? i : j) : ((repair.next() >> 63) != 0 ? i : j);
-          ++merged_[c];
-          break;
-        }
-      }
-    }
-    const std::int64_t t_commit = engine_detail::phase_clock_ns();
-    depart_phases_.merge_ns += t_commit - t_merge;
-    commit_and_clear(n, [&](const range_executor& exec) {
-      process.commit_departures(merged_, k, exec);
-      depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-    });
+        },
+        [&](const range_executor& exec) { process.commit_departures(merged_, k, exec); });
     return true;
   }
 
-  /// Runs `commit(exec)` over n bins and queues the next window's row
-  /// clears (~2n bytes per shard of stores) on the pool around it.  From
+  /// Runs `commit(exec)` over n bins and, with a pool, queues the next
+  /// block's row clears (~2n bytes per shard of stores) around it.  From
   /// kMinPooledCommitBins bins up the commit runs by range on the pool and
   /// the clears go AFTER it: its range tasks join through wait_idle, so
   /// clears queued ahead would hold it back, and they overlap the master
   /// thread's next snapshot assignment instead.  Below that the commit
   /// runs on the calling thread with the clears queued first, overlapping
-  /// it.
+  /// it.  One shard has no pool and no rows: the commit runs on the
+  /// calling thread.
   template <typename Commit>
   void commit_and_clear(bin_count n, Commit&& commit) {
-    if (n < kMinPooledCommitBins) {
+    if (!pool_) {
+      commit(range_executor{});
+    } else if (n < kMinPooledCommitBins) {
       queue_row_clears();
       commit(range_executor{});
     } else {
@@ -1089,10 +1018,12 @@ class shard_engine {
   kernel_isa isa_;
   /// The workers executing shards; empty for one shard.
   std::optional<thread_pool> pool_;
-  /// Two snapshot buffers, alternated per window with a pool (see
-  /// next_snapshot); one shard only ever assigns the first.
-  compact_snapshot snapshots_[2];
-  std::size_t snapshot_index_ = 0;
+  /// The current window's or block's compact snapshot.  One buffer is
+  /// enough: the shard tasks and the clamp/re-serve pass that read it are
+  /// joined before the commit, and the only pool work still in flight when
+  /// the next snapshot is assigned is the deferred row clears, which write
+  /// deltas_ rows alone.
+  compact_snapshot snapshot_;
   /// The pool as a bin-range executor, one range per shard: the merge
   /// (and departure clamp) pass and the commit.
   range_executor ranges_;

@@ -30,6 +30,9 @@ Cross-machine portability is handled by skipping, not failing:
     code;
   * legs present in only one file are reported and skipped.
 
+A file that repeats a leg key fails the gate outright: the bench emits one
+entry per key, and a repeat would let one entry shadow the other.
+
 The default tolerance is deliberately generous (40%): the baseline is
 recorded at paper scale on a developer machine while CI runs a reduced
 smoke scale on shared runners, so the gate is meant to catch real
@@ -48,10 +51,19 @@ def leg_key(entry):
             entry.get("departures", "none"))
 
 
-def index_legs(doc):
+def index_legs(doc, path):
+    """Legs of `doc` by leg_key.  A key that repeats would let one of its
+    entries silently shadow the other, so it fails the gate, named, as
+    does a leg missing a key field."""
     legs = {}
     for entry in doc.get("results", []):
-        legs[leg_key(entry)] = entry
+        try:
+            key = leg_key(entry)
+        except KeyError as missing:
+            raise SystemExit(f"FAILED: {path} has a leg without field {missing}: {entry}")
+        if key in legs:
+            raise SystemExit(f"FAILED: {path} repeats leg key {key}")
+        legs[key] = entry
     return legs
 
 
@@ -73,8 +85,8 @@ def main():
     with open(args.fresh) as f:
         fresh = json.load(f)
 
-    base_legs = index_legs(baseline)
-    fresh_legs = index_legs(fresh)
+    base_legs = index_legs(baseline, args.baseline)
+    fresh_legs = index_legs(fresh, args.fresh)
     floor = 1.0 - args.tolerance
     # The fresh file knows the runner it ran on; older baselines / fresh
     # files may predate the host-metadata and supported-ISA fields (None =
