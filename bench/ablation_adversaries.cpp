@@ -33,7 +33,7 @@ int run(int argc, const char* const* argv) {
               format_power_of_ten(n).c_str(), format_power_of_ten(m).c_str(), cfg.runs());
 
   stopwatch total;
-  std::vector<cell> cells;
+  std::vector<campaign_config> cells;
   for (const load_t g : gs) {
     cells.push_back({"correct", [n, g] { return any_process(g_adv_comp<always_correct>(n, g)); }, m});
     cells.push_back({"myopic", [n, g] { return any_process(g_myopic_comp(n, g)); }, m});
@@ -44,7 +44,7 @@ int run(int argc, const char* const* argv) {
         {"adv-load", [n, g] { return any_process(g_adv_load<inverting_estimates>(n, g)); }, m});
     cells.push_back({"greedy-2g", [n, g] { return any_process(g_bounded(n, 2 * g)); }, m});
   }
-  const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
+  const auto campaign = run_campaign(cells, campaign_options_for(cfg));
   constexpr std::size_t kPerG = 7;
 
   text_table table({"g", "correct(=2-choice)", "myopic", "index-bias", "boost", "greedy(bounded)",
@@ -52,16 +52,17 @@ int run(int argc, const char* const* argv) {
   bool reduction_ok = true;
   bool greedy_strongest = true;
   for (std::size_t i = 0; i < gs.size(); ++i) {
-    const auto* row = &results[i * kPerG];
-    table.add_row({std::to_string(gs[i]), format_fixed(row[0].mean_gap(), 2),
-                   format_fixed(row[1].mean_gap(), 2), format_fixed(row[2].mean_gap(), 2),
-                   format_fixed(row[3].mean_gap(), 2), format_fixed(row[4].mean_gap(), 2),
-                   format_fixed(row[5].mean_gap(), 2), format_fixed(row[6].mean_gap(), 2)});
+    const auto gap = [&](std::size_t k) {
+      return campaign.configs[i * kPerG + k].aggregate.mean_gap();
+    };
+    table.add_row({std::to_string(gs[i]), format_fixed(gap(0), 2), format_fixed(gap(1), 2),
+                   format_fixed(gap(2), 2), format_fixed(gap(3), 2), format_fixed(gap(4), 2),
+                   format_fixed(gap(5), 2), format_fixed(gap(6), 2)});
     // The paper's reduction: g-Adv-Load simulable by (2g)-Adv-Comp.
-    reduction_ok = reduction_ok && row[5].mean_gap() <= row[6].mean_gap() + 1.0;
+    reduction_ok = reduction_ok && gap(5) <= gap(6) + 1.0;
     // Greedy should dominate the other single-step strategies.
-    for (int k = 1; k <= 3; ++k) {
-      greedy_strongest = greedy_strongest && row[4].mean_gap() + 0.75 >= row[k].mean_gap();
+    for (std::size_t k = 1; k <= 3; ++k) {
+      greedy_strongest = greedy_strongest && gap(4) + 0.75 >= gap(k);
     }
   }
   std::printf("%s\n", table.render().c_str());
@@ -69,6 +70,7 @@ int run(int argc, const char* const* argv) {
               reduction_ok ? "yes" : "NO");
   std::printf("greedy reversal is the strongest shipped per-step strategy: %s\n",
               greedy_strongest ? "yes" : "NO");
+  report_campaign(campaign, cfg);
   std::printf(
       "(Notably the overload-booster -- which reverses only onto already-overloaded bins --\n"
       " is *weaker* than unconditional greedy: reversals among underloaded pairs feed the\n"

@@ -42,7 +42,7 @@ int run(int argc, const char* const* argv) {
               format_power_of_ten(m).c_str(), cfg.runs());
 
   stopwatch total;
-  std::vector<cell> cells;
+  std::vector<campaign_config> cells;
   for (const auto tau : taus) {
     cells.push_back({"adversarial",
                      [n, tau] { return any_process(tau_delay<delay_adversarial>(n, tau)); }, m});
@@ -52,18 +52,20 @@ int run(int argc, const char* const* argv) {
         {"random", [n, tau] { return any_process(tau_delay<delay_random>(n, tau)); }, m});
     cells.push_back({"batch", [n, tau] { return any_process(b_batch(n, tau)); }, m});
   }
-  const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
+  const auto campaign = run_campaign(cells, campaign_options_for(cfg));
 
   text_table table({"tau (= b)", "delay adversarial", "delay oldest", "delay random",
                     "b-batch", "theory shape"});
   for (std::size_t i = 0; i < taus.size(); ++i) {
-    const auto* row = &results[4 * i];
-    table.add_row({std::to_string(taus[i]), format_fixed(row[0].mean_gap(), 2),
-                   format_fixed(row[1].mean_gap(), 2), format_fixed(row[2].mean_gap(), 2),
-                   format_fixed(row[3].mean_gap(), 2),
+    const auto gap = [&](std::size_t k) {
+      return campaign.configs[4 * i + k].aggregate.mean_gap();
+    };
+    table.add_row({std::to_string(taus[i]), format_fixed(gap(0), 2), format_fixed(gap(1), 2),
+                   format_fixed(gap(2), 2), format_fixed(gap(3), 2),
                    format_fixed(theory::batch_gap(n, static_cast<double>(taus[i])), 2)});
   }
   std::printf("%s\n", table.render().c_str());
+  report_campaign(campaign, cfg);
   std::printf(
       "Expected shape: all four columns grow together with tau; the adversarial reporter\n"
       "dominates the benign ones but stays within a constant factor of b-Batch (Thm 10.2:\n"

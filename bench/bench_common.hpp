@@ -177,10 +177,31 @@ inline void report_campaign(const campaign_result& campaign, const bench_config&
   }
 }
 
-// The cell list type and run_cells live in the orchestrator now
-// (src/exp/campaign.hpp): same shared (configuration, repetition) work
-// queue, but with flat per-cell seeds derive_seed(master_seed, cell index)
-// and campaign-grade journaling available to every binary.
+/// For binaries that run several campaigns under one seed (one campaign
+/// per section; folding them into one would re-seed the cells): a journal
+/// or aggregate JSON describes a single campaign, so --journal, --resume
+/// and --json are rejected before any run instead of being ignored.
+inline void reject_campaign_file_flags(const bench_config& cfg, const std::string& binary) {
+  const auto reject = [&binary](bool set, const char* flag) {
+    NB_REQUIRE(!set, std::string(flag) + " is not supported by " + binary +
+                         ": it runs several campaigns, and a journal or JSON archive "
+                         "describes one");
+  };
+  reject(cfg.resume, "--resume");
+  reject(!cfg.journal.empty(), "--journal");
+  reject(!cfg.json.empty(), "--json");
+}
+
+/// Runs one campaign and returns each configuration's mean gap, in
+/// configuration order.
+[[nodiscard]] inline std::vector<double> mean_gaps(const std::vector<campaign_config>& configs,
+                                                   const campaign_options& opt) {
+  const auto campaign = run_campaign(configs, opt);
+  std::vector<double> gaps;
+  gaps.reserve(campaign.configs.size());
+  for (const auto& c : campaign.configs) gaps.push_back(c.aggregate.mean_gap());
+  return gaps;
+}
 
 /// Wall-clock helper.
 class stopwatch {

@@ -35,7 +35,7 @@ int run(int argc, const char* const* argv) {
               format_power_of_ten(n).c_str(), format_power_of_ten(m).c_str(), cfg.runs());
 
   stopwatch total;
-  std::vector<cell> cells;
+  std::vector<campaign_config> cells;
   for (const load_t g : gs) {
     cells.push_back({"thin-greedy",
                      [n, g] { return any_process(noisy_mean_thinning<thinning_greedy>(n, g)); }, m});
@@ -53,18 +53,20 @@ int run(int argc, const char* const* argv) {
                      m});
     cells.push_back({"g-bounded", [n, g] { return any_process(g_bounded(n, g)); }, m});
   }
-  const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
+  const auto campaign = run_campaign(cells, campaign_options_for(cfg));
   constexpr std::size_t kPerG = 5;
 
   text_table table({"g", "mean-thin greedy", "mean-thin myopic", "(1+0.25) greedy",
                     "(1+0.5) greedy", "two-choice greedy (=g-bounded)"});
   for (std::size_t i = 0; i < gs.size(); ++i) {
-    const auto* row = &results[i * kPerG];
-    table.add_row({std::to_string(gs[i]), format_fixed(row[0].mean_gap(), 2),
-                   format_fixed(row[1].mean_gap(), 2), format_fixed(row[2].mean_gap(), 2),
-                   format_fixed(row[3].mean_gap(), 2), format_fixed(row[4].mean_gap(), 2)});
+    const auto gap = [&](std::size_t k) {
+      return campaign.configs[i * kPerG + k].aggregate.mean_gap();
+    };
+    table.add_row({std::to_string(gs[i]), format_fixed(gap(0), 2), format_fixed(gap(1), 2),
+                   format_fixed(gap(2), 2), format_fixed(gap(3), 2), format_fixed(gap(4), 2)});
   }
   std::printf("%s\n", table.render().c_str());
+  report_campaign(campaign, cfg);
   std::printf(
       "Observations:\n"
       "  * g = 0 rows are the noise-free baselines: Mean-Thinning and (1+beta) start with a\n"

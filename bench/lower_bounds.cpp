@@ -25,11 +25,17 @@ int run(int argc, const char* const* argv) {
   if (!cfg_opt) return 0;
   auto cfg = *cfg_opt;
   warn_model_flags_unsupported(cfg, "lower_bounds");
+  reject_campaign_file_flags(cfg, "lower_bounds");
   if (cfg.runs_override == 0 && !cfg.paper_mode()) cfg.runs_override = 10;
+  const campaign_options opt = campaign_options_for(cfg);
 
   const bin_count n =
       cfg.n_override > 0 ? static_cast<bin_count>(cfg.n_override) : bin_count{10000};
   const double logn = std::log(static_cast<double>(n));
+  // Each measured g-Myopic-Comp point is its own one-configuration campaign.
+  const auto myopic_gap = [&](load_t g, step_count m) {
+    return mean_gaps({{"m", [n, g] { return any_process(g_myopic_comp(n, g)); }, m}}, opt)[0];
+  };
   stopwatch total;
   bool all_ok = true;
   text_table table({"bound", "configuration", "measured gap", "lower bound", "verdict"});
@@ -37,17 +43,17 @@ int run(int argc, const char* const* argv) {
   // --- Observation 11.1: majorization floor.
   {
     const step_count m = 200LL * n;
-    std::vector<cell> cells = {
+    const std::vector<campaign_config> cells = {
         {"two-choice", [n] { return any_process(two_choice(n)); }, m},
         {"g-bounded", [n] { return any_process(g_bounded(n, 8)); }, m},
         {"g-myopic", [n] { return any_process(g_myopic_comp(n, 8)); }, m},
         {"g-adv-boost", [n] { return any_process(g_adv_comp<overload_booster>(n, 8)); }, m},
         {"g-adv-index", [n] { return any_process(g_adv_comp<index_bias>(n, 8)); }, m},
     };
-    const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
-    const double floor = results[0].mean_gap();
+    const auto gaps = mean_gaps(cells, opt);
+    const double floor = gaps[0];
     for (std::size_t i = 1; i < cells.size(); ++i) {
-      const double gap = results[i].mean_gap();
+      const double gap = gaps[i];
       const bool ok = gap + 0.5 >= floor;  // statistical slack
       all_ok = all_ok && ok;
       table.add_row({"Obs 11.1 (>= Two-Choice)", cells[i].label + " g=8",
@@ -59,10 +65,7 @@ int run(int argc, const char* const* argv) {
   // --- Proposition 11.2 (i): Gap(ng/2) >= g/35.
   for (const load_t g : {8, 16, 32}) {
     const auto m = static_cast<step_count>(n) * g / 2;
-    const auto results = run_cells(
-        {{"m", [n, g] { return any_process(g_myopic_comp(n, g)); }, m}}, cfg.runs(), cfg.seed,
-        cfg.threads);
-    const double gap = results[0].mean_gap();
+    const double gap = myopic_gap(g, m);
     const double bound = static_cast<double>(g) / 35.0;
     const bool ok = gap >= bound;
     all_ok = all_ok && ok;
@@ -74,10 +77,7 @@ int run(int argc, const char* const* argv) {
   {
     const auto g = static_cast<load_t>(std::ceil(6.0 * logn));
     const auto m = static_cast<step_count>(static_cast<double>(n) * g * g / (32.0 * logn));
-    const auto results = run_cells(
-        {{"m", [n, g] { return any_process(g_myopic_comp(n, g)); }, m}}, cfg.runs(), cfg.seed,
-        cfg.threads);
-    const double gap = results[0].mean_gap();
+    const double gap = myopic_gap(g, m);
     const double bound = static_cast<double>(g) / 60.0;
     const bool ok = gap >= bound;
     all_ok = all_ok && ok;
@@ -91,10 +91,7 @@ int run(int argc, const char* const* argv) {
   // heavily loaded gap only grows, Observation 11.1 + majorization).
   for (const load_t g : {4, 8, 16}) {
     const step_count m = 1000LL * n;
-    const auto results = run_cells(
-        {{"m", [n, g] { return any_process(g_myopic_comp(n, g)); }, m}}, cfg.runs(), cfg.seed,
-        cfg.threads);
-    const double gap = results[0].mean_gap();
+    const double gap = myopic_gap(g, m);
     const double bound = 0.125 * theory::adv_comp_sublinear_bound(n, g);
     const bool ok = gap >= bound;
     all_ok = all_ok && ok;
@@ -106,10 +103,9 @@ int run(int argc, const char* const* argv) {
   // --- Proposition 11.5 (ii): sigma >= 32, m = sigma^{4/5} n / 2.
   for (const double sigma : {32.0, 64.0}) {
     const auto m = static_cast<step_count>(0.5 * std::pow(sigma, 0.8) * n);
-    const auto results = run_cells(
+    const double gap = mean_gaps(
         {{"m", [n, sigma] { return any_process(sigma_noisy_load(n, rho_gaussian(sigma))); }, m}},
-        cfg.runs(), cfg.seed, cfg.threads);
-    const double gap = results[0].mean_gap();
+        opt)[0];
     const double bound =
         std::min(0.5 * std::pow(sigma, 0.8), std::pow(sigma, 0.4) * std::sqrt(logn) / 30.0);
     const bool ok = gap >= bound;
@@ -122,13 +118,13 @@ int run(int argc, const char* const* argv) {
   // --- Observation 11.6: Gap(b) of b-Batch == One-Choice with b balls.
   {
     const step_count b = n;
-    std::vector<cell> cells = {
+    const std::vector<campaign_config> cells = {
         {"b-batch first batch", [n, b] { return any_process(b_batch(n, b)); }, b},
         {"one-choice", [n] { return any_process(one_choice(n)); }, b},
     };
-    const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
-    const double batch_gap = results[0].mean_gap();
-    const double one_gap = results[1].mean_gap();
+    const auto gaps = mean_gaps(cells, opt);
+    const double batch_gap = gaps[0];
+    const double one_gap = gaps[1];
     const bool ok = std::fabs(batch_gap - one_gap) < 0.75;
     all_ok = all_ok && ok;
     table.add_row({"Obs 11.6 first batch == One-Choice", "b=n=" + std::to_string(n),

@@ -27,7 +27,7 @@ int run(int argc, const char* const* argv) {
   std::printf("=== Table 12.4: gap distributions, b-Batch vs One-Choice (n = %s, runs=%zu) ===\n\n",
               format_power_of_ten(n).c_str(), cfg.runs());
 
-  std::vector<cell> cells;
+  std::vector<campaign_config> cells;
   for (const auto b : batch_sizes) {
     cells.push_back(
         {"b-batch/" + std::to_string(b), [n, b] { return any_process(b_batch(n, b)); }, m});
@@ -35,7 +35,7 @@ int run(int argc, const char* const* argv) {
                      [n] { return any_process(one_choice(n)); }, b});
   }
   stopwatch total;
-  const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads, cfg.engine);
+  const auto campaign = run_campaign(cells, campaign_options_for(cfg));
 
   const auto& published = paper_distributions();
   text_table batch_table({"b", "measured gap (b-Batch, m=1000n)", "paper"});
@@ -44,12 +44,15 @@ int run(int argc, const char* const* argv) {
     const auto b = batch_sizes[i];
     const auto bp = published.find(paper_key{"b-batch", static_cast<int>(b), n});
     const auto op = published.find(paper_key{"one-choice", static_cast<int>(b), n});
-    batch_table.add_row({format_power_of_ten(b), results[2 * i].gap_histogram.to_paper_style(),
+    batch_table.add_row({format_power_of_ten(b),
+                         campaign.configs[2 * i].aggregate.gap_histogram().to_paper_style(),
                          bp != published.end() ? paper_style(bp->second) : "-"});
     // The paper's One-Choice column matches the *maximum load* (gap + b/n):
     // e.g. at b = 10^5 it reports ~24.8 where the gap is ~14.8 and b/n = 10.
     int_histogram max_hist;
-    for (const auto& r : results[2 * i + 1].runs) max_hist.add(r.max_load);
+    for (std::size_t r = 0; r < campaign.repeats; ++r) {
+      max_hist.add(campaign.cells[(2 * i + 1) * campaign.repeats + r].max_load);
+    }
     one_table.add_row({format_power_of_ten(b), max_hist.to_paper_style(),
                        op != published.end() ? paper_style(op->second) : "-"});
   }
@@ -58,6 +61,7 @@ int run(int argc, const char* const* argv) {
   std::printf("One-Choice with m = b balls (the paper's column reports the max load, i.e.\n"
               "gap + b/n -- see EXPERIMENTS.md):\n%s\n",
               one_table.render().c_str());
+  report_campaign(campaign, cfg);
   std::printf(
       "Expected shape (paper): for b >= n the two processes approach each other\n"
       "(Observation 11.6: the first batch *is* One-Choice), while for b << n the batch\n"

@@ -40,7 +40,9 @@ int run(int argc, const char* const* argv) {
   if (!cfg_opt) return 0;
   auto cfg = *cfg_opt;
   warn_model_flags_unsupported(cfg, "table_2_3_bounds_check");
+  reject_campaign_file_flags(cfg, "table_2_3_bounds_check");
   if (cfg.runs_override == 0 && !cfg.paper_mode()) cfg.runs_override = 5;
+  const campaign_options opt = campaign_options_for(cfg);
 
   stopwatch total;
   std::vector<verdict_row> verdicts;
@@ -51,14 +53,12 @@ int run(int argc, const char* const* argv) {
     const bin_count n = 4096;
     const step_count m = 500LL * n;
     std::vector<double> gs;
-    std::vector<double> gaps;
-    std::vector<cell> cells;
+    std::vector<campaign_config> cells;
     for (const load_t g : {8, 16, 32, 64, 128}) {
       gs.push_back(g);
       cells.push_back({"g", [n, g] { return any_process(g_bounded(n, g)); }, m});
     }
-    const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
-    for (const auto& r : results) gaps.push_back(r.mean_gap());
+    const auto gaps = mean_gaps(cells, opt);
     const auto fit = fit_linear(gs, gaps);
     std::printf("claim 1 (Thm 5.12) gap vs g at n=%u: ", n);
     for (std::size_t i = 0; i < gs.size(); ++i) std::printf("g=%g->%.1f ", gs[i], gaps[i]);
@@ -77,16 +77,16 @@ int run(int argc, const char* const* argv) {
     const bin_count n = 65536;
     const step_count m = 200LL * n;
     std::vector<double> ratios;
-    std::vector<cell> cells;
+    std::vector<campaign_config> cells;
     const std::vector<load_t> gs = {2, 3, 4, 6, 8, 11};  // up to ~log n
     for (const load_t g : gs) {
       cells.push_back({"g", [n, g] { return any_process(g_bounded(n, g)); }, m});
     }
-    const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
+    const auto gaps = mean_gaps(cells, opt);
     std::printf("claim 2 (Thm 9.2) gap/(g/log g*loglog n + g) at n=%u:", n);
     for (std::size_t i = 0; i < gs.size(); ++i) {
       const double bound = theory::adv_comp_tight_gap(n, gs[i]);
-      const double ratio = results[i].mean_gap() / bound;
+      const double ratio = gaps[i] / bound;
       ratios.push_back(ratio);
       std::printf(" g=%d->%.2f", gs[i], ratio);
     }
@@ -100,17 +100,17 @@ int run(int argc, const char* const* argv) {
   // (Theorem 10.2).  The ratio to the theory shape must be flat across n.
   {
     std::vector<double> ratios;
-    std::vector<cell> cells;
+    std::vector<campaign_config> cells;
     const std::vector<bin_count> ns = {1024, 4096, 16384, 65536};
     for (const bin_count n : ns) {
       cells.push_back(
           {"n", [n] { return any_process(b_batch(n, n)); }, 300LL * static_cast<step_count>(n)});
     }
-    const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
+    const auto gaps = mean_gaps(cells, opt);
     std::printf("claim 3 (Thm 10.2) b-Batch b=n, gap/theory across n:");
     for (std::size_t i = 0; i < ns.size(); ++i) {
       const double bound = theory::batch_gap(ns[i], ns[i]);
-      const double ratio = results[i].mean_gap() / bound;
+      const double ratio = gaps[i] / bound;
       ratios.push_back(ratio);
       std::printf(" n=%u->%.2f", ns[i], ratio);
     }
@@ -124,8 +124,7 @@ int run(int argc, const char* const* argv) {
   {
     const bin_count n = 1024;
     std::vector<double> xs;  // b/n
-    std::vector<double> gaps;
-    std::vector<cell> cells;
+    std::vector<campaign_config> cells;
     for (const step_count b : {16LL * n, 32LL * n, 64LL * n, 128LL * n}) {
       xs.push_back(static_cast<double>(b) / n);
       // Measure at a batch boundary (the gap oscillates by Theta(b/n)
@@ -133,8 +132,7 @@ int run(int argc, const char* const* argv) {
       const auto batches = std::max<step_count>(16, (500LL * n + b - 1) / b);
       cells.push_back({"b", [n, b] { return any_process(b_batch(n, b)); }, batches * b});
     }
-    const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
-    for (const auto& r : results) gaps.push_back(r.mean_gap());
+    const auto gaps = mean_gaps(cells, opt);
     const auto fit = fit_linear(xs, gaps);
     std::printf("claim 4 (b >= n log n) gap vs b/n at n=%u: ", n);
     for (std::size_t i = 0; i < xs.size(); ++i) std::printf("b/n=%g->%.1f ", xs[i], gaps[i]);
@@ -149,19 +147,19 @@ int run(int argc, const char* const* argv) {
   {
     const bin_count n = 10000;
     const step_count m = 1000LL * n;
-    std::vector<cell> cells;
+    std::vector<campaign_config> cells;
     const std::vector<double> sigmas = {2, 4, 8, 16, 32};
     for (const double s : sigmas) {
       cells.push_back(
           {"s", [n, s] { return any_process(sigma_noisy_load(n, rho_gaussian(s))); }, m});
     }
-    const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads);
+    const auto gaps = mean_gaps(cells, opt);
     bool all_in_band = true;
     std::printf("claim 5 (Prop 10.1/11.5) sigma-Noisy-Load bands at n=%u:\n", n);
     for (std::size_t i = 0; i < sigmas.size(); ++i) {
       const double lower = 0.2 * theory::sigma_noisy_load_lower(n, sigmas[i]);
       const double upper = theory::sigma_noisy_load_upper(n, sigmas[i]);
-      const double gap = results[i].mean_gap();
+      const double gap = gaps[i];
       const bool ok = gap >= lower && gap <= upper;
       all_in_band = all_in_band && ok;
       std::printf("  sigma=%-4g gap=%-7.2f band=[%.2f, %.2f] %s\n", sigmas[i], gap, lower, upper,

@@ -41,26 +41,31 @@ int run(int argc, const char* const* argv) {
   spec.param = cli.get_double("param");
   const step_count m = cli.get_int("m-mult") * static_cast<step_count>(spec.n);
 
-  repeat_options opt;
-  opt.runs = static_cast<std::size_t>(cli.get_int("runs"));
-  opt.master_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  campaign_options opt;
+  opt.repeats = static_cast<std::size_t>(cli.get_int("runs"));
+  opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   opt.threads = static_cast<std::size_t>(cli.get_int("threads"));
 
   const any_process prototype = make_process(spec);
   std::printf("process: %s   n = %u   m = %lld (%lld per bin)   runs = %zu\n\n",
               prototype.name().c_str(), spec.n, static_cast<long long>(m),
-              static_cast<long long>(m / spec.n), opt.runs);
+              static_cast<long long>(m / spec.n), opt.repeats);
 
-  const auto result = run_repeated([&spec] { return make_process(spec); }, m, opt);
-  const auto s = result.gap_summary();
+  const auto campaign = run_campaign({{spec.kind, nullptr, m, spec}}, opt);
+  std::vector<double> gaps;
+  double mean_under = 0.0;
+  for (const auto& r : campaign.cells) {
+    gaps.push_back(r.gap);
+    mean_under += r.underload_gap;
+  }
+  const auto s = summarize(std::move(gaps));
 
-  std::printf("gap distribution : %s\n", result.gap_histogram.to_paper_style().c_str());
+  std::printf("gap distribution : %s\n",
+              campaign.configs[0].aggregate.gap_histogram().to_paper_style().c_str());
   std::printf("gap mean/stddev  : %.3f +- %.3f\n", s.mean, s.stddev);
   std::printf("gap min..max     : %.1f .. %.1f   (median %.1f)\n", s.min, s.max, s.median);
-  double mean_under = 0.0;
-  for (const auto& r : result.runs) mean_under += r.underload_gap;
   std::printf("underload gap    : %.3f (mean of t/n - min load)\n",
-              mean_under / static_cast<double>(result.runs.size()));
+              mean_under / static_cast<double>(campaign.cells.size()));
 
   // Theory reference levels for context.
   const auto n = static_cast<double>(spec.n);
@@ -78,15 +83,15 @@ int run(int argc, const char* const* argv) {
   if (!cli.get_string("csv").empty()) {
     csv_writer csv(cli.get_string("csv"),
                    {"run", "seed", "gap", "max_load", "min_load", "balls"});
-    for (std::size_t r = 0; r < result.runs.size(); ++r) {
-      const auto& rr = result.runs[r];
+    for (std::size_t r = 0; r < campaign.cells.size(); ++r) {
+      const auto& rr = campaign.cells[r];
       csv.write_row({csv_writer::field(static_cast<std::int64_t>(r)),
                      std::to_string(rr.seed), csv_writer::field(rr.gap),
                      csv_writer::field(static_cast<std::int64_t>(rr.max_load)),
                      csv_writer::field(static_cast<std::int64_t>(rr.min_load)),
                      csv_writer::field(rr.balls)});
     }
-    std::printf("\nwrote %zu rows to %s\n", result.runs.size(), cli.get_string("csv").c_str());
+    std::printf("\nwrote %zu rows to %s\n", campaign.cells.size(), cli.get_string("csv").c_str());
   }
   return 0;
 }

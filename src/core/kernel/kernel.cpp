@@ -71,27 +71,6 @@ void fold_block(Row* row, const std::uint32_t* chosen, std::size_t count) {
   for (std::size_t i = main; i < count; ++i) ++row[chosen[i]];
 }
 
-template <typename Row>
-void run_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap, Row* row,
-              step_count balls, std::uint64_t seed) {
-  NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
-  NB_REQUIRE(n >= 1, "kernel needs at least one bin");
-  NB_ASSERT(balls >= 0 && snap != nullptr && row != nullptr);
-  const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
-  kernel_detail::lane_soa state;
-  state.init(lanes, seed);
-  const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
-  const std::size_t block = (kBlockBalls / lanes) * lanes;  // multiple of the lane count
-  alignas(64) std::uint32_t chosen[kBlockBalls];
-  while (balls > 0) {
-    const std::size_t count =
-        balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    fill(state, n, threshold, snap, chosen, count);
-    fold_block(row, chosen, count);
-    balls -= static_cast<step_count>(count);
-  }
-}
-
 kernel_detail::fill_alias_fn pick_fill_alias(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -109,24 +88,25 @@ kernel_detail::fill_alias_fn pick_fill_alias(kernel_isa resolved) noexcept {
   }
 }
 
-template <typename Row>
-void run_alias_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                    const std::uint64_t* thresh, const bin_index* alias, Row* row,
-                    step_count balls, std::uint64_t seed) {
+/// The one block driver: seeds the lane state, hoists the Lemire
+/// threshold, then alternates the backend `fill` (the plain or the alias
+/// form; `tables` are the alias form's threshold and alias arrays) with
+/// the row fold over L1-resident blocks.
+template <typename Fill, typename Row, typename... Tables>
+void run_blocks(Fill fill, std::size_t lanes, bin_count n, const std::uint8_t* snap, Row* row,
+                step_count balls, std::uint64_t seed, const Tables*... tables) {
   NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
-  NB_ASSERT(balls >= 0 && snap != nullptr && thresh != nullptr && alias != nullptr &&
-            row != nullptr);
-  const kernel_detail::fill_alias_fn fill = pick_fill_alias(resolve_kernel_isa(isa));
+  NB_ASSERT(balls >= 0 && snap != nullptr && row != nullptr && ((tables != nullptr) && ...));
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
-  const std::size_t block = (kBlockBalls / lanes) * lanes;
+  const std::size_t block = (kBlockBalls / lanes) * lanes;  // multiple of the lane count
   alignas(64) std::uint32_t chosen[kBlockBalls];
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    fill(state, n, threshold, snap, thresh, alias, chosen, count);
+    fill(state, n, threshold, snap, tables..., chosen, count);
     fold_block(row, chosen, count);
     balls -= static_cast<step_count>(count);
   }
@@ -228,24 +208,26 @@ std::size_t kernel_lanes_flag(std::int64_t lanes) {
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint16_t* row, step_count balls, std::uint64_t seed) {
-  run_impl(isa, lanes, n, snap, row, balls, seed);
+  run_blocks(pick_fill(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed);
 }
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed) {
-  run_impl(isa, lanes, n, snap, row, balls, seed);
+  run_blocks(pick_fill(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed);
 }
 
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint16_t* row,
                       step_count balls, std::uint64_t seed) {
-  run_alias_impl(isa, lanes, n, snap, thresh, alias, row, balls, seed);
+  run_blocks(pick_fill_alias(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed, thresh,
+             alias);
 }
 
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
                       step_count balls, std::uint64_t seed) {
-  run_alias_impl(isa, lanes, n, snap, thresh, alias, row, balls, seed);
+  run_blocks(pick_fill_alias(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed, thresh,
+             alias);
 }
 
 }  // namespace nb

@@ -382,15 +382,6 @@ class process_base {
 struct traffic_spec {
   step_count arrivals = 0;
   step_count departures = 0;
-  /// Departure granularity: departures are served in blocks of up to
-  /// `grain` events, the arrival stream cut at the block boundaries
-  /// (Bresenham over blocks instead of single events).  <= 1 reproduces
-  /// the historical per-event interleave bit for bit.  Coarser grains
-  /// are a declared sampling-contract parameter -- they regroup the
-  /// stream's draw order -- and exist so engine-batched departure paths
-  /// see blocks big enough to amortize (window granularity, e.g. the
-  /// churn cycle length).
-  step_count grain = 1;
 };
 
 /// Runs an event stream through `process`: departures are spread evenly
@@ -404,23 +395,19 @@ template <single_steppable P>
 inline void advance(P& process, rng_t& rng, const traffic_spec& traffic) {
   const step_count a = traffic.arrivals;
   const step_count d = traffic.departures;
-  const step_count g = traffic.grain > 1 ? traffic.grain : 1;
   NB_ASSERT(a >= 0 && d >= 0);
   if (d == 0) {
     nb::step_many(process, rng, a);
     return;
   }
   step_count placed = 0;
-  for (step_count served = 0; served < d;) {
-    const step_count block = g < d - served ? g : d - served;
-    // The block ends after floor(a*(served+block)/d) arrivals; with
-    // grain <= 1 this is the historical per-event Bresenham slice.
-    // a,d <= max_run_balls keeps the product well inside int64.
-    const step_count upto = a * (served + block) / d;
+  for (step_count served = 1; served <= d; ++served) {
+    // Departure `served` follows floor(a*served/d) arrivals; a,d <=
+    // max_run_balls keeps the product well inside int64.
+    const step_count upto = a * served / d;
     nb::step_many(process, rng, upto - placed);
     placed = upto;
-    nb::depart_many(process, rng, block);
-    served += block;
+    nb::depart_many(process, rng, 1);
   }
 }
 

@@ -461,26 +461,4 @@ void campaign_result::write_csv(const std::string& path) const {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Historical bench entry point.
-
-std::vector<repeat_result> run_cells(const std::vector<cell>& cells, std::size_t runs,
-                                     std::uint64_t master_seed, std::size_t threads,
-                                     const engine_config& engine) {
-  NB_REQUIRE(runs >= 1, "need at least one run per cell");
-  campaign_options opt;
-  opt.repeats = runs;
-  opt.seed = master_seed;
-  opt.threads = threads;
-  opt.engine = engine;
-  const auto campaign = run_campaign(cells, opt);
-  std::vector<repeat_result> results(cells.size());
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    results[c].runs.assign(campaign.cells.begin() + static_cast<std::ptrdiff_t>(c * runs),
-                           campaign.cells.begin() + static_cast<std::ptrdiff_t>((c + 1) * runs));
-    results[c].gap_histogram = campaign.configs[c].aggregate.gap_histogram();
-  }
-  return results;
-}
-
 }  // namespace nb

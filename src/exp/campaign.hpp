@@ -10,11 +10,12 @@
 // emitted aggregate JSON -- are byte-identical for ANY worker count
 // (enforced by tests/test_orchestrator.cpp).
 //
-// Each cell routes through the fastest applicable engine, exactly like the
-// single-configuration drivers in sim/runner.hpp (campaign_options::engine,
-// an engine_config): threads_per_run > 0 engages the intra-run shard
-// engine, use_kernel the serial SIMD kernel engine, anything else the
-// serial fused loop.
+// This is the one repeated-run driver: every bench binary and example
+// runs its R-runs-per-configuration experiments through run_campaign.
+// Each cell moves through the run_engine of sim/runner.hpp
+// (campaign_options::engine, an engine_config): threads_per_run > 0
+// engages the intra-run shard engine, use_kernel the serial SIMD kernel
+// engine, anything else the serial fused loop.
 //
 // Cells are scheduled by parallel_for's chunked work-stealing distributor
 // (util/thread_pool.hpp): heterogeneous cells rebalance onto idle workers
@@ -63,9 +64,6 @@ struct campaign_config {
   /// with a departure axis (occupancy ~ m, the steady-state regime).
   step_count churn_occupancy = 0;
 };
-
-/// Historical name for a bench configuration list entry.
-using cell = campaign_config;
 
 /// Builds a registry-backed configuration from an expanded sweep point.
 [[nodiscard]] campaign_config make_config(const sweep_point& point);
@@ -194,15 +192,5 @@ struct campaign_result {
 
 /// Declarative-grid convenience overload.
 [[nodiscard]] campaign_result run_campaign(const sweep_grid& grid, const campaign_options& opt);
-
-/// The historical bench entry point, now a thin wrapper over the
-/// orchestrator: every (cell, repetition) job shares one work queue, with
-/// seeds derive_seed(master_seed, cell * runs + rep).  `engine` routes
-/// jobs exactly like campaign_options::engine; results never depend on
-/// `threads` or the backend.
-[[nodiscard]] std::vector<repeat_result> run_cells(const std::vector<cell>& cells,
-                                                   std::size_t runs, std::uint64_t master_seed,
-                                                   std::size_t threads,
-                                                   const engine_config& engine = {});
 
 }  // namespace nb

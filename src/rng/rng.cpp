@@ -4,16 +4,12 @@
 
 namespace nb {
 namespace {
-// Force instantiation of the templated entry points against both generators.
+// Force instantiation of the templated entry points.
 [[maybe_unused]] std::uint64_t instantiate_smoke() {
   xoshiro256pp a(1);
-  xoshiro256ss b(2);
   gaussian_sampler gs;
-  std::uint32_t block[4];
-  bounded_block(a, 10, block, 4);
-  return bounded(a, 10) ^ bounded(b, 10) ^ static_cast<std::uint64_t>(canonical(a) * 8) ^
-         static_cast<std::uint64_t>(gs.next(b)) ^ block[0] ^
-         shard_stream_seed(block[1], block[2]);
+  return bounded(a, 10) ^ static_cast<std::uint64_t>(canonical(a) * 8) ^
+         static_cast<std::uint64_t>(gs.next(a)) ^ shard_stream_seed(a.next(), 2);
 }
 }  // namespace
 }  // namespace nb

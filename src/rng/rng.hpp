@@ -6,13 +6,10 @@
 //
 //   * splitmix64       -- seeding / stream derivation / cheap mixing
 //   * xoshiro256++     -- the workhorse generator (fast, passes BigCrush)
-//   * xoshiro256**     -- alternative with the same state layout, used in
-//                         tests to cross-check statistical behaviour
 //
 // plus the distributions the paper needs: unbiased bounded uniforms
-// (Lemire's multiply-shift rejection method), canonical doubles, Bernoulli,
-// Gaussian (for sigma-Noisy-Load), exponential and Poisson (for the
-// One-Choice Poisson-approximation utilities, Lemma A.3).
+// (Lemire's multiply-shift rejection method), canonical doubles, Bernoulli
+// and Gaussian (for sigma-Noisy-Load).
 //
 // Everything takes the generator as an explicit argument; there is no
 // global RNG state (Core Guidelines I.2).
@@ -137,45 +134,6 @@ class xoshiro256pp {
   std::array<std::uint64_t, 4> s_{};
 };
 
-/// xoshiro256** (same family, different output scrambler).
-class xoshiro256ss {
- public:
-  explicit constexpr xoshiro256ss(std::uint64_t seed) noexcept { reseed(seed); }
-
-  constexpr void reseed(std::uint64_t seed) noexcept {
-    splitmix64 sm(seed);
-    for (auto& word : s_) word = sm.next();
-  }
-
-  constexpr std::uint64_t next() noexcept {
-    const std::uint64_t result = detail::rotl64(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = detail::rotl64(s_[3], 45);
-    return result;
-  }
-
-  using result_type = std::uint64_t;
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept { return std::numeric_limits<std::uint64_t>::max(); }
-  result_type operator()() noexcept { return next(); }
-
-  /// Mid-stream state access; see xoshiro256pp::state().
-  [[nodiscard]] constexpr std::array<std::uint64_t, 4> state() const noexcept { return s_; }
-  constexpr void set_state(const std::array<std::uint64_t, 4>& s) {
-    NB_REQUIRE(s[0] != 0 || s[1] != 0 || s[2] != 0 || s[3] != 0,
-               "xoshiro256 state must not be all zero");
-    s_ = s;
-  }
-
- private:
-  std::array<std::uint64_t, 4> s_{};
-};
-
 /// Unbiased uniform integer in [0, bound) via Lemire's multiply-shift
 /// rejection method.  bound must be positive.
 template <uniform_random_u64 G>
@@ -194,28 +152,6 @@ inline std::uint64_t bounded(G& rng, std::uint64_t bound) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-/// Block counterpart of bounded(): fills dst[0..count) with i.i.d. unbiased
-/// uniforms in [0, bound), hoisting Lemire's rejection threshold -- an
-/// integer division -- out of the loop so the amortized per-sample cost is
-/// one 128-bit multiply.  Accepts and rejects exactly like bounded(), so it
-/// consumes generator output in the same order as `count` successive
-/// bounded() calls (enforced by tests).  bound-1 must fit the output type.
-template <uniform_random_u64 G, std::unsigned_integral Out>
-inline void bounded_block(G& rng, std::uint64_t bound, Out* dst, std::size_t count) {
-  NB_ASSERT(bound > 0);
-  NB_ASSERT(bound - 1 <= std::numeric_limits<Out>::max());
-  const std::uint64_t threshold = (0 - bound) % bound;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t x = rng.next();
-    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-    while (static_cast<std::uint64_t>(m) < threshold) {
-      x = rng.next();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-    }
-    dst[i] = static_cast<Out>(m >> 64);
-  }
 }
 
 /// Uniform double in [0, 1) with 53 random bits.
@@ -276,46 +212,5 @@ class gaussian_sampler {
   double cached_ = 0.0;
   bool has_cached_ = false;
 };
-
-/// Exponential(rate) draw.
-template <uniform_random_u64 G>
-inline double exponential(G& rng, double rate) {
-  NB_REQUIRE(rate > 0.0, "exponential rate must be positive");
-  return -std::log(1.0 - canonical(rng)) / rate;
-}
-
-/// Poisson(mean) draw.  Knuth inversion for small means; for large means the
-/// additivity Poisson(a+b) = Poisson(a) + Poisson(b) splits the mean into
-/// chunks of <= 16, which keeps inversion numerically safe (e^-16 ~ 1e-7)
-/// and exact in distribution.  Intended for analysis utilities, not the
-/// per-ball hot loop.
-template <uniform_random_u64 G>
-inline std::int64_t poisson(G& rng, double mean) {
-  NB_REQUIRE(mean >= 0.0, "poisson mean must be non-negative");
-  std::int64_t total = 0;
-  while (mean > 16.0) {
-    // Draw one chunk of mean exactly 16.
-    const double l = std::exp(-16.0);
-    std::int64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= canonical(rng);
-    } while (p > l);
-    total += k - 1;
-    mean -= 16.0;
-  }
-  if (mean > 0.0) {
-    const double l = std::exp(-mean);
-    std::int64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= canonical(rng);
-    } while (p > l);
-    total += k - 1;
-  }
-  return total;
-}
 
 }  // namespace nb

@@ -1,27 +1,17 @@
-// Simulation drivers: run a process for m balls, repeat with independent
-// seeds (in parallel), and collect the gap statistics the paper reports.
+// Single-run drivers: run a process for m balls through the engine an
+// engine_config selects, and collect the gap observables the paper
+// reports.  Repeated runs (R independent seeds per configuration) go
+// through the campaign orchestrator, exp/campaign.hpp.
 //
-// Determinism: run r of an experiment with master seed s always uses RNG
-// seed derive_seed(s, r), so results are bit-identical for any thread
-// count.  All drivers move balls through step_many (the bulk allocation
-// path), so even the any_process overloads pay one indirect call per chunk
-// rather than one per ball, with the process's fused loop inlined behind
-// it.
+// Every driver moves balls through step_many (the bulk allocation path),
+// so even an any_process pays one indirect call per chunk rather than one
+// per ball, with the process's fused loop inlined behind it.
 #pragma once
 
-#include <cmath>
-#include <exception>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 #include "core/process.hpp"
-#include "stats/histogram.hpp"
-#include "stats/summary.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nb {
 
@@ -36,14 +26,13 @@ struct run_result {
 };
 
 /// THE engine-selection struct, shared by every driver that moves balls
-/// (run_repeated_with, the campaign orchestrator, the checkpointed-run
-/// driver, the churn driver).  threads_per_run > 0 selects the windowed
-/// engine with `shards` shards on that many workers, else use_kernel the
-/// same engine with one shard (the serial SIMD engine), else the plain
-/// fused loop.  shards / use_kernel / lanes are part of the sampling
-/// contract; threads_per_run and isa are execution-only and never affect
-/// results.  repeat_options and campaign_options each hold one as their
-/// `engine` member.
+/// (the campaign orchestrator, the checkpointed-run driver, the churn
+/// driver); campaign_options holds one as its `engine` member.
+/// threads_per_run > 0 selects the windowed engine with `shards` shards on
+/// that many workers, else use_kernel the same engine with one shard (the
+/// serial SIMD engine), else the plain fused loop.  shards / use_kernel /
+/// lanes are part of the sampling contract; threads_per_run and isa are
+/// execution-only and never affect results.
 ///
 /// threads_per_run > 0 is intended for few, huge runs: combined with a
 /// driver's own `threads` > 1 the two multiply.  Processes without
@@ -149,33 +138,6 @@ class run_engine {
   std::string churn_fingerprint_;
 };
 
-/// Options for repeated runs.
-struct repeat_options {
-  std::size_t runs = 10;
-  std::uint64_t master_seed = 1;
-  /// 0 = one thread per hardware core.
-  std::size_t threads = 0;
-  /// Engine every run moves through (see engine_config).
-  engine_config engine;
-  /// Generalized allocation model applied to every run's process (specs
-  /// per make_weighting / make_sampler).  The defaults leave the factory's
-  /// processes untouched, so historical call sites are bit-identical.
-  /// Both are part of the sampling contract.
-  std::string weighting = "unit";
-  std::string sampler = "uniform";
-};
-
-/// Aggregate over repetitions of one configuration.
-struct repeat_result {
-  std::vector<run_result> runs;
-  /// Histogram of gaps rounded to the nearest integer (exact when n | m,
-  /// which holds for every paper experiment).
-  int_histogram gap_histogram;
-
-  [[nodiscard]] summary gap_summary() const;
-  [[nodiscard]] double mean_gap() const;
-};
-
 namespace detail {
 template <typename P>
 run_result collect_run_result(const P& process) {
@@ -207,79 +169,12 @@ run_result simulate(P& process, step_count m, rng_t& rng) {
 }
 
 /// Options-routed variant: moves the m balls through whichever engine the
-/// options selected (run_engine).  This is what run_repeated_with and the
-/// campaign cells use.
+/// options selected (run_engine).  This is what the campaign cells use.
 template <allocation_process P>
 run_result simulate_with(P& process, step_count m, rng_t& rng, run_engine& engine) {
   detail::check_run_ceiling(process, m);
   engine.step(process, rng, m);
   return detail::collect_run_result(process);
 }
-
-/// Runs `factory()` for m balls, `opt.runs` times with derived seeds, in
-/// parallel, and aggregates.  The factory must yield a fresh process (same
-/// configuration) on every call and must be safe to call concurrently.
-template <typename Factory>
-repeat_result run_repeated_with(Factory&& factory, step_count m, const repeat_options& opt) {
-  NB_REQUIRE(opt.runs >= 1, "need at least one run");
-  // Build the shared allocation model ONCE on the caller's thread (alias
-  // tables are O(n) to construct -- zipf alone is one pow per bin) and
-  // copy it into every run; this also validates the specs before any pool
-  // task starts.  Applied after construction so any factory-provided model
-  // loses to an explicit request; the default spec never touches the
-  // process.
-  const bool custom_model = opt.weighting != "unit" || opt.sampler != "uniform";
-  alloc_model shared_model;
-  if (custom_model) {
-    auto probe = factory();
-    using P = std::remove_cvref_t<decltype(probe)>;
-    if constexpr (modeled_process<P> || std::is_same_v<P, any_process>) {
-      shared_model = make_model(opt.weighting, opt.sampler, probe.state().n());
-      probe.set_model(shared_model);  // validates sampler bins against n
-    } else {
-      throw contract_error("process '" + probe.name() +
-                           "' does not support weighted/non-uniform allocation");
-    }
-  }
-  std::vector<run_result> results(opt.runs);
-  // Weighted runs can fail mid-flight (guarded per-bin/total overflow);
-  // pool tasks are noexcept by contract, so capture the first error and
-  // rethrow it here instead of terminating.
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  parallel_for(opt.runs, opt.threads, [&](std::size_t r) {
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error) return;
-    }
-    try {
-      auto process = factory();
-      if (custom_model) {
-        using P = std::remove_cvref_t<decltype(process)>;
-        if constexpr (modeled_process<P> || std::is_same_v<P, any_process>) {
-          process.set_model(shared_model);
-        }
-      }
-      rng_t rng(derive_seed(opt.master_seed, r));
-      run_engine engine(opt.engine);
-      results[r] = simulate_with(process, m, rng, engine);
-      results[r].seed = derive_seed(opt.master_seed, r);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  });
-  if (first_error) std::rethrow_exception(first_error);
-  repeat_result agg;
-  agg.runs = std::move(results);
-  for (const auto& r : agg.runs) {
-    agg.gap_histogram.add(static_cast<std::int64_t>(std::llround(r.gap)));
-  }
-  return agg;
-}
-
-/// Dynamic-process convenience overload.
-repeat_result run_repeated(const std::function<any_process()>& factory, step_count m,
-                           const repeat_options& opt);
 
 }  // namespace nb

@@ -30,19 +30,6 @@ std::vector<std::int64_t> arithmetic_range(std::int64_t lo, std::int64_t hi, std
   return out;
 }
 
-std::vector<std::int64_t> geometric_range(std::int64_t base, std::int64_t hi, std::int64_t factor) {
-  NB_REQUIRE(base >= 1 && factor >= 2, "need base >= 1 and factor >= 2");
-  std::vector<std::int64_t> out;
-  for (std::int64_t v = base; v <= hi;) {
-    out.push_back(v);
-    // v * factor may wrap std::int64_t before the loop condition sees it
-    // (signed overflow is UB); the division guard terminates first.
-    if (v > hi / factor) break;
-    v *= factor;
-  }
-  return out;
-}
-
 step_count checkpoint_chunk(step_count balls_so_far, step_count remaining, step_count interval) {
   NB_REQUIRE(balls_so_far >= 0 && remaining >= 0, "ball counts must be non-negative");
   NB_REQUIRE(interval >= 1, "checkpoint interval must be positive");

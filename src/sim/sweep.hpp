@@ -16,10 +16,6 @@ namespace nb {
 [[nodiscard]] std::vector<std::int64_t> arithmetic_range(std::int64_t lo, std::int64_t hi,
                                                          std::int64_t step = 1);
 
-/// Values {base, base*factor, base*factor^2, ...} up to and including hi.
-[[nodiscard]] std::vector<std::int64_t> geometric_range(std::int64_t base, std::int64_t hi,
-                                                        std::int64_t factor);
-
 /// The paper's Fig. 12.2 batch-size axis: {5, 10, 50, 100, 500, ..., hi}.
 [[nodiscard]] std::vector<std::int64_t> one_five_decades(std::int64_t lo, std::int64_t hi);
 

@@ -514,7 +514,7 @@ TEST(ShardEngineKernel, BitIdenticalAcrossThreadCountsAndBackends) {
 }
 
 TEST(ShardEngineKernel, GapHistogramInvariantAcrossBackendsForRegistry) {
-  // Every registered process kind, driven through run_repeated's
+  // Every registered process kind, driven through a campaign's
   // shard-parallel route with explicit scalar vs auto backends and 1 vs 2
   // worker threads: per-run max loads, gaps and the aggregate gap
   // histogram must all be bit-identical.  Non-windowed kinds exercise the
@@ -523,25 +523,28 @@ TEST(ShardEngineKernel, GapHistogramInvariantAcrossBackendsForRegistry) {
     // One valid parameter per kind: (1+beta) needs beta in [0,1], every
     // other parameterized kind accepts a small positive integer.
     const process_spec spec{kind, 64, kind == "one-plus-beta" ? 0.5 : 4.0};
-    repeat_options opt;
-    opt.runs = 3;
-    opt.master_seed = 17;
+    const std::vector<campaign_config> configs = {{kind, nullptr, 64 * 64, spec}};
+    campaign_options opt;
+    opt.repeats = 3;
+    opt.seed = 17;
     opt.threads = 1;
     opt.engine.threads_per_run = 1;
     opt.engine.shards = 4;
     opt.engine.lanes = 8;
     opt.engine.isa = kernel_isa::scalar;
-    const auto scalar_run = run_repeated([&] { return make_process(spec); }, 64 * 64, opt);
+    const auto scalar_run = run_campaign(configs, opt);
     opt.threads = 2;
     opt.engine.threads_per_run = 2;
     opt.engine.isa = kernel_isa::auto_detect;
-    const auto simd_run = run_repeated([&] { return make_process(spec); }, 64 * 64, opt);
-    ASSERT_EQ(scalar_run.runs.size(), simd_run.runs.size()) << kind;
-    for (std::size_t r = 0; r < scalar_run.runs.size(); ++r) {
-      EXPECT_EQ(scalar_run.runs[r].max_load, simd_run.runs[r].max_load) << kind << " run " << r;
-      EXPECT_DOUBLE_EQ(scalar_run.runs[r].gap, simd_run.runs[r].gap) << kind << " run " << r;
+    const auto simd_run = run_campaign(configs, opt);
+    ASSERT_EQ(scalar_run.cells.size(), simd_run.cells.size()) << kind;
+    for (std::size_t r = 0; r < scalar_run.cells.size(); ++r) {
+      EXPECT_EQ(scalar_run.cells[r].max_load, simd_run.cells[r].max_load) << kind << " run " << r;
+      EXPECT_DOUBLE_EQ(scalar_run.cells[r].gap, simd_run.cells[r].gap) << kind << " run " << r;
     }
-    EXPECT_EQ(scalar_run.gap_histogram.entries(), simd_run.gap_histogram.entries()) << kind;
+    EXPECT_EQ(scalar_run.configs[0].aggregate.gap_histogram().entries(),
+              simd_run.configs[0].aggregate.gap_histogram().entries())
+        << kind;
   }
 }
 
@@ -553,22 +556,25 @@ TEST(KernelEngine, SimulateWithAndRepeatRouting) {
   EXPECT_EQ(result.balls, 640);
   EXPECT_DOUBLE_EQ(result.gap, process.state().gap());
 
-  // use_kernel routes run_repeated through the one-shard engine;
+  // use_kernel routes campaign cells through the one-shard engine;
   // results must not depend on the ISA backend.
-  repeat_options opt;
-  opt.runs = 3;
-  opt.master_seed = 9;
+  const std::vector<campaign_config> configs = {
+      {"b-batch", [] { return any_process(b_batch(64, 8192)); }, 64 * 256}};
+  campaign_options opt;
+  opt.repeats = 3;
+  opt.seed = 9;
   opt.engine.use_kernel = true;
   opt.engine.isa = kernel_isa::scalar;
-  const auto a = run_repeated([] { return any_process(b_batch(64, 8192)); }, 64 * 256, opt);
+  const auto a = run_campaign(configs, opt);
   opt.engine.isa = kernel_isa::auto_detect;
-  const auto b = run_repeated([] { return any_process(b_batch(64, 8192)); }, 64 * 256, opt);
-  ASSERT_EQ(a.runs.size(), b.runs.size());
-  for (std::size_t r = 0; r < a.runs.size(); ++r) {
-    EXPECT_EQ(a.runs[r].max_load, b.runs[r].max_load);
-    EXPECT_DOUBLE_EQ(a.runs[r].gap, b.runs[r].gap);
+  const auto b = run_campaign(configs, opt);
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  for (std::size_t r = 0; r < a.cells.size(); ++r) {
+    EXPECT_EQ(a.cells[r].max_load, b.cells[r].max_load);
+    EXPECT_DOUBLE_EQ(a.cells[r].gap, b.cells[r].gap);
   }
-  EXPECT_EQ(a.gap_histogram.entries(), b.gap_histogram.entries());
+  EXPECT_EQ(a.configs[0].aggregate.gap_histogram().entries(),
+            b.configs[0].aggregate.gap_histogram().entries());
 }
 
 // ---------------------------------------------------------------------------

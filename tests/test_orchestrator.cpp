@@ -403,27 +403,28 @@ TEST(Aggregator, MergeMatchesSerialAccumulation) {
 }
 
 // ---------------------------------------------------------------------------
-// The historical bench entry point drives through the orchestrator.
+// Bench cell lists: per-run results read straight from campaign.cells.
 
-TEST(RunCells, MatchesDirectCampaign) {
-  std::vector<cell> cells;
+TEST(CellList, FlatSeedsAndPerRunResults) {
+  std::vector<campaign_config> cells;
   cells.push_back({"two-choice", [] { return any_process(two_choice(64)); }, 640});
   cells.push_back({"g-bounded", [] { return any_process(g_bounded(64, 2)); }, 640});
-  const auto results = run_cells(cells, 5, 123, 2);
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_EQ(results[0].runs.size(), 5u);
-  EXPECT_EQ(results[0].gap_histogram.total(), 5);
-  // Flat cell-index seed derivation: cell = config * runs + rep.
-  EXPECT_EQ(results[0].runs[0].seed, derive_seed(123, 0));
-  EXPECT_EQ(results[1].runs[2].seed, derive_seed(123, 5 + 2));
-
   campaign_options opt;
   opt.repeats = 5;
   opt.seed = 123;
+  opt.threads = 2;
+  const auto parallel = run_campaign(cells, opt);
+  ASSERT_EQ(parallel.configs.size(), 2u);
+  ASSERT_EQ(parallel.cells.size(), 10u);
+  EXPECT_EQ(parallel.configs[0].aggregate.gap_histogram().total(), 5);
+  // Flat cell-index seed derivation: cell = config * repeats + rep.
+  EXPECT_EQ(parallel.cells[0].seed, derive_seed(123, 0));
+  EXPECT_EQ(parallel.cells[5 + 2].seed, derive_seed(123, 5 + 2));
+
   opt.threads = 1;
-  const auto campaign = run_campaign(cells, opt);
+  const auto serial = run_campaign(cells, opt);
   for (std::size_t r = 0; r < 5; ++r) {
-    EXPECT_DOUBLE_EQ(results[1].runs[r].gap, campaign.cells[5 + r].gap);
+    EXPECT_DOUBLE_EQ(parallel.cells[5 + r].gap, serial.cells[5 + r].gap);
   }
 }
 

@@ -16,35 +16,7 @@ namespace {
 using namespace nb;
 
 // ---------------------------------------------------------------------------
-// Block RNG sampling.
-
-TEST(BoundedBlock, MatchesSerialBoundedDrawForDraw) {
-  // Identical accept/reject rule: from the same generator state the block
-  // fill must produce the same samples AND leave the generator in the same
-  // position as successive bounded() calls.
-  for (const std::uint64_t bound : {2ULL, 3ULL, 7ULL, 1000ULL, (1ULL << 32) - 5}) {
-    rng_t serial(99);
-    rng_t block(99);
-    std::array<std::uint64_t, 257> got{};
-    bounded_block(block, bound, got.data(), got.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], bounded(serial, bound)) << "bound " << bound << " sample " << i;
-    }
-    EXPECT_EQ(serial.next(), block.next()) << "entropy consumption diverged at bound " << bound;
-  }
-}
-
-TEST(BoundedBlock, RespectsBoundAndCoversSupport) {
-  rng_t rng(7);
-  std::array<std::uint32_t, 4096> buf{};
-  bounded_block(rng, 10, buf.data(), buf.size());
-  std::array<int, 10> hits{};
-  for (const std::uint32_t v : buf) {
-    ASSERT_LT(v, 10u);
-    ++hits[v];
-  }
-  for (int h : hits) EXPECT_GT(h, 0);  // ~410 expected per value
-}
+// Shard stream seeds.
 
 TEST(ShardStreamSeed, IndependentPerShardAndWindow) {
   // Distinct (token, shard) pairs must give distinct seeds, and the scheme
@@ -326,26 +298,29 @@ TEST(ShardEngine, SimulateWithAndRepeatRouting) {
   EXPECT_EQ(result.balls, 640);
   EXPECT_DOUBLE_EQ(result.gap, process.state().gap());
 
-  // threads_per_run > 0 routes run_repeated through the engine; results
+  // threads_per_run > 0 routes campaign cells through the engine; results
   // stay deterministic in the outer thread count AND the inner one.  The
   // batch (8192) clears the driver's default min_window, so the runs
   // genuinely take the parallel windows.
-  repeat_options opt;
-  opt.runs = 4;
-  opt.master_seed = 9;
+  const std::vector<campaign_config> configs = {
+      {"b-batch", [] { return any_process(b_batch(64, 8192)); }, 6400}};
+  campaign_options opt;
+  opt.repeats = 4;
+  opt.seed = 9;
   opt.threads = 2;
   opt.engine.threads_per_run = 2;
   opt.engine.shards = 4;
-  const auto a = run_repeated([&] { return any_process(b_batch(64, 8192)); }, 6400, opt);
+  const auto a = run_campaign(configs, opt);
   opt.threads = 1;
   opt.engine.threads_per_run = 1;
-  const auto b = run_repeated([&] { return any_process(b_batch(64, 8192)); }, 6400, opt);
-  ASSERT_EQ(a.runs.size(), b.runs.size());
-  for (std::size_t r = 0; r < a.runs.size(); ++r) {
-    EXPECT_EQ(a.runs[r].max_load, b.runs[r].max_load);
-    EXPECT_DOUBLE_EQ(a.runs[r].gap, b.runs[r].gap);
+  const auto b = run_campaign(configs, opt);
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  for (std::size_t r = 0; r < a.cells.size(); ++r) {
+    EXPECT_EQ(a.cells[r].max_load, b.cells[r].max_load);
+    EXPECT_DOUBLE_EQ(a.cells[r].gap, b.cells[r].gap);
   }
-  EXPECT_EQ(a.gap_histogram.entries(), b.gap_histogram.entries());
+  EXPECT_EQ(a.configs[0].aggregate.gap_histogram().entries(),
+            b.configs[0].aggregate.gap_histogram().entries());
 }
 
 TEST(ShardEngine, RunCeilingUsesNamedConstant) {

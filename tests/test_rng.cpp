@@ -19,12 +19,9 @@ using nb::bounded;
 using nb::canonical;
 using nb::coin_flip;
 using nb::derive_seed;
-using nb::exponential;
 using nb::gaussian_sampler;
-using nb::poisson;
 using nb::splitmix64;
 using nb::xoshiro256pp;
-using nb::xoshiro256ss;
 
 // ---------------------------------------------------------------------------
 // Independent reference implementations (deliberately written differently
@@ -111,35 +108,6 @@ TEST(Xoshiro256pp, JumpProducesDisjointStream) {
 
 TEST(Xoshiro256pp, BitBalance) {
   xoshiro256pp gen(123);
-  std::array<int, 64> ones{};
-  constexpr int kDraws = 20000;
-  for (int i = 0; i < kDraws; ++i) {
-    const std::uint64_t v = gen.next();
-    for (int b = 0; b < 64; ++b) {
-      if (v & (std::uint64_t{1} << b)) ++ones[static_cast<std::size_t>(b)];
-    }
-  }
-  for (int b = 0; b < 64; ++b) {
-    const double frac = static_cast<double>(ones[static_cast<std::size_t>(b)]) / kDraws;
-    EXPECT_NEAR(frac, 0.5, 0.02) << "bit " << b;
-  }
-}
-
-TEST(Xoshiro256ss, DeterministicAndDistinctFromPP) {
-  xoshiro256ss a(7);
-  xoshiro256ss b(7);
-  xoshiro256pp c(7);
-  bool any_diff = false;
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t va = a.next();
-    EXPECT_EQ(va, b.next());
-    if (va != c.next()) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(Xoshiro256ss, BitBalance) {
-  xoshiro256ss gen(99);
   std::array<int, 64> ones{};
   constexpr int kDraws = 20000;
   for (int i = 0; i < kDraws; ++i) {
@@ -312,45 +280,6 @@ TEST(Gaussian, ResetDropsCachedValue) {
   EXPECT_EQ(c.next(), d.next());
 }
 
-TEST(Exponential, MeanMatchesRate) {
-  xoshiro256pp gen(23);
-  for (const double rate : {0.5, 1.0, 4.0}) {
-    nb::running_stats rs;
-    for (int i = 0; i < 100000; ++i) rs.add(exponential(gen, rate));
-    EXPECT_NEAR(rs.mean(), 1.0 / rate, 0.05 / rate) << "rate=" << rate;
-  }
-}
-
-TEST(Exponential, RejectsNonPositiveRate) {
-  xoshiro256pp gen(29);
-  EXPECT_THROW(exponential(gen, 0.0), nb::contract_error);
-  EXPECT_THROW(exponential(gen, -1.0), nb::contract_error);
-}
-
-class PoissonMoments : public ::testing::TestWithParam<double> {};
-
-TEST_P(PoissonMoments, MeanAndVarianceMatch) {
-  const double mean = GetParam();
-  xoshiro256pp gen(static_cast<std::uint64_t>(mean * 100) + 31);
-  nb::running_stats rs;
-  const int draws = 60000;
-  for (int i = 0; i < draws; ++i) rs.add(static_cast<double>(poisson(gen, mean)));
-  EXPECT_NEAR(rs.mean(), mean, 0.05 * mean + 0.05);
-  EXPECT_NEAR(rs.variance(), mean, 0.08 * mean + 0.1);
-}
-
-INSTANTIATE_TEST_SUITE_P(Means, PoissonMoments, ::testing::Values(0.5, 1.0, 4.0, 15.0, 40.0));
-
-TEST(Poisson, ZeroMeanIsZero) {
-  xoshiro256pp gen(37);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(poisson(gen, 0.0), 0);
-}
-
-TEST(Poisson, RejectsNegativeMean) {
-  xoshiro256pp gen(41);
-  EXPECT_THROW(poisson(gen, -1.0), nb::contract_error);
-}
-
 // ---------------------------------------------------------------------------
 // Mid-stream state save/restore -- the checkpointing substrate.  The
 // contract (for every stream the engines derive): save the state, draw,
@@ -370,16 +299,6 @@ TEST(StateSaving, SaveDrawRestoreRepeatsMainStream) {
   for (int i = 0; i < 1000; ++i) ASSERT_EQ(gen.next(), fresh.next()) << "at draw " << i;
 }
 
-TEST(StateSaving, SaveDrawRestoreRepeatsXoshiro256ss) {
-  xoshiro256ss gen(7);
-  for (int i = 0; i < 5; ++i) gen.next();
-  const auto saved = gen.state();
-  const std::uint64_t draw = gen.next();
-  gen.next();
-  gen.set_state(saved);
-  EXPECT_EQ(gen.next(), draw);
-}
-
 TEST(StateSaving, RoundTripsAcrossGeneratorInstances) {
   // Restoring into a DIFFERENT instance (the resume path: a freshly
   // seeded generator adopts the checkpointed words) is equivalent to
@@ -396,8 +315,6 @@ TEST(StateSaving, RejectsAllZeroState) {
   // checkpoint must not be able to install it.
   xoshiro256pp gen(3);
   EXPECT_THROW(gen.set_state({0, 0, 0, 0}), nb::contract_error);
-  xoshiro256ss ss(3);
-  EXPECT_THROW(ss.set_state({0, 0, 0, 0}), nb::contract_error);
 }
 
 TEST(StateSaving, ShardSubstreamsHonorTheContract) {
@@ -462,17 +379,6 @@ TEST(StateSaving, GaussianCacheAccessorsRoundTrip) {
   gs.set_cache(has, cached);
   EXPECT_EQ(gs.next(gen), second);
   EXPECT_EQ(gen.state(), rng_saved);  // still no stream consumption
-}
-
-TEST(Poisson, ProbabilityOfZeroMatchesExpMinusMean) {
-  xoshiro256pp gen(43);
-  constexpr double kMean = 2.0;
-  int zeros = 0;
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i) {
-    if (poisson(gen, kMean) == 0) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / kDraws, std::exp(-kMean), 0.01);
 }
 
 }  // namespace

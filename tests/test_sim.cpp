@@ -1,5 +1,6 @@
-// Tests for the simulation driver: simulate / run_repeated determinism,
-// thread-count independence, the trace recorder and the sweep helpers.
+// Tests for the simulation drivers: simulate, repeated runs through a
+// one-configuration campaign (seeds, thread-count independence), the trace
+// recorder and the sweep helpers.
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
@@ -41,88 +42,82 @@ TEST(Simulate, RejectsLoadOverflowRisk) {
   EXPECT_THROW(simulate(p, step_count{3000000000}, rng), contract_error);
 }
 
-TEST(RunRepeated, ProducesRequestedRuns) {
-  repeat_options opt;
-  opt.runs = 8;
-  opt.master_seed = 5;
-  const auto res = run_repeated([] { return any_process(two_choice(64)); }, 5000, opt);
-  EXPECT_EQ(res.runs.size(), 8u);
-  EXPECT_EQ(res.gap_histogram.total(), 8);
-  for (const auto& r : res.runs) EXPECT_EQ(r.balls, 5000);
+// Repeated runs go through the campaign orchestrator; a one-configuration
+// list is the single-configuration driver.
+campaign_result repeat(const std::function<any_process()>& factory, step_count m,
+                       const campaign_options& opt) {
+  return run_campaign({{"runs", factory, m}}, opt);
 }
 
-TEST(RunRepeated, SeedsAreDerivedPerRun) {
-  repeat_options opt;
-  opt.runs = 4;
-  opt.master_seed = 6;
-  const auto res = run_repeated([] { return any_process(two_choice(64)); }, 1000, opt);
+TEST(RepeatedRuns, ProducesRequestedRuns) {
+  campaign_options opt;
+  opt.repeats = 8;
+  opt.seed = 5;
+  const auto res = repeat([] { return any_process(two_choice(64)); }, 5000, opt);
+  EXPECT_EQ(res.cells.size(), 8u);
+  EXPECT_EQ(res.configs[0].aggregate.gap_histogram().total(), 8);
+  for (const auto& r : res.cells) EXPECT_EQ(r.balls, 5000);
+}
+
+TEST(RepeatedRuns, SeedsAreDerivedPerRun) {
+  campaign_options opt;
+  opt.repeats = 4;
+  opt.seed = 6;
+  const auto res = repeat([] { return any_process(two_choice(64)); }, 1000, opt);
   std::set<std::uint64_t> seeds;
-  for (const auto& r : res.runs) seeds.insert(r.seed);
+  for (const auto& r : res.cells) seeds.insert(r.seed);
   EXPECT_EQ(seeds.size(), 4u);
-  EXPECT_EQ(res.runs[0].seed, derive_seed(6, 0));
-  EXPECT_EQ(res.runs[3].seed, derive_seed(6, 3));
+  for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(res.cells[r].seed, derive_seed(6, r));
 }
 
-TEST(RunRepeated, ThreadCountDoesNotChangeResults) {
+TEST(RepeatedRuns, ThreadCountDoesNotChangeResults) {
   const auto run_with = [](std::size_t threads) {
-    repeat_options opt;
-    opt.runs = 12;
-    opt.master_seed = 7;
+    campaign_options opt;
+    opt.repeats = 12;
+    opt.seed = 7;
     opt.threads = threads;
-    return run_repeated([] { return any_process(g_bounded(64, 3)); }, 4000, opt);
+    return repeat([] { return any_process(g_bounded(64, 3)); }, 4000, opt);
   };
   const auto serial = run_with(1);
   const auto parallel = run_with(8);
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.runs[i].gap, parallel.runs[i].gap) << "run " << i;
-    EXPECT_EQ(serial.runs[i].max_load, parallel.runs[i].max_load);
+  ASSERT_EQ(serial.cells.size(), parallel.cells.size());
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    EXPECT_DOUBLE_EQ(serial.cells[i].gap, parallel.cells[i].gap) << "run " << i;
+    EXPECT_EQ(serial.cells[i].max_load, parallel.cells[i].max_load);
   }
 }
 
-TEST(RunRepeated, TemplatedAndErasedPathsAgree) {
-  repeat_options opt;
-  opt.runs = 6;
-  opt.master_seed = 8;
-  const auto direct = run_repeated_with([] { return two_choice(64); }, 3000, opt);
-  const auto erased = run_repeated([] { return any_process(two_choice(64)); }, 3000, opt);
-  for (std::size_t i = 0; i < direct.runs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(direct.runs[i].gap, erased.runs[i].gap);
-  }
-}
-
-TEST(RunRepeated, SummaryMatchesRuns) {
-  repeat_options opt;
-  opt.runs = 10;
-  opt.master_seed = 9;
-  const auto res = run_repeated([] { return any_process(one_choice(32)); }, 3200, opt);
-  const auto s = res.gap_summary();
-  EXPECT_EQ(s.count, 10u);
+TEST(RepeatedRuns, AggregateMatchesRuns) {
+  campaign_options opt;
+  opt.repeats = 10;
+  opt.seed = 9;
+  const auto res = repeat([] { return any_process(one_choice(32)); }, 3200, opt);
+  const auto& agg = res.configs[0].aggregate;
+  EXPECT_EQ(agg.count(), 10u);
   double acc = 0.0;
-  for (const auto& r : res.runs) acc += r.gap;
-  EXPECT_NEAR(s.mean, acc / 10.0, 1e-12);
-  EXPECT_NEAR(res.mean_gap(), s.mean, 1e-12);
+  for (const auto& r : res.cells) acc += r.gap;
+  EXPECT_NEAR(agg.mean_gap(), acc / 10.0, 1e-12);
 }
 
-TEST(RunRepeated, ThreadsPerRunWithoutParallelWindowsWarnsOnceAndRunsSerially) {
+TEST(RepeatedRuns, ThreadsPerRunWithoutParallelWindowsWarnsOnceAndRunsSerially) {
   // Regression: threads_per_run used to be silently ignored for processes
   // without parallel snapshot windows.  It must still run (serially, with
   // identical results to the plain serial path) but say so once.
   const auto run_with = [](std::size_t threads_per_run) {
-    repeat_options opt;
-    opt.runs = 3;
-    opt.master_seed = 21;
+    campaign_options opt;
+    opt.repeats = 3;
+    opt.seed = 21;
     opt.threads = 1;
     opt.engine.threads_per_run = threads_per_run;
-    return run_repeated_with([] { return two_choice(64); }, 2000, opt);
+    return repeat([] { return any_process(two_choice(64)); }, 2000, opt);
   };
   const auto ignored = run_with(4);
   EXPECT_TRUE(warned("shard-engine/two-choice"));
   const auto serial = run_with(0);
-  ASSERT_EQ(ignored.runs.size(), serial.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ignored.runs[i].gap, serial.runs[i].gap) << "run " << i;
-    EXPECT_EQ(ignored.runs[i].max_load, serial.runs[i].max_load);
+  ASSERT_EQ(ignored.cells.size(), serial.cells.size());
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    EXPECT_DOUBLE_EQ(ignored.cells[i].gap, serial.cells[i].gap) << "run " << i;
+    EXPECT_EQ(ignored.cells[i].max_load, serial.cells[i].max_load);
   }
 }
 
@@ -137,10 +132,10 @@ TEST(WarnOnce, EmitsExactlyOncePerKey) {
   EXPECT_TRUE(warned(key));
 }
 
-TEST(RunRepeated, RejectsZeroRuns) {
-  repeat_options opt;
-  opt.runs = 0;
-  EXPECT_THROW(run_repeated([] { return any_process(two_choice(8)); }, 10, opt), contract_error);
+TEST(RepeatedRuns, RejectsZeroRuns) {
+  campaign_options opt;
+  opt.repeats = 0;
+  EXPECT_THROW((void)repeat([] { return any_process(two_choice(8)); }, 10, opt), contract_error);
 }
 
 TEST(AnyProcess, CopyIsDeepClone) {
@@ -219,29 +214,6 @@ TEST(Sweep, ArithmeticRange) {
   ASSERT_EQ(w.size(), 3u);
   EXPECT_EQ(w[1], 5);
   EXPECT_THROW(arithmetic_range(5, 1), contract_error);
-}
-
-TEST(Sweep, GeometricRange) {
-  const auto v = geometric_range(1, 64, 4);
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_EQ(v[3], 64);
-  EXPECT_THROW(geometric_range(1, 10, 1), contract_error);
-}
-
-TEST(Sweep, GeometricRangeNearOverflowTerminates) {
-  // Regression: v *= factor used to wrap std::int64_t (UB) when hi sat
-  // near the type maximum; the division guard must stop one step early.
-  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
-  const auto v = geometric_range(1, kMax, 2);
-  ASSERT_EQ(v.size(), 63u);  // 2^0 .. 2^62; 2^63 would overflow
-  EXPECT_EQ(v.back(), std::int64_t{1} << 62);
-  const auto w = geometric_range(kMax - 1, kMax, 3);
-  ASSERT_EQ(w.size(), 1u);
-  EXPECT_EQ(w.front(), kMax - 1);
-  // Values above hi but below overflow still stop exactly at hi.
-  const auto u = geometric_range(5, 100, 10);
-  ASSERT_EQ(u.size(), 2u);
-  EXPECT_EQ(u.back(), 50);
 }
 
 TEST(Sweep, OneFiveDecades) {

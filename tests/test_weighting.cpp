@@ -440,25 +440,26 @@ TEST(ModelPlumbing, SamplerBinMismatchThrows) {
   EXPECT_THROW(p.set_model(make_model("unit", "zipf:1", 8)), contract_error);
 }
 
-TEST(ModelPlumbing, RunRepeatedAppliesModelSpecs) {
-  repeat_options opt;
-  opt.runs = 3;
-  opt.master_seed = 5;
+TEST(ModelPlumbing, RepeatedRunsApplyModelSpecs) {
+  campaign_options opt;
+  opt.repeats = 3;
+  opt.seed = 5;
   opt.threads = 1;
-  opt.weighting = "fixed:4";
-  opt.sampler = "zipf:0.5";
-  const bin_count n = 64;
-  const auto result = run_repeated([n] { return any_process(two_choice(n)); }, 6400, opt);
-  ASSERT_EQ(result.runs.size(), 3u);
-  for (const auto& r : result.runs) {
+  process_spec spec{"two-choice", 64};
+  spec.weighting = "fixed:4";
+  spec.sampler = "zipf:0.5";
+  const std::vector<campaign_config> configs = {{"weighted", nullptr, 6400, spec}};
+  const auto result = run_campaign(configs, opt);
+  ASSERT_EQ(result.cells.size(), 3u);
+  for (const auto& r : result.cells) {
     EXPECT_EQ(r.balls, 6400);
     // Weighted gap: max load minus average weight -- with weight 4 the
     // per-bin loads are multiples of 4, so the gap is too.
     EXPECT_EQ(std::fmod(r.gap, 4.0), 0.0);
   }
   // Deterministic: the same options reproduce bit-identically.
-  const auto again = run_repeated([n] { return any_process(two_choice(n)); }, 6400, opt);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(result.runs[i].gap, again.runs[i].gap);
+  const auto again = run_campaign(configs, opt);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(result.cells[i].gap, again.cells[i].gap);
 }
 
 TEST(ModelPlumbing, SweepGridExpandsModelAxes) {
@@ -491,12 +492,11 @@ TEST(ModelPlumbing, MidRunOverflowPropagatesOutOfPoolWorkers) {
   opt.threads = 2;
   EXPECT_THROW((void)run_campaign(grid, opt), contract_error);
 
-  repeat_options ropt;
-  ropt.runs = 2;
-  ropt.threads = 2;
-  ropt.weighting = "fixed:16777216";
-  EXPECT_THROW((void)run_repeated([] { return any_process(one_choice(2)); }, 300, ropt),
-               contract_error);
+  // Same through an explicit one-configuration list.
+  process_spec spec{"one-choice", 2};
+  spec.weighting = "fixed:16777216";
+  const std::vector<campaign_config> configs = {{"overflow", nullptr, 300, spec}};
+  EXPECT_THROW((void)run_campaign(configs, opt), contract_error);
 }
 
 TEST(ModelPlumbing, CampaignRunsWeightedCellsDeterministically) {
