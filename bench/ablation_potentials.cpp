@@ -28,6 +28,7 @@ int run(int argc, const char* const* argv) {
   add_standard_flags(cli);
   const auto cfg = parse_standard(cli, argc, argv);
   if (!cfg) return 0;
+  reject_campaign_file_flags(*cfg, "ablation_potentials", kNoCampaign);
   warn_model_flags_unsupported(*cfg, "ablation_potentials");
 
   stopwatch total;

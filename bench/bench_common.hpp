@@ -177,15 +177,22 @@ inline void report_campaign(const campaign_result& campaign, const bench_config&
   }
 }
 
+/// Why a binary that does not run exactly one campaign has no use for
+/// --journal, --resume and --json.
+inline constexpr const char* kSeveralCampaigns =
+    "it runs several campaigns, and a journal or JSON archive describes one";
+inline constexpr const char* kNoCampaign =
+    "it runs no campaign, so there is no journal or JSON archive to write";
+
 /// For binaries that run several campaigns under one seed (one campaign
-/// per section; folding them into one would re-seed the cells): a journal
-/// or aggregate JSON describes a single campaign, so --journal, --resume
-/// and --json are rejected before any run instead of being ignored.
-inline void reject_campaign_file_flags(const bench_config& cfg, const std::string& binary) {
-  const auto reject = [&binary](bool set, const char* flag) {
-    NB_REQUIRE(!set, std::string(flag) + " is not supported by " + binary +
-                         ": it runs several campaigns, and a journal or JSON archive "
-                         "describes one");
+/// per section; folding them into one would re-seed the cells) or none at
+/// all: a journal or aggregate JSON describes a single campaign, so
+/// --journal, --resume and --json are rejected before any run instead of
+/// being ignored.  `reason` is kSeveralCampaigns or kNoCampaign.
+inline void reject_campaign_file_flags(const bench_config& cfg, const std::string& binary,
+                                       const char* reason) {
+  const auto reject = [&binary, reason](bool set, const char* flag) {
+    NB_REQUIRE(!set, std::string(flag) + " is not supported by " + binary + ": " + reason);
   };
   reject(cfg.resume, "--resume");
   reject(!cfg.journal.empty(), "--journal");

@@ -25,7 +25,7 @@ int run(int argc, const char* const* argv) {
   if (!cfg_opt) return 0;
   auto cfg = *cfg_opt;
   warn_model_flags_unsupported(cfg, "lower_bounds");
-  reject_campaign_file_flags(cfg, "lower_bounds");
+  reject_campaign_file_flags(cfg, "lower_bounds", kSeveralCampaigns);
   if (cfg.runs_override == 0 && !cfg.paper_mode()) cfg.runs_override = 10;
   const campaign_options opt = campaign_options_for(cfg);
 

@@ -40,7 +40,7 @@ int run(int argc, const char* const* argv) {
   if (!cfg_opt) return 0;
   auto cfg = *cfg_opt;
   warn_model_flags_unsupported(cfg, "table_2_3_bounds_check");
-  reject_campaign_file_flags(cfg, "table_2_3_bounds_check");
+  reject_campaign_file_flags(cfg, "table_2_3_bounds_check", kSeveralCampaigns);
   if (cfg.runs_override == 0 && !cfg.paper_mode()) cfg.runs_override = 5;
   const campaign_options opt = campaign_options_for(cfg);
 

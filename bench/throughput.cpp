@@ -211,8 +211,14 @@ struct scale_entry {
   /// time over all its shots (emitted per window as window_phases_ms).
   window_phase_times phases;
   /// Engine churn legs: the same split for the engine's departure blocks
-  /// (emitted per block as depart_phases_ms).
+  /// (emitted per block as depart_phases_ms, with the record's repair
+  /// counts as depart_repairs).
   window_phase_times depart_phases;
+  /// Like-with-like ratios (0 = not reported): a shard leg's rate over the
+  /// one-shard kernel leg at t = 1 on the same ISA, and the churn-shard
+  /// leg's rate over the churn-kernel leg of its channel.
+  double speedup_vs_one_shard = 0.0;
+  double churn_shard_vs_kernel = 0.0;
 };
 
 /// --isa override in effect for every engine the scale legs construct
@@ -242,16 +248,34 @@ void note_phases(scale_entry& entry, const window_phase_times& phases) {
               total > 0.0 ? 100.0 * static_cast<double>(phases.commit_ns) / total : 0.0);
 }
 
-/// Prints an engine churn leg's per-departure-block split.
+/// Prints an engine churn leg's per-departure-block split and repairs.
 void note_depart_phases(const window_phase_times& phases) {
   if (phases.windows == 0) return;
   const double ms = 1e-6 / static_cast<double>(phases.windows);
   std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, merge + clamp %.3f ms, "
-              "commit %.3f ms\n",
+              "commit %.3f ms; repairs: %lld clamped ranges, %lld re-served events, "
+              "%lld recomputed shards\n",
               static_cast<double>(phases.snapshot_ns) * ms,
               static_cast<double>(phases.kernel_ns) * ms,
               static_cast<double>(phases.merge_ns) * ms,
-              static_cast<double>(phases.commit_ns) * ms);
+              static_cast<double>(phases.commit_ns) * ms,
+              static_cast<long long>(phases.clamped_ranges),
+              static_cast<long long>(phases.reserved_events),
+              static_cast<long long>(phases.recomputed_shards));
+}
+
+/// Sets a shard leg's speedup_vs_one_shard: its rate over the one-shard
+/// kernel leg at t = 1 with the same ISA (left 0 when no such leg ran).
+void note_vs_one_shard(scale_entry& shard, const std::vector<scale_entry>& results,
+                       double work) {
+  for (const scale_entry& e : results) {
+    if (e.kernel == "kernel" && e.threads == 1 && e.isa == shard.isa) {
+      shard.speedup_vs_one_shard = shard.timing.rate_median(work) / e.timing.rate_median(work);
+      std::printf("    vs one-shard kernel (t=1, %s) %.2fx\n", e.isa.c_str(),
+                  shard.speedup_vs_one_shard);
+      return;
+    }
+  }
 }
 
 /// "ipc 1.23, llc 4.5e+07" console tail for a leg, or the explicit
@@ -324,6 +348,7 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
                                          engine.step_many(p, rng, chunk);
                                        }));
       note_phases(results.back(), engine.phases());
+      note_vs_one_shard(results.back(), results, work);
     }
     scale_entry& entry = timed ? results[shard_leg] : results.back();
     if (!entry.parity_checked) {
@@ -579,6 +604,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         engine.step_many(p, rng, chunk);
       }));
   note_phases(results.back(), engine.phases());
+  note_vs_one_shard(results.back(), results, work);
   const std::size_t shard_leg = results.size() - 1;
   const scale_entry shard = results.back();  // copy: the alias leg below may reallocate
   std::printf("  shard vs fused        %14.2fx on %u hardware cores\n",
@@ -634,11 +660,13 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   // The cycle is max(min_window, n) -- the committed observed-run window
   // b = n, which amortizes the per-block O(n) snapshot/commit passes over
   // a full window of events.  Engine legs also report their departure
-  // blocks' phase split (depart_phases_ms).  Keyed by (kernel, process,
-  // departures) in the JSON; the tail records per-channel speedups of
-  // churn-kernel over churn-serial (like with like: same process, same
-  // cycle, same warmed state).  --departures narrows to one channel; the
-  // default sweeps all three.
+  // blocks' phase split (depart_phases_ms) and repair counts
+  // (depart_repairs).  Keyed by (kernel, process, departures) in the JSON;
+  // the tail records per-channel speedups of churn-kernel over
+  // churn-serial, and the churn-shard leg its speedup over churn-kernel
+  // (churn_shard_vs_kernel) -- like with like: same process, same cycle,
+  // same warmed state.  --departures narrows to one channel; the default
+  // sweeps all three.
   const step_count churn_pairs = m / 10;
   std::vector<std::pair<std::string, double>> churn_speedups;
   if (churn_pairs > 0) {
@@ -726,6 +754,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         note_depart_phases(leg.depart_phases);
       };
       double serial_rate = 0.0;
+      double kernel_rate = 0.0;
       {
         perf_counter_set churn_counters;
         churn_counters.start();
@@ -748,6 +777,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
             [&](b_batch& p, rng_t& rng, step_count k) { kengine.depart_many(p, rng, k); });
         leg.isa = kernel_isa_name(kengine.isa());
         leg.depart_phases = kengine.depart_phases();
+        kernel_rate = leg.timing.rate_median(churn_work);
         if (serial_rate > 0.0) {
           churn_speedups.emplace_back(channel, leg.timing.rate_median(churn_work) / serial_rate);
         }
@@ -767,7 +797,9 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
             });
         leg.isa = kernel_isa_name(sengine.isa());
         leg.depart_phases = sengine.depart_phases();
+        leg.churn_shard_vs_kernel = leg.timing.rate_median(churn_work) / kernel_rate;
         print_batch_leg(leg, serial_rate);
+        std::printf("    vs churn-kernel (t=1) %.2fx\n", leg.churn_shard_vs_kernel);
         results.push_back(std::move(leg));
       }
     }
@@ -891,6 +923,20 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       };
       emit_phases("window_phases_ms", "windows", e.phases);
       emit_phases("depart_phases_ms", "blocks", e.depart_phases);
+      if (e.depart_phases.windows > 0) {
+        std::fprintf(f,
+                     ",\n     \"depart_repairs\": {\"clamped_ranges\": %lld, "
+                     "\"reserved_events\": %lld, \"recomputed_shards\": %lld}",
+                     static_cast<long long>(e.depart_phases.clamped_ranges),
+                     static_cast<long long>(e.depart_phases.reserved_events),
+                     static_cast<long long>(e.depart_phases.recomputed_shards));
+      }
+      if (e.speedup_vs_one_shard > 0.0) {
+        std::fprintf(f, ",\n     \"speedup_vs_one_shard\": %.4f", e.speedup_vs_one_shard);
+      }
+      if (e.churn_shard_vs_kernel > 0.0) {
+        std::fprintf(f, ",\n     \"churn_shard_vs_kernel\": %.4f", e.churn_shard_vs_kernel);
+      }
       if (e.perf.available) {
         std::fprintf(f, ",\n     \"perf\": {\"cycles\": %.6e, \"instructions\": %.6e, "
                         "\"ipc\": %.4f, ",

@@ -3,8 +3,9 @@
 // The driver owns everything backend-independent: lane-state setup, the
 // Lemire threshold hoist, cutting the run into L1-resident blocks (always
 // at multiples of the lane count, so every backend sees the same aligned
-// lane rotation), and folding the decided bins into the caller's count
-// row.  Backends only fill the block's chosen-bin buffer.
+// lane rotation), and either folding the decided bins into the caller's
+// count row (kernel_run) or leaving them in the caller's pick buffer
+// (kernel_pick).  Backends only fill the block's chosen-bin buffer.
 //
 // The fold loop is where the kernel actually hits the memory wall at
 // paper scale: `++row[chosen[i]]` is a random read-modify-write over a
@@ -61,8 +62,7 @@ kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
 
 /// Folds one decided block into the caller's row, prefetching the
 /// increment targets kFoldPrefetchDist balls ahead.
-template <typename Row>
-void fold_block(Row* row, const std::uint32_t* chosen, std::size_t count) {
+void fold_block(std::uint32_t* row, const std::uint32_t* chosen, std::size_t count) {
   const std::size_t main = count > kFoldPrefetchDist ? count - kFoldPrefetchDist : 0;
   for (std::size_t i = 0; i < main; ++i) {
     __builtin_prefetch(&row[chosen[i + kFoldPrefetchDist]], 1, 1);
@@ -89,25 +89,34 @@ kernel_detail::fill_alias_fn pick_fill_alias(kernel_isa resolved) noexcept {
 }
 
 /// The one block driver: seeds the lane state, hoists the Lemire
-/// threshold, then alternates the backend `fill` (the plain or the alias
-/// form; `tables` are the alias form's threshold and alias arrays) with
-/// the row fold over L1-resident blocks.
-template <typename Fill, typename Row, typename... Tables>
-void run_blocks(Fill fill, std::size_t lanes, bin_count n, const std::uint8_t* snap, Row* row,
-                step_count balls, std::uint64_t seed, const Tables*... tables) {
+/// threshold, then runs the backend `fill` (the plain or the alias form;
+/// `tables` are the alias form's threshold and alias arrays) over
+/// L1-resident blocks.  Exactly one of `row` and `picks` is non-null:
+/// with a row each block folds into it, with a pick buffer the backend
+/// writes every block straight into it, in ball order.
+template <typename Fill, typename... Tables>
+void run_blocks(Fill fill, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                std::uint32_t* row, std::uint32_t* picks, step_count balls, std::uint64_t seed,
+                const Tables*... tables) {
   NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
-  NB_ASSERT(balls >= 0 && snap != nullptr && row != nullptr && ((tables != nullptr) && ...));
+  NB_ASSERT(balls >= 0 && snap != nullptr && (row == nullptr) != (picks == nullptr) &&
+            ((tables != nullptr) && ...));
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
   const std::size_t block = (kBlockBalls / lanes) * lanes;  // multiple of the lane count
-  alignas(64) std::uint32_t chosen[kBlockBalls];
+  alignas(64) std::uint32_t buffer[kBlockBalls];
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
+    std::uint32_t* chosen = picks != nullptr ? picks : buffer;
     fill(state, n, threshold, snap, tables..., chosen, count);
-    fold_block(row, chosen, count);
+    if (picks != nullptr) {
+      picks += count;
+    } else {
+      fold_block(row, chosen, count);
+    }
     balls -= static_cast<step_count>(count);
   }
 }
@@ -207,27 +216,27 @@ std::size_t kernel_lanes_flag(std::int64_t lanes) {
 }
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint16_t* row, step_count balls, std::uint64_t seed) {
-  run_blocks(pick_fill(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed);
-}
-
-void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed) {
-  run_blocks(pick_fill(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed);
+  run_blocks(pick_fill(resolve_kernel_isa(isa)), lanes, n, snap, row, nullptr, balls, seed);
 }
 
-void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint16_t* row,
-                      step_count balls, std::uint64_t seed) {
-  run_blocks(pick_fill_alias(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed, thresh,
-             alias);
+void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                 std::uint32_t* picks, step_count balls, std::uint64_t seed) {
+  run_blocks(pick_fill(resolve_kernel_isa(isa)), lanes, n, snap, nullptr, picks, balls, seed);
 }
 
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
                       step_count balls, std::uint64_t seed) {
-  run_blocks(pick_fill_alias(resolve_kernel_isa(isa)), lanes, n, snap, row, balls, seed, thresh,
-             alias);
+  run_blocks(pick_fill_alias(resolve_kernel_isa(isa)), lanes, n, snap, row, nullptr, balls, seed,
+             thresh, alias);
+}
+
+void kernel_pick_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* picks,
+                       step_count balls, std::uint64_t seed) {
+  run_blocks(pick_fill_alias(resolve_kernel_isa(isa)), lanes, n, snap, nullptr, picks, balls,
+             seed, thresh, alias);
 }
 
 }  // namespace nb

@@ -93,13 +93,16 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 
 /// Runs `balls` lane-interleaved decisions against `snap` (n bins, 8-bit
 /// offsets, 3 bytes of tail padding) and accumulates `++row[chosen]` per
-/// ball.  The uint16 overload is the shard-engine row (caller guarantees
-/// <= 65535 balls per call, as shard_engine's window cap does); the uint32
-/// overload serves whole serial windows.
-void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint16_t* row, step_count balls, std::uint64_t seed);
+/// ball.
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed);
+
+/// The same decisions as kernel_run, emitted instead of counted: picks[t]
+/// receives ball t's chosen bin, in ball order (`picks` holds `balls`
+/// entries).  Folding the picks into a zeroed row gives kernel_run's counts
+/// exactly -- the shard engine buckets them by bin range instead.
+void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                 std::uint32_t* picks, step_count balls, std::uint64_t seed);
 
 /// Alias-sampled variant (non-uniform bin probabilities): each of a ball's
 /// two bin indices is one alias draw -- a Lemire-bounded slot over [n)
@@ -112,10 +115,12 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// tables and the snapshot; NEON vectorizes the draw generation and picks
 /// scalar -- table lookups without hardware gathers don't pay).
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint16_t* row,
-                      step_count balls, std::uint64_t seed);
-void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
                       step_count balls, std::uint64_t seed);
+
+/// kernel_run_alias's decisions emitted in ball order, as kernel_pick.
+void kernel_pick_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* picks,
+                       step_count balls, std::uint64_t seed);
 
 }  // namespace nb

@@ -72,10 +72,11 @@ weight_t remaining_load(const std::uint8_t* snap, std::uint8_t mask, load_t base
 }
 
 /// The serial re-serve law (kernel_depart.hpp): serves one departure over
-/// remaining load from `replay`.
+/// remaining load from `replay` and returns its bin.
 template <typename Row>
-void replay_one(depart_channel channel, bin_count n, const std::uint8_t* snap, load_t base,
-                std::uint8_t span, weight_t w, Row* rel, xoshiro256pp& replay) {
+std::uint32_t replay_one(depart_channel channel, bin_count n, const std::uint8_t* snap,
+                         load_t base, std::uint8_t span, weight_t w, Row* rel,
+                         xoshiro256pp& replay) {
   const std::uint8_t mask = channel == depart_channel::drain ? 0xFF : 0;
   const auto remaining = [&](std::uint32_t c) noexcept {
     return remaining_load(snap, mask, base, w, rel, c);
@@ -86,7 +87,7 @@ void replay_one(depart_channel channel, bin_count n, const std::uint8_t* snap, l
       const auto j = static_cast<std::uint32_t>(bounded(replay, n));
       if (bounded(replay, bound) < static_cast<std::uint64_t>(remaining(j))) {
         ++rel[j];
-        return;
+        return j;
       }
     }
   }
@@ -104,7 +105,7 @@ void replay_one(depart_channel channel, bin_count n, const std::uint8_t* snap, l
       c = (replay.next() >> 63) != 0 ? i : j;
     }
     ++rel[c];
-    return;
+    return c;
   }
   // Deterministic fallback: the fullest remaining bin, first index wins.
   std::uint32_t best = 0;
@@ -119,16 +120,18 @@ void replay_one(depart_channel channel, bin_count n, const std::uint8_t* snap, l
   NB_REQUIRE(best_rem >= w, "drain departure block cannot retire weight " + std::to_string(w) +
                                 ": no bin's remaining load covers it");
   ++rel[best];
+  return best;
 }
 
 /// Drain: fill backends decide "fuller of two snapshot samples" as the
 /// canonical min-select over the caller's byte-inverted snapshot `inv`
 /// (compact_snapshot::assign_inverted); the fold retires weight w per
-/// event with a per-event remaining-capacity check.
+/// event with a per-event remaining-capacity check, writing each served
+/// bin to `served` when it is non-null.
 template <typename Row>
 void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* inv,
                   load_t snap_base, std::uint8_t snap_span, weight_t w, Row* rel, step_count k,
-                  std::uint64_t seed) {
+                  std::uint64_t seed, std::uint32_t* served) {
   const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
@@ -145,12 +148,13 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
         k < static_cast<step_count>(block) ? static_cast<std::size_t>(k) : block;
     fill(state, n, threshold, inv, chosen, count);
     for (std::size_t t = 0; t < count; ++t) {
-      const std::uint32_t c = chosen[t];
+      std::uint32_t c = chosen[t];
       if (remaining_load(inv, 0xFF, snap_base, w, rel, c) >= w) {
         ++rel[c];
       } else {
-        replay_one(depart_channel::drain, n, inv, snap_base, snap_span, w, rel, replay);
+        c = replay_one(depart_channel::drain, n, inv, snap_base, snap_span, w, rel, replay);
       }
+      if (served != nullptr) *served++ = c;
     }
     k -= static_cast<step_count>(count);
   }
@@ -158,11 +162,12 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
 
 /// Random: the pair fill bulk-generates (bin, acceptance) attempt pairs;
 /// the fold serves an attempt iff its acceptance draw lands under the
-/// bin's remaining load, until k departures are served.
+/// bin's remaining load, until k departures are served (each served bin
+/// goes to `served` when it is non-null).
 template <typename Row>
 void depart_random(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                    load_t snap_base, std::uint8_t snap_span, Row* rel, step_count k,
-                   std::uint64_t seed) {
+                   std::uint64_t seed, std::uint32_t* served) {
   // Frozen acceptance bound: the snapshot maximum.  load_t is 32-bit, so
   // base + span always fits the pair fill's < 2^32 bound contract.
   const std::uint64_t bound = static_cast<std::uint64_t>(snap_base) + snap_span;
@@ -184,6 +189,7 @@ void depart_random(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
       const weight_t rem = remaining_load(snap, 0, snap_base, 1, rel, j);
       if (rem > 0 && static_cast<weight_t>(acc[t]) < rem) {
         ++rel[j];
+        if (served != nullptr) *served++ = j;
         --k;
       }
     }
@@ -193,7 +199,8 @@ void depart_random(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
 template <typename Row>
 void depart_impl(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,
                  const std::uint8_t* snap, load_t snap_base, std::uint8_t snap_span,
-                 weight_t weight_per_ball, Row* rel, step_count k, std::uint64_t seed) {
+                 weight_t weight_per_ball, Row* rel, step_count k, std::uint64_t seed,
+                 std::uint32_t* served) {
   NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
@@ -201,11 +208,12 @@ void depart_impl(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_
   NB_ASSERT(k >= 0 && snap != nullptr && rel != nullptr);
   switch (channel) {
     case depart_channel::drain:
-      depart_drain(isa, lanes, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed);
+      depart_drain(isa, lanes, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed,
+                   served);
       return;
     case depart_channel::random:
       NB_REQUIRE(weight_per_ball == 1, "the random departure channel retires unit quanta");
-      depart_random(isa, lanes, n, snap, snap_base, snap_span, rel, k, seed);
+      depart_random(isa, lanes, n, snap, snap_base, snap_span, rel, k, seed, served);
       return;
   }
 }
@@ -215,21 +223,23 @@ void depart_impl(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_
 void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,
                    const std::uint8_t* snap, load_t snap_base, std::uint8_t snap_span,
                    weight_t weight_per_ball, std::uint16_t* rel, step_count k,
-                   std::uint64_t seed) {
-  depart_impl(isa, lanes, channel, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed);
+                   std::uint64_t seed, std::uint32_t* served) {
+  depart_impl(isa, lanes, channel, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed,
+              served);
 }
 
 void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,
                    const std::uint8_t* snap, load_t snap_base, std::uint8_t snap_span,
                    weight_t weight_per_ball, std::uint32_t* rel, step_count k,
-                   std::uint64_t seed) {
-  depart_impl(isa, lanes, channel, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed);
+                   std::uint64_t seed, std::uint32_t* served) {
+  depart_impl(isa, lanes, channel, n, snap, snap_base, snap_span, weight_per_ball, rel, k, seed,
+              served);
 }
 
 void depart_replay(depart_channel channel, bin_count n, const std::uint8_t* snap,
                    load_t snap_base, std::uint8_t snap_span, weight_t weight_per_ball,
                    std::uint32_t* rel, xoshiro256pp& replay) {
-  replay_one(channel, n, snap, snap_base, snap_span, weight_per_ball, rel, replay);
+  (void)replay_one(channel, n, snap, snap_base, snap_span, weight_per_ball, rel, replay);
 }
 
 }  // namespace nb

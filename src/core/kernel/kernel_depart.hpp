@@ -46,7 +46,7 @@
 //   * random -- rejection sampling: draw bin j, then u in [0, base + span),
 //     and serve j iff u < remaining(j).
 // It has two callers: the drain fold above, for drained-dry picks, and the
-// shard engine (core/process.hpp), which clamps its merged shard rows to
+// shard engine (core/process.hpp), which clamps its merged shard counts to
 // snapshot capacity and re-serves the clamped deficit on either channel
 // from rng_t(derive_seed(token, shards)).
 //
@@ -93,17 +93,20 @@ enum class depart_channel : std::uint8_t {
 /// non-negative, where the snapshot load is snap_base + 255 - snap[i] on
 /// the drain channel and snap_base + snap[i] on the random channel, so
 /// the caller can apply the counts with load_state::apply_releases
-/// unguarded.  The uint16 overload is the
-/// shard-engine row (caller caps per-call departures like the allocation
-/// row cap); the uint32 overload serves whole serial blocks.
+/// unguarded.  When `served` is non-null, served[e] also receives the bin
+/// of the e-th departure, in serve order (`served` holds k entries), so a
+/// caller can re-zero exactly the row entries the call touched.  The
+/// uint16 overload is the shard engine's scratch row (a shard serves at
+/// most shard_deltas::max_row_count events); the uint32 overload serves
+/// whole serial blocks.
 void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,
                    const std::uint8_t* snap, load_t snap_base, std::uint8_t snap_span,
                    weight_t weight_per_ball, std::uint16_t* rel, step_count k,
-                   std::uint64_t seed);
+                   std::uint64_t seed, std::uint32_t* served = nullptr);
 void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,
                    const std::uint8_t* snap, load_t snap_base, std::uint8_t snap_span,
                    weight_t weight_per_ball, std::uint32_t* rel, step_count k,
-                   std::uint64_t seed);
+                   std::uint64_t seed, std::uint32_t* served = nullptr);
 
 /// Serves one departure under the re-serve law (header comment) against
 /// `snap` (encoded per channel as for kernel_depart) and the counts already

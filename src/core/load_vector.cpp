@@ -208,38 +208,6 @@ bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx
   return true;
 }
 
-void shard_deltas::reset(std::size_t shards, bin_count n) {
-  NB_REQUIRE(shards >= 1 && n >= 1, "shard_deltas needs at least one shard and one bin");
-  shards_ = shards;
-  n_ = n;
-  // Pad the stride to whole cache lines and over-allocate one line of
-  // slack so row 0 can be skewed onto a line boundary regardless of where
-  // the vector's buffer lands (the allocator only guarantees
-  // alignof(std::uint16_t)).
-  constexpr std::size_t line_entries = row_align_bytes / sizeof(std::uint16_t);
-  stride_ = (static_cast<std::size_t>(n) + line_entries - 1) / line_entries * line_entries;
-  counts_.assign(shards * stride_ + line_entries, 0);
-  const auto addr = reinterpret_cast<std::uintptr_t>(counts_.data());
-  base_ = (row_align_bytes - addr % row_align_bytes) % row_align_bytes / sizeof(std::uint16_t);
-}
-
-void shard_deltas::sum_rows(std::vector<std::uint32_t>& out, bin_index lo, bin_index hi) const {
-  NB_ASSERT(lo <= hi && hi <= n_ && out.size() == n_);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    const std::uint16_t* r = row(s);
-    if (s == 0) {
-      for (bin_index i = lo; i < hi; ++i) out[i] = r[i];
-    } else {
-      for (bin_index i = lo; i < hi; ++i) out[i] += r[i];
-    }
-  }
-}
-
-void shard_deltas::sum_rows(std::vector<std::uint32_t>& out) const {
-  out.resize(n_);
-  sum_rows(out, 0, n_);
-}
-
 template <typename Delta>
 weight_t load_state::add_and_reindex(const Delta& delta, const range_executor& exec) {
   const std::size_t n = loads_.size();

@@ -346,78 +346,13 @@ class compact_snapshot {
   bool ok_ = false;
 };
 
-/// Per-shard bin-increment accumulators for one parallel window.  Shard s
-/// writes only row s (rows are disjoint, so no synchronization), and
-/// sum_rows() folds the rows in fixed shard-index order -- the merged
-/// increments depend only on the shard count, never on which thread ran
-/// which shard or in what order shards finished.
-///
-/// Rows are 16-bit to halve the clear + merge memory traffic (the dominant
-/// per-shard overhead at n = 10^6); a row counter is safe as long as one
-/// shard feeds at most max_row_count balls into one bin, which the engine
-/// guarantees by capping parallel windows at shards * max_row_count balls.
-///
-/// Rows are laid out with a padded, cache-line-aligned stride: row s
-/// starts at a row_align_bytes boundary and the stride rounds n up to a
-/// whole number of lines, so the last counters of row s and the first
-/// counters of row s+1 never share a line.  Without the padding, two
-/// shards hammering their row edges ping-pong the shared line on every
-/// increment -- textbook false sharing, and at small n (tests, smoke
-/// benches) the edges are most of the row.  Layout is internal: the
-/// row()/sum_rows() API and the merged result are unchanged.
-class shard_deltas {
- public:
-  /// Worst-case balls one shard may route to a single bin in one window.
+/// The multi-shard engine's per-shard bound: one shard decides at most
+/// max_row_count balls (or departure events) per window, so any one
+/// shard's count for a bin fits a 16-bit row.  shard_engine caps its
+/// windows at shards * max_row_count, which makes the bound part of the
+/// sampling contract.
+struct shard_deltas {
   static constexpr step_count max_row_count = 65535;
-
-  /// Destructive-interference unit rows are padded and aligned to.  A
-  /// build-time constant 64 rather than
-  /// std::hardware_destructive_interference_size: that trait is a
-  /// compile-target guess anyway (GCC warns on any ABI-sensitive use),
-  /// and 64 is the line size of every x86/ARM target we build for.
-  static constexpr std::size_t row_align_bytes = 64;
-
-  /// Sets the geometry and zeroes every row.  Reuses storage when the
-  /// geometry is unchanged.
-  void reset(std::size_t shards, bin_count n);
-
-  [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
-  [[nodiscard]] bin_count bins() const noexcept { return n_; }
-  /// Entries from row(s) to row(s) + bins() are shard s's counters; the
-  /// padding entries beyond bins() (up to row_stride()) are zero and
-  /// never read.
-  [[nodiscard]] std::uint16_t* row(std::size_t s) noexcept {
-    NB_ASSERT(s < shards_);
-    return counts_.data() + base_ + s * stride_;
-  }
-  [[nodiscard]] const std::uint16_t* row(std::size_t s) const noexcept {
-    NB_ASSERT(s < shards_);
-    return counts_.data() + base_ + s * stride_;
-  }
-
-  /// Row-to-row distance in entries (n rounded up to whole cache lines).
-  [[nodiscard]] std::size_t row_stride() const noexcept { return stride_; }
-
-  /// Zeroes row s's counters.  Rows are disjoint, so distinct rows may be
-  /// cleared concurrently (and concurrently with reads of other rows).
-  void clear_row(std::size_t s) noexcept {
-    std::uint16_t* r = row(s);
-    for (bin_count i = 0; i < n_; ++i) r[i] = 0;
-  }
-
-  /// out[i] = sum over shards (in shard order) of row(s)[i], for the bin
-  /// range [lo, hi).  Disjoint ranges may be summed concurrently.
-  void sum_rows(std::vector<std::uint32_t>& out, bin_index lo, bin_index hi) const;
-
-  /// Whole-vector convenience overload (resizes `out` to n).
-  void sum_rows(std::vector<std::uint32_t>& out) const;
-
- private:
-  std::vector<std::uint16_t> counts_;  ///< base_ skew + shards_ padded rows
-  std::size_t base_ = 0;    ///< entries before row 0 (aligns it to a line)
-  std::size_t stride_ = 0;  ///< entries between consecutive rows
-  std::size_t shards_ = 0;
-  bin_count n_ = 0;
 };
 
 class load_state {

@@ -33,9 +33,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -427,11 +430,13 @@ inline void advance(P& process, rng_t& rng, const traffic_spec& traffic) {
 //     seeded by the token itself (lane l draws from derive_seed(token, l)),
 //     committed on the calling thread -- no pool, no merge;
 //   * S >= 2 shards: the window splits into S fixed shards, shard s draws
-//     from the substream shard_stream_seed(token, s) into its own uint16
-//     row, a worker pool executes the shards, and the settle merges the
-//     rows in fixed shard order (a departure block's settle also clamps
-//     the merge and re-serves the deficit under the departure kernel's
-//     re-serve law, depart_replay).
+//     from the substream shard_stream_seed(token, s), a worker pool
+//     executes the shards, each shard writes its chosen bins into a pick
+//     buffer and counting-sorts them into power-of-two bin ranges, and the
+//     settle counts every shard's bucket r, in shard order, into range r
+//     of one merged row (a departure block's settle also clamps the counts
+//     to snapshot capacity and re-serves the deficit under the departure
+//     kernel's re-serve law, depart_replay).
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling or merge order.  Relative to the serial
@@ -504,18 +509,26 @@ concept live_snapshot_probed = requires(const P p) {
 
 /// Execution-only wall time the engine spent in the phases of its
 /// fast-path windows, summed over `windows` windows: compact snapshot
-/// assignment, sampling (row/counter zeroing plus the kernel or shard
-/// fan-out), the fixed-order shard-row merge (0 with one shard) and the
-/// process's commit_window.  The engine books its departure blocks into a
-/// second record of the same shape (`windows` counts blocks, merge is the
-/// shard-row merge + clamp + re-serve, commit is commit_departures).  Never
-/// read by the sampling code.
+/// assignment, sampling (with one shard the row zeroing plus the kernel,
+/// with more the shards' picks and bucket sorts), the bucket count into
+/// the merged row (0 with one shard) and the process's commit_window.  The engine books its departure
+/// blocks into a second record of the same shape (`windows` counts blocks,
+/// merge is the bucket count + clamp + re-serve, commit is
+/// commit_departures), which alone also counts what the multi-shard settle
+/// had to repair.  Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
   std::int64_t snapshot_ns = 0;
   std::int64_t kernel_ns = 0;
   std::int64_t merge_ns = 0;
   std::int64_t commit_ns = 0;
+  /// Bin ranges whose merged counts the departure clamp lowered.
+  step_count clamped_ranges = 0;
+  /// Clamped deficit events re-served through depart_replay.
+  step_count reserved_events = 0;
+  /// Drain shards that overdrew a bin on their own and were recomputed
+  /// through the checked kernel_depart.
+  step_count recomputed_shards = 0;
 };
 
 namespace engine_detail {
@@ -531,8 +544,7 @@ inline std::int64_t phase_clock_ns() noexcept {
 
 /// A range_executor running its `ranges` bin ranges as tasks on `pool` and
 /// returning once they finished.  It joins through wait_idle, so work
-/// queued on the pool ahead of it is waited for too: queue deferred work
-/// after the pass, not before.
+/// queued on the pool ahead of it is waited for too.
 inline range_executor pool_ranges(thread_pool& pool, std::size_t ranges) {
   return range_executor(ranges,
                         [&pool](std::size_t count, const range_executor::body_fn& body) {
@@ -577,10 +589,10 @@ using kernel_options = shard_options;
 class any_process;
 
 /// The windowed batch engine.  Owns the per-window scratch (compact
-/// snapshot, count rows) and, with two or more shards, the worker pool, so
-/// one engine instance amortizes both across all windows of a run --
-/// create it once per run (or reuse across runs of the same
-/// configuration).
+/// snapshot, merged count row, shard picks) and, with two or more shards,
+/// the worker pool, so one engine instance amortizes both across all
+/// windows of a run -- create it once per run (or reuse across runs of
+/// the same configuration).
 class shard_engine {
  public:
   explicit shard_engine(shard_options opt = {})
@@ -597,13 +609,6 @@ class shard_engine {
       // nothing); this is the threads_per_run > cores trap, say so once.
       warn_if_oversubscribed(pool_->size(), "shard-engine threads_per_run");
     }
-  }
-
-  /// Deferred row clears may still be queued on the pool; they touch
-  /// deltas_, which is destroyed before pool_ (reverse declaration
-  /// order), so join them first.
-  ~shard_engine() {
-    if (pool_) pool_->wait_idle();
   }
 
   [[nodiscard]] const shard_options& options() const noexcept { return opt_; }
@@ -680,9 +685,9 @@ class shard_engine {
   /// draws one master-stream token and runs the SIMD departure kernel.
   /// One shard serves the whole block in one kernel call seeded by the
   /// token.  With more, shard s serves its share on substream
-  /// shard_stream_seed(token, s) into its own uint16 row; shards
-  /// capacity-check against the shared snapshot with only their OWN
-  /// counts, so the merged row can overdraw a bin, and the merge clamps
+  /// shard_stream_seed(token, s) exactly as one kernel_depart call would;
+  /// shards capacity-check against the shared snapshot with only their OWN
+  /// counts, so the merged counts can overdraw a bin, and the settle clamps
   /// each bin to its snapshot capacity and re-serves the deficit from the
   /// dedicated scalar stream rng_t(derive_seed(token, shards)) under the
   /// departure kernel's re-serve law (depart_replay) -- deterministic, and
@@ -749,26 +754,32 @@ class shard_engine {
   void depart_many(any_process& process, rng_t& rng, step_count count);
 
  private:
-  /// Fewest bins whose commit runs by range on the pool (commit_and_clear).
+  /// Fewest bins whose commit runs by range on the pool (run_block).
   /// Below it the pool round trips of the commit's passes cost more than
   /// they split.  Measured with bench/throughput.cpp --scale (b-Batch b = n,
   /// 4 threads, 16 shards, drain churn at 8n) on a 4-core AVX-512 Xeon VM,
   /// median of 5 alternating runs, shard / churn-shard events per second,
-  /// pooled vs calling-thread commit: 2^14 bins 3.4e7 / 3.1e7 vs 6.1e7 /
-  /// 6.1e7; 2^16 bins 5.5e7 / 5.3e7 vs 6.8e7 / 8.6e7; 2^17 bins 1.29e8 /
-  /// 1.05e8 vs 1.20e8 / 1.04e8; 2^18 bins 1.35e8 / 1.16e8 vs 1.30e8 /
-  /// 1.07e8.
+  /// pooled vs calling-thread commit, when the engine still merged
+  /// per-shard rows: 2^14 bins 3.4e7 / 3.1e7 vs 6.1e7 / 6.1e7; 2^16 bins
+  /// 5.5e7 / 5.3e7 vs 6.8e7 / 8.6e7; 2^17 bins 1.29e8 / 1.05e8 vs 1.20e8 /
+  /// 1.04e8; 2^18 bins 1.35e8 / 1.16e8 vs 1.30e8 / 1.07e8.
   static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
 
-  /// Largest window/block one call serves: a shard that routed every one
-  /// of its balls into a single bin must not overflow its 16-bit row, so
-  /// multi-shard windows split deterministically (the cap depends only on
-  /// the shard count, never on threads).  One shard counts into uint32
-  /// and a run is bounded by max_run_balls anyway.
+  /// Largest window/block one call serves: a shard serves at most
+  /// shard_deltas::max_row_count balls or events, so its counts fit the
+  /// 16-bit scratch rows, and multi-shard windows split deterministically
+  /// (the cap depends only on the shard count, never on threads).  One
+  /// shard counts into uint32 and a run is bounded by max_run_balls anyway.
   [[nodiscard]] step_count block_cap() const noexcept {
     return pool_ ? static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count
                  : max_run_balls;
   }
+
+  /// Widest bin range of the multi-shard settle: 2^16 bins, so a bin's
+  /// offset in its range fits the 16-bit bucket entries and a range's
+  /// slice of merged_ (256 KiB) stays L2-resident while every shard's
+  /// bucket counts into it.
+  static constexpr unsigned kMaxRangeBits = 16;
 
   /// Assigns the window's compact snapshot: from the live loads' O(1)
   /// level range when the process proves the frozen snapshot is live, by a
@@ -787,28 +798,125 @@ class shard_engine {
     return k / shards + (static_cast<step_count>(s) < k % shards ? 1 : 0);
   }
 
-  /// Makes the delta rows fit (shards, n) after joining the previous
-  /// window's deferred clears; returns whether every row is already zero.
-  bool prepare_rows(bin_count n) {
-    drain_deferred_clears();
-    if (deltas_.shards() != opt_.shards || deltas_.bins() != n) {
-      deltas_.reset(opt_.shards, n);
-      rows_clean_ = true;
+  /// Index of shard s's first pick in picks_: the shares of shards < s.
+  [[nodiscard]] step_count shard_begin(step_count k, std::size_t s) const noexcept {
+    const auto shards = static_cast<step_count>(opt_.shards);
+    const auto index = static_cast<step_count>(s);
+    return index * (k / shards) + std::min(index, k % shards);
+  }
+
+  /// Pool tasks a multi-shard block fans out to; each claims shards until
+  /// none are left, so per-task scratch needs min(threads, shards) copies.
+  [[nodiscard]] std::size_t shard_tasks() const noexcept {
+    return std::min(pool_->size(), opt_.shards);
+  }
+
+  /// Runs body(i, task) for every i in [0, count) on at most shard_tasks()
+  /// pool tasks, each claiming indices until none are left; `task` is the
+  /// claiming task's index, for its scratch row.  Which task runs which
+  /// index varies, so bodies write only index-owned (or task-owned) data.
+  void claim(std::size_t count, const std::function<void(std::size_t, std::size_t)>& body) {
+    std::atomic<std::size_t> next{0};
+    for (std::size_t t = 0; t < std::min(shard_tasks(), count); ++t) {
+      pool_->submit([&body, &next, count, t] {
+        for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) body(i, t);
+      });
     }
-    return rows_clean_;
+    pool_->wait_idle();
+  }
+
+  /// Task t's zeroed 16-bit scratch count row over n bins.  Users leave it
+  /// zero again, re-zeroing only the bins they counted.
+  std::uint16_t* scratch_row(std::size_t t, bin_count n) {
+    if (scratch_rows_.size() <= t) scratch_rows_.resize(t + 1);
+    if (scratch_rows_[t].size() != n) scratch_rows_[t].assign(n, 0);
+    return scratch_rows_[t].data();
+  }
+
+  /// Sizes the multi-shard scratch for k picks over n bins: power-of-two
+  /// bin ranges about one shard's share of the bins wide (at most 2^16),
+  /// so there are roughly as many ranges as shards.  The range split is
+  /// execution-only -- counts do not depend on it -- but depends on
+  /// (n, shards) alone, so the clamp counters are thread invariant too.
+  void layout_ranges(bin_count n, step_count k) {
+    const std::uint64_t per_shard = (std::uint64_t{n} + opt_.shards - 1) / opt_.shards;
+    range_bits_ = std::min(kMaxRangeBits, static_cast<unsigned>(std::bit_width(per_shard - 1)));
+    range_count_ = (std::size_t{n} + (std::size_t{1} << range_bits_) - 1) >> range_bits_;
+    picks_.resize(static_cast<std::size_t>(k));
+    sorted_.resize(static_cast<std::size_t>(k));
+    buckets_.resize(opt_.shards * bucket_stride());
+  }
+
+  /// Distance between two shards' bucket bounds in buckets_: the
+  /// range_count_ + 1 bounds plus one cache line, so no two shards' bounds
+  /// share a line while their tasks count into them.
+  [[nodiscard]] std::size_t bucket_stride() const noexcept {
+    return range_count_ + 1 + 64 / sizeof(std::uint32_t);
+  }
+
+  /// Bins [first, second) of bin range r.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> range_bounds(std::size_t r,
+                                                                 bin_count n) const noexcept {
+    const std::size_t lo = r << range_bits_;
+    return {lo, std::min(lo + (std::size_t{1} << range_bits_), std::size_t{n})};
+  }
+
+  /// Shard s's bucket bounds: bucket r is sorted_[b[r], b[r + 1]).
+  [[nodiscard]] std::uint32_t* shard_buckets(std::size_t s) noexcept {
+    return buckets_.data() + s * bucket_stride();
+  }
+
+  /// Counting-sorts shard s's `count` picks at picks_[begin..) into its
+  /// bin-range buckets in sorted_[begin..), each stored as its offset
+  /// within the range.
+  void bucket_shard(std::size_t s, step_count begin, step_count count) {
+    const unsigned bits = range_bits_;
+    const auto mask = static_cast<std::uint32_t>((std::size_t{1} << bits) - 1);
+    std::uint32_t* b = shard_buckets(s);
+    std::fill_n(b, range_count_ + 1, 0);
+    const std::uint32_t* picks = picks_.data() + begin;
+    const auto size = static_cast<std::size_t>(count);
+    for (std::size_t i = 0; i < size; ++i) ++b[picks[i] >> bits];
+    auto at = static_cast<std::uint32_t>(begin);
+    for (std::size_t r = 0; r <= range_count_; ++r) at += std::exchange(b[r], at);
+    // Scattering advances b[r] to bucket r's end, which is bucket r + 1's
+    // start; the shift below restores the starts.
+    for (std::size_t i = 0; i < size; ++i) {
+      sorted_[b[picks[i] >> bits]++] = static_cast<std::uint16_t>(picks[i] & mask);
+    }
+    for (std::size_t r = range_count_; r > 0; --r) b[r] = b[r - 1];
+    b[0] = static_cast<std::uint32_t>(begin);
+  }
+
+  /// Zeroes range r's slice of merged_, then counts every shard's bucket r
+  /// into it in shard order.  The slice is L2-resident across the shards.
+  void count_range(std::size_t r, bin_count n) {
+    const auto [lo, hi] = range_bounds(r, n);
+    std::uint32_t* slice = merged_.data() + lo;
+    std::fill(slice, merged_.data() + hi, 0);
+    for (std::size_t s = 0; s < opt_.shards; ++s) {
+      const std::uint32_t* b = shard_buckets(s);
+      for (std::uint32_t j = b[r]; j < b[r + 1]; ++j) ++slice[sorted_[j]];
+    }
+  }
+
+  /// Runs body(r) for every bin range r as pool tasks and joins them.
+  void run_ranges(const range_executor::body_fn& body) {
+    pool_ranges(*pool_, range_count_).run(body);
   }
 
   /// The block skeleton of arrival windows and departure blocks alike:
-  /// draws the block's one master-stream token and runs `leaf(row, count,
-  /// seed)` over it.  One shard is one leaf call for all k into merged_ on
-  /// the calling thread, seeded by the token itself; S >= 2 shards are one
-  /// pool task per shard into the shard's uint16 row, seeded by
-  /// shard_stream_seed(token, s), after which `settle(token)` merges the
-  /// rows into merged_.  `commit(exec)` then applies merged_ through
-  /// commit_and_clear.  Every phase after the snapshot is booked here.
-  template <typename Leaf, typename Settle, typename Commit>
+  /// draws the block's one master-stream token and decides the block from
+  /// it.  One shard is one `leaf(row, k, seed)` call into merged_ on the
+  /// calling thread, seeded by the token itself.  S >= 2 shards are
+  /// shard-claiming pool tasks: shard s runs `pick(picks, count, seed,
+  /// task)` on seed shard_stream_seed(token, s), writing its decided bins
+  /// into its segment of picks_, then buckets them; `settle(token)` then
+  /// fills merged_ from the buckets.  `commit(exec)` finally applies
+  /// merged_.  Every phase after the snapshot is booked here.
+  template <typename Leaf, typename Pick, typename Settle, typename Commit>
   void run_block(rng_t& rng, bin_count n, step_count k, window_phase_times& phases, Leaf&& leaf,
-                 Settle&& settle, Commit&& commit) {
+                 Pick&& pick, Settle&& settle, Commit&& commit) {
     ++phases.windows;
     const std::int64_t t_kernel = engine_detail::phase_clock_ns();
     // Every stream of the block derives from this token, so no result can
@@ -818,53 +926,28 @@ class shard_engine {
       merged_.assign(n, 0);
       leaf(merged_.data(), k, token);
     } else {
-      // rows_clean: the previous block's clears already zeroed every row
-      // (the steady state), so shard tasks skip the redundant re-clear; the
-      // first block after a geometry change is clean via reset().
-      const bool clean = prepare_rows(n);
-      for (std::size_t s = 0; s < opt_.shards; ++s) {
+      layout_ranges(n, k);
+      // Each shard's picks and buckets land in its own segments.
+      claim(opt_.shards, [&](std::size_t s, std::size_t task) {
+        const step_count begin = shard_begin(k, s);
         const step_count count = shard_share(k, s);
-        std::uint16_t* row = deltas_.row(s);
-        if (count == 0) {
-          // Ball-less shard (k < shards): its row still feeds the merge, so
-          // make sure no counts linger from the previous block.
-          if (!clean) deltas_.clear_row(s);
-          continue;
-        }
-        pool_->submit([&leaf, n, row, count, clean, seed = shard_stream_seed(token, s)] {
-          if (!clean) std::fill_n(row, n, std::uint16_t{0});
-          leaf(row, count, seed);
-        });
-      }
-      pool_->wait_idle();
-      rows_clean_ = false;
+        if (count > 0) pick(picks_.data() + begin, count, shard_stream_seed(token, s), task);
+        bucket_shard(s, begin, count);
+      });
     }
     const std::int64_t t_merge = engine_detail::phase_clock_ns();
     phases.kernel_ns += t_merge - t_kernel;
     std::int64_t t_commit = t_merge;
     if (pool_) {
+      merged_.resize(n);
       settle(token);
       t_commit = engine_detail::phase_clock_ns();
       phases.merge_ns += t_commit - t_merge;
     }
-    commit_and_clear(n, [&](const range_executor& exec) {
-      commit(exec);
-      phases.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-    });
-  }
-
-  /// Sums the shard rows into merged_ by bin range on the pool -- every
-  /// bin in fixed shard order, disjoint ranges concurrently, so still
-  /// deterministic -- and runs `fold(r, lo, hi)` on each range r of bins
-  /// [lo, hi) right after summing it.
-  template <typename Fold>
-  void merge_rows(bin_count n, Fold&& fold) {
-    merged_.resize(n);
-    ranges_.run([&](std::size_t r) {
-      const auto [lo, hi] = ranges_.bounds(r, n);
-      deltas_.sum_rows(merged_, static_cast<bin_index>(lo), static_cast<bin_index>(hi));
-      fold(r, lo, hi);
-    });
+    // From kMinPooledCommitBins bins up the commit runs by range on the
+    // pool; below, on the calling thread.
+    commit(pool_ && n >= kMinPooledCommitBins ? ranges_ : range_executor{});
+    phases.commit_ns += engine_detail::phase_clock_ns() - t_commit;
   }
 
   /// One fast-path window of `k` balls, all decided against the window
@@ -888,7 +971,7 @@ class shard_engine {
     }
     run_block(
         rng, n, k, phases_,
-        [&](auto* row, step_count balls, std::uint64_t seed) {
+        [&](std::uint32_t* row, step_count balls, std::uint64_t seed) {
           if (table != nullptr) {
             kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
                              row, balls, seed);
@@ -896,13 +979,34 @@ class shard_engine {
             kernel_run(isa_, opt_.lanes, n, snap, row, balls, seed);
           }
         },
-        [&](std::uint64_t) { merge_rows(n, [](std::size_t, std::size_t, std::size_t) {}); },
+        [&](std::uint32_t* picks, step_count balls, std::uint64_t seed, std::size_t) {
+          if (table != nullptr) {
+            kernel_pick_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
+                              picks, balls, seed);
+          } else {
+            kernel_pick(isa_, opt_.lanes, n, snap, picks, balls, seed);
+          }
+        },
+        [&](std::uint64_t) { run_ranges([&](std::size_t r) { count_range(r, n); }); },
         [&](const range_executor& exec) { process.commit_window(merged_, k, exec); });
     return true;
   }
 
   /// One batched departure block of `k` events; false when the live loads
   /// cannot compact (caller falls back to the serial loop).
+  ///
+  /// With several shards, drain shards run the unchecked pick fill over
+  /// the inverted snapshot: the kernel's per-event drained-dry check fires
+  /// only once a shard alone has picked a bin more often than its capacity,
+  /// so a shard whose counts stay within capacity everywhere decides
+  /// exactly what kernel_depart would.  A shard that does overdraw pushes
+  /// the merged count of that bin over capacity too, so the settle recounts
+  /// per shard only the ranges where the clamp fired, and recomputes each
+  /// overdrawn shard through the checked kernel_depart on its own seed.
+  /// Random shards cannot skip the check (their acceptance test reads the
+  /// shard's running counts on every attempt), so they run kernel_depart
+  /// into one scratch row per pool task and emit their served bins; drain
+  /// shards do the same after a heavily clamped block (drain_checked_).
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
     const bool drain =
@@ -920,85 +1024,145 @@ class shard_engine {
     const std::uint8_t span = snapshot_.max_off();
     const depart_channel channel = drain ? depart_channel::drain : depart_channel::random;
     const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
+    const bool checked = !drain || drain_checked_;
+    // Scratch rows are sized here, on the calling thread, never by a task.
+    if (pool_ && checked) {
+      for (std::size_t t = 0; t < shard_tasks(); ++t) (void)scratch_row(t, n);
+    }
     run_block(
         rng, n, k, depart_phases_,
         // Cannot throw: depart_many admitted at most the resident balls, so
         // no shard's drain ever runs out of snapshot capacity.
-        [&](auto* rel, step_count events, std::uint64_t seed) {
+        [&](std::uint32_t* rel, step_count events, std::uint64_t seed) {
           kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, rel, events, seed);
         },
-        [&](std::uint64_t token) {
-          // Clamp: each shard guarded only its own counts, so the merged
-          // row may overdraw a bin (one shard never does: the kernel's own
-          // capacity fold keeps its counts in bounds, and it has no
-          // settle).  Every range clamps each bin to its snapshot capacity
-          // and books its clamped total.  A bin's snapshot load is
-          // base + (byte ^ mask) in either encoding.
-          const std::uint8_t mask = drain ? 0xFF : 0;
-          range_totals_.assign(ranges_.ranges(), 0);
-          merge_rows(n, [&](std::size_t r, std::size_t lo, std::size_t hi) {
-            step_count total = 0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              // Unit weights skip the 64-bit division: per bin it costs
-              // more than the rest of this pass together.
-              const weight_t load = static_cast<weight_t>(base) + (snap[i] ^ mask);
-              const auto capacity = static_cast<std::uint32_t>(w == 1 ? load : load / w);
-              if (merged_[i] > capacity) merged_[i] = capacity;
-              total += merged_[i];
-            }
-            range_totals_[r] = total;
-          });
-          step_count served = 0;
-          for (const step_count t : range_totals_) served += t;
-          // Re-serve the clamped deficit under the kernel's re-serve law,
-          // from the stream one past the shard substreams.
-          rng_t replay(derive_seed(token, opt_.shards));
-          for (; served < k; ++served) {
-            depart_replay(channel, n, snap, base, span, w, merged_.data(), replay);
+        [&](std::uint32_t* picks, step_count events, std::uint64_t seed, std::size_t task) {
+          if (!checked) {
+            kernel_pick(isa_, opt_.lanes, n, snap, picks, events, seed);
+            return;
           }
+          std::uint16_t* row = scratch_rows_[task].data();
+          kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, row, events, seed,
+                        picks);
+          for (step_count e = 0; e < events; ++e) row[picks[e]] = 0;
         },
+        [&](std::uint64_t token) { settle_departures(channel, n, k, w, token, checked); },
         [&](const range_executor& exec) { process.commit_departures(merged_, k, exec); });
     return true;
   }
 
-  /// Runs `commit(exec)` over n bins and, with a pool, queues the next
-  /// block's row clears (~2n bytes per shard of stores) around it.  From
-  /// kMinPooledCommitBins bins up the commit runs by range on the pool and
-  /// the clears go AFTER it: its range tasks join through wait_idle, so
-  /// clears queued ahead would hold it back, and they overlap the master
-  /// thread's next snapshot assignment instead.  Below that the commit
-  /// runs on the calling thread with the clears queued first, overlapping
-  /// it.  One shard has no pool and no rows: the commit runs on the
-  /// calling thread.
-  template <typename Commit>
-  void commit_and_clear(bin_count n, Commit&& commit) {
-    if (!pool_) {
-      commit(range_executor{});
-    } else if (n < kMinPooledCommitBins) {
-      queue_row_clears();
-      commit(range_executor{});
-    } else {
-      commit(ranges_);
-      queue_row_clears();
+  /// The multi-shard departure settle: counts the buckets into merged_,
+  /// clamps every bin to its snapshot capacity (a bin's snapshot load is
+  /// base + (byte ^ mask) in either encoding), repairs the drain shards
+  /// that overdrew unless the shards ran `checked`, and re-serves the
+  /// clamped deficit under the kernel's re-serve law from the stream one
+  /// past the shard substreams.
+  void settle_departures(depart_channel channel, bin_count n, step_count k, weight_t w,
+                         std::uint64_t token, bool checked) {
+    const bool drain = channel == depart_channel::drain;
+    const std::uint8_t* snap = snapshot_.data();
+    const load_t base = snapshot_.base();
+    const std::uint8_t mask = drain ? 0xFF : 0;
+    // Copies, not references: merged_'s stores could otherwise alias them
+    // and keep the clamp loop from vectorizing.
+    const auto load = [snap, base = static_cast<std::uint32_t>(base), mask](std::size_t i) {
+      return base + (snap[i] ^ mask);
+    };
+    const auto capacity = [load, w](std::size_t i) {
+      return w == 1 ? load(i) : static_cast<std::uint32_t>(load(i) / w);
+    };
+    // A range's deficit is positive exactly when its clamp fired.
+    range_deficits_.resize(range_count_);
+    const auto count_and_clamp = [&](std::size_t r) {
+      range_deficits_[r] = 0;
+      count_range(r, n);
+      const auto [lo, hi] = range_bounds(r, n);
+      std::uint32_t* merged = merged_.data();
+      const auto clamp = [&](const auto& cap_of) {
+        // Every pick is counted, so the range's deficit is its clamped
+        // excess.  The clamp rarely fires: the first loop only detects it
+        // (a vectorizable reduction), the second clamps.
+        std::uint32_t over = 0;
+        for (std::size_t i = lo; i < hi; ++i) over |= merged[i] > cap_of(i) ? 1U : 0U;
+        if (over == 0) return;
+        step_count deficit = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::uint32_t cap = cap_of(i);
+          if (merged[i] > cap) {
+            deficit += merged[i] - cap;
+            merged[i] = cap;
+          }
+        }
+        range_deficits_[r] = deficit;
+      };
+      // Unit weights get their own loop: the 64-bit division costs more
+      // per bin than the rest of the pass together.
+      if (w == 1) {
+        clamp(load);
+      } else {
+        clamp(capacity);
+      }
+    };
+    run_ranges(count_and_clamp);
+    const auto clamped_ranges = [&] {
+      return std::count_if(range_deficits_.begin(), range_deficits_.end(),
+                           [](step_count d) { return d > 0; });
+    };
+    if (!checked && clamped_ranges() > 0) {
+      // Recount each clamped range shard by shard in one scratch row (the
+      // ranges are disjoint, so their tasks share it), flagging the shards
+      // that overdrew a bin on their own.
+      std::uint16_t* row = scratch_row(0, n);
+      overdrawn_.assign(range_count_ * opt_.shards, 0);
+      run_ranges([&](std::size_t r) {
+        if (range_deficits_[r] == 0) return;
+        const std::size_t lo = range_bounds(r, n).first;
+        for (std::size_t s = 0; s < opt_.shards; ++s) {
+          const std::uint32_t* b = shard_buckets(s);
+          bool overdrew = false;
+          for (std::uint32_t j = b[r]; j < b[r + 1]; ++j) {
+            const std::size_t c = lo + sorted_[j];
+            overdrew |= static_cast<std::uint32_t>(++row[c]) > capacity(c);
+          }
+          for (std::uint32_t j = b[r]; j < b[r + 1]; ++j) row[lo + sorted_[j]] = 0;
+          overdrawn_[r * opt_.shards + s] = overdrew ? 1 : 0;
+        }
+      });
+      redo_.clear();
+      for (std::size_t s = 0; s < opt_.shards; ++s) {
+        bool overdrew = false;
+        for (std::size_t r = 0; r < range_count_; ++r) {
+          overdrew |= overdrawn_[r * opt_.shards + s] != 0;
+        }
+        if (overdrew) redo_.push_back(s);
+      }
+      // Each recomputing task needs its own row.
+      for (std::size_t t = 1; t < std::min(shard_tasks(), redo_.size()); ++t) {
+        (void)scratch_row(t, n);
+      }
+      claim(redo_.size(), [&](std::size_t i, std::size_t task) {
+        const std::size_t s = redo_[i];
+        const step_count begin = shard_begin(k, s);
+        const step_count events = shard_share(k, s);
+        std::uint16_t* scratch = scratch_rows_[task].data();
+        std::uint32_t* served = picks_.data() + begin;
+        kernel_depart(isa_, opt_.lanes, channel, n, snap, base, snapshot_.max_off(), w, scratch,
+                      events, shard_stream_seed(token, s), served);
+        for (step_count e = 0; e < events; ++e) scratch[served[e]] = 0;
+        bucket_shard(s, begin, events);
+      });
+      depart_phases_.recomputed_shards += static_cast<step_count>(redo_.size());
+      if (!redo_.empty()) run_ranges(count_and_clamp);
     }
-  }
-
-  /// Queues the next window's row clears on the pool.
-  void queue_row_clears() {
-    for (std::size_t s = 0; s < deltas_.shards(); ++s) {
-      pool_->submit([this, s] { deltas_.clear_row(s); });
+    depart_phases_.clamped_ranges += clamped_ranges();
+    if (drain) drain_checked_ = 2 * clamped_ranges() > static_cast<std::ptrdiff_t>(range_count_);
+    step_count deficit = 0;
+    for (const step_count d : range_deficits_) deficit += d;
+    depart_phases_.reserved_events += deficit;
+    rng_t replay(derive_seed(token, opt_.shards));
+    for (; deficit > 0; --deficit) {
+      depart_replay(channel, n, snap, base, snapshot_.max_off(), w, merged_.data(), replay);
     }
-    clears_pending_ = true;
-  }
-
-  /// Joins the deferred row clears of the previous window (no-op in the
-  /// common case where the pool already drained them while the master
-  /// thread was busy committing / assigning the next snapshot).
-  void drain_deferred_clears() {
-    if (!clears_pending_) return;
-    pool_->wait_idle();
-    clears_pending_ = false;
-    rows_clean_ = true;
   }
 
   shard_options opt_;
@@ -1006,26 +1170,43 @@ class shard_engine {
   /// The workers executing shards; empty for one shard.
   std::optional<thread_pool> pool_;
   /// The current window's or block's compact snapshot.  One buffer is
-  /// enough: the shard tasks and the clamp/re-serve pass that read it are
-  /// joined before the commit, and the only pool work still in flight when
-  /// the next snapshot is assigned is the deferred row clears, which write
-  /// deltas_ rows alone.
+  /// enough: every pool task that reads it is joined before the commit.
   compact_snapshot snapshot_;
-  /// The pool as a bin-range executor, one range per shard: the merge
-  /// (and departure clamp) pass and the commit.
+  /// The pool as a bin-range executor, one range per shard: the commit.
   range_executor ranges_;
-  shard_deltas deltas_;
   /// The merged per-bin counts the process commits (with one shard, the
   /// kernel's own row).
   std::vector<std::uint32_t> merged_;
-  /// Per-range clamped departure totals of the current block.
-  std::vector<step_count> range_totals_;
+  /// Multi-shard block scratch, O(n + k) in all: every shard's decided
+  /// bins in ball (or serve) order, shard s from shard_begin(k, s) on ...
+  std::vector<std::uint32_t> picks_;
+  /// ... the same picks bucketed by bin range, as offsets within it ...
+  std::vector<std::uint16_t> sorted_;
+  /// ... and each shard's range_count_ + 1 bucket bounds into sorted_,
+  /// bucket_stride() apart.
+  std::vector<std::uint32_t> buckets_;
+  /// Bin ranges of 2^range_bits_ bins, range_count_ of them.
+  unsigned range_bits_ = 0;
+  std::size_t range_count_ = 0;
+  /// Zeroed 16-bit count rows, one per pool task: the random channel's
+  /// checked shards and the drain recompute use them (row 0 also serves
+  /// the drain recount); a drain block whose clamp never fires needs none.
+  std::vector<std::vector<std::uint16_t>> scratch_rows_;
+  /// Per-range departure settle state: the clamped excess, and per
+  /// (range, shard) whether the shard overdrew a bin there.
+  std::vector<step_count> range_deficits_;
+  std::vector<std::uint8_t> overdrawn_;
+  /// The drain shards the current block recomputes.
+  std::vector<std::size_t> redo_;
+  /// Whether the next drain block's shards run the checked kernel_depart
+  /// (into scratch rows, like random shards) instead of the unchecked pick
+  /// fill: set when the clamp fired in more than half the previous drain
+  /// block's ranges.  Such a block drains most bins near dry, so nearly
+  /// every shard overdraws on its own and would be recomputed anyway.
+  /// Execution-only: both fills give every shard the same served bins.
+  bool drain_checked_ = false;
   window_phase_times phases_;
   window_phase_times depart_phases_;
-  /// Deferred-clear state: true while the previous window's row-clear
-  /// tasks may still be on the pool / once they finished, respectively.
-  bool clears_pending_ = false;
-  bool rows_clean_ = false;
 };
 
 /// Type-erased handle so heterogeneous processes can share registries,

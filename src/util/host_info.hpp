@@ -22,7 +22,8 @@ struct host_info {
   /// permits 0 for "unknown"; a floor keeps ratio arithmetic safe).
   unsigned hardware_concurrency = 1;
   /// L1 data cache line size in bytes; 64 when undetectable.  This is the
-  /// destructive-interference unit the shard-delta row padding targets.
+  /// destructive-interference unit the shard engine's per-shard bucket
+  /// padding targets.
   std::size_t cache_line_size = 64;
 };
 

@@ -26,6 +26,7 @@
 
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/kernel/kernel_common.hpp"
@@ -280,14 +281,19 @@ TEST(DepartKernel, DrainFullExhaustionBitIdenticalAndGuarded) {
 }
 
 TEST(DepartKernel, UInt16AndUInt32RowsAgree) {
+  // The served bins, when asked for, fold to the same counts too.
   const bin_count n = 53;
   const auto snap = make_snapshot(n);
   for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
     for (const kernel_isa isa : supported_backends()) {
       std::vector<std::uint16_t> row16(n, 0);
+      std::vector<std::uint32_t> served(9999);
       kernel_depart(isa, 8, channel, n, kernel_bytes(channel, snap, n).data(), 25000,
-                    span_of(snap, n), 1, row16.data(), 9999, 5);
+                    span_of(snap, n), 1, row16.data(), 9999, 5, served.data());
       const auto row32 = depart_counts(isa, 8, channel, n, snap, 25000, 1, 9999, 5);
+      std::vector<std::uint32_t> folded(n, 0);
+      for (const std::uint32_t c : served) ++folded[c];
+      EXPECT_EQ(folded, row32) << kernel_isa_name(isa);
       for (bin_index i = 0; i < n; ++i) {
         EXPECT_EQ(row16[i], row32[i])
             << kernel_isa_name(isa) << " channel=" << static_cast<int>(channel) << " bin " << i;
@@ -485,6 +491,84 @@ TEST(DepartEngineShard, GoldenMultiShardDepartureStreams) {
     EXPECT_EQ(shard_departure_digest(threads, "drain"), 8006737899295112482ULL) << threads << " threads";
     EXPECT_EQ(shard_departure_digest(threads, "random"), 16898616805301783270ULL) << threads << " threads";
   }
+}
+
+/// One drain block of `k` events on `shards` shards over two-choice loads
+/// warmed with `warm` balls: the FNV-1a digest of the run (as in
+/// shard_departure_digest) and the engine's departure record.
+std::pair<std::uint64_t, window_phase_times> shard_drain_block(bin_count n, step_count warm,
+                                                               step_count k, std::size_t shards) {
+  rng_t rng(5);
+  any_process process{two_choice(n)};
+  process.set_model(make_model("unit", "uniform", n, "drain"));
+  step_many(process, rng, warm);
+  shard_engine engine(
+      shard_options{.threads = 2, .shards = shards, .min_window = 1, .lanes = 8});
+  engine.depart_many(process, rng, k);
+  const std::vector<load_t>& loads = process.state().loads();
+  std::vector<std::uint64_t> digest(loads.begin(), loads.end());
+  digest.push_back(static_cast<std::uint64_t>(process.state().balls()));
+  digest.push_back(rng.next());
+  return {fnv1a(digest), engine.depart_phases()};
+}
+
+TEST(DepartEngineShard, DrainRecomputesOnlyShardsThatOverdrewOnTheirOwn) {
+  // Every digest below is the stream the per-shard-row engine drew for the
+  // same block.  2900 of 3000 balls leave 64 bins on 2 shards: each shard
+  // alone picks some bins past their capacity, so the settle recomputes it
+  // through the checked kernel.
+  const auto [heavy_digest, heavy] = shard_drain_block(64, 3000, 2900, 2);
+  EXPECT_EQ(heavy_digest, 2449754004501599634ULL);
+  EXPECT_GT(heavy.recomputed_shards, 0);
+  EXPECT_LE(heavy.recomputed_shards, 2);
+  EXPECT_GT(heavy.clamped_ranges, 0);
+  EXPECT_GT(heavy.reserved_events, 0);
+  // The same block on 8 shards (GoldenMultiShardDepartureStreams' drain
+  // pin): the merged counts overdraw, so the clamp fires and the deficit
+  // is re-served, but no single shard needs the checked kernel.
+  const auto [split_digest, split] = shard_drain_block(64, 3000, 2900, 8);
+  EXPECT_EQ(split_digest, 8006737899295112482ULL);
+  EXPECT_EQ(split.recomputed_shards, 0);
+  EXPECT_GT(split.clamped_ranges, 0);
+  EXPECT_GT(split.reserved_events, 0);
+  // At occupancy 8n no shard comes near a bin's capacity: nothing is
+  // recomputed, clamped or re-served.
+  const auto [steady_digest, steady] = shard_drain_block(4096, 8 * 4096, 4096, 8);
+  EXPECT_EQ(steady_digest, 2432676464533900587ULL);
+  EXPECT_EQ(steady.recomputed_shards, 0);
+  EXPECT_EQ(steady.clamped_ranges, 0);
+  EXPECT_EQ(steady.reserved_events, 0);
+}
+
+TEST(DepartEngineShard, HeavilyClampedDrainBlocksRunCheckedOnTheSameStreams) {
+  // Churn cycles at occupancy n, each n arrivals then a drain block of n
+  // events: the block drains every resident ball, so every range clamps,
+  // and after the first block the shards run the checked kernel outright
+  // instead of picking unchecked and being recomputed.  A fresh engine
+  // per block always starts unchecked; both must serve the same stream.
+  const bin_count n = 4096;
+  const shard_options opt{.threads = 2, .shards = 8, .min_window = 1, .lanes = 8};
+  rng_t rng(9);
+  any_process shared_run{two_choice(n)};
+  shared_run.set_model(make_model("unit", "uniform", n, "drain"));
+  step_many(shared_run, rng, n);
+  any_process fresh_run = shared_run;
+  rng_t fresh_rng = rng;
+  shard_engine shared(opt);
+  step_count fresh_recomputed = 0;
+  for (int block = 0; block < 3; ++block) {
+    step_many(shared_run, rng, n);
+    shared.depart_many(shared_run, rng, n);
+    step_many(fresh_run, fresh_rng, n);
+    shard_engine fresh(opt);
+    fresh.depart_many(fresh_run, fresh_rng, n);
+    fresh_recomputed += fresh.depart_phases().recomputed_shards;
+    EXPECT_EQ(shared_run.state().loads(), fresh_run.state().loads()) << "block " << block;
+  }
+  EXPECT_EQ(rng.state(), fresh_rng.state());
+  EXPECT_GT(shared.depart_phases().clamped_ranges, 3 * 8 / 2);
+  EXPECT_GT(fresh_recomputed, 0);
+  EXPECT_LT(shared.depart_phases().recomputed_shards, fresh_recomputed);
 }
 
 TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {

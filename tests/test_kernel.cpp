@@ -265,33 +265,38 @@ TEST(KernelAlias, ScalarMatchesDocumentedAliasDrawOrder) {
             expected);
 }
 
-TEST(KernelAlias, UInt16AndUInt32RowsAgree) {
+TEST(KernelAlias, PicksFoldToRowCounts) {
+  // kernel_pick_alias emits exactly the decisions kernel_run_alias counts.
   const bin_count n = 53;
   const auto snap = make_snapshot(n);
   std::vector<double> weights(n);
   for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 7) + 1);
   const alias_table table(weights);
   for (const kernel_isa isa : supported_backends()) {
-    std::vector<std::uint16_t> row16(n, 0);
-    kernel_run_alias(isa, 8, n, snap.data(), table.thresholds(), table.aliases(), row16.data(),
-                     9999, 5);
-    const auto row32 = kernel_alias_counts(isa, 8, n, snap, table, 9999, 5);
-    for (bin_index i = 0; i < n; ++i) {
-      EXPECT_EQ(row16[i], row32[i]) << kernel_isa_name(isa) << " bin " << i;
-    }
+    std::vector<std::uint32_t> picks(9999);
+    kernel_pick_alias(isa, 8, n, snap.data(), table.thresholds(), table.aliases(), picks.data(),
+                      9999, 5);
+    std::vector<std::uint32_t> folded(n, 0);
+    for (const std::uint32_t c : picks) ++folded[c];
+    EXPECT_EQ(folded, kernel_alias_counts(isa, 8, n, snap, table, 9999, 5)) << kernel_isa_name(isa);
   }
 }
 
-TEST(Kernel, UInt16AndUInt32RowsAgree) {
+TEST(Kernel, PicksFoldToRowCounts) {
+  // kernel_pick emits exactly the decisions kernel_run counts, in ball
+  // order: ball t's pick is the only difference between the first t and
+  // the first t + 1 balls' counts.
   const bin_count n = 53;
   const auto snap = make_snapshot(n);
   for (const kernel_isa isa : supported_backends()) {
-    std::vector<std::uint16_t> row16(n, 0);
-    kernel_run(isa, 8, n, snap.data(), row16.data(), 9999, 5);
-    const auto row32 = kernel_counts(isa, 8, n, snap, 9999, 5);
-    for (bin_index i = 0; i < n; ++i) {
-      EXPECT_EQ(row16[i], row32[i]) << kernel_isa_name(isa) << " bin " << i;
-    }
+    std::vector<std::uint32_t> picks(9999);
+    kernel_pick(isa, 8, n, snap.data(), picks.data(), 9999, 5);
+    std::vector<std::uint32_t> folded(n, 0);
+    for (const std::uint32_t c : picks) ++folded[c];
+    EXPECT_EQ(folded, kernel_counts(isa, 8, n, snap, 9999, 5)) << kernel_isa_name(isa);
+    std::vector<std::uint32_t> prefix = kernel_counts(isa, 8, n, snap, 16, 5);
+    ++prefix[picks[16]];
+    EXPECT_EQ(prefix, kernel_counts(isa, 8, n, snap, 17, 5)) << kernel_isa_name(isa);
   }
 }
 

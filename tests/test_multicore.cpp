@@ -7,9 +7,9 @@
 //   (3) per-index RNG streams are independent of the executing thread
 //       (same seed on concurrent threads => same stream; distinct shard
 //       seeds => distinct streams),
-// plus the supporting machinery: the padded shard-delta rows, the
-// work-stealing chunk distributor, oversubscription diagnostics, host
-// detection and the perf-counter wrapper's graceful fallback.
+// plus the supporting machinery: the work-stealing chunk distributor,
+// oversubscription diagnostics, host detection and the perf-counter
+// wrapper's graceful fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,35 +190,6 @@ TEST(Multicore, ParallelForIndexResultsThreadCountInvariant) {
   };
   const auto reference = run(1);
   for (const std::size_t threads : {2, 4, 16}) EXPECT_EQ(run(threads), reference);
-}
-
-// ---------------------------------------------------------------------------
-// Padded shard-delta rows: the stride is cache-line padded, rows start on
-// line boundaries (no false sharing between adjacent shards), and the
-// padded layout still merges exactly.
-
-TEST(Multicore, ShardDeltaRowsAreCacheLinePadded) {
-  constexpr std::size_t line = shard_deltas::row_align_bytes;
-  shard_deltas d;
-  d.reset(5, 33);  // n deliberately not line-aligned
-  EXPECT_GE(d.row_stride(), 33u);
-  EXPECT_EQ(d.row_stride() * sizeof(std::uint16_t) % line, 0u);
-  for (std::size_t s = 0; s < 5; ++s) {
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.row(s)) % line, 0u) << "row " << s;
-    if (s > 0) {
-      EXPECT_EQ(d.row(s) - d.row(s - 1), static_cast<std::ptrdiff_t>(d.row_stride()));
-    }
-  }
-  // The padded layout still sums and clears per row exactly.
-  for (std::size_t s = 0; s < 5; ++s) {
-    for (bin_index i = 0; i < 33; ++i) d.row(s)[i] = static_cast<std::uint16_t>(s + 1);
-  }
-  std::vector<std::uint32_t> merged;
-  d.sum_rows(merged);
-  for (const std::uint32_t v : merged) EXPECT_EQ(v, 1u + 2u + 3u + 4u + 5u);
-  d.clear_row(2);
-  d.sum_rows(merged);
-  for (const std::uint32_t v : merged) EXPECT_EQ(v, 1u + 2u + 4u + 5u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // The intra-run shard-parallel batch engine and its building blocks:
-// block-RNG sampling, the compact 8-bit snapshot, per-shard delta rows
-// with the fixed-order merge, and the two determinism contracts --
+// block-RNG sampling, the compact 8-bit snapshot, the bucketed shard
+// counts, and the two determinism contracts --
 //   (1) one (seed, shard count) is bit-identical for ANY thread count,
 //   (2) the parallel path agrees with the serial bulk path on every
 //       distributional invariant (it draws different randomness, so the
@@ -55,34 +55,62 @@ TEST(CompactSnapshot, SaturatedSpanIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard deltas and the merged increment application.
+// Bucketed shard counts and the merged increment application.
 
-TEST(ShardDeltas, FixedOrderMergeSumsRows) {
-  shard_deltas d;
-  d.reset(3, 5);
-  for (std::size_t s = 0; s < 3; ++s) {
-    for (bin_index i = 0; i < 5; ++i) d.row(s)[i] = static_cast<std::uint16_t>(10 * s + i);
+TEST(ShardEngine, BucketCountsEqualPlainRecount) {
+  // One multi-shard window's increments, recounted by hand: every shard's
+  // kernel counts on its own substream, summed into one plain row.  The
+  // engine's bin-range buckets must give exactly these counts, including
+  // partial last ranges, ranges of a single bin, empty shards and 2^16-bin
+  // ranges.
+  struct shape {
+    bin_count n;
+    step_count k;
+    const char* sampler;
+    step_count warm;  // serial balls first, a whole number of batches
+  };
+  const std::size_t shards = 16;
+  for (const shape& c : {shape{1000, 5000, "uniform", 5000},          // n not a power of two
+                         shape{5, 40, "uniform", 40},                 // n < shards
+                         shape{20, 7, "uniform", 14},                 // k < shards: empty shards
+                         shape{1000, 5000, "zipf:1", 0},              // alias sampler
+                         shape{1100003, 300000, "uniform", 300000}}) {  // widest ranges
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      b_batch process(c.n, c.k);
+      process.set_model(make_model("unit", c.sampler, c.n, "none"));
+      rng_t rng(77);
+      step_many(process, rng, c.warm);  // ends on a boundary: the next window is live
+      compact_snapshot snap;
+      ASSERT_TRUE(snap.assign(process.state().loads()));
+      rng_t expected_rng = rng;
+      const std::uint64_t token = expected_rng.next();
+      std::vector<std::uint32_t> inc(c.n, 0);
+      for (std::size_t s = 0; s < shards; ++s) {
+        const auto total = static_cast<step_count>(shards);
+        const step_count share = c.k / total + (static_cast<step_count>(s) < c.k % total ? 1 : 0);
+        std::vector<std::uint32_t> row(c.n, 0);
+        if (process.model().sampler.is_uniform()) {
+          kernel_run(kernel_isa::scalar, 8, c.n, snap.data(), row.data(), share,
+                     shard_stream_seed(token, s));
+        } else {
+          const alias_table& table = process.model().sampler.table();
+          kernel_run_alias(kernel_isa::scalar, 8, c.n, snap.data(), table.thresholds(),
+                           table.aliases(), row.data(), share, shard_stream_seed(token, s));
+        }
+        for (bin_index i = 0; i < c.n; ++i) inc[i] += row[i];
+      }
+      load_state expected = process.state();
+      expected.apply_increments(inc);
+
+      shard_engine engine(shard_options{
+          .threads = threads, .shards = shards, .min_window = 1, .lanes = 8});
+      engine.step_many(process, rng, c.k);
+      EXPECT_EQ(engine.phases().windows, 1);
+      EXPECT_EQ(process.state().loads(), expected.loads())
+          << "n=" << c.n << " k=" << c.k << " " << c.sampler << " threads=" << threads;
+      EXPECT_EQ(rng.state(), expected_rng.state());
+    }
   }
-  std::vector<std::uint32_t> merged;
-  d.sum_rows(merged);
-  ASSERT_EQ(merged.size(), 5u);
-  for (bin_index i = 0; i < 5; ++i) EXPECT_EQ(merged[i], 3 * i + 30);
-  // Range-wise sums (the engine's concurrent merge) agree with the whole.
-  std::vector<std::uint32_t> ranged(5, 777);
-  d.sum_rows(ranged, 0, 2);
-  d.sum_rows(ranged, 2, 5);
-  EXPECT_EQ(ranged, merged);
-  // Merged counts widen past 16 bits even though rows are 16-bit.
-  shard_deltas wide;
-  wide.reset(4, 1);
-  for (std::size_t s = 0; s < 4; ++s) wide.row(s)[0] = 65535;
-  std::vector<std::uint32_t> wide_sum;
-  wide.sum_rows(wide_sum);
-  EXPECT_EQ(wide_sum[0], 4u * 65535u);
-  // reset zeroes the rows again.
-  d.reset(3, 5);
-  d.sum_rows(merged);
-  for (const std::uint32_t v : merged) EXPECT_EQ(v, 0u);
 }
 
 TEST(LoadState, ApplyIncrementsMatchesAllocateLoop) {
