@@ -90,8 +90,7 @@ inline std::optional<bench_config> parse_standard(cli_parser& cli, int argc,
   cfg.m_multiplier = cli.get_int("m-mult");
   NB_REQUIRE(cfg.m_multiplier >= 1, "--m-mult must be >= 1");
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  NB_REQUIRE(cli.get_int("threads") >= 0, "--threads must be >= 0");
-  cfg.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  cfg.threads = thread_count_flag("--threads", cli.get_int("threads"));
   cfg.engine = engine_from_flags(get_engine_flags(cli));
   const model_flag_values model = get_model_flags(cli);
   cfg.weighting = model.weighting;

@@ -138,7 +138,7 @@ double report_observed_run(bin_count n, step_count m, step_count interval, std::
 //   * kernel off      -- PR 1's serial fused step_many loop,
 //   * kernel scalar   -- the lane-interleaved kernel, portable backend,
 //   * kernel <simd>   -- the same kernel on every SIMD backend this CPU
-//                        supports (avx2 / avx512 / neon; bit-identical to
+//                        supports (avx2 / avx512; bit-identical to
 //                        scalar by contract, verified here run against
 //                        run),
 //   * shard-parallel  -- the intra-run shard engine, kernel inside shards.
@@ -542,7 +542,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     backends = {best};
   } else {  // auto
     backends = {kernel_isa::scalar};
-    for (const kernel_isa isa : {kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
+    for (const kernel_isa isa : {kernel_isa::avx2, kernel_isa::avx512}) {
       if (kernel_isa_supported(isa)) backends.push_back(isa);
     }
   }
@@ -852,8 +852,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     // regression gate uses this to skip (with notice) baseline legs whose
     // ISA a fresh runner cannot reproduce, instead of failing them.
     std::string supported_isas;
-    for (const kernel_isa isa :
-         {kernel_isa::scalar, kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
+    for (const kernel_isa isa : {kernel_isa::scalar, kernel_isa::avx2, kernel_isa::avx512}) {
       if (!kernel_isa_supported(isa)) continue;
       if (!supported_isas.empty()) supported_isas += ", ";
       supported_isas += '"';
@@ -1008,7 +1007,8 @@ std::vector<std::size_t> parse_count_list(const std::string& flag, const std::st
       NB_REQUIRE(token.find_first_not_of("0123456789") == std::string::npos,
                  "--" + flag + " entries must be positive integers");
       const unsigned long value = std::strtoul(token.c_str(), nullptr, 10);
-      NB_REQUIRE(value >= 1 && value <= 1024, "--" + flag + " entries must be in [1, 1024]");
+      NB_REQUIRE(value >= 1 && value <= static_cast<unsigned long>(max_thread_flag),
+                 "--" + flag + " entries must be in [1, " + std::to_string(max_thread_flag) + "]");
       out.push_back(static_cast<std::size_t>(value));
     }
     pos = next + 1;
@@ -1040,8 +1040,8 @@ int main(int argc, char** argv) {
                  "scalar against every SIMD backend this CPU supports)");
   cli.add_string("isa", "",
                  "force one kernel ISA backend for every scale leg (scalar | avx2 | "
-                 "avx512 | neon; \"\" = auto-detect; unsupported requests warn once and "
-                 "fall back)");
+                 "avx512; \"\" = auto-detect; unsupported requests warn once and fall "
+                 "back)");
   cli.add_int("lanes", 8, "kernel RNG lanes (sampling contract, like shards)");
   cli.add_bool("scale-verify", true,
                "replay the shard leg on 1 thread with the scalar backend and require bit parity");
@@ -1110,7 +1110,8 @@ int main(int argc, char** argv) {
     NB_REQUIRE(cli.get_int("scale-m") >= 1 && cli.get_int("scale-m") <= max_run_balls,
                "--scale-m must be in [1, max_run_balls]");
     NB_REQUIRE(cli.get_int("shards") >= 1, "--shards must be positive");
-    NB_REQUIRE(cli.get_int("scale-threads") >= 0, "--scale-threads must be >= 0");
+    const std::size_t scale_threads =
+        thread_count_flag("--scale-threads", cli.get_int("scale-threads"));
     const std::size_t lanes = kernel_lanes_flag(cli.get_int("lanes"));
     const std::string kernel_flag = cli.get_string("kernel");
     NB_REQUIRE(kernel_flag == "scalar" || kernel_flag == "simd" || kernel_flag == "auto",
@@ -1138,7 +1139,7 @@ int main(int argc, char** argv) {
     }
     run_scale_benchmark(static_cast<bin_count>(cli.get_int("scale-n")),
                         static_cast<step_count>(cli.get_int("scale-m")),
-                        static_cast<std::size_t>(cli.get_int("scale-threads")),
+                        scale_threads,
                         static_cast<std::size_t>(cli.get_int("shards")),
                         lanes, kernel_flag, seed,
                         cli.get_bool("scale-verify"), cli.get_string("alias-sampler"),

@@ -7,6 +7,7 @@
 //   $ ./explore --process g-bounded --param 8 --n 10000 --m-mult 1000
 //   $ ./explore --process b-batch --param 10000 --runs 50 --csv out.csv
 #include <cstdio>
+#include <string>
 
 #include "noisebalance.hpp"
 
@@ -35,6 +36,13 @@ int run(int argc, const char* const* argv) {
     return 0;
   }
 
+  NB_REQUIRE(cli.get_int("n") >= 1 && cli.get_int("n") <= 0xFFFFFFFFLL,
+             "--n got " + std::to_string(cli.get_int("n")) + "; it must be in [1, 2^32)");
+  NB_REQUIRE(cli.get_int("m-mult") >= 1,
+             "--m-mult got " + std::to_string(cli.get_int("m-mult")) + "; it must be positive");
+  NB_REQUIRE(cli.get_int("runs") >= 1,
+             "--runs got " + std::to_string(cli.get_int("runs")) + "; it must be positive");
+
   process_spec spec;
   spec.kind = cli.get_string("process");
   spec.n = static_cast<bin_count>(cli.get_int("n"));
@@ -44,7 +52,7 @@ int run(int argc, const char* const* argv) {
   campaign_options opt;
   opt.repeats = static_cast<std::size_t>(cli.get_int("runs"));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opt.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  opt.threads = thread_count_flag("--threads", cli.get_int("threads"));
 
   const any_process prototype = make_process(spec);
   std::printf("process: %s   n = %u   m = %lld (%lld per bin)   runs = %zu\n\n",

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     campaign_options opt;
     opt.repeats = static_cast<std::size_t>(cli.get_int("runs"));
     opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    opt.threads = static_cast<std::size_t>(cli.get_int("threads"));
+    opt.threads = thread_count_flag("--threads", cli.get_int("threads"));
     opt.journal_path = cli.get_string("journal");
     opt.resume = cli.get_bool("resume");
     NB_REQUIRE(!opt.resume || !opt.journal_path.empty(), "--resume needs --journal");

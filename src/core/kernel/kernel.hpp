@@ -20,13 +20,12 @@
 //
 // CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts are
 // a pure function of (lanes, n, snapshot, balls, seed).  The instruction-
-// set backend -- scalar, AVX2, AVX-512 or NEON, selected at runtime -- is
+// set backend -- scalar, AVX2 or AVX-512, selected at runtime -- is
 // execution only and NEVER affects results; `lanes` is a sampling
 // parameter exactly like shard_options::shards (changing it changes which
 // lane streams exist and therefore the drawn randomness).  Each backend
-// runs one fixed schedule: the driver prefetches the count row while
-// folding a block, and AVX-512 decides two lane rounds per iteration.
-// Both reorder memory traffic, never draws.
+// runs one plain loop, one lane round at a time.  CPUs without AVX2
+// (including every aarch64 CPU) run the scalar backend.
 //
 // Snapshot gather safety: vector backends read the snapshot 4 bytes at a
 // time, so `snap` must stay readable for 3 bytes past index n - 1.
@@ -50,19 +49,19 @@ enum class kernel_isa : std::uint8_t {
   scalar = 0,       ///< portable reference (defines the contract)
   avx2 = 1,         ///< 4 lanes per vector + hardware gathers
   avx512 = 2,       ///< 8 lanes per vector, masked rejection replay
-  neon = 3,         ///< aarch64 baseline: vector RNG/Lemire, scalar gathers
-  auto_detect = 4,  ///< resolve to the best backend this CPU supports
+  auto_detect = 3,  ///< resolve to the best backend this CPU supports
 };
 
 /// Ceiling on the lane count (keeps lane state stack-resident; far above
 /// any useful configuration -- AVX2 consumes 4 lanes per vector).
 inline constexpr std::size_t kernel_max_lanes = 64;
 
-/// Best backend the running CPU supports (never auto_detect).  x86 CPUs
+/// Best backend the running CPU supports (never auto_detect).  CPUs
 /// without AVX2 resolve to scalar.
 [[nodiscard]] kernel_isa detect_kernel_isa() noexcept;
 
 /// True when `isa` can execute on this CPU (auto_detect is always true).
+/// avx512 also requires AVX2: AVX-512 CPUs run the AVX2 pair fill.
 [[nodiscard]] bool kernel_isa_supported(kernel_isa isa) noexcept;
 
 /// Maps auto_detect to the detected best backend and downgrades an
@@ -72,7 +71,7 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 /// --isa that silently fell back is visible, not just legal.
 [[nodiscard]] kernel_isa resolve_kernel_isa(kernel_isa requested) noexcept;
 
-/// "scalar" / "avx2" / "avx512" / "neon" / "auto".
+/// "scalar" / "avx2" / "avx512" / "auto".
 [[nodiscard]] const char* kernel_isa_name(kernel_isa isa) noexcept;
 
 /// Inverse of kernel_isa_name, plus the aliases "simd" (= auto_detect)
@@ -112,8 +111,7 @@ void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint
 /// Same hard contract as kernel_run with the table joining the pure-
 /// function inputs: counts depend only on (lanes, n, snap, thresh, alias,
 /// balls, seed); backends are bit-identical (AVX2 and AVX-512 gather the
-/// tables and the snapshot; NEON vectorizes the draw generation and picks
-/// scalar -- table lookups without hardware gathers don't pay).
+/// tables and the snapshot).
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
                       step_count balls, std::uint64_t seed);

@@ -6,7 +6,9 @@
 // backends generate raw draws in bulk and fall back to replay_ball for
 // remainder lanes, partial rounds and the (astronomically rare, ~2^-32
 // per sample) Lemire rejections, so every backend consumes each lane's
-// stream in exactly the reference order.
+// stream in exactly the reference order.  The backend table at the end
+// (backend_for) is the kernel's only ISA dispatch: kernel.cpp and
+// kernel_depart.cpp both take their fills from it.
 #pragma once
 
 #include <array>
@@ -72,11 +74,7 @@ struct lane_soa {
 
 /// Composite scalar draw stream of one lane: consumes `queue` first (raw
 /// draws a vector backend already generated), then the lane's live stream,
-/// which by construction sits exactly after the queued draws.  The cursor
-/// persists across calls, so one stream can replay SEVERAL consecutive
-/// balls of its lane against a single pre-drawn queue -- what the AVX-512
-/// backend's two-rounds-per-iteration loop needs when a rejection fires
-/// after both rounds' draws were already taken.
+/// which by construction sits exactly after the queued draws.
 struct ball_stream {
   lane_soa& st;
   std::size_t lane;
@@ -96,28 +94,21 @@ struct ball_stream {
   }
 };
 
-/// One ball decided scalar from `stream` (queue first, then live draws) --
-/// the single source of truth for the uniform per-ball draw order:
-/// bounded(i1), bounded(i2), one raw tie draw.
-[[nodiscard]] inline std::uint32_t stream_ball(ball_stream& stream, std::uint64_t bound,
-                                               std::uint64_t threshold,
-                                               const std::uint8_t* snap) noexcept {
-  const std::uint32_t i1 = stream.draw_bounded(bound, threshold);
-  const std::uint32_t i2 = stream.draw_bounded(bound, threshold);
-  const std::uint64_t c = stream.draw();
-  return decide(snap[i1], snap[i2], c, i1, i2);
-}
-
-/// One ball of lane l, decided scalar: raw draws come first from `queue`
-/// (draws a vector backend already generated for this ball), then live
-/// from the lane.  With an accept-first queue of {a, b, c} this consumes
-/// exactly the three queued values -- identical to the vector fast path --
-/// and on rejection it transparently continues on the lane's live stream.
+/// One ball of lane l, decided scalar -- the single source of truth for
+/// the uniform per-ball draw order: bounded(i1), bounded(i2), one raw tie
+/// draw.  Raw draws come first from `queue` (draws a vector backend
+/// already generated for this ball), then live from the lane.  With an
+/// accept-first queue of {a, b, c} this consumes exactly the three queued
+/// values -- identical to the vector fast path -- and on rejection it
+/// transparently continues on the lane's live stream.
 [[nodiscard]] inline std::uint32_t replay_ball(lane_soa& st, std::size_t l, std::uint64_t bound,
                                                std::uint64_t threshold, const std::uint8_t* snap,
                                                const std::uint64_t* queue, int queued) noexcept {
   ball_stream stream{st, l, queue, queued};
-  return stream_ball(stream, bound, threshold, snap);
+  const std::uint32_t i1 = stream.draw_bounded(bound, threshold);
+  const std::uint32_t i2 = stream.draw_bounded(bound, threshold);
+  const std::uint64_t c = stream.draw();
+  return decide(snap[i1], snap[i2], c, i1, i2);
 }
 
 /// A backend fills chosen[0..balls) with the decided bin per ball, in ball
@@ -133,10 +124,6 @@ void fill_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::ui
                std::uint32_t* chosen, std::size_t balls);
 void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                  std::uint32_t* chosen, std::size_t balls);
-#endif
-#if defined(__aarch64__)
-void fill_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls);
 #endif
 
 // ---------------------------------------------------------------------------
@@ -164,24 +151,10 @@ void fill_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::ui
   return u < thresh[slot] ? slot : alias[slot];
 }
 
-/// One alias-sampled ball decided scalar from `stream` -- the single
-/// source of truth for the alias per-ball draw order: bounded(s1), u1,
-/// bounded(s2), u2, one raw tie draw.
-[[nodiscard]] inline std::uint32_t stream_ball_alias(ball_stream& stream, std::uint64_t bound,
-                                                     std::uint64_t threshold,
-                                                     const std::uint8_t* snap,
-                                                     const std::uint64_t* thresh,
-                                                     const bin_index* alias) noexcept {
-  const std::uint32_t s1 = stream.draw_bounded(bound, threshold);
-  const std::uint32_t i1 = alias_pick(thresh, alias, s1, stream.draw());
-  const std::uint32_t s2 = stream.draw_bounded(bound, threshold);
-  const std::uint32_t i2 = alias_pick(thresh, alias, s2, stream.draw());
-  const std::uint64_t c = stream.draw();
-  return decide(snap[i1], snap[i2], c, i1, i2);
-}
-
-/// One alias-sampled ball of lane l, decided scalar; `queue` semantics as
-/// in replay_ball (an accept-first queue of {s1, u1, s2, u2, c} consumes
+/// One alias-sampled ball of lane l, decided scalar -- the single source
+/// of truth for the alias per-ball draw order: bounded(s1), u1,
+/// bounded(s2), u2, one raw tie draw.  `queue` semantics as in
+/// replay_ball (an accept-first queue of {s1, u1, s2, u2, c} consumes
 /// exactly the five queued values -- the vector fast path -- and spills to
 /// the lane's live stream on rejection).
 [[nodiscard]] inline std::uint32_t replay_ball_alias(
@@ -189,7 +162,12 @@ void fill_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::ui
     const std::uint8_t* snap, const std::uint64_t* thresh, const bin_index* alias,
     const std::uint64_t* queue, int queued) noexcept {
   ball_stream stream{st, l, queue, queued};
-  return stream_ball_alias(stream, bound, threshold, snap, thresh, alias);
+  const std::uint32_t s1 = stream.draw_bounded(bound, threshold);
+  const std::uint32_t i1 = alias_pick(thresh, alias, s1, stream.draw());
+  const std::uint32_t s2 = stream.draw_bounded(bound, threshold);
+  const std::uint32_t i2 = alias_pick(thresh, alias, s2, stream.draw());
+  const std::uint64_t c = stream.draw();
+  return decide(snap[i1], snap[i2], c, i1, i2);
 }
 
 using fill_alias_fn = void (*)(lane_soa& st, bin_count n, std::uint64_t threshold,
@@ -206,11 +184,6 @@ void fill_alias_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const s
 void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
                        const std::uint8_t* snap, const std::uint64_t* thresh,
                        const bin_index* alias, std::uint32_t* chosen, std::size_t balls);
-#endif
-#if defined(__aarch64__)
-void fill_alias_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                     const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls);
 #endif
 
 // ---------------------------------------------------------------------------
@@ -254,12 +227,62 @@ void fill_pair_scalar(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uin
 void fill_pair_avx2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                     std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
                     std::size_t count);
-void fill_pair_avx512(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
-                      std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                      std::size_t count);
 #endif
-// No NEON pair fill: the path is pure ALU (no gathers to win back) and the
-// build host cannot execute aarch64 code to validate one; dispatch routes
-// aarch64 to the scalar reference, which is bit-identical by contract.
+
+// ---------------------------------------------------------------------------
+// Dispatch: the one place that decides which ISA runs which fill.
+
+/// Chosen-bin buffer capacity of one block: 32 KiB, L1-resident
+/// alongside the lane state.
+inline constexpr std::size_t kBlockBalls = 8192;
+static_assert(kBlockBalls % kernel_max_lanes == 0);
+
+/// The block size runs are cut into: kBlockBalls rounded down to a
+/// multiple of the lane count, so every backend sees an aligned rotation.
+[[nodiscard]] constexpr std::size_t block_balls(std::size_t lanes) noexcept {
+  return (kBlockBalls / lanes) * lanes;
+}
+
+/// Every fill one backend runs.
+struct backend {
+  fill_fn fill;
+  fill_alias_fn fill_alias;
+  fill_pair_fn fill_pair;
+};
+
+/// The backend table: resolves `isa` (resolve_kernel_isa) and returns its
+/// fills.  AVX-512 runs the AVX2 pair fill, which is why
+/// kernel_isa_supported(avx512) also requires AVX2.
+[[nodiscard]] inline backend backend_for(kernel_isa isa) noexcept {
+  switch (resolve_kernel_isa(isa)) {
+#if defined(__x86_64__) || defined(__i386__)
+    case kernel_isa::avx2:
+      return {fill_avx2, fill_alias_avx2, fill_pair_avx2};
+    case kernel_isa::avx512:
+      return {fill_avx512, fill_alias_avx512, fill_pair_avx2};
+#endif
+    default:
+      return {fill_scalar, fill_alias_scalar, fill_pair_scalar};
+  }
+}
+
+/// Backends a CPU can execute, as a bit set over kernel_isa values.
+using isa_set = unsigned;
+
+[[nodiscard]] constexpr isa_set isa_bit(kernel_isa isa) noexcept {
+  return 1u << static_cast<unsigned>(isa);
+}
+
+/// The running CPU's set: scalar always, avx2 with AVX2, and avx512 with
+/// AVX2 plus AVX-512 F/DQ/BW/VL.
+[[nodiscard]] isa_set cpu_isa_set() noexcept;
+
+/// resolve_kernel_isa's rule over an explicit `supported` set (which must
+/// contain scalar): auto_detect maps to the best backend in the set
+/// (avx512, then avx2, then scalar), a supported request to itself, and an
+/// unsupported one to the best backend with a one-shot warn_once
+/// diagnostic (key "kernel-isa-fallback:<name>").  resolve_kernel_isa
+/// passes cpu_isa_set().
+[[nodiscard]] kernel_isa resolve_isa_in(kernel_isa requested, isa_set supported) noexcept;
 
 }  // namespace nb::kernel_detail

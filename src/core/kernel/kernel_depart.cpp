@@ -20,47 +20,11 @@
 namespace nb {
 namespace {
 
-/// Same L1-resident block capacity as the allocation driver.
-constexpr std::size_t kBlockBalls = 8192;
-static_assert(kBlockBalls % kernel_max_lanes == 0);
-
 /// Replay attempts before the drain fold falls back to the deterministic
 /// fullest-bin scan.  Generous: a redraw only fails while nearly every
 /// sampled pair is drained dry, so hitting the cap at all means the block
 /// is retiring a large fraction of the snapshot's total load.
 constexpr int kDrainReplayAttempts = 4096;
-
-kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
-  switch (resolved) {
-#if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::avx2:
-      return kernel_detail::fill_avx2;
-    case kernel_isa::avx512:
-      return kernel_detail::fill_avx512;
-#endif
-#if defined(__aarch64__)
-    case kernel_isa::neon:
-      return kernel_detail::fill_neon;
-#endif
-    default:
-      return kernel_detail::fill_scalar;
-  }
-}
-
-kernel_detail::fill_pair_fn pick_fill_pair(kernel_isa resolved) noexcept {
-  switch (resolved) {
-#if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::avx2:
-      return kernel_detail::fill_pair_avx2;
-    case kernel_isa::avx512:
-      return kernel_detail::fill_pair_avx512;
-#endif
-    // aarch64 deliberately lands on the scalar reference (see the note in
-    // kernel_common.hpp) -- bit-identical by contract.
-    default:
-      return kernel_detail::fill_pair_scalar;
-  }
-}
 
 /// Remaining load of bin c: its snapshot load base + (snap[c] ^ mask) --
 /// mask 0xFF on drain's inverted bytes, 0 on the plain ones -- minus the
@@ -132,7 +96,7 @@ template <typename Row>
 void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* inv,
                   load_t snap_base, std::uint8_t snap_span, weight_t w, Row* rel, step_count k,
                   std::uint64_t seed, std::uint32_t* served) {
-  const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
+  const kernel_detail::fill_fn fill = kernel_detail::backend_for(isa).fill;
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
@@ -141,8 +105,8 @@ void depart_drain(kernel_isa isa, std::size_t lanes, bin_count n, const std::uin
   // derive_seed(seed, 0..lanes-1), so the replay stream is the next one.
   xoshiro256pp replay(derive_seed(seed, lanes));
 
-  const std::size_t block = (kBlockBalls / lanes) * lanes;
-  alignas(64) std::uint32_t chosen[kBlockBalls];
+  const std::size_t block = kernel_detail::block_balls(lanes);
+  alignas(64) std::uint32_t chosen[kernel_detail::kBlockBalls];
   while (k > 0) {
     const std::size_t count =
         k < static_cast<step_count>(block) ? static_cast<std::size_t>(k) : block;
@@ -172,14 +136,14 @@ void depart_random(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
   // base + span always fits the pair fill's < 2^32 bound contract.
   const std::uint64_t bound = static_cast<std::uint64_t>(snap_base) + snap_span;
   NB_REQUIRE(bound >= 1, "random departure kernel needs resident load in the snapshot");
-  const kernel_detail::fill_pair_fn fill = pick_fill_pair(resolve_kernel_isa(isa));
+  const kernel_detail::fill_pair_fn fill = kernel_detail::backend_for(isa).fill_pair;
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t thresh_n = kernel_detail::lemire_threshold(n);
   const std::uint64_t thresh_b = kernel_detail::lemire_threshold(bound);
-  const std::size_t block = (kBlockBalls / lanes) * lanes;
-  alignas(64) std::uint32_t idx[kBlockBalls];
-  alignas(64) std::uint32_t acc[kBlockBalls];
+  const std::size_t block = kernel_detail::block_balls(lanes);
+  alignas(64) std::uint32_t idx[kernel_detail::kBlockBalls];
+  alignas(64) std::uint32_t acc[kernel_detail::kBlockBalls];
   while (k > 0) {
     // Full fixed-size attempt blocks until k departures are served; the
     // final block's unused tail is discarded (declared draw order).

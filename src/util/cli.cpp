@@ -162,6 +162,13 @@ std::string cli_parser::help_text() const {
   return os.str();
 }
 
+std::size_t thread_count_flag(const std::string& flag, std::int64_t value) {
+  NB_REQUIRE(value >= 0 && value <= max_thread_flag,
+             flag + " got " + std::to_string(value) + "; it must be in [0, " +
+                 std::to_string(max_thread_flag) + "]");
+  return static_cast<std::size_t>(value);
+}
+
 // ---------------------------------------------------------------------------
 // Shared flag families.
 
@@ -172,19 +179,18 @@ void add_engine_flags(cli_parser& cli) {
   cli.add_int("shards", 16, "fixed shard count for the parallel engine (sampling contract)");
   cli.add_string("kernel", "off",
                  "allocation-kernel backend for frozen windows: off | scalar | "
-                 "avx2 | avx512 | neon | auto | simd (auto/simd = best this CPU "
-                 "supports; an unsupported request warns once and falls back; "
-                 "backends are bit-identical for a fixed lane count)");
+                 "avx2 | avx512 | auto | simd (auto/simd = best this CPU supports; "
+                 "an unsupported request warns once and falls back; backends are "
+                 "bit-identical for a fixed lane count)");
   cli.add_int("lanes", 8, "kernel RNG lanes (sampling contract, like shards)");
 }
 
 engine_flag_values get_engine_flags(const cli_parser& cli) {
   engine_flag_values v;
-  v.threads_per_run = cli.get_int("threads-per-run");
+  v.threads_per_run = thread_count_flag("--threads-per-run", cli.get_int("threads-per-run"));
   v.shards = cli.get_int("shards");
   v.kernel = cli.get_string("kernel");
   v.lanes = cli.get_int("lanes");
-  NB_REQUIRE(v.threads_per_run >= 0, "--threads-per-run must be >= 0");
   NB_REQUIRE(v.shards >= 1, "--shards must be positive");
   return v;
 }

@@ -5,6 +5,7 @@
 // prints the registered flags with defaults and descriptions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,6 +52,14 @@ class cli_parser {
   std::vector<std::string> order_;
 };
 
+/// Largest value a thread-count flag accepts.
+inline constexpr std::int64_t max_thread_flag = 1024;
+
+/// Validates the value of a thread-count flag (`flag` is its spelling,
+/// e.g. "--threads"): returns it as a count, or throws contract_error
+/// naming the flag and the value unless it lies in [0, max_thread_flag].
+[[nodiscard]] std::size_t thread_count_flag(const std::string& flag, std::int64_t value);
+
 // ---------------------------------------------------------------------------
 // Shared flag families.
 //
@@ -67,7 +76,7 @@ class cli_parser {
 /// and lanes are part of the sampling contract, the rest never affects
 /// results).
 struct engine_flag_values {
-  std::int64_t threads_per_run = 0;
+  std::size_t threads_per_run = 0;
   std::int64_t shards = 16;
   std::string kernel;  ///< "off" or a kernel backend spec
   std::int64_t lanes = 8;

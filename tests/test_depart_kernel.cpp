@@ -40,7 +40,7 @@ using nb::testing::fnv1a;
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
   static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
-                                               kernel_isa::avx512, kernel_isa::neon};
+                                               kernel_isa::avx512};
   return isas;
 }
 

@@ -28,7 +28,7 @@ using nb::testing::fnv1a;
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
   static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
-                                               kernel_isa::avx512, kernel_isa::neon};
+                                               kernel_isa::avx512};
   return isas;
 }
 
@@ -212,8 +212,8 @@ TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
   // The alias lane path's backend contract, over the same awkward shapes
   // as the uniform path: remainder lanes, tiny bins, mid-round tails,
   // multi-block runs.  AVX2 and AVX-512 use hardware gathers for the
-  // threshold / alias / snapshot lookups; NEON vectorizes only the draw
-  // generation -- all must match the scalar reference bit for bit.
+  // threshold / alias / snapshot lookups -- both must match the scalar
+  // reference bit for bit.
   const auto isas = supported_backends();
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
@@ -632,6 +632,10 @@ TEST(KernelIsa, FlagValidationNamesTheRejectedValue) {
   }
   const std::string off = rejection_message([] { (void)kernel_isa_flag("--isa", "off", false); });
   EXPECT_NE(off.find("'off'"), std::string::npos) << off;
+  // The deleted aarch64 backend's name is rejected like any other.
+  const std::string neon = rejection_message([] { (void)kernel_isa_flag("--isa", "neon", false); });
+  EXPECT_NE(neon.find("--isa"), std::string::npos) << neon;
+  EXPECT_NE(neon.find("'neon'"), std::string::npos) << neon;
 
   const std::string lanes = rejection_message([&] { (void)engine_for({"--lanes", "65"}); });
   EXPECT_NE(lanes.find("65"), std::string::npos) << lanes;
@@ -651,27 +655,49 @@ TEST(KernelIsa, ResolutionIsSupportedAndStable) {
   if (!kernel_isa_supported(kernel_isa::avx2)) {
     EXPECT_EQ(resolve_kernel_isa(kernel_isa::avx2), best);
   }
+  // The avx512 backend runs the AVX2 pair fill, so it needs AVX2 too.
+  if (kernel_isa_supported(kernel_isa::avx512)) {
+    EXPECT_TRUE(kernel_isa_supported(kernel_isa::avx2));
+  }
 }
 
 TEST(KernelIsa, UnsupportedForcedIsaWarnsOnceOnFallback) {
   // Forcing a backend the CPU lacks must still resolve (downgrade is legal)
   // but emit the one-shot kernel-isa-fallback diagnostic, so a benchmark
-  // that silently measured the wrong ISA is visible in its output.  Every
-  // build has at least one unsupported backend (neon on x86, the x86 ISAs
-  // on aarch64).
-  bool exercised = false;
-  for (const kernel_isa isa : all_backends()) {
-    if (kernel_isa_supported(isa)) continue;
-    exercised = true;
-    const std::string key = std::string("kernel-isa-fallback:") + kernel_isa_name(isa);
-    const kernel_isa resolved = resolve_kernel_isa(isa);
-    EXPECT_TRUE(kernel_isa_supported(resolved)) << kernel_isa_name(isa);
-    EXPECT_NE(resolved, isa);
-    EXPECT_TRUE(warned(key)) << key;
+  // that silently measured the wrong ISA is visible in its output.  An
+  // AVX-512 host supports every backend, so the rule runs against fake
+  // supported sets here -- the same rule resolve_kernel_isa applies to the
+  // CPU's set.
+  using kernel_detail::isa_bit;
+  using kernel_detail::resolve_isa_in;
+  const kernel_detail::isa_set no_avx512 = isa_bit(kernel_isa::scalar) | isa_bit(kernel_isa::avx2);
+  EXPECT_EQ(resolve_isa_in(kernel_isa::auto_detect, no_avx512), kernel_isa::avx2);
+  EXPECT_EQ(resolve_isa_in(kernel_isa::scalar, no_avx512), kernel_isa::scalar);
+  EXPECT_EQ(resolve_isa_in(kernel_isa::avx2, no_avx512), kernel_isa::avx2);
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(resolve_isa_in(kernel_isa::avx512, no_avx512), kernel_isa::avx2);
+  EXPECT_EQ(resolve_isa_in(kernel_isa::avx512, no_avx512), kernel_isa::avx2);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(warned("kernel-isa-fallback:avx512"));
+  // At most one line: none if an earlier forced avx512 already warned.
+  std::size_t lines = 0;
+  for (std::size_t at = err.find("kernel ISA 'avx512'"); at != std::string::npos;
+       at = err.find("kernel ISA 'avx512'", at + 1)) {
+    ++lines;
   }
-  EXPECT_TRUE(exercised);
-  // Supported requests resolve to themselves and never warn.
-  EXPECT_EQ(resolve_kernel_isa(kernel_isa::scalar), kernel_isa::scalar);
+  EXPECT_LE(lines, 1u) << err;
+
+  const kernel_detail::isa_set scalar_only = isa_bit(kernel_isa::scalar);
+  EXPECT_EQ(resolve_isa_in(kernel_isa::auto_detect, scalar_only), kernel_isa::scalar);
+  EXPECT_EQ(resolve_isa_in(kernel_isa::avx2, scalar_only), kernel_isa::scalar);
+  EXPECT_TRUE(warned("kernel-isa-fallback:avx2"));
+
+  // On the real CPU, supported requests resolve to themselves and never
+  // warn.
+  for (const kernel_isa isa : supported_backends()) {
+    EXPECT_EQ(resolve_kernel_isa(isa), isa) << kernel_isa_name(isa);
+  }
   EXPECT_FALSE(warned("kernel-isa-fallback:scalar"));
 }
 

@@ -151,6 +151,22 @@ TEST(Cli, TypeMismatchOnGetThrows) {
   EXPECT_THROW(static_cast<void>(cli.get_int("nope")), nb::contract_error);
 }
 
+TEST(Cli, ThreadCountFlagBoundsAndNamesRejections) {
+  // Validation only -- no test here starts a thread.
+  EXPECT_EQ(nb::thread_count_flag("--threads", 0), 0u);
+  EXPECT_EQ(nb::thread_count_flag("--threads", 1024), 1024u);
+  for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{1025}}) {
+    try {
+      (void)nb::thread_count_flag("--threads-per-run", bad);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const nb::contract_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--threads-per-run"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // csv_writer
 
