@@ -46,7 +46,7 @@
 //   * random -- rejection sampling: draw bin j, then u in [0, base + span),
 //     and serve j iff u < remaining(j).
 // It has two callers: the drain fold above, for drained-dry picks, and the
-// shard engine (core/process.hpp), which clamps its merged shard counts to
+// shard engine (core/engine/shard_engine.hpp), which clamps its merged shard counts to
 // snapshot capacity and re-serves the clamped deficit on either channel
 // from rng_t(derive_seed(token, shards)).
 //

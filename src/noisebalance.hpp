@@ -17,6 +17,7 @@
 #include "core/analysis/allocation_probability.hpp"
 #include "core/analysis/exact_chain.hpp"
 #include "core/basic_processes.hpp"
+#include "core/engine/shard_engine.hpp"
 #include "core/kernel/kernel.hpp"
 #include "core/load_vector.hpp"
 #include "core/noise/adv_comp.hpp"

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "core/engine/shard_engine.hpp"
 #include "core/process.hpp"
 
 namespace nb {
