@@ -381,12 +381,12 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
   }
 }
 
-/// Cross-run worker sweep: the campaign orchestrator's work-stealing
+/// Cross-run worker sweep: the campaign orchestrator's claim-loop
 /// scheduler over a deliberately heterogeneous cell mix -- kernel-path
 /// b-Batch cells alternating with fused-loop zipf two-choice cells, the
-/// straggler pattern stealing exists for.  Every leg's aggregate JSON
-/// must be byte-identical to the 1-worker leg's (the orchestrator's
-/// determinism contract under stealing).
+/// straggler pattern dynamic claiming exists for.  Every leg's aggregate
+/// JSON must be byte-identical to the 1-worker leg's (the orchestrator's
+/// determinism contract under any claim order).
 void run_workers_matrix(bin_count n, step_count total_m,
                         const std::vector<std::size_t>& workers_list, std::size_t lanes,
                         std::uint64_t seed, std::vector<scale_entry>& results) {
@@ -411,7 +411,7 @@ void run_workers_matrix(bin_count n, step_count total_m,
     configs.push_back(std::move(config));
   }
   const auto work = static_cast<double>(m_cell) * static_cast<double>(kCells);
-  std::printf("\n  campaign worker scaling (%zu mixed cells x %lld balls, work stealing, "
+  std::printf("\n  campaign worker scaling (%zu mixed cells x %lld balls, claim loop, "
               "byte-parity vs 1 worker):\n",
               kCells, static_cast<long long>(m_cell));
   std::string reference_json;
@@ -1109,7 +1109,7 @@ int main(int argc, char** argv) {
                "--scale-n must be in [1, 2^32)");
     NB_REQUIRE(cli.get_int("scale-m") >= 1 && cli.get_int("scale-m") <= max_run_balls,
                "--scale-m must be in [1, max_run_balls]");
-    NB_REQUIRE(cli.get_int("shards") >= 1, "--shards must be positive");
+    const std::size_t shards = shard_count_flag("--shards", cli.get_int("shards"));
     const std::size_t scale_threads =
         thread_count_flag("--scale-threads", cli.get_int("scale-threads"));
     const std::size_t lanes = kernel_lanes_flag(cli.get_int("lanes"));
@@ -1139,9 +1139,7 @@ int main(int argc, char** argv) {
     }
     run_scale_benchmark(static_cast<bin_count>(cli.get_int("scale-n")),
                         static_cast<step_count>(cli.get_int("scale-m")),
-                        scale_threads,
-                        static_cast<std::size_t>(cli.get_int("shards")),
-                        lanes, kernel_flag, seed,
+                        scale_threads, shards, lanes, kernel_flag, seed,
                         cli.get_bool("scale-verify"), cli.get_string("alias-sampler"),
                         static_cast<step_count>(cli.get_int("checkpoint-every")),
                         parse_count_list("threads-list", cli.get_string("threads-list")),

@@ -1,16 +1,24 @@
 #include "core/engine/shard_engine.hpp"
 
+#include <bit>
+#include <string>
+
+#include "util/cli.hpp"
+
 namespace nb {
 
 shard_engine::shard_engine(shard_options opt)
     : opt_(opt), isa_(resolve_kernel_isa(opt.isa)) {
-  NB_REQUIRE(opt.shards >= 1, "need at least one shard");
+  // Checked before the pool exists: a rejected count starts no thread.
+  NB_REQUIRE(opt.shards >= 1 && opt.shards <= static_cast<std::size_t>(max_thread_flag),
+             "shards got " + std::to_string(opt.shards) + "; it must be in [1, " +
+                 std::to_string(max_thread_flag) + "]");
   NB_REQUIRE(opt.min_window >= 1, "min_window must be positive");
   NB_REQUIRE(opt.lanes >= 1 && opt.lanes <= kernel_max_lanes,
              "kernel lanes must be in [1, kernel_max_lanes]");
   if (opt.shards > 1) {
     pool_.emplace(opt.threads);
-    ranges_ = pool_ranges(*pool_, opt.shards);
+    ranges_ = range_executor(*pool_, opt.shards);
     // More workers than hardware threads only time-slices (results are
     // thread-count-independent by contract, so oversubscribing buys
     // nothing); this is the threads_per_run > cores trap, say so once.
@@ -145,7 +153,7 @@ void shard_engine::settle_departures(depart_channel channel, bin_count n, step_c
     for (std::size_t t = 1; t < std::min(shard_tasks(), redo_.size()); ++t) {
       (void)scratch_row(t, n);
     }
-    claim(redo_.size(), [&](std::size_t i, std::size_t task) {
+    pool_->for_each(redo_.size(), [&](std::size_t i, std::size_t task) {
       const std::size_t s = redo_[i];
       const step_count begin = shard_begin(k, s);
       const step_count events = shard_share(k, s);

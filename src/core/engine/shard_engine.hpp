@@ -34,11 +34,8 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -87,19 +84,6 @@ inline std::int64_t phase_clock_ns() noexcept {
 
 }  // namespace engine_detail
 
-/// A range_executor running its `ranges` bin ranges as tasks on `pool` and
-/// returning once they finished.  It joins through wait_idle, so work
-/// queued on the pool ahead of it is waited for too.
-inline range_executor pool_ranges(thread_pool& pool, std::size_t ranges) {
-  return range_executor(ranges,
-                        [&pool](std::size_t count, const range_executor::body_fn& body) {
-                          for (std::size_t r = 0; r < count; ++r) {
-                            pool.submit([&body, r] { body(r); });
-                          }
-                          pool.wait_idle();
-                        });
-}
-
 /// Configuration of the windowed engine.  `shards` and `lanes` are part of
 /// the sampling contract (they decide which streams exist and hence the
 /// drawn randomness); `threads` and `isa` are execution only and never
@@ -108,9 +92,10 @@ struct shard_options {
   /// Pool workers; 0 = one per hardware core.  Only a multi-shard engine
   /// has a pool: one shard always runs on the calling thread.
   std::size_t threads = 0;
-  /// Fixed shard count per window.  1 is the serial SIMD engine; for more,
-  /// keep it >= the largest thread count you will run with (the default
-  /// covers typical desktops/CI runners).
+  /// Fixed shard count per window, in [1, max_thread_flag] (the
+  /// constructor checks).  1 is the serial SIMD engine; for more, keep it
+  /// >= the largest thread count you will run with (the default covers
+  /// typical desktops/CI runners).
   std::size_t shards = 16;
   /// Windows shorter than this run serially (snapshot + commit overhead
   /// would dominate); the engine also requires window >= n/4 so its O(n)
@@ -334,24 +319,11 @@ class shard_engine {
     return index * (k / shards) + std::min(index, k % shards);
   }
 
-  /// Pool tasks a multi-shard block fans out to; each claims shards until
-  /// none are left, so per-task scratch needs min(threads, shards) copies.
+  /// Pool tasks a multi-shard block fans out to (thread_pool::for_each
+  /// over the shards), so per-task scratch needs min(threads, shards)
+  /// copies.
   [[nodiscard]] std::size_t shard_tasks() const noexcept {
     return std::min(pool_->size(), opt_.shards);
-  }
-
-  /// Runs body(i, task) for every i in [0, count) on at most shard_tasks()
-  /// pool tasks, each claiming indices until none are left; `task` is the
-  /// claiming task's index, for its scratch row.  Which task runs which
-  /// index varies, so bodies write only index-owned (or task-owned) data.
-  void claim(std::size_t count, const std::function<void(std::size_t, std::size_t)>& body) {
-    std::atomic<std::size_t> next{0};
-    for (std::size_t t = 0; t < std::min(shard_tasks(), count); ++t) {
-      pool_->submit([&body, &next, count, t] {
-        for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) body(i, t);
-      });
-    }
-    pool_->wait_idle();
   }
 
   /// Task t's zeroed 16-bit scratch count row over n bins.  Users leave it
@@ -395,7 +367,7 @@ class shard_engine {
 
   /// Runs body(r) for every bin range r as pool tasks and joins them.
   void run_ranges(const range_executor::body_fn& body) {
-    pool_ranges(*pool_, range_count_).run(body);
+    range_executor(*pool_, range_count_).run(body);
   }
 
   /// The block skeleton of arrival windows and departure blocks alike:
@@ -421,7 +393,7 @@ class shard_engine {
     } else {
       layout_ranges(n, k);
       // Each shard's picks and buckets land in its own segments.
-      claim(opt_.shards, [&](std::size_t s, std::size_t task) {
+      pool_->for_each(opt_.shards, [&](std::size_t s, std::size_t task) {
         const step_count begin = shard_begin(k, s);
         const step_count count = shard_share(k, s);
         if (count > 0) pick(picks_.data() + begin, count, shard_stream_seed(token, s), task);

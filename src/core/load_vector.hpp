@@ -37,38 +37,37 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nb {
 
 /// Executes an O(n) pass over the bins as ranges() disjoint contiguous bin
 /// ranges: run(body) calls body(r) exactly once for every r in
 /// [0, ranges()) and returns once every call finished.  The default runs
-/// one range on the calling thread; the shard engine hands in its worker
-/// pool (pool_ranges in core/process.hpp), and the calls then run
-/// concurrently.  Bodies therefore write only their own range's bins and
-/// per-range slots, and never throw: a pass records failures per range and
-/// the caller raises the first one after the pass.  Execution-only: every
-/// pass built on it leaves the same state for any range count.
+/// one range on the calling thread; built on a thread_pool (the shard
+/// engine hands in its workers), the calls run concurrently through the
+/// pool's for_each.  Bodies therefore write only their own range's bins
+/// and per-range slots, and never throw: a pass records failures per
+/// range and the caller raises the first one after the pass.
+/// Execution-only: every pass built on it leaves the same state for any
+/// range count.
 class range_executor {
  public:
   using body_fn = std::function<void(std::size_t)>;
-  /// Calls body(r) for every r in [0, ranges) and returns when all did.
-  using runner_fn = std::function<void(std::size_t, const body_fn&)>;
 
   range_executor() = default;
-  range_executor(std::size_t ranges, runner_fn runner)
-      : ranges_(ranges), runner_(std::move(runner)) {
-    NB_REQUIRE(ranges_ >= 1 && runner_ != nullptr,
-               "a range executor needs at least one range and a runner");
+  /// `ranges` bin ranges run as tasks of `pool`.
+  range_executor(thread_pool& pool, std::size_t ranges) : pool_(&pool), ranges_(ranges) {
+    NB_REQUIRE(ranges_ >= 1, "a range executor needs at least one range");
   }
 
   [[nodiscard]] std::size_t ranges() const noexcept { return ranges_; }
 
   void run(const body_fn& body) const {
-    if (runner_ == nullptr) {
+    if (pool_ == nullptr) {
       body(0);
     } else {
-      runner_(ranges_, body);
+      pool_->for_each(ranges_, [&body](std::size_t r, std::size_t) { body(r); });
     }
   }
 
@@ -82,8 +81,8 @@ class range_executor {
   }
 
  private:
+  thread_pool* pool_ = nullptr;
   std::size_t ranges_ = 1;
-  runner_fn runner_;
 };
 
 /// Level-compressed summary of a load vector: for each load level L in

@@ -308,12 +308,12 @@ campaign_result run_campaign(const std::vector<campaign_config>& configs,
   // rethrow it on the caller's thread instead of terminating; the journal
   // keeps every cell that completed, so --resume picks up after a fix.
   //
-  // Scheduling is parallel_for's chunked work stealing: heterogeneous
-  // cells (zipf vs uniform, kernel vs fused, different m) rebalance onto
-  // idle workers instead of straggling behind a fixed hand-out order.
+  // Scheduling is parallel_for's claim loop: each idle worker claims the
+  // next pending cell, so heterogeneous cells (zipf vs uniform, kernel vs
+  // fused, different m) never straggle behind a fixed hand-out order.
   // Determinism is untouched -- cell seeds derive from the cell *index*
   // and the aggregation below folds in index order, so the JSON is
-  // byte-identical for any worker count and any steal pattern (enforced
+  // byte-identical for any worker count and any claim order (enforced
   // by tests/test_orchestrator.cpp and tests/test_multicore.cpp).
   std::mutex error_mutex;
   std::exception_ptr first_error;

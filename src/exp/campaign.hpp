@@ -17,11 +17,11 @@
 // engages the intra-run shard engine, use_kernel the serial SIMD kernel
 // engine, anything else the serial fused loop.
 //
-// Cells are scheduled by parallel_for's chunked work-stealing distributor
-// (util/thread_pool.hpp): heterogeneous cells rebalance onto idle workers
-// instead of straggling behind a fixed hand-out order, and because the
-// schedule never feeds into sampling or fold order, stealing cannot
-// perturb results.
+// Cells are scheduled by parallel_for (util/thread_pool.hpp), whose
+// workers claim cells one at a time from a shared counter: an idle
+// worker takes the next pending cell, so heterogeneous cells never
+// straggle behind a fixed hand-out order, and because the schedule never
+// feeds into sampling or fold order, it cannot perturb results.
 //
 // Aggregation is streaming: per configuration the campaign keeps a
 // cell_aggregator (Welford gap/underload/max-load stats + an integer gap

@@ -8,7 +8,8 @@
 //   auto result = nb::simulate(p, 10'000'000, rng);
 //   std::cout << "Gap(m) = " << result.gap << '\n';
 //
-// See examples/ for complete programs and DESIGN.md for the architecture.
+// See examples/ for complete programs and README.md's "Layer map" for the
+// architecture.
 #pragma once
 
 #include "common/error.hpp"

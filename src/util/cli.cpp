@@ -169,6 +169,13 @@ std::size_t thread_count_flag(const std::string& flag, std::int64_t value) {
   return static_cast<std::size_t>(value);
 }
 
+std::size_t shard_count_flag(const std::string& flag, std::int64_t value) {
+  NB_REQUIRE(value >= 1 && value <= max_thread_flag,
+             flag + " got " + std::to_string(value) + "; it must be in [1, " +
+                 std::to_string(max_thread_flag) + "]");
+  return static_cast<std::size_t>(value);
+}
+
 // ---------------------------------------------------------------------------
 // Shared flag families.
 
@@ -188,10 +195,9 @@ void add_engine_flags(cli_parser& cli) {
 engine_flag_values get_engine_flags(const cli_parser& cli) {
   engine_flag_values v;
   v.threads_per_run = thread_count_flag("--threads-per-run", cli.get_int("threads-per-run"));
-  v.shards = cli.get_int("shards");
+  v.shards = shard_count_flag("--shards", cli.get_int("shards"));
   v.kernel = cli.get_string("kernel");
   v.lanes = cli.get_int("lanes");
-  NB_REQUIRE(v.shards >= 1, "--shards must be positive");
   return v;
 }
 

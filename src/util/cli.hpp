@@ -60,6 +60,12 @@ inline constexpr std::int64_t max_thread_flag = 1024;
 /// naming the flag and the value unless it lies in [0, max_thread_flag].
 [[nodiscard]] std::size_t thread_count_flag(const std::string& flag, std::int64_t value);
 
+/// Validates the value of a shard-count flag the same way, over
+/// [1, max_thread_flag]: a shard engine wants at least as many shards as
+/// threads, and threads stop at max_thread_flag.  shard_engine enforces
+/// the same bound on shard_options::shards.
+[[nodiscard]] std::size_t shard_count_flag(const std::string& flag, std::int64_t value);
+
 // ---------------------------------------------------------------------------
 // Shared flag families.
 //
@@ -77,7 +83,7 @@ inline constexpr std::int64_t max_thread_flag = 1024;
 /// results).
 struct engine_flag_values {
   std::size_t threads_per_run = 0;
-  std::int64_t shards = 16;
+  std::size_t shards = 16;
   std::string kernel;  ///< "off" or a kernel backend spec
   std::int64_t lanes = 8;
 };

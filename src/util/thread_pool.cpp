@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/error.hpp"
 
@@ -39,6 +40,18 @@ void thread_pool::wait_idle() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+void thread_pool::for_each(std::size_t count,
+                           const std::function<void(std::size_t, std::size_t)>& body) {
+  if (count == 0) return;
+  std::atomic<std::size_t> next{0};
+  for (std::size_t t = 0; t < std::min(size(), count); ++t) {
+    submit([&body, &next, count, t] {
+      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) body(i, t);
+    });
+  }
+  wait_idle();
+}
+
 void thread_pool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -61,71 +74,17 @@ void thread_pool::worker_loop() {
   }
 }
 
-work_stealing_queues::work_stealing_queues(std::size_t count, std::size_t workers,
-                                           std::size_t min_chunk) {
-  NB_REQUIRE(workers >= 1, "work stealing needs at least one worker");
-  NB_REQUIRE(min_chunk >= 1, "chunks must hold at least one index");
-  worker_count_ = workers;
-  chunk_ = std::max(min_chunk, count / (workers * 8));
-  lanes_ = std::make_unique<lane[]>(workers);
-  // Deal contiguous chunks round-robin: a straggler-heavy prefix (e.g.
-  // the expensive configs of a campaign grid listed first) spreads over
-  // every deque instead of loading one worker's.
-  std::size_t next_lane = 0;
-  for (std::size_t begin = 0; begin < count; begin += chunk_) {
-    const span s{begin, std::min(begin + chunk_, count)};
-    lanes_[next_lane].q.push_back(s);
-    next_lane = next_lane + 1 == workers ? 0 : next_lane + 1;
-  }
-}
-
-bool work_stealing_queues::try_pop(std::size_t worker, span& out) {
-  NB_ASSERT(worker < worker_count_);
-  lane& l = lanes_[worker];
-  const std::lock_guard<std::mutex> lock(l.m);
-  if (l.q.empty()) return false;
-  out = l.q.front();
-  l.q.pop_front();
-  return true;
-}
-
-bool work_stealing_queues::try_steal(std::size_t worker, span& out) {
-  NB_ASSERT(worker < worker_count_);
-  for (std::size_t i = 1; i < worker_count_; ++i) {
-    lane& victim = lanes_[(worker + i) % worker_count_];
-    const std::lock_guard<std::mutex> lock(victim.m);
-    if (victim.q.empty()) continue;
-    out = victim.q.back();  // opposite end from the owner
-    victim.q.pop_back();
-    return true;
-  }
-  return false;
-}
-
 void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& body) {
   NB_REQUIRE(body != nullptr, "parallel_for body must not be empty");
   if (count == 0) return;
   const std::size_t workers = std::min(resolve_workers(threads), count);
-  if (workers <= 1 || count == 1) {
+  if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  work_stealing_queues queues(count, workers);
   thread_pool pool(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([w, &queues, &body] {
-      // Drain own deque, then steal until every deque is empty.  No chunk
-      // is ever added after construction, so a failed pop+steal really
-      // means done (another worker may still be *executing*, but never
-      // producing).
-      work_stealing_queues::span s;
-      while (queues.try_pop(w, s) || queues.try_steal(w, s)) {
-        for (std::size_t i = s.begin; i < s.end; ++i) body(i);
-      }
-    });
-  }
-  pool.wait_idle();
+  pool.for_each(count, [&body](std::size_t i, std::size_t) { body(i); });
 }
 
 std::size_t resolve_workers(std::size_t requested) noexcept {

@@ -1,20 +1,19 @@
-// Minimal fixed-size thread pool plus a deterministic work-stealing
-// parallel_for.
+// Minimal fixed-size thread pool and its one fan-out, for_each.
 //
-// The simulation driver runs repetitions concurrently; determinism comes
-// from giving each *index* (not each thread) its own derived RNG seed, so
-// results are identical for any thread count, including 1.  Scheduling --
-// which worker runs which index, in what order -- is free to vary, and
-// parallel_for exploits that with work stealing: heterogeneous bodies
-// (zipf vs uniform campaign cells, kernel vs fused) no longer straggle
-// behind a fixed hand-out order.
+// Every parallel loop of the library -- parallel_for (campaign cells),
+// the shard engine's shards and bin ranges, range_executor's ranged
+// commits -- is "run body(i) for i in [0, count), then join", and runs
+// through thread_pool::for_each: its tasks claim indices one at a time
+// from a shared counter, so a slow index (a zipf campaign cell, an
+// overdrawn shard) never holds back indices queued behind it.
+// Determinism comes from giving each *index* (not each thread) its own
+// derived RNG seed and result slot, so results are identical for any
+// thread count, including 1; which task runs which index is free to vary.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -41,6 +40,15 @@ class thread_pool {
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
+  /// Runs body(i, task) for every i in [0, count) and returns once all
+  /// ran: min(size(), count) pool tasks claim indices from one atomic
+  /// counter until none are left.  `task` < min(size(), count) names the
+  /// claiming task, for per-task scratch; which task runs which index
+  /// varies, so bodies write only index- or task-owned data, and must not
+  /// throw.  Joins through wait_idle, so tasks submitted ahead are waited
+  /// for too -- except at count == 0, which submits and waits for nothing.
+  void for_each(std::size_t count, const std::function<void(std::size_t, std::size_t)>& body);
+
  private:
   void worker_loop();
 
@@ -53,63 +61,13 @@ class thread_pool {
   bool stopping_ = false;
 };
 
-/// Chunked work-stealing index distributor backing parallel_for.
-///
-/// The index range [0, count) is pre-split into contiguous chunks dealt
-/// round-robin across per-worker deques at construction -- nothing is
-/// pushed later, so "empty everywhere" means "done".  A worker drains its
-/// own deque from the front; once empty it scans the other workers and
-/// steals one chunk from the *back* of a victim's deque, keeping thief
-/// and owner at opposite ends.  Deques are mutex-protected (chunks are
-/// coarse enough that lock traffic is noise next to the work inside a
-/// chunk) and padded apart so two workers' queue heads never share a
-/// cache line.
-///
-/// Scheduling only: which worker executes which chunk varies run to run,
-/// which is exactly why every consumer keys results on the *index*
-/// (derived seeds, index-ordered folds), never on the executing thread.
-class work_stealing_queues {
- public:
-  struct span {
-    std::size_t begin = 0;
-    std::size_t end = 0;  // exclusive
-  };
-
-  /// Splits [0, count) into chunks of ~count / (workers * 8) indices
-  /// (floor `min_chunk`): small enough that stealing can rebalance a
-  /// straggler tail, large enough that lock traffic stays negligible.
-  work_stealing_queues(std::size_t count, std::size_t workers, std::size_t min_chunk = 1);
-
-  /// Pops the next chunk from `worker`'s own deque.  False when empty.
-  bool try_pop(std::size_t worker, span& out);
-
-  /// Steals one chunk from the back of some other worker's deque,
-  /// scanning victims round-robin from `worker + 1`.  False when every
-  /// deque is empty (all chunks handed out).
-  bool try_steal(std::size_t worker, span& out);
-
-  [[nodiscard]] std::size_t workers() const noexcept { return worker_count_; }
-  [[nodiscard]] std::size_t chunk() const noexcept { return chunk_; }
-
- private:
-  // Padded to the destructive-interference unit (64B on every target we
-  // build for) so per-worker queue state never false-shares.
-  struct alignas(64) lane {
-    std::mutex m;
-    std::deque<span> q;
-  };
-
-  std::unique_ptr<lane[]> lanes_;
-  std::size_t worker_count_ = 0;
-  std::size_t chunk_ = 0;
-};
-
-/// Runs body(i) for i in [0, count) across `threads` workers (0 = one per
-/// hardware core) via work stealing.  Exceptions escaping `body`
-/// terminate (tasks are noexcept by contract); callers that can throw
-/// should capture into a result slot instead.  Determinism contract:
-/// stealing only reorders *execution*; any result keyed on the index is
-/// identical for every thread count, including 1.
+/// Runs body(i) for i in [0, count) on a pool of `threads` workers (0 =
+/// one per hardware core) through for_each; one worker (or one index)
+/// runs inline, in index order, without a pool.  Exceptions escaping
+/// `body` terminate (tasks are noexcept by contract); callers that can
+/// throw should capture into a result slot instead.  Determinism
+/// contract: workers only reorder *execution*; any result keyed on the
+/// index is identical for every thread count, including 1.
 void parallel_for(std::size_t count, std::size_t threads, const std::function<void(std::size_t)>& body);
 
 /// `requested` worker threads resolved the way thread_pool resolves them

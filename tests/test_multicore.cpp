@@ -2,14 +2,14 @@
 // scaling bench matrix trustworthy --
 //   (1) the shard engine is bit-identical for ANY thread count, including
 //       oversubscribed counts far past hardware_concurrency,
-//   (2) the work-stealing campaign scheduler emits byte-identical
-//       aggregate JSON for any worker count,
+//   (2) the campaign scheduler emits byte-identical aggregate JSON for
+//       any worker count,
 //   (3) per-index RNG streams are independent of the executing thread
 //       (same seed on concurrent threads => same stream; distinct shard
 //       seeds => distinct streams),
-// plus the supporting machinery: the work-stealing chunk distributor,
-// oversubscription diagnostics, host detection and the perf-counter
-// wrapper's graceful fallback.
+// plus the supporting machinery: oversubscription diagnostics, host
+// detection and the perf-counter wrapper's graceful fallback.  The pool
+// and parallel_for themselves are tested in test_thread_pool.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,7 +50,7 @@ TEST(Multicore, ShardEngineBitIdenticalUpToSixteenThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// (2) Campaign scheduler: work stealing reorders execution only -- the
+// (2) Campaign scheduler: the claim order varies execution only -- the
 // aggregate JSON is byte-identical for any worker count.
 
 std::string campaign_json(std::size_t workers) {
@@ -64,8 +64,8 @@ std::string campaign_json(std::size_t workers) {
       cfg.factory = [n] { return any_process(b_batch(n, n)); };
     } else {
       // Heterogeneous cell mix on purpose: fused zipf cells run at a very
-      // different rate than kernel b-batch cells, so stealing actually
-      // rebalances instead of degenerating to the fixed hand-out order.
+      // different rate than kernel b-batch cells, so workers actually
+      // claim cells out of step instead of in a fixed hand-out order.
       cfg.factory = [n] {
         two_choice p(n);
         p.set_model(make_model("unit", "zipf:1", n));
@@ -140,56 +140,6 @@ TEST(Multicore, OversubscriptionWarnsOnceAndOnlyWhenOver) {
   EXPECT_TRUE(warn_if_oversubscribed(4096, "test/always"));
   EXPECT_TRUE(warned("oversubscribed/test/always"));
   EXPECT_FALSE(warn_if_oversubscribed(4096, "test/always"));  // once per key
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing chunk distributor: exact cover, no duplicates, whether
-// chunks leave via pops or steals.
-
-TEST(Multicore, StealingQueuesCoverEveryIndexExactlyOnce) {
-  const std::size_t count = 1000;
-  work_stealing_queues queues(count, 4);
-  EXPECT_EQ(queues.workers(), 4u);
-  EXPECT_GE(queues.chunk(), 1u);
-  std::vector<int> hits(count, 0);
-  work_stealing_queues::span s;
-  // Worker 0 pops its own deque dry, then steals everything else.
-  while (queues.try_pop(0, s) || queues.try_steal(0, s)) {
-    for (std::size_t i = s.begin; i < s.end; ++i) ++hits[i];
-  }
-  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }));
-  EXPECT_FALSE(queues.try_steal(2, s));  // empty everywhere == done
-}
-
-TEST(Multicore, StealingQueuesConcurrentConsumersPartitionTheRange) {
-  const std::size_t count = 10000;
-  const std::size_t workers = 8;
-  work_stealing_queues queues(count, workers);
-  std::vector<std::atomic<int>> hits(count);
-  std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      work_stealing_queues::span s;
-      while (queues.try_pop(w, s) || queues.try_steal(w, s)) {
-        for (std::size_t i = s.begin; i < s.end; ++i) hits[i].fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (std::size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(Multicore, ParallelForIndexResultsThreadCountInvariant) {
-  const std::size_t count = 257;  // deliberately not a multiple of anything
-  auto run = [count](std::size_t threads) {
-    std::vector<std::uint64_t> out(count, 0);
-    parallel_for(count, threads, [&](std::size_t i) { out[i] = derive_seed(5, i); });
-    return out;
-  };
-  const auto reference = run(1);
-  for (const std::size_t threads : {2, 4, 16}) EXPECT_EQ(run(threads), reference);
 }
 
 // ---------------------------------------------------------------------------

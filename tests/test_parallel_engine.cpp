@@ -351,6 +351,25 @@ TEST(ShardEngine, SimulateWithAndRepeatRouting) {
             b.configs[0].aggregate.gap_histogram().entries());
 }
 
+TEST(ShardEngine, ShardCountBoundedAndNamedOnRejection) {
+  // The bound is checked before the pool exists: a rejected count builds
+  // no engine and starts no thread.
+  for (const std::size_t bad : {std::size_t{0}, static_cast<std::size_t>(-1), std::size_t{1025}}) {
+    try {
+      const shard_engine engine(shard_options{.threads = 1, .shards = bad});
+      ADD_FAILURE() << bad << " shards accepted";
+    } catch (const contract_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("shards got " + std::to_string(bad)), std::string::npos) << what;
+    }
+  }
+  for (const std::size_t good : {std::size_t{1}, std::size_t{1024}}) {
+    const shard_engine engine(shard_options{.threads = 1, .shards = good});
+    EXPECT_EQ(engine.options().shards, good);
+    EXPECT_EQ(engine.threads(), 1u);
+  }
+}
+
 TEST(ShardEngine, RunCeilingUsesNamedConstant) {
   two_choice p(4);
   rng_t rng(1);

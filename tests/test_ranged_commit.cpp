@@ -79,7 +79,7 @@ void expect_parity(const load_state& start, const Op& op, const std::string& wha
   thread_pool pool(4);
   for (const std::size_t ranges : range_counts()) {
     load_state pooled = start;
-    op(pooled, pool_ranges(pool, ranges));
+    op(pooled, range_executor(pool, ranges));
     expect_same_state(pooled, reference, what + " ranges=" + std::to_string(ranges));
   }
 }
@@ -104,7 +104,7 @@ void expect_same_refusal(const load_state& start, const Op& op, const std::strin
   for (const std::size_t ranges : range_counts()) {
     load_state s = start;
     try {
-      op(s, pool_ranges(pool, ranges));
+      op(s, range_executor(pool, ranges));
       FAIL() << "ranges=" << ranges << " must refuse";
     } catch (const contract_error& e) {
       EXPECT_EQ(std::string(e.what()), reference) << "ranges=" << ranges;
@@ -196,7 +196,7 @@ TEST(RangedCommit, RebuildCountsMatchANaiveRecountAtEveryShape) {
     for (const load_t x : loads) ++recount[static_cast<std::size_t>(x - 40)];
     for (const std::size_t ranges : {1u, 3u, 7u}) {
       SCOPED_TRACE(sh.name + ", ranges=" + std::to_string(ranges));
-      ASSERT_TRUE(index.rebuild(loads, 40, 40 + sh.levels - 1, pool_ranges(pool, ranges)));
+      ASSERT_TRUE(index.rebuild(loads, 40, 40 + sh.levels - 1, range_executor(pool, ranges)));
       EXPECT_EQ(index.min_level(), 40);
       EXPECT_EQ(index.max_level(), 40 + sh.levels - 1);
       EXPECT_EQ(index.bins(), sh.n);
@@ -280,7 +280,7 @@ TEST(RangedCommit, BatchCommitWindowAndDeparturesMatchSerial) {
       b_batch pooled(n, n);
       serial.set_model(make_model(weighting, "uniform", n, "drain"));
       pooled.set_model(make_model(weighting, "uniform", n, "drain"));
-      const range_executor exec = pool_ranges(pool, ranges);
+      const range_executor exec(pool, ranges);
       const std::string what =
           std::string(weighting) + " ranges=" + std::to_string(ranges);
       rng_t rng(11);

@@ -1,8 +1,8 @@
-// Unit tests for the util substrate: thread pool, CLI parser, CSV writer,
-// table formatter and string helpers.
+// Unit tests for the util substrate: CLI parser, CSV writer, table
+// formatter and string helpers.  The thread pool has its own suite
+// (test_thread_pool.cpp), which CI also runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -15,60 +15,8 @@
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// thread_pool / parallel_for
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  nb::thread_pool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  nb::thread_pool pool(2);
-  pool.wait_idle();
-  SUCCEED();
-}
-
-TEST(ThreadPool, SizeReflectsRequestedThreads) {
-  nb::thread_pool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPool, RejectsEmptyTask) {
-  nb::thread_pool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), nb::contract_error);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    std::vector<std::atomic<int>> hits(257);
-    nb::parallel_for(hits.size(), threads, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(ParallelFor, ZeroCountIsNoop) {
-  bool called = false;
-  nb::parallel_for(0, 4, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelFor, SingleThreadRunsInOrder) {
-  std::vector<std::size_t> order;
-  nb::parallel_for(10, 1, [&](std::size_t i) { order.push_back(i); });
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
 
 // ---------------------------------------------------------------------------
 // cli_parser
@@ -163,6 +111,22 @@ TEST(Cli, ThreadCountFlagBoundsAndNamesRejections) {
       const std::string what = e.what();
       EXPECT_NE(what.find("--threads-per-run"), std::string::npos) << what;
       EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Cli, ShardCountFlagBoundsAndNamesRejections) {
+  // Validation only -- no test here starts a thread.
+  EXPECT_EQ(nb::shard_count_flag("--shards", 1), 1u);
+  EXPECT_EQ(nb::shard_count_flag("--shards", 1024), 1024u);
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-1}, std::int64_t{1025}}) {
+    try {
+      (void)nb::shard_count_flag("--shards", bad);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const nb::contract_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--shards"), std::string::npos) << what;
+      EXPECT_NE(what.find("got " + std::to_string(bad)), std::string::npos) << what;
     }
   }
 }
