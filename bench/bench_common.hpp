@@ -86,9 +86,18 @@ inline std::optional<bench_config> parse_standard(cli_parser& cli, int argc,
   cfg.mode = cli.get_string("mode");
   NB_REQUIRE(cfg.mode == "quick" || cfg.mode == "paper", "--mode must be quick or paper");
   cfg.n_override = cli.get_int("n");
+  NB_REQUIRE(cfg.n_override >= 0 && cfg.n_override <= 0xFFFFFFFFLL,
+             "--n got " + std::to_string(cfg.n_override) + "; it must be in [0, 2^32)");
   cfg.runs_override = cli.get_int("runs");
+  NB_REQUIRE(cfg.runs_override >= 0,
+             "--runs got " + std::to_string(cfg.runs_override) + "; it must be non-negative");
   cfg.m_multiplier = cli.get_int("m-mult");
-  NB_REQUIRE(cfg.m_multiplier >= 1, "--m-mult must be >= 1");
+  // Checked by division: m-mult * n itself could overflow int64.
+  const auto n_max = static_cast<step_count>(std::ranges::max(cfg.bin_counts()));
+  NB_REQUIRE(cfg.m_multiplier >= 1 && cfg.m_multiplier <= max_run_balls / n_max,
+             "--m-mult got " + std::to_string(cfg.m_multiplier) + "; it must be in [1, " +
+                 std::to_string(max_run_balls / n_max) + "] so that m-mult * n (n up to " +
+                 std::to_string(n_max) + ") stays within max_run_balls");
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   cfg.threads = thread_count_flag("--threads", cli.get_int("threads"));
   cfg.engine = engine_from_flags(get_engine_flags(cli));

@@ -253,15 +253,13 @@ void note_depart_phases(const window_phase_times& phases) {
   if (phases.windows == 0) return;
   const double ms = 1e-6 / static_cast<double>(phases.windows);
   std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, merge + clamp %.3f ms, "
-              "commit %.3f ms; repairs: %lld clamped ranges, %lld re-served events, "
-              "%lld recomputed shards\n",
+              "commit %.3f ms; repairs: %lld clamped ranges, %lld re-served events\n",
               static_cast<double>(phases.snapshot_ns) * ms,
               static_cast<double>(phases.kernel_ns) * ms,
               static_cast<double>(phases.merge_ns) * ms,
               static_cast<double>(phases.commit_ns) * ms,
               static_cast<long long>(phases.clamped_ranges),
-              static_cast<long long>(phases.reserved_events),
-              static_cast<long long>(phases.recomputed_shards));
+              static_cast<long long>(phases.reserved_events));
 }
 
 /// Sets a shard leg's speedup_vs_one_shard: its rate over the one-shard
@@ -925,10 +923,9 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       if (e.depart_phases.windows > 0) {
         std::fprintf(f,
                      ",\n     \"depart_repairs\": {\"clamped_ranges\": %lld, "
-                     "\"reserved_events\": %lld, \"recomputed_shards\": %lld}",
+                     "\"reserved_events\": %lld}",
                      static_cast<long long>(e.depart_phases.clamped_ranges),
-                     static_cast<long long>(e.depart_phases.reserved_events),
-                     static_cast<long long>(e.depart_phases.recomputed_shards));
+                     static_cast<long long>(e.depart_phases.reserved_events));
       }
       if (e.speedup_vs_one_shard > 0.0) {
         std::fprintf(f, ",\n     \"speedup_vs_one_shard\": %.4f", e.speedup_vs_one_shard);

@@ -175,26 +175,6 @@ class alias_table {
     return u < thresh_[slot] ? slot : alias_[slot];
   }
 
-  /// Block counterpart (shard inner loops): fills dst[0..count) with
-  /// i.i.d. draws, consuming the generator exactly like `count` sample()
-  /// calls.  The Lemire rejection threshold is hoisted once.
-  template <uniform_random_u64 G>
-  void sample_block(G& rng, bin_index* dst, std::size_t count) const {
-    NB_ASSERT(n_ >= 1);
-    const std::uint64_t reject_below = (0 - n_) % n_;
-    for (std::size_t i = 0; i < count; ++i) {
-      std::uint64_t x = rng.next();
-      auto m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n_);
-      while (static_cast<std::uint64_t>(m) < reject_below) {
-        x = rng.next();
-        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n_);
-      }
-      const auto slot = static_cast<bin_index>(m >> 64);
-      const std::uint64_t u = rng.next();
-      dst[i] = u < thresh_[slot] ? slot : alias_[slot];
-    }
-  }
-
  private:
   std::vector<std::uint64_t> thresh_;
   std::vector<bin_index> alias_;

@@ -70,23 +70,22 @@ void shard_engine::count_range(std::size_t r, bin_count n) {
   }
 }
 
-void shard_engine::settle_departures(depart_channel channel, bin_count n, step_count k,
-                                     weight_t w, std::uint64_t token, bool checked) {
-  const bool drain = channel == depart_channel::drain;
+void shard_engine::settle_departures(depart_channel channel, bin_count n, weight_t w,
+                                     std::uint64_t token) {
   const std::uint8_t* snap = snapshot_.data();
   const load_t base = snapshot_.base();
-  const std::uint8_t mask = drain ? 0xFF : 0;
+  const std::uint8_t mask = channel == depart_channel::drain ? 0xFF : 0;
   // Copies, not references: merged_'s stores could otherwise alias them
   // and keep the clamp loop from vectorizing.
   const auto load = [snap, base = static_cast<std::uint32_t>(base), mask](std::size_t i) {
     return base + (snap[i] ^ mask);
   };
   const auto capacity = [load, w](std::size_t i) {
-    return w == 1 ? load(i) : static_cast<std::uint32_t>(load(i) / w);
+    return static_cast<std::uint32_t>(load(i) / w);
   };
   // A range's deficit is positive exactly when its clamp fired.
   range_deficits_.resize(range_count_);
-  const auto count_and_clamp = [&](std::size_t r) {
+  run_ranges([&](std::size_t r) {
     range_deficits_[r] = 0;
     count_range(r, n);
     const auto [lo, hi] = range_bounds(r, n);
@@ -115,62 +114,12 @@ void shard_engine::settle_departures(depart_channel channel, bin_count n, step_c
     } else {
       clamp(capacity);
     }
-  };
-  run_ranges(count_and_clamp);
-  const auto clamped_ranges = [&] {
-    return std::count_if(range_deficits_.begin(), range_deficits_.end(),
-                         [](step_count d) { return d > 0; });
-  };
-  if (!checked && clamped_ranges() > 0) {
-    // Recount each clamped range shard by shard in one scratch row (the
-    // ranges are disjoint, so their tasks share it), flagging the shards
-    // that overdrew a bin on their own.
-    std::uint16_t* row = scratch_row(0, n);
-    overdrawn_.assign(range_count_ * opt_.shards, 0);
-    run_ranges([&](std::size_t r) {
-      if (range_deficits_[r] == 0) return;
-      const std::size_t lo = range_bounds(r, n).first;
-      for (std::size_t s = 0; s < opt_.shards; ++s) {
-        const std::uint32_t* b = shard_buckets(s);
-        bool overdrew = false;
-        for (std::uint32_t j = b[r]; j < b[r + 1]; ++j) {
-          const std::size_t c = lo + sorted_[j];
-          overdrew |= static_cast<std::uint32_t>(++row[c]) > capacity(c);
-        }
-        for (std::uint32_t j = b[r]; j < b[r + 1]; ++j) row[lo + sorted_[j]] = 0;
-        overdrawn_[r * opt_.shards + s] = overdrew ? 1 : 0;
-      }
-    });
-    redo_.clear();
-    for (std::size_t s = 0; s < opt_.shards; ++s) {
-      bool overdrew = false;
-      for (std::size_t r = 0; r < range_count_; ++r) {
-        overdrew |= overdrawn_[r * opt_.shards + s] != 0;
-      }
-      if (overdrew) redo_.push_back(s);
-    }
-    // Each recomputing task needs its own row.
-    for (std::size_t t = 1; t < std::min(shard_tasks(), redo_.size()); ++t) {
-      (void)scratch_row(t, n);
-    }
-    pool_->for_each(redo_.size(), [&](std::size_t i, std::size_t task) {
-      const std::size_t s = redo_[i];
-      const step_count begin = shard_begin(k, s);
-      const step_count events = shard_share(k, s);
-      std::uint16_t* scratch = scratch_rows_[task].data();
-      std::uint32_t* served = picks_.data() + begin;
-      kernel_depart(isa_, opt_.lanes, channel, n, snap, base, snapshot_.max_off(), w, scratch,
-                    events, shard_stream_seed(token, s), served);
-      for (step_count e = 0; e < events; ++e) scratch[served[e]] = 0;
-      bucket_shard(s, begin, events);
-    });
-    depart_phases_.recomputed_shards += static_cast<step_count>(redo_.size());
-    if (!redo_.empty()) run_ranges(count_and_clamp);
-  }
-  depart_phases_.clamped_ranges += clamped_ranges();
-  if (drain) drain_checked_ = 2 * clamped_ranges() > static_cast<std::ptrdiff_t>(range_count_);
+  });
   step_count deficit = 0;
-  for (const step_count d : range_deficits_) deficit += d;
+  for (const step_count d : range_deficits_) {
+    deficit += d;
+    if (d > 0) ++depart_phases_.clamped_ranges;
+  }
   depart_phases_.reserved_events += deficit;
   rng_t replay(derive_seed(token, opt_.shards));
   for (; deficit > 0; --deficit) {

@@ -18,7 +18,8 @@
 //     settle counts every shard's bucket r, in shard order, into range r
 //     of one merged row (a departure block's settle also clamps the counts
 //     to snapshot capacity and re-serves the deficit under the departure
-//     kernel's re-serve law, depart_replay).
+//     kernel's re-serve law, depart_replay -- the one repair of a
+//     multi-shard departure block).
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling or merge order.  Relative to the serial
@@ -57,7 +58,7 @@ namespace nb {
 /// blocks into a second record of the same shape (`windows` counts blocks,
 /// merge is the bucket count + clamp + re-serve, commit is
 /// commit_departures), which alone also counts what the multi-shard settle
-/// had to repair.  Never read by the sampling code.
+/// clamped and re-served.  Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
   std::int64_t snapshot_ns = 0;
@@ -68,9 +69,6 @@ struct window_phase_times {
   step_count clamped_ranges = 0;
   /// Clamped deficit events re-served through depart_replay.
   step_count reserved_events = 0;
-  /// Drain shards that overdrew a bin on their own and were recomputed
-  /// through the checked kernel_depart.
-  step_count recomputed_shards = 0;
 };
 
 namespace engine_detail {
@@ -199,17 +197,17 @@ class shard_engine {
   /// draws one master-stream token and runs the SIMD departure kernel.
   /// One shard serves the whole block in one kernel call seeded by the
   /// token.  With more, shard s serves its share on substream
-  /// shard_stream_seed(token, s) exactly as one kernel_depart call would;
-  /// shards capacity-check against the shared snapshot with only their OWN
-  /// counts, so the merged counts can overdraw a bin, and the settle clamps
-  /// each bin to its snapshot capacity and re-serves the deficit from the
-  /// dedicated scalar stream rng_t(derive_seed(token, shards)) under the
-  /// departure kernel's re-serve law (depart_replay) -- deterministic, and
-  /// thread-count invariant like step_many.  The lease channel commits in
-  /// bulk unconditionally (RNG-free); undersized blocks and span-saturated
-  /// loads fall back to the serial per-event loop with a one-time
-  /// diagnostic.  A request for more departures than resident balls
-  /// throws contract_error before any block, state untouched.
+  /// shard_stream_seed(token, s): drain shards pick without a capacity
+  /// check, random shards check against the shared snapshot with only
+  /// their OWN counts, so the merged counts can overdraw a bin, and the
+  /// settle clamps each bin to its snapshot capacity and re-serves the
+  /// deficit from the dedicated scalar stream rng_t(derive_seed(token,
+  /// shards)) under the departure kernel's re-serve law (depart_replay) --
+  /// deterministic, and thread-count invariant like step_many.  The lease
+  /// channel commits in bulk unconditionally (RNG-free); undersized blocks
+  /// and span-saturated loads fall back to the serial per-event loop with
+  /// a one-time diagnostic.  A request for more departures than resident
+  /// balls throws contract_error before any block, state untouched.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
@@ -460,18 +458,15 @@ class shard_engine {
   /// One batched departure block of `k` events; false when the live loads
   /// cannot compact (caller falls back to the serial loop).
   ///
-  /// With several shards, drain shards run the unchecked pick fill over
-  /// the inverted snapshot: the kernel's per-event drained-dry check fires
-  /// only once a shard alone has picked a bin more often than its capacity,
-  /// so a shard whose counts stay within capacity everywhere decides
-  /// exactly what kernel_depart would.  A shard that does overdraw pushes
-  /// the merged count of that bin over capacity too, so the settle recounts
-  /// per shard only the ranges where the clamp fired, and recomputes each
-  /// overdrawn shard through the checked kernel_depart on its own seed.
+  /// With several shards, drain shards always run the unchecked pick fill
+  /// (kernel_pick) over the inverted snapshot.  A shard whose counts stay
+  /// within capacity everywhere decides exactly what the checked
+  /// kernel_depart would; a bin one shard alone picks past its capacity
+  /// is over capacity in the merged counts too, so the settle's clamp and
+  /// re-serve repair it like any bin the shards overdraw together.
   /// Random shards cannot skip the check (their acceptance test reads the
   /// shard's running counts on every attempt), so they run kernel_depart
-  /// into one scratch row per pool task and emit their served bins; drain
-  /// shards do the same after a heavily clamped block (drain_checked_).
+  /// into one scratch row per pool task and emit their served bins.
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
     const bool drain =
@@ -489,9 +484,8 @@ class shard_engine {
     const std::uint8_t span = snapshot_.max_off();
     const depart_channel channel = drain ? depart_channel::drain : depart_channel::random;
     const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
-    const bool checked = !drain || drain_checked_;
     // Scratch rows are sized here, on the calling thread, never by a task.
-    if (pool_ && checked) {
+    if (pool_ && !drain) {
       for (std::size_t t = 0; t < shard_tasks(); ++t) (void)scratch_row(t, n);
     }
     run_block(
@@ -502,7 +496,7 @@ class shard_engine {
           kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, rel, events, seed);
         },
         [&](std::uint32_t* picks, step_count events, std::uint64_t seed, std::size_t task) {
-          if (!checked) {
+          if (drain) {
             kernel_pick(isa_, opt_.lanes, n, snap, picks, events, seed);
             return;
           }
@@ -511,19 +505,17 @@ class shard_engine {
                         picks);
           for (step_count e = 0; e < events; ++e) row[picks[e]] = 0;
         },
-        [&](std::uint64_t token) { settle_departures(channel, n, k, w, token, checked); },
+        [&](std::uint64_t token) { settle_departures(channel, n, w, token); },
         [&](const range_executor& exec) { process.commit_departures(merged_, k, exec); });
     return true;
   }
 
   /// The multi-shard departure settle: counts the buckets into merged_,
   /// clamps every bin to its snapshot capacity (a bin's snapshot load is
-  /// base + (byte ^ mask) in either encoding), repairs the drain shards
-  /// that overdrew unless the shards ran `checked`, and re-serves the
-  /// clamped deficit under the kernel's re-serve law from the stream one
-  /// past the shard substreams.
-  void settle_departures(depart_channel channel, bin_count n, step_count k, weight_t w,
-                         std::uint64_t token, bool checked);
+  /// base + (byte ^ mask) in either encoding) and re-serves the clamped
+  /// deficit under the kernel's re-serve law from the stream one past the
+  /// shard substreams, rng_t(derive_seed(token, shards)).
+  void settle_departures(depart_channel channel, bin_count n, weight_t w, std::uint64_t token);
 
   shard_options opt_;
   kernel_isa isa_;
@@ -548,23 +540,11 @@ class shard_engine {
   /// Bin ranges of 2^range_bits_ bins, range_count_ of them.
   unsigned range_bits_ = 0;
   std::size_t range_count_ = 0;
-  /// Zeroed 16-bit count rows, one per pool task: the random channel's
-  /// checked shards and the drain recompute use them (row 0 also serves
-  /// the drain recount); a drain block whose clamp never fires needs none.
+  /// Zeroed 16-bit count rows, one per pool task, for the random
+  /// channel's checked shards only; drain blocks never touch them.
   std::vector<std::vector<std::uint16_t>> scratch_rows_;
-  /// Per-range departure settle state: the clamped excess, and per
-  /// (range, shard) whether the shard overdrew a bin there.
+  /// Per-range clamped excess of the current departure settle.
   std::vector<step_count> range_deficits_;
-  std::vector<std::uint8_t> overdrawn_;
-  /// The drain shards the current block recomputes.
-  std::vector<std::size_t> redo_;
-  /// Whether the next drain block's shards run the checked kernel_depart
-  /// (into scratch rows, like random shards) instead of the unchecked pick
-  /// fill: set when the clamp fired in more than half the previous drain
-  /// block's ranges.  Such a block drains most bins near dry, so nearly
-  /// every shard overdraws on its own and would be recomputed anyway.
-  /// Execution-only: both fills give every shard the same served bins.
-  bool drain_checked_ = false;
   window_phase_times phases_;
   window_phase_times depart_phases_;
 };

@@ -46,9 +46,13 @@
 //   * random -- rejection sampling: draw bin j, then u in [0, base + span),
 //     and serve j iff u < remaining(j).
 // It has two callers: the drain fold above, for drained-dry picks, and the
-// shard engine (core/engine/shard_engine.hpp), which clamps its merged shard counts to
-// snapshot capacity and re-serves the clamped deficit on either channel
-// from rng_t(derive_seed(token, shards)).
+// multi-shard settle of the shard engine (core/engine/shard_engine.hpp),
+// which clamps its merged shard counts to snapshot capacity and re-serves
+// the clamped deficit on either channel from rng_t(derive_seed(token,
+// shards)).  That settle is the engine's one repair: its drain shards pick
+// without the fold's check (kernel_pick over the inverted snapshot), so a
+// bin that one shard alone or several together pick past capacity is
+// clamped and re-served there.
 //
 // CONTRACT (mirroring kernel_run, enforced by tests/test_kernel.cpp): the
 // per-bin departure counts are a pure function of (channel, lanes, n,
@@ -96,9 +100,11 @@ enum class depart_channel : std::uint8_t {
 /// unguarded.  When `served` is non-null, served[e] also receives the bin
 /// of the e-th departure, in serve order (`served` holds k entries), so a
 /// caller can re-zero exactly the row entries the call touched.  The
-/// uint16 overload is the shard engine's scratch row (a shard serves at
-/// most shard_deltas::max_row_count events); the uint32 overload serves
-/// whole serial blocks.
+/// uint16 overload and `served` serve the shard engine's random-channel
+/// shards, each counting into a per-task scratch row (a shard serves at
+/// most shard_deltas::max_row_count events); its drain shards run
+/// kernel_pick instead.  The uint32 overload serves whole one-shard and
+/// serial blocks.
 void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,
                    const std::uint8_t* snap, load_t snap_base, std::uint8_t snap_span,
                    weight_t weight_per_ball, std::uint16_t* rel, step_count k,

@@ -495,57 +495,72 @@ TEST(DepartEngineShard, GoldenMultiShardDepartureStreams) {
 
 /// One drain block of `k` events on `shards` shards over two-choice loads
 /// warmed with `warm` balls: the FNV-1a digest of the run (as in
-/// shard_departure_digest) and the engine's departure record.
-std::pair<std::uint64_t, window_phase_times> shard_drain_block(bin_count n, step_count warm,
-                                                               step_count k, std::size_t shards) {
+/// shard_departure_digest), the engine's departure record and the loads.
+struct drain_block_run {
+  std::uint64_t digest = 0;
+  window_phase_times phases;
+  std::vector<load_t> loads;
+  step_count balls = 0;
+};
+
+drain_block_run shard_drain_block(bin_count n, step_count warm, step_count k, std::size_t shards,
+                                  std::size_t threads = 2,
+                                  kernel_isa isa = kernel_isa::auto_detect) {
   rng_t rng(5);
   any_process process{two_choice(n)};
   process.set_model(make_model("unit", "uniform", n, "drain"));
   step_many(process, rng, warm);
-  shard_engine engine(
-      shard_options{.threads = 2, .shards = shards, .min_window = 1, .lanes = 8});
+  shard_engine engine(shard_options{
+      .threads = threads, .shards = shards, .min_window = 1, .lanes = 8, .isa = isa});
   engine.depart_many(process, rng, k);
-  const std::vector<load_t>& loads = process.state().loads();
-  std::vector<std::uint64_t> digest(loads.begin(), loads.end());
-  digest.push_back(static_cast<std::uint64_t>(process.state().balls()));
+  drain_block_run run{.phases = engine.depart_phases(),
+                      .loads = process.state().loads(),
+                      .balls = process.state().balls()};
+  std::vector<std::uint64_t> digest(run.loads.begin(), run.loads.end());
+  digest.push_back(static_cast<std::uint64_t>(run.balls));
   digest.push_back(rng.next());
-  return {fnv1a(digest), engine.depart_phases()};
+  run.digest = fnv1a(digest);
+  return run;
 }
 
-TEST(DepartEngineShard, DrainRecomputesOnlyShardsThatOverdrewOnTheirOwn) {
-  // Every digest below is the stream the per-shard-row engine drew for the
-  // same block.  2900 of 3000 balls leave 64 bins on 2 shards: each shard
-  // alone picks some bins past their capacity, so the settle recomputes it
-  // through the checked kernel.
-  const auto [heavy_digest, heavy] = shard_drain_block(64, 3000, 2900, 2);
-  EXPECT_EQ(heavy_digest, 2449754004501599634ULL);
-  EXPECT_GT(heavy.recomputed_shards, 0);
-  EXPECT_LE(heavy.recomputed_shards, 2);
-  EXPECT_GT(heavy.clamped_ranges, 0);
-  EXPECT_GT(heavy.reserved_events, 0);
+TEST(DepartEngineShard, DrainShardsPickUncheckedAndTheSettleRepairsEveryOverdraw) {
+  // 2900 of 3000 balls leave 64 bins on 2 shards: each shard alone picks
+  // some bins past their capacity.  The settle's clamp and re-serve is
+  // the one repair, and the block still commits through apply_releases'
+  // validation: no bin underflows, exactly the resident balls remain.
+  const drain_block_run heavy = shard_drain_block(64, 3000, 2900, 2);
+  EXPECT_EQ(heavy.digest, 10052057816601448946ULL);
+  EXPECT_GT(heavy.phases.clamped_ranges, 0);
+  EXPECT_GT(heavy.phases.reserved_events, 0);
+  EXPECT_EQ(heavy.balls, 100);
+  EXPECT_EQ(nb::testing::total_balls(heavy.loads), 100);
+  for (std::size_t i = 0; i < heavy.loads.size(); ++i) EXPECT_GE(heavy.loads[i], 0) << "bin " << i;
+  // Threads and ISA backends only execute shards.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    for (const kernel_isa isa : supported_backends()) {
+      EXPECT_EQ(shard_drain_block(64, 3000, 2900, 2, threads, isa).digest, heavy.digest)
+          << threads << " threads, " << kernel_isa_name(isa);
+    }
+  }
   // The same block on 8 shards (GoldenMultiShardDepartureStreams' drain
-  // pin): the merged counts overdraw, so the clamp fires and the deficit
-  // is re-served, but no single shard needs the checked kernel.
-  const auto [split_digest, split] = shard_drain_block(64, 3000, 2900, 8);
-  EXPECT_EQ(split_digest, 8006737899295112482ULL);
-  EXPECT_EQ(split.recomputed_shards, 0);
-  EXPECT_GT(split.clamped_ranges, 0);
-  EXPECT_GT(split.reserved_events, 0);
+  // pin): no shard overdraws alone, only the merged counts do.
+  const drain_block_run split = shard_drain_block(64, 3000, 2900, 8);
+  EXPECT_EQ(split.digest, 8006737899295112482ULL);
+  EXPECT_GT(split.phases.clamped_ranges, 0);
+  EXPECT_GT(split.phases.reserved_events, 0);
   // At occupancy 8n no shard comes near a bin's capacity: nothing is
-  // recomputed, clamped or re-served.
-  const auto [steady_digest, steady] = shard_drain_block(4096, 8 * 4096, 4096, 8);
-  EXPECT_EQ(steady_digest, 2432676464533900587ULL);
-  EXPECT_EQ(steady.recomputed_shards, 0);
-  EXPECT_EQ(steady.clamped_ranges, 0);
-  EXPECT_EQ(steady.reserved_events, 0);
+  // clamped or re-served.
+  const drain_block_run steady = shard_drain_block(4096, 8 * 4096, 4096, 8);
+  EXPECT_EQ(steady.digest, 2432676464533900587ULL);
+  EXPECT_EQ(steady.phases.clamped_ranges, 0);
+  EXPECT_EQ(steady.phases.reserved_events, 0);
 }
 
-TEST(DepartEngineShard, HeavilyClampedDrainBlocksRunCheckedOnTheSameStreams) {
+TEST(DepartEngineShard, OneEngineAcrossHeavyDrainBlocksMatchesAFreshEnginePerBlock) {
   // Churn cycles at occupancy n, each n arrivals then a drain block of n
-  // events: the block drains every resident ball, so every range clamps,
-  // and after the first block the shards run the checked kernel outright
-  // instead of picking unchecked and being recomputed.  A fresh engine
-  // per block always starts unchecked; both must serve the same stream.
+  // events: the block drains half the resident balls, so most ranges clamp.
+  // No state of one block may leak into the next: an engine reused across
+  // the blocks serves the same loads and stream as a fresh one per block.
   const bin_count n = 4096;
   const shard_options opt{.threads = 2, .shards = 8, .min_window = 1, .lanes = 8};
   rng_t rng(9);
@@ -555,20 +570,16 @@ TEST(DepartEngineShard, HeavilyClampedDrainBlocksRunCheckedOnTheSameStreams) {
   any_process fresh_run = shared_run;
   rng_t fresh_rng = rng;
   shard_engine shared(opt);
-  step_count fresh_recomputed = 0;
   for (int block = 0; block < 3; ++block) {
     step_many(shared_run, rng, n);
     shared.depart_many(shared_run, rng, n);
     step_many(fresh_run, fresh_rng, n);
     shard_engine fresh(opt);
     fresh.depart_many(fresh_run, fresh_rng, n);
-    fresh_recomputed += fresh.depart_phases().recomputed_shards;
     EXPECT_EQ(shared_run.state().loads(), fresh_run.state().loads()) << "block " << block;
   }
   EXPECT_EQ(rng.state(), fresh_rng.state());
   EXPECT_GT(shared.depart_phases().clamped_ranges, 3 * 8 / 2);
-  EXPECT_GT(fresh_recomputed, 0);
-  EXPECT_LT(shared.depart_phases().recomputed_shards, fresh_recomputed);
 }
 
 TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {

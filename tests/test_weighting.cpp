@@ -118,20 +118,6 @@ TEST(AliasTable, ChiSquaredAgainstZipfTarget) {
   EXPECT_LT(chi2, 61.1) << "alias sampling diverges from the zipf:1 target";
 }
 
-TEST(AliasTable, SampleBlockMatchesPerSampleDraws) {
-  const bin_count n = 17;
-  const bin_sampler sampler = make_sampler("hot:3,0.7", n);
-  rng_t a(55);
-  rng_t b(55);
-  std::vector<bin_index> block(1000);
-  sampler.table().sample_block(a, block.data(), block.size());
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    EXPECT_EQ(block[i], sampler.table().sample(b)) << "draw " << i;
-  }
-  // Both consumed the stream identically.
-  EXPECT_EQ(a.next(), b.next());
-}
-
 TEST(BinSampler, UniformMatchesHistoricalBoundedStream) {
   const bin_count n = 1000;
   const bin_sampler uniform = bin_sampler::uniform();

@@ -13,7 +13,10 @@ checkpoint files may remain.
 
 With --departures the registry-backed cells run as steady-state churn
 cells (warm-up + arrival/departure pairs), so the kill points also land
-mid-churn with the lease ring / occupancy counter in flight.
+mid-churn with the lease ring / occupancy counter in flight.  --churn
+passes the churn occupancy through (default: m resident balls), e.g.
+--churn N for occupancy n, where every drain block drains each resident
+ball and the multi-shard settle clamps and re-serves.
 
 --kernel, --threads-per-run, --shards and --lanes pass through to the
 campaign's engine flags, so the kill points can land inside the windowed
@@ -48,6 +51,8 @@ def campaign_cmd(binary, args, json_path, journal=None, resume=False):
     ]
     if args.departures != "none":
         cmd += ["--departures", args.departures]
+    if args.churn is not None:
+        cmd += ["--churn", str(args.churn)]
     for flag in ("kernel", "threads_per_run", "shards", "lanes"):
         value = getattr(args, flag)
         if value is not None:
@@ -134,6 +139,9 @@ def main():
                         help="departure channel for the registry-backed cells "
                              "(none | random | lease | drain); non-none runs "
                              "them as steady-state churn cells")
+    parser.add_argument("--churn", type=int, default=None,
+                        help="campaign --churn: churn occupancy of the churn "
+                             "cells (default m)")
     parser.add_argument("--kernel", default=None,
                         help="campaign --kernel backend (off | scalar | simd | ...)")
     parser.add_argument("--threads-per-run", type=int, default=None,
@@ -151,10 +159,13 @@ def main():
         return 2
     # The campaign example sweeps 9 configs (6 noise-grid + 2 batch + 1
     # factory); kill points are drawn from the whole campaign's ball span.
-    # A churn cell's progress span is occupancy + 2 * events = 3m (the
-    # factory cell stays insertion-only at m), vs m for a plain cell.
-    per_cell = 3 * args.n * args.m_mult if args.departures != "none" \
-        else args.n * args.m_mult
+    # A churn cell's progress span is occupancy + 2 * events, 3m at the
+    # default occupancy m (the factory cell stays insertion-only at m), vs
+    # m for a plain cell.
+    m = args.n * args.m_mult
+    per_cell = m
+    if args.departures != "none":
+        per_cell = (args.churn or m) + 2 * m
     args.total_balls = args.runs * (8 * per_cell + args.n * args.m_mult)
     random.seed(args.seed)
 
