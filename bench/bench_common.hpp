@@ -240,6 +240,10 @@ struct timing_stats {
   double min_s = 0.0;
   double median_s = 0.0;
   double max_s = 0.0;
+  /// Coefficient of variation of the timed reps: sample standard
+  /// deviation over mean (0 with one rep).  A leg whose cv rivals the
+  /// change it is meant to show needs more reps.
+  double cv = 0.0;
 
   /// Throughput views of the same sample (work units / seconds).
   [[nodiscard]] double rate_median(double work) const { return work / median_s; }
@@ -248,7 +252,7 @@ struct timing_stats {
 };
 
 /// Times `body()` with `warmup` untimed shots (cache/branch-predictor/page
-/// warm-in) followed by `reps` timed shots; returns min/median/max.  The
+/// warm-in) followed by `reps` timed shots; returns min/median/max and cv.  The
 /// body must be a repeatable workload -- same seed, same work -- so the
 /// spread measures the machine, not the benchmark.
 template <typename Body>
@@ -273,6 +277,14 @@ timing_stats time_median_of(int warmup, int reps, const Body& body) {
   const std::size_t mid = samples.size() / 2;
   out.median_s =
       samples.size() % 2 != 0 ? samples[mid] : 0.5 * (samples[mid - 1] + samples[mid]);
+  if (samples.size() > 1) {
+    double mean = 0.0;
+    for (const double x : samples) mean += x;
+    mean /= static_cast<double>(samples.size());
+    double squares = 0.0;
+    for (const double x : samples) squares += (x - mean) * (x - mean);
+    out.cv = std::sqrt(squares / static_cast<double>(samples.size() - 1)) / mean;
+  }
   return out;
 }
 

@@ -240,12 +240,17 @@ void note_phases(scale_entry& entry, const window_phase_times& phases) {
   const double total = static_cast<double>(phases.snapshot_ns + phases.kernel_ns +
                                            phases.merge_ns + phases.commit_ns);
   std::printf("    per window: snapshot %.3f ms, kernel %.3f ms, merge %.3f ms, commit %.3f ms "
-              "(commit %.0f%%)\n",
+              "(commit %.0f%%)",
               static_cast<double>(phases.snapshot_ns) * ms,
               static_cast<double>(phases.kernel_ns) * ms,
               static_cast<double>(phases.merge_ns) * ms,
               static_cast<double>(phases.commit_ns) * ms,
               total > 0.0 ? 100.0 * static_cast<double>(phases.commit_ns) / total : 0.0);
+  // One-shard windows fold into a byte row: say how many bins wrapped it.
+  if (entry.kernel == "kernel") {
+    std::printf("; carries %lld", static_cast<long long>(phases.carries));
+  }
+  std::printf("\n");
 }
 
 /// Prints an engine churn leg's per-departure-block split and repairs.
@@ -891,14 +896,14 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                    "     \"isa_detected\": \"%s\", \"isa_forced\": %s%s%s,\n"
                    "     \"balls_per_sec\": %.6e, \"balls_per_sec_min\": %.6e,\n"
                    "     \"balls_per_sec_max\": %.6e, \"seconds_median\": %.6f,\n"
-                   "     \"gap\": %.2f",
+                   "     \"cv\": %.4f, \"gap\": %.2f",
                    e.kernel.c_str(), e.isa.c_str(), e.threads, e.process.c_str(),
                    e.weighting.c_str(), e.sampler.c_str(), e.departures.c_str(),
                    e.isa_detected.c_str(),
                    e.isa_forced.empty() ? "null" : "\"", e.isa_forced.c_str(),
                    e.isa_forced.empty() ? "" : "\"",
                    e.timing.rate_median(leg_work), e.timing.rate_min(leg_work),
-                   e.timing.rate_max(leg_work), e.timing.median_s, e.run.gap);
+                   e.timing.rate_max(leg_work), e.timing.median_s, e.timing.cv, e.run.gap);
       if (e.has_scaling) {
         std::fprintf(f,
                      ",\n     \"speedup_vs_1thread\": %.4f, \"parallel_efficiency\": %.4f,\n"
@@ -906,20 +911,23 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                      e.speedup_vs_1t, e.efficiency, e.parity_checked ? "true" : "false");
       }
       // Per-window (per-block) phase splits, when the leg's engine booked any.
+      // One-shard kernel legs add the carry count of their byte rows.
       const auto emit_phases = [f](const char* key, const char* count_key,
-                                   const window_phase_times& p) {
+                                   const window_phase_times& p, bool carries) {
         if (p.windows == 0) return;
         const double ms = 1e-6 / static_cast<double>(p.windows);
         std::fprintf(f,
                      ",\n     \"%s\": {\"%s\": %lld, \"snapshot\": %.4f, \"kernel\": %.4f, "
-                     "\"merge\": %.4f, \"commit\": %.4f}",
+                     "\"merge\": %.4f, \"commit\": %.4f",
                      key, count_key, static_cast<long long>(p.windows),
                      static_cast<double>(p.snapshot_ns) * ms,
                      static_cast<double>(p.kernel_ns) * ms, static_cast<double>(p.merge_ns) * ms,
                      static_cast<double>(p.commit_ns) * ms);
+        if (carries) std::fprintf(f, ", \"carries\": %lld", static_cast<long long>(p.carries));
+        std::fprintf(f, "}");
       };
-      emit_phases("window_phases_ms", "windows", e.phases);
-      emit_phases("depart_phases_ms", "blocks", e.depart_phases);
+      emit_phases("window_phases_ms", "windows", e.phases, e.kernel == "kernel");
+      emit_phases("depart_phases_ms", "blocks", e.depart_phases, false);
       if (e.depart_phases.windows > 0) {
         std::fprintf(f,
                      ",\n     \"depart_repairs\": {\"clamped_ranges\": %lld, "

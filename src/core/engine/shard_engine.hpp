@@ -8,9 +8,14 @@
 // token per window.  Arrival windows and departure blocks share one block
 // skeleton (run_block): token, leaf, settle, commit.  The shard count
 // picks how the leaf runs:
-//   * one shard: the whole window is one kernel call into one uint32 row
-//     seeded by the token itself (lane l draws from derive_seed(token, l)),
-//     committed on the calling thread -- no pool, no merge;
+//   * one shard: the whole window is one kernel call seeded by the token
+//     itself (lane l draws from derive_seed(token, l)), committed on the
+//     calling thread -- no pool, no merge.  An arrival window counts into
+//     an n-byte row plus a carry list (kernel_run's byte form: a bin's
+//     count is its byte plus 256 per carry entry), which stays
+//     L2-resident beside the snapshot where a 4 MB uint32 row would not,
+//     and the process commits that pair directly; a departure block
+//     counts into the uint32 row merged_;
 //   * S >= 2 shards: the window splits into S fixed shards, shard s draws
 //     from the substream shard_stream_seed(token, s), a worker pool
 //     executes the shards, each shard writes its chosen bins into a pick
@@ -54,17 +59,22 @@ namespace nb {
 /// fast-path windows, summed over `windows` windows: compact snapshot
 /// assignment, sampling (with one shard the row zeroing plus the kernel,
 /// with more the shards' picks and bucket sorts), the bucket count into
-/// the merged row (0 with one shard) and the process's commit_window.  The engine books its departure
-/// blocks into a second record of the same shape (`windows` counts blocks,
-/// merge is the bucket count + clamp + re-serve, commit is
-/// commit_departures), which alone also counts what the multi-shard settle
-/// clamped and re-served.  Never read by the sampling code.
+/// the merged row (0 with one shard) and the process's commit_window.
+/// One-shard windows also count their carry-list entries.  The engine
+/// books its departure blocks into a second record of the same shape
+/// (`windows` counts blocks, merge is the bucket count + clamp +
+/// re-serve, commit is commit_departures), which alone also counts what
+/// the multi-shard settle clamped and re-served.  Never read by the
+/// sampling code.
 struct window_phase_times {
   step_count windows = 0;
   std::int64_t snapshot_ns = 0;
   std::int64_t kernel_ns = 0;
   std::int64_t merge_ns = 0;
   std::int64_t commit_ns = 0;
+  /// Carry-list entries of one-shard arrival windows: one per 256 balls a
+  /// bin took in one window.  0 while no bin reaches 256 (b = n windows).
+  step_count carries = 0;
   /// Bin ranges whose merged counts the departure clamp lowered.
   step_count clamped_ranges = 0;
   /// Clamped deficit events re-served through depart_replay.
@@ -281,7 +291,8 @@ class shard_engine {
   /// shard_deltas::max_row_count balls or events, so its counts fit the
   /// 16-bit scratch rows, and multi-shard windows split deterministically
   /// (the cap depends only on the shard count, never on threads).  One
-  /// shard counts into uint32 and a run is bounded by max_run_balls anyway.
+  /// shard's counts need no cap (its byte row carries every wrap, its
+  /// departure row is uint32), and a run is bounded by max_run_balls.
   [[nodiscard]] step_count block_cap() const noexcept {
     return pool_ ? static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count
                  : max_run_balls;
@@ -370,13 +381,15 @@ class shard_engine {
 
   /// The block skeleton of arrival windows and departure blocks alike:
   /// draws the block's one master-stream token and decides the block from
-  /// it.  One shard is one `leaf(row, k, seed)` call into merged_ on the
-  /// calling thread, seeded by the token itself.  S >= 2 shards are
-  /// shard-claiming pool tasks: shard s runs `pick(picks, count, seed,
-  /// task)` on seed shard_stream_seed(token, s), writing its decided bins
-  /// into its segment of picks_, then buckets them; `settle(token)` then
-  /// fills merged_ from the buckets.  `commit(exec)` finally applies
-  /// merged_.  Every phase after the snapshot is booked here.
+  /// it.  One shard is one `leaf(k, seed)` call on the calling thread,
+  /// seeded by the token itself, which counts into rows of its own choice
+  /// (low_ and carries_ for arrivals, merged_ for departures).  S >= 2
+  /// shards are shard-claiming pool tasks: shard s runs `pick(picks,
+  /// count, seed, task)` on seed shard_stream_seed(token, s), writing its
+  /// decided bins into its segment of picks_, then buckets them;
+  /// `settle(token)` then fills merged_ from the buckets.  `commit(exec)`
+  /// finally applies the counts.  Every phase after the snapshot is booked
+  /// here.
   template <typename Leaf, typename Pick, typename Settle, typename Commit>
   void run_block(rng_t& rng, bin_count n, step_count k, window_phase_times& phases, Leaf&& leaf,
                  Pick&& pick, Settle&& settle, Commit&& commit) {
@@ -386,8 +399,7 @@ class shard_engine {
     // depend on the thread count.
     const std::uint64_t token = rng.next();
     if (!pool_) {
-      merged_.assign(n, 0);
-      leaf(merged_.data(), k, token);
+      leaf(k, token);
     } else {
       layout_ranges(n, k);
       // Each shard's picks and buckets land in its own segments.
@@ -434,13 +446,16 @@ class shard_engine {
     }
     run_block(
         rng, n, k, phases_,
-        [&](std::uint32_t* row, step_count balls, std::uint64_t seed) {
+        [&](step_count balls, std::uint64_t seed) {
+          low_.assign(n, 0);
+          carries_.clear();
           if (table != nullptr) {
             kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
-                             row, balls, seed);
+                             low_.data(), carries_, balls, seed);
           } else {
-            kernel_run(isa_, opt_.lanes, n, snap, row, balls, seed);
+            kernel_run(isa_, opt_.lanes, n, snap, low_.data(), carries_, balls, seed);
           }
+          phases_.carries += static_cast<step_count>(carries_.size());
         },
         [&](std::uint32_t* picks, step_count balls, std::uint64_t seed, std::size_t) {
           if (table != nullptr) {
@@ -451,7 +466,13 @@ class shard_engine {
           }
         },
         [&](std::uint64_t) { run_ranges([&](std::size_t r) { count_range(r, n); }); },
-        [&](const range_executor& exec) { process.commit_window(merged_, k, exec); });
+        [&](const range_executor& exec) {
+          if (pool_) {
+            process.commit_window(merged_, k, exec);
+          } else {
+            process.commit_window(low_, carries_, k, exec);
+          }
+        });
     return true;
   }
 
@@ -492,8 +513,10 @@ class shard_engine {
         rng, n, k, depart_phases_,
         // Cannot throw: depart_many admitted at most the resident balls, so
         // no shard's drain ever runs out of snapshot capacity.
-        [&](std::uint32_t* rel, step_count events, std::uint64_t seed) {
-          kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, rel, events, seed);
+        [&](step_count events, std::uint64_t seed) {
+          merged_.assign(n, 0);
+          kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, merged_.data(), events,
+                        seed);
         },
         [&](std::uint32_t* picks, step_count events, std::uint64_t seed, std::size_t task) {
           if (drain) {
@@ -526,9 +549,14 @@ class shard_engine {
   compact_snapshot snapshot_;
   /// The pool as a bin-range executor, one range per shard: the commit.
   range_executor ranges_;
-  /// The merged per-bin counts the process commits (with one shard, the
-  /// kernel's own row).
+  /// The per-bin counts the process commits for multi-shard windows and
+  /// for departure blocks (with one shard, the departure kernel's own
+  /// row).  One-shard arrival windows never touch it ...
   std::vector<std::uint32_t> merged_;
+  /// ... they count into n bytes plus the bins whose byte wrapped, one
+  /// entry per wrap (kernel_run's byte form).
+  std::vector<std::uint8_t> low_;
+  std::vector<std::uint32_t> carries_;
   /// Multi-shard block scratch, O(n + k) in all: every shard's decided
   /// bins in ball (or serve) order, shard s from shard_begin(k, s) on ...
   std::vector<std::uint32_t> picks_;

@@ -4,9 +4,10 @@
 // Lemire threshold hoist, cutting the run into L1-resident blocks (always
 // at multiples of the lane count, so every backend sees the same aligned
 // lane rotation), and either folding the decided bins into the caller's
-// count row (kernel_run) or leaving them in the caller's pick buffer
-// (kernel_pick).  Backends only fill the block's chosen-bin buffer; which
-// backend runs is the backend table's call (kernel_common.hpp).
+// counts (a uint32 row, or a byte row with a carry list) or leaving them
+// in the caller's pick buffer (kernel_pick).  Backends only fill the
+// block's chosen-bin buffer; which backend runs is the backend table's
+// call (kernel_common.hpp).
 #include "core/kernel/kernel.hpp"
 
 #include <string>
@@ -27,17 +28,16 @@ constexpr std::pair<const char*, kernel_isa> kIsaNames[] = {
 /// The one block driver: seeds the lane state, hoists the Lemire
 /// threshold, then runs the backend `fill` (the plain or the alias form;
 /// `tables` are the alias form's threshold and alias arrays) over
-/// L1-resident blocks.  Exactly one of `row` and `picks` is non-null:
-/// with a row each block folds into it, with a pick buffer the backend
-/// writes every block straight into it, in ball order.
-template <typename Fill, typename... Tables>
-void run_blocks(Fill fill, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint32_t* row, std::uint32_t* picks, step_count balls, std::uint64_t seed,
+/// L1-resident blocks.  With a pick buffer the backend writes every block
+/// straight into it, in ball order; without one each block lands in a
+/// local buffer and `fold(chosen, count)` counts it.
+template <typename Fill, typename Fold, typename... Tables>
+void run_blocks(Fill fill, Fold fold, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                std::uint32_t* picks, step_count balls, std::uint64_t seed,
                 const Tables*... tables) {
   NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
-  NB_ASSERT(balls >= 0 && snap != nullptr && (row == nullptr) != (picks == nullptr) &&
-            ((tables != nullptr) && ...));
+  NB_ASSERT(balls >= 0 && snap != nullptr && ((tables != nullptr) && ...));
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
@@ -51,11 +51,41 @@ void run_blocks(Fill fill, std::size_t lanes, bin_count n, const std::uint8_t* s
     if (picks != nullptr) {
       picks += count;
     } else {
-      for (std::size_t i = 0; i < count; ++i) ++row[chosen[i]];
+      fold(chosen, count);
     }
     balls -= static_cast<step_count>(count);
   }
 }
+
+/// The three fold modes: a uint32 count row, a byte row with a carry
+/// list, and none (the pick buffer keeps the decisions).
+auto fold_row(std::uint32_t* row) {
+  NB_ASSERT(row != nullptr);
+  return [row](const std::uint32_t* chosen, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) ++row[chosen[i]];
+  };
+}
+
+/// One block's byte-row fold.  Out of line, so that the loop's pointers
+/// stay in registers instead of competing with run_blocks' own state.
+[[gnu::noinline]] void fold_block_bytes(const std::uint32_t* chosen, std::size_t count,
+                                        std::uint8_t* low, std::vector<std::uint32_t>& carries) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t c = chosen[i];
+    if (++low[c] == 0) [[unlikely]] {
+      carries.push_back(c);
+    }
+  }
+}
+
+auto fold_bytes(std::uint8_t* low, std::vector<std::uint32_t>& carries) {
+  NB_ASSERT(low != nullptr);
+  return [low, &carries](const std::uint32_t* chosen, std::size_t count) {
+    fold_block_bytes(chosen, count, low, carries);
+  };
+}
+
+constexpr auto no_fold = [](const std::uint32_t*, std::size_t) {};
 
 }  // namespace
 
@@ -146,25 +176,35 @@ std::size_t kernel_lanes_flag(std::int64_t lanes) {
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill, lanes, n, snap, row, nullptr, balls, seed);
+  run_blocks(kernel_detail::backend_for(isa).fill, fold_row(row), lanes, n, snap, nullptr, balls,
+             seed);
+}
+
+void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count balls,
+                std::uint64_t seed) {
+  run_blocks(kernel_detail::backend_for(isa).fill, fold_bytes(low, carries), lanes, n, snap,
+             nullptr, balls, seed);
 }
 
 void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                  std::uint32_t* picks, step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill, lanes, n, snap, nullptr, picks, balls, seed);
+  NB_ASSERT(picks != nullptr);
+  run_blocks(kernel_detail::backend_for(isa).fill, no_fold, lanes, n, snap, picks, balls, seed);
 }
 
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
-                      step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill_alias, lanes, n, snap, row, nullptr, balls,
-             seed, thresh, alias);
+                      const std::uint64_t* thresh, const bin_index* alias, std::uint8_t* low,
+                      std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed) {
+  run_blocks(kernel_detail::backend_for(isa).fill_alias, fold_bytes(low, carries), lanes, n, snap,
+             nullptr, balls, seed, thresh, alias);
 }
 
 void kernel_pick_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                        const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* picks,
                        step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill_alias, lanes, n, snap, nullptr, picks, balls,
+  NB_ASSERT(picks != nullptr);
+  run_blocks(kernel_detail::backend_for(isa).fill_alias, no_fold, lanes, n, snap, picks, balls,
              seed, thresh, alias);
 }
 

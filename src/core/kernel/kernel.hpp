@@ -16,7 +16,10 @@
 //
 // The decision is the canonical two-sample rule over the snapshot:
 // the less loaded of snap[i1]/snap[i2], ties broken by the top bit of c
-// (bit set -> i1), and the chosen bin's counter is incremented.
+// (bit set -> i1), and the chosen bin's counter is incremented: in a
+// uint32 row, or in a byte row whose wraps append the bin to a carry list
+// (the form the one-shard engine folds into), or the decided bins are
+// emitted in ball order instead (kernel_pick, the multi-shard form).
 //
 // CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts are
 // a pure function of (lanes, n, snapshot, balls, seed).  The instruction-
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -96,6 +100,18 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed);
 
+/// The same decisions counted in a byte row with a carry list: per ball
+/// `if (++low[chosen] == 0) carries.push_back(chosen)`.  Starting from a
+/// zeroed `low` and an empty list, bin i's count is exactly low[i] + 256 *
+/// (times i appears in carries), so the list holds at most balls / 256
+/// entries.  The one-shard engine folds its arrival windows this way: an
+/// n-byte row stays L2-resident next to the snapshot at n = 10^6, where a
+/// uint32 row (4 MB) does not.  load_state::apply_increments commits the
+/// pair directly.
+void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count balls,
+                std::uint64_t seed);
+
 /// The same decisions as kernel_run, emitted instead of counted: picks[t]
 /// receives ball t's chosen bin, in ball order (`picks` holds `balls`
 /// entries).  Folding the picks into a zeroed row gives kernel_run's counts
@@ -107,14 +123,15 @@ void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint
 /// two bin indices is one alias draw -- a Lemire-bounded slot over [n)
 /// followed by one raw u64 tested against the slot's 64-bit fixed-point
 /// keep-threshold (`thresh[slot]`, else `alias[slot]`; both arrays live in
-/// an nb::alias_table).  The decision over the snapshot is unchanged.
-/// Same hard contract as kernel_run with the table joining the pure-
-/// function inputs: counts depend only on (lanes, n, snap, thresh, alias,
-/// balls, seed); backends are bit-identical (AVX2 and AVX-512 gather the
-/// tables and the snapshot).
+/// an nb::alias_table).  The decision over the snapshot is unchanged, and
+/// the counts fold into a byte row with a carry list exactly as in the
+/// byte form of kernel_run.  Same hard contract as kernel_run with the
+/// table joining the pure-function inputs: counts depend only on (lanes,
+/// n, snap, thresh, alias, balls, seed); backends are bit-identical (AVX2
+/// and AVX-512 gather the tables and the snapshot).
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
-                      step_count balls, std::uint64_t seed);
+                      const std::uint64_t* thresh, const bin_index* alias, std::uint8_t* low,
+                      std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed);
 
 /// kernel_run_alias's decisions emitted in ball order, as kernel_pick.
 void kernel_pick_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,

@@ -229,44 +229,75 @@ weight_t load_state::add_and_reindex(const Delta& delta, const range_executor& e
 
 void load_state::apply_increments(const std::vector<std::uint32_t>& add,
                                   weight_t weight_per_ball, const range_executor& exec) {
+  static const std::vector<std::uint32_t> no_carries;
+  apply_counts(add, no_carries, weight_per_ball, exec);
+}
+
+void load_state::apply_increments(const std::vector<std::uint8_t>& low,
+                                  const std::vector<std::uint32_t>& carries,
+                                  weight_t weight_per_ball, const range_executor& exec) {
+  apply_counts(low, carries, weight_per_ball, exec);
+}
+
+template <typename Count>
+void load_state::apply_counts(const std::vector<Count>& low,
+                              const std::vector<std::uint32_t>& carries, weight_t weight_per_ball,
+                              const range_executor& exec) {
   NB_ASSERT(!bulk_);
-  NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
+  NB_REQUIRE(low.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
              "per-ball weight must be in [1, max_ball_weight]");
   const std::size_t n = loads_.size();
-  // Unit weights validate only the total-weight ceiling.  While no n
-  // uint32 counts could reach it, the validation pass is skipped and the
-  // add pass sums the window instead: one sweep of `add` less.
-  constexpr weight_t count_cap = std::numeric_limits<std::uint32_t>::max();
-  const bool sum_in_add_pass =
-      weight_per_ball == 1 &&
-      static_cast<weight_t>(n) <= (max_total_weight - total_weight()) / count_cap;
-  step_count total = 0;
+  bool stray = false;
+  for (const std::uint32_t c : carries) stray |= c >= n;
+  NB_REQUIRE(!stray, "carry list names a bin out of range");
+  // A carry stands for one wrap of its bin's low count.
+  constexpr weight_t low_cap = std::numeric_limits<Count>::max();
+  constexpr weight_t carry = low_cap + 1;
+  const weight_t carried = carry * static_cast<weight_t>(carries.size());
+  const Count* row = low.data();
+  // Carries in bin order, for the fixed-weight bin check and the lease
+  // record; bin i's count is row[i] plus one carry per entry equal to i.
+  std::vector<std::uint32_t> sorted;
+  if (!carries.empty() && (weight_per_ball != 1 || lease_on_)) {
+    sorted = carries;
+    std::sort(sorted.begin(), sorted.end());
+  }
+  const auto count_of = [&](std::size_t i) {
+    return static_cast<weight_t>(row[i]) +
+           carry * static_cast<weight_t>(std::count(carries.begin(), carries.end(), i));
+  };
+  // Unit weights validate only the total-weight ceiling.  While no n low
+  // counts plus the carries could reach it, the validation pass is skipped
+  // and the add pass sums the window instead: one sweep of `low` less.
+  const weight_t room = max_total_weight - total_weight();
+  const bool sum_in_add_pass = weight_per_ball == 1 && carried <= room &&
+                               static_cast<weight_t>(n) <= (room - carried) / low_cap;
+  step_count total = carried;
   if (!sum_in_add_pass) {
     // Sum, and under fixed weights validate every bin, BEFORE mutating any
     // (strong exception safety, like allocate(i, w)): a throw must not
     // leave a prefix of bins inflated while balls_/levels_ still reflect
     // the old state.  Each range records its total and its first culprit
-    // bin (n = none); the sweep is branch-free and only a failing range
-    // re-walks.
+    // bin by its low count alone (n = none); the sweep is branch-free and
+    // only a failing range re-walks.  Bins with carries are then checked
+    // with their full counts.
     constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
+    const auto over = [&](std::size_t i, weight_t count) {
+      return static_cast<weight_t>(loads_[i]) + count * weight_per_ball > bin_cap;
+    };
     std::vector<step_count> totals(exec.ranges(), 0);
     std::vector<std::size_t> culprits(exec.ranges(), n);
     exec.run([&](std::size_t r) {
       const auto [lo, hi] = exec.bounds(r, n);
       step_count range_total = 0;
-      for (std::size_t i = lo; i < hi; ++i) range_total += add[i];
+      for (std::size_t i = lo; i < hi; ++i) range_total += row[i];
       totals[r] = range_total;
       if (weight_per_ball == 1) return;
-      bool over = false;
-      for (std::size_t i = lo; i < hi; ++i) {
-        over |= static_cast<weight_t>(loads_[i]) +
-                    static_cast<weight_t>(add[i]) * weight_per_ball >
-                bin_cap;
-      }
-      for (std::size_t i = lo; over && i < hi; ++i) {
-        if (static_cast<weight_t>(loads_[i]) + static_cast<weight_t>(add[i]) * weight_per_ball >
-            bin_cap) {
+      bool any = false;
+      for (std::size_t i = lo; i < hi; ++i) any |= over(i, row[i]);
+      for (std::size_t i = lo; any && i < hi; ++i) {
+        if (over(i, row[i])) {
           culprits[r] = i;
           break;
         }
@@ -276,23 +307,37 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
     // Same int64-overflow audit as the weighted allocate(), phrased as a
     // division so the bound itself cannot overflow (total * weight_per_ball
     // may exceed int64 at the ceilings' corner).
-    NB_REQUIRE(total <= (max_total_weight - total_weight()) / weight_per_ball,
+    NB_REQUIRE(total <= room / weight_per_ball,
                "window would overflow the total-weight accumulator (max_total_weight)");
-    for (const std::size_t i : culprits) {  // ranges in bin order: first culprit
-      NB_REQUIRE(i == n, "window of " + std::to_string(add[i]) + " balls of weight " +
-                             std::to_string(weight_per_ball) + " would overflow bin " +
-                             std::to_string(i) + "'s 32-bit load (currently " +
-                             std::to_string(loads_[i]) + ")");
+    // Ranges run in bin order, so the first culprit is the smallest.
+    std::size_t culprit = *std::min_element(culprits.begin(), culprits.end());
+    if (weight_per_ball != 1) {
+      for (auto it = sorted.begin(); it != sorted.end() && *it < culprit;) {
+        const auto run_end = std::upper_bound(it, sorted.end(), *it);
+        if (over(*it, row[*it] + carry * (run_end - it))) culprit = *it;
+        it = run_end;
+      }
     }
+    NB_REQUIRE(culprit == n, "window of " + std::to_string(count_of(culprit)) +
+                                 " balls of weight " + std::to_string(weight_per_ball) +
+                                 " would overflow bin " + std::to_string(culprit) +
+                                 "'s 32-bit load (currently " +
+                                 std::to_string(loads_[culprit]) + ")");
   }
+  if (!carries.empty()) {
+    const auto carry_load = static_cast<load_t>(carry * weight_per_ball);
+    for (const std::uint32_t c : carries) loads_[c] += carry_load;
+  }
+  // The add pass sees every bin's final load, carries included, so its
+  // range tracking stays exact.
   if (weight_per_ball == 1) {
     const weight_t net =
-        add_and_reindex([&](std::size_t i) { return static_cast<load_t>(add[i]); }, exec);
-    if (sum_in_add_pass) total = net;
+        add_and_reindex([row](std::size_t i) { return static_cast<load_t>(row[i]); }, exec);
+    if (sum_in_add_pass) total += net;
   } else {
     add_and_reindex(
-        [&](std::size_t i) {
-          return static_cast<load_t>(static_cast<weight_t>(add[i]) * weight_per_ball);
+        [row, weight_per_ball](std::size_t i) {
+          return static_cast<load_t>(static_cast<weight_t>(row[i]) * weight_per_ball);
         },
         exec);
   }
@@ -306,8 +351,11 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
     // the engine that produced the window (the windowed engines' own
     // determinism contract) -- it just differs from the serial per-ball
     // order, exactly as the window's sampling already does.
-    for (std::size_t i = 0; i < add.size(); ++i) {
-      for (std::uint32_t k = 0; k < add[i]; ++k) {
+    auto next = sorted.cbegin();
+    for (std::size_t i = 0; i < n; ++i) {
+      weight_t count = row[i];
+      for (; next != sorted.cend() && *next == i; ++next) count += carry;
+      for (weight_t k = 0; k < count; ++k) {
         lease_push(static_cast<bin_index>(i), weight_per_ball);
       }
     }

@@ -484,6 +484,18 @@ class load_state {
   void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball = 1,
                         const range_executor& exec = {});
 
+  /// The same commit from a byte row with a carry list (the byte form of
+  /// kernel_run): bin i receives low[i] + 256 * (times i appears in
+  /// `carries`) balls.  Same checks and error text as the uint32 form --
+  /// the total-weight ceiling, and under fixed weights the first bin whose
+  /// count, carries included, would overflow its 32-bit load -- nothing
+  /// mutated on a throw, and the same lease-ring record in bin order.  The
+  /// add pass reads the n bytes; the carries land before it, one store
+  /// each.
+  void apply_increments(const std::vector<std::uint8_t>& low,
+                        const std::vector<std::uint32_t>& carries, weight_t weight_per_ball = 1,
+                        const range_executor& exec = {});
+
   /// Applies a merged departure block: k departing balls, rel[i] of them
   /// leaving bin i, each retiring weight_per_ball.  The mirror of
   /// apply_increments, validated BEFORE any mutation (strong
@@ -623,6 +635,12 @@ class load_state {
   /// Returns the sum of the deltas, accumulated by the same pass.
   template <typename Delta>
   weight_t add_and_reindex(const Delta& delta, const range_executor& exec);
+
+  /// The body of both apply_increments forms: bin i receives low[i] +
+  /// 2^(8 sizeof(Count)) * (times i appears in `carries`) balls.
+  template <typename Count>
+  void apply_counts(const std::vector<Count>& low, const std::vector<std::uint32_t>& carries,
+                    weight_t weight_per_ball, const range_executor& exec);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

@@ -208,10 +208,25 @@ class b_batch : public process_base<b_batch> {
   /// passes and any copy run by bin range through `exec`.
   void commit_window(const std::vector<std::uint32_t>& inc, step_count balls,
                      const range_executor& exec = {}) {
+    commit_counts(balls, exec, inc);
+  }
+  /// The same commit from a byte row with a carry list (the byte form of
+  /// kernel_run; see load_state::apply_increments).
+  void commit_window(const std::vector<std::uint8_t>& low,
+                     const std::vector<std::uint32_t>& carries, step_count balls,
+                     const range_executor& exec = {}) {
+    commit_counts(balls, exec, low, carries);
+  }
+
+ private:
+  /// The one body of both commit_window forms: `counts` are the window's
+  /// apply_increments arguments.
+  template <typename... Counts>
+  void commit_counts(step_count balls, const range_executor& exec, const Counts&... counts) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
     const bool ends_batch = balls == snapshot_window();
     if (!ends_batch) materialize_boundary(exec);
-    state_.apply_increments(inc, model_.weighting.fixed_weight(), exec);
+    state_.apply_increments(counts..., model_.weighting.fixed_weight(), exec);
     if (ends_batch) {
       touched_.clear();
       stale_all_ = false;
@@ -221,7 +236,6 @@ class b_batch : public process_base<b_batch> {
     }
   }
 
- private:
   void step_one(rng_t& rng, bin_count n) {
     const bin_index i1 = model_.sampler.sample(rng, n);
     const bin_index i2 = model_.sampler.sample(rng, n);

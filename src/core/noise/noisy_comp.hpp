@@ -19,7 +19,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/process.hpp"
 
@@ -83,7 +85,8 @@ class rho_step {
 template <typename Rho>
 class rho_noisy_comp : public process_base<rho_noisy_comp<Rho>> {
  public:
-  rho_noisy_comp(bin_count n, Rho rho) : process_base<rho_noisy_comp>(n), rho_(std::move(rho)) {}
+  rho_noisy_comp(bin_count n, Rho rho)
+      : process_base<rho_noisy_comp>(n), rho_(std::move(rho)), thresholds_(tabulate(rho_)) {}
 
   [[nodiscard]] std::string name() const {
     return with_model_suffix(rho_.label(), model_);
@@ -107,12 +110,51 @@ class rho_noisy_comp : public process_base<rho_noisy_comp<Rho>> {
       const bin_index lighter = (x1 < x2) ? i1 : i2;
       const bin_index heavier = (x1 < x2) ? i2 : i1;
       const load_t delta = (x1 < x2) ? (x2 - x1) : (x1 - x2);
-      chosen = bernoulli(rng, rho_(delta)) ? lighter : heavier;
+      chosen = correct(rng, delta) ? lighter : heavier;
     }
     deposit(state_, model_.weighting, chosen, rng);
   }
 
+  /// Largest load difference the threshold table covers.
+  static constexpr load_t kMaxTabulated = 4096;
+  /// Table entry of a comparison that is always correct (rho >= 1).
+  static constexpr std::uint64_t kAlways = ~std::uint64_t{0};
+
+  /// bernoulli(rng, rho(delta)) as 53-bit integer thresholds, entry delta
+  /// for delta = 1 .. min(D, kMaxTabulated), where D is the first delta
+  /// with rho(delta) = 1 (entry 0 is unused: delta = 0 is a tie).
+  /// canonical() is k * 2^-53 with k = next() >> 11, so canonical() < p
+  /// holds exactly when k < ceil(p * 2^53) (the product is exact).  rho <=
+  /// 0 is stored as 0 and rho >= 1 as kAlways: bernoulli draws nothing
+  /// then, and neither does correct().
+  static std::vector<std::uint64_t> tabulate(const Rho& rho) {
+    std::vector<std::uint64_t> thresholds(1, 0);
+    for (load_t delta = 1; delta <= kMaxTabulated; ++delta) {
+      const double p = rho(delta);
+      if (p >= 1.0) {
+        thresholds.push_back(kAlways);
+        break;
+      }
+      thresholds.push_back(p <= 0.0 ? 0 : static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53)));
+    }
+    return thresholds;
+  }
+
+  /// Whether the comparison of two bins delta apart comes out correct:
+  /// bernoulli(rng, rho_(delta)) -- the same draws and the same answer --
+  /// without evaluating rho_ inside the table.
+  bool correct(rng_t& rng, load_t delta) const {
+    if (static_cast<std::size_t>(delta) >= thresholds_.size()) {
+      return bernoulli(rng, rho_(delta));
+    }
+    const std::uint64_t threshold = thresholds_[static_cast<std::size_t>(delta)];
+    if (threshold == 0) return false;
+    if (threshold == kAlways) return true;
+    return (rng.next() >> 11) < threshold;
+  }
+
   Rho rho_;
+  std::vector<std::uint64_t> thresholds_;
 };
 
 /// sigma-Noisy-Load in the form the paper benchmarks (Eq. 2.1).

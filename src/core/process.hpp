@@ -443,7 +443,11 @@ concept window_probed = requires(const P p) {
 ///     b-Batch commit that ends a batch only marks its boundary copy
 ///     pending, and the process's next mutator makes it (through that
 ///     mutator's executor), so back-to-back whole-batch windows never
-///     copy.
+///     copy,
+///   * commit_window(low, carries, balls[, exec]): the same commit from a
+///     byte row with a carry list (bin i gets low[i] + 256 * (times i
+///     appears in carries) balls), which the one-shard engine folds its
+///     arrival windows into (kernel_run's byte form).
 ///
 /// Optionally, snapshot_is_live() proves the window snapshot equals the
 /// live loads right now (b-Batch right after a boundary commit, pending
@@ -452,12 +456,14 @@ concept window_probed = requires(const P p) {
 /// live_snapshot_probed).
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
-    requires(P p, const P cp, const std::vector<std::uint32_t>& inc, step_count k,
-             const range_executor& exec) {
+    requires(P p, const P cp, const std::vector<std::uint32_t>& inc,
+             const std::vector<std::uint8_t>& low, step_count k, const range_executor& exec) {
       requires P::kernel_min_select;
       { cp.window_snapshot() } -> std::convertible_to<const std::vector<load_t>&>;
       { p.commit_window(inc, k) } -> std::same_as<void>;
       { p.commit_window(inc, k, exec) } -> std::same_as<void>;
+      { p.commit_window(low, inc, k) } -> std::same_as<void>;
+      { p.commit_window(low, inc, k, exec) } -> std::same_as<void>;
     };
 
 /// A window-parallel process that can prove its window snapshot is the

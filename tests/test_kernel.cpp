@@ -15,7 +15,9 @@
 //       silently between releases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "core/kernel/kernel_common.hpp"
 #include "test_support.hpp"
@@ -202,10 +204,11 @@ std::vector<std::uint32_t> kernel_alias_counts(kernel_isa isa, std::size_t lanes
                                                const std::vector<std::uint8_t>& snap,
                                                const alias_table& table, step_count balls,
                                                std::uint64_t seed) {
-  std::vector<std::uint32_t> row(n, 0);
-  kernel_run_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(), row.data(),
-                   balls, seed);
-  return row;
+  std::vector<std::uint8_t> low(n, 0);
+  std::vector<std::uint32_t> carries;
+  kernel_run_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(), low.data(),
+                   carries, balls, seed);
+  return nb::testing::widen_counts(low, carries);
 }
 
 TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
@@ -280,6 +283,65 @@ TEST(KernelAlias, PicksFoldToRowCounts) {
     for (const std::uint32_t c : picks) ++folded[c];
     EXPECT_EQ(folded, kernel_alias_counts(isa, 8, n, snap, table, 9999, 5)) << kernel_isa_name(isa);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The byte form: a byte row plus a carry list counts what the uint32 row
+// counts.
+
+/// A non-uniform sampler for n bins (weights 1..7, repeating).
+alias_table skewed_table(bin_count n) {
+  std::vector<double> weights(n);
+  for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 7) + 1);
+  return alias_table(weights);
+}
+
+TEST(KernelByteRow, CountsMatchTheUint32RowAtEveryIsaAndLaneCount) {
+  // 16 bins and 16 000 balls: a bin takes about 1000 balls, so most bytes
+  // wrap, several times over.
+  const bin_count n = 16;
+  const step_count balls = 16000;
+  const auto snap = make_snapshot(n);
+  const alias_table table = skewed_table(n);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+    for (const kernel_isa isa : supported_backends()) {
+      std::vector<std::uint8_t> low(n, 0);
+      std::vector<std::uint32_t> carries;
+      kernel_run(isa, lanes, n, snap.data(), low.data(), carries, balls, 17);
+      const std::vector<std::uint32_t> wide = kernel_counts(isa, lanes, n, snap, balls, 17);
+      EXPECT_EQ(nb::testing::widen_counts(low, carries), wide)
+          << kernel_isa_name(isa) << " lanes=" << lanes;
+      EXPECT_GE(*std::max_element(wide.begin(), wide.end()), 512u);
+      std::size_t wraps = 0;
+      for (const std::uint32_t c : wide) wraps += c / 256;
+      EXPECT_EQ(carries.size(), wraps);
+
+      // Alias sampling: the byte form against the picks folded into a
+      // uint32 row.
+      std::vector<std::uint32_t> picks(static_cast<std::size_t>(balls));
+      kernel_pick_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(),
+                        picks.data(), balls, 17);
+      std::vector<std::uint32_t> folded(n, 0);
+      for (const std::uint32_t c : picks) ++folded[c];
+      EXPECT_EQ(kernel_alias_counts(isa, lanes, n, snap, table, balls, 17), folded)
+          << kernel_isa_name(isa) << " lanes=" << lanes;
+    }
+  }
+}
+
+TEST(KernelByteRow, AccumulatesOntoARow) {
+  // Like the uint32 form, the byte form adds to what the row holds: a
+  // second call's wraps carry on from the first call's bytes.
+  const bin_count n = 16;
+  const auto snap = make_snapshot(n);
+  std::vector<std::uint8_t> low(n, 0);
+  std::vector<std::uint32_t> carries;
+  std::vector<std::uint32_t> wide(n, 0);
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    kernel_run(kernel_isa::scalar, 8, n, snap.data(), low.data(), carries, 3000, seed);
+    kernel_run(kernel_isa::scalar, 8, n, snap.data(), wide.data(), 3000, seed);
+  }
+  EXPECT_EQ(nb::testing::widen_counts(low, carries), wide);
 }
 
 TEST(Kernel, PicksFoldToRowCounts) {
@@ -390,9 +452,11 @@ TEST(KernelEngine, BitIdenticalAcrossIsaBackends) {
 
 TEST(KernelEngine, WindowIsOneKernelCallSeededByTheToken) {
   // Pins the one-shard arrival window to the documented kernel call: one
-  // kernel_run over the window's compact snapshot into a uint32 row,
-  // seeded by the window token itself -- on the calling thread whatever
-  // the thread count, so the stream is that of a plain kernel replay.
+  // kernel_run over the window's compact snapshot, seeded by the window
+  // token itself -- on the calling thread whatever the thread count, so
+  // the stream is that of a plain kernel replay.  The engine counts into
+  // a byte row with carries; the uint32 row and wide commit here must
+  // give the same state.
   const bin_count n = 512;
   const step_count b = 2048;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
@@ -415,6 +479,67 @@ TEST(KernelEngine, WindowIsOneKernelCallSeededByTheToken) {
     EXPECT_EQ(process.state().loads(), expected.state().loads()) << threads << " threads";
     EXPECT_EQ(rng.state(), expected_rng.state()) << threads << " threads";
   }
+}
+
+TEST(KernelEngine, ByteRowWindowsMatchTheWideCommit) {
+  // One-shard windows in which every bin takes >= 256 balls: the engine's
+  // byte row with carries must commit what kernel_run's uint32 row and
+  // the wide commit_window give -- at lanes 1 and 8, on every ISA, for
+  // uniform and alias sampling, with fixed weight 3.
+  const bin_count n = 16;
+  const step_count b = 16000;
+  const step_count warm = 40;  // serial balls first: uneven loads
+  for (const char* sampler : {"uniform", "zipf:1"}) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+      for (const kernel_isa isa : supported_backends()) {
+        b_batch process(n, b);
+        process.set_model(make_model("fixed:3", sampler, n, "none"));
+        rng_t rng(9);
+        step_many(process, rng, warm);
+        b_batch expected = process;
+        rng_t expected_rng = rng;
+        const std::uint64_t token = expected_rng.next();
+        compact_snapshot snap;
+        ASSERT_TRUE(snap.assign(expected.window_snapshot()));
+        std::vector<std::uint32_t> inc(n, 0);
+        if (process.model().sampler.is_uniform()) {
+          kernel_run(isa, lanes, n, snap.data(), inc.data(), b - warm, token);
+        } else {
+          const alias_table& table = process.model().sampler.table();
+          std::vector<std::uint32_t> picks(static_cast<std::size_t>(b - warm));
+          kernel_pick_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(),
+                            picks.data(), b - warm, token);
+          for (const std::uint32_t c : picks) ++inc[c];
+        }
+        ASSERT_GE(*std::max_element(inc.begin(), inc.end()), 512u);
+        expected.commit_window(inc, b - warm);
+
+        shard_engine engine(
+            shard_options{.shards = 1, .min_window = 1, .lanes = lanes, .isa = isa});
+        engine.step_many(process, rng, b - warm);
+        const std::string where = std::string(sampler) + " lanes=" + std::to_string(lanes) +
+                                  " " + kernel_isa_name(isa);
+        EXPECT_EQ(engine.phases().windows, 1) << where;
+        EXPECT_GT(engine.phases().carries, 0) << where;
+        EXPECT_EQ(process.state().loads(), expected.state().loads()) << where;
+        EXPECT_EQ(process.state().total_weight(), expected.state().total_weight()) << where;
+        EXPECT_EQ(rng.state(), expected_rng.state()) << where;
+      }
+    }
+  }
+}
+
+TEST(KernelEngine, PaperScaleWindowsNeedNoCarries) {
+  // b = n = 10^6: a window gives each bin about one ball, so no byte
+  // wraps and the carry count stays 0.
+  const bin_count n = 1000000;
+  b_batch process(n, n);
+  rng_t rng(3);
+  shard_engine engine(shard_options{.shards = 1});
+  engine.step_many(process, rng, 2 * static_cast<step_count>(n));
+  EXPECT_EQ(engine.phases().windows, 2);
+  EXPECT_EQ(engine.phases().carries, 0);
+  EXPECT_EQ(process.state().balls(), 2 * static_cast<step_count>(n));
 }
 
 TEST(KernelEngine, UndersizedWindowsFallBackToSerialExactly) {

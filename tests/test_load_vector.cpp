@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/load_vector.hpp"
 #include "rng/rng.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -296,6 +298,115 @@ TEST(CompactSnapshot, InvertedAssignScansOnceLevelsGiveUp) {
   EXPECT_EQ(inv.max_off(), 7);
   EXPECT_EQ(inv.off(3), 255 - 7);
   expect_inverted_snapshot_parity(s);
+}
+
+// ---------------------------------------------------------------------------
+// The byte-row commit: bin i receives low[i] + 256 balls per carry entry
+// equal to i, and must commit exactly like the uint32 row it stands for.
+
+/// Everything a commit moves: loads, totals and the level index.
+void expect_same_state(const load_state& a, const load_state& b) {
+  EXPECT_EQ(a.loads(), b.loads());
+  EXPECT_EQ(a.balls(), b.balls());
+  EXPECT_EQ(a.total_weight(), b.total_weight());
+  ASSERT_EQ(a.levels_valid(), b.levels_valid());
+  EXPECT_EQ(a.min_load(), b.min_load());
+  EXPECT_EQ(a.max_load(), b.max_load());
+  if (!a.levels_valid()) return;
+  for (nb::load_t l = a.min_load(); l <= a.max_load(); ++l) {
+    EXPECT_EQ(a.levels().count_at(l), b.levels().count_at(l)) << "level " << l;
+  }
+}
+
+/// The contract_error text `commit` raises ("" when it raises none).
+template <typename Commit>
+std::string error_text(const Commit& commit) {
+  try {
+    commit();
+  } catch (const nb::contract_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ByteRowCommit, MatchesTheWideCommit) {
+  const nb::bin_count n = 16;
+  // Bins 3 and 9 take >= 256 and >= 512 balls; bin 0 wraps to exactly 256.
+  const std::vector<std::uint8_t> low = {0, 1, 2, 255, 4, 0, 6, 7, 8, 9, 0, 11, 12, 13, 14, 200};
+  const std::vector<std::uint32_t> carries = {9, 3, 0, 9};
+  const std::vector<std::uint32_t> wide = nb::testing::widen_counts(low, carries);
+  ASSERT_EQ(wide[9], 521u);
+  for (const nb::weight_t w : {nb::weight_t{1}, nb::weight_t{3}}) {
+    load_state by_row(n);
+    load_state by_bytes(n);
+    for (nb::bin_index i = 0; i < n; i += 2) {
+      by_row.allocate(i, w);
+      by_bytes.allocate(i, w);
+    }
+    by_row.apply_increments(wide, w);
+    by_bytes.apply_increments(low, carries, w);
+    expect_same_state(by_row, by_bytes);
+    // No carries: the byte row alone.
+    const std::vector<std::uint32_t> none;
+    by_row.apply_increments(nb::testing::widen_counts(low, none), w);
+    by_bytes.apply_increments(low, none, w);
+    expect_same_state(by_row, by_bytes);
+  }
+}
+
+TEST(ByteRowCommit, BinOverflowByCarriesRaisesTheWideErrorAndMutatesNothing) {
+  // Two bins 300 below the 32-bit ceiling (reached with maximal balls).
+  const nb::bin_count n = 4;
+  const nb::load_t top = std::numeric_limits<nb::load_t>::max() - 300;
+  load_state s(n);
+  for (const nb::bin_index i : {1u, 2u}) {
+    for (nb::load_t left = top; left > 0;) {
+      const nb::weight_t w = std::min<nb::weight_t>(left, nb::max_ball_weight);
+      s.allocate(i, w);
+      left -= static_cast<nb::load_t>(w);
+    }
+  }
+  ASSERT_EQ(s.load(1), top);
+  const load_state before = s;
+  const nb::weight_t w = 3;
+  // Bin 1 overflows only through its carry (44 + 256 balls of weight 3);
+  // bin 2 overflows by its low count alone (200 balls), after it.  Then
+  // the other way round: the low-count culprit comes first.
+  const std::vector<std::vector<std::uint8_t>> lows = {{7, 44, 200, 0}, {7, 200, 44, 0}};
+  const std::vector<std::vector<std::uint32_t>> carry_lists = {{0, 1, 3}, {2, 0}};
+  const std::vector<std::string> culprits = {"bin 1's", "bin 1's"};
+  for (std::size_t c = 0; c < lows.size(); ++c) {
+    const std::vector<std::uint32_t> wide = nb::testing::widen_counts(lows[c], carry_lists[c]);
+    const std::string expected = error_text([&] { s.apply_increments(wide, w); });
+    ASSERT_NE(expected.find(culprits[c]), std::string::npos) << expected;
+    expect_same_state(s, before);
+    EXPECT_EQ(error_text([&] { s.apply_increments(lows[c], carry_lists[c], w); }), expected);
+    expect_same_state(s, before);
+  }
+  // A carry naming no bin is refused, and mutates nothing either.
+  EXPECT_THROW(s.apply_increments(lows[0], {n}, w), nb::contract_error);
+  expect_same_state(s, before);
+}
+
+TEST(ByteRowCommit, LeaseRecordMatchesTheWideCommit) {
+  const nb::bin_count n = 8;
+  const std::vector<std::uint8_t> low = {3, 0, 255, 1, 0, 2, 0, 9};
+  const std::vector<std::uint32_t> carries = {6, 2, 6, 0};
+  for (const nb::weight_t w : {nb::weight_t{1}, nb::weight_t{3}}) {
+    load_state by_row(n);
+    load_state by_bytes(n);
+    by_row.set_lease_tracking(true);
+    by_bytes.set_lease_tracking(true);
+    by_row.allocate(5, w);
+    by_bytes.allocate(5, w);
+    by_row.apply_increments(nb::testing::widen_counts(low, carries), w);
+    by_bytes.apply_increments(low, carries, w);
+    ASSERT_EQ(by_row.leased(), by_bytes.leased());
+    while (by_row.leased() > 0) {
+      ASSERT_EQ(by_row.release_oldest(), by_bytes.release_oldest());
+    }
+    expect_same_state(by_row, by_bytes);
+  }
 }
 
 }  // namespace

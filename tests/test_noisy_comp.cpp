@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "test_support.hpp"
 
@@ -103,6 +107,57 @@ TEST(RhoNoisyComp, CorrectComparisonFrequencyMatchesRho) {
     const double freq = static_cast<double>(correct[idx]) / seen[idx];
     EXPECT_NEAR(freq, rho(d), 0.05) << "delta=" << d;
   }
+}
+
+/// The rho-Noisy-Comp step written out with bernoulli(rng, rho(delta)) on
+/// every unequal comparison: the form the process's threshold table must
+/// reproduce draw for draw.  Balls carry fixed weight w.
+template <typename Rho>
+std::pair<std::vector<load_t>, std::uint64_t> bernoulli_reference(bin_count n, const Rho& rho,
+                                                                  weight_t w, step_count m,
+                                                                  std::uint64_t seed) {
+  std::vector<load_t> loads(n, 0);
+  rng_t rng(seed);
+  for (step_count t = 0; t < m; ++t) {
+    const auto i1 = static_cast<bin_index>(bounded(rng, n));
+    const auto i2 = static_cast<bin_index>(bounded(rng, n));
+    const load_t x1 = loads[i1];
+    const load_t x2 = loads[i2];
+    bin_index chosen;
+    if (x1 == x2) {
+      chosen = coin_flip(rng) ? i1 : i2;
+    } else {
+      const bool correct = bernoulli(rng, rho(std::abs(x1 - x2)));
+      chosen = (x1 < x2) == correct ? i1 : i2;
+    }
+    loads[chosen] += static_cast<load_t>(w);
+  }
+  return {loads, rng.next()};
+}
+
+template <typename Rho>
+void expect_table_matches_bernoulli(const Rho& rho, weight_t w) {
+  const bin_count n = 64;
+  const step_count m = 20000;
+  rho_noisy_comp<Rho> p(n, rho);
+  p.set_model(make_model("fixed:" + std::to_string(w), "uniform", n, "none"));
+  rng_t rng(31);
+  step_many(p, rng, m);
+  const auto [loads, next] = bernoulli_reference(n, rho, w, m, 31);
+  EXPECT_EQ(p.state().loads(), loads) << rho.label() << " w=" << w;
+  EXPECT_EQ(rng.next(), next) << rho.label() << " w=" << w;
+}
+
+TEST(RhoNoisyComp, ThresholdTableDecidesExactlyLikeBernoulli) {
+  // Tables that end early at rho = 1 (small sigma, the step), never end
+  // (constants below 1), hold rho = 0 (no draw either way), and deltas past
+  // the table (sigma = 5000 keeps rho < 1 over all 4096 entries, and
+  // weight-5000 balls put every unequal pair at least 5000 apart).
+  for (const double sigma : {0.5, 2.0, 8.0}) expect_table_matches_bernoulli(rho_gaussian(sigma), 1);
+  expect_table_matches_bernoulli(rho_gaussian(5000.0), 5000);
+  expect_table_matches_bernoulli(rho_gaussian(5000.0), 7);
+  for (const double low : {0.0, 0.5}) expect_table_matches_bernoulli(rho_step(3, low), 1);
+  for (const double c : {0.0, 0.3, 1.0}) expect_table_matches_bernoulli(rho_constant(c), 1);
 }
 
 TEST(RhoNoisyComp, AlwaysWrongIsWorseThanOneChoice) {

@@ -94,8 +94,12 @@ TEST(ShardEngine, BucketCountsEqualPlainRecount) {
                      shard_stream_seed(token, s));
         } else {
           const alias_table& table = process.model().sampler.table();
+          std::vector<std::uint8_t> low(c.n, 0);
+          std::vector<std::uint32_t> carries;
           kernel_run_alias(kernel_isa::scalar, 8, c.n, snap.data(), table.thresholds(),
-                           table.aliases(), row.data(), share, shard_stream_seed(token, s));
+                           table.aliases(), low.data(), carries, share,
+                           shard_stream_seed(token, s));
+          row = nb::testing::widen_counts(low, carries);
         }
         for (bin_index i = 0; i < c.n; ++i) inc[i] += row[i];
       }

@@ -76,6 +76,16 @@ inline double param_for(const std::string& kind) {
   return 3.0;  // g for the adversarial kinds; ignored by one/two-choice
 }
 
+/// The uint32 count row a byte row with a carry list stands for (the byte
+/// form of kernel_run): bin i counts low[i] + 256 per carry entry equal
+/// to i.
+inline std::vector<std::uint32_t> widen_counts(const std::vector<std::uint8_t>& low,
+                                               const std::vector<std::uint32_t>& carries) {
+  std::vector<std::uint32_t> row(low.begin(), low.end());
+  for (const std::uint32_t c : carries) row.at(c) += 256;
+  return row;
+}
+
 /// Total number of balls across bins.
 inline std::int64_t total_balls(const std::vector<load_t>& loads) {
   std::int64_t sum = 0;

@@ -33,6 +33,10 @@ Cross-machine portability is handled by skipping, not failing:
 A file that repeats a leg key fails the gate outright: the bench emits one
 entry per key, and a repeat would let one entry shadow the other.
 
+Each per-leg line also prints both legs' "cv" (coefficient of variation of
+the timed reps, "n/a" in files without it), so a ratio can be read
+against the spread of the reps behind it.
+
 The default tolerance is deliberately generous (40%): the baseline is
 recorded at paper scale on a developer machine while CI runs a reduced
 smoke scale on shared runners, so the gate is meant to catch real
@@ -49,6 +53,14 @@ def leg_key(entry):
     return (entry["kernel"], entry["isa"], entry["threads"],
             entry.get("weighting", "unit"), entry.get("sampler", "uniform"),
             entry.get("departures", "none"))
+
+
+def cv_text(entry):
+    """A leg's coefficient of variation over its timed reps, or "n/a" for
+    files from before the field existed.  Printed, never gated: it says
+    how far apart the reps behind a ratio were."""
+    cv = entry.get("cv")
+    return "n/a" if cv is None else f"{cv:.1%}"
 
 
 def index_legs(doc, path):
@@ -126,7 +138,8 @@ def main():
         ratio = fresh_rate / base_rate
         verdict = "ok" if ratio >= floor else "REGRESSION"
         print(f"  {verdict:<10} {label}: {fresh_rate:.3e} vs baseline "
-              f"{base_rate:.3e} balls/s ({ratio:.0%})")
+              f"{base_rate:.3e} balls/s ({ratio:.0%}; "
+              f"cv {cv_text(fresh_legs[key])} vs {cv_text(base)})")
         if ratio < floor:
             failures.append(label)
 
