@@ -26,12 +26,6 @@ shard_engine::shard_engine(shard_options opt)
   }
 }
 
-std::uint16_t* shard_engine::scratch_row(std::size_t t, bin_count n) {
-  if (scratch_rows_.size() <= t) scratch_rows_.resize(t + 1);
-  if (scratch_rows_[t].size() != n) scratch_rows_[t].assign(n, 0);
-  return scratch_rows_[t].data();
-}
-
 void shard_engine::layout_ranges(bin_count n, step_count k) {
   const std::uint64_t per_shard = (std::uint64_t{n} + opt_.shards - 1) / opt_.shards;
   range_bits_ = std::min(kMaxRangeBits, static_cast<unsigned>(std::bit_width(per_shard - 1)));
@@ -70,15 +64,34 @@ void shard_engine::count_range(std::size_t r, bin_count n) {
   }
 }
 
-void shard_engine::settle_departures(depart_channel channel, bin_count n, weight_t w,
-                                     std::uint64_t token) {
-  const std::uint8_t* snap = snapshot_.data();
+void shard_engine::count_random_departures(const load_state& state, step_count k,
+                                           std::uint64_t token) {
+  const std::vector<load_t>& loads = state.loads();
+  merged_.resize(loads.size());
+  rng_t rng(token);
+  step_count left = k;
+  weight_t resident = state.total_weight();
+  std::size_t i = 0;
+  for (; i < loads.size() && left > 0; ++i) {
+    const load_t load = loads[i];
+    std::uint32_t c = 0;
+    if (load > 0) {
+      c = static_cast<std::uint32_t>(hypergeometric(rng, left, load, resident));
+      left -= c;
+      resident -= load;
+    }
+    merged_[i] = c;
+  }
+  std::fill(merged_.begin() + static_cast<std::ptrdiff_t>(i), merged_.end(), 0);
+}
+
+void shard_engine::settle_departures(bin_count n, weight_t w, std::uint64_t token) {
+  const std::uint8_t* inv = snapshot_.data();
   const load_t base = snapshot_.base();
-  const std::uint8_t mask = channel == depart_channel::drain ? 0xFF : 0;
   // Copies, not references: merged_'s stores could otherwise alias them
   // and keep the clamp loop from vectorizing.
-  const auto load = [snap, base = static_cast<std::uint32_t>(base), mask](std::size_t i) {
-    return base + (snap[i] ^ mask);
+  const auto load = [inv, base = static_cast<std::uint32_t>(base)](std::size_t i) {
+    return base + (inv[i] ^ 0xFF);
   };
   const auto capacity = [load, w](std::size_t i) {
     return static_cast<std::uint32_t>(load(i) / w);
@@ -123,7 +136,7 @@ void shard_engine::settle_departures(depart_channel channel, bin_count n, weight
   depart_phases_.reserved_events += deficit;
   rng_t replay(derive_seed(token, opt_.shards));
   for (; deficit > 0; --deficit) {
-    depart_replay(channel, n, snap, base, snapshot_.max_off(), w, merged_.data(), replay);
+    depart_replay(n, inv, base, w, merged_.data(), replay);
   }
 }
 

@@ -14,23 +14,28 @@
 //     an n-byte row plus a carry list (kernel_run's byte form: a bin's
 //     count is its byte plus 256 per carry entry), which stays
 //     L2-resident beside the snapshot where a 4 MB uint32 row would not,
-//     and the process commits that pair directly; a departure block
-//     counts into the uint32 row merged_;
+//     and the process commits that pair directly; a drain block counts
+//     into the uint32 row merged_;
 //   * S >= 2 shards: the window splits into S fixed shards, shard s draws
 //     from the substream shard_stream_seed(token, s), a worker pool
 //     executes the shards, each shard writes its chosen bins into a pick
 //     buffer and counting-sorts them into power-of-two bin ranges, and the
 //     settle counts every shard's bucket r, in shard order, into range r
-//     of one merged row (a departure block's settle also clamps the counts
-//     to snapshot capacity and re-serves the deficit under the departure
-//     kernel's re-serve law, depart_replay -- the one repair of a
-//     multi-shard departure block).
+//     of one merged row (a drain block's settle also clamps the counts to
+//     snapshot capacity and re-serves the deficit under the drain kernel's
+//     re-serve law, depart_replay -- the one repair of a multi-shard drain
+//     block).
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling or merge order.  Relative to the serial
 // bulk path the engine draws different (but identically distributed)
 // randomness, so serial-vs-engine agreement is distributional, not
 // bitwise; tests enforce both contracts.
+//
+// A random-departure block takes neither leaf: at every shard count it is
+// one exact serial pass of hypergeometric counts over the live loads
+// (depart_block), so its counts depend on (loads, k, token) alone -- not
+// on shards, lanes, threads or ISA.
 //
 // The chunk pattern handed to step_many is also part of the sampling
 // contract: a call boundary inside a window splits it into two smaller
@@ -63,9 +68,10 @@ namespace nb {
 /// One-shard windows also count their carry-list entries.  The engine
 /// books its departure blocks into a second record of the same shape
 /// (`windows` counts blocks, merge is the bucket count + clamp +
-/// re-serve, commit is commit_departures), which alone also counts what
-/// the multi-shard settle clamped and re-served.  Never read by the
-/// sampling code.
+/// re-serve, commit is commit_departures; a random block books its whole
+/// hypergeometric pass as kernel and no snapshot or merge), which alone
+/// also counts what the multi-shard drain settle clamped and re-served.
+/// Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
   std::int64_t snapshot_ns = 0;
@@ -75,9 +81,9 @@ struct window_phase_times {
   /// Carry-list entries of one-shard arrival windows: one per 256 balls a
   /// bin took in one window.  0 while no bin reaches 256 (b = n windows).
   step_count carries = 0;
-  /// Bin ranges whose merged counts the departure clamp lowered.
+  /// Bin ranges whose merged drain counts the clamp lowered.
   step_count clamped_ranges = 0;
-  /// Clamped deficit events re-served through depart_replay.
+  /// Clamped drain deficit events re-served through depart_replay.
   step_count reserved_events = 0;
 };
 
@@ -201,23 +207,26 @@ class shard_engine {
   }
 
   /// Serves `count` departure events through `process`.  Each
-  /// sufficiently large drain/random block snapshots the LIVE loads
-  /// (departures need no frozen window of their own -- the block freezes
-  /// its snapshot at the block start, so windowless processes batch too),
-  /// draws one master-stream token and runs the SIMD departure kernel.
-  /// One shard serves the whole block in one kernel call seeded by the
-  /// token.  With more, shard s serves its share on substream
-  /// shard_stream_seed(token, s): drain shards pick without a capacity
-  /// check, random shards check against the shared snapshot with only
-  /// their OWN counts, so the merged counts can overdraw a bin, and the
-  /// settle clamps each bin to its snapshot capacity and re-serves the
-  /// deficit from the dedicated scalar stream rng_t(derive_seed(token,
-  /// shards)) under the departure kernel's re-serve law (depart_replay) --
-  /// deterministic, and thread-count invariant like step_many.  The lease
-  /// channel commits in bulk unconditionally (RNG-free); undersized blocks
-  /// and span-saturated loads fall back to the serial per-event loop with
-  /// a one-time diagnostic.  A request for more departures than resident
-  /// balls throws contract_error before any block, state untouched.
+  /// sufficiently large drain or random block reads the LIVE loads
+  /// (departures need no frozen window of their own, so windowless
+  /// processes batch too) and draws one master-stream token:
+  ///   * random: the whole request is one block, one exact serial pass of
+  ///     hypergeometric counts over the live loads (depart_block) --
+  ///     no snapshot, no span limit, no cut at block_cap();
+  ///   * drain: the block snapshots the loads inverted.  One shard serves
+  ///     it in one kernel call seeded by the token.  With more, shard s
+  ///     picks its share on substream shard_stream_seed(token, s) without
+  ///     a capacity check, so the merged counts can overdraw a bin, and
+  ///     the settle clamps each bin to its snapshot capacity and re-serves
+  ///     the deficit from the dedicated scalar stream
+  ///     rng_t(derive_seed(token, shards)) under the drain kernel's
+  ///     re-serve law (depart_replay) -- deterministic, and thread-count
+  ///     invariant like step_many.
+  /// The lease channel commits in bulk unconditionally (RNG-free);
+  /// undersized blocks and span-saturated drain loads fall back to the
+  /// serial per-event loop with a one-time diagnostic.  A request for
+  /// more departures than resident balls throws contract_error before any
+  /// block, state untouched.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
@@ -236,9 +245,9 @@ class shard_engine {
         nb::depart_many(process, rng, count);
         return;
       }
-      // Every batched channel retires whole resident balls, so more
+      // Every batched departure retires one resident ball, so more
       // departures than resident balls can never be served (the per-event
-      // law runs dry mid-stream, the kernels would redraw forever).
+      // law runs dry mid-stream, the drain kernel would redraw forever).
       const step_count resident = process.state().balls();
       NB_REQUIRE(count <= resident, "departure request of " + std::to_string(count) +
                                         " events exceeds the " + std::to_string(resident) +
@@ -249,8 +258,9 @@ class shard_engine {
         return;
       }
       const auto n = static_cast<step_count>(process.state().n());
+      const bool random = departures.departure_kind() == departure_model::kind::random;
       while (count > 0) {
-        const step_count k = std::min(count, block_cap());
+        const step_count k = random ? count : std::min(count, block_cap());
         if (k < opt_.min_window || k * 4 < n) {
           warn_once("depart-engine-window/" + process.name(),
                     "batched departures fall back to the serial per-event loop on process '" +
@@ -259,8 +269,9 @@ class shard_engine {
                         "cannot amortize the per-block snapshot");
           nb::depart_many(process, rng, k);
         } else if (!depart_block(process, rng, k)) {
-          warn_once("depart-engine-span/" + process.name(),
-                    "batched departures fall back to the serial per-event loop on process '" +
+          warn_once("depart-engine-drain-span/" + process.name(),
+                    "batched drain departures fall back to the serial per-event loop on "
+                    "process '" +
                         process.name() +
                         "': the live load span exceeds the compact snapshot's 8-bit range");
           nb::depart_many(process, rng, k);
@@ -287,12 +298,12 @@ class shard_engine {
   /// 1.04e8; 2^18 bins 1.35e8 / 1.16e8 vs 1.30e8 / 1.07e8.
   static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
 
-  /// Largest window/block one call serves: a shard serves at most
-  /// shard_deltas::max_row_count balls or events, so its counts fit the
-  /// 16-bit scratch rows, and multi-shard windows split deterministically
-  /// (the cap depends only on the shard count, never on threads).  One
-  /// shard's counts need no cap (its byte row carries every wrap, its
-  /// departure row is uint32), and a run is bounded by max_run_balls.
+  /// Largest arrival window or drain block one call serves: a shard
+  /// serves at most shard_deltas::max_row_count balls or events, so
+  /// multi-shard windows split deterministically (the cap depends only on
+  /// the shard count, never on threads).  One shard's counts need no cap
+  /// (its byte row carries every wrap, its departure row is uint32), and
+  /// a run is bounded by max_run_balls.
   [[nodiscard]] step_count block_cap() const noexcept {
     return pool_ ? static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count
                  : max_run_balls;
@@ -327,17 +338,6 @@ class shard_engine {
     const auto index = static_cast<step_count>(s);
     return index * (k / shards) + std::min(index, k % shards);
   }
-
-  /// Pool tasks a multi-shard block fans out to (thread_pool::for_each
-  /// over the shards), so per-task scratch needs min(threads, shards)
-  /// copies.
-  [[nodiscard]] std::size_t shard_tasks() const noexcept {
-    return std::min(pool_->size(), opt_.shards);
-  }
-
-  /// Task t's zeroed 16-bit scratch count row over n bins.  Users leave it
-  /// zero again, re-zeroing only the bins they counted.
-  std::uint16_t* scratch_row(std::size_t t, bin_count n);
 
   /// Sizes the multi-shard scratch for k picks over n bins: power-of-two
   /// bin ranges about one shard's share of the bins wide (at most 2^16),
@@ -383,9 +383,9 @@ class shard_engine {
   /// draws the block's one master-stream token and decides the block from
   /// it.  One shard is one `leaf(k, seed)` call on the calling thread,
   /// seeded by the token itself, which counts into rows of its own choice
-  /// (low_ and carries_ for arrivals, merged_ for departures).  S >= 2
+  /// (low_ and carries_ for arrivals, merged_ for drain blocks).  S >= 2
   /// shards are shard-claiming pool tasks: shard s runs `pick(picks,
-  /// count, seed, task)` on seed shard_stream_seed(token, s), writing its
+  /// count, seed)` on seed shard_stream_seed(token, s), writing its
   /// decided bins into its segment of picks_, then buckets them;
   /// `settle(token)` then fills merged_ from the buckets.  `commit(exec)`
   /// finally applies the counts.  Every phase after the snapshot is booked
@@ -403,10 +403,10 @@ class shard_engine {
     } else {
       layout_ranges(n, k);
       // Each shard's picks and buckets land in its own segments.
-      pool_->for_each(opt_.shards, [&](std::size_t s, std::size_t task) {
+      pool_->for_each(opt_.shards, [&](std::size_t s, std::size_t) {
         const step_count begin = shard_begin(k, s);
         const step_count count = shard_share(k, s);
-        if (count > 0) pick(picks_.data() + begin, count, shard_stream_seed(token, s), task);
+        if (count > 0) pick(picks_.data() + begin, count, shard_stream_seed(token, s));
         bucket_shard(s, begin, count);
       });
     }
@@ -419,10 +419,14 @@ class shard_engine {
       t_commit = engine_detail::phase_clock_ns();
       phases.merge_ns += t_commit - t_merge;
     }
-    // From kMinPooledCommitBins bins up the commit runs by range on the
-    // pool; below, on the calling thread.
-    commit(pool_ && n >= kMinPooledCommitBins ? ranges_ : range_executor{});
+    commit(commit_executor(n));
     phases.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+  }
+
+  /// Where a block's commit runs: by range on the pool from
+  /// kMinPooledCommitBins bins up, on the calling thread below.
+  [[nodiscard]] range_executor commit_executor(bin_count n) const {
+    return pool_ && n >= kMinPooledCommitBins ? ranges_ : range_executor{};
   }
 
   /// One fast-path window of `k` balls, all decided against the window
@@ -457,7 +461,7 @@ class shard_engine {
           }
           phases_.carries += static_cast<step_count>(carries_.size());
         },
-        [&](std::uint32_t* picks, step_count balls, std::uint64_t seed, std::size_t) {
+        [&](std::uint32_t* picks, step_count balls, std::uint64_t seed) {
           if (table != nullptr) {
             kernel_pick_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
                               picks, balls, seed);
@@ -476,8 +480,16 @@ class shard_engine {
     return true;
   }
 
-  /// One batched departure block of `k` events; false when the live loads
-  /// cannot compact (caller falls back to the serial loop).
+  /// One batched departure block of `k` events; false when the live
+  /// loads cannot compact for a drain block (the caller falls back to the
+  /// serial loop).
+  ///
+  /// A random block is k uniform draws of resident load units without
+  /// replacement, so its per-bin counts are multivariate hypergeometric
+  /// over the live loads: count_random_departures draws them exactly in
+  /// one serial pass from rng_t(token), at every shard count, and the
+  /// counts are committed directly -- no snapshot, kernel, clamp or
+  /// re-serve, and nothing a shard, lane, thread or ISA setting changes.
   ///
   /// With several shards, drain shards always run the unchecked pick fill
   /// (kernel_pick) over the inverted snapshot.  A shard whose counts stay
@@ -485,60 +497,60 @@ class shard_engine {
   /// kernel_depart would; a bin one shard alone picks past its capacity
   /// is over capacity in the merged counts too, so the settle's clamp and
   /// re-serve repair it like any bin the shards overdraw together.
-  /// Random shards cannot skip the check (their acceptance test reads the
-  /// shard's running counts on every attempt), so they run kernel_depart
-  /// into one scratch row per pool task and emit their served bins.
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
-    const bool drain =
-        process.model().departures.departure_kind() == departure_model::kind::drain;
+    const bin_count n = process.state().n();
+    const auto commit = [&](const range_executor& exec) {
+      process.commit_departures(merged_, k, exec);
+    };
+    if (process.model().departures.departure_kind() == departure_model::kind::random) {
+      ++depart_phases_.windows;
+      const std::int64_t t_kernel = engine_detail::phase_clock_ns();
+      count_random_departures(process.state(), k, rng.next());
+      const std::int64_t t_commit = engine_detail::phase_clock_ns();
+      depart_phases_.kernel_ns += t_commit - t_kernel;
+      commit(commit_executor(n));
+      depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+      return true;
+    }
     // The drain kernel reads the inverted bytes as they are
     // (kernel_depart.hpp): one inverted assignment serves the whole block.
     const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
-    const bool compact =
-        drain ? snapshot_.assign_inverted(process.state()) : snapshot_.assign(process.state());
+    const bool compact = snapshot_.assign_inverted(process.state());
     depart_phases_.snapshot_ns += engine_detail::phase_clock_ns() - t_snapshot;
     if (!compact) return false;
-    const bin_count n = process.state().n();
-    const std::uint8_t* snap = snapshot_.data();
+    const std::uint8_t* inv = snapshot_.data();
     const load_t base = snapshot_.base();
-    const std::uint8_t span = snapshot_.max_off();
-    const depart_channel channel = drain ? depart_channel::drain : depart_channel::random;
-    const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
-    // Scratch rows are sized here, on the calling thread, never by a task.
-    if (pool_ && !drain) {
-      for (std::size_t t = 0; t < shard_tasks(); ++t) (void)scratch_row(t, n);
-    }
+    const weight_t w = drain_weight(process.model().weighting);
     run_block(
         rng, n, k, depart_phases_,
         // Cannot throw: depart_many admitted at most the resident balls, so
         // no shard's drain ever runs out of snapshot capacity.
         [&](step_count events, std::uint64_t seed) {
           merged_.assign(n, 0);
-          kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, merged_.data(), events,
-                        seed);
+          kernel_depart(isa_, opt_.lanes, n, inv, base, w, merged_.data(), events, seed);
         },
-        [&](std::uint32_t* picks, step_count events, std::uint64_t seed, std::size_t task) {
-          if (drain) {
-            kernel_pick(isa_, opt_.lanes, n, snap, picks, events, seed);
-            return;
-          }
-          std::uint16_t* row = scratch_rows_[task].data();
-          kernel_depart(isa_, opt_.lanes, channel, n, snap, base, span, w, row, events, seed,
-                        picks);
-          for (step_count e = 0; e < events; ++e) row[picks[e]] = 0;
+        [&](std::uint32_t* picks, step_count events, std::uint64_t seed) {
+          kernel_pick(isa_, opt_.lanes, n, inv, picks, events, seed);
         },
-        [&](std::uint64_t token) { settle_departures(channel, n, w, token); },
-        [&](const range_executor& exec) { process.commit_departures(merged_, k, exec); });
+        [&](std::uint64_t token) { settle_departures(n, w, token); }, commit);
     return true;
   }
 
-  /// The multi-shard departure settle: counts the buckets into merged_,
-  /// clamps every bin to its snapshot capacity (a bin's snapshot load is
-  /// base + (byte ^ mask) in either encoding) and re-serves the clamped
-  /// deficit under the kernel's re-serve law from the stream one past the
-  /// shard substreams, rng_t(derive_seed(token, shards)).
-  void settle_departures(depart_channel channel, bin_count n, weight_t w, std::uint64_t token);
+  /// The random block's counts: one pass over the bins in bin order
+  /// drawing c_i ~ Hypergeometric(k_rem, load_i, M_rem) from rng_t(token)
+  /// (nb::hypergeometric's draw order), where k_rem and M_rem are the
+  /// departures and resident load units not yet assigned; empty bins draw
+  /// nothing, and the pass stops drawing once k_rem reaches 0.  Writes
+  /// every bin of merged_.
+  void count_random_departures(const load_state& state, step_count k, std::uint64_t token);
+
+  /// The multi-shard drain settle: counts the buckets into merged_, clamps
+  /// every bin to its snapshot capacity (a bin's snapshot load is
+  /// base + 255 - byte) and re-serves the clamped deficit under the drain
+  /// kernel's re-serve law from the stream one past the shard substreams,
+  /// rng_t(derive_seed(token, shards)).
+  void settle_departures(bin_count n, weight_t w, std::uint64_t token);
 
   shard_options opt_;
   kernel_isa isa_;
@@ -550,8 +562,9 @@ class shard_engine {
   /// The pool as a bin-range executor, one range per shard: the commit.
   range_executor ranges_;
   /// The per-bin counts the process commits for multi-shard windows and
-  /// for departure blocks (with one shard, the departure kernel's own
-  /// row).  One-shard arrival windows never touch it ...
+  /// for departure blocks (with one shard, the drain kernel's own row; at
+  /// any shard count, the random pass's).  One-shard arrival windows
+  /// never touch it ...
   std::vector<std::uint32_t> merged_;
   /// ... they count into n bytes plus the bins whose byte wrapped, one
   /// entry per wrap (kernel_run's byte form).
@@ -568,10 +581,7 @@ class shard_engine {
   /// Bin ranges of 2^range_bits_ bins, range_count_ of them.
   unsigned range_bits_ = 0;
   std::size_t range_count_ = 0;
-  /// Zeroed 16-bit count rows, one per pool task, for the random
-  /// channel's checked shards only; drain blocks never touch them.
-  std::vector<std::vector<std::uint16_t>> scratch_rows_;
-  /// Per-range clamped excess of the current departure settle.
+  /// Per-range clamped excess of the current drain settle.
   std::vector<step_count> range_deficits_;
   window_phase_times phases_;
   window_phase_times depart_phases_;

@@ -98,9 +98,9 @@ isa_set cpu_isa_set() noexcept {
   set |= isa_bit(kernel_isa::avx2);
   // AVX-512 gating: F (foundation) + DQ/BW/VL for the 64-bit mask
   // compares, narrowing converts and 256-bit masked blends the backend
-  // uses -- the Skylake-SP+ server baseline -- on top of AVX2, whose pair
-  // fill the avx512 backend runs.  CPUs with exotic partial AVX-512
-  // subsets stay on AVX2.
+  // uses -- the Skylake-SP+ server baseline -- checked on top of AVX2,
+  // which every such CPU has.  CPUs with exotic partial AVX-512 subsets
+  // stay on AVX2.
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl")) {
     set |= isa_bit(kernel_isa::avx512);

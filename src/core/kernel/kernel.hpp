@@ -65,7 +65,7 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 [[nodiscard]] kernel_isa detect_kernel_isa() noexcept;
 
 /// True when `isa` can execute on this CPU (auto_detect is always true).
-/// avx512 also requires AVX2: AVX-512 CPUs run the AVX2 pair fill.
+/// avx512 is checked on top of AVX2.
 [[nodiscard]] bool kernel_isa_supported(kernel_isa isa) noexcept;
 
 /// Maps auto_detect to the detected best backend and downgrades an

@@ -141,76 +141,6 @@ NB_TGT_AVX2 void fill_avx2_impl(lane_soa& st, bin_count n, std::uint64_t thresho
   }
 }
 
-/// Bounded-pair fill for the departure kernel's random channel: two
-/// xoshiro steps per 4-lane group, one Lemire multiply-shift against each
-/// bound, and the even_dwords permute to narrow both 64-bit candidate
-/// vectors for the stores.  Same coarse rejection test as the uniform
-/// fill, covering both draws (both thresholds < bounds < 2^32); a flagged
-/// group replays all four lanes from {a, b} queues.
-NB_TGT_AVX2 void fill_pair_avx2_impl(lane_soa& st, std::uint64_t b1, std::uint64_t t1,
-                                     std::uint64_t b2, std::uint64_t t2, std::uint32_t* out1,
-                                     std::uint32_t* out2, std::size_t count) {
-  const std::size_t lanes = st.lanes;
-  const std::size_t vec_lanes = lanes - lanes % 4;
-  const __m256i bound1 = _mm256_set1_epi64x(static_cast<long long>(b1));
-  const __m256i bound2 = _mm256_set1_epi64x(static_cast<long long>(b2));
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i even_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-
-  std::size_t t = 0;
-  while (t + lanes <= count) {
-    for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 4) {
-      __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s0.data() + lane0));
-      __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s1.data() + lane0));
-      __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s2.data() + lane0));
-      __m256i s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s3.data() + lane0));
-      const __m256i a = xo_step(s0, s1, s2, s3);
-      const __m256i b = xo_step(s0, s1, s2, s3);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(st.s0.data() + lane0), s0);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(st.s1.data() + lane0), s1);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(st.s2.data() + lane0), s2);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(st.s3.data() + lane0), s3);
-
-      __m256i i1;
-      __m256i i2;
-      __m256i low_a;
-      __m256i low_b;
-      lemire4(a, bound1, i1, low_a);
-      lemire4(b, bound2, i2, low_b);
-
-      const __m256i hz = _mm256_or_si256(_mm256_cmpeq_epi32(low_a, zero),
-                                         _mm256_cmpeq_epi32(low_b, zero));
-      const auto reject = static_cast<std::uint32_t>(_mm256_movemask_epi8(hz)) & 0xF0F0F0F0u;
-      if (reject != 0) [[unlikely]] {
-        alignas(32) std::uint64_t qa[4];
-        alignas(32) std::uint64_t qb[4];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(qa), a);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(qb), b);
-        for (std::size_t l = 0; l < 4; ++l) {
-          const std::uint64_t queue[2] = {qa[l], qb[l]};
-          replay_pair(st, lane0 + l, b1, t1, b2, t2, queue, 2, out1[t + lane0 + l],
-                      out2[t + lane0 + l]);
-        }
-        continue;
-      }
-
-      const __m128i i1_32 =
-          _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(i1, even_dwords));
-      const __m128i i2_32 =
-          _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(i2, even_dwords));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out1 + t + lane0), i1_32);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out2 + t + lane0), i2_32);
-    }
-    for (std::size_t l = vec_lanes; l < lanes; ++l) {
-      replay_pair(st, l, b1, t1, b2, t2, nullptr, 0, out1[t + l], out2[t + l]);
-    }
-    t += lanes;
-  }
-  for (std::size_t l = 0; t < count; ++l, ++t) {
-    replay_pair(st, l, b1, t1, b2, t2, nullptr, 0, out1[t], out2[t]);
-  }
-}
-
 /// Alias-sampled fill, fully gather-based: per 4-lane group five
 /// vectorized xoshiro steps (slot1, u1, slot2, u2, tie), the Lemire
 /// multiply-shift for both slots, then hardware gathers of the slots'
@@ -328,12 +258,6 @@ NB_TGT_AVX2 void fill_alias_avx2_impl(lane_soa& st, bin_count n, std::uint64_t t
 void fill_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                std::uint32_t* chosen, std::size_t balls) {
   fill_avx2_impl(st, n, threshold, snap, chosen, balls);
-}
-
-void fill_pair_avx2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
-                    std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                    std::size_t count) {
-  fill_pair_avx2_impl(st, b1, t1, b2, t2, out1, out2, count);
 }
 
 void fill_alias_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,

@@ -19,10 +19,9 @@
 //    never leave the vector path, so a rejection costs one lane's
 //    replay, not a whole group's.
 //
-// The departure kernel's random channel runs the AVX2 pair fill on this
-// backend, so dispatch requires AVX2 alongside avx512f+dq+bw+vl
-// (Skylake-SP+).  Compiled with per-function target attributes so the
-// rest of the build stays portable.
+// Dispatch requires avx512f+dq+bw+vl (Skylake-SP+), checked on top of
+// AVX2.  Compiled with per-function target attributes so the rest of the
+// build stays portable.
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>

@@ -8,7 +8,10 @@
 // per sample) Lemire rejections, so every backend consumes each lane's
 // stream in exactly the reference order.  The backend table at the end
 // (backend_for) is the kernel's only ISA dispatch: kernel.cpp and
-// kernel_depart.cpp both take their fills from it.
+// kernel_depart.cpp both take their fills from it.  There are two fill
+// shapes, uniform and alias; the drain-departure kernel runs the uniform
+// one over a byte-inverted snapshot, so departures add no fill of their
+// own.
 #pragma once
 
 #include <array>
@@ -187,49 +190,6 @@ void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
 #endif
 
 // ---------------------------------------------------------------------------
-// Bounded-pair lane path (the departure kernel's draw generator).
-//
-// The departure channels consume *pairs* of bounded draws per event
-// attempt.  Drain needs (bounded(n), bounded(n), tie), which IS the
-// uniform fill_* shape over a byte-inverted snapshot, so it reuses those
-// backends verbatim.  The random channel needs (bounded(n), bounded(B))
-// per rejection-sampling attempt -- a bin index plus an acceptance draw
-// against the frozen load bound B -- with no snapshot gather and no tie
-// draw; the pair fill below is that generic vector piece.  Per attempt,
-// lane l consumes one-or-more raw u64 for the bounded(b1) draw, then the
-// same for bounded(b2).  The scalar reference defines the order; vector
-// backends bulk-generate both draws and queue-replay Lemire rejections
-// exactly like the uniform fill.  Both bounds must be < 2^32.
-
-/// One bounded pair of lane l decided scalar (queue semantics as in
-/// replay_ball: an accept-first queue of {a, b} consumes exactly the two
-/// queued values and spills to the lane's live stream on rejection).
-inline void replay_pair(lane_soa& st, std::size_t l, std::uint64_t b1, std::uint64_t t1,
-                        std::uint64_t b2, std::uint64_t t2, const std::uint64_t* queue,
-                        int queued, std::uint32_t& o1, std::uint32_t& o2) noexcept {
-  ball_stream stream{st, l, queue, queued};
-  o1 = stream.draw_bounded(b1, t1);
-  o2 = stream.draw_bounded(b2, t2);
-}
-
-/// A backend fills out1[t] = bounded(b1), out2[t] = bounded(b2) for every
-/// attempt t in ball order, continuing the lane rotation from lane 0 (the
-/// driver cuts blocks at multiples of the lane count).  t1/t2 are the
-/// hoisted Lemire thresholds of b1/b2.
-using fill_pair_fn = void (*)(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
-                              std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                              std::size_t count);
-
-void fill_pair_scalar(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
-                      std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                      std::size_t count);
-#if defined(__x86_64__) || defined(__i386__)
-void fill_pair_avx2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
-                    std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                    std::size_t count);
-#endif
-
-// ---------------------------------------------------------------------------
 // Dispatch: the one place that decides which ISA runs which fill.
 
 /// Chosen-bin buffer capacity of one block: 32 KiB, L1-resident
@@ -247,22 +207,20 @@ static_assert(kBlockBalls % kernel_max_lanes == 0);
 struct backend {
   fill_fn fill;
   fill_alias_fn fill_alias;
-  fill_pair_fn fill_pair;
 };
 
 /// The backend table: resolves `isa` (resolve_kernel_isa) and returns its
-/// fills.  AVX-512 runs the AVX2 pair fill, which is why
-/// kernel_isa_supported(avx512) also requires AVX2.
+/// fills.
 [[nodiscard]] inline backend backend_for(kernel_isa isa) noexcept {
   switch (resolve_kernel_isa(isa)) {
 #if defined(__x86_64__) || defined(__i386__)
     case kernel_isa::avx2:
-      return {fill_avx2, fill_alias_avx2, fill_pair_avx2};
+      return {fill_avx2, fill_alias_avx2};
     case kernel_isa::avx512:
-      return {fill_avx512, fill_alias_avx512, fill_pair_avx2};
+      return {fill_avx512, fill_alias_avx512};
 #endif
     default:
-      return {fill_scalar, fill_alias_scalar, fill_pair_scalar};
+      return {fill_scalar, fill_alias_scalar};
   }
 }
 

@@ -346,10 +346,9 @@ class compact_snapshot {
 };
 
 /// The multi-shard engine's per-shard bound: one shard decides at most
-/// max_row_count balls (or departure events) per window, so any one
-/// shard's count for a bin fits a 16-bit row.  shard_engine caps its
-/// windows at shards * max_row_count, which makes the bound part of the
-/// sampling contract.
+/// max_row_count balls (or drain departure events) per window.
+/// shard_engine caps its windows at shards * max_row_count, which makes
+/// the bound part of the sampling contract.
 struct shard_deltas {
   static constexpr step_count max_row_count = 65535;
 };

@@ -8,8 +8,9 @@
 //   * xoshiro256++     -- the workhorse generator (fast, passes BigCrush)
 //
 // plus the distributions the paper needs: unbiased bounded uniforms
-// (Lemire's multiply-shift rejection method), canonical doubles, Bernoulli
-// and Gaussian (for sigma-Noisy-Load).
+// (Lemire's multiply-shift rejection method), canonical doubles, Bernoulli,
+// Gaussian (for sigma-Noisy-Load) and hypergeometric (for batched random
+// departures; defined in rng.cpp).
 //
 // Everything takes the generator as an explicit argument; there is no
 // global RNG state (Core Guidelines I.2).
@@ -153,6 +154,27 @@ inline std::uint64_t bounded(G& rng, std::uint64_t bound) {
   }
   return static_cast<std::uint64_t>(m >> 64);
 }
+
+/// Hypergeometric(draws, good, total): how many of `draws` items taken
+/// without replacement from `total` items, `good` of them good, are good.
+/// Exact up to double rounding: one inversion of the closed-form pmf, no
+/// approximation.  (The mode walk starts from log-factorials, so there
+/// rounding scales its pmf by 1 + e with |e| about 2^-52 ln(total!):
+/// 10^-8 at total = 2*10^6.)  Draw order (part of every caller's sampling
+/// contract):
+///   * a determined result (draws or good 0, draws or good == total)
+///     consumes no draw;
+///   * otherwise d = draws and g = good are each folded to at most total/2
+///     (x -> total - x, the result mapped back), s = min(d, g) and
+///     l = max(d, g), and every attempt consumes exactly one canonical()
+///     u.  For s <= 16 the attempt inverts the pmf upward from 0; above,
+///     it starts at the mode, then takes one atom above and one below in
+///     turn.  An attempt whose u outlasts every atom (double rounding
+///     only) is redrawn.
+/// Throws contract_error naming the value when total < 0 or draws or good
+/// lies outside [0, total].
+std::int64_t hypergeometric(xoshiro256pp& rng, std::int64_t draws, std::int64_t good,
+                            std::int64_t total);
 
 /// Uniform double in [0, 1) with 53 random bits.
 template <uniform_random_u64 G>

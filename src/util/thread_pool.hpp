@@ -4,9 +4,8 @@
 // the shard engine's shards and bin ranges, range_executor's ranged
 // commits -- is "run body(i) for i in [0, count), then join", and runs
 // through thread_pool::for_each: its tasks claim indices one at a time
-// from a shared counter, so a slow index (a zipf campaign cell, a
-// random-departure shard that rejects often) never holds back indices
-// queued behind it.
+// from a shared counter, so a slow index (a zipf campaign cell) never
+// holds back indices queued behind it.
 // Determinism comes from giving each *index* (not each thread) its own
 // derived RNG seed and result slot, so results are identical for any
 // thread count, including 1; which task runs which index is free to vary.

@@ -1,29 +1,33 @@
-// The lane-interleaved SIMD departure kernel (core/kernel/kernel_depart)
-// and its contract: per-bin departure counts are a pure function of
-// (channel, lanes, n, snapshot, weight, k, seed) -- the ISA backend is
+// The lane-interleaved SIMD drain-departure kernel (core/kernel/
+// kernel_depart) and its contract: per-bin departure counts are a pure
+// function of (lanes, n, snapshot, weight, k, seed) -- the ISA backend is
 // execution-only and NEVER affects results.  Mirroring test_kernel.cpp,
 // the suite pins
-//   (1) the scalar backend of both channels to an independently written
-//       replay of the documented draw order (drain: bounded(n) pairs plus
-//       a raw tie draw, fuller-by-snapshot wins, drained-dry picks
-//       re-served from the dedicated replay stream; random: bounded(n) /
-//       bounded(B) attempt pairs accepted against remaining load),
+//   (1) the scalar backend to an independently written replay of the
+//       documented draw order (bounded(n) pairs plus a raw tie draw,
+//       fuller-by-snapshot wins, drained-dry picks re-served from the
+//       dedicated replay stream),
 //   (2) every vector backend to the scalar backend, bit for bit,
-//       including the drain replay/fallback path and multi-block runs,
+//       including the replay/fallback path and multi-block runs,
 //   (3) the capacity guarantee (no bin is ever overdrawn) and the count
 //       sum, so commit via load_state::apply_releases never trips,
-//   (4) golden FNV values per channel so the sampling contract cannot
-//       drift silently between releases,
+//   (4) a golden FNV value so the sampling contract cannot drift silently
+//       between releases,
 //   (5) the engines' batched-departure routing: ISA- and thread-count
 //       invariance, the bulk lease pop, and the warn_once diagnostics on
 //       every silent serial fallback (no commit_departures, undersized
-//       block, span-saturated snapshot), and the up-front refusal of a
-//       request for more departures than there are resident balls.
-// Drain calls hand the kernel the inverted snapshot bytes (what
+//       block, span-saturated drain snapshot), and the up-front refusal of
+//       a request for more departures than there are resident balls,
+//   (6) the random channel's one exact pass: multivariate hypergeometric
+//       counts over the live loads, checked against the enumerated law
+//       and invariant under every shard, thread, lane and ISA setting.
+// Kernel calls hand the kernel the inverted snapshot bytes (what
 // compact_snapshot::assign_inverted writes); references and golden values
 // are stated over the plain snapshot.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iostream>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -61,32 +65,21 @@ std::vector<std::uint8_t> make_snapshot(bin_count n) {
   return snap;
 }
 
-std::uint8_t span_of(const std::vector<std::uint8_t>& snap, bin_count n) {
-  std::uint8_t mx = 0;
-  for (bin_count i = 0; i < n; ++i) mx = snap[i] > mx ? snap[i] : mx;
-  return mx;
-}
-
-/// The bytes kernel_depart reads for `channel`: the drain channel takes the
-/// inverted snapshot (255 - offset, what compact_snapshot::assign_inverted
-/// writes), the random channel the plain one.
-std::vector<std::uint8_t> kernel_bytes(depart_channel channel,
-                                       const std::vector<std::uint8_t>& snap, bin_count n) {
-  if (channel != depart_channel::drain) return snap;
+/// The bytes kernel_depart reads: the inverted snapshot (255 - offset,
+/// what compact_snapshot::assign_inverted writes).
+std::vector<std::uint8_t> inverted(const std::vector<std::uint8_t>& snap, bin_count n) {
   std::vector<std::uint8_t> inv(snap.size(), 0);
   for (bin_count i = 0; i < n; ++i) inv[i] = static_cast<std::uint8_t>(255 - snap[i]);
   return inv;
 }
 
 /// Departure counts of one kernel_depart call over the plain snapshot
-/// `snap` (inverted on the way in for drain).
-std::vector<std::uint32_t> depart_counts(kernel_isa isa, std::size_t lanes,
-                                         depart_channel channel, bin_count n,
+/// `snap` (inverted on the way in).
+std::vector<std::uint32_t> depart_counts(kernel_isa isa, std::size_t lanes, bin_count n,
                                          const std::vector<std::uint8_t>& snap, load_t base,
                                          weight_t w, step_count k, std::uint64_t seed) {
   std::vector<std::uint32_t> rel(n, 0);
-  kernel_depart(isa, lanes, channel, n, kernel_bytes(channel, snap, n).data(), base,
-                span_of(snap, n), w, rel.data(), k, seed);
+  kernel_depart(isa, lanes, n, inverted(snap, n).data(), base, w, rel.data(), k, seed);
   return rel;
 }
 
@@ -162,8 +155,7 @@ TEST(DepartKernel, ScalarDrainMatchesDocumentedDrawOrder) {
   const step_count k = 1003;
   const auto snap = make_snapshot(n);
   const auto expected = drain_reference(lanes, n, snap, 12, 1, k, 77);
-  EXPECT_EQ(depart_counts(kernel_isa::scalar, lanes, depart_channel::drain, n, snap, 12, 1, k, 77),
-            expected);
+  EXPECT_EQ(depart_counts(kernel_isa::scalar, lanes, n, snap, 12, 1, k, 77), expected);
   EXPECT_EQ(std::accumulate(expected.begin(), expected.end(), std::int64_t{0}), k);
 }
 
@@ -175,8 +167,7 @@ TEST(DepartKernel, ScalarWeightedDrainMatchesDocumentedDrawOrder) {
   const step_count k = 120;
   const auto snap = make_snapshot(n);
   const auto expected = drain_reference(lanes, n, snap, 30, 3, k, 5);
-  const auto got =
-      depart_counts(kernel_isa::scalar, lanes, depart_channel::drain, n, snap, 30, 3, k, 5);
+  const auto got = depart_counts(kernel_isa::scalar, lanes, n, snap, 30, 3, k, 5);
   EXPECT_EQ(got, expected);
   for (bin_count i = 0; i < n; ++i) {
     EXPECT_LE(static_cast<weight_t>(got[i]) * 3, static_cast<weight_t>(30) + snap[i])
@@ -184,48 +175,13 @@ TEST(DepartKernel, ScalarWeightedDrainMatchesDocumentedDrawOrder) {
   }
 }
 
-TEST(DepartKernel, ScalarRandomMatchesDocumentedDrawOrder) {
-  // Per attempt, lane t % lanes draws bounded(n) (a bin) then bounded(B)
-  // (acceptance, B frozen at base + span); the attempt serves iff the
-  // draw lands under the bin's remaining load.  Valid within one attempt
-  // block; base >> k keeps acceptance near 1 so that holds by a mile.
-  const bin_count n = 97;
-  const std::size_t lanes = 4;
-  const step_count k = 1000;
-  const load_t base = 10000;
-  const auto snap = make_snapshot(n);
-  const std::uint64_t bound = static_cast<std::uint64_t>(base) + span_of(snap, n);
-
-  std::vector<rng_t> lane_rng;
-  for (std::size_t l = 0; l < lanes; ++l) lane_rng.emplace_back(derive_seed(123, l));
-  std::vector<std::uint32_t> expected(n, 0);
-  step_count served = 0;
-  std::size_t attempts = 0;
-  while (served < k) {
-    rng_t& rng = lane_rng[attempts % lanes];
-    const auto j = static_cast<std::uint32_t>(bounded(rng, n));
-    const auto u = static_cast<weight_t>(bounded(rng, bound));
-    const weight_t rem = static_cast<weight_t>(base) + snap[j] - expected[j];
-    if (rem > 0 && u < rem) {
-      ++expected[j];
-      ++served;
-    }
-    ++attempts;
-  }
-  ASSERT_LT(attempts, 8000u) << "reference must stay within one attempt block";
-
-  EXPECT_EQ(
-      depart_counts(kernel_isa::scalar, lanes, depart_channel::random, n, snap, base, 1, k, 123),
-      expected);
-}
-
 // ---------------------------------------------------------------------------
 // (2) Backend bit-parity.
 
 TEST(DepartKernel, BackendsBitIdenticalAcrossShapes) {
   // Every supported backend must reproduce the scalar counts bit for bit
-  // over awkward shapes, for both channels: remainder lanes (1, 3, 5),
-  // tiny bins, and event counts that cross the driver's 8192-event block.
+  // over awkward shapes: remainder lanes (1, 3, 5), tiny bins, and event
+  // counts that cross the driver's 8192-event block.
   const auto isas = supported_backends();
   ASSERT_GE(isas.size(), 1u);
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
@@ -234,17 +190,14 @@ TEST(DepartKernel, BackendsBitIdenticalAcrossShapes) {
                                     std::size_t{8}, std::size_t{64}}) {
       for (const step_count k : {step_count{1}, step_count{63}, step_count{1000},
                                  step_count{20000}}) {
-        for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
-          // base 25000 keeps even the n = 1, k = 20000 shape within
-          // capacity for both channels.
-          const auto reference =
-              depart_counts(kernel_isa::scalar, lanes, channel, n, snap, 25000, 1, k, 31337);
-          EXPECT_EQ(std::accumulate(reference.begin(), reference.end(), std::int64_t{0}), k);
-          for (const kernel_isa isa : isas) {
-            EXPECT_EQ(depart_counts(isa, lanes, channel, n, snap, 25000, 1, k, 31337), reference)
-                << kernel_isa_name(isa) << " channel=" << static_cast<int>(channel) << " n=" << n
-                << " lanes=" << lanes << " k=" << k;
-          }
+        // base 25000 keeps even the n = 1, k = 20000 shape within
+        // capacity.
+        const auto reference =
+            depart_counts(kernel_isa::scalar, lanes, n, snap, 25000, 1, k, 31337);
+        EXPECT_EQ(std::accumulate(reference.begin(), reference.end(), std::int64_t{0}), k);
+        for (const kernel_isa isa : isas) {
+          EXPECT_EQ(depart_counts(isa, lanes, n, snap, 25000, 1, k, 31337), reference)
+              << kernel_isa_name(isa) << " n=" << n << " lanes=" << lanes << " k=" << k;
         }
       }
     }
@@ -262,17 +215,15 @@ TEST(DepartKernel, DrainFullExhaustionBitIdenticalAndGuarded) {
   step_count capacity = 0;
   for (bin_count i = 0; i < n; ++i) capacity += base + snap[i];
 
-  const auto reference =
-      depart_counts(kernel_isa::scalar, 8, depart_channel::drain, n, snap, base, 1, capacity, 9);
+  const auto reference = depart_counts(kernel_isa::scalar, 8, n, snap, base, 1, capacity, 9);
   for (bin_count i = 0; i < n; ++i) {
     EXPECT_EQ(reference[i], static_cast<std::uint32_t>(base + snap[i])) << "bin " << i;
   }
   for (const kernel_isa isa : supported_backends()) {
-    EXPECT_EQ(depart_counts(isa, 8, depart_channel::drain, n, snap, base, 1, capacity, 9),
-              reference)
+    EXPECT_EQ(depart_counts(isa, 8, n, snap, base, 1, capacity, 9), reference)
         << kernel_isa_name(isa);
     try {
-      (void)depart_counts(isa, 8, depart_channel::drain, n, snap, base, 1, capacity + 1, 9);
+      (void)depart_counts(isa, 8, n, snap, base, 1, capacity + 1, 9);
       FAIL() << "draining past the total load must throw (" << kernel_isa_name(isa) << ")";
     } catch (const contract_error& e) {
       EXPECT_NE(std::string(e.what()).find("weight 1"), std::string::npos) << e.what();
@@ -280,41 +231,16 @@ TEST(DepartKernel, DrainFullExhaustionBitIdenticalAndGuarded) {
   }
 }
 
-TEST(DepartKernel, UInt16AndUInt32RowsAgree) {
-  // The served bins, when asked for, fold to the same counts too.
-  const bin_count n = 53;
-  const auto snap = make_snapshot(n);
-  for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
-    for (const kernel_isa isa : supported_backends()) {
-      std::vector<std::uint16_t> row16(n, 0);
-      std::vector<std::uint32_t> served(9999);
-      kernel_depart(isa, 8, channel, n, kernel_bytes(channel, snap, n).data(), 25000,
-                    span_of(snap, n), 1, row16.data(), 9999, 5, served.data());
-      const auto row32 = depart_counts(isa, 8, channel, n, snap, 25000, 1, 9999, 5);
-      std::vector<std::uint32_t> folded(n, 0);
-      for (const std::uint32_t c : served) ++folded[c];
-      EXPECT_EQ(folded, row32) << kernel_isa_name(isa);
-      for (bin_index i = 0; i < n; ++i) {
-        EXPECT_EQ(row16[i], row32[i])
-            << kernel_isa_name(isa) << " channel=" << static_cast<int>(channel) << " bin " << i;
-      }
-    }
-  }
-}
-
 TEST(DepartKernel, FixedScheduleBitIdenticalAcrossBackends) {
-  // Both channels run each backend's one fill schedule (the AVX-512
-  // two-round loop on drain): 30000 departures over 13 lanes end that
-  // loop mid-round, and every backend must match the scalar reference.
+  // Each backend runs its one fill schedule: 30000 departures over 13
+  // lanes end it mid-round, and every backend must match the scalar
+  // reference.
   const bin_count n = 257;
   const auto snap = make_snapshot(n);
-  for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
-    const auto reference =
-        depart_counts(kernel_isa::scalar, 13, channel, n, snap, 500, 1, 30000, 2026);
-    for (const kernel_isa isa : supported_backends()) {
-      EXPECT_EQ(depart_counts(isa, 13, channel, n, snap, 500, 1, 30000, 2026), reference)
-          << kernel_isa_name(isa) << " channel=" << static_cast<int>(channel);
-    }
+  const auto reference = depart_counts(kernel_isa::scalar, 13, n, snap, 500, 1, 30000, 2026);
+  for (const kernel_isa isa : supported_backends()) {
+    EXPECT_EQ(depart_counts(isa, 13, n, snap, 500, 1, 30000, 2026), reference)
+        << kernel_isa_name(isa);
   }
 }
 
@@ -326,17 +252,10 @@ TEST(DepartKernel, CountsSumToKAndRespectCapacity) {
   const auto snap = make_snapshot(n);
   for (const kernel_isa isa : supported_backends()) {
     // Weighted drain: rel[i] * w can never exceed the bin's snapshot load.
-    const auto drained = depart_counts(isa, 8, depart_channel::drain, n, snap, 301, 3, 5000, 11);
+    const auto drained = depart_counts(isa, 8, n, snap, 301, 3, 5000, 11);
     EXPECT_EQ(std::accumulate(drained.begin(), drained.end(), std::int64_t{0}), 5000);
     for (bin_count i = 0; i < n; ++i) {
       EXPECT_LE(static_cast<weight_t>(drained[i]) * 3, static_cast<weight_t>(301) + snap[i])
-          << kernel_isa_name(isa) << " bin " << i;
-    }
-    // Random: unit quanta, same per-bin bound.
-    const auto random = depart_counts(isa, 8, depart_channel::random, n, snap, 100, 1, 6000, 12);
-    EXPECT_EQ(std::accumulate(random.begin(), random.end(), std::int64_t{0}), 6000);
-    for (bin_count i = 0; i < n; ++i) {
-      EXPECT_LE(random[i], static_cast<std::uint32_t>(100 + snap[i]))
           << kernel_isa_name(isa) << " bin " << i;
     }
   }
@@ -345,10 +264,8 @@ TEST(DepartKernel, CountsSumToKAndRespectCapacity) {
 TEST(DepartKernel, LaneCountIsASamplingParameter) {
   const bin_count n = 512;
   const auto snap = make_snapshot(n);
-  const auto l4 = depart_counts(kernel_isa::scalar, 4, depart_channel::drain, n, snap, 100, 1,
-                                10000, 42);
-  const auto l8 = depart_counts(kernel_isa::scalar, 8, depart_channel::drain, n, snap, 100, 1,
-                                10000, 42);
+  const auto l4 = depart_counts(kernel_isa::scalar, 4, n, snap, 100, 1, 10000, 42);
+  const auto l8 = depart_counts(kernel_isa::scalar, 8, n, snap, 100, 1, 10000, 42);
   EXPECT_NE(l4, l8);
 }
 
@@ -356,21 +273,17 @@ TEST(DepartKernel, LaneCountIsASamplingParameter) {
 // (4) Golden contract regression.
 
 TEST(DepartKernel, GoldenContractRegression) {
-  // Frozen FNV-1a folds of the count vectors for (seed 42, n 101, lanes
-  // 8, k 10^5, base 2000) on the cyclic snapshot, per channel.  EVERY
-  // compiled backend must hit the same golden hash directly -- a contract
-  // drift that slipped into all backends at once still fails here.
+  // A frozen FNV-1a fold of the count vector for (seed 42, n 101, lanes
+  // 8, k 10^5, base 2000) on the cyclic snapshot.  EVERY compiled backend
+  // must hit the same golden hash directly -- a contract drift that
+  // slipped into all backends at once still fails here.
   const bin_count n = 101;
   const auto snap = make_snapshot(n);
   for (const kernel_isa isa : supported_backends()) {
-    const auto drained = depart_counts(isa, 8, depart_channel::drain, n, snap, 2000, 1, 100000, 42);
+    const auto drained = depart_counts(isa, 8, n, snap, 2000, 1, 100000, 42);
     EXPECT_EQ(std::accumulate(drained.begin(), drained.end(), std::int64_t{0}), 100000)
         << kernel_isa_name(isa);
     EXPECT_EQ(fnv1a(drained), 7532978351616542871ULL) << kernel_isa_name(isa);
-    const auto random = depart_counts(isa, 8, depart_channel::random, n, snap, 2000, 1, 100000, 42);
-    EXPECT_EQ(std::accumulate(random.begin(), random.end(), std::int64_t{0}), 100000)
-        << kernel_isa_name(isa);
-    EXPECT_EQ(fnv1a(random), 14558517916894183099ULL) << kernel_isa_name(isa);
   }
 }
 
@@ -381,26 +294,15 @@ TEST(DepartKernel, RejectsContractViolations) {
   const auto snap = make_snapshot(8);
   std::vector<std::uint32_t> rel(8, 0);
   // Lanes and bins, like kernel_run.
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 0, depart_channel::drain, 8, snap.data(), 100, 4,
-                             1, rel.data(), 10, 1),
+  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 0, 8, snap.data(), 100, 1, rel.data(), 10, 1),
                contract_error);
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, kernel_max_lanes + 1, depart_channel::drain, 8,
-                             snap.data(), 100, 4, 1, rel.data(), 10, 1),
+  EXPECT_THROW(kernel_depart(kernel_isa::scalar, kernel_max_lanes + 1, 8, snap.data(), 100, 1,
+                             rel.data(), 10, 1),
                contract_error);
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, depart_channel::drain, 0, snap.data(), 100, 4,
-                             1, rel.data(), 10, 1),
-               contract_error);
-  // The random channel retires unit quanta only, and needs resident load.
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, depart_channel::random, 8, snap.data(), 100, 4,
-                             2, rel.data(), 10, 1),
-               contract_error);
-  const std::vector<std::uint8_t> empty(8 + compact_snapshot::tail_padding, 0);
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, depart_channel::random, 8, empty.data(), 0, 0,
-                             1, rel.data(), 10, 1),
+  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, 0, snap.data(), 100, 1, rel.data(), 10, 1),
                contract_error);
   // Weight bounds.
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, depart_channel::drain, 8, snap.data(), 100, 4,
-                             0, rel.data(), 10, 1),
+  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, 8, snap.data(), 100, 0, rel.data(), 10, 1),
                contract_error);
 }
 
@@ -484,12 +386,12 @@ std::uint64_t shard_departure_digest(std::size_t threads, const char* channel) {
 }
 
 TEST(DepartEngineShard, GoldenMultiShardDepartureStreams) {
-  // Pins the multi-shard departure streams, clamp and deficit re-serve
-  // included: 2900 of 3000 balls leave 64 bins, so the shards overdraw and
-  // the merge clamps and re-serves on both channels.
+  // Pins the multi-shard departure streams: 2900 of 3000 balls leave 64
+  // bins, so the drain shards overdraw and the merge clamps and
+  // re-serves; the random block is the one exact pass of any shard count.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     EXPECT_EQ(shard_departure_digest(threads, "drain"), 8006737899295112482ULL) << threads << " threads";
-    EXPECT_EQ(shard_departure_digest(threads, "random"), 16898616805301783270ULL) << threads << " threads";
+    EXPECT_EQ(shard_departure_digest(threads, "random"), 4074037394981231410ULL) << threads << " threads";
   }
 }
 
@@ -599,8 +501,7 @@ TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {
     compact_snapshot inv;
     ASSERT_TRUE(inv.assign_inverted(expected));
     std::vector<std::uint32_t> rel(n, 0);
-    kernel_depart(kernel_isa::scalar, 8, depart_channel::drain, n, inv.data(), inv.base(),
-                  inv.max_off(), 1, rel.data(), k, token);
+    kernel_depart(kernel_isa::scalar, 8, n, inv.data(), inv.base(), 1, rel.data(), k, token);
     expected.apply_releases(rel, 1, k);
 
     shard_engine engine(shard_options{.threads = threads, .shards = 1, .min_window = 1});
@@ -668,14 +569,31 @@ TEST(DepartEngineKernel, UndersizedBlocksFallBackToSerialWithDiagnostic) {
 
 TEST(DepartEngineKernel, SpanSaturatedLoadsFallBackToSerialWithDiagnostic) {
   // Three fixed-weight-300 balls over two bins leave loads {600, 300}:
-  // the 300-unit span exceeds the compact snapshot's 8-bit range, so the
-  // batched path must decline, warn once, and serve serially.
+  // the 300-unit span exceeds the compact snapshot's 8-bit range.  A
+  // random block reads the live loads, so it still batches: no warning,
+  // one unit quantum retired, total weight conserved.
+  {
+    any_process process{two_choice(2)};
+    process.set_model(make_model("fixed:300", "uniform", 2, "random"));
+    rng_t rng(1);
+    step_many(process, rng, 3);
+    ASSERT_EQ(nb::testing::total_balls(process.state().loads()), 900);
+    shard_engine engine(shard_options{.shards = 1, .min_window = 1});
+    engine.depart_many(process, rng, 1);
+    EXPECT_FALSE(warned("depart-engine-drain-span/" + process.name()));
+    EXPECT_EQ(engine.depart_phases().windows, 1);
+    EXPECT_EQ(process.state().balls(), 2);
+    EXPECT_EQ(nb::testing::total_balls(process.state().loads()), 899);
+    EXPECT_EQ(process.state().total_weight(), 899);
+  }
+  // A drain block snapshots the loads, so it must decline, warn once, and
+  // serve serially.
   any_process process{two_choice(2)};
   process.set_model(make_model("fixed:300", "uniform", 2, "drain"));
   rng_t rng(1);
   step_many(process, rng, 3);
   ASSERT_EQ(nb::testing::total_balls(process.state().loads()), 900);
-  const std::string key = "depart-engine-span/" + process.name();
+  const std::string key = "depart-engine-drain-span/" + process.name();
   shard_engine engine(shard_options{.shards = 1, .min_window = 1});
   engine.depart_many(process, rng, 1);
   EXPECT_TRUE(warned(key)) << key;
@@ -775,6 +693,183 @@ TEST(DepartEngine, NonBatchDepartableFallsBackToSerialWithDiagnostic) {
   shard_engine shard(shard_options{.threads = 2, .min_window = 1});
   shard.depart_many(process, rng, 5);
   EXPECT_EQ(process.state().balls(), 40);
+}
+
+// ---------------------------------------------------------------------------
+// (9) Random blocks: one exact serial pass of hypergeometric counts over
+// the live loads, whatever the shard, thread, lane and ISA setting.
+
+/// A process holding exactly the loads it was given, on the random
+/// departure channel and the library's departure laws; it never arrives.
+struct placed_loads {
+  load_state st;
+  alloc_model m;
+
+  explicit placed_loads(const std::vector<load_t>& loads)
+      : st(static_cast<bin_count>(loads.size())) {
+    set_model(make_model("unit", "uniform", st.n(), "random"));
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      for (load_t u = 0; u < loads[i]; ++u) st.allocate(static_cast<bin_index>(i));
+    }
+  }
+  void step(rng_t&) {}
+  void depart(rng_t& rng) { (void)depart_ball(st, m, rng); }
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(st, m, rel, k, exec);
+  }
+  void set_model(alloc_model model) { install_model(st, m, std::move(model)); }
+  [[nodiscard]] const alloc_model& model() const { return m; }
+  [[nodiscard]] const load_state& state() const { return st; }
+  [[nodiscard]] std::string name() const { return "placed-loads"; }
+};
+
+/// The multivariate hypergeometric pmf of k departures over `loads`: cell
+/// c (mixed radix loads[i] + 1, bin 0 fastest) holds prod C(loads[i],
+/// c[i]) / C(M, k) when the counts sum to k, else 0.
+std::vector<double> mvh_pmf(const std::vector<load_t>& loads, step_count k) {
+  const auto choose = [](std::int64_t n, std::int64_t r) {
+    long double c = 1.0L;
+    for (std::int64_t j = 1; j <= r; ++j) c = c * static_cast<long double>(n - r + j) / j;
+    return c;
+  };
+  std::size_t cells = 1;
+  std::int64_t total = 0;
+  for (const load_t l : loads) {
+    cells *= static_cast<std::size_t>(l) + 1;
+    total += l;
+  }
+  std::vector<double> pmf(cells, 0.0);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    std::size_t rest = cell;
+    std::int64_t sum = 0;
+    long double ways = 1.0L;
+    for (const load_t l : loads) {
+      const auto c = static_cast<std::int64_t>(rest % (static_cast<std::size_t>(l) + 1));
+      rest /= static_cast<std::size_t>(l) + 1;
+      sum += c;
+      ways *= choose(l, c);
+    }
+    if (sum == k) pmf[cell] = static_cast<double>(ways / choose(total, k));
+  }
+  return pmf;
+}
+
+TEST(DepartEngineRandom, BlocksFollowTheExactMultivariateHypergeometricLaw) {
+  // The random departure leaf's exact law: 10^5 engine blocks per shard
+  // count on pinned seeds, G-tested against the enumerated pmf at
+  // alpha = 10^-3.  {3, 1, 2, 0} with k = 3 is the small-n oracle;
+  // {20, 15, 25} with k = 30 sends its first bin through the sampler's
+  // mode walk.
+  struct shape {
+    std::vector<load_t> loads;
+    step_count k;
+  };
+  for (const shape& sh : {shape{{3, 1, 2, 0}, 3}, shape{{20, 15, 25}, 30}}) {
+    const placed_loads start(sh.loads);
+    const std::vector<double> pmf = mvh_pmf(sh.loads, sh.k);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
+      shard_engine engine(shard_options{.threads = 2, .shards = shards, .min_window = 1});
+      rng_t rng(derive_seed(2025, shards));
+      std::vector<std::int64_t> counts(pmf.size(), 0);
+      const int blocks = 100000;
+      for (int b = 0; b < blocks; ++b) {
+        placed_loads p = start;
+        engine.depart_many(p, rng, sh.k);
+        std::size_t cell = 0;
+        std::size_t radix = 1;
+        for (std::size_t i = 0; i < sh.loads.size(); ++i) {
+          cell += static_cast<std::size_t>(sh.loads[i] - p.st.loads()[i]) * radix;
+          radix *= static_cast<std::size_t>(sh.loads[i]) + 1;
+        }
+        ASSERT_GT(pmf[cell], 0.0) << "impossible departure counts, block " << b;
+        ++counts[cell];
+      }
+      EXPECT_EQ(engine.depart_phases().windows, blocks);
+      const double p = nb::testing::g_test_p_value(counts, pmf);
+      std::cout << "MVH oracle, " << sh.loads.size() << " bins, k = " << sh.k << ", " << shards
+                << " shards: G-test p = " << p << "\n";
+      EXPECT_GT(p, 1e-3) << shards << " shards";
+    }
+  }
+}
+
+TEST(DepartEngineRandom, BlockIsOneHypergeometricPassOverTheLiveLoads) {
+  // Pins the documented pass: bins in order, bin i drawing
+  // Hypergeometric(k_rem, load_i, M_rem) from rng_t(token) with the
+  // block's one master-stream token, empty bins and bins after k_rem hits
+  // 0 drawing nothing.  No snapshot, merge or repair at any shard count.
+  const bin_count n = 512;
+  const step_count k = 6000;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
+    rng_t rng(0);
+    any_process process = churned_process("random", n, 20000, 3, rng);
+    load_state expected = process.state();
+    rng_t expected_rng = rng;
+    rng_t pass(expected_rng.next());
+    std::vector<std::uint32_t> rel(n, 0);
+    step_count left = k;
+    weight_t resident = expected.total_weight();
+    for (bin_count i = 0; i < n && left > 0; ++i) {
+      const load_t load = expected.loads()[i];
+      if (load == 0) continue;
+      rel[i] = static_cast<std::uint32_t>(hypergeometric(pass, left, load, resident));
+      left -= rel[i];
+      resident -= load;
+    }
+    expected.apply_releases(rel, 1, k);
+
+    shard_engine engine(shard_options{.threads = 2, .shards = shards, .min_window = 1});
+    engine.depart_many(process, rng, k);
+    EXPECT_EQ(process.state().loads(), expected.loads()) << shards << " shards";
+    EXPECT_EQ(rng.state(), expected_rng.state()) << shards << " shards";
+    const window_phase_times& ph = engine.depart_phases();
+    EXPECT_EQ(ph.windows, 1);
+    EXPECT_EQ(ph.snapshot_ns, 0);
+    EXPECT_EQ(ph.merge_ns, 0);
+    EXPECT_EQ(ph.clamped_ranges, 0);
+    EXPECT_EQ(ph.reserved_events, 0);
+  }
+}
+
+TEST(DepartEngineRandom, BlocksIdenticalAtEveryShardThreadLaneAndIsaSetting) {
+  // Loads and master stream after two random blocks, at shards {1, 2, 16}
+  // x threads {1, 2, 4} x lanes {1, 8} x every supported ISA.  At
+  // n = 2^17 the pooled engines commit by range.
+  const bin_count n = bin_count{1} << 17;
+  b_batch warmed(n, n);
+  warmed.set_model(make_model("unit", "uniform", n, "random"));
+  rng_t warm_rng(8);
+  step_many(warmed, warm_rng, 3 * static_cast<step_count>(n));
+  std::vector<load_t> reference;
+  std::array<std::uint64_t, 4> reference_stream{};
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+        for (const kernel_isa isa : supported_backends()) {
+          b_batch p = warmed;
+          rng_t rng = warm_rng;
+          shard_engine engine(shard_options{
+              .threads = threads, .shards = shards, .lanes = lanes, .isa = isa});
+          engine.depart_many(p, rng, n);
+          engine.depart_many(p, rng, n / 2);
+          EXPECT_EQ(engine.depart_phases().windows, 2);
+          EXPECT_EQ(p.state().balls(), 3 * static_cast<step_count>(n) / 2);
+          if (reference.empty()) {
+            reference = p.state().loads();
+            reference_stream = rng.state();
+            continue;
+          }
+          EXPECT_EQ(p.state().loads(), reference)
+              << shards << " shards, " << threads << " threads, " << lanes << " lanes, "
+              << kernel_isa_name(isa);
+          EXPECT_EQ(rng.state(), reference_stream)
+              << shards << " shards, " << threads << " threads, " << lanes << " lanes, "
+              << kernel_isa_name(isa);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

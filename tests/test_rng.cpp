@@ -6,11 +6,14 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "rng/rng.hpp"
 #include "stats/summary.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -20,6 +23,7 @@ using nb::canonical;
 using nb::coin_flip;
 using nb::derive_seed;
 using nb::gaussian_sampler;
+using nb::hypergeometric;
 using nb::splitmix64;
 using nb::xoshiro256pp;
 
@@ -379,6 +383,144 @@ TEST(StateSaving, GaussianCacheAccessorsRoundTrip) {
   gs.set_cache(has, cached);
   EXPECT_EQ(gs.next(gen), second);
   EXPECT_EQ(gen.state(), rng_saved);  // still no stream consumption
+}
+
+// ---------------------------------------------------------------------------
+// Hypergeometric: the exact per-bin law of batched random departures.
+
+/// pmf of Hypergeometric(draws, good, total) over x = 0..min(draws, good),
+/// from binomial coefficients in long double (exact at these sizes).
+std::vector<double> hypergeometric_pmf(std::int64_t draws, std::int64_t good,
+                                       std::int64_t total) {
+  const auto choose = [](std::int64_t n, std::int64_t k) {
+    if (k < 0 || k > n) return 0.0L;
+    long double c = 1.0L;
+    for (std::int64_t j = 1; j <= k; ++j) c = c * static_cast<long double>(n - k + j) / j;
+    return c;
+  };
+  std::vector<double> pmf;
+  for (std::int64_t x = 0; x <= std::min(draws, good); ++x) {
+    pmf.push_back(static_cast<double>(choose(good, x) * choose(total - good, draws - x) /
+                                      choose(total, draws)));
+  }
+  return pmf;
+}
+
+struct hg_shape {
+  std::int64_t draws;
+  std::int64_t good;
+  std::int64_t total;
+};
+
+TEST(Hypergeometric, SmallParameterPmfGTest) {
+  // 10^5 draws per shape from pinned seeds, G-tested against the
+  // enumerated pmf at alpha = 10^-3.  The shapes cover the inversion
+  // branch (min(draws, good) <= 16 after folding) unfolded, with draws
+  // and good both folded, and with good folded alone, and the mode walk
+  // (30 and 20) unfolded and folded.
+  const std::vector<hg_shape> shapes = {{7, 5, 20},    {15, 12, 20}, {3, 10, 13},
+                                        {12, 3, 20},   {40, 30, 100}, {70, 80, 100}};
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const hg_shape& sh = shapes[i];
+    const std::vector<double> pmf = hypergeometric_pmf(sh.draws, sh.good, sh.total);
+    std::vector<std::int64_t> counts(pmf.size(), 0);
+    xoshiro256pp gen(derive_seed(2024, i));
+    for (int r = 0; r < 100000; ++r) {
+      const std::int64_t x = hypergeometric(gen, sh.draws, sh.good, sh.total);
+      ASSERT_GE(x, 0);
+      ASSERT_LT(x, static_cast<std::int64_t>(counts.size()));
+      ++counts[static_cast<std::size_t>(x)];
+    }
+    const double p = nb::testing::g_test_p_value(counts, pmf);
+    std::cout << "Hypergeometric(" << sh.draws << ", " << sh.good << ", " << sh.total
+              << "): G-test p = " << p << "\n";
+    EXPECT_GT(p, 1e-3) << sh.draws << " " << sh.good << " " << sh.total;
+  }
+}
+
+TEST(Hypergeometric, LargeBranchMeanAndVarianceMatch) {
+  // Good and bad near 10^6 take the mode walk.  20000 draws per shape:
+  // the sample mean and variance must sit within 4 standard errors of
+  // d g / N and d g (N - g)(N - d) / (N^2 (N - 1)).
+  const int runs = 20000;
+  for (const hg_shape& sh : {hg_shape{1000000, 1000003, 2000000},
+                             hg_shape{300000, 1200000, 2000000}}) {
+    xoshiro256pp gen(derive_seed(99, static_cast<std::uint64_t>(sh.draws)));
+    nb::running_stats rs;
+    for (int r = 0; r < runs; ++r) {
+      rs.add(static_cast<double>(hypergeometric(gen, sh.draws, sh.good, sh.total)));
+    }
+    const double d = static_cast<double>(sh.draws);
+    const double g = static_cast<double>(sh.good);
+    const double n = static_cast<double>(sh.total);
+    const double mean = d * g / n;
+    const double var = d * g * (n - g) * (n - d) / (n * n * (n - 1.0));
+    const double z_mean = (rs.mean() - mean) / std::sqrt(var / runs);
+    const double z_var = (rs.variance() - var) / (var * std::sqrt(2.0 / (runs - 1)));
+    std::cout << "Hypergeometric(" << sh.draws << ", " << sh.good << ", " << sh.total
+              << "): z(mean) = " << z_mean << ", z(variance) = " << z_var << "\n";
+    EXPECT_LT(std::fabs(z_mean), 4.0);
+    EXPECT_LT(std::fabs(z_var), 4.0);
+  }
+}
+
+TEST(Hypergeometric, DeterminedResultsConsumeNoDraws) {
+  xoshiro256pp gen(3);
+  const auto before = gen.state();
+  EXPECT_EQ(hypergeometric(gen, 0, 5, 10), 0);   // draws = 0
+  EXPECT_EQ(hypergeometric(gen, 4, 0, 10), 0);   // good = 0
+  EXPECT_EQ(hypergeometric(gen, 10, 7, 10), 7);  // draws = total
+  EXPECT_EQ(hypergeometric(gen, 6, 10, 10), 6);  // good = total
+  EXPECT_EQ(hypergeometric(gen, 0, 0, 0), 0);    // an empty urn
+  EXPECT_EQ(gen.state(), before);
+}
+
+TEST(Hypergeometric, EachAttemptIsOneCanonicalDraw) {
+  // An attempt almost never outlasts the support, so each call here
+  // consumes exactly one next(), in either branch and under every fold.
+  for (const hg_shape& sh : {hg_shape{7, 5, 20}, hg_shape{15, 12, 20}, hg_shape{40, 30, 100},
+                             hg_shape{1000000, 1000003, 2000000}}) {
+    xoshiro256pp gen(17);
+    xoshiro256pp ref = gen;
+    for (int r = 0; r < 50; ++r) {
+      (void)hypergeometric(gen, sh.draws, sh.good, sh.total);
+      (void)ref.next();
+      ASSERT_EQ(gen.state(), ref.state()) << sh.draws << " " << sh.good << " " << sh.total;
+    }
+  }
+}
+
+TEST(Hypergeometric, GoldenDrawOrder) {
+  // Pins the documented draw order: the folds, the inversion from 0, the
+  // walk from the mode and one canonical() per attempt.
+  xoshiro256pp gen(20220713);
+  std::vector<std::int64_t> got;
+  for (const hg_shape& sh : {hg_shape{7, 5, 20}, hg_shape{15, 12, 20}, hg_shape{3, 10, 13},
+                             hg_shape{40, 30, 100}, hg_shape{70, 80, 100},
+                             hg_shape{1000000, 1000003, 2000000}}) {
+    for (int r = 0; r < 3; ++r) got.push_back(hypergeometric(gen, sh.draws, sh.good, sh.total));
+  }
+  const std::vector<std::int64_t> golden = {1,  2,  2,  7,  9,  8,  3,      2,      3,
+                                            15, 12, 17, 57, 56, 54, 499574, 499915, 500695};
+  EXPECT_EQ(got, golden);
+}
+
+TEST(Hypergeometric, OutOfRangeParametersNameTheValue) {
+  const auto expect_names = [](std::int64_t draws, std::int64_t good, std::int64_t total,
+                               const std::string& needle) {
+    xoshiro256pp gen(1);
+    try {
+      (void)hypergeometric(gen, draws, good, total);
+      FAIL() << needle << ": accepted";
+    } catch (const nb::contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  };
+  expect_names(-1, 2, 10, "draws got -1");
+  expect_names(11, 2, 10, "draws got 11");
+  expect_names(3, -2, 10, "good got -2");
+  expect_names(3, 12, 10, "good got 12");
+  expect_names(0, 0, -5, "total got -5");
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "noisebalance.hpp"
@@ -84,6 +86,67 @@ inline std::vector<std::uint32_t> widen_counts(const std::vector<std::uint8_t>& 
   std::vector<std::uint32_t> row(low.begin(), low.end());
   for (const std::uint32_t c : carries) row.at(c) += 256;
   return row;
+}
+
+/// Upper tail of the chi-square law with `df` degrees of freedom at x:
+/// the regularized upper incomplete gamma Q(df / 2, x / 2), by its series
+/// below a + 1 and its continued fraction (modified Lentz) above.
+inline double chi_square_sf(double x, double df) {
+  const double a = df / 2.0;
+  const double h = x / 2.0;
+  if (h <= 0.0) return 1.0;
+  const double front = std::exp(-h + a * std::log(h) - std::lgamma(a));
+  if (h < a + 1.0) {
+    double term = 1.0 / a;
+    double sum = term;
+    for (double ap = a + 1.0; term > sum * 1e-16; ap += 1.0) {
+      term *= h / ap;
+      sum += term;
+    }
+    return 1.0 - front * sum;
+  }
+  constexpr double kTiny = 1e-300;
+  double b = h + 1.0 - a;
+  double c = 1.0 / kTiny;
+  double d = 1.0 / b;
+  double frac = d;
+  for (int i = 1; i < 10000; ++i) {
+    const double an = -i * (i - a);
+    b += 2.0;
+    d = an * d + b;
+    d = std::fabs(d) < kTiny ? 1.0 / kTiny : 1.0 / d;
+    c = b + an / c;
+    if (std::fabs(c) < kTiny) c = kTiny;
+    frac *= d * c;
+    if (std::fabs(d * c - 1.0) < 1e-16) break;
+  }
+  return front * frac;
+}
+
+/// p-value of a G-test of `observed` counts against the cell
+/// probabilities `probs` (summing to 1).  Cells expecting fewer than 5
+/// counts are pooled into one; df is the cell count after pooling, less 1.
+inline double g_test_p_value(const std::vector<std::int64_t>& observed,
+                             const std::vector<double>& probs) {
+  double total = 0.0;
+  for (const std::int64_t o : observed) total += static_cast<double>(o);
+  std::vector<std::pair<double, double>> cells;  // (observed, expected)
+  std::pair<double, double> pooled{0.0, 0.0};
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    const std::pair<double, double> cell{static_cast<double>(observed[i]), probs[i] * total};
+    if (cell.second < 5.0) {
+      pooled.first += cell.first;
+      pooled.second += cell.second;
+    } else {
+      cells.push_back(cell);
+    }
+  }
+  if (pooled.second > 0.0) cells.push_back(pooled);
+  double g = 0.0;
+  for (const auto& [o, e] : cells) {
+    if (o > 0.0) g += 2.0 * o * std::log(o / e);
+  }
+  return chi_square_sf(g, static_cast<double>(cells.size()) - 1.0);
 }
 
 /// Total number of balls across bins.
