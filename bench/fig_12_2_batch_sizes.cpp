@@ -63,7 +63,7 @@ int run(int argc, const char* const* argv) {
     const auto& one = campaign.configs[2 * i + 1].aggregate;
     const double one_gap = one.mean_gap();
     // The paper's One-Choice series reports the *max load* = gap + b/n
-    // (see EXPERIMENTS.md); print both for an apples-to-apples column.
+    // (see README, "Reproduction notes"); print both for an apples-to-apples column.
     const double one_max = one.max_load().mean();
     const double shape =
         b <= static_cast<std::int64_t>(n * std::log(n))

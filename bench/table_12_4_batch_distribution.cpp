@@ -59,7 +59,7 @@ int run(int argc, const char* const* argv) {
   std::printf("b-Batch, m = %s:\n%s\n", format_power_of_ten(m).c_str(),
               batch_table.render().c_str());
   std::printf("One-Choice with m = b balls (the paper's column reports the max load, i.e.\n"
-              "gap + b/n -- see EXPERIMENTS.md):\n%s\n",
+              "gap + b/n -- see README, Reproduction notes):\n%s\n",
               one_table.render().c_str());
   report_campaign(campaign, cfg);
   std::printf(

@@ -144,7 +144,8 @@ double report_observed_run(bin_count n, step_count m, step_count interval, std::
 //   * shard-parallel  -- the intra-run shard engine, kernel inside shards.
 // Every leg is timed warm (kWarmup) with median-of-kReps.  Kernel and
 // shard legs also report their engine's per-window phase split
-// (window_phases_ms: snapshot, kernel, merge, commit).
+// (window_phases_ms: snapshot, kernel, merge, commit; a shard leg's
+// bucket count runs inside its commit pass, so its merge reads 0).
 
 struct scale_measurement {
   double gap = 0.0;
@@ -253,11 +254,13 @@ void note_phases(scale_entry& entry, const window_phase_times& phases) {
   std::printf("\n");
 }
 
-/// Prints an engine churn leg's per-departure-block split and repairs.
+/// Prints an engine churn leg's per-departure-block split and repairs.  A
+/// multi-shard drain block's bucket count and clamp run inside its commit
+/// pass; its merge phase is the re-serve of the clamped deficit after it.
 void note_depart_phases(const window_phase_times& phases) {
   if (phases.windows == 0) return;
   const double ms = 1e-6 / static_cast<double>(phases.windows);
-  std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, merge + clamp %.3f ms, "
+  std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, re-serve %.3f ms, "
               "commit %.3f ms; repairs: %lld clamped ranges, %lld re-served events\n",
               static_cast<double>(phases.snapshot_ns) * ms,
               static_cast<double>(phases.kernel_ns) * ms,

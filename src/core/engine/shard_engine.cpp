@@ -18,7 +18,6 @@ shard_engine::shard_engine(shard_options opt)
              "kernel lanes must be in [1, kernel_max_lanes]");
   if (opt.shards > 1) {
     pool_.emplace(opt.threads);
-    ranges_ = range_executor(*pool_, opt.shards);
     // More workers than hardware threads only time-slices (results are
     // thread-count-independent by contract, so oversubscribing buys
     // nothing); this is the threads_per_run > cores trap, say so once.
@@ -26,12 +25,10 @@ shard_engine::shard_engine(shard_options opt)
   }
 }
 
-void shard_engine::layout_ranges(bin_count n, step_count k) {
+void shard_engine::layout_ranges(bin_count n) {
   const std::uint64_t per_shard = (std::uint64_t{n} + opt_.shards - 1) / opt_.shards;
   range_bits_ = std::min(kMaxRangeBits, static_cast<unsigned>(std::bit_width(per_shard - 1)));
   range_count_ = (std::size_t{n} + (std::size_t{1} << range_bits_) - 1) >> range_bits_;
-  picks_.resize(static_cast<std::size_t>(k));
-  sorted_.resize(static_cast<std::size_t>(k));
   buckets_.resize(opt_.shards * bucket_stride());
 }
 
@@ -85,7 +82,7 @@ void shard_engine::count_random_departures(const load_state& state, step_count k
   std::fill(merged_.begin() + static_cast<std::ptrdiff_t>(i), merged_.end(), 0);
 }
 
-void shard_engine::settle_departures(bin_count n, weight_t w, std::uint64_t token) {
+step_count shard_engine::clamp_range(std::size_t r, bin_count n, weight_t w) {
   const std::uint8_t* inv = snapshot_.data();
   const load_t base = snapshot_.base();
   // Copies, not references: merged_'s stores could otherwise alias them
@@ -96,48 +93,44 @@ void shard_engine::settle_departures(bin_count n, weight_t w, std::uint64_t toke
   const auto capacity = [load, w](std::size_t i) {
     return static_cast<std::uint32_t>(load(i) / w);
   };
-  // A range's deficit is positive exactly when its clamp fired.
-  range_deficits_.resize(range_count_);
-  run_ranges([&](std::size_t r) {
-    range_deficits_[r] = 0;
-    count_range(r, n);
-    const auto [lo, hi] = range_bounds(r, n);
-    std::uint32_t* merged = merged_.data();
-    const auto clamp = [&](const auto& cap_of) {
-      // Every pick is counted, so the range's deficit is its clamped
-      // excess.  The clamp rarely fires: the first loop only detects it
-      // (a vectorizable reduction), the second clamps.
-      std::uint32_t over = 0;
-      for (std::size_t i = lo; i < hi; ++i) over |= merged[i] > cap_of(i) ? 1U : 0U;
-      if (over == 0) return;
-      step_count deficit = 0;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::uint32_t cap = cap_of(i);
-        if (merged[i] > cap) {
-          deficit += merged[i] - cap;
-          merged[i] = cap;
-        }
+  const auto [lo, hi] = range_bounds(r, n);
+  std::uint32_t* merged = merged_.data();
+  const auto clamp = [&](const auto& cap_of) {
+    // Every pick is counted, so the range's deficit is its clamped
+    // excess.  The clamp rarely fires: the first loop only detects it (a
+    // vectorizable reduction), the second clamps.
+    std::uint32_t over = 0;
+    for (std::size_t i = lo; i < hi; ++i) over |= merged[i] > cap_of(i) ? 1U : 0U;
+    step_count deficit = 0;
+    for (std::size_t i = lo; over != 0 && i < hi; ++i) {
+      const std::uint32_t cap = cap_of(i);
+      if (merged[i] > cap) {
+        deficit += merged[i] - cap;
+        merged[i] = cap;
       }
-      range_deficits_[r] = deficit;
-    };
-    // Unit weights get their own loop: the 64-bit division costs more
-    // per bin than the rest of the pass together.
-    if (w == 1) {
-      clamp(load);
-    } else {
-      clamp(capacity);
     }
-  });
+    return deficit;
+  };
+  // Unit weights get their own loop: the 64-bit division costs more per
+  // bin than the rest of the pass together.
+  return w == 1 ? clamp(load) : clamp(capacity);
+}
+
+bool shard_engine::reserve_deficit(bin_count n, weight_t w, std::uint64_t token) {
   step_count deficit = 0;
   for (const step_count d : range_deficits_) {
     deficit += d;
     if (d > 0) ++depart_phases_.clamped_ranges;
   }
+  if (deficit == 0) return false;
   depart_phases_.reserved_events += deficit;
+  reserved_.clear();
   rng_t replay(derive_seed(token, opt_.shards));
   for (; deficit > 0; --deficit) {
-    depart_replay(n, inv, base, w, merged_.data(), replay);
+    reserved_.push_back(
+        depart_replay(n, snapshot_.data(), snapshot_.base(), w, merged_.data(), replay));
   }
+  return true;
 }
 
 void shard_engine::step_many(any_process& process, rng_t& rng, step_count count) {

@@ -19,12 +19,17 @@
 //   * S >= 2 shards: the window splits into S fixed shards, shard s draws
 //     from the substream shard_stream_seed(token, s), a worker pool
 //     executes the shards, each shard writes its chosen bins into a pick
-//     buffer and counting-sorts them into power-of-two bin ranges, and the
-//     settle counts every shard's bucket r, in shard order, into range r
-//     of one merged row (a drain block's settle also clamps the counts to
-//     snapshot capacity and re-serves the deficit under the drain kernel's
-//     re-serve law, depart_replay -- the one repair of a multi-shard drain
-//     block).
+//     buffer and counting-sorts them into power-of-two bin ranges.  Then
+//     ONE pooled pass over the same ranges settles and commits: range r's
+//     task counts every shard's bucket r, in shard order, into range r of
+//     one merged row (a drain block also clamps it to snapshot capacity),
+//     and the process commits range r while that slice is L2-hot -- its
+//     pending boundary copy, the validating add and the range's level
+//     histogram included.  A drain block then re-serves the clamped
+//     deficit under the drain kernel's re-serve law, depart_replay, one
+//     departure per event -- the one repair of a multi-shard drain block.
+//     So a multi-shard block is two pool fan-outs after its snapshot:
+//     the picks, and the settle-and-commit.
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling or merge order.  Relative to the serial
@@ -63,12 +68,15 @@ namespace nb {
 /// Execution-only wall time the engine spent in the phases of its
 /// fast-path windows, summed over `windows` windows: compact snapshot
 /// assignment, sampling (with one shard the row zeroing plus the kernel,
-/// with more the shards' picks and bucket sorts), the bucket count into
-/// the merged row (0 with one shard) and the process's commit_window.
-/// One-shard windows also count their carry-list entries.  The engine
-/// books its departure blocks into a second record of the same shape
-/// (`windows` counts blocks, merge is the bucket count + clamp +
-/// re-serve, commit is commit_departures; a random block books its whole
+/// with more the shards' picks and bucket sorts) and the process's
+/// commit_window -- with more shards the one pooled pass that counts the
+/// buckets into the merged row range by range and commits each range.
+/// merge stays 0 for arrival windows.  One-shard windows also count their
+/// carry-list entries.  The engine books its departure blocks into a
+/// second record of the same shape (`windows` counts blocks, commit is
+/// commit_departures, with a multi-shard drain block's bucket count and
+/// clamp inside its pass, and merge is that block's re-serve of the
+/// clamped deficit after the commit; a random block books its whole
 /// hypergeometric pass as kernel and no snapshot or merge), which alone
 /// also counts what the multi-shard drain settle clamped and re-served.
 /// Never read by the sampling code.
@@ -217,11 +225,12 @@ class shard_engine {
   ///     it in one kernel call seeded by the token.  With more, shard s
   ///     picks its share on substream shard_stream_seed(token, s) without
   ///     a capacity check, so the merged counts can overdraw a bin, and
-  ///     the settle clamps each bin to its snapshot capacity and re-serves
-  ///     the deficit from the dedicated scalar stream
-  ///     rng_t(derive_seed(token, shards)) under the drain kernel's
-  ///     re-serve law (depart_replay) -- deterministic, and thread-count
-  ///     invariant like step_many.
+  ///     the settle clamps each bin to its snapshot capacity inside the
+  ///     commit pass; after the commit the deficit is re-served from the
+  ///     dedicated scalar stream rng_t(derive_seed(token, shards)) under
+  ///     the drain kernel's re-serve law (depart_replay) and retired one
+  ///     departure at a time -- deterministic, and thread-count invariant
+  ///     like step_many.
   /// The lease channel commits in bulk unconditionally (RNG-free);
   /// undersized blocks and span-saturated drain loads fall back to the
   /// serial per-event loop with a one-time diagnostic.  A request for
@@ -287,15 +296,23 @@ class shard_engine {
   void depart_many(any_process& process, rng_t& rng, step_count count);
 
  private:
-  /// Fewest bins whose commit runs by range on the pool (run_block).
-  /// Below it the pool round trips of the commit's passes cost more than
-  /// they split.  Measured with bench/throughput.cpp --scale (b-Batch b = n,
-  /// 4 threads, 16 shards, drain churn at 8n) on a 4-core AVX-512 Xeon VM,
-  /// median of 5 alternating runs, shard / churn-shard events per second,
-  /// pooled vs calling-thread commit, when the engine still merged
-  /// per-shard rows: 2^14 bins 3.4e7 / 3.1e7 vs 6.1e7 / 6.1e7; 2^16 bins
-  /// 5.5e7 / 5.3e7 vs 6.8e7 / 8.6e7; 2^17 bins 1.29e8 / 1.05e8 vs 1.20e8 /
-  /// 1.04e8; 2^18 bins 1.35e8 / 1.16e8 vs 1.30e8 / 1.07e8.
+  /// Fewest bins whose snapshot and commit run by range on the pool
+  /// (block_executor).  Below it the pool round trips cost more than they
+  /// split, and both run the same bodies range by range on the calling
+  /// thread.  Measured for the one settle-and-commit pass with
+  /// bench/throughput.cpp --scale --scale-m 2e7 or 5e7 (b-Batch b = n,
+  /// 4 threads, 16 shards, drain churn at 8n) on a 4-core AVX-512 Xeon VM
+  /// shared with other tenants: alternating pairs of this cutoff against
+  /// pooling at every size, medians of shard / churn-shard events per
+  /// second, calling thread vs pooled (pairs pooling won):
+  /// 2^12 bins 9.3e7 / 8.8e7 vs 7.7e7 / 7.4e7 (2/8, 0/8);
+  /// 2^14 bins 1.35e8 / 1.08e8 vs 9.4e7 / 1.07e8 (6/14, 5/14);
+  /// 2^15 bins 7.4e7 / 7.8e7 vs 5.6e7 / 6.8e7 (4/16, 5/16);
+  /// 2^16 bins 1.35e8 / 1.42e8 vs 1.94e8 / 1.47e8 (8/14, 9/14).
+  /// At 2^17 bins, where both builds pool, the same pairs read 2/14 and
+  /// 6/14: the host's multi-thread spread is as wide as every gap from
+  /// 2^14 up, so no size below the cutoff shows a resolved gain from
+  /// pooling, and 2^12 shows a loss.
   static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
 
   /// Largest arrival window or drain block one call serves: a shard
@@ -312,18 +329,18 @@ class shard_engine {
   /// Widest bin range of the multi-shard settle: 2^16 bins, so a bin's
   /// offset in its range fits the 16-bit bucket entries and a range's
   /// slice of merged_ (256 KiB) stays L2-resident while every shard's
-  /// bucket counts into it.
+  /// bucket counts into it and the commit then reads it.
   static constexpr unsigned kMaxRangeBits = 16;
 
-  /// Assigns the window's compact snapshot: from the live loads' O(1)
-  /// level range when the process proves the frozen snapshot is live, by a
-  /// full scan of the frozen vector otherwise.
+  /// Assigns the window's compact snapshot by range through `exec`: from
+  /// the live loads' O(1) level range when the process proves the frozen
+  /// snapshot is live, by a ranged scan of the frozen vector otherwise.
   template <typename P>
-  bool assign_window_snapshot(const P& process) {
+  bool assign_window_snapshot(const P& process, const range_executor& exec) {
     if constexpr (live_snapshot_probed<P>) {
-      if (process.snapshot_is_live()) return snapshot_.assign(process.state());
+      if (process.snapshot_is_live()) return snapshot_.assign(process.state(), exec);
     }
-    return snapshot_.assign(process.window_snapshot());
+    return snapshot_.assign(process.window_snapshot(), exec);
   }
 
   /// Balls (or events) of shard s when k split over the shards.
@@ -339,12 +356,22 @@ class shard_engine {
     return index * (k / shards) + std::min(index, k % shards);
   }
 
-  /// Sizes the multi-shard scratch for k picks over n bins: power-of-two
-  /// bin ranges about one shard's share of the bins wide (at most 2^16),
-  /// so there are roughly as many ranges as shards.  The range split is
-  /// execution-only -- counts do not depend on it -- but depends on
+  /// Lays the multi-shard engine's bin ranges over n bins: power-of-two
+  /// ranges about one shard's share of the bins wide (at most 2^16), so
+  /// there are roughly as many ranges as shards.  The ranges carry every
+  /// pooled pass of a block -- snapshot, bucket sort, settle and commit --
+  /// and are execution-only (counts do not depend on them), but depend on
   /// (n, shards) alone, so the clamp counters are thread invariant too.
-  void layout_ranges(bin_count n, step_count k);
+  void layout_ranges(bin_count n);
+
+  /// The ranges of layout_ranges as an executor: pool tasks from
+  /// kMinPooledCommitBins bins up, one after another on the calling
+  /// thread below; one calling-thread range for one shard.
+  [[nodiscard]] range_executor block_executor(bin_count n) {
+    if (!pool_) return {};
+    return range_executor(n >= kMinPooledCommitBins ? &*pool_ : nullptr, range_count_,
+                          std::size_t{1} << range_bits_);
+  }
 
   /// Distance between two shards' bucket bounds in buckets_: the
   /// range_count_ + 1 bounds plus one cache line, so no two shards' bounds
@@ -374,10 +401,11 @@ class shard_engine {
   /// into it in shard order.  The slice is L2-resident across the shards.
   void count_range(std::size_t r, bin_count n);
 
-  /// Runs body(r) for every bin range r as pool tasks and joins them.
-  void run_ranges(const range_executor::body_fn& body) {
-    range_executor(*pool_, range_count_).run(body);
-  }
+  /// The drain settle of range r, after count_range: clamps every bin of
+  /// the slice to its snapshot capacity (a bin's snapshot load is
+  /// base + 255 - byte) and returns the clamped excess, which the block
+  /// re-serves after its commit (reserve_deficit).
+  step_count clamp_range(std::size_t r, bin_count n, weight_t w);
 
   /// The block skeleton of arrival windows and departure blocks alike:
   /// draws the block's one master-stream token and decides the block from
@@ -386,13 +414,14 @@ class shard_engine {
   /// (low_ and carries_ for arrivals, merged_ for drain blocks).  S >= 2
   /// shards are shard-claiming pool tasks: shard s runs `pick(picks,
   /// count, seed)` on seed shard_stream_seed(token, s), writing its
-  /// decided bins into its segment of picks_, then buckets them;
-  /// `settle(token)` then fills merged_ from the buckets.  `commit(exec)`
-  /// finally applies the counts.  Every phase after the snapshot is booked
-  /// here.
-  template <typename Leaf, typename Pick, typename Settle, typename Commit>
-  void run_block(rng_t& rng, bin_count n, step_count k, window_phase_times& phases, Leaf&& leaf,
-                 Pick&& pick, Settle&& settle, Commit&& commit) {
+  /// decided bins into its segment of picks_, then buckets them.
+  /// `commit()` then applies the counts; with S >= 2 it is one pass by
+  /// bin range (block_executor) whose prepare step settles each range's
+  /// slice of merged_ from the buckets just before the range commits.
+  /// Books the kernel and commit phases, and returns the token.
+  template <typename Leaf, typename Pick, typename Commit>
+  std::uint64_t run_block(rng_t& rng, step_count k, window_phase_times& phases, Leaf&& leaf,
+                          Pick&& pick, Commit&& commit) {
     ++phases.windows;
     const std::int64_t t_kernel = engine_detail::phase_clock_ns();
     // Every stream of the block derives from this token, so no result can
@@ -401,32 +430,21 @@ class shard_engine {
     if (!pool_) {
       leaf(k, token);
     } else {
-      layout_ranges(n, k);
+      picks_.resize(static_cast<std::size_t>(k));
+      sorted_.resize(static_cast<std::size_t>(k));
       // Each shard's picks and buckets land in its own segments.
-      pool_->for_each(opt_.shards, [&](std::size_t s, std::size_t) {
+      pool_->for_each(opt_.shards, [&](std::size_t s) {
         const step_count begin = shard_begin(k, s);
         const step_count count = shard_share(k, s);
         if (count > 0) pick(picks_.data() + begin, count, shard_stream_seed(token, s));
         bucket_shard(s, begin, count);
       });
     }
-    const std::int64_t t_merge = engine_detail::phase_clock_ns();
-    phases.kernel_ns += t_merge - t_kernel;
-    std::int64_t t_commit = t_merge;
-    if (pool_) {
-      merged_.resize(n);
-      settle(token);
-      t_commit = engine_detail::phase_clock_ns();
-      phases.merge_ns += t_commit - t_merge;
-    }
-    commit(commit_executor(n));
+    const std::int64_t t_commit = engine_detail::phase_clock_ns();
+    phases.kernel_ns += t_commit - t_kernel;
+    commit();
     phases.commit_ns += engine_detail::phase_clock_ns() - t_commit;
-  }
-
-  /// Where a block's commit runs: by range on the pool from
-  /// kMinPooledCommitBins bins up, on the calling thread below.
-  [[nodiscard]] range_executor commit_executor(bin_count n) const {
-    return pool_ && n >= kMinPooledCommitBins ? ranges_ : range_executor{};
+    return token;
   }
 
   /// One fast-path window of `k` balls, all decided against the window
@@ -434,11 +452,12 @@ class shard_engine {
   /// serially).
   template <window_parallel P>
   bool run_window(P& process, rng_t& rng, step_count k) {
+    const bin_count n = process.state().n();
+    if (pool_) layout_ranges(n);
     const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
-    const bool compact = assign_window_snapshot(process);
+    const bool compact = assign_window_snapshot(process, block_executor(n));
     phases_.snapshot_ns += engine_detail::phase_clock_ns() - t_snapshot;
     if (!compact) return false;
-    const bin_count n = process.state().n();
     const std::uint8_t* snap = snapshot_.data();
     // Non-uniform bin sampling rides the same window machinery: leaves
     // draw their bin pairs from the model's alias table instead of the
@@ -449,7 +468,7 @@ class shard_engine {
       if (!process.model().sampler.is_uniform()) table = &process.model().sampler.table();
     }
     run_block(
-        rng, n, k, phases_,
+        rng, k, phases_,
         [&](step_count balls, std::uint64_t seed) {
           low_.assign(n, 0);
           carries_.clear();
@@ -469,13 +488,17 @@ class shard_engine {
             kernel_pick(isa_, opt_.lanes, n, snap, picks, balls, seed);
           }
         },
-        [&](std::uint64_t) { run_ranges([&](std::size_t r) { count_range(r, n); }); },
-        [&](const range_executor& exec) {
-          if (pool_) {
-            process.commit_window(merged_, k, exec);
-          } else {
-            process.commit_window(low_, carries_, k, exec);
+        [&] {
+          if (!pool_) {
+            process.commit_window(low_, carries_, k);
+            return;
           }
+          merged_.resize(n);
+          process.commit_window(merged_, k,
+                                block_executor(n).prepared([this, n](std::size_t r) {
+                                  count_range(r, n);
+                                  return step_count{0};
+                                }));
         });
     return true;
   }
@@ -500,30 +523,28 @@ class shard_engine {
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
     const bin_count n = process.state().n();
-    const auto commit = [&](const range_executor& exec) {
-      process.commit_departures(merged_, k, exec);
-    };
+    if (pool_) layout_ranges(n);
     if (process.model().departures.departure_kind() == departure_model::kind::random) {
       ++depart_phases_.windows;
       const std::int64_t t_kernel = engine_detail::phase_clock_ns();
       count_random_departures(process.state(), k, rng.next());
       const std::int64_t t_commit = engine_detail::phase_clock_ns();
       depart_phases_.kernel_ns += t_commit - t_kernel;
-      commit(commit_executor(n));
+      process.commit_departures(merged_, k, block_executor(n));
       depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
       return true;
     }
     // The drain kernel reads the inverted bytes as they are
     // (kernel_depart.hpp): one inverted assignment serves the whole block.
     const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
-    const bool compact = snapshot_.assign_inverted(process.state());
+    const bool compact = snapshot_.assign_inverted(process.state(), block_executor(n));
     depart_phases_.snapshot_ns += engine_detail::phase_clock_ns() - t_snapshot;
     if (!compact) return false;
     const std::uint8_t* inv = snapshot_.data();
     const load_t base = snapshot_.base();
     const weight_t w = drain_weight(process.model().weighting);
-    run_block(
-        rng, n, k, depart_phases_,
+    const std::uint64_t token = run_block(
+        rng, k, depart_phases_,
         // Cannot throw: depart_many admitted at most the resident balls, so
         // no shard's drain ever runs out of snapshot capacity.
         [&](step_count events, std::uint64_t seed) {
@@ -533,7 +554,25 @@ class shard_engine {
         [&](std::uint32_t* picks, step_count events, std::uint64_t seed) {
           kernel_pick(isa_, opt_.lanes, n, inv, picks, events, seed);
         },
-        [&](std::uint64_t token) { settle_departures(n, w, token); }, commit);
+        [&] {
+          if (!pool_) {
+            process.commit_departures(merged_, k);
+            return;
+          }
+          merged_.resize(n);
+          range_deficits_.assign(range_count_, 0);
+          // The clamp withholds each range's excess from the commit.
+          process.commit_departures(merged_, k,
+                                    block_executor(n).prepared([this, n, w](std::size_t r) {
+                                      count_range(r, n);
+                                      return range_deficits_[r] = clamp_range(r, n, w);
+                                    }));
+        });
+    if (pool_) {
+      const std::int64_t t_merge = engine_detail::phase_clock_ns();
+      if (reserve_deficit(n, w, token)) process.commit_departed_bins(reserved_);
+      depart_phases_.merge_ns += engine_detail::phase_clock_ns() - t_merge;
+    }
     return true;
   }
 
@@ -545,12 +584,14 @@ class shard_engine {
   /// every bin of merged_.
   void count_random_departures(const load_state& state, step_count k, std::uint64_t token);
 
-  /// The multi-shard drain settle: counts the buckets into merged_, clamps
-  /// every bin to its snapshot capacity (a bin's snapshot load is
-  /// base + 255 - byte) and re-serves the clamped deficit under the drain
-  /// kernel's re-serve law from the stream one past the shard substreams,
-  /// rng_t(derive_seed(token, shards)).
-  void settle_departures(bin_count n, weight_t w, std::uint64_t token);
+  /// The multi-shard drain block's re-serve, after its commit: books the
+  /// ranges the clamp lowered and draws the clamped deficit into
+  /// reserved_, one bin per event, under the drain kernel's re-serve law
+  /// (depart_replay) from the stream one past the shard substreams,
+  /// rng_t(derive_seed(token, shards)), over the snapshot and the clamped
+  /// counts -- which together are the just-committed live loads.
+  /// Returns false when nothing was clamped.
+  bool reserve_deficit(bin_count n, weight_t w, std::uint64_t token);
 
   shard_options opt_;
   kernel_isa isa_;
@@ -559,8 +600,6 @@ class shard_engine {
   /// The current window's or block's compact snapshot.  One buffer is
   /// enough: every pool task that reads it is joined before the commit.
   compact_snapshot snapshot_;
-  /// The pool as a bin-range executor, one range per shard: the commit.
-  range_executor ranges_;
   /// The per-bin counts the process commits for multi-shard windows and
   /// for departure blocks (with one shard, the drain kernel's own row; at
   /// any shard count, the random pass's).  One-shard arrival windows
@@ -581,8 +620,10 @@ class shard_engine {
   /// Bin ranges of 2^range_bits_ bins, range_count_ of them.
   unsigned range_bits_ = 0;
   std::size_t range_count_ = 0;
-  /// Per-range clamped excess of the current drain settle.
+  /// Per-range clamped excess of the current drain block ...
   std::vector<step_count> range_deficits_;
+  /// ... and the bins its re-serve drew, one per event.
+  std::vector<bin_index> reserved_;
   window_phase_times phases_;
   window_phase_times depart_phases_;
 };

@@ -64,15 +64,15 @@ void kernel_depart(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
       if (remaining_load(inv, snap_base, w, rel, c) >= w) {
         ++rel[c];
       } else {
-        depart_replay(n, inv, snap_base, w, rel, replay);
+        (void)depart_replay(n, inv, snap_base, w, rel, replay);
       }
     }
     k -= static_cast<step_count>(count);
   }
 }
 
-void depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
-                   weight_t w, std::uint32_t* rel, xoshiro256pp& replay) {
+std::uint32_t depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
+                            weight_t w, std::uint32_t* rel, xoshiro256pp& replay) {
   const auto remaining = [&](std::uint32_t c) noexcept {
     return remaining_load(inv, snap_base, w, rel, c);
   };
@@ -90,7 +90,7 @@ void depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
       c = (replay.next() >> 63) != 0 ? i : j;
     }
     ++rel[c];
-    return;
+    return c;
   }
   // Deterministic fallback: the fullest remaining bin, first index wins.
   std::uint32_t best = 0;
@@ -105,6 +105,7 @@ void depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
   NB_REQUIRE(best_rem >= w, "drain departure block cannot retire weight " + std::to_string(w) +
                                 ": no bin's remaining load covers it");
   ++rel[best];
+  return best;
 }
 
 }  // namespace nb

@@ -29,13 +29,14 @@
 // by the top bit of one raw draw).  After 4096 attempts it falls back to
 // the fullest bin, first index winning, and throws contract_error when
 // even that bin cannot cover w.  It has two callers: the fold above, for
-// drained-dry picks, and the multi-shard settle of the shard engine
+// drained-dry picks, and the multi-shard drain block of the shard engine
 // (core/engine/shard_engine.hpp), which clamps its merged shard counts to
-// snapshot capacity and re-serves the clamped deficit from
-// rng_t(derive_seed(token, shards)).  That settle is the engine's one
-// repair: its drain shards pick without the fold's check (kernel_pick
-// over the inverted snapshot), so a bin that one shard alone or several
-// together pick past capacity is clamped and re-served there.
+// snapshot capacity inside its commit pass and then re-serves the clamped
+// deficit from rng_t(derive_seed(token, shards)) over the snapshot and the
+// clamped counts.  That clamp and re-serve is the engine's one repair: its
+// drain shards pick without the fold's check (kernel_pick over the
+// inverted snapshot), so a bin that one shard alone or several together
+// pick past capacity is clamped and re-served there.
 //
 // CONTRACT (mirroring kernel_run, enforced by tests/test_depart_kernel.cpp):
 // the per-bin departure counts are a pure function of (lanes, n,
@@ -76,9 +77,9 @@ void kernel_depart(kernel_isa isa, std::size_t lanes, bin_count n, const std::ui
 
 /// Serves one drain departure under the re-serve law (header comment)
 /// against `inv` (as for kernel_depart) and the counts already in `rel`,
-/// drawing from `replay`: `++rel[chosen]`.  Throws contract_error when no
-/// bin's remaining load covers `weight_per_ball`.
-void depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
-                   weight_t weight_per_ball, std::uint32_t* rel, xoshiro256pp& replay);
+/// drawing from `replay`: `++rel[chosen]`, and returns `chosen`.  Throws
+/// contract_error when no bin's remaining load covers `weight_per_ball`.
+std::uint32_t depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
+                            weight_t weight_per_ball, std::uint32_t* rel, xoshiro256pp& replay);
 
 }  // namespace nb

@@ -29,25 +29,13 @@ void load_state::reset() {
 
 namespace {
 
-/// Exact minimum and maximum of a non-empty load vector.
-std::pair<load_t, load_t> load_range(const std::vector<load_t>& loads) {
-  NB_ASSERT(!loads.empty());
-  load_t mn = loads.front();
-  load_t mx = loads.front();
-  for (const load_t x : loads) {
-    if (x < mn) mn = x;
-    if (x > mx) mx = x;
-  }
-  return {mn, mx};
-}
-
-// The snapshot encoder and the commit's add pass each have a second build
-// compiled for AVX2, picked at run time when the CPU has it.  The
-// portable x86 baseline is SSE2, which narrows 32-bit loads to bytes
-// through pack sequences and has no 32-bit min/max, so both loops are
+// The snapshot encoder and the commit pass each have a second build
+// compiled for AVX2, picked at run time when the CPU has it.
+// The portable x86 baseline is SSE2, which narrows 32-bit loads to bytes
+// through pack sequences and has no 32-bit min/max, so these loops are
 // instruction-bound there at n = 10^6 (on a 4-core AVX-512 Xeon VM the
-// AVX2 builds measured ~30% and ~20% faster).  Same loop, same results:
-// execution-only.
+// AVX2 builds of the encoder and the add pass measured ~30% and ~20%
+// faster).  Same loop, same results: execution-only.
 #if defined(__x86_64__) || defined(__i386__)
 #define NB_TGT_AVX2 __attribute__((target("avx2")))
 #else
@@ -63,6 +51,39 @@ bool use_avx2() noexcept {
 #endif
 }
 
+/// Minimum and maximum of loads [lo, hi) (the identities when empty).
+struct load_span {
+  load_t mn = std::numeric_limits<load_t>::max();
+  load_t mx = std::numeric_limits<load_t>::min();
+};
+
+load_span span_of(const load_t* x, std::size_t lo, std::size_t hi) {
+  load_t mn = std::numeric_limits<load_t>::max();
+  load_t mx = std::numeric_limits<load_t>::min();
+  for (std::size_t i = lo; i < hi; ++i) {
+    mn = x[i] < mn ? x[i] : mn;
+    mx = x[i] > mx ? x[i] : mx;
+  }
+  return {mn, mx};
+}
+
+/// Exact minimum and maximum of a non-empty load vector, by bin range
+/// through `exec`.
+load_span load_range(const std::vector<load_t>& loads, const range_executor& exec) {
+  NB_ASSERT(!loads.empty());
+  std::vector<load_span> part(exec.ranges());
+  exec.run([&](std::size_t r) {
+    const auto [lo, hi] = exec.bounds(r, loads.size());
+    part[r] = span_of(loads.data(), lo, hi);
+  });
+  load_span all;
+  for (const load_span& p : part) {  // empty ranges keep the identities
+    all.mn = p.mn < all.mn ? p.mn : all.mn;
+    all.mx = p.mx > all.mx ? p.mx : all.mx;
+  }
+  return all;
+}
+
 /// The snapshot encoder's narrowing map, dst[i] = (src[i] - mn) ^ mask.
 [[gnu::always_inline]] inline void encode_offsets(const load_t* src, std::uint8_t* dst,
                                                   std::size_t n, load_t mn, std::uint8_t mask) {
@@ -76,61 +97,111 @@ NB_TGT_AVX2 void encode_offsets_avx2(const load_t* src, std::uint8_t* dst, std::
   encode_offsets(src, dst, n, mn, mask);
 }
 
-/// One range of the commit's add pass: its new loads' min and max and the
-/// sum of its deltas.
-struct added_range {
-  load_t mn = std::numeric_limits<load_t>::max();  // identities for an empty range
-  load_t mx = std::numeric_limits<load_t>::min();
-  weight_t net = 0;
+/// One range's sweep of a commit: its new loads' min and max, the sum of
+/// its counts, and whether any bin failed the per-bin check.
+struct swept {
+  load_t mn;
+  load_t mx;
+  step_count count;
+  bool failed;
 };
 
-/// loads[i] += delta(i) for i in [lo, hi).
-template <typename Delta>
-[[gnu::always_inline]] inline added_range add_range(load_t* loads, const Delta& delta,
-                                                    std::size_t lo, std::size_t hi) {
+/// The commit sweep over bins [lo, hi): loads[i] += row[i] * w, or -= for
+/// a release, checking each bin against the pre-sweep load in the same
+/// pass -- an increment must keep it within 32 bits (fixed weights only:
+/// unit weights are bounded by the total-weight ceiling), a release must
+/// not take more than it holds.  The store wraps modulo 2^32, so a failed
+/// range is restored exactly by unsweep().
+template <bool Release, bool Unit, typename Count>
+[[gnu::always_inline]] inline swept sweep(load_t* loads, const Count* row, weight_t w,
+                                          std::size_t lo, std::size_t hi) {
+  constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
   load_t mn = std::numeric_limits<load_t>::max();
   load_t mx = std::numeric_limits<load_t>::min();
-  weight_t net = 0;
+  step_count count = 0;
+  std::uint32_t failed = 0;
   for (std::size_t i = lo; i < hi; ++i) {
-    const load_t d = delta(i);
-    const load_t x = loads[i] + d;
+    const load_t old = loads[i];
+    std::uint32_t d;
+    if constexpr (Unit) {
+      d = row[i];
+      if constexpr (Release) failed |= d > static_cast<std::uint32_t>(old) ? 1U : 0U;
+    } else {
+      const weight_t wide = static_cast<weight_t>(row[i]) * w;
+      if constexpr (Release) {
+        failed |= wide > old ? 1U : 0U;
+      } else {
+        failed |= static_cast<weight_t>(old) + wide > bin_cap ? 1U : 0U;
+      }
+      d = static_cast<std::uint32_t>(wide);
+    }
+    const auto x = static_cast<load_t>(Release ? static_cast<std::uint32_t>(old) - d
+                                               : static_cast<std::uint32_t>(old) + d);
     loads[i] = x;
     mn = x < mn ? x : mn;
     mx = x > mx ? x : mx;
-    net += d;
+    count += row[i];
   }
-  return {mn, mx, net};
+  return {mn, mx, count, failed != 0};
 }
 
-template <typename Delta>
-NB_TGT_AVX2 added_range add_range_avx2(load_t* loads, const Delta& delta, std::size_t lo,
-                                       std::size_t hi) {
-  return add_range(loads, delta, lo, hi);
+template <bool Release, bool Unit, typename Count>
+NB_TGT_AVX2 swept sweep_avx2(load_t* loads, const Count* row, weight_t w, std::size_t lo,
+                             std::size_t hi) {
+  return sweep<Release, Unit>(loads, row, w, lo, hi);
+}
+
+template <bool Release, bool Unit, typename Count>
+swept sweep_on_cpu(load_t* loads, const Count* row, weight_t w, std::size_t lo, std::size_t hi) {
+  return use_avx2() ? sweep_avx2<Release, Unit>(loads, row, w, lo, hi)
+                    : sweep<Release, Unit>(loads, row, w, lo, hi);
+}
+
+/// Bin i's full count: its row entry plus 2^(8 sizeof(Count)) per carry
+/// entry equal to i.
+template <typename Count>
+weight_t full_count(const Count* row, const std::vector<std::uint32_t>& carries, std::size_t i) {
+  constexpr weight_t carry = weight_t{std::numeric_limits<Count>::max()} + 1;
+  return static_cast<weight_t>(row[i]) +
+         carry * static_cast<weight_t>(std::count(carries.begin(), carries.end(), i));
+}
+
+/// Reverts sweep() over bins [lo, hi).
+template <typename Count>
+void unsweep(load_t* loads, const Count* row, weight_t w, bool release, std::size_t lo,
+             std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    const auto d = static_cast<std::uint32_t>(static_cast<weight_t>(row[i]) * w);
+    const auto old = static_cast<std::uint32_t>(loads[i]);
+    loads[i] = static_cast<load_t>(release ? old + d : old - d);
+  }
 }
 
 }  // namespace
 
-bool compact_snapshot::assign(const std::vector<load_t>& loads) {
-  const auto [mn, mx] = load_range(loads);
-  return assign(loads, mn, mx, 0);
+bool compact_snapshot::assign(const std::vector<load_t>& loads, const range_executor& exec) {
+  const load_span span = load_range(loads, exec);
+  return assign(loads, span.mn, span.mx, 0, exec);
 }
 
-bool compact_snapshot::assign(const load_state& state) {
-  return assign(state.loads(), state.min_load(), state.max_load(), 0);
+bool compact_snapshot::assign(const load_state& state, const range_executor& exec) {
+  return assign(state.loads(), state.min_load(), state.max_load(), 0, exec);
 }
 
-bool compact_snapshot::assign_inverted(const std::vector<load_t>& loads) {
-  const auto [mn, mx] = load_range(loads);
-  return assign(loads, mn, mx, 0xFF);
+bool compact_snapshot::assign_inverted(const std::vector<load_t>& loads,
+                                       const range_executor& exec) {
+  const load_span span = load_range(loads, exec);
+  return assign(loads, span.mn, span.mx, 0xFF, exec);
 }
 
-bool compact_snapshot::assign_inverted(const load_state& state) {
-  return assign(state.loads(), state.min_load(), state.max_load(), 0xFF);
+bool compact_snapshot::assign_inverted(const load_state& state, const range_executor& exec) {
+  return assign(state.loads(), state.min_load(), state.max_load(), 0xFF, exec);
 }
 
 bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_t mx,
-                              std::uint8_t mask) {
+                              std::uint8_t mask, const range_executor& exec) {
   NB_ASSERT(!loads.empty() && mn <= mx);
+  NB_REQUIRE(exec.covers(loads.size()), "range executor must cover every bin");
   base_ = mn;
   ok_ = (mx - mn) <= 255;
   if (!ok_) return false;
@@ -143,88 +214,180 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads, load_t mn, load_
   const load_t* src = loads.data();
   std::uint8_t* dst = off_.data();
   const std::size_t n = n_;
-  if (use_avx2()) {
-    encode_offsets_avx2(src, dst, n, mn, mask);
-  } else {
-    encode_offsets(src, dst, n, mn, mask);
-  }
+  exec.run([&](std::size_t r) {
+    const auto [lo, hi] = exec.bounds(r, n);
+    if (use_avx2()) {
+      encode_offsets_avx2(src + lo, dst + lo, hi - lo, mn, mask);
+    } else {
+      encode_offsets(src + lo, dst + lo, hi - lo, mn, mask);
+    }
+  });
   std::fill_n(dst + n, tail_padding, std::uint8_t{0});
   return true;
 }
 
-bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx,
-                          const range_executor& exec) {
+void level_index::begin_ranges(std::size_t ranges, std::size_t chunk) {
+  // Slots a cache line apart (plus a line of slack), so neighbouring
+  // ranges never count into a shared line.
+  constexpr std::size_t line = 64 / sizeof(bin_count);
+  slot_stride_ = (std::min(chunk, slot_counters) + 2 * line - 1) / line * line;
+  slots_.resize(ranges * slot_stride_);
+  slot_min_.assign(ranges, 0);
+  slot_levels_.assign(ranges, 0);
+}
+
+void level_index::count_range(std::size_t r, const load_t* x, std::size_t lo, std::size_t hi,
+                              load_t mn, load_t mx) noexcept {
+  if (lo >= hi) return;
   NB_ASSERT(mn <= mx);
+  // Within the range, bin i counts into sub-histogram i % ways:
+  // consecutive bins at one level (the common case -- spans are tiny)
+  // then increment `ways` different counters instead of queueing on one
+  // counter's store-to-load forwarding.
+  const std::size_t room = std::min(hi - lo, slot_counters);
+  const auto wide = static_cast<std::uint64_t>(static_cast<std::int64_t>(mx) - mn) + 1;
+  if (wide > room) return;  // merge_ranges counts it
+  const auto levels = static_cast<std::size_t>(wide);
+  const std::size_t ways = levels * count_ways <= room ? count_ways : 1;
+  bin_count* h = slots_.data() + r * slot_stride_;
+  std::fill_n(h, levels * ways, 0);
+  std::size_t i = lo;
+  if (ways == count_ways) {
+    for (; i + count_ways <= hi; i += count_ways) {
+      for (std::size_t k = 0; k < count_ways; ++k) {
+        ++h[k * levels + static_cast<std::size_t>(x[i + k] - mn)];
+      }
+    }
+  }
+  for (; i < hi; ++i) ++h[static_cast<std::size_t>(x[i] - mn)];
+  for (std::size_t k = 1; k < ways; ++k) {
+    for (std::size_t l = 0; l < levels; ++l) h[l] += h[k * levels + l];
+  }
+  slot_min_[r] = mn;
+  slot_levels_[r] = static_cast<load_t>(levels);
+}
+
+bool level_index::merge_ranges(const std::vector<load_t>& loads, load_t mn, load_t mx,
+                               const range_executor& exec) {
+  NB_ASSERT(mn <= mx && slot_levels_.size() == exec.ranges());
   if (mx - mn > max_dense_span) return false;
   base_ = mn;
   min_ = mn;
   max_ = mx;
   const std::size_t n = loads.size();
   n_ = static_cast<bin_count>(n);
-  const auto levels = static_cast<std::size_t>(mx - mn) + 1;
-  counts_.assign(levels, 0);
-  // Ranges count into their own histograms, unless those would outweigh
-  // the bins (a wide but still dense span): then one range, on the
-  // calling thread.  Within a range, bin i counts into sub-histogram
-  // i % ways: consecutive bins at one level (the common case -- spans are
-  // tiny) then increment `ways` different counters instead of queueing on
-  // one counter's store-to-load forwarding.  Same fallback rule for them.
-  const std::size_t ranges = levels * exec.ranges() > n ? 1 : exec.ranges();
-  const std::size_t ways = levels * ranges * count_ways <= n ? count_ways : 1;
-  if (ranges * ways == 1) {
-    for (const load_t x : loads) ++counts_[static_cast<std::size_t>(x - mn)];
-    return true;
-  }
-  // Histograms a cache line apart (plus a line of slack) so neighbouring
-  // ranges never count into a shared line.
-  constexpr std::size_t line = 64 / sizeof(bin_count);
-  const std::size_t stride = (levels + 2 * line - 1) / line * line;
-  scratch_.assign(ranges * ways * stride, 0);
-  const load_t* x = loads.data();
-  const auto count = [&](std::size_t r) {
-    std::size_t lo = 0;
-    std::size_t hi = n;
-    if (ranges > 1) std::tie(lo, hi) = exec.bounds(r, n);
-    bin_count* h = scratch_.data() + r * ways * stride;
-    std::size_t i = lo;
-    if (ways == count_ways) {
-      for (; i + count_ways <= hi; i += count_ways) {
-        for (std::size_t k = 0; k < count_ways; ++k) {
-          ++h[k * stride + static_cast<std::size_t>(x[i + k] - mn)];
-        }
-      }
+  counts_.assign(static_cast<std::size_t>(mx - mn) + 1, 0);
+  for (std::size_t r = 0; r < slot_levels_.size(); ++r) {
+    if (slot_levels_[r] > 0) {
+      const bin_count* h = slots_.data() + r * slot_stride_;
+      bin_count* to = counts_.data() + static_cast<std::size_t>(slot_min_[r] - mn);
+      for (load_t l = 0; l < slot_levels_[r]; ++l) to[l] += h[l];
+    } else {
+      const auto [lo, hi] = exec.bounds(r, n);
+      for (std::size_t i = lo; i < hi; ++i) ++counts_[static_cast<std::size_t>(loads[i] - mn)];
     }
-    for (; i < hi; ++i) ++h[static_cast<std::size_t>(x[i] - mn)];
-  };
-  if (ranges == 1) {
-    count(0);
-  } else {
-    exec.run(count);
-  }
-  for (std::size_t h = 0; h < ranges * ways; ++h) {
-    const bin_count* sub = scratch_.data() + h * stride;
-    for (std::size_t l = 0; l < levels; ++l) counts_[l] += sub[l];
   }
   return true;
 }
 
-template <typename Delta>
-weight_t load_state::add_and_reindex(const Delta& delta, const range_executor& exec) {
+template <typename Count>
+load_state::commit_pass load_state::run_commit_pass(const Count* row,
+                                                    const std::vector<std::uint32_t>& carries,
+                                                    weight_t weight_per_ball, bool release,
+                                                    const range_executor& exec,
+                                                    std::vector<range_commit>& ranges) {
+  constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
+  constexpr weight_t carry = weight_t{std::numeric_limits<Count>::max()} + 1;
   const std::size_t n = loads_.size();
-  std::vector<added_range> range(exec.ranges());
-  exec.run([&](std::size_t r) {
+  NB_REQUIRE(exec.covers(n), "range executor must cover every bin");
+  const weight_t w = weight_per_ball;
+  const bool unit = w == 1;
+  const auto carry_load = static_cast<std::uint32_t>(carry * w);
+  load_t* loads = loads_.data();
+  // The per-bin check of sweep(), on the loads before the pass.
+  const auto fails = [&](std::size_t i, weight_t count) {
+    return release ? count * w > loads[i] : static_cast<weight_t>(loads[i]) + count * w > bin_cap;
+  };
+  ranges.assign(exec.ranges(), range_commit{});
+  levels_.begin_ranges(exec.ranges(), std::min(exec.chunk(), n));
+  const step_count withheld = exec.run([&](std::size_t r) {
     const auto [lo, hi] = exec.bounds(r, n);
-    range[r] = use_avx2() ? add_range_avx2(loads_.data(), delta, lo, hi)
-                          : add_range(loads_.data(), delta, lo, hi);
+    range_commit& rc = ranges[r];
+    rc.culprit = n;
+    // Carries land first, so the sweep sees every bin's final load.
+    bool failed = false;
+    for (const std::uint32_t c : carries) {
+      if (c < lo || c >= hi) continue;
+      failed |= !unit && static_cast<weight_t>(loads[c]) + carry * w > bin_cap;
+      loads[c] = static_cast<load_t>(static_cast<std::uint32_t>(loads[c]) + carry_load);
+      rc.count += static_cast<step_count>(carry);
+    }
+    swept s{};
+    if (release) {
+      s = unit ? sweep_on_cpu<true, true>(loads, row, w, lo, hi)
+               : sweep_on_cpu<true, false>(loads, row, w, lo, hi);
+    } else {
+      s = unit ? sweep_on_cpu<false, true>(loads, row, w, lo, hi)
+               : sweep_on_cpu<false, false>(loads, row, w, lo, hi);
+    }
+    rc.count += s.count;
+    if (failed || s.failed) {
+      // Restore the range, then find its first culprit: by row entry
+      // alone, then the carried bins before it by their full counts.
+      unsweep(loads, row, w, release, lo, hi);
+      for (const std::uint32_t c : carries) {
+        if (c >= lo && c < hi) {
+          loads[c] = static_cast<load_t>(static_cast<std::uint32_t>(loads[c]) - carry_load);
+        }
+      }
+      std::size_t culprit = hi;
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (fails(i, row[i])) {
+          culprit = i;
+          break;
+        }
+      }
+      for (const std::uint32_t c : carries) {
+        if (c >= lo && c < culprit && fails(c, full_count(row, carries, c))) culprit = c;
+      }
+      NB_ASSERT(culprit < hi);
+      rc.culprit = culprit;
+      return;
+    }
+    rc.mn = s.mn;
+    rc.mx = s.mx;
+    levels_.count_range(r, loads, lo, hi, s.mn, s.mx);
   });
-  added_range all;
-  for (const added_range& part : range) {  // empty ranges keep the identities
-    all.mn = part.mn < all.mn ? part.mn : all.mn;
-    all.mx = part.mx > all.mx ? part.mx : all.mx;
-    all.net += part.net;
+  commit_pass pass;
+  pass.withheld = withheld;
+  pass.culprit = n;
+  for (const range_commit& rc : ranges) {  // ranges in bin order: first culprit
+    pass.total += rc.count;
+    pass.culprit = std::min(pass.culprit, rc.culprit);
+    pass.mn = rc.mn < pass.mn ? rc.mn : pass.mn;  // empty ranges keep the identities
+    pass.mx = rc.mx > pass.mx ? rc.mx : pass.mx;
   }
-  levels_ok_ = levels_.rebuild(loads_, all.mn, all.mx, exec);
-  return all.net;
+  return pass;
+}
+
+template <typename Count>
+void load_state::undo_commit_pass(const Count* row, const std::vector<std::uint32_t>& carries,
+                                  weight_t weight_per_ball, bool release,
+                                  const range_executor& exec,
+                                  const std::vector<range_commit>& ranges) {
+  constexpr weight_t carry = weight_t{std::numeric_limits<Count>::max()} + 1;
+  const auto carry_load = static_cast<std::uint32_t>(carry * weight_per_ball);
+  const std::size_t n = loads_.size();
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    if (ranges[r].culprit != n) continue;  // a failed range restored itself
+    const auto [lo, hi] = exec.bounds(r, n);
+    unsweep(loads_.data(), row, weight_per_ball, release, lo, hi);
+    for (const std::uint32_t c : carries) {
+      if (c >= lo && c < hi) {
+        loads_[c] = static_cast<load_t>(static_cast<std::uint32_t>(loads_[c]) - carry_load);
+      }
+    }
+  }
 }
 
 void load_state::apply_increments(const std::vector<std::uint32_t>& add,
@@ -251,96 +414,32 @@ void load_state::apply_counts(const std::vector<Count>& low,
   bool stray = false;
   for (const std::uint32_t c : carries) stray |= c >= n;
   NB_REQUIRE(!stray, "carry list names a bin out of range");
-  // A carry stands for one wrap of its bin's low count.
-  constexpr weight_t low_cap = std::numeric_limits<Count>::max();
-  constexpr weight_t carry = low_cap + 1;
-  const weight_t carried = carry * static_cast<weight_t>(carries.size());
+  constexpr weight_t carry = weight_t{std::numeric_limits<Count>::max()} + 1;
   const Count* row = low.data();
-  // Carries in bin order, for the fixed-weight bin check and the lease
-  // record; bin i's count is row[i] plus one carry per entry equal to i.
-  std::vector<std::uint32_t> sorted;
-  if (!carries.empty() && (weight_per_ball != 1 || lease_on_)) {
-    sorted = carries;
-    std::sort(sorted.begin(), sorted.end());
-  }
-  const auto count_of = [&](std::size_t i) {
-    return static_cast<weight_t>(row[i]) +
-           carry * static_cast<weight_t>(std::count(carries.begin(), carries.end(), i));
-  };
-  // Unit weights validate only the total-weight ceiling.  While no n low
-  // counts plus the carries could reach it, the validation pass is skipped
-  // and the add pass sums the window instead: one sweep of `low` less.
+  // The one pass validates and adds together, so a refusal after it undoes
+  // it first: strong exception safety, like allocate(i, w) -- a throw must
+  // not leave a prefix of bins inflated while balls_/levels_ still reflect
+  // the old state.
+  std::vector<range_commit> ranges;
+  const commit_pass pass = run_commit_pass(row, carries, weight_per_ball, false, exec, ranges);
+  NB_ASSERT(pass.withheld == 0);
+  const step_count total = pass.total;
+  const std::size_t culprit = pass.culprit;
   const weight_t room = max_total_weight - total_weight();
-  const bool sum_in_add_pass = weight_per_ball == 1 && carried <= room &&
-                               static_cast<weight_t>(n) <= (room - carried) / low_cap;
-  step_count total = carried;
-  if (!sum_in_add_pass) {
-    // Sum, and under fixed weights validate every bin, BEFORE mutating any
-    // (strong exception safety, like allocate(i, w)): a throw must not
-    // leave a prefix of bins inflated while balls_/levels_ still reflect
-    // the old state.  Each range records its total and its first culprit
-    // bin by its low count alone (n = none); the sweep is branch-free and
-    // only a failing range re-walks.  Bins with carries are then checked
-    // with their full counts.
-    constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
-    const auto over = [&](std::size_t i, weight_t count) {
-      return static_cast<weight_t>(loads_[i]) + count * weight_per_ball > bin_cap;
-    };
-    std::vector<step_count> totals(exec.ranges(), 0);
-    std::vector<std::size_t> culprits(exec.ranges(), n);
-    exec.run([&](std::size_t r) {
-      const auto [lo, hi] = exec.bounds(r, n);
-      step_count range_total = 0;
-      for (std::size_t i = lo; i < hi; ++i) range_total += row[i];
-      totals[r] = range_total;
-      if (weight_per_ball == 1) return;
-      bool any = false;
-      for (std::size_t i = lo; i < hi; ++i) any |= over(i, row[i]);
-      for (std::size_t i = lo; any && i < hi; ++i) {
-        if (over(i, row[i])) {
-          culprits[r] = i;
-          break;
-        }
-      }
-    });
-    for (const step_count t : totals) total += t;
-    // Same int64-overflow audit as the weighted allocate(), phrased as a
-    // division so the bound itself cannot overflow (total * weight_per_ball
-    // may exceed int64 at the ceilings' corner).
-    NB_REQUIRE(total <= room / weight_per_ball,
-               "window would overflow the total-weight accumulator (max_total_weight)");
-    // Ranges run in bin order, so the first culprit is the smallest.
-    std::size_t culprit = *std::min_element(culprits.begin(), culprits.end());
-    if (weight_per_ball != 1) {
-      for (auto it = sorted.begin(); it != sorted.end() && *it < culprit;) {
-        const auto run_end = std::upper_bound(it, sorted.end(), *it);
-        if (over(*it, row[*it] + carry * (run_end - it))) culprit = *it;
-        it = run_end;
-      }
-    }
-    NB_REQUIRE(culprit == n, "window of " + std::to_string(count_of(culprit)) +
-                                 " balls of weight " + std::to_string(weight_per_ball) +
-                                 " would overflow bin " + std::to_string(culprit) +
-                                 "'s 32-bit load (currently " +
-                                 std::to_string(loads_[culprit]) + ")");
+  if (total > room / weight_per_ball || culprit != n) {
+    undo_commit_pass(row, carries, weight_per_ball, false, exec, ranges);
   }
-  if (!carries.empty()) {
-    const auto carry_load = static_cast<load_t>(carry * weight_per_ball);
-    for (const std::uint32_t c : carries) loads_[c] += carry_load;
-  }
-  // The add pass sees every bin's final load, carries included, so its
-  // range tracking stays exact.
-  if (weight_per_ball == 1) {
-    const weight_t net =
-        add_and_reindex([row](std::size_t i) { return static_cast<load_t>(row[i]); }, exec);
-    if (sum_in_add_pass) total += net;
-  } else {
-    add_and_reindex(
-        [row, weight_per_ball](std::size_t i) {
-          return static_cast<load_t>(static_cast<weight_t>(row[i]) * weight_per_ball);
-        },
-        exec);
-  }
+  // Same int64-overflow audit as the weighted allocate(), phrased as a
+  // division so the bound itself cannot overflow (total * weight_per_ball
+  // may exceed int64 at the ceilings' corner).
+  NB_REQUIRE(total <= room / weight_per_ball,
+             "window would overflow the total-weight accumulator (max_total_weight)");
+  NB_REQUIRE(culprit == n, "window of " + std::to_string(full_count(row, carries, culprit)) +
+                               " balls of weight " + std::to_string(weight_per_ball) +
+                               " would overflow bin " + std::to_string(culprit) +
+                               "'s 32-bit load (currently " + std::to_string(loads_[culprit]) +
+                               ")");
+  levels_ok_ = levels_.merge_ranges(loads_, pass.mn, pass.mx, exec);
   balls_ += total;
   extra_weight_ += total * (weight_per_ball - 1);
   NB_ASSERT(balls_ <= max_run_balls);
@@ -351,6 +450,8 @@ void load_state::apply_counts(const std::vector<Count>& low,
     // the engine that produced the window (the windowed engines' own
     // determinism contract) -- it just differs from the serial per-ball
     // order, exactly as the window's sampling already does.
+    std::vector<std::uint32_t> sorted = carries;
+    std::sort(sorted.begin(), sorted.end());
     auto next = sorted.cbegin();
     for (std::size_t i = 0; i < n; ++i) {
       weight_t count = row[i];
@@ -372,51 +473,32 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
   NB_REQUIRE(!lease_on_,
              "bulk releases cannot maintain the lease ring (the lease channel "
              "expires per-ball through release_oldest)");
-  // Validate every bin and the totals BEFORE mutating any (strong
-  // exception safety, matching apply_increments), with the
-  // same bin-and-weight error vocabulary as release(i, w).  Each range
-  // records its total and its first culprit bin (n = none); the sweep is
-  // branch-free and only a failing range re-walks.
+  // Validated in the same pass that releases, and undone before any
+  // refusal (strong exception safety, matching apply_increments), with
+  // the same bin-and-weight error vocabulary as release(i, w).
   const std::size_t n = loads_.size();
-  std::vector<step_count> totals(exec.ranges(), 0);
-  std::vector<std::size_t> culprits(exec.ranges(), n);
-  exec.run([&](std::size_t r) {
-    const auto [lo, hi] = exec.bounds(r, n);
-    step_count total = 0;
-    bool underflow = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-      underflow |= static_cast<weight_t>(rel[i]) * weight_per_ball > loads_[i];
-      total += rel[i];
-    }
-    totals[r] = total;
-    for (std::size_t i = lo; underflow && i < hi; ++i) {
-      if (static_cast<weight_t>(rel[i]) * weight_per_ball > loads_[i]) {
-        culprits[r] = i;
-        break;
-      }
-    }
-  });
-  for (const std::size_t i : culprits) {  // ranges in bin order: first culprit
-    NB_REQUIRE(i == n, "release of weight " +
-                           std::to_string(static_cast<weight_t>(rel[i]) * weight_per_ball) +
-                           " would underflow bin " + std::to_string(i) + " (currently " +
-                           std::to_string(loads_[i]) + ")");
+  static const std::vector<std::uint32_t> no_carries;
+  std::vector<range_commit> ranges;
+  const commit_pass pass =
+      run_commit_pass(rel.data(), no_carries, weight_per_ball, true, exec, ranges);
+  const std::size_t i = pass.culprit;
+  const step_count total = pass.total + pass.withheld;
+  if (i != n || total != k || balls_ < k || extra_weight_ < k * (weight_per_ball - 1)) {
+    undo_commit_pass(rel.data(), no_carries, weight_per_ball, true, exec, ranges);
   }
-  step_count total = 0;
-  for (const step_count t : totals) total += t;
+  NB_REQUIRE(i == n, "release of weight " +
+                         std::to_string(static_cast<weight_t>(rel[i]) * weight_per_ball) +
+                         " would underflow bin " + std::to_string(i) + " (currently " +
+                         std::to_string(loads_[i]) + ")");
   NB_REQUIRE(total == k, "departure block counts do not sum to the block size");
   NB_REQUIRE(balls_ >= k, "release with no resident balls");
   NB_REQUIRE(extra_weight_ >= k * (weight_per_ball - 1),
              "departure block of weight " + std::to_string(weight_per_ball) +
                  " per ball exceeds the resident extra weight (" +
                  std::to_string(extra_weight_) + ")");
-  add_and_reindex(
-      [&](std::size_t i) {
-        return -static_cast<load_t>(static_cast<weight_t>(rel[i]) * weight_per_ball);
-      },
-      exec);
-  balls_ -= k;
-  extra_weight_ -= k * (weight_per_ball - 1);
+  levels_ok_ = levels_.merge_ranges(loads_, pass.mn, pass.mx, exec);
+  balls_ -= pass.total;
+  extra_weight_ -= pass.total * (weight_per_ball - 1);
 }
 
 void load_state::save(state_writer& w) const {

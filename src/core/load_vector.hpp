@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -54,35 +55,78 @@ namespace nb {
 class range_executor {
  public:
   using body_fn = std::function<void(std::size_t)>;
+  /// A step run for range r in r's own task, ahead of a pass's body (see
+  /// prepared()).  Returns how many of the pass's events it withheld.
+  using prepare_fn = std::function<step_count(std::size_t)>;
 
   range_executor() = default;
-  /// `ranges` bin ranges run as tasks of `pool`.
-  range_executor(thread_pool& pool, std::size_t ranges) : pool_(&pool), ranges_(ranges) {
-    NB_REQUIRE(ranges_ >= 1, "a range executor needs at least one range");
+  /// `ranges` ranges of `chunk` bins each (the last ones clipped to n),
+  /// run as tasks of `pool`, or one after another on the calling thread
+  /// when `pool` is null.  A pass over n bins needs ranges * chunk >= n
+  /// (covers(n)).
+  range_executor(thread_pool* pool, std::size_t ranges, std::size_t chunk)
+      : pool_(pool), ranges_(ranges), chunk_(chunk) {
+    NB_REQUIRE(ranges_ >= 1 && chunk_ >= 1, "a range executor needs a range of at least one bin");
   }
 
   [[nodiscard]] std::size_t ranges() const noexcept { return ranges_; }
-
-  void run(const body_fn& body) const {
-    if (pool_ == nullptr) {
-      body(0);
-    } else {
-      pool_->for_each(ranges_, [&body](std::size_t r, std::size_t) { body(r); });
-    }
+  [[nodiscard]] std::size_t chunk() const noexcept { return chunk_; }
+  /// True when the ranges reach every one of n bins.
+  [[nodiscard]] bool covers(std::size_t n) const noexcept {
+    return chunk_ >= (n + ranges_ - 1) / ranges_;
   }
 
-  /// Bins [first, second) of range r over n bins: ceil(n / ranges()) bins
-  /// each, so trailing ranges are empty when ranges() > n.
+  /// This executor with `step` added to every range's task: run() calls
+  /// the steps this executor already had, then `step`, then the pass's
+  /// body, all in range r's task, so whatever a step writes into range r
+  /// is cache-hot when the body reads it.  A commit makes exactly one
+  /// run() call, so each range is prepared once, by the task that then
+  /// commits it.
+  [[nodiscard]] range_executor prepared(prepare_fn step) const {
+    range_executor next = *this;
+    if (prepare_) {
+      next.prepare_ = [first = prepare_, second = std::move(step)](std::size_t r) {
+        return first(r) + second(r);
+      };
+    } else {
+      next.prepare_ = std::move(step);
+    }
+    return next;
+  }
+
+  /// Runs the prepare steps and body(r) for every range, and returns the
+  /// events the steps withheld, summed over the ranges (0 without steps).
+  step_count run(const body_fn& body) const {
+    std::atomic<step_count> withheld{0};
+    const body_fn task = [&](std::size_t r) {
+      if (prepare_) {
+        const step_count w = prepare_(r);
+        if (w != 0) withheld.fetch_add(w, std::memory_order_relaxed);
+      }
+      body(r);
+    };
+    if (pool_ == nullptr) {
+      for (std::size_t r = 0; r < ranges_; ++r) task(r);
+    } else {
+      pool_->for_each(ranges_, task);
+    }
+    return withheld.load(std::memory_order_relaxed);
+  }
+
+  /// Bins [first, second) of range r over n bins, so trailing ranges are
+  /// empty when the ranges cover more than n bins.
   [[nodiscard]] std::pair<std::size_t, std::size_t> bounds(std::size_t r,
                                                            std::size_t n) const noexcept {
-    const std::size_t chunk = (n + ranges_ - 1) / ranges_;
-    const std::size_t lo = std::min(r * chunk, n);
-    return {lo, std::min(lo + chunk, n)};
+    const std::size_t lo = r < ranges_ && r * chunk_ < n ? r * chunk_ : n;
+    return {lo, lo + std::min(chunk_, n - lo)};
   }
 
  private:
   thread_pool* pool_ = nullptr;
   std::size_t ranges_ = 1;
+  /// Bins per range; the default's one range takes every bin.
+  std::size_t chunk_ = std::numeric_limits<std::size_t>::max();
+  prepare_fn prepare_;
 };
 
 /// Level-compressed summary of a load vector: for each load level L in
@@ -109,8 +153,13 @@ class level_index {
 
   /// Interleaved sub-histograms a rebuild range counts into (bin i into
   /// sub-histogram i % count_ways), unless count_ways histograms of the
-  /// span would outweigh the range's bins.  Execution-only.
+  /// range's span would outweigh its bins or its slot.  Execution-only.
   static constexpr std::size_t count_ways = 8;
+
+  /// Counters in one range's histogram slot (bins per range permitting):
+  /// count_ways histograms of 256 levels.  A range of a wider span is
+  /// counted by merge_ranges instead.  Execution-only.
+  static constexpr std::size_t slot_counters = count_ways * 256;
 
   level_index() = default;
 
@@ -218,18 +267,37 @@ class level_index {
   /// rebuild() for a caller that already knows the range -- the pass that
   /// just wrote the loads tracked it -- so only the counting sweep runs.
   /// `mn` and `mx` must be exactly the minimum and maximum of `loads`.
+  /// One range of the ranged rebuild below, on the calling thread.
   [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx) {
-    return rebuild(loads, mn, mx, range_executor{});
+    begin_ranges(1, loads.size());
+    count_range(0, loads.data(), 0, loads.size(), mn, mx);
+    return merge_ranges(loads, mn, mx, range_executor{});
   }
 
-  /// The same counting sweep run by bin range through `exec`: each range
-  /// counts into its own count_ways interleaved histograms and the
-  /// histograms are summed.  Falls back to one range on the calling thread
-  /// when the per-range histograms would outweigh the bins (a wide but
-  /// still dense span), and to one histogram per range on the same rule,
-  /// so the pass never holds more counters than bins.
-  [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx,
-                             const range_executor& exec);
+  /// The ranged rebuild, in three steps a ranged pass interleaves with its
+  /// own work (load_state's commits do):
+  ///   * begin_ranges sizes one histogram slot per range of at most
+  ///     `chunk` bins,
+  ///   * count_range counts range r's bins into r's slot, keyed on the
+  ///     range's own minimum -- concurrently for distinct ranges, each
+  ///     while the range is cache-hot from the pass that wrote it,
+  ///   * merge_ranges sums the slots into the index at their offsets.
+  /// A range whose span outweighs its bins or its slot, or that
+  /// count_range never saw, is counted by merge_ranges from the loads, so
+  /// the pass never zeroes more counters than it has bins and every shape
+  /// ends query-identical to rebuild().
+  void begin_ranges(std::size_t ranges, std::size_t chunk);
+
+  /// Counts bins [lo, hi) of `loads` into range r's slot.  `mn` and `mx`
+  /// must be exactly the minimum and maximum of those bins.
+  void count_range(std::size_t r, const load_t* loads, std::size_t lo, std::size_t hi, load_t mn,
+                   load_t mx) noexcept;
+
+  /// Rebuilds the index from the slots of the ranges of `exec` over
+  /// `loads`, whose minimum and maximum are exactly `mn` and `mx`.
+  /// Returns false (index unusable) when the span exceeds max_dense_span.
+  [[nodiscard]] bool merge_ranges(const std::vector<load_t>& loads, load_t mn, load_t mx,
+                                  const range_executor& exec);
 
   [[nodiscard]] load_t min_level() const noexcept { return min_; }
   [[nodiscard]] load_t max_level() const noexcept { return max_; }
@@ -273,9 +341,14 @@ class level_index {
   }
 
   std::vector<bin_count> counts_;  ///< counts_[k] = bins at level base_ + k
-  /// The rebuild's per-range sub-histograms, kept so a rebuild per window
-  /// reuses one buffer.
-  std::vector<bin_count> scratch_;
+  /// The ranged rebuild's histogram slots, slot_stride_ counters apart,
+  /// kept so a rebuild per window reuses one buffer ...
+  std::vector<bin_count> slots_;
+  std::size_t slot_stride_ = 0;
+  /// ... and per slot the minimum it is keyed on and the levels it holds
+  /// (0: the range is counted by merge_ranges).
+  std::vector<load_t> slot_min_;
+  std::vector<load_t> slot_levels_;
   load_t base_ = 0;
   load_t min_ = 0;
   load_t max_ = 0;
@@ -303,23 +376,24 @@ class compact_snapshot {
   /// kernel's vector backends may gather 4 bytes at any valid bin index.
   static constexpr std::size_t tail_padding = 3;
 
-  /// Rebuilds from `loads`: byte i = loads[i] - base.  O(n), one pass.
+  /// Rebuilds from `loads`: byte i = loads[i] - base.  O(n): one pass for
+  /// the range, one for the bytes, each by bin range through `exec`.
   /// Returns false (and marks the snapshot unusable) when the span exceeds
   /// 255; callers must then fall back to the full-width loads.
-  bool assign(const std::vector<load_t>& loads);
+  bool assign(const std::vector<load_t>& loads, const range_executor& exec = {});
 
   /// Snapshot of the live loads of `state`, ranged by its level index in
   /// O(1) (an O(n) scan only once the index gave up, see levels_valid()).
   /// Same bytes, base() and max_off() as assign(state.loads()).
-  bool assign(const load_state& state);
+  bool assign(const load_state& state, const range_executor& exec = {});
 
   /// assign() with every byte inverted: byte i = 255 - (loads[i] - base),
   /// written by the same single pass.  Same return value, base() and
   /// max_off() as assign(loads); a bin's load is base() + 255 - byte.
-  bool assign_inverted(const std::vector<load_t>& loads);
+  bool assign_inverted(const std::vector<load_t>& loads, const range_executor& exec = {});
 
   /// assign(state) inverted: O(1) ranging, bytes as assign_inverted(loads).
-  bool assign_inverted(const load_state& state);
+  bool assign_inverted(const load_state& state, const range_executor& exec = {});
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] load_t base() const noexcept { return base_; }
@@ -333,10 +407,12 @@ class compact_snapshot {
   [[nodiscard]] std::uint8_t max_off() const noexcept { return span_; }
 
  private:
-  /// The one assignment pass: `mn` and `mx` must be exactly the minimum
-  /// and maximum of `loads`; byte i = (loads[i] - mn) ^ mask, where mask
-  /// 0xFF is the inversion (255 - x == x ^ 255 on a byte).
-  bool assign(const std::vector<load_t>& loads, load_t mn, load_t mx, std::uint8_t mask);
+  /// The one assignment pass, by bin range through `exec`: `mn` and `mx`
+  /// must be exactly the minimum and maximum of `loads`; byte i =
+  /// (loads[i] - mn) ^ mask, where mask 0xFF is the inversion (255 - x ==
+  /// x ^ 255 on a byte).
+  bool assign(const std::vector<load_t>& loads, load_t mn, load_t mx, std::uint8_t mask,
+              const range_executor& exec);
 
   std::vector<std::uint8_t> off_;  ///< n_ offsets + tail_padding zero bytes
   std::size_t n_ = 0;
@@ -440,6 +516,18 @@ class load_state {
     extra_weight_ -= w - 1;
   }
 
+  /// release(i, w) for every listed bin, in list order: the same checks,
+  /// errors and state as that many calls.  The list is known up front, so
+  /// the walk prefetches the bins ahead of it and overlaps their cache
+  /// misses.
+  void release_each(const std::vector<bin_index>& bins, weight_t w) {
+    constexpr std::size_t ahead = 16;
+    for (std::size_t j = 0; j < bins.size(); ++j) {
+      if (j + ahead < bins.size()) __builtin_prefetch(loads_.data() + bins[j + ahead], 1);
+      release(bins[j], w);
+    }
+  }
+
   /// RAII bulk window: while open, allocate() skips the per-ball level
   /// maintenance; on close the index is rebuilt once from the raw loads
   /// (O(n + span), amortized over the chunk).  Engages only when the
@@ -466,20 +554,22 @@ class load_state {
   };
 
   /// Applies a merged parallel-window delta: loads_[i] += add[i] *
-  /// weight_per_ball for every bin and balls_ += sum(add), then rebuilds
-  /// the level index once from the range the add pass tracked (one
-  /// counting sweep, no separate min/max scan).  The resulting state is
+  /// weight_per_ball for every bin and balls_ += sum(add), and rebuilds
+  /// the level index from the same pass.  The resulting state is
   /// query-identical to having allocated the same balls one at a time.
   /// `add` must have size n; must not be called inside a bulk window.
   /// weight_per_ball covers the deterministic weightings the frozen-window
   /// engines support (unit and fixed); RNG-driven weights never reach this
   /// path (the engines fall back to the serial fused loop).
   ///
-  /// The sum/validate, add + min/max and level-count passes run by bin
-  /// range through `exec` (default: one range on the calling thread);
-  /// the result, and any error, is the same for every executor.  A bin
-  /// the window would push past the 32-bit load is named in the error
-  /// (the first such bin), and nothing is mutated.
+  /// The whole commit is ONE pass by bin range through `exec` (default:
+  /// one range on the calling thread): each range validates and adds in
+  /// one sweep that tracks its min and max, then counts its level
+  /// histogram, and the histograms are merged after the join.  The
+  /// result, and any error, is the same for every executor.  A bin the
+  /// window would push past the 32-bit load is named in the error (the
+  /// first such bin), and the pass is undone before the throw: nothing
+  /// stays mutated.  The executor's prepare steps must withhold nothing.
   void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball = 1,
                         const range_executor& exec = {});
 
@@ -497,14 +587,19 @@ class load_state {
 
   /// Applies a merged departure block: k departing balls, rel[i] of them
   /// leaving bin i, each retiring weight_per_ball.  The mirror of
-  /// apply_increments, validated BEFORE any mutation (strong
-  /// exception safety) with the same contract-error vocabulary as
-  /// release(i, w): no bin may underflow, a ball must be resident for each
-  /// departure, and the extra-weight accumulator must cover the retired
-  /// weight.  Rebuilds the level index once.  Refuses under lease tracking
-  /// (a merged block cannot say *which* resident balls departed; the lease
-  /// channel expires per-ball through release_oldest()).  Passes run by
-  /// bin range through `exec`, exactly like apply_increments.
+  /// apply_increments, one validating pass by bin range through `exec`
+  /// that is undone before any refusal (strong exception safety), with
+  /// the same contract-error vocabulary as release(i, w): no bin may
+  /// underflow, a ball must be resident for each departure, and the
+  /// extra-weight accumulator must cover the retired weight.  Refuses
+  /// under lease tracking (a merged block cannot say *which* resident
+  /// balls departed; the lease channel expires per-ball through
+  /// release_oldest()).
+  ///
+  /// The events the executor's prepare steps withhold (a multi-shard
+  /// drain settle's clamped excess, see range_executor::prepared) count
+  /// toward k but are not applied: rel then sums to k minus them, and the
+  /// caller retires them afterwards, one release(i, w) each.
   void apply_releases(const std::vector<std::uint32_t>& rel, weight_t weight_per_ball,
                       step_count k, const range_executor& exec = {});
 
@@ -627,13 +722,47 @@ class load_state {
     levels_ok_ = levels_.rebuild(loads_);
   }
 
-  /// The commit pass shared by the window/block appliers: loads_[i] +=
-  /// delta(i) for every bin (already validated), tracking the running
-  /// min/max on the way so the level rebuild needs no range scan.  Both
-  /// the add pass and the rebuild run by bin range through `exec`.
-  /// Returns the sum of the deltas, accumulated by the same pass.
-  template <typename Delta>
-  weight_t add_and_reindex(const Delta& delta, const range_executor& exec);
+  /// One range's record of a commit pass: its new loads' min and max (the
+  /// identities while empty or failed), the counts it applied, and its
+  /// first bin failing the per-bin check (n = none; a failed range
+  /// restores its own bins before the pass returns).
+  struct range_commit {
+    load_t mn = std::numeric_limits<load_t>::max();
+    load_t mx = std::numeric_limits<load_t>::min();
+    step_count count = 0;
+    std::size_t culprit = 0;
+  };
+
+  /// What a commit pass found over all ranges: the counts it applied
+  /// (carries included), the events the executor's prepare steps
+  /// withheld, the new loads' min and max, and the first failing bin.
+  struct commit_pass {
+    step_count total = 0;
+    step_count withheld = 0;
+    load_t mn = std::numeric_limits<load_t>::max();
+    load_t mx = std::numeric_limits<load_t>::min();
+    std::size_t culprit = 0;
+  };
+
+  /// The one pass of every bulk commit, one task per range of `exec`
+  /// (after the executor's prepare steps, in the same task): range r
+  /// applies its carries, then one sweep adds row[i] * weight_per_ball
+  /// to every bin (subtracts it for a release), checks each bin and
+  /// tracks the range's min and max, then counts the range into its level
+  /// histogram slot while it is cache-hot.  `ranges` receives each
+  /// range's record.  Nothing outside loads_ and the level slots changes:
+  /// the caller checks the totals, then either undoes the pass
+  /// (undo_commit_pass) and refuses, or merges the level index.
+  template <typename Count>
+  commit_pass run_commit_pass(const Count* row, const std::vector<std::uint32_t>& carries,
+                              weight_t weight_per_ball, bool release, const range_executor& exec,
+                              std::vector<range_commit>& ranges);
+
+  /// Restores the bins of every range run_commit_pass left mutated.
+  template <typename Count>
+  void undo_commit_pass(const Count* row, const std::vector<std::uint32_t>& carries,
+                        weight_t weight_per_ball, bool release, const range_executor& exec,
+                        const std::vector<range_commit>& ranges);
 
   /// The body of both apply_increments forms: bin i receives low[i] +
   /// 2^(8 sizeof(Count)) * (times i appears in `carries`) balls.

@@ -26,10 +26,12 @@
 // so every reader (window_snapshot, reported_load, save_checkpoint) reads
 // those, and the first mutator that needs the frozen loads to stay put --
 // step, step_many, depart, commit_departures, a commit_window that does
-// not end the batch -- makes the copy first, through its own executor.  A
-// run driven one whole batch per engine window therefore never copies at
-// all.  Execution-only: the copy holds the same loads whenever it is made,
-// and checkpoints write the same bytes.
+// not end the batch -- makes the copy first.  The bulk commits make it
+// inside their own pass, range by range, each range copied just before
+// it is committed (with_boundary_copy).  A run driven one whole batch per
+// engine window therefore never copies at all.  Execution-only: the copy
+// holds the same loads whenever it is made, and checkpoints write the
+// same bytes.
 #pragma once
 
 #include <algorithm>
@@ -93,19 +95,29 @@ class b_batch : public process_base<b_batch> {
     touched_.push_back(depart_ball(state_, model_, rng));
   }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  /// Lease blocks pop O(k) balls and record their bins; drain/random
-  /// blocks already sweep every bin (by range through `exec`), so they
-  /// flag a whole-vector refresh.  A pending boundary copy is made first,
-  /// by range through `exec`.
+  /// Lease blocks make a pending boundary copy, then pop O(k) balls and
+  /// record their bins; drain/random blocks already sweep every bin (by
+  /// range through `exec`), so a pending copy rides that pass -- each
+  /// range copied just before it is released -- and they flag a
+  /// whole-vector refresh.
   void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
                          const range_executor& exec = {}) {
-    materialize_boundary(exec);
     if (model_.departures.is_lease()) {
+      materialize_boundary(exec);
       for (step_count t = 0; t < k; ++t) touched_.push_back(state_.release_oldest());
       return;
     }
-    apply_departure_block(state_, model_, rel, k, exec);
+    apply_departure_block(state_, model_, rel, k, with_boundary_copy(exec));
+    copy_pending_ = false;
     stale_all_ = true;
+  }
+  /// Retires one departure from each listed bin (see apply_departed_bins);
+  /// the bins are refreshed at the next boundary (recorded before they
+  /// move, and not at all while the whole vector is flagged).
+  void commit_departed_bins(const std::vector<bin_index>& bins) {
+    materialize_boundary();
+    if (!stale_all_) touched_.insert(touched_.end(), bins.begin(), bins.end());
+    apply_departed_bins(state_, model_, bins);
   }
 
   /// The load of bin i as reported during the current batch (for tests).
@@ -201,11 +213,12 @@ class b_batch : public process_base<b_batch> {
 
   /// Applies a merged window delta (inc[i] balls into bin i, all decided
   /// against the current snapshot).  A window that ends a batch leaves the
-  /// boundary copy pending (see the header); a partial window first makes
-  /// a pending copy, then flags the whole vector stale for a later
-  /// boundary.  Each counted ball deposits the model's (deterministic)
-  /// weight; the engines never route random weightings here.  The commit
-  /// passes and any copy run by bin range through `exec`.
+  /// boundary copy pending (see the header); a partial window makes a
+  /// pending copy inside its commit pass, then flags the whole vector
+  /// stale for a later boundary.  Each counted ball deposits the model's
+  /// (deterministic) weight; the engines never route random weightings
+  /// here.  The commit, copy included, is one pass by bin range through
+  /// `exec`.
   void commit_window(const std::vector<std::uint32_t>& inc, step_count balls,
                      const range_executor& exec = {}) {
     commit_counts(balls, exec, inc);
@@ -225,15 +238,32 @@ class b_batch : public process_base<b_batch> {
   void commit_counts(step_count balls, const range_executor& exec, const Counts&... counts) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
     const bool ends_batch = balls == snapshot_window();
-    if (!ends_batch) materialize_boundary(exec);
-    state_.apply_increments(counts..., model_.weighting.fixed_weight(), exec);
+    // A window that ends the batch never needs the old boundary loads; a
+    // partial one makes a pending copy inside its commit pass.
+    state_.apply_increments(counts..., model_.weighting.fixed_weight(),
+                            ends_batch ? exec : with_boundary_copy(exec));
     if (ends_batch) {
       touched_.clear();
       stale_all_ = false;
       copy_pending_ = true;
     } else {
+      copy_pending_ = false;
       stale_all_ = true;
     }
+  }
+
+  /// `exec`, with a pending boundary copy added to every range's task
+  /// ahead of the commit pass (range_executor::prepared): range r's
+  /// boundary loads are copied just before the pass moves them.  A commit
+  /// that throws leaves the copy pending, so readers keep seeing the
+  /// unchanged live loads.
+  [[nodiscard]] range_executor with_boundary_copy(const range_executor& exec) {
+    if (!copy_pending_) return exec;
+    return exec.prepared([this, &exec](std::size_t r) {
+      const auto [lo, hi] = exec.bounds(r, stale_.size());
+      copy_range(lo, hi);
+      return step_count{0};
+    });
   }
 
   void step_one(rng_t& rng, bin_count n) {
@@ -269,13 +299,18 @@ class b_batch : public process_base<b_batch> {
 
   /// stale_ = loads, one contiguous copy per range.
   void copy_loads(const range_executor& exec) {
-    const std::vector<load_t>& loads = state_.loads();
     exec.run([&](std::size_t r) {
-      const auto [lo, hi] = exec.bounds(r, loads.size());
-      std::copy(loads.begin() + static_cast<std::ptrdiff_t>(lo),
-                loads.begin() + static_cast<std::ptrdiff_t>(hi),
-                stale_.begin() + static_cast<std::ptrdiff_t>(lo));
+      const auto [lo, hi] = exec.bounds(r, stale_.size());
+      copy_range(lo, hi);
     });
+  }
+
+  /// stale_[lo, hi) = loads[lo, hi).
+  void copy_range(std::size_t lo, std::size_t hi) {
+    const std::vector<load_t>& loads = state_.loads();
+    std::copy(loads.begin() + static_cast<std::ptrdiff_t>(lo),
+              loads.begin() + static_cast<std::ptrdiff_t>(hi),
+              stale_.begin() + static_cast<std::ptrdiff_t>(lo));
   }
 
   step_count b_;

@@ -273,7 +273,7 @@ inline void depart_many(P& process, rng_t& rng, step_count count) {
 /// random apply a departure kernel's per-bin counts in one validated
 /// pass, retiring the drain weight (resp. unit quanta) per departing
 /// ball with release()'s contract-error vocabulary on any overdraw.
-/// Those passes run by bin range through `exec` (load_state::
+/// That pass runs by bin range through `exec` (load_state::
 /// apply_releases); the lease pop is inherently sequential.
 inline void apply_departure_block(load_state& state, const alloc_model& model,
                                   const std::vector<std::uint32_t>& rel, step_count k,
@@ -297,18 +297,35 @@ inline void apply_departure_block(load_state& state, const alloc_model& model,
   }
 }
 
+/// Retires one departing ball from each listed bin, in list order, each
+/// through release(i, w) with the channel's departing weight (the drain
+/// weight, or 1 for random) -- the bulk departure's per-ball tail: the
+/// events a multi-shard drain settle withheld from its block commit and
+/// re-served (core/engine/shard_engine.hpp).  The lease channel has no
+/// chosen bins (it expires the oldest ball) and is refused.
+inline void apply_departed_bins(load_state& state, const alloc_model& model,
+                                const std::vector<bin_index>& bins) {
+  const departure_model::kind kind = model.departures.departure_kind();
+  NB_REQUIRE(kind == departure_model::kind::drain || kind == departure_model::kind::random,
+             "departures from chosen bins need the drain or random departure channel");
+  state.release_each(bins, kind == departure_model::kind::drain ? drain_weight(model.weighting) : 1);
+}
+
 /// A process whose departures can be served in merged blocks: it exposes
-/// its model (the engines route on the departure channel) and applies a
-/// per-bin departure-count row in one commit, its O(n) passes run by bin
-/// range through the caller's executor (default: one range on the calling
-/// thread).  Every library process implements commit_departures via
-/// apply_departure_block.
+/// its model (the engines route on the departure channel), applies a
+/// per-bin departure-count row in one commit, its O(n) pass ONE run() of
+/// the caller's executor (default: one range on the calling thread; see
+/// commit_window below), and retires departures from listed bins one by
+/// one.  Every
+/// library process implements the pair via apply_departure_block and
+/// apply_departed_bins.
 template <typename P>
 concept batch_departable = departable_process<P> && modeled_process<P> &&
     requires(P p, const std::vector<std::uint32_t>& rel, step_count k,
-             const range_executor& exec) {
+             const range_executor& exec, const std::vector<bin_index>& bins) {
       { p.commit_departures(rel, k) } -> std::same_as<void>;
       { p.commit_departures(rel, k, exec) } -> std::same_as<void>;
+      { p.commit_departed_bins(bins) } -> std::same_as<void>;
     };
 
 /// The skeleton every library process shares.  Each process of the paper
@@ -353,6 +370,10 @@ class process_base {
   void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
                          const range_executor& exec = {}) {
     apply_departure_block(state_, model_, rel, k, exec);
+  }
+  /// Retires one departure from each listed bin (see apply_departed_bins).
+  void commit_departed_bins(const std::vector<bin_index>& bins) {
+    apply_departed_bins(state_, model_, bins);
   }
 
   /// Checkpoint contract: the load state is the only mutable member
@@ -438,12 +459,13 @@ concept window_probed = requires(const P p) {
 ///   * commit_window(inc, balls[, exec]): apply the merged per-bin
 ///     increments and refresh whatever the process keeps stale (inc[i]
 ///     balls into bin i, sum(inc) == balls == the window length the engine
-///     ran), its O(n) passes run by bin range through `exec` (default: one
-///     range on the calling thread).  The refresh may be deferred: a
-///     b-Batch commit that ends a batch only marks its boundary copy
-///     pending, and the process's next mutator makes it (through that
-///     mutator's executor), so back-to-back whole-batch windows never
-///     copy,
+///     ran), as ONE run() of `exec` (default: one range on the calling
+///     thread), so the executor's prepare steps (the multi-shard engine's
+///     settle) run once per range, just ahead of that range's commit.
+///     The refresh may be deferred: a b-Batch commit that ends a batch
+///     only marks its boundary copy pending, and the process's next
+///     mutator makes it (inside that mutator's own pass), so back-to-back
+///     whole-batch windows never copy,
 ///   * commit_window(low, carries, balls[, exec]): the same commit from a
 ///     byte row with a carry list (bin i gets low[i] + 256 * (times i
 ///     appears in carries) balls), which the one-shard engine folds its

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "common/error.hpp"
 
 namespace nb {
 
-thread_pool::thread_pool(std::size_t threads) {
-  const std::size_t n = resolve_workers(threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+thread_pool::thread_pool(std::size_t workers) {
+  const std::size_t helpers = resolve_workers(workers) - 1;
+  helpers_.reserve(helpers);
+  for (std::size_t i = 0; i < helpers; ++i) {
+    helpers_.emplace_back([this] { helper_loop(); });
   }
 }
 
@@ -21,56 +22,58 @@ thread_pool::~thread_pool() {
     stopping_ = true;
   }
   task_available_.notify_all();
-  for (auto& w : workers_) w.join();
+  for (auto& h : helpers_) h.join();
 }
 
-void thread_pool::submit(std::function<void()> task) {
-  NB_REQUIRE(task != nullptr, "cannot submit an empty task");
-  {
-    std::unique_lock lock(mutex_);
-    NB_ASSERT(!stopping_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-}
-
-void thread_pool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void thread_pool::for_each(std::size_t count,
-                           const std::function<void(std::size_t, std::size_t)>& body) {
+void thread_pool::for_each(std::size_t count, const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  std::atomic<std::size_t> next{0};
-  for (std::size_t t = 0; t < std::min(size(), count); ++t) {
-    submit([&body, &next, count, t] {
-      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) body(i, t);
-    });
+  // Shared with the helper tasks, and kept alive by them: a helper that
+  // starts only after every index is done finds none left to claim and
+  // never touches `body`, which lives on the caller's stack.
+  struct claim {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+    const std::function<void(std::size_t)>* body = nullptr;
+    std::size_t count = 0;
+  };
+  const auto state = std::make_shared<claim>();
+  state->body = &body;
+  state->count = count;
+  const auto work = [](claim& c) {
+    for (std::size_t i = c.next.fetch_add(1); i < c.count; i = c.next.fetch_add(1)) {
+      (*c.body)(i);
+      if (c.done.fetch_add(1, std::memory_order_acq_rel) + 1 == c.count) c.done.notify_all();
+    }
+  };
+  // One lock and one wake-up call for all helpers: on a VM each wake-up
+  // is a costly call the caller would otherwise pay before its own share.
+  const std::size_t helpers = std::min(size(), count) - 1;
+  if (helpers > 0) {
+    {
+      std::unique_lock lock(mutex_);
+      NB_ASSERT(!stopping_);
+      for (std::size_t t = 0; t < helpers; ++t) tasks_.emplace([state, work] { work(*state); });
+    }
+    task_available_.notify_all();
   }
-  wait_idle();
+  work(*state);
+  for (std::size_t d = state->done.load(std::memory_order_acquire); d != count;
+       d = state->done.load(std::memory_order_acquire)) {
+    state->done.wait(d, std::memory_order_acquire);
+  }
 }
 
-void thread_pool::worker_loop() {
+void thread_pool::helper_loop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
       task_available_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
+      if (tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
     }
     task();
-    {
-      std::unique_lock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -78,13 +81,8 @@ void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& body) {
   NB_REQUIRE(body != nullptr, "parallel_for body must not be empty");
   if (count == 0) return;
-  const std::size_t workers = std::min(resolve_workers(threads), count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  thread_pool pool(workers);
-  pool.for_each(count, [&body](std::size_t i, std::size_t) { body(i); });
+  thread_pool pool(std::min(resolve_workers(threads), count));
+  pool.for_each(count, body);
 }
 
 std::size_t resolve_workers(std::size_t requested) noexcept {

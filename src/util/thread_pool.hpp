@@ -3,9 +3,9 @@
 // Every parallel loop of the library -- parallel_for (campaign cells),
 // the shard engine's shards and bin ranges, range_executor's ranged
 // commits -- is "run body(i) for i in [0, count), then join", and runs
-// through thread_pool::for_each: its tasks claim indices one at a time
-// from a shared counter, so a slow index (a zipf campaign cell) never
-// holds back indices queued behind it.
+// through thread_pool::for_each: the caller and the pool's helpers claim
+// indices one at a time from a shared counter, so a slow index (a zipf
+// campaign cell) never holds back indices queued behind it.
 // Determinism comes from giving each *index* (not each thread) its own
 // derived RNG seed and result slot, so results are identical for any
 // thread count, including 1; which task runs which index is free to vary.
@@ -24,46 +24,42 @@ namespace nb {
 
 class thread_pool {
  public:
-  /// Creates `threads` workers (0 means std::thread::hardware_concurrency,
-  /// with a floor of 1).
-  explicit thread_pool(std::size_t threads = 0);
+  /// A pool of `workers` workers (0 means std::thread::hardware_concurrency,
+  /// with a floor of 1): the thread that calls for_each is one of them, so
+  /// the pool starts workers - 1 helper threads, and a one-worker pool
+  /// starts none.
+  explicit thread_pool(std::size_t workers = 0);
   ~thread_pool();
 
   thread_pool(const thread_pool&) = delete;
   thread_pool& operator=(const thread_pool&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+  /// Workers, the calling thread included.
+  [[nodiscard]] std::size_t size() const noexcept { return helpers_.size() + 1; }
 
-  /// Enqueues a task; tasks must not throw (wrap and capture if needed).
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
-  /// Runs body(i, task) for every i in [0, count) and returns once all
-  /// ran: min(size(), count) pool tasks claim indices from one atomic
-  /// counter until none are left.  `task` < min(size(), count) names the
-  /// claiming task, for per-task scratch; which task runs which index
-  /// varies, so bodies write only index- or task-owned data, and must not
-  /// throw.  Joins through wait_idle, so tasks submitted ahead are waited
-  /// for too -- except at count == 0, which submits and waits for nothing.
-  void for_each(std::size_t count, const std::function<void(std::size_t, std::size_t)>& body);
+  /// Runs body(i) for every i in [0, count) and returns once all ran:
+  /// the calling thread and min(size(), count) - 1 helpers claim indices
+  /// from one atomic counter until none are left.  The caller starts at
+  /// once, so a helper woken late (or busy with another caller's
+  /// for_each) only shortens the tail instead of delaying the join, which
+  /// waits for the indices alone; a helper that finds no index left is a
+  /// no-op.  Which thread runs which index varies, so bodies write only
+  /// index-owned data, and must not throw.  count == 0 wakes nothing.
+  void for_each(std::size_t count, const std::function<void(std::size_t)>& body);
 
  private:
-  void worker_loop();
+  void helper_loop();
 
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> helpers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 
-/// Runs body(i) for i in [0, count) on a pool of `threads` workers (0 =
-/// one per hardware core) through for_each; one worker (or one index)
-/// runs inline, in index order, without a pool.  Exceptions escaping
+/// Runs body(i) for i in [0, count) on a pool of min(`threads`, count)
+/// workers (0 = one per hardware core) through for_each; one worker (or
+/// one index) starts no thread and runs the indices in order.  Exceptions escaping
 /// `body` terminate (tasks are noexcept by contract); callers that can
 /// throw should capture into a result slot instead.  Determinism
 /// contract: workers only reorder *execution*; any result keyed on the

@@ -458,6 +458,52 @@ TEST(DepartEngineShard, DrainShardsPickUncheckedAndTheSettleRepairsEveryOverdraw
   EXPECT_EQ(steady.phases.reserved_events, 0);
 }
 
+/// One heavy two-shard drain block on b-Batch at 2^17 bins, where the
+/// settle and the commit run as one pooled pass by bin range: a whole
+/// batch of n/2 engine arrivals (its boundary copy left pending), then
+/// n/2 - 1000 departures.  FNV-1a digest of the loads, the frozen batch
+/// snapshot, the resident balls and the master stream's next draw.
+drain_block_run pooled_batch_drain_block(std::size_t threads) {
+  const bin_count n = bin_count{1} << 17;
+  const step_count half = n / 2;
+  rng_t rng(17);
+  b_batch process(n, half);
+  process.set_model(make_model("unit", "uniform", n, "drain"));
+  shard_engine engine(shard_options{.threads = threads, .shards = 2, .lanes = 8});
+  engine.step_many(process, rng, half);
+  engine.depart_many(process, rng, half - 1000);
+  drain_block_run run{.phases = engine.depart_phases(),
+                      .loads = process.state().loads(),
+                      .balls = process.state().balls()};
+  std::vector<std::uint64_t> digest(run.loads.begin(), run.loads.end());
+  const std::vector<load_t>& frozen = process.window_snapshot();
+  digest.insert(digest.end(), frozen.begin(), frozen.end());
+  digest.push_back(static_cast<std::uint64_t>(run.balls));
+  digest.push_back(rng.next());
+  run.digest = fnv1a(digest);
+  return run;
+}
+
+TEST(DepartEngineShard, PooledHeavyDrainBlockClampsAndMatchesItsDigest) {
+  // From kMinPooledCommitBins bins up each range task counts the shards'
+  // buckets, clamps, makes b-Batch's pending boundary copy and commits;
+  // the clamped deficit is re-served after the commit.  The digest was
+  // recorded when settle, copy and commit were separate passes.
+  const drain_block_run heavy = pooled_batch_drain_block(2);
+  EXPECT_EQ(heavy.digest, 2253839515047998951ULL);
+  EXPECT_EQ(heavy.phases.windows, 1);
+  EXPECT_GT(heavy.phases.clamped_ranges, 0);
+  EXPECT_GT(heavy.phases.reserved_events, 0);
+  EXPECT_EQ(heavy.balls, 1000);
+  EXPECT_EQ(nb::testing::total_balls(heavy.loads), 1000);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const drain_block_run other = pooled_batch_drain_block(threads);
+    EXPECT_EQ(other.digest, heavy.digest) << threads << " threads";
+    EXPECT_EQ(other.phases.clamped_ranges, heavy.phases.clamped_ranges) << threads << " threads";
+    EXPECT_EQ(other.phases.reserved_events, heavy.phases.reserved_events) << threads << " threads";
+  }
+}
+
 TEST(DepartEngineShard, OneEngineAcrossHeavyDrainBlocksMatchesAFreshEnginePerBlock) {
   // Churn cycles at occupancy n, each n arrivals then a drain block of n
   // events: the block drains half the resident balls, so most ranges clamp.
@@ -718,6 +764,7 @@ struct placed_loads {
                          const range_executor& exec = {}) {
     apply_departure_block(st, m, rel, k, exec);
   }
+  void commit_departed_bins(const std::vector<bin_index>& bins) { apply_departed_bins(st, m, bins); }
   void set_model(alloc_model model) { install_model(st, m, std::move(model)); }
   [[nodiscard]] const alloc_model& model() const { return m; }
   [[nodiscard]] const load_state& state() const { return st; }

@@ -51,7 +51,8 @@ TEST(PaperScale, GMyopic16MatchesTable12_3) {
   // *written definition* of g-Myopic-Comp (random bin when |diff| <= g)
   // gives 16-18 here -- confirmed by an independent textbook
   // reimplementation with a different RNG; the paper's plotted values run
-  // ~0.25 g higher (see EXPERIMENTS.md).  Accept the union of both ranges.
+  // ~0.25 g higher (see README, "Reproduction notes").  Accept the union of
+  // both ranges.
   const double gap = single_gap(g_myopic_comp(kN, 16), kM, 1005);
   EXPECT_GE(gap, 15.0);
   EXPECT_LE(gap, 26.0);

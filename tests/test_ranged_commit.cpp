@@ -8,7 +8,10 @@
 // naming the same bin with the state untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "test_support.hpp"
@@ -70,6 +73,11 @@ std::vector<std::uint32_t> random_counts(bin_count n, std::uint32_t max, std::ui
   return v;
 }
 
+/// `ranges` ranges of ceil(n / ranges) bins on `pool`.
+range_executor split(thread_pool& pool, std::size_t ranges, std::size_t n) {
+  return range_executor(&pool, ranges, (n + ranges - 1) / ranges);
+}
+
 /// Runs `op(state, exec)` on a copy of `start` through the pool at every
 /// range count and checks each result against the default executor's.
 template <typename Op>
@@ -79,7 +87,7 @@ void expect_parity(const load_state& start, const Op& op, const std::string& wha
   thread_pool pool(4);
   for (const std::size_t ranges : range_counts()) {
     load_state pooled = start;
-    op(pooled, range_executor(pool, ranges));
+    op(pooled, split(pool, ranges, start.n()));
     expect_same_state(pooled, reference, what + " ranges=" + std::to_string(ranges));
   }
 }
@@ -104,7 +112,7 @@ void expect_same_refusal(const load_state& start, const Op& op, const std::strin
   for (const std::size_t ranges : range_counts()) {
     load_state s = start;
     try {
-      op(s, range_executor(pool, ranges));
+      op(s, split(pool, ranges, start.n()));
       FAIL() << "ranges=" << ranges << " must refuse";
     } catch (const contract_error& e) {
       EXPECT_EQ(std::string(e.what()), reference) << "ranges=" << ranges;
@@ -196,7 +204,17 @@ TEST(RangedCommit, RebuildCountsMatchANaiveRecountAtEveryShape) {
     for (const load_t x : loads) ++recount[static_cast<std::size_t>(x - 40)];
     for (const std::size_t ranges : {1u, 3u, 7u}) {
       SCOPED_TRACE(sh.name + ", ranges=" + std::to_string(ranges));
-      ASSERT_TRUE(index.rebuild(loads, 40, 40 + sh.levels - 1, range_executor(pool, ranges)));
+      // The three steps of a ranged pass: slots, one count per range task
+      // keyed on the range's own minimum, the merge.
+      const range_executor exec = split(pool, ranges, sh.n);
+      index.begin_ranges(ranges, exec.chunk());
+      exec.run([&](std::size_t r) {
+        const auto [lo, hi] = exec.bounds(r, sh.n);
+        const auto [mn, mx] = std::minmax_element(loads.begin() + static_cast<std::ptrdiff_t>(lo),
+                                                  loads.begin() + static_cast<std::ptrdiff_t>(hi));
+        index.count_range(r, loads.data(), lo, hi, *mn, *mx);
+      });
+      ASSERT_TRUE(index.merge_ranges(loads, 40, 40 + sh.levels - 1, exec));
       EXPECT_EQ(index.min_level(), 40);
       EXPECT_EQ(index.max_level(), 40 + sh.levels - 1);
       EXPECT_EQ(index.bins(), sh.n);
@@ -260,6 +278,164 @@ TEST(RangedCommit, ReleaseUnderflowNamesTheFirstBinAndMutatesNothing) {
       "do not sum");
 }
 
+/// Pooled executors of 1, 2, 16 and 2n ranges over n bins (the last
+/// leaves trailing ranges empty), in both bound layouts: ceil(n / ranges)
+/// bins per range, and the fewest power-of-two bins that cover n, as the
+/// shard engine lays them -- those also on the calling thread.
+std::vector<std::pair<std::string, range_executor>> range_shapes(thread_pool& pool, bin_count n) {
+  std::vector<std::pair<std::string, range_executor>> shapes;
+  for (const std::size_t ranges : {std::size_t{1}, std::size_t{2}, std::size_t{16}, 2 * std::size_t{n}}) {
+    std::size_t chunk = 1;
+    while (ranges * chunk < n) chunk *= 2;
+    const std::string r = std::to_string(ranges);
+    shapes.emplace_back("ceil ranges=" + r, split(pool, ranges, n));
+    shapes.emplace_back(std::to_string(chunk) + "-bin ranges=" + r,
+                        range_executor(&pool, ranges, chunk));
+    shapes.emplace_back("calling thread " + std::to_string(chunk) + "-bin ranges=" + r,
+                        range_executor(nullptr, ranges, chunk));
+  }
+  return shapes;
+}
+
+/// `got` against a from-scratch recount: the expected loads and totals,
+/// and a level index that counts exactly the bins at every level.
+void expect_recount(const load_state& got, const std::vector<load_t>& loads, step_count balls,
+                    weight_t weight, const std::string& what) {
+  ASSERT_EQ(got.loads(), loads) << what;
+  EXPECT_EQ(got.balls(), balls) << what;
+  EXPECT_EQ(got.total_weight(), weight) << what;
+  ASSERT_TRUE(got.levels_valid()) << what;
+  const auto [mn, mx] = std::minmax_element(loads.begin(), loads.end());
+  EXPECT_EQ(got.min_load(), *mn) << what;
+  EXPECT_EQ(got.max_load(), *mx) << what;
+  for (load_t l = *mn - 1; l <= *mx + 1; ++l) {
+    EXPECT_EQ(got.levels().count_at(l),
+              static_cast<bin_count>(std::count(loads.begin(), loads.end(), l)))
+        << what << " level " << l;
+  }
+}
+
+TEST(RangedCommit, OnePassMatchesTheCallingThreadAndARecountAtEveryRangeShape) {
+  // Every commit form through every range shape: the uint32 row, the
+  // byte row with a carry list (bins of 256 and more balls), and a
+  // release row, under unit and fixed weights.
+  thread_pool pool(4);
+  for (const weight_t w : {weight_t{1}, weight_t{3}}) {
+    for (const bin_count n : {37u, 1000u}) {
+      const std::string what = "w=" + std::to_string(w) + " n=" + std::to_string(n);
+      const load_state start = scattered(n, 3 * static_cast<step_count>(n), w, n + w);
+      rng_t rng(n * 7 + w);
+      std::vector<std::uint32_t> add(n);
+      for (auto& c : add) {
+        c = static_cast<std::uint32_t>(bounded(rng, 20) == 0 ? bounded(rng, 700) : bounded(rng, 7));
+      }
+      std::vector<std::uint8_t> low(n);
+      std::vector<std::uint32_t> carries;
+      for (bin_index i = 0; i < n; ++i) {
+        low[i] = static_cast<std::uint8_t>(add[i] & 0xFF);
+        for (std::uint32_t c = 0; c < add[i] >> 8; ++c) carries.push_back(i);
+      }
+      ASSERT_FALSE(carries.empty()) << what;
+      std::reverse(carries.begin(), carries.end());  // any order is one commit
+      std::vector<std::uint32_t> rel(n);
+      step_count k = 0;
+      std::vector<load_t> added = start.loads();
+      std::vector<load_t> released = start.loads();
+      step_count placed = 0;
+      for (bin_index i = 0; i < n; ++i) {
+        added[i] += static_cast<load_t>(add[i] * w);
+        placed += add[i];
+        rel[i] = static_cast<std::uint32_t>(bounded(rng, static_cast<std::uint64_t>(start.load(i) / w) + 1));
+        released[i] -= static_cast<load_t>(rel[i] * w);
+        k += rel[i];
+      }
+      load_state wide = start;
+      wide.apply_increments(add, w);
+      load_state bytes = start;
+      bytes.apply_increments(low, carries, w);
+      load_state gone = start;
+      gone.apply_releases(rel, w, k);
+      expect_recount(wide, added, start.balls() + placed, start.total_weight() + placed * w,
+                     what + " uint32 row");
+      expect_recount(bytes, added, start.balls() + placed, start.total_weight() + placed * w,
+                     what + " byte row");
+      expect_recount(gone, released, start.balls() - k, start.total_weight() - k * w,
+                     what + " releases");
+      for (const auto& [shape, exec] : range_shapes(pool, n)) {
+        load_state s = start;
+        s.apply_increments(add, w, exec);
+        expect_same_state(s, wide, what + " uint32 row, " + shape);
+        s = start;
+        s.apply_increments(low, carries, w, exec);
+        expect_same_state(s, wide, what + " byte row, " + shape);
+        s = start;
+        s.apply_releases(rel, w, k, exec);
+        expect_same_state(s, gone, what + " releases, " + shape);
+      }
+    }
+  }
+}
+
+/// The refusal contract on b-Batch, for a commit whose culprit sits in
+/// the last range while earlier ranges commit (and are undone): every
+/// executor throws the calling thread's message, and the loads, the
+/// level index, balls(), the frozen batch snapshot and the pending
+/// boundary copy are exactly as before.
+template <typename Op>
+void expect_batch_refusal(const b_batch& start, const Op& op, const std::string& needle) {
+  ASSERT_TRUE(start.boundary_copy_pending());
+  thread_pool pool(4);
+  std::vector<std::pair<std::string, range_executor>> shapes = range_shapes(pool, start.state().n());
+  shapes.emplace(shapes.begin(), "default", range_executor{});
+  std::string reference;
+  for (const auto& [shape, exec] : shapes) {
+    b_batch p = start;
+    try {
+      op(p, exec);
+      ADD_FAILURE() << shape << " must refuse";
+    } catch (const contract_error& e) {
+      if (reference.empty()) reference = e.what();
+      EXPECT_EQ(std::string(e.what()), reference) << shape;
+    }
+    expect_same_state(p.state(), start.state(), shape + " after refusal");
+    EXPECT_EQ(p.window_snapshot(), start.window_snapshot()) << shape;
+    EXPECT_TRUE(p.boundary_copy_pending()) << shape;
+    EXPECT_EQ(p.snapshot_is_live(), start.snapshot_is_live()) << shape;
+  }
+  EXPECT_NE(reference.find(needle), std::string::npos) << reference;
+}
+
+TEST(RangedCommit, LateRangeRefusalLeavesTheBatchUntouched) {
+  // Weight 2: a first whole batch puts bin 997 two balls short of its
+  // 32-bit ceiling and leaves the boundary copy pending.  A partial
+  // window that adds to early bins and three balls to bin 997 overflows
+  // it; a departure block that takes one ball too many from it
+  // underflows it.  Either way the early ranges' work is undone.
+  const bin_count n = 1000;
+  const bin_index late = 997;
+  const auto heavy = static_cast<std::uint32_t>(std::numeric_limits<load_t>::max() / 2 - 1);
+  const step_count b = step_count{heavy} + 2 * (n - 1);
+  b_batch start(n, b);
+  start.set_model(make_model("fixed:2", "uniform", n, "drain"));
+  std::vector<std::uint32_t> batch(n, 2);
+  batch[late] = heavy;
+  start.commit_window(batch, b);
+  std::vector<std::uint32_t> window(n, 0);
+  for (bin_index i = 0; i < 20; ++i) window[i] = 1;
+  window[late] = 3;
+  expect_batch_refusal(
+      start,
+      [&](b_batch& p, const range_executor& exec) { p.commit_window(window, 23, exec); },
+      "would overflow bin 997");
+  std::vector<std::uint32_t> rel(n, 1);
+  rel[late] = heavy + 1;
+  const step_count k = step_count{heavy} + n;
+  expect_batch_refusal(
+      start,
+      [&](b_batch& p, const range_executor& exec) { p.commit_departures(rel, k, exec); },
+      "would underflow bin 997");
+}
+
 /// Two b-Batch processes fed the same windows and departure blocks, one
 /// through the default executor and one through the pool, must agree on
 /// the state, the frozen batch snapshot and its liveness after each
@@ -280,7 +456,7 @@ TEST(RangedCommit, BatchCommitWindowAndDeparturesMatchSerial) {
       b_batch pooled(n, n);
       serial.set_model(make_model(weighting, "uniform", n, "drain"));
       pooled.set_model(make_model(weighting, "uniform", n, "drain"));
-      const range_executor exec(pool, ranges);
+      const range_executor exec = split(pool, ranges, n);
       const std::string what =
           std::string(weighting) + " ranges=" + std::to_string(ranges);
       rng_t rng(11);

@@ -1,6 +1,6 @@
-// thread_pool, its for_each fan-out and parallel_for: lifecycle,
-// wait_idle under concurrent submitters, the size floor, for_each's
-// exact cover and task numbering, and the determinism contract the
+// thread_pool, its for_each fan-out and parallel_for: the size floor,
+// for_each's exact cover (alone, beside a busy helper and from
+// concurrent callers), and the determinism contract the
 // simulation drivers rely on (results depend on indices, never on thread
 // count).
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@ using namespace nb;
 
 TEST(ThreadPool, SizeFloorOfOne) {
   // 0 means "hardware concurrency", which may itself report 0 -- the pool
-  // must still come up with at least one worker or submits would hang.
+  // must still come up with at least one worker, the calling thread.
   thread_pool automatic(0);
   EXPECT_GE(automatic.size(), 1u);
   thread_pool three(3);
@@ -29,110 +29,91 @@ TEST(ThreadPool, SizeFloorOfOne) {
   EXPECT_EQ(one.size(), 1u);
 }
 
-TEST(ThreadPool, WaitIdleDrainsAllTasks) {
-  thread_pool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-  // The pool stays usable after an idle barrier.
-  pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 101);
-}
-
-TEST(ThreadPool, WaitIdleUnderConcurrentSubmits) {
-  // Several external threads feed the pool while the main thread blocks on
-  // wait_idle: the barrier must neither deadlock nor miss work that was
-  // already enqueued by the time the submitters were joined.
-  thread_pool pool(3);
-  std::atomic<int> counter{0};
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksEach = 200;
-  std::vector<std::thread> submitters;
-  submitters.reserve(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&pool, &counter] {
-      for (int i = 0; i < kTasksEach; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  // Interleave idle barriers with the ongoing submissions; each call must
-  // return (in-flight work only ever drains) without losing tasks.
-  pool.wait_idle();
-  for (auto& t : submitters) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  thread_pool pool(2);
-  pool.wait_idle();  // nothing submitted: must not block
-  SUCCEED();
-}
-
-TEST(ThreadPool, RejectsEmptyTask) {
-  thread_pool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), contract_error);
-}
-
-TEST(ForEach, RunsEveryIndexOnceOnATaskBelowMinOfSizeAndCount) {
+TEST(ForEach, RunsEveryIndexExactlyOnce) {
   // Counts below, equal to and far above the pool's size.
   thread_pool pool(4);
   for (const std::size_t count : {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{9},
                                   std::size_t{5000}}) {
-    const std::size_t tasks = std::min(pool.size(), count);
     std::vector<std::atomic<int>> hits(count);
-    std::vector<std::size_t> task_of(count, tasks);
-    pool.for_each(count, [&](std::size_t i, std::size_t task) {
-      hits[i].fetch_add(1);
-      task_of[i] = task;
-    });
+    pool.for_each(count, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < count; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of " << count;
-      ASSERT_LT(task_of[i], tasks) << "index " << i << " of " << count;
     }
   }
 }
 
-TEST(ForEach, ZeroCountSubmitsNothing) {
-  // The only worker is busy until released: for_each(0) must return
-  // without calling the body, submitting a task or waiting for the pool.
+TEST(ForEach, OneWorkerPoolRunsInOrderOnTheCaller) {
   thread_pool pool(1);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.for_each(10, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
   });
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ForEach, FinishesOnTheCallerWhileEveryHelperIsBusy) {
+  // Another caller's fan-out holds the only helper until released: a
+  // second for_each must not wait for it, but run every index itself, and
+  // for_each(0) must return without calling its body.
+  thread_pool pool(2);
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  auto blocker = std::async(std::launch::async, [&] {
+    pool.for_each(2, [&](std::size_t) {
+      entered.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (entered.load() < 2) std::this_thread::yield();
+  std::vector<std::atomic<int>> hits(5);
   std::atomic<bool> called{false};
   auto call = std::async(std::launch::async, [&] {
-    pool.for_each(0, [&called](std::size_t, std::size_t) { called = true; });
+    pool.for_each(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    pool.for_each(0, [&called](std::size_t) { called = true; });
   });
   const bool returned = call.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
   release = true;
   call.wait();
-  pool.wait_idle();
-  EXPECT_TRUE(returned) << "for_each(0) waited for unrelated work";
+  blocker.wait();
+  EXPECT_TRUE(returned) << "for_each waited for a busy helper";
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   EXPECT_FALSE(called.load());
 }
 
-TEST(ForEach, PoolStaysUsableAfterwards) {
+TEST(ForEach, ConcurrentCallersEachCoverTheirIndices) {
+  // Several threads fan out on one pool at once: each fan-out covers its
+  // own indices exactly once, and the pool stays usable afterwards.
   thread_pool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 3; ++round) {
-    pool.for_each(10, [&counter](std::size_t, std::size_t) { counter.fetch_add(1); });
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCount = 200;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kCount);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &hits, c] {
+      for (int round = 0; round < 10; ++round) {
+        pool.for_each(kCount, [&hits, c](std::size_t i) { hits[c][i].fetch_add(1); });
+      }
+    });
   }
-  EXPECT_EQ(counter.load(), 30);
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 31);
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(hits[c][i].load(), 10) << "caller " << c << " index " << i;
+    }
+  }
+  std::atomic<int> counter{0};
+  pool.for_each(10, [&counter](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 10);
 }
 
 TEST(ParallelFor, DeterministicAcrossThreadCounts) {
   // The drivers' contract: body(i) results depend only on i, so any thread
-  // count -- including the inlined threads == 1 path -- fills identically.
+  // count -- including threads == 1, which starts no thread -- fills identically.
   constexpr std::size_t kCount = 500;
   const auto fill = [](std::size_t threads) {
     std::vector<std::uint64_t> out(kCount, 0);
