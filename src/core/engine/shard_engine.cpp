@@ -1,5 +1,6 @@
 #include "core/engine/shard_engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <string>
 
@@ -23,41 +24,30 @@ shard_engine::shard_engine(shard_options opt)
     // nothing); this is the threads_per_run > cores trap, say so once.
     warn_if_oversubscribed(pool_->size(), "shard-engine threads_per_run");
   }
+  // One byte row and carry list per task of a block's shard fan-out.
+  const std::size_t tasks = pool_ ? std::min(pool_->size(), opt.shards) : 1;
+  rows_.resize(tasks);
+  carries_.resize(tasks);
 }
 
 void shard_engine::layout_ranges(bin_count n) {
   const std::uint64_t per_shard = (std::uint64_t{n} + opt_.shards - 1) / opt_.shards;
   range_bits_ = std::min(kMaxRangeBits, static_cast<unsigned>(std::bit_width(per_shard - 1)));
   range_count_ = (std::size_t{n} + (std::size_t{1} << range_bits_) - 1) >> range_bits_;
-  buckets_.resize(opt_.shards * bucket_stride());
-}
-
-void shard_engine::bucket_shard(std::size_t s, step_count begin, step_count count) {
-  const unsigned bits = range_bits_;
-  const auto mask = static_cast<std::uint32_t>((std::size_t{1} << bits) - 1);
-  std::uint32_t* b = shard_buckets(s);
-  std::fill_n(b, range_count_ + 1, 0);
-  const std::uint32_t* picks = picks_.data() + begin;
-  const auto size = static_cast<std::size_t>(count);
-  for (std::size_t i = 0; i < size; ++i) ++b[picks[i] >> bits];
-  auto at = static_cast<std::uint32_t>(begin);
-  for (std::size_t r = 0; r <= range_count_; ++r) at += std::exchange(b[r], at);
-  // Scattering advances b[r] to bucket r's end, which is bucket r + 1's
-  // start; the shift below restores the starts.
-  for (std::size_t i = 0; i < size; ++i) {
-    sorted_[b[picks[i] >> bits]++] = static_cast<std::uint16_t>(picks[i] & mask);
-  }
-  for (std::size_t r = range_count_; r > 0; --r) b[r] = b[r - 1];
-  b[0] = static_cast<std::uint32_t>(begin);
 }
 
 void shard_engine::count_range(std::size_t r, bin_count n) {
   const auto [lo, hi] = range_bounds(r, n);
   std::uint32_t* slice = merged_.data() + lo;
-  std::fill(slice, merged_.data() + hi, 0);
-  for (std::size_t s = 0; s < opt_.shards; ++s) {
-    const std::uint32_t* b = shard_buckets(s);
-    for (std::uint32_t j = b[r]; j < b[r + 1]; ++j) ++slice[sorted_[j]];
+  const std::size_t width = hi - lo;
+  std::fill_n(slice, width, 0);
+  for (std::size_t w = 0; w < rows_.size(); ++w) {
+    if (row_used_[w] == 0) continue;
+    const std::uint8_t* low = rows_[w].data() + lo;
+    for (std::size_t i = 0; i < width; ++i) slice[i] += low[i];
+    for (const std::uint32_t c : carries_[w]) {
+      if (c >= lo && c < hi) slice[c - lo] += 256;
+    }
   }
 }
 

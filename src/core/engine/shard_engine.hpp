@@ -17,22 +17,25 @@
 //     and the process commits that pair directly; a drain block counts
 //     into the uint32 row merged_;
 //   * S >= 2 shards: the window splits into S fixed shards, shard s draws
-//     from the substream shard_stream_seed(token, s), a worker pool
-//     executes the shards, each shard writes its chosen bins into a pick
-//     buffer and counting-sorts them into power-of-two bin ranges.  Then
-//     ONE pooled pass over the same ranges settles and commits: range r's
-//     task counts every shard's bucket r, in shard order, into range r of
-//     one merged row (a drain block also clamps it to snapshot capacity),
-//     and the process commits range r while that slice is L2-hot -- its
-//     pending boundary copy, the validating add and the range's level
-//     histogram included.  A drain block then re-serves the clamped
-//     deficit under the drain kernel's re-serve law, depart_replay, one
-//     departure per event -- the one repair of a multi-shard drain block.
-//     So a multi-shard block is two pool fan-outs after its snapshot:
-//     the picks, and the settle-and-commit.
+//     from the substream shard_stream_seed(token, s), and min(threads, S)
+//     pool tasks claim the shards from one counter.  Each task folds every
+//     shard it claims into its own n-byte row plus carry list (the byte
+//     form again; a drain shard runs it over the inverted snapshot).  Then
+//     ONE pooled pass over power-of-two bin ranges settles and commits:
+//     range r's task sums the used rows' slices of range r, plus 256 per
+//     carry in it, into range r of one merged row (a drain block also
+//     clamps it to snapshot capacity), and the process commits range r
+//     while that slice is L2-hot -- its pending boundary copy, the
+//     validating add and the range's level histogram included.  A drain
+//     block then re-serves the clamped deficit under the drain kernel's
+//     re-serve law, depart_replay, one departure per event -- the one
+//     repair of a multi-shard drain block.  So a multi-shard block is two
+//     pool fan-outs after its snapshot: the shard folds, and the
+//     settle-and-commit; its scratch is min(threads, S) * n bytes of rows.
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
-// they never influence sampling or merge order.  Relative to the serial
+// they never influence sampling, and counts are sums, so which task folded
+// which shard cannot change the merged row.  Relative to the serial
 // bulk path the engine draws different (but identically distributed)
 // randomness, so serial-vs-engine agreement is distributional, not
 // bitwise; tests enforce both contracts.
@@ -50,6 +53,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -67,18 +71,18 @@ namespace nb {
 
 /// Execution-only wall time the engine spent in the phases of its
 /// fast-path windows, summed over `windows` windows: compact snapshot
-/// assignment, sampling (with one shard the row zeroing plus the kernel,
-/// with more the shards' picks and bucket sorts) and the process's
-/// commit_window -- with more shards the one pooled pass that counts the
-/// buckets into the merged row range by range and commits each range.
-/// merge stays 0 for arrival windows.  One-shard windows also count their
-/// carry-list entries.  The engine books its departure blocks into a
-/// second record of the same shape (`windows` counts blocks, commit is
-/// commit_departures, with a multi-shard drain block's bucket count and
-/// clamp inside its pass, and merge is that block's re-serve of the
-/// clamped deficit after the commit; a random block books its whole
-/// hypergeometric pass as kernel and no snapshot or merge), which alone
-/// also counts what the multi-shard drain settle clamped and re-served.
+/// assignment, sampling (the row zeroing plus the kernel, with more shards
+/// in every pool task's row) and the process's commit_window -- with more
+/// shards the one pooled pass that sums the task rows into the merged row
+/// range by range and commits each range.  merge stays 0 for arrival
+/// windows, which also count their carry-list entries.  The engine books
+/// its departure blocks into a second record of the same shape (`windows`
+/// counts blocks, commit is commit_departures, with a multi-shard drain
+/// block's row sum and clamp inside its pass, and merge is that block's
+/// re-serve of the clamped deficit after the commit; a random block books
+/// its whole hypergeometric pass as kernel and no snapshot or merge),
+/// which alone also counts what the multi-shard drain settle clamped and
+/// re-served.
 /// Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
@@ -86,8 +90,9 @@ struct window_phase_times {
   std::int64_t kernel_ns = 0;
   std::int64_t merge_ns = 0;
   std::int64_t commit_ns = 0;
-  /// Carry-list entries of one-shard arrival windows: one per 256 balls a
-  /// bin took in one window.  0 while no bin reaches 256 (b = n windows).
+  /// Carry-list entries of arrival windows: one per 256 balls a bin took
+  /// in one row (with several shards, in one pool task's row) in one
+  /// window.  0 while no bin reaches 256 (b = n windows).
   step_count carries = 0;
   /// Bin ranges whose merged drain counts the clamp lowered.
   step_count clamped_ranges = 0;
@@ -139,7 +144,7 @@ struct shard_options {
 using kernel_options = shard_options;
 
 /// The windowed batch engine.  Owns the per-window scratch (compact
-/// snapshot, merged count row, shard picks) and, with two or more shards,
+/// snapshot, merged count row, byte rows) and, with two or more shards,
 /// the worker pool, so one engine instance amortizes both across all
 /// windows of a run -- create it once per run (or reuse across runs of
 /// the same configuration).
@@ -223,7 +228,7 @@ class shard_engine {
   ///     no snapshot, no span limit, no cut at block_cap();
   ///   * drain: the block snapshots the loads inverted.  One shard serves
   ///     it in one kernel call seeded by the token.  With more, shard s
-  ///     picks its share on substream shard_stream_seed(token, s) without
+  ///     draws its share on substream shard_stream_seed(token, s) without
   ///     a capacity check, so the merged counts can overdraw a bin, and
   ///     the settle clamps each bin to its snapshot capacity inside the
   ///     commit pass; after the commit the deficit is re-served from the
@@ -326,10 +331,9 @@ class shard_engine {
                  : max_run_balls;
   }
 
-  /// Widest bin range of the multi-shard settle: 2^16 bins, so a bin's
-  /// offset in its range fits the 16-bit bucket entries and a range's
-  /// slice of merged_ (256 KiB) stays L2-resident while every shard's
-  /// bucket counts into it and the commit then reads it.
+  /// Widest bin range of the multi-shard settle: 2^16 bins, so a range's
+  /// slice of merged_ (256 KiB) stays L2-resident while every task row's
+  /// slice is summed into it and the commit then reads it.
   static constexpr unsigned kMaxRangeBits = 16;
 
   /// Assigns the window's compact snapshot by range through `exec`: from
@@ -349,17 +353,10 @@ class shard_engine {
     return k / shards + (static_cast<step_count>(s) < k % shards ? 1 : 0);
   }
 
-  /// Index of shard s's first pick in picks_: the shares of shards < s.
-  [[nodiscard]] step_count shard_begin(step_count k, std::size_t s) const noexcept {
-    const auto shards = static_cast<step_count>(opt_.shards);
-    const auto index = static_cast<step_count>(s);
-    return index * (k / shards) + std::min(index, k % shards);
-  }
-
   /// Lays the multi-shard engine's bin ranges over n bins: power-of-two
   /// ranges about one shard's share of the bins wide (at most 2^16), so
-  /// there are roughly as many ranges as shards.  The ranges carry every
-  /// pooled pass of a block -- snapshot, bucket sort, settle and commit --
+  /// there are roughly as many ranges as shards.  The ranges carry the
+  /// pooled passes around the shard folds -- snapshot, settle and commit --
   /// and are execution-only (counts do not depend on them), but depend on
   /// (n, shards) alone, so the clamp counters are thread invariant too.
   void layout_ranges(bin_count n);
@@ -373,13 +370,6 @@ class shard_engine {
                           std::size_t{1} << range_bits_);
   }
 
-  /// Distance between two shards' bucket bounds in buckets_: the
-  /// range_count_ + 1 bounds plus one cache line, so no two shards' bounds
-  /// share a line while their tasks count into them.
-  [[nodiscard]] std::size_t bucket_stride() const noexcept {
-    return range_count_ + 1 + 64 / sizeof(std::uint32_t);
-  }
-
   /// Bins [first, second) of bin range r.
   [[nodiscard]] std::pair<std::size_t, std::size_t> range_bounds(std::size_t r,
                                                                  bin_count n) const noexcept {
@@ -387,18 +377,9 @@ class shard_engine {
     return {lo, std::min(lo + (std::size_t{1} << range_bits_), std::size_t{n})};
   }
 
-  /// Shard s's bucket bounds: bucket r is sorted_[b[r], b[r + 1]).
-  [[nodiscard]] std::uint32_t* shard_buckets(std::size_t s) noexcept {
-    return buckets_.data() + s * bucket_stride();
-  }
-
-  /// Counting-sorts shard s's `count` picks at picks_[begin..) into its
-  /// bin-range buckets in sorted_[begin..), each stored as its offset
-  /// within the range.
-  void bucket_shard(std::size_t s, step_count begin, step_count count);
-
-  /// Zeroes range r's slice of merged_, then counts every shard's bucket r
-  /// into it in shard order.  The slice is L2-resident across the shards.
+  /// Writes range r's slice of merged_: the sum of the slices of every
+  /// task row the block used, plus 256 for each of their carry entries in
+  /// the range.  The slice is L2-resident across the rows.
   void count_range(std::size_t r, bin_count n);
 
   /// The drain settle of range r, after count_range: clamps every bin of
@@ -411,17 +392,15 @@ class shard_engine {
   /// draws the block's one master-stream token and decides the block from
   /// it.  One shard is one `leaf(k, seed)` call on the calling thread,
   /// seeded by the token itself, which counts into rows of its own choice
-  /// (low_ and carries_ for arrivals, merged_ for drain blocks).  S >= 2
-  /// shards are shard-claiming pool tasks: shard s runs `pick(picks,
-  /// count, seed)` on seed shard_stream_seed(token, s), writing its
-  /// decided bins into its segment of picks_, then buckets them.
+  /// (rows_[0] and carries_[0] for arrivals, merged_ for drain blocks).
+  /// S >= 2 shards run as fold_shards' pool tasks, each shard one `fold`.
   /// `commit()` then applies the counts; with S >= 2 it is one pass by
   /// bin range (block_executor) whose prepare step settles each range's
-  /// slice of merged_ from the buckets just before the range commits.
+  /// slice of merged_ from the task rows just before the range commits.
   /// Books the kernel and commit phases, and returns the token.
-  template <typename Leaf, typename Pick, typename Commit>
-  std::uint64_t run_block(rng_t& rng, step_count k, window_phase_times& phases, Leaf&& leaf,
-                          Pick&& pick, Commit&& commit) {
+  template <typename Leaf, typename Fold, typename Commit>
+  std::uint64_t run_block(rng_t& rng, bin_count n, step_count k, window_phase_times& phases,
+                          Leaf&& leaf, Fold&& fold, Commit&& commit) {
     ++phases.windows;
     const std::int64_t t_kernel = engine_detail::phase_clock_ns();
     // Every stream of the block derives from this token, so no result can
@@ -430,21 +409,43 @@ class shard_engine {
     if (!pool_) {
       leaf(k, token);
     } else {
-      picks_.resize(static_cast<std::size_t>(k));
-      sorted_.resize(static_cast<std::size_t>(k));
-      // Each shard's picks and buckets land in its own segments.
-      pool_->for_each(opt_.shards, [&](std::size_t s) {
-        const step_count begin = shard_begin(k, s);
-        const step_count count = shard_share(k, s);
-        if (count > 0) pick(picks_.data() + begin, count, shard_stream_seed(token, s));
-        bucket_shard(s, begin, count);
-      });
+      fold_shards(n, k, token, fold);
     }
     const std::int64_t t_commit = engine_detail::phase_clock_ns();
     phases.kernel_ns += t_commit - t_kernel;
     commit();
     phases.commit_ns += engine_detail::phase_clock_ns() - t_commit;
     return token;
+  }
+
+  /// The S >= 2 shards of a block of `k` balls or events: one pool task
+  /// per row of rows_, each claiming shards from one counter until none
+  /// are left.  A task zeroes its row on its first claim (marking it in
+  /// row_used_) and folds shard s into it and its carry list,
+  /// `fold(low, carries, count, shard_stream_seed(token, s))`.  Counts are
+  /// sums, so the rows' total does not depend on which task claimed which
+  /// shard.  Rows and carry lists are sized before the fan-out, so no task
+  /// allocates: a task's list takes one entry per 256 of its <= k balls.
+  template <typename Fold>
+  void fold_shards(bin_count n, step_count k, std::uint64_t token, Fold& fold) {
+    const std::size_t tasks = rows_.size();
+    for (std::size_t w = 0; w < tasks; ++w) {
+      rows_[w].resize(n);
+      carries_[w].clear();
+      carries_[w].reserve(static_cast<std::size_t>((k + 255) / 256));
+    }
+    row_used_.assign(tasks, 0);
+    std::atomic<std::size_t> next{0};
+    pool_->for_each(tasks, [&](std::size_t w) {
+      for (std::size_t s = next++; s < opt_.shards; s = next++) {
+        if (row_used_[w] == 0) {
+          std::fill(rows_[w].begin(), rows_[w].end(), std::uint8_t{0});
+          row_used_[w] = 1;
+        }
+        const step_count count = shard_share(k, s);
+        if (count > 0) fold(rows_[w].data(), carries_[w], count, shard_stream_seed(token, s));
+      }
+    });
   }
 
   /// One fast-path window of `k` balls, all decided against the window
@@ -467,30 +468,26 @@ class shard_engine {
     if constexpr (modeled_process<P>) {
       if (!process.model().sampler.is_uniform()) table = &process.model().sampler.table();
     }
+    const auto fold = [&](std::uint8_t* low, std::vector<std::uint32_t>& carries,
+                          step_count balls, std::uint64_t seed) {
+      if (table != nullptr) {
+        kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(), low,
+                         carries, balls, seed);
+      } else {
+        kernel_run(isa_, opt_.lanes, n, snap, low, carries, balls, seed);
+      }
+    };
     run_block(
-        rng, k, phases_,
+        rng, n, k, phases_,
         [&](step_count balls, std::uint64_t seed) {
-          low_.assign(n, 0);
-          carries_.clear();
-          if (table != nullptr) {
-            kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
-                             low_.data(), carries_, balls, seed);
-          } else {
-            kernel_run(isa_, opt_.lanes, n, snap, low_.data(), carries_, balls, seed);
-          }
-          phases_.carries += static_cast<step_count>(carries_.size());
+          rows_[0].assign(n, 0);
+          carries_[0].clear();
+          fold(rows_[0].data(), carries_[0], balls, seed);
         },
-        [&](std::uint32_t* picks, step_count balls, std::uint64_t seed) {
-          if (table != nullptr) {
-            kernel_pick_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
-                              picks, balls, seed);
-          } else {
-            kernel_pick(isa_, opt_.lanes, n, snap, picks, balls, seed);
-          }
-        },
+        fold,
         [&] {
           if (!pool_) {
-            process.commit_window(low_, carries_, k);
+            process.commit_window(rows_[0], carries_[0], k);
             return;
           }
           merged_.resize(n);
@@ -500,6 +497,9 @@ class shard_engine {
                                   return step_count{0};
                                 }));
         });
+    for (const std::vector<std::uint32_t>& carries : carries_) {
+      phases_.carries += static_cast<step_count>(carries.size());
+    }
     return true;
   }
 
@@ -514,10 +514,10 @@ class shard_engine {
   /// counts are committed directly -- no snapshot, kernel, clamp or
   /// re-serve, and nothing a shard, lane, thread or ISA setting changes.
   ///
-  /// With several shards, drain shards always run the unchecked pick fill
-  /// (kernel_pick) over the inverted snapshot.  A shard whose counts stay
+  /// With several shards, drain shards always run the unchecked byte form
+  /// of kernel_run over the inverted snapshot.  A shard whose counts stay
   /// within capacity everywhere decides exactly what the checked
-  /// kernel_depart would; a bin one shard alone picks past its capacity
+  /// kernel_depart would; a bin one shard alone draws past its capacity
   /// is over capacity in the merged counts too, so the settle's clamp and
   /// re-serve repair it like any bin the shards overdraw together.
   template <batch_departable P>
@@ -544,15 +544,16 @@ class shard_engine {
     const load_t base = snapshot_.base();
     const weight_t w = drain_weight(process.model().weighting);
     const std::uint64_t token = run_block(
-        rng, k, depart_phases_,
+        rng, n, k, depart_phases_,
         // Cannot throw: depart_many admitted at most the resident balls, so
         // no shard's drain ever runs out of snapshot capacity.
         [&](step_count events, std::uint64_t seed) {
           merged_.assign(n, 0);
           kernel_depart(isa_, opt_.lanes, n, inv, base, w, merged_.data(), events, seed);
         },
-        [&](std::uint32_t* picks, step_count events, std::uint64_t seed) {
-          kernel_pick(isa_, opt_.lanes, n, inv, picks, events, seed);
+        [&](std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count events,
+            std::uint64_t seed) {
+          kernel_run(isa_, opt_.lanes, n, inv, low, carries, events, seed);
         },
         [&] {
           if (!pool_) {
@@ -600,23 +601,18 @@ class shard_engine {
   /// The current window's or block's compact snapshot.  One buffer is
   /// enough: every pool task that reads it is joined before the commit.
   compact_snapshot snapshot_;
-  /// The per-bin counts the process commits for multi-shard windows and
+  /// The per-bin counts the process commits for multi-shard blocks and
   /// for departure blocks (with one shard, the drain kernel's own row; at
   /// any shard count, the random pass's).  One-shard arrival windows
   /// never touch it ...
   std::vector<std::uint32_t> merged_;
   /// ... they count into n bytes plus the bins whose byte wrapped, one
-  /// entry per wrap (kernel_run's byte form).
-  std::vector<std::uint8_t> low_;
-  std::vector<std::uint32_t> carries_;
-  /// Multi-shard block scratch, O(n + k) in all: every shard's decided
-  /// bins in ball (or serve) order, shard s from shard_begin(k, s) on ...
-  std::vector<std::uint32_t> picks_;
-  /// ... the same picks bucketed by bin range, as offsets within it ...
-  std::vector<std::uint16_t> sorted_;
-  /// ... and each shard's range_count_ + 1 bucket bounds into sorted_,
-  /// bucket_stride() apart.
-  std::vector<std::uint32_t> buckets_;
+  /// entry per wrap (kernel_run's byte form): rows_[0] and carries_[0].
+  /// A multi-shard block has one such pair per pool task, min(threads,
+  /// shards) of them, and row_used_[w] marks the pairs it wrote.
+  std::vector<std::vector<std::uint8_t>> rows_;
+  std::vector<std::vector<std::uint32_t>> carries_;
+  std::vector<std::uint8_t> row_used_;
   /// Bin ranges of 2^range_bits_ bins, range_count_ of them.
   unsigned range_bits_ = 0;
   std::size_t range_count_ = 0;

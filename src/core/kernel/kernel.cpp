@@ -3,10 +3,9 @@
 // The driver owns everything backend-independent: lane-state setup, the
 // Lemire threshold hoist, cutting the run into L1-resident blocks (always
 // at multiples of the lane count, so every backend sees the same aligned
-// lane rotation), and either folding the decided bins into the caller's
-// counts (a uint32 row, or a byte row with a carry list) or leaving them
-// in the caller's pick buffer (kernel_pick).  Backends only fill the
-// block's chosen-bin buffer; which backend runs is the backend table's
+// lane rotation), and folding the decided bins into the caller's counts
+// (a uint32 row, or a byte row with a carry list).  Backends only fill
+// the block's chosen-bin buffer; which backend runs is the backend table's
 // call (kernel_common.hpp).
 #include "core/kernel/kernel.hpp"
 
@@ -28,13 +27,11 @@ constexpr std::pair<const char*, kernel_isa> kIsaNames[] = {
 /// The one block driver: seeds the lane state, hoists the Lemire
 /// threshold, then runs the backend `fill` (the plain or the alias form;
 /// `tables` are the alias form's threshold and alias arrays) over
-/// L1-resident blocks.  With a pick buffer the backend writes every block
-/// straight into it, in ball order; without one each block lands in a
-/// local buffer and `fold(chosen, count)` counts it.
+/// L1-resident blocks, each decided into a local buffer that
+/// `fold(chosen, count)` then counts.
 template <typename Fill, typename Fold, typename... Tables>
 void run_blocks(Fill fill, Fold fold, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint32_t* picks, step_count balls, std::uint64_t seed,
-                const Tables*... tables) {
+                step_count balls, std::uint64_t seed, const Tables*... tables) {
   NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
   NB_ASSERT(balls >= 0 && snap != nullptr && ((tables != nullptr) && ...));
@@ -46,19 +43,14 @@ void run_blocks(Fill fill, Fold fold, std::size_t lanes, bin_count n, const std:
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    std::uint32_t* chosen = picks != nullptr ? picks : buffer;
-    fill(state, n, threshold, snap, tables..., chosen, count);
-    if (picks != nullptr) {
-      picks += count;
-    } else {
-      fold(chosen, count);
-    }
+    fill(state, n, threshold, snap, tables..., buffer, count);
+    fold(buffer, count);
     balls -= static_cast<step_count>(count);
   }
 }
 
-/// The three fold modes: a uint32 count row, a byte row with a carry
-/// list, and none (the pick buffer keeps the decisions).
+/// The two fold modes: a uint32 count row, and a byte row with a carry
+/// list.
 auto fold_row(std::uint32_t* row) {
   NB_ASSERT(row != nullptr);
   return [row](const std::uint32_t* chosen, std::size_t count) {
@@ -84,8 +76,6 @@ auto fold_bytes(std::uint8_t* low, std::vector<std::uint32_t>& carries) {
     fold_block_bytes(chosen, count, low, carries);
   };
 }
-
-constexpr auto no_fold = [](const std::uint32_t*, std::size_t) {};
 
 }  // namespace
 
@@ -176,36 +166,21 @@ std::size_t kernel_lanes_flag(std::int64_t lanes) {
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill, fold_row(row), lanes, n, snap, nullptr, balls,
-             seed);
+  run_blocks(kernel_detail::backend_for(isa).fill, fold_row(row), lanes, n, snap, balls, seed);
 }
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count balls,
                 std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill, fold_bytes(low, carries), lanes, n, snap,
-             nullptr, balls, seed);
-}
-
-void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                 std::uint32_t* picks, step_count balls, std::uint64_t seed) {
-  NB_ASSERT(picks != nullptr);
-  run_blocks(kernel_detail::backend_for(isa).fill, no_fold, lanes, n, snap, picks, balls, seed);
+  run_blocks(kernel_detail::backend_for(isa).fill, fold_bytes(low, carries), lanes, n, snap, balls,
+             seed);
 }
 
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint8_t* low,
                       std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed) {
   run_blocks(kernel_detail::backend_for(isa).fill_alias, fold_bytes(low, carries), lanes, n, snap,
-             nullptr, balls, seed, thresh, alias);
-}
-
-void kernel_pick_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* picks,
-                       step_count balls, std::uint64_t seed) {
-  NB_ASSERT(picks != nullptr);
-  run_blocks(kernel_detail::backend_for(isa).fill_alias, no_fold, lanes, n, snap, picks, balls,
-             seed, thresh, alias);
+             balls, seed, thresh, alias);
 }
 
 }  // namespace nb

@@ -18,8 +18,7 @@
 // the less loaded of snap[i1]/snap[i2], ties broken by the top bit of c
 // (bit set -> i1), and the chosen bin's counter is incremented: in a
 // uint32 row, or in a byte row whose wraps append the bin to a carry list
-// (the form the one-shard engine folds into), or the decided bins are
-// emitted in ball order instead (kernel_pick, the multi-shard form).
+// (the form the windowed engine folds into at every shard count).
 //
 // CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts are
 // a pure function of (lanes, n, snapshot, balls, seed).  The instruction-
@@ -104,20 +103,15 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// `if (++low[chosen] == 0) carries.push_back(chosen)`.  Starting from a
 /// zeroed `low` and an empty list, bin i's count is exactly low[i] + 256 *
 /// (times i appears in carries), so the list holds at most balls / 256
-/// entries.  The one-shard engine folds its arrival windows this way: an
-/// n-byte row stays L2-resident next to the snapshot at n = 10^6, where a
-/// uint32 row (4 MB) does not.  load_state::apply_increments commits the
-/// pair directly.
+/// entries, and a call adds to what the row and list already hold.  The
+/// windowed engine folds this way: an n-byte row stays L2-resident next to
+/// the snapshot at n = 10^6, where a uint32 row (4 MB) does not.  The
+/// one-shard engine commits the pair directly (load_state::apply_increments);
+/// the multi-shard engine folds each pool task's shards into one such pair
+/// and sums the pairs.
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count balls,
                 std::uint64_t seed);
-
-/// The same decisions as kernel_run, emitted instead of counted: picks[t]
-/// receives ball t's chosen bin, in ball order (`picks` holds `balls`
-/// entries).  Folding the picks into a zeroed row gives kernel_run's counts
-/// exactly -- the shard engine buckets them by bin range instead.
-void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                 std::uint32_t* picks, step_count balls, std::uint64_t seed);
 
 /// Alias-sampled variant (non-uniform bin probabilities): each of a ball's
 /// two bin indices is one alias draw -- a Lemire-bounded slot over [n)
@@ -132,10 +126,5 @@ void kernel_pick(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint8_t* low,
                       std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed);
-
-/// kernel_run_alias's decisions emitted in ball order, as kernel_pick.
-void kernel_pick_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* picks,
-                       step_count balls, std::uint64_t seed);
 
 }  // namespace nb

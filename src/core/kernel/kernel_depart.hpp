@@ -34,9 +34,9 @@
 // snapshot capacity inside its commit pass and then re-serves the clamped
 // deficit from rng_t(derive_seed(token, shards)) over the snapshot and the
 // clamped counts.  That clamp and re-serve is the engine's one repair: its
-// drain shards pick without the fold's check (kernel_pick over the
-// inverted snapshot), so a bin that one shard alone or several together
-// pick past capacity is clamped and re-served there.
+// drain shards count without the fold's capacity check (the byte form of
+// kernel_run over the inverted snapshot), so a bin that one shard alone or
+// several together draw past capacity is clamped and re-served there.
 //
 // CONTRACT (mirroring kernel_run, enforced by tests/test_depart_kernel.cpp):
 // the per-bin departure counts are a pure function of (lanes, n,

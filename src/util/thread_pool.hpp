@@ -6,9 +6,16 @@
 // through thread_pool::for_each: the caller and the pool's helpers claim
 // indices one at a time from a shared counter, so a slow index (a zipf
 // campaign cell) never holds back indices queued behind it.
-// Determinism comes from giving each *index* (not each thread) its own
-// derived RNG seed and result slot, so results are identical for any
-// thread count, including 1; which task runs which index is free to vary.
+// Determinism comes from one of two patterns, so results are identical
+// for any thread count, including 1, while which thread runs which index
+// is free to vary:
+//   * each *index* (not each thread) gets its own derived RNG seed and
+//     result slot (campaign cells, bin ranges);
+//   * each index owns an accumulator that only commutative updates touch
+//     (sums), and the accumulators are combined after the join: the shard
+//     engine's tasks claim shards, each seeded by its shard index, and
+//     fold them into per-task count rows, so which task folded which shard
+//     cannot change the summed counts.
 #pragma once
 
 #include <condition_variable>

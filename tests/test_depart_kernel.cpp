@@ -458,6 +458,28 @@ TEST(DepartEngineShard, DrainShardsPickUncheckedAndTheSettleRepairsEveryOverdraw
   EXPECT_EQ(steady.phases.reserved_events, 0);
 }
 
+TEST(DepartEngineShard, DrainBlockWhoseTaskRowsWrapMatchesItsDigest) {
+  // 16 bins at occupancy 2^16, and one 16-shard drain block of 40000
+  // events: every pool task's byte row wraps (thousands of events per bin
+  // and task), so the settle's sum needs the carries.  The digest was
+  // recorded when shards emitted picks and the settle counted bucket-sorted
+  // picks.
+  const step_count warm = 16 * 4096;
+  const step_count k = 40000;
+  const drain_block_run one = shard_drain_block(16, warm, k, 16, 1);
+  EXPECT_EQ(one.digest, 14765968553042592886ULL);
+  EXPECT_EQ(one.phases.windows, 1);
+  EXPECT_EQ(one.balls, warm - k);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const kernel_isa isa : supported_backends()) {
+      const drain_block_run other = shard_drain_block(16, warm, k, 16, threads, isa);
+      EXPECT_EQ(other.digest, one.digest) << threads << " threads, " << kernel_isa_name(isa);
+      EXPECT_EQ(other.phases.reserved_events, one.phases.reserved_events)
+          << threads << " threads, " << kernel_isa_name(isa);
+    }
+  }
+}
+
 /// One heavy two-shard drain block on b-Batch at 2^17 bins, where the
 /// settle and the commit run as one pooled pass by bin range: a whole
 /// batch of n/2 engine arrivals (its boundary copy left pending), then

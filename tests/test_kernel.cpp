@@ -237,18 +237,13 @@ TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
   }
 }
 
-TEST(KernelAlias, ScalarMatchesDocumentedAliasDrawOrder) {
-  // Per ball and lane: slot1 (Lemire draws), u1, slot2, u2, tie -- the
-  // documented order, auditable from the public RNG API plus the table.
-  const bin_count n = 11;
-  const auto snap = make_snapshot(n);
-  std::vector<double> weights(n, 1.0);
-  weights[3] = 8.0;  // something non-uniform
-  const alias_table table(weights);
-  const std::uint64_t seed = 4242;
-  const std::size_t lanes = 3;
-  const step_count balls = 500;
-
+/// The alias kernel's counts replayed in a uint32 row from the documented
+/// draw order -- per ball and lane: slot1 (Lemire draws), u1, slot2, u2,
+/// tie -- through the public RNG API and the table alone.
+std::vector<std::uint32_t> documented_alias_counts(std::size_t lanes, bin_count n,
+                                                   const std::uint8_t* snap,
+                                                   const alias_table& table, step_count balls,
+                                                   std::uint64_t seed) {
   std::vector<std::uint32_t> expected(n, 0);
   std::vector<rng_t> lane_rng;
   for (std::size_t l = 0; l < lanes; ++l) lane_rng.emplace_back(derive_seed(seed, l));
@@ -264,25 +259,17 @@ TEST(KernelAlias, ScalarMatchesDocumentedAliasDrawOrder) {
     const bool pick_first = (snap[i1] < snap[i2]) || ((snap[i1] == snap[i2]) && (c >> 63) != 0);
     ++expected[pick_first ? i1 : i2];
   }
-  EXPECT_EQ(kernel_alias_counts(kernel_isa::scalar, lanes, n, snap, table, balls, seed),
-            expected);
+  return expected;
 }
 
-TEST(KernelAlias, PicksFoldToRowCounts) {
-  // kernel_pick_alias emits exactly the decisions kernel_run_alias counts.
-  const bin_count n = 53;
+TEST(KernelAlias, ScalarMatchesDocumentedAliasDrawOrder) {
+  const bin_count n = 11;
   const auto snap = make_snapshot(n);
-  std::vector<double> weights(n);
-  for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 7) + 1);
+  std::vector<double> weights(n, 1.0);
+  weights[3] = 8.0;  // something non-uniform
   const alias_table table(weights);
-  for (const kernel_isa isa : supported_backends()) {
-    std::vector<std::uint32_t> picks(9999);
-    kernel_pick_alias(isa, 8, n, snap.data(), table.thresholds(), table.aliases(), picks.data(),
-                      9999, 5);
-    std::vector<std::uint32_t> folded(n, 0);
-    for (const std::uint32_t c : picks) ++folded[c];
-    EXPECT_EQ(folded, kernel_alias_counts(isa, 8, n, snap, table, 9999, 5)) << kernel_isa_name(isa);
-  }
+  EXPECT_EQ(kernel_alias_counts(kernel_isa::scalar, 3, n, snap, table, 500, 4242),
+            documented_alias_counts(3, n, snap.data(), table, 500, 4242));
 }
 
 // ---------------------------------------------------------------------------
@@ -316,15 +303,19 @@ TEST(KernelByteRow, CountsMatchTheUint32RowAtEveryIsaAndLaneCount) {
       for (const std::uint32_t c : wide) wraps += c / 256;
       EXPECT_EQ(carries.size(), wraps);
 
-      // Alias sampling: the byte form against the picks folded into a
-      // uint32 row.
-      std::vector<std::uint32_t> picks(static_cast<std::size_t>(balls));
-      kernel_pick_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(),
-                        picks.data(), balls, 17);
-      std::vector<std::uint32_t> folded(n, 0);
-      for (const std::uint32_t c : picks) ++folded[c];
-      EXPECT_EQ(kernel_alias_counts(isa, lanes, n, snap, table, balls, 17), folded)
+      // Alias sampling has no uint32 kernel form: the byte form against
+      // the documented draw order replayed into a uint32 row.
+      low.assign(n, 0);
+      carries.clear();
+      kernel_run_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(), low.data(),
+                       carries, balls, 17);
+      const std::vector<std::uint32_t> alias_wide =
+          documented_alias_counts(lanes, n, snap.data(), table, balls, 17);
+      EXPECT_EQ(nb::testing::widen_counts(low, carries), alias_wide)
           << kernel_isa_name(isa) << " lanes=" << lanes;
+      std::size_t alias_wraps = 0;
+      for (const std::uint32_t c : alias_wide) alias_wraps += c / 256;
+      EXPECT_EQ(carries.size(), alias_wraps);
     }
   }
 }
@@ -342,24 +333,6 @@ TEST(KernelByteRow, AccumulatesOntoARow) {
     kernel_run(kernel_isa::scalar, 8, n, snap.data(), wide.data(), 3000, seed);
   }
   EXPECT_EQ(nb::testing::widen_counts(low, carries), wide);
-}
-
-TEST(Kernel, PicksFoldToRowCounts) {
-  // kernel_pick emits exactly the decisions kernel_run counts, in ball
-  // order: ball t's pick is the only difference between the first t and
-  // the first t + 1 balls' counts.
-  const bin_count n = 53;
-  const auto snap = make_snapshot(n);
-  for (const kernel_isa isa : supported_backends()) {
-    std::vector<std::uint32_t> picks(9999);
-    kernel_pick(isa, 8, n, snap.data(), picks.data(), 9999, 5);
-    std::vector<std::uint32_t> folded(n, 0);
-    for (const std::uint32_t c : picks) ++folded[c];
-    EXPECT_EQ(folded, kernel_counts(isa, 8, n, snap, 9999, 5)) << kernel_isa_name(isa);
-    std::vector<std::uint32_t> prefix = kernel_counts(isa, 8, n, snap, 16, 5);
-    ++prefix[picks[16]];
-    EXPECT_EQ(prefix, kernel_counts(isa, 8, n, snap, 17, 5)) << kernel_isa_name(isa);
-  }
 }
 
 TEST(Kernel, LaneCountIsASamplingParameter) {
@@ -483,9 +456,10 @@ TEST(KernelEngine, WindowIsOneKernelCallSeededByTheToken) {
 
 TEST(KernelEngine, ByteRowWindowsMatchTheWideCommit) {
   // One-shard windows in which every bin takes >= 256 balls: the engine's
-  // byte row with carries must commit what kernel_run's uint32 row and
-  // the wide commit_window give -- at lanes 1 and 8, on every ISA, for
-  // uniform and alias sampling, with fixed weight 3.
+  // byte row with carries must commit what a uint32 row and the wide
+  // commit_window give -- kernel_run's row for uniform sampling, the
+  // documented alias draw order replayed for alias sampling -- at lanes 1
+  // and 8, on every ISA, with fixed weight 3.
   const bin_count n = 16;
   const step_count b = 16000;
   const step_count warm = 40;  // serial balls first: uneven loads
@@ -505,11 +479,8 @@ TEST(KernelEngine, ByteRowWindowsMatchTheWideCommit) {
         if (process.model().sampler.is_uniform()) {
           kernel_run(isa, lanes, n, snap.data(), inc.data(), b - warm, token);
         } else {
-          const alias_table& table = process.model().sampler.table();
-          std::vector<std::uint32_t> picks(static_cast<std::size_t>(b - warm));
-          kernel_pick_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(),
-                            picks.data(), b - warm, token);
-          for (const std::uint32_t c : picks) ++inc[c];
+          inc = documented_alias_counts(lanes, n, snap.data(), process.model().sampler.table(),
+                                        b - warm, token);
         }
         ASSERT_GE(*std::max_element(inc.begin(), inc.end()), 512u);
         expected.commit_window(inc, b - warm);

@@ -1,6 +1,6 @@
 // The intra-run shard-parallel batch engine and its building blocks:
-// block-RNG sampling, the compact 8-bit snapshot, the bucketed shard
-// counts, and the two determinism contracts --
+// block-RNG sampling, the compact 8-bit snapshot, the per-task shard
+// rows, and the two determinism contracts --
 //   (1) one (seed, shard count) is bit-identical for ANY thread count,
 //   (2) the parallel path agrees with the serial bulk path on every
 //       distributional invariant (it draws different randomness, so the
@@ -55,14 +55,16 @@ TEST(CompactSnapshot, SaturatedSpanIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Bucketed shard counts and the merged increment application.
+// Per-task shard rows and the merged increment application.
 
-TEST(ShardEngine, BucketCountsEqualPlainRecount) {
+TEST(ShardEngine, TaskRowCountsEqualPlainRecount) {
   // One multi-shard window's increments, recounted by hand: every shard's
   // kernel counts on its own substream, summed into one plain row.  The
-  // engine's bin-range buckets must give exactly these counts, including
-  // partial last ranges, ranges of a single bin, empty shards and 2^16-bin
-  // ranges.
+  // engine's per-task byte rows, summed range by range, must give exactly
+  // these counts, including partial last ranges, ranges of a single bin,
+  // empty shards, 2^16-bin ranges and task rows whose bytes wrap (n = 16,
+  // k = 65536: thousands of balls per bin and task), where the carries
+  // reach the sum.
   struct shape {
     bin_count n;
     step_count k;
@@ -74,8 +76,10 @@ TEST(ShardEngine, BucketCountsEqualPlainRecount) {
                          shape{5, 40, "uniform", 40},                 // n < shards
                          shape{20, 7, "uniform", 14},                 // k < shards: empty shards
                          shape{1000, 5000, "zipf:1", 0},              // alias sampler
+                         shape{16, 65536, "uniform", 0},              // task bytes wrap
+                         shape{16, 65536, "zipf:1", 0},
                          shape{1100003, 300000, "uniform", 300000}}) {  // widest ranges
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
       b_batch process(c.n, c.k);
       process.set_model(make_model("unit", c.sampler, c.n, "none"));
       rng_t rng(77);
@@ -109,11 +113,48 @@ TEST(ShardEngine, BucketCountsEqualPlainRecount) {
       shard_engine engine(shard_options{
           .threads = threads, .shards = shards, .min_window = 1, .lanes = 8});
       engine.step_many(process, rng, c.k);
-      EXPECT_EQ(engine.phases().windows, 1);
-      EXPECT_EQ(process.state().loads(), expected.loads())
-          << "n=" << c.n << " k=" << c.k << " " << c.sampler << " threads=" << threads;
-      EXPECT_EQ(rng.state(), expected_rng.state());
+      const std::string where = "n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) + " " +
+                                c.sampler + " threads=" + std::to_string(threads);
+      EXPECT_EQ(engine.phases().windows, 1) << where;
+      if (c.n == 16) {
+        EXPECT_GT(engine.phases().carries, 0) << where;
+      }
+      EXPECT_EQ(process.state().loads(), expected.loads()) << where;
+      EXPECT_EQ(rng.state(), expected_rng.state()) << where;
     }
+  }
+}
+
+TEST(ShardEngine, ThreadLayoutsThatDoNotMatchTheShardsAreBitIdentical) {
+  // More threads than shards (2 shards, 4 threads: two tasks) and a thread
+  // count that does not divide the shards (16 shards, 3 threads: tasks
+  // claim 5 or 6 shards each, in whatever order they run) must commit
+  // what one thread commits -- arrival windows and drain blocks alike.
+  const bin_count n = 2048;
+  struct layout {
+    std::size_t shards;
+    std::size_t threads;
+  };
+  for (const layout l : {layout{2, 4}, layout{16, 3}}) {
+    const auto run = [&](std::size_t threads) {
+      b_batch process(n, n);
+      process.set_model(make_model("unit", "uniform", n, "drain"));
+      rng_t rng(31);
+      shard_engine engine(shard_options{
+          .threads = threads, .shards = l.shards, .min_window = 1, .lanes = 8});
+      engine.step_many(process, rng, 8 * static_cast<step_count>(n));
+      for (int cycle = 0; cycle < 3; ++cycle) {
+        engine.step_many(process, rng, n);
+        engine.depart_many(process, rng, n);
+      }
+      EXPECT_EQ(engine.phases().windows, 11);
+      EXPECT_EQ(engine.depart_phases().windows, 3);
+      return std::make_pair(process.state().loads(), rng.state());
+    };
+    const auto one = run(1);
+    const auto many = run(l.threads);
+    EXPECT_EQ(many.first, one.first) << l.shards << " shards, " << l.threads << " threads";
+    EXPECT_EQ(many.second, one.second) << l.shards << " shards, " << l.threads << " threads";
   }
 }
 
