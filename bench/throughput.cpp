@@ -145,7 +145,7 @@ double report_observed_run(bin_count n, step_count m, step_count interval, std::
 // Every leg is timed warm (kWarmup) with median-of-kReps.  Kernel and
 // shard legs also report their engine's per-window phase split
 // (window_phases_ms: snapshot, kernel, merge, commit; a shard leg's
-// bucket count runs inside its commit pass, so its merge reads 0).
+// task-row sum runs inside its commit pass, so its merge reads 0).
 
 struct scale_measurement {
   double gap = 0.0;
@@ -255,8 +255,9 @@ void note_phases(scale_entry& entry, const window_phase_times& phases) {
 }
 
 /// Prints an engine churn leg's per-departure-block split and repairs.  A
-/// multi-shard drain block's bucket count and clamp run inside its commit
-/// pass; its merge phase is the re-serve of the clamped deficit after it.
+/// drain block's task-row sum and clamp run inside its commit pass, at
+/// every shard count; its merge phase is the re-serve of the clamped
+/// deficit after it.
 void note_depart_phases(const window_phase_times& phases) {
   if (phases.windows == 0) return;
   const double ms = 1e-6 / static_cast<double>(phases.windows);

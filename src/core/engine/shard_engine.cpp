@@ -8,24 +8,38 @@
 
 namespace nb {
 
-shard_engine::shard_engine(shard_options opt)
-    : opt_(opt), isa_(resolve_kernel_isa(opt.isa)) {
-  // Checked before the pool exists: a rejected count starts no thread.
+namespace {
+
+/// `opt`, once its sampling parameters are checked: the engine checks them
+/// before its pool exists, so a rejected count starts no thread.
+shard_options checked(shard_options opt) {
   NB_REQUIRE(opt.shards >= 1 && opt.shards <= static_cast<std::size_t>(max_thread_flag),
              "shards got " + std::to_string(opt.shards) + "; it must be in [1, " +
                  std::to_string(max_thread_flag) + "]");
   NB_REQUIRE(opt.min_window >= 1, "min_window must be positive");
   NB_REQUIRE(opt.lanes >= 1 && opt.lanes <= kernel_max_lanes,
              "kernel lanes must be in [1, kernel_max_lanes]");
-  if (opt.shards > 1) {
-    pool_.emplace(opt.threads);
-    // More workers than hardware threads only time-slices (results are
-    // thread-count-independent by contract, so oversubscribing buys
-    // nothing); this is the threads_per_run > cores trap, say so once.
-    warn_if_oversubscribed(pool_->size(), "shard-engine threads_per_run");
-  }
+  return opt;
+}
+
+/// Replay attempts before the re-serve law falls back to the
+/// deterministic fullest-bin scan.  Generous: a redraw only fails while
+/// nearly every sampled pair is drained dry, so hitting the cap at all
+/// means the block is retiring a large fraction of the snapshot's load.
+constexpr int kDrainReplayAttempts = 4096;
+
+}  // namespace
+
+shard_engine::shard_engine(shard_options opt)
+    : opt_(checked(opt)),
+      isa_(resolve_kernel_isa(opt_.isa)),
+      pool_(opt_.shards == 1 ? std::size_t{1} : opt_.threads) {
+  // More workers than hardware threads only time-slices (results are
+  // thread-count-independent by contract, so oversubscribing buys
+  // nothing); this is the threads_per_run > cores trap, say so once.
+  warn_if_oversubscribed(pool_.size(), "shard-engine threads_per_run");
   // One byte row and carry list per task of a block's shard fan-out.
-  const std::size_t tasks = pool_ ? std::min(pool_->size(), opt.shards) : 1;
+  const std::size_t tasks = std::min(pool_.size(), opt_.shards);
   rows_.resize(tasks);
   carries_.resize(tasks);
 }
@@ -115,12 +129,49 @@ bool shard_engine::reserve_deficit(bin_count n, weight_t w, std::uint64_t token)
   if (deficit == 0) return false;
   depart_phases_.reserved_events += deficit;
   reserved_.clear();
-  rng_t replay(derive_seed(token, opt_.shards));
+  rng_t replay(derive_seed(token, opt_.shards == 1 ? opt_.lanes : opt_.shards));
   for (; deficit > 0; --deficit) {
-    reserved_.push_back(
-        depart_replay(n, snapshot_.data(), snapshot_.base(), w, merged_.data(), replay));
+    reserved_.push_back(engine_detail::depart_replay(n, snapshot_.data(), snapshot_.base(), w,
+                                                     merged_.data(), replay));
   }
   return true;
+}
+
+std::uint32_t engine_detail::depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
+                                           weight_t w, std::uint32_t* rel, rng_t& replay) {
+  const auto remaining = [&](std::uint32_t c) noexcept {
+    return static_cast<weight_t>(snap_base) + (inv[c] ^ 0xFF) - static_cast<weight_t>(rel[c]) * w;
+  };
+  for (int attempt = 0; attempt < kDrainReplayAttempts; ++attempt) {
+    const auto i = static_cast<std::uint32_t>(bounded(replay, n));
+    const auto j = static_cast<std::uint32_t>(bounded(replay, n));
+    const weight_t ri = remaining(i);
+    const weight_t rj = remaining(j);
+    // Serial drain's eligibility and selection laws, over remaining load.
+    if (ri < w && rj < w) continue;
+    std::uint32_t c;
+    if (ri != rj) {
+      c = ri > rj ? i : j;
+    } else {
+      c = (replay.next() >> 63) != 0 ? i : j;
+    }
+    ++rel[c];
+    return c;
+  }
+  // Deterministic fallback: the fullest remaining bin, first index wins.
+  std::uint32_t best = 0;
+  weight_t best_rem = remaining(0);
+  for (bin_count i = 1; i < n; ++i) {
+    const weight_t r = remaining(i);
+    if (r > best_rem) {
+      best = i;
+      best_rem = r;
+    }
+  }
+  NB_REQUIRE(best_rem >= w, "drain departure block cannot retire weight " + std::to_string(w) +
+                                ": no bin's remaining load covers it");
+  ++rel[best];
+  return best;
 }
 
 void shard_engine::step_many(any_process& process, rng_t& rng, step_count count) {

@@ -5,33 +5,33 @@
 // frozen at the window start, so the window's balls are embarrassingly
 // parallel.  shard_engine runs each large enough window through the
 // lane-interleaved allocation kernel (core/kernel/) with one master-stream
-// token per window.  Arrival windows and departure blocks share one block
-// skeleton (run_block): token, leaf, settle, commit.  The shard count
-// picks how the leaf runs:
-//   * one shard: the whole window is one kernel call seeded by the token
-//     itself (lane l draws from derive_seed(token, l)), committed on the
-//     calling thread -- no pool, no merge.  An arrival window counts into
-//     an n-byte row plus a carry list (kernel_run's byte form: a bin's
-//     count is its byte plus 256 per carry entry), which stays
-//     L2-resident beside the snapshot where a 4 MB uint32 row would not,
-//     and the process commits that pair directly; a drain block counts
-//     into the uint32 row merged_;
-//   * S >= 2 shards: the window splits into S fixed shards, shard s draws
-//     from the substream shard_stream_seed(token, s), and min(threads, S)
-//     pool tasks claim the shards from one counter.  Each task folds every
-//     shard it claims into its own n-byte row plus carry list (the byte
-//     form again; a drain shard runs it over the inverted snapshot).  Then
-//     ONE pooled pass over power-of-two bin ranges settles and commits:
-//     range r's task sums the used rows' slices of range r, plus 256 per
-//     carry in it, into range r of one merged row (a drain block also
-//     clamps it to snapshot capacity), and the process commits range r
+// token per window.  Arrival windows and drain blocks share one block
+// skeleton at every shard count (run_block): token, shard folds, commit.
+// The window splits into S fixed shards, and min(threads, S) pool tasks
+// claim them from one counter (one shard: one task, on a one-worker pool
+// that starts no thread).  Each task folds every shard it claims into its
+// own n-byte row plus carry list (kernel_run's byte form: a bin's count
+// is its byte plus 256 per carry entry), which stays L2-resident beside
+// the snapshot where a 4 MB uint32 row would not.  A lone shard draws
+// from the token itself (lane l from derive_seed(token, l)); shard s of
+// S >= 2 from the substream shard_stream_seed(token, s).  Then:
+//   * an arrival window with one task row (one shard, or one thread)
+//     commits that row and its carries directly; with more task rows, ONE
+//     pass over power-of-two bin ranges settles and commits: range r's
+//     task sums the used rows' slices of range r, plus 256 per carry in
+//     it, into range r of one merged row, and the process commits range r
 //     while that slice is L2-hot -- its pending boundary copy, the
-//     validating add and the range's level histogram included.  A drain
-//     block then re-serves the clamped deficit under the drain kernel's
-//     re-serve law, depart_replay, one departure per event -- the one
-//     repair of a multi-shard drain block.  So a multi-shard block is two
-//     pool fan-outs after its snapshot: the shard folds, and the
-//     settle-and-commit; its scratch is min(threads, S) * n bytes of rows.
+//     validating add and the range's level histogram included;
+//   * a drain block (its shards run kernel_run over the inverted
+//     snapshot: two-choice in reverse, the fuller bin loses a ball) always
+//     takes that ranged pass, and each range's settle also clamps the
+//     counts to snapshot capacity.  After the commit the block re-serves
+//     the clamped deficit under the re-serve law (depart_replay), one
+//     departure per event -- the drain law's one repair, at every shard
+//     count.
+// So a block is two pool fan-outs after its snapshot: the shard folds,
+// and the settle-and-commit; its scratch is min(threads, S) * n bytes of
+// rows.
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling, and counts are sums, so which task folded
@@ -40,7 +40,7 @@
 // randomness, so serial-vs-engine agreement is distributional, not
 // bitwise; tests enforce both contracts.
 //
-// A random-departure block takes neither leaf: at every shard count it is
+// A random-departure block folds no shards: at every shard count it is
 // one exact serial pass of hypergeometric counts over the live loads
 // (depart_block), so its counts depend on (loads, k, token) alone -- not
 // on shards, lanes, threads or ISA.
@@ -56,13 +56,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/kernel/kernel.hpp"
-#include "core/kernel/kernel_depart.hpp"
 #include "core/load_vector.hpp"
 #include "core/process.hpp"
 #include "util/thread_pool.hpp"
@@ -71,18 +69,17 @@ namespace nb {
 
 /// Execution-only wall time the engine spent in the phases of its
 /// fast-path windows, summed over `windows` windows: compact snapshot
-/// assignment, sampling (the row zeroing plus the kernel, with more shards
-/// in every pool task's row) and the process's commit_window -- with more
-/// shards the one pooled pass that sums the task rows into the merged row
-/// range by range and commits each range.  merge stays 0 for arrival
+/// assignment, sampling (the row zeroing plus the kernel, in every pool
+/// task's row) and the process's commit_window -- with more than one task
+/// row the one pass that sums the task rows into the merged row range by
+/// range and commits each range.  merge stays 0 for arrival
 /// windows, which also count their carry-list entries.  The engine books
 /// its departure blocks into a second record of the same shape (`windows`
-/// counts blocks, commit is commit_departures, with a multi-shard drain
-/// block's row sum and clamp inside its pass, and merge is that block's
-/// re-serve of the clamped deficit after the commit; a random block books
-/// its whole hypergeometric pass as kernel and no snapshot or merge),
-/// which alone also counts what the multi-shard drain settle clamped and
-/// re-served.
+/// counts blocks, commit is commit_departures, with a drain block's row
+/// sum and clamp inside its pass, and merge is that block's re-serve of
+/// the clamped deficit after the commit; a random block books its whole
+/// hypergeometric pass as kernel and no snapshot or merge), which alone
+/// also counts what the drain settle clamped and re-served.
 /// Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
@@ -109,6 +106,18 @@ inline std::int64_t phase_clock_ns() noexcept {
       .count();
 }
 
+/// The drain law's re-serve: serves one drain departure serially over
+/// remaining load -- a bin's snapshot load snap_base + 255 - inv[i] (inv
+/// is the inverted compact snapshot) less weight_per_ball per departure
+/// already counted in `rel`.  It redraws (i, j[, tie]) from `replay`
+/// under the serial drain law: skip the pair when neither bin covers the
+/// weight, else the fuller bin wins (ties by the top bit of one raw
+/// draw).  After 4096 attempts it falls back to the fullest bin, first
+/// index winning.  `++rel[chosen]`, and returns `chosen`.  Throws
+/// contract_error when no bin's remaining load covers weight_per_ball.
+std::uint32_t depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,
+                            weight_t weight_per_ball, std::uint32_t* rel, rng_t& replay);
+
 }  // namespace engine_detail
 
 /// Configuration of the windowed engine.  `shards` and `lanes` are part of
@@ -116,8 +125,8 @@ inline std::int64_t phase_clock_ns() noexcept {
 /// drawn randomness); `threads` and `isa` are execution only and never
 /// affect results.
 struct shard_options {
-  /// Pool workers; 0 = one per hardware core.  Only a multi-shard engine
-  /// has a pool: one shard always runs on the calling thread.
+  /// Pool workers; 0 = one per hardware core.  One shard always runs on
+  /// the calling thread: its pool has one worker whatever this says.
   std::size_t threads = 0;
   /// Fixed shard count per window, in [1, max_thread_flag] (the
   /// constructor checks).  1 is the serial SIMD engine; for more, keep it
@@ -144,17 +153,16 @@ struct shard_options {
 using kernel_options = shard_options;
 
 /// The windowed batch engine.  Owns the per-window scratch (compact
-/// snapshot, merged count row, byte rows) and, with two or more shards,
-/// the worker pool, so one engine instance amortizes both across all
-/// windows of a run -- create it once per run (or reuse across runs of
-/// the same configuration).
+/// snapshot, merged count row, byte rows) and the worker pool, so one
+/// engine instance amortizes both across all windows of a run -- create
+/// it once per run (or reuse across runs of the same configuration).
 class shard_engine {
  public:
   explicit shard_engine(shard_options opt = {});
 
   [[nodiscard]] const shard_options& options() const noexcept { return opt_; }
-  /// Threads executing shards: the pool's workers, or 1 for one shard.
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_ ? pool_->size() : 1; }
+  /// Threads executing shards: the pool's workers, 1 for one shard.
+  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
   /// The resolved kernel backend this engine's shards execute with.
   [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
   /// Where this engine's fast-path windows spent their time so far.
@@ -226,16 +234,15 @@ class shard_engine {
   ///   * random: the whole request is one block, one exact serial pass of
   ///     hypergeometric counts over the live loads (depart_block) --
   ///     no snapshot, no span limit, no cut at block_cap();
-  ///   * drain: the block snapshots the loads inverted.  One shard serves
-  ///     it in one kernel call seeded by the token.  With more, shard s
-  ///     draws its share on substream shard_stream_seed(token, s) without
-  ///     a capacity check, so the merged counts can overdraw a bin, and
-  ///     the settle clamps each bin to its snapshot capacity inside the
-  ///     commit pass; after the commit the deficit is re-served from the
-  ///     dedicated scalar stream rng_t(derive_seed(token, shards)) under
-  ///     the drain kernel's re-serve law (depart_replay) and retired one
-  ///     departure at a time -- deterministic, and thread-count invariant
-  ///     like step_many.
+  ///   * drain: the block snapshots the loads inverted, and its shards
+  ///     draw their shares like arrival shards, without a capacity check,
+  ///     so the counts can overdraw a bin; the settle clamps each bin to
+  ///     its snapshot capacity inside the commit pass, and after the
+  ///     commit the deficit is re-served from the dedicated scalar stream
+  ///     one past the block's own (reserve_deficit) under the re-serve law
+  ///     (engine_detail::depart_replay) and retired one departure at a
+  ///     time -- deterministic, and thread-count invariant like
+  ///     step_many.
   /// The lease channel commits in bulk unconditionally (RNG-free);
   /// undersized blocks and span-saturated drain loads fall back to the
   /// serial per-event loop with a one-time diagnostic.  A request for
@@ -261,7 +268,7 @@ class shard_engine {
       }
       // Every batched departure retires one resident ball, so more
       // departures than resident balls can never be served (the per-event
-      // law runs dry mid-stream, the drain kernel would redraw forever).
+      // law runs dry mid-stream, the drain re-serve would find no bin).
       const step_count resident = process.state().balls();
       NB_REQUIRE(count <= resident, "departure request of " + std::to_string(count) +
                                         " events exceeds the " + std::to_string(resident) +
@@ -320,18 +327,18 @@ class shard_engine {
   /// pooling, and 2^12 shows a loss.
   static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
 
-  /// Largest arrival window or drain block one call serves: a shard
-  /// serves at most shard_deltas::max_row_count balls or events, so
-  /// multi-shard windows split deterministically (the cap depends only on
-  /// the shard count, never on threads).  One shard's counts need no cap
-  /// (its byte row carries every wrap, its departure row is uint32), and
-  /// a run is bounded by max_run_balls.
+  /// Largest arrival window or drain block one call serves: a shard of
+  /// S >= 2 serves at most shard_deltas::max_row_count balls or events,
+  /// so multi-shard windows split deterministically (the cap depends only
+  /// on the shard count, never on threads).  One shard's window is never
+  /// cut (its byte row carries every wrap), and a run is bounded by
+  /// max_run_balls.
   [[nodiscard]] step_count block_cap() const noexcept {
-    return pool_ ? static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count
-                 : max_run_balls;
+    return opt_.shards == 1 ? max_run_balls
+                            : static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
   }
 
-  /// Widest bin range of the multi-shard settle: 2^16 bins, so a range's
+  /// Widest bin range of the settle: 2^16 bins, so a range's
   /// slice of merged_ (256 KiB) stays L2-resident while every task row's
   /// slice is summed into it and the commit then reads it.
   static constexpr unsigned kMaxRangeBits = 16;
@@ -353,20 +360,19 @@ class shard_engine {
     return k / shards + (static_cast<step_count>(s) < k % shards ? 1 : 0);
   }
 
-  /// Lays the multi-shard engine's bin ranges over n bins: power-of-two
-  /// ranges about one shard's share of the bins wide (at most 2^16), so
-  /// there are roughly as many ranges as shards.  The ranges carry the
-  /// pooled passes around the shard folds -- snapshot, settle and commit --
-  /// and are execution-only (counts do not depend on them), but depend on
+  /// Lays the engine's bin ranges over n bins: power-of-two ranges about
+  /// one shard's share of the bins wide (at most 2^16), so there are
+  /// roughly as many ranges as shards.  The ranges carry the passes around
+  /// the shard folds -- snapshot, settle and commit -- and are
+  /// execution-only (counts do not depend on them), but depend on
   /// (n, shards) alone, so the clamp counters are thread invariant too.
   void layout_ranges(bin_count n);
 
   /// The ranges of layout_ranges as an executor: pool tasks from
   /// kMinPooledCommitBins bins up, one after another on the calling
-  /// thread below; one calling-thread range for one shard.
+  /// thread below.
   [[nodiscard]] range_executor block_executor(bin_count n) {
-    if (!pool_) return {};
-    return range_executor(n >= kMinPooledCommitBins ? &*pool_ : nullptr, range_count_,
+    return range_executor(n >= kMinPooledCommitBins ? &pool_ : nullptr, range_count_,
                           std::size_t{1} << range_bits_);
   }
 
@@ -388,29 +394,22 @@ class shard_engine {
   /// re-serves after its commit (reserve_deficit).
   step_count clamp_range(std::size_t r, bin_count n, weight_t w);
 
-  /// The block skeleton of arrival windows and departure blocks alike:
-  /// draws the block's one master-stream token and decides the block from
-  /// it.  One shard is one `leaf(k, seed)` call on the calling thread,
-  /// seeded by the token itself, which counts into rows of its own choice
-  /// (rows_[0] and carries_[0] for arrivals, merged_ for drain blocks).
-  /// S >= 2 shards run as fold_shards' pool tasks, each shard one `fold`.
-  /// `commit()` then applies the counts; with S >= 2 it is one pass by
-  /// bin range (block_executor) whose prepare step settles each range's
-  /// slice of merged_ from the task rows just before the range commits.
-  /// Books the kernel and commit phases, and returns the token.
-  template <typename Leaf, typename Fold, typename Commit>
+  /// The block skeleton of arrival windows and drain blocks alike: draws
+  /// the block's one master-stream token, folds the block's shards into
+  /// the task rows (fold_shards, each shard one `fold`), and `commit()`
+  /// then applies the counts -- directly from a lone task row, or in one
+  /// pass by bin range (block_executor) whose prepare step settles each
+  /// range's slice of merged_ from the task rows just before the range
+  /// commits.  Books the kernel and commit phases, and returns the token.
+  template <typename Fold, typename Commit>
   std::uint64_t run_block(rng_t& rng, bin_count n, step_count k, window_phase_times& phases,
-                          Leaf&& leaf, Fold&& fold, Commit&& commit) {
+                          Fold&& fold, Commit&& commit) {
     ++phases.windows;
     const std::int64_t t_kernel = engine_detail::phase_clock_ns();
     // Every stream of the block derives from this token, so no result can
     // depend on the thread count.
     const std::uint64_t token = rng.next();
-    if (!pool_) {
-      leaf(k, token);
-    } else {
-      fold_shards(n, k, token, fold);
-    }
+    fold_shards(n, k, token, fold);
     const std::int64_t t_commit = engine_detail::phase_clock_ns();
     phases.kernel_ns += t_commit - t_kernel;
     commit();
@@ -418,12 +417,12 @@ class shard_engine {
     return token;
   }
 
-  /// The S >= 2 shards of a block of `k` balls or events: one pool task
-  /// per row of rows_, each claiming shards from one counter until none
-  /// are left.  A task zeroes its row on its first claim (marking it in
-  /// row_used_) and folds shard s into it and its carry list,
-  /// `fold(low, carries, count, shard_stream_seed(token, s))`.  Counts are
-  /// sums, so the rows' total does not depend on which task claimed which
+  /// The shards of a block of `k` balls or events: one pool task per row
+  /// of rows_, each claiming shards from one counter until none are left.
+  /// A task zeroes its row on its first claim (marking it in row_used_)
+  /// and folds shard s into it and its carry list,
+  /// `fold(low, carries, count, shard_seed(token, s))`.  Counts are sums,
+  /// so the rows' total does not depend on which task claimed which
   /// shard.  Rows and carry lists are sized before the fan-out, so no task
   /// allocates: a task's list takes one entry per 256 of its <= k balls.
   template <typename Fold>
@@ -436,16 +435,23 @@ class shard_engine {
     }
     row_used_.assign(tasks, 0);
     std::atomic<std::size_t> next{0};
-    pool_->for_each(tasks, [&](std::size_t w) {
+    pool_.for_each(tasks, [&](std::size_t w) {
       for (std::size_t s = next++; s < opt_.shards; s = next++) {
         if (row_used_[w] == 0) {
           std::fill(rows_[w].begin(), rows_[w].end(), std::uint8_t{0});
           row_used_[w] = 1;
         }
         const step_count count = shard_share(k, s);
-        if (count > 0) fold(rows_[w].data(), carries_[w], count, shard_stream_seed(token, s));
+        if (count > 0) fold(rows_[w].data(), carries_[w], count, shard_seed(token, s));
       }
     });
+  }
+
+  /// Seed of shard s of a block: a lone shard draws from the token itself
+  /// (lane l from derive_seed(token, l)), shard s of S >= 2 from the
+  /// substream shard_stream_seed(token, s).
+  [[nodiscard]] std::uint64_t shard_seed(std::uint64_t token, std::size_t s) const noexcept {
+    return opt_.shards == 1 ? token : shard_stream_seed(token, s);
   }
 
   /// One fast-path window of `k` balls, all decided against the window
@@ -454,7 +460,7 @@ class shard_engine {
   template <window_parallel P>
   bool run_window(P& process, rng_t& rng, step_count k) {
     const bin_count n = process.state().n();
-    if (pool_) layout_ranges(n);
+    layout_ranges(n);
     const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
     const bool compact = assign_window_snapshot(process, block_executor(n));
     phases_.snapshot_ns += engine_detail::phase_clock_ns() - t_snapshot;
@@ -477,26 +483,21 @@ class shard_engine {
         kernel_run(isa_, opt_.lanes, n, snap, low, carries, balls, seed);
       }
     };
-    run_block(
-        rng, n, k, phases_,
-        [&](step_count balls, std::uint64_t seed) {
-          rows_[0].assign(n, 0);
-          carries_[0].clear();
-          fold(rows_[0].data(), carries_[0], balls, seed);
-        },
-        fold,
-        [&] {
-          if (!pool_) {
-            process.commit_window(rows_[0], carries_[0], k);
-            return;
-          }
-          merged_.resize(n);
-          process.commit_window(merged_, k,
-                                block_executor(n).prepared([this, n](std::size_t r) {
-                                  count_range(r, n);
-                                  return step_count{0};
-                                }));
-        });
+    run_block(rng, n, k, phases_, fold, [&] {
+      if (rows_.size() == 1) {
+        // Summing a lone row into merged_ first gives the same counts, but
+        // its 4 MB at n = 10^6 raised perfbench batch_insert's peak RSS from
+        // 37.05 to 45.25 MB (10/10 alternating pairs, events/s flat; 4-core
+        // AVX-512 Xeon VM), so the byte row and carries commit directly.
+        process.commit_window(rows_[0], carries_[0], k);
+        return;
+      }
+      merged_.resize(n);
+      process.commit_window(merged_, k, block_executor(n).prepared([this, n](std::size_t r) {
+        count_range(r, n);
+        return step_count{0};
+      }));
+    });
     for (const std::vector<std::uint32_t>& carries : carries_) {
       phases_.carries += static_cast<step_count>(carries.size());
     }
@@ -514,16 +515,15 @@ class shard_engine {
   /// counts are committed directly -- no snapshot, kernel, clamp or
   /// re-serve, and nothing a shard, lane, thread or ISA setting changes.
   ///
-  /// With several shards, drain shards always run the unchecked byte form
-  /// of kernel_run over the inverted snapshot.  A shard whose counts stay
-  /// within capacity everywhere decides exactly what the checked
-  /// kernel_depart would; a bin one shard alone draws past its capacity
-  /// is over capacity in the merged counts too, so the settle's clamp and
-  /// re-serve repair it like any bin the shards overdraw together.
+  /// Drain shards run the unchecked byte form of kernel_run over the
+  /// inverted snapshot at every shard count: per event, the fuller of two
+  /// sampled bins (by snapshot) loses a ball, ties fair.  A bin the shards
+  /// draw past its capacity, alone or together, is over capacity in the
+  /// summed counts, so the settle's clamp and re-serve repair it.
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
     const bin_count n = process.state().n();
-    if (pool_) layout_ranges(n);
+    layout_ranges(n);
     if (process.model().departures.departure_kind() == departure_model::kind::random) {
       ++depart_phases_.windows;
       const std::int64_t t_kernel = engine_detail::phase_clock_ns();
@@ -534,32 +534,21 @@ class shard_engine {
       depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
       return true;
     }
-    // The drain kernel reads the inverted bytes as they are
-    // (kernel_depart.hpp): one inverted assignment serves the whole block.
+    // kernel_run's min-select over the inverted bytes is the drain's
+    // max-select: one inverted assignment serves the whole block.
     const std::int64_t t_snapshot = engine_detail::phase_clock_ns();
     const bool compact = snapshot_.assign_inverted(process.state(), block_executor(n));
     depart_phases_.snapshot_ns += engine_detail::phase_clock_ns() - t_snapshot;
     if (!compact) return false;
     const std::uint8_t* inv = snapshot_.data();
-    const load_t base = snapshot_.base();
     const weight_t w = drain_weight(process.model().weighting);
     const std::uint64_t token = run_block(
         rng, n, k, depart_phases_,
-        // Cannot throw: depart_many admitted at most the resident balls, so
-        // no shard's drain ever runs out of snapshot capacity.
-        [&](step_count events, std::uint64_t seed) {
-          merged_.assign(n, 0);
-          kernel_depart(isa_, opt_.lanes, n, inv, base, w, merged_.data(), events, seed);
-        },
         [&](std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count events,
             std::uint64_t seed) {
           kernel_run(isa_, opt_.lanes, n, inv, low, carries, events, seed);
         },
         [&] {
-          if (!pool_) {
-            process.commit_departures(merged_, k);
-            return;
-          }
           merged_.resize(n);
           range_deficits_.assign(range_count_, 0);
           // The clamp withholds each range's excess from the commit.
@@ -569,11 +558,9 @@ class shard_engine {
                                       return range_deficits_[r] = clamp_range(r, n, w);
                                     }));
         });
-    if (pool_) {
-      const std::int64_t t_merge = engine_detail::phase_clock_ns();
-      if (reserve_deficit(n, w, token)) process.commit_departed_bins(reserved_);
-      depart_phases_.merge_ns += engine_detail::phase_clock_ns() - t_merge;
-    }
+    const std::int64_t t_merge = engine_detail::phase_clock_ns();
+    if (reserve_deficit(n, w, token)) process.commit_departed_bins(reserved_);
+    depart_phases_.merge_ns += engine_detail::phase_clock_ns() - t_merge;
     return true;
   }
 
@@ -585,31 +572,32 @@ class shard_engine {
   /// every bin of merged_.
   void count_random_departures(const load_state& state, step_count k, std::uint64_t token);
 
-  /// The multi-shard drain block's re-serve, after its commit: books the
-  /// ranges the clamp lowered and draws the clamped deficit into
-  /// reserved_, one bin per event, under the drain kernel's re-serve law
-  /// (depart_replay) from the stream one past the shard substreams,
-  /// rng_t(derive_seed(token, shards)), over the snapshot and the clamped
-  /// counts -- which together are the just-committed live loads.
-  /// Returns false when nothing was clamped.
+  /// The drain block's re-serve, after its commit: books the ranges the
+  /// clamp lowered and draws the clamped deficit into reserved_, one bin
+  /// per event, under the re-serve law (engine_detail::depart_replay) over
+  /// the snapshot and the clamped counts -- which together are the
+  /// just-committed live loads -- from the first stream past the block's
+  /// own: rng_t(derive_seed(token, lanes)) for one shard, whose lanes
+  /// draw from derive_seed(token, 0..lanes-1), and
+  /// rng_t(derive_seed(token, shards)) past the shard substreams of
+  /// S >= 2.  Returns false when nothing was clamped.
   bool reserve_deficit(bin_count n, weight_t w, std::uint64_t token);
 
   shard_options opt_;
   kernel_isa isa_;
-  /// The workers executing shards; empty for one shard.
-  std::optional<thread_pool> pool_;
+  /// The workers executing shards: one worker (no thread) for one shard.
+  thread_pool pool_;
   /// The current window's or block's compact snapshot.  One buffer is
   /// enough: every pool task that reads it is joined before the commit.
   compact_snapshot snapshot_;
-  /// The per-bin counts the process commits for multi-shard blocks and
-  /// for departure blocks (with one shard, the drain kernel's own row; at
-  /// any shard count, the random pass's).  One-shard arrival windows
-  /// never touch it ...
+  /// The per-bin counts the process commits when the task rows are summed
+  /// (drain blocks, and arrival windows with several task rows), and the
+  /// random pass's counts.
   std::vector<std::uint32_t> merged_;
-  /// ... they count into n bytes plus the bins whose byte wrapped, one
-  /// entry per wrap (kernel_run's byte form): rows_[0] and carries_[0].
-  /// A multi-shard block has one such pair per pool task, min(threads,
-  /// shards) of them, and row_used_[w] marks the pairs it wrote.
+  /// The task rows: n bytes plus the bins whose byte wrapped, one entry
+  /// per wrap (kernel_run's byte form), one pair per pool task --
+  /// min(threads, shards) of them -- and row_used_[w] marks the pairs the
+  /// block wrote.
   std::vector<std::vector<std::uint8_t>> rows_;
   std::vector<std::vector<std::uint32_t>> carries_;
   std::vector<std::uint8_t> row_used_;

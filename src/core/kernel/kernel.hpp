@@ -106,9 +106,9 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// entries, and a call adds to what the row and list already hold.  The
 /// windowed engine folds this way: an n-byte row stays L2-resident next to
 /// the snapshot at n = 10^6, where a uint32 row (4 MB) does not.  The
-/// one-shard engine commits the pair directly (load_state::apply_increments);
-/// the multi-shard engine folds each pool task's shards into one such pair
-/// and sums the pairs.
+/// engine folds each pool task's shards into one such pair; an arrival
+/// window with one task row commits its pair directly
+/// (load_state::apply_increments), otherwise the engine sums the pairs.
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count balls,
                 std::uint64_t seed);

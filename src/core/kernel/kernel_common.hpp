@@ -7,11 +7,10 @@
 // remainder lanes, partial rounds and the (astronomically rare, ~2^-32
 // per sample) Lemire rejections, so every backend consumes each lane's
 // stream in exactly the reference order.  The backend table at the end
-// (backend_for) is the kernel's only ISA dispatch: kernel.cpp and
-// kernel_depart.cpp both take their fills from it.  There are two fill
-// shapes, uniform and alias; the drain-departure kernel runs the uniform
-// one over a byte-inverted snapshot, so departures add no fill of their
-// own.
+// (backend_for) is the kernel's only ISA dispatch: kernel.cpp takes its
+// fills from it.  There are two fill shapes, uniform and alias; the
+// windowed engine's drain blocks run the uniform one (kernel_run) over a
+// byte-inverted snapshot, so departures add no fill of their own.
 #pragma once
 
 #include <array>

@@ -366,8 +366,8 @@ class load_state;
 /// L2-resident while shards hammer it with random reads.
 ///
 /// An inverted assignment (assign_inverted) stores 255 - off(i) instead:
-/// the drain departure kernel's "fuller of two" select is the allocation
-/// kernel's "less loaded of two" over those bytes, so it reads them as
+/// a drain block's "fuller of two" select is the allocation kernel's
+/// "less loaded of two" over those bytes, so the kernel reads them as
 /// they are instead of inverting a private copy per call.  Same range
 /// check, base() and max_off(); only the byte encoding differs.
 class compact_snapshot {
@@ -401,9 +401,7 @@ class compact_snapshot {
   [[nodiscard]] const std::uint8_t* data() const noexcept { return off_.data(); }
   /// Raw byte i: the offset, or 255 minus it after assign_inverted.
   [[nodiscard]] std::uint8_t off(bin_index i) const noexcept { return off_[i]; }
-  /// Largest offset (= span of the frozen loads), in either encoding.  The
-  /// departure kernel's random channel uses base() + max_off() as its
-  /// frozen acceptance bound.
+  /// Largest offset (= span of the frozen loads), in either encoding.
   [[nodiscard]] std::uint8_t max_off() const noexcept { return span_; }
 
  private:

@@ -270,7 +270,7 @@ inline void depart_many(P& process, rng_t& rng, step_count count) {
 /// of depart_ball, shared by every process's commit_departures.  The
 /// lease channel expires the k oldest balls through the ring (RNG-free,
 /// bit-identical to k per-event departures; `rel` is ignored); drain and
-/// random apply a departure kernel's per-bin counts in one validated
+/// random apply an engine block's per-bin counts in one validated
 /// pass, retiring the drain weight (resp. unit quanta) per departing
 /// ball with release()'s contract-error vocabulary on any overdraw.
 /// That pass runs by bin range through `exec` (load_state::
@@ -300,8 +300,8 @@ inline void apply_departure_block(load_state& state, const alloc_model& model,
 /// Retires one departing ball from each listed bin, in list order, each
 /// through release(i, w) with the channel's departing weight (the drain
 /// weight, or 1 for random) -- the bulk departure's per-ball tail: the
-/// events a multi-shard drain settle withheld from its block commit and
-/// re-served (core/engine/shard_engine.hpp).  The lease channel has no
+/// events a drain settle withheld from its block commit and re-served
+/// (core/engine/shard_engine.hpp).  The lease channel has no
 /// chosen bins (it expires the oldest ball) and is refused.
 inline void apply_departed_bins(load_state& state, const alloc_model& model,
                                 const std::vector<bin_index>& bins) {

@@ -5,11 +5,12 @@
 // run).  The churn phase then serves `events` arrival/departure pairs in
 // fixed-size cycles: each cycle moves `cycle` arrivals through the engine
 // followed by a block of `cycle` departures through the SAME engine --
-// qualifying drain/random blocks run the SIMD departure kernel
-// (core/kernel/kernel_depart.hpp), lease blocks pop the ring in bulk,
+// qualifying drain blocks run the SIMD kernel over the inverted snapshot
+// and random blocks one exact hypergeometric pass
+// (core/engine/shard_engine.hpp), lease blocks pop the ring in bulk,
 // and everything else (including every serial-engine run) takes the
-// per-event reference loop on the master stream, so fused loops, shard
-// windows and both kernels keep their speed under churn.  At every cycle
+// per-event reference loop on the master stream, so fused loops and
+// engine windows keep their speed under churn.  At every cycle
 // boundary the resident ball count is back at `occupancy` -- that is
 // where telemetry samples and checkpoint marks land.
 //

@@ -102,9 +102,9 @@ class run_engine {
     }
   }
 
-  /// Serves `count` departure events through the selected engine: the
-  /// SIMD departure kernel for qualifying drain/random blocks, the bulk
-  /// lease pop, or the serial per-event reference loop.
+  /// Serves `count` departure events through the selected engine: its
+  /// batched blocks for qualifying drain/random requests, the bulk lease
+  /// pop, or the serial per-event reference loop.
   template <single_steppable P>
     requires departable_process<P>
   void depart(P& process, rng_t& rng, step_count count) {

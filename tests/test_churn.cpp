@@ -10,7 +10,7 @@
 //     thread counts on the shard engine, and across ISA backends on the
 //     kernel engine;
 //   * the batched departure path (cycles at or above the engines'
-//     min_window route through the SIMD departure kernel): a declared
+//     min_window route through the engines' departure blocks): a declared
 //     sampling-contract change that stays ISA- and thread-count
 //     invariant, conserves occupancy at every cycle boundary, and agrees
 //     with the serial per-event law distributionally;
@@ -309,11 +309,11 @@ TEST(RunChurn, CheckpointRestoreMidChurnIsBitIdenticalWithLeaseRingInFlight) {
 
 // ---------------------------------------------------------------------------
 // The batched departure path: cycles at or above the engines' min_window
-// serve departure blocks through the SIMD departure kernel.
+// serve departure blocks through the engines' batched blocks.
 
 TEST(RunChurn, BatchedDeparturesEngageAndStayIsaInvariant) {
   // cycle == min_window (4096): the kernel engine serves every departure
-  // block through the departure kernel.  The batched path is a declared
+  // block batched.  The batched path is a declared
   // sampling-contract change (different loads than the serial engine) but
   // the ISA backend stays execution-only (bit-identical trajectories).
   process_spec spec;
@@ -407,7 +407,7 @@ TEST(RunChurn, BatchedAndSerialAgreeDistributionallyAtCycleBoundaries) {
 TEST(RunChurn, CheckpointRestoreMidChurnIsBitIdenticalOnBatchedKernelPath) {
   // Mid-churn checkpoint + restore with the batched departure path
   // engaged: marks land at cycle boundaries, the resumed run re-enters
-  // the same kernel_depart call sequence, and churn_fingerprint (tagged
+  // the same drain block sequence, and churn_fingerprint (tagged
   // ",depart=batch") guards the contract.
   process_spec spec;
   spec.kind = "two-choice";

@@ -1,29 +1,27 @@
-// The lane-interleaved SIMD drain-departure kernel (core/kernel/
-// kernel_depart) and its contract: per-bin departure counts are a pure
-// function of (lanes, n, snapshot, weight, k, seed) -- the ISA backend is
-// execution-only and NEVER affects results.  Mirroring test_kernel.cpp,
-// the suite pins
-//   (1) the scalar backend to an independently written replay of the
-//       documented draw order (bounded(n) pairs plus a raw tie draw,
-//       fuller-by-snapshot wins, drained-dry picks re-served from the
-//       dedicated replay stream),
-//   (2) every vector backend to the scalar backend, bit for bit,
-//       including the replay/fallback path and multi-block runs,
-//   (3) the capacity guarantee (no bin is ever overdrawn) and the count
-//       sum, so commit via load_state::apply_releases never trips,
-//   (4) a golden FNV value so the sampling contract cannot drift silently
-//       between releases,
-//   (5) the engines' batched-departure routing: ISA- and thread-count
-//       invariance, the bulk lease pop, and the warn_once diagnostics on
-//       every silent serial fallback (no commit_departures, undersized
-//       block, span-saturated drain snapshot), and the up-front refusal of
-//       a request for more departures than there are resident balls,
-//   (6) the random channel's one exact pass: multivariate hypergeometric
+// Batched departures through the windowed engine (core/engine/
+// shard_engine) and their contract.  One drain law serves every shard
+// count: the block's shards run kernel_run over the inverted snapshot of
+// the live loads (the fuller of two sampled bins loses a ball, ties
+// fair), the settle clamps the summed counts to snapshot capacity, and
+// the clamped excess is re-served after the commit under the re-serve
+// law.  The kernel's own contract (backend bit-identity, lanes as a
+// sampling parameter, argument checks) is tests/test_kernel.cpp's.  The
+// suite pins
+//   (1) the drain law and the engines' batched-departure routing: a hand
+//       replay of the one-shard block, the re-serve law's refusal once
+//       nothing can cover the weight, the count sum and capacity bound,
+//       golden digests, ISA- and thread-count invariance and the bulk
+//       lease pop,
+//   (2) the warn_once diagnostics on every silent serial fallback (no
+//       commit_departures, undersized block, span-saturated drain
+//       snapshot),
+//   (3) the up-front refusal of a request for more departures than there
+//       are resident balls,
+//   (4) the random channel's one exact pass (multivariate hypergeometric
 //       counts over the live loads, checked against the enumerated law
-//       and invariant under every shard, thread, lane and ISA setting.
-// Kernel calls hand the kernel the inverted snapshot bytes (what
-// compact_snapshot::assign_inverted writes); references and golden values
-// are stated over the plain snapshot.
+//       and invariant under every shard, thread, lane and ISA setting)
+//       and the drain leaf's exact max-select law while no clamp fires
+//       (G-tested at 1, 2 and 16 shards).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -33,7 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/kernel/kernel_common.hpp"
+#include "core/analysis/allocation_probability.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -57,258 +55,9 @@ std::vector<kernel_isa> supported_backends() {
   return isas;
 }
 
-/// The allocation suite's snapshot shape (offsets cycle 0..4, padded for
-/// the vector gathers) -- plenty of ties for the drain tie-break.
-std::vector<std::uint8_t> make_snapshot(bin_count n) {
-  std::vector<std::uint8_t> snap(static_cast<std::size_t>(n) + compact_snapshot::tail_padding, 0);
-  for (bin_count i = 0; i < n; ++i) snap[i] = static_cast<std::uint8_t>(i % 5);
-  return snap;
-}
-
-/// The bytes kernel_depart reads: the inverted snapshot (255 - offset,
-/// what compact_snapshot::assign_inverted writes).
-std::vector<std::uint8_t> inverted(const std::vector<std::uint8_t>& snap, bin_count n) {
-  std::vector<std::uint8_t> inv(snap.size(), 0);
-  for (bin_count i = 0; i < n; ++i) inv[i] = static_cast<std::uint8_t>(255 - snap[i]);
-  return inv;
-}
-
-/// Departure counts of one kernel_depart call over the plain snapshot
-/// `snap` (inverted on the way in).
-std::vector<std::uint32_t> depart_counts(kernel_isa isa, std::size_t lanes, bin_count n,
-                                         const std::vector<std::uint8_t>& snap, load_t base,
-                                         weight_t w, step_count k, std::uint64_t seed) {
-  std::vector<std::uint32_t> rel(n, 0);
-  kernel_depart(isa, lanes, n, inverted(snap, n).data(), base, w, rel.data(), k, seed);
-  return rel;
-}
-
 // ---------------------------------------------------------------------------
-// (1) The scalar backend vs independent replays of the documented laws.
-
-/// An independent replay of the drain channel: per-lane xoshiro streams,
-/// ball t uses lane t % lanes and draws bounded(n), bounded(n), one raw
-/// tie word; the FULLER bin by snapshot offset wins (tie bit set -> first
-/// index).  Drained-dry picks re-serve from rng_t(derive_seed(seed,
-/// lanes)) under the serial eligibility law over remaining load, with the
-/// deterministic fullest-bin fallback.  Valid for k within one fill block
-/// of the driver (lane rotation restarts per block).
-std::vector<std::uint32_t> drain_reference(std::size_t lanes, bin_count n,
-                                           const std::vector<std::uint8_t>& snap, load_t base,
-                                           weight_t w, step_count k, std::uint64_t seed) {
-  std::vector<rng_t> lane_rng;
-  for (std::size_t l = 0; l < lanes; ++l) lane_rng.emplace_back(derive_seed(seed, l));
-  rng_t replay(derive_seed(seed, lanes));
-  std::vector<std::uint32_t> rel(n, 0);
-  const auto remaining = [&](std::uint32_t c) {
-    return static_cast<weight_t>(base) + snap[c] - static_cast<weight_t>(rel[c]) * w;
-  };
-  const auto replay_one = [&] {
-    for (int attempt = 0; attempt < 4096; ++attempt) {
-      const auto i = static_cast<std::uint32_t>(bounded(replay, n));
-      const auto j = static_cast<std::uint32_t>(bounded(replay, n));
-      const weight_t ri = remaining(i);
-      const weight_t rj = remaining(j);
-      if (ri < w && rj < w) continue;
-      std::uint32_t c;
-      if (ri != rj) {
-        c = ri > rj ? i : j;
-      } else {
-        c = (replay.next() >> 63) != 0 ? i : j;
-      }
-      ++rel[c];
-      return;
-    }
-    std::uint32_t best = 0;
-    weight_t best_rem = remaining(0);
-    for (bin_count i = 1; i < n; ++i) {
-      if (remaining(i) > best_rem) {
-        best = i;
-        best_rem = remaining(i);
-      }
-    }
-    ++rel[best];
-  };
-  for (step_count t = 0; t < k; ++t) {
-    rng_t& rng = lane_rng[static_cast<std::size_t>(t) % lanes];
-    const auto i1 = static_cast<std::uint32_t>(bounded(rng, n));
-    const auto i2 = static_cast<std::uint32_t>(bounded(rng, n));
-    const std::uint64_t c = rng.next();
-    const std::uint32_t chosen = snap[i1] > snap[i2]   ? i1
-                                 : snap[i2] > snap[i1] ? i2
-                                 : ((c >> 63) != 0 ? i1 : i2);
-    if (remaining(chosen) >= w) {
-      ++rel[chosen];
-    } else {
-      replay_one();
-    }
-  }
-  return rel;
-}
-
-TEST(DepartKernel, ScalarDrainMatchesDocumentedDrawOrder) {
-  // base 12 over 97 bins: k = 1003 retires ~74% of the snapshot's total
-  // load, so the fold's remaining-capacity check and the replay stream
-  // are exercised heavily, not just the happy path.
-  const bin_count n = 97;
-  const std::size_t lanes = 4;
-  const step_count k = 1003;
-  const auto snap = make_snapshot(n);
-  const auto expected = drain_reference(lanes, n, snap, 12, 1, k, 77);
-  EXPECT_EQ(depart_counts(kernel_isa::scalar, lanes, n, snap, 12, 1, k, 77), expected);
-  EXPECT_EQ(std::accumulate(expected.begin(), expected.end(), std::int64_t{0}), k);
-}
-
-TEST(DepartKernel, ScalarWeightedDrainMatchesDocumentedDrawOrder) {
-  // Fixed per-ball weight 3: eligibility, the remaining fold and the
-  // capacity guarantee all scale by w.
-  const bin_count n = 16;
-  const std::size_t lanes = 3;
-  const step_count k = 120;
-  const auto snap = make_snapshot(n);
-  const auto expected = drain_reference(lanes, n, snap, 30, 3, k, 5);
-  const auto got = depart_counts(kernel_isa::scalar, lanes, n, snap, 30, 3, k, 5);
-  EXPECT_EQ(got, expected);
-  for (bin_count i = 0; i < n; ++i) {
-    EXPECT_LE(static_cast<weight_t>(got[i]) * 3, static_cast<weight_t>(30) + snap[i])
-        << "bin " << i << " overdrawn";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// (2) Backend bit-parity.
-
-TEST(DepartKernel, BackendsBitIdenticalAcrossShapes) {
-  // Every supported backend must reproduce the scalar counts bit for bit
-  // over awkward shapes: remainder lanes (1, 3, 5), tiny bins, and event
-  // counts that cross the driver's 8192-event block.
-  const auto isas = supported_backends();
-  ASSERT_GE(isas.size(), 1u);
-  for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
-    const auto snap = make_snapshot(n);
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{5},
-                                    std::size_t{8}, std::size_t{64}}) {
-      for (const step_count k : {step_count{1}, step_count{63}, step_count{1000},
-                                 step_count{20000}}) {
-        // base 25000 keeps even the n = 1, k = 20000 shape within
-        // capacity.
-        const auto reference =
-            depart_counts(kernel_isa::scalar, lanes, n, snap, 25000, 1, k, 31337);
-        EXPECT_EQ(std::accumulate(reference.begin(), reference.end(), std::int64_t{0}), k);
-        for (const kernel_isa isa : isas) {
-          EXPECT_EQ(depart_counts(isa, lanes, n, snap, 25000, 1, k, 31337), reference)
-              << kernel_isa_name(isa) << " n=" << n << " lanes=" << lanes << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
-TEST(DepartKernel, DrainFullExhaustionBitIdenticalAndGuarded) {
-  // k equal to the snapshot's total load drains every bin to exactly
-  // zero -- the replay stream and the deterministic fullest-bin fallback
-  // both fire, on every backend, with identical counts.  One more event
-  // must refuse with the weight-naming contract error.
-  const bin_count n = 97;
-  const auto snap = make_snapshot(n);
-  const load_t base = 12;
-  step_count capacity = 0;
-  for (bin_count i = 0; i < n; ++i) capacity += base + snap[i];
-
-  const auto reference = depart_counts(kernel_isa::scalar, 8, n, snap, base, 1, capacity, 9);
-  for (bin_count i = 0; i < n; ++i) {
-    EXPECT_EQ(reference[i], static_cast<std::uint32_t>(base + snap[i])) << "bin " << i;
-  }
-  for (const kernel_isa isa : supported_backends()) {
-    EXPECT_EQ(depart_counts(isa, 8, n, snap, base, 1, capacity, 9), reference)
-        << kernel_isa_name(isa);
-    try {
-      (void)depart_counts(isa, 8, n, snap, base, 1, capacity + 1, 9);
-      FAIL() << "draining past the total load must throw (" << kernel_isa_name(isa) << ")";
-    } catch (const contract_error& e) {
-      EXPECT_NE(std::string(e.what()).find("weight 1"), std::string::npos) << e.what();
-    }
-  }
-}
-
-TEST(DepartKernel, FixedScheduleBitIdenticalAcrossBackends) {
-  // Each backend runs its one fill schedule: 30000 departures over 13
-  // lanes end it mid-round, and every backend must match the scalar
-  // reference.
-  const bin_count n = 257;
-  const auto snap = make_snapshot(n);
-  const auto reference = depart_counts(kernel_isa::scalar, 13, n, snap, 500, 1, 30000, 2026);
-  for (const kernel_isa isa : supported_backends()) {
-    EXPECT_EQ(depart_counts(isa, 13, n, snap, 500, 1, 30000, 2026), reference)
-        << kernel_isa_name(isa);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// (3) Capacity guarantee and count sums.
-
-TEST(DepartKernel, CountsSumToKAndRespectCapacity) {
-  const bin_count n = 64;
-  const auto snap = make_snapshot(n);
-  for (const kernel_isa isa : supported_backends()) {
-    // Weighted drain: rel[i] * w can never exceed the bin's snapshot load.
-    const auto drained = depart_counts(isa, 8, n, snap, 301, 3, 5000, 11);
-    EXPECT_EQ(std::accumulate(drained.begin(), drained.end(), std::int64_t{0}), 5000);
-    for (bin_count i = 0; i < n; ++i) {
-      EXPECT_LE(static_cast<weight_t>(drained[i]) * 3, static_cast<weight_t>(301) + snap[i])
-          << kernel_isa_name(isa) << " bin " << i;
-    }
-  }
-}
-
-TEST(DepartKernel, LaneCountIsASamplingParameter) {
-  const bin_count n = 512;
-  const auto snap = make_snapshot(n);
-  const auto l4 = depart_counts(kernel_isa::scalar, 4, n, snap, 100, 1, 10000, 42);
-  const auto l8 = depart_counts(kernel_isa::scalar, 8, n, snap, 100, 1, 10000, 42);
-  EXPECT_NE(l4, l8);
-}
-
-// ---------------------------------------------------------------------------
-// (4) Golden contract regression.
-
-TEST(DepartKernel, GoldenContractRegression) {
-  // A frozen FNV-1a fold of the count vector for (seed 42, n 101, lanes
-  // 8, k 10^5, base 2000) on the cyclic snapshot.  EVERY compiled backend
-  // must hit the same golden hash directly -- a contract drift that
-  // slipped into all backends at once still fails here.
-  const bin_count n = 101;
-  const auto snap = make_snapshot(n);
-  for (const kernel_isa isa : supported_backends()) {
-    const auto drained = depart_counts(isa, 8, n, snap, 2000, 1, 100000, 42);
-    EXPECT_EQ(std::accumulate(drained.begin(), drained.end(), std::int64_t{0}), 100000)
-        << kernel_isa_name(isa);
-    EXPECT_EQ(fnv1a(drained), 7532978351616542871ULL) << kernel_isa_name(isa);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// (5) Contract surface.
-
-TEST(DepartKernel, RejectsContractViolations) {
-  const auto snap = make_snapshot(8);
-  std::vector<std::uint32_t> rel(8, 0);
-  // Lanes and bins, like kernel_run.
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 0, 8, snap.data(), 100, 1, rel.data(), 10, 1),
-               contract_error);
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, kernel_max_lanes + 1, 8, snap.data(), 100, 1,
-                             rel.data(), 10, 1),
-               contract_error);
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, 0, snap.data(), 100, 1, rel.data(), 10, 1),
-               contract_error);
-  // Weight bounds.
-  EXPECT_THROW(kernel_depart(kernel_isa::scalar, 8, 8, snap.data(), 100, 0, rel.data(), 10, 1),
-               contract_error);
-}
-
-// ---------------------------------------------------------------------------
-// (6) Engine routing: batched departures through the windowed engine, with
-// one shard and with several.
+// (1) The drain law and the engine routing: batched departures through the
+// windowed engine, with one shard and with several.
 
 any_process churned_process(const char* channel, bin_count n, step_count warm,
                             std::uint64_t seed, rng_t& rng) {
@@ -552,33 +301,185 @@ TEST(DepartEngineShard, OneEngineAcrossHeavyDrainBlocksMatchesAFreshEnginePerBlo
   EXPECT_GT(shared.depart_phases().clamped_ranges, 3 * 8 / 2);
 }
 
-TEST(DepartEngine, DrainBlockIsOneKernelCallOverTheInvertedLiveSnapshot) {
-  // Pins the one-shard drain block to the documented kernel call: one
-  // kernel_depart over the inverted snapshot of the live loads, seeded by
-  // the block token itself -- on the calling thread whatever the thread
-  // count (a lone shard never overdraws, so nothing is clamped or
-  // repaired).
-  const bin_count n = 512;
-  const step_count k = 6000;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    rng_t rng(0);
-    any_process process = churned_process("drain", n, 20000, 3, rng);
-    load_state expected = process.state();
-    rng_t expected_rng = rng;
-    const std::uint64_t token = expected_rng.next();
-    compact_snapshot inv;
-    ASSERT_TRUE(inv.assign_inverted(expected));
-    std::vector<std::uint32_t> rel(n, 0);
-    kernel_depart(kernel_isa::scalar, 8, n, inv.data(), inv.base(), 1, rel.data(), k, token);
-    expected.apply_releases(rel, 1, k);
+/// The re-serve law, written out from its documentation: over remaining
+/// load (`loads` less one unit per count in `rel`), redraw a pair
+/// bounded(n), bounded(n) from `replay`; skip it when both bins are
+/// drained dry, else the fuller bin loses a ball, ties by the top bit of
+/// one more raw draw; after 4096 attempts the fullest bin, first index
+/// winning.  Unit weight.
+bin_index reserve_one(const std::vector<load_t>& loads, std::vector<std::uint32_t>& rel,
+                      rng_t& replay) {
+  const auto n = static_cast<bin_count>(loads.size());
+  const auto remaining = [&](std::uint32_t c) { return loads[c] - static_cast<load_t>(rel[c]); };
+  for (int attempt = 0; attempt < 4096; ++attempt) {
+    const auto i = static_cast<std::uint32_t>(bounded(replay, n));
+    const auto j = static_cast<std::uint32_t>(bounded(replay, n));
+    if (remaining(i) < 1 && remaining(j) < 1) continue;
+    std::uint32_t c;
+    if (remaining(i) != remaining(j)) {
+      c = remaining(i) > remaining(j) ? i : j;
+    } else {
+      c = (replay.next() >> 63) != 0 ? i : j;
+    }
+    ++rel[c];
+    return c;
+  }
+  std::uint32_t best = 0;
+  for (std::uint32_t i = 1; i < n; ++i) {
+    if (remaining(i) > remaining(best)) best = i;
+  }
+  ++rel[best];
+  return best;
+}
 
-    shard_engine engine(shard_options{.threads = threads, .shards = 1, .min_window = 1});
+TEST(DepartEngine, DrainBlockIsOneFoldOverTheInvertedLiveSnapshotThenClampAndReserve) {
+  // Pins the one-shard drain block to the documented law: one kernel_run
+  // over the inverted snapshot of the live loads, seeded by the block
+  // token itself; every bin's count clamped to its snapshot load; then the
+  // clamped excess re-served one event at a time under the re-serve law
+  // from rng_t(derive_seed(token, lanes)), the stream one past the lanes.
+  // On the calling thread whatever the thread count.  The first shape
+  // never overdraws a bin; the second (2900 of 3000 balls leave 64 bins)
+  // re-serves.
+  struct shape {
+    bin_count n;
+    step_count warm;
+    step_count k;
+  };
+  for (const shape sh : {shape{512, 20000, 6000}, shape{64, 3000, 2900}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      rng_t rng(0);
+      any_process process = churned_process("drain", sh.n, sh.warm, 3, rng);
+      load_state expected = process.state();
+      const std::vector<load_t> loads = expected.loads();
+      rng_t expected_rng = rng;
+      const std::uint64_t token = expected_rng.next();
+      compact_snapshot inv;
+      ASSERT_TRUE(inv.assign_inverted(expected));
+      std::vector<std::uint32_t> rel(sh.n, 0);
+      kernel_run(kernel_isa::scalar, 8, sh.n, inv.data(), rel.data(), sh.k, token);
+      step_count deficit = 0;
+      step_count clamped_bins = 0;
+      for (bin_count i = 0; i < sh.n; ++i) {
+        const auto cap = static_cast<std::uint32_t>(loads[i]);
+        if (rel[i] > cap) {
+          deficit += rel[i] - cap;
+          ++clamped_bins;
+          rel[i] = cap;
+        }
+      }
+      expected.apply_releases(rel, 1, sh.k - deficit);
+      rng_t replay(derive_seed(token, 8));
+      std::vector<bin_index> reserved;
+      for (step_count d = 0; d < deficit; ++d) reserved.push_back(reserve_one(loads, rel, replay));
+      expected.release_each(reserved, 1);
+      EXPECT_EQ(deficit > 0, sh.n == 64) << sh.n << " bins";
+
+      shard_engine engine(shard_options{.threads = threads, .shards = 1, .min_window = 1});
+      engine.depart_many(process, rng, sh.k);
+      const window_phase_times& ph = engine.depart_phases();
+      const std::string where =
+          std::to_string(sh.n) + " bins, " + std::to_string(threads) + " threads";
+      EXPECT_EQ(engine.threads(), 1u);
+      EXPECT_EQ(ph.windows, 1);
+      EXPECT_EQ(ph.reserved_events, deficit) << where;
+      EXPECT_EQ(ph.clamped_ranges > 0, clamped_bins > 0) << where;
+      EXPECT_EQ(process.state().loads(), expected.loads()) << where;
+      EXPECT_EQ(rng.state(), expected_rng.state()) << where;
+    }
+  }
+}
+
+TEST(DepartEngine, OneShardDrainCountsSumToKAndStayWithinCapacity) {
+  // Fixed per-ball weight 3 and a block retiring all but 20 of 1000
+  // balls: the clamp and re-serve fire, yet on every ISA each bin loses a
+  // multiple of 3 no larger than its load, and exactly k balls leave.
+  const bin_count n = 16;
+  const step_count k = 980;
+  std::vector<load_t> reference;
+  for (const kernel_isa isa : supported_backends()) {
+    any_process process{two_choice(n)};
+    process.set_model(make_model("fixed:3", "uniform", n, "drain"));
+    rng_t rng(12);
+    step_many(process, rng, 1000);
+    const std::vector<load_t> before = process.state().loads();
+    shard_engine engine(shard_options{.shards = 1, .min_window = 1, .isa = isa});
     engine.depart_many(process, rng, k);
-    EXPECT_EQ(engine.threads(), 1u);
-    EXPECT_EQ(engine.depart_phases().windows, 1);
-    EXPECT_EQ(engine.depart_phases().merge_ns, 0);
-    EXPECT_EQ(process.state().loads(), expected.loads()) << threads << " threads";
-    EXPECT_EQ(rng.state(), expected_rng.state()) << threads << " threads";
+    EXPECT_GT(engine.depart_phases().reserved_events, 0) << kernel_isa_name(isa);
+    EXPECT_EQ(process.state().balls(), 1000 - k);
+    EXPECT_EQ(nb::testing::total_balls(process.state().loads()), 3 * (1000 - k));
+    step_count departed = 0;
+    for (bin_count i = 0; i < n; ++i) {
+      const load_t drop = before[i] - process.state().loads()[i];
+      EXPECT_GE(drop, 0) << kernel_isa_name(isa) << " bin " << i;
+      EXPECT_LE(drop, before[i]) << kernel_isa_name(isa) << " bin " << i;
+      EXPECT_EQ(drop % 3, 0) << kernel_isa_name(isa) << " bin " << i;
+      departed += drop / 3;
+    }
+    EXPECT_EQ(departed, k) << kernel_isa_name(isa);
+    if (reference.empty()) {
+      reference = process.state().loads();
+    } else {
+      EXPECT_EQ(process.state().loads(), reference) << kernel_isa_name(isa);
+    }
+  }
+}
+
+TEST(DepartEngine, ReserveLawRefusesOnceNoBinCoversTheWeight) {
+  // The re-serve law over 8 bins of snapshot load 12 + i % 5: with every
+  // bin drained but bin 5, the redraws (or the fallback) must land there;
+  // once every bin is drained dry it refuses with the weight-naming
+  // contract error instead of overdrawing.
+  const bin_count n = 8;
+  std::vector<load_t> loads(n);
+  for (bin_count i = 0; i < n; ++i) loads[i] = 12 + static_cast<load_t>(i % 5);
+  compact_snapshot inv;
+  ASSERT_TRUE(inv.assign_inverted(loads));
+  std::vector<std::uint32_t> rel(loads.begin(), loads.end());
+  rel[5] -= 1;
+  rng_t replay(99);
+  EXPECT_EQ(engine_detail::depart_replay(n, inv.data(), inv.base(), 1, rel.data(), replay), 5u);
+  EXPECT_EQ(rel[5], static_cast<std::uint32_t>(loads[5]));
+  try {
+    (void)engine_detail::depart_replay(n, inv.data(), inv.base(), 1, rel.data(), replay);
+    FAIL() << "a drained-dry snapshot must refuse";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("weight 1"), std::string::npos) << e.what();
+  }
+}
+
+TEST(DepartEngine, OneShardDrainBlockThatNeverOverdrawsKeepsItsDigest) {
+  // An occupancy-8n drain block on one shard never overdraws a bin, so
+  // nothing is clamped or re-served.  The digest was recorded when
+  // one-shard drain blocks ran a separate checked kernel that replayed
+  // drained-dry picks inline.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const kernel_isa isa : supported_backends()) {
+      const drain_block_run steady = shard_drain_block(4096, 8 * 4096, 4096, 1, threads, isa);
+      EXPECT_EQ(steady.digest, 16144933582718212715ULL)
+          << threads << " threads, " << kernel_isa_name(isa);
+      EXPECT_EQ(steady.phases.clamped_ranges, 0);
+      EXPECT_EQ(steady.phases.reserved_events, 0);
+    }
+  }
+}
+
+TEST(DepartEngine, HeavyOneShardDrainBlockClampsReservesAndMatchesItsDigest) {
+  // GoldenMultiShardDepartureStreams' drain block (2900 of 3000 balls
+  // leave 64 bins) on one shard: the block overdraws, so the clamp and
+  // re-serve fire and report it, whatever the thread count and ISA.
+  const drain_block_run heavy = shard_drain_block(64, 3000, 2900, 1);
+  EXPECT_EQ(heavy.digest, 8403636406541552254ULL);
+  EXPECT_GT(heavy.phases.clamped_ranges, 0);
+  EXPECT_GT(heavy.phases.reserved_events, 0);
+  EXPECT_EQ(heavy.balls, 100);
+  EXPECT_EQ(nb::testing::total_balls(heavy.loads), 100);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const kernel_isa isa : supported_backends()) {
+      const drain_block_run other = shard_drain_block(64, 3000, 2900, 1, threads, isa);
+      EXPECT_EQ(other.digest, heavy.digest) << threads << " threads, " << kernel_isa_name(isa);
+      EXPECT_EQ(other.phases.reserved_events, heavy.phases.reserved_events);
+    }
   }
 }
 
@@ -615,7 +516,7 @@ TEST(DepartEngineKernel, WeightedDrainRetiresTheBallsActualWeight) {
 }
 
 // ---------------------------------------------------------------------------
-// (7) The silent-fallback diagnostics: every path that quietly serves a
+// (2) The silent-fallback diagnostics: every path that quietly serves a
 // batched-departure request through the serial per-event loop must say so
 // once (warn_once), and must still serve it bit-identically to the serial
 // reference.
@@ -689,7 +590,7 @@ struct bare_departer {
 };
 
 // ---------------------------------------------------------------------------
-// (8) Asking for more departures than there are resident balls: both
+// (3) Asking for more departures than there are resident balls: both
 // engines refuse before the first block -- contract_error naming both
 // counts, state and stream untouched -- instead of redrawing forever
 // (random) or throwing inside a pool task (shard drain).
@@ -764,18 +665,19 @@ TEST(DepartEngine, NonBatchDepartableFallsBackToSerialWithDiagnostic) {
 }
 
 // ---------------------------------------------------------------------------
-// (9) Random blocks: one exact serial pass of hypergeometric counts over
-// the live loads, whatever the shard, thread, lane and ISA setting.
+// (4) Exact laws.  Random blocks: one exact serial pass of hypergeometric
+// counts over the live loads, whatever the shard, thread, lane and ISA
+// setting.  Drain blocks no clamp touches: multinomial under max-select.
 
-/// A process holding exactly the loads it was given, on the random
+/// A process holding exactly the loads it was given, on the `channel`
 /// departure channel and the library's departure laws; it never arrives.
 struct placed_loads {
   load_state st;
   alloc_model m;
 
-  explicit placed_loads(const std::vector<load_t>& loads)
+  explicit placed_loads(const std::vector<load_t>& loads, const char* channel = "random")
       : st(static_cast<bin_count>(loads.size())) {
-    set_model(make_model("unit", "uniform", st.n(), "random"));
+    set_model(make_model("unit", "uniform", st.n(), channel));
     for (std::size_t i = 0; i < loads.size(); ++i) {
       for (load_t u = 0; u < loads[i]; ++u) st.allocate(static_cast<bin_index>(i));
     }
@@ -860,6 +762,47 @@ TEST(DepartEngineRandom, BlocksFollowTheExactMultivariateHypergeometricLaw) {
                 << " shards: G-test p = " << p << "\n";
       EXPECT_GT(p, 1e-3) << shards << " shards";
     }
+  }
+}
+
+TEST(DepartEngineDrain, BlocksFollowTheExactMaxSelectLaw) {
+  // The drain leaf's exact law: while no bin can drain dry, each event of
+  // a block takes one ball from the fuller of two uniform bins by
+  // snapshot load, ties fair, independently of the others -- so a block's
+  // counts are Multinomial(k, p) with p the two-choice law over the
+  // negated loads, and so are the summed counts of independent blocks
+  // (Multinomial(blocks * k, p)).  4000 blocks of k = 256 from the same
+  // 16 loads per shard count on pinned seeds, G-tested at alpha = 10^-3.
+  // Every bin holds at least 1000 balls, far above k, so no clamp fires.
+  const std::vector<load_t> loads = {1000, 1003, 1003, 1001, 1007, 1000, 1002, 1005,
+                                     1003, 1001, 1000, 1006, 1004, 1002, 1007, 1001};
+  std::vector<load_t> negated;
+  for (const load_t l : loads) negated.push_back(-l);
+  const std::vector<double> p = two_choice_probabilities(negated);
+  std::cout << "drain max-select law p =";
+  for (const double q : p) std::cout << " " << q;
+  std::cout << "\n";
+  const placed_loads start(loads, "drain");
+  const step_count k = 256;
+  const int blocks = 4000;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
+    shard_engine engine(shard_options{.threads = 2, .shards = shards, .min_window = 1});
+    rng_t rng(derive_seed(2026, shards));
+    std::vector<std::int64_t> counts(loads.size(), 0);
+    for (int b = 0; b < blocks; ++b) {
+      placed_loads q = start;
+      engine.depart_many(q, rng, k);
+      for (std::size_t i = 0; i < loads.size(); ++i) counts[i] += loads[i] - q.st.loads()[i];
+    }
+    const window_phase_times& ph = engine.depart_phases();
+    EXPECT_EQ(ph.windows, blocks);
+    EXPECT_EQ(ph.clamped_ranges, 0) << shards << " shards";
+    EXPECT_EQ(ph.reserved_events, 0) << shards << " shards";
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::int64_t{0}), blocks * k);
+    const double pv = nb::testing::g_test_p_value(counts, p);
+    std::cout << "drain max-select oracle, " << loads.size() << " bins, k = " << k << ", "
+              << shards << " shards: G-test p = " << pv << "\n";
+    EXPECT_GT(pv, 1e-3) << shards << " shards";
   }
 }
 
