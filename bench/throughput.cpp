@@ -212,8 +212,9 @@ struct scale_entry {
   /// time over all its shots (emitted per window as window_phases_ms).
   window_phase_times phases;
   /// Engine churn legs: the same split for the engine's departure blocks
-  /// (emitted per block as depart_phases_ms, with the record's repair
-  /// counts as depart_repairs).
+  /// (emitted per block as depart_phases_ms, whose merge is a drain
+  /// block's settle + re-serve, with the record's repair counts as
+  /// depart_repairs).
   window_phase_times depart_phases;
   /// Like-with-like ratios (0 = not reported): a shard leg's rate over the
   /// one-shard kernel leg at t = 1 on the same ISA, and the churn-shard
@@ -255,14 +256,15 @@ void note_phases(scale_entry& entry, const window_phase_times& phases) {
 }
 
 /// Prints an engine churn leg's per-departure-block split and repairs.  A
-/// drain block's task-row sum and clamp run inside its commit pass, at
-/// every shard count; its merge phase is the re-serve of the clamped
-/// deficit after it.
+/// drain block's merge phase is its settle (the task-row sum and clamp)
+/// plus the re-serve of the clamped deficit, both before its one commit,
+/// at every shard count.
 void note_depart_phases(const window_phase_times& phases) {
   if (phases.windows == 0) return;
   const double ms = 1e-6 / static_cast<double>(phases.windows);
-  std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, re-serve %.3f ms, "
-              "commit %.3f ms; repairs: %lld clamped ranges, %lld re-served events\n",
+  std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, "
+              "settle + re-serve %.3f ms, commit %.3f ms; repairs: %lld clamped ranges, "
+              "%lld re-served events\n",
               static_cast<double>(phases.snapshot_ns) * ms,
               static_cast<double>(phases.kernel_ns) * ms,
               static_cast<double>(phases.merge_ns) * ms,

@@ -120,21 +120,18 @@ step_count shard_engine::clamp_range(std::size_t r, bin_count n, weight_t w) {
   return w == 1 ? clamp(load) : clamp(capacity);
 }
 
-bool shard_engine::reserve_deficit(bin_count n, weight_t w, std::uint64_t token) {
+void shard_engine::reserve_deficit(bin_count n, weight_t w, std::uint64_t token) {
   step_count deficit = 0;
   for (const step_count d : range_deficits_) {
     deficit += d;
     if (d > 0) ++depart_phases_.clamped_ranges;
   }
-  if (deficit == 0) return false;
+  if (deficit == 0) return;
   depart_phases_.reserved_events += deficit;
-  reserved_.clear();
   rng_t replay(derive_seed(token, opt_.shards == 1 ? opt_.lanes : opt_.shards));
   for (; deficit > 0; --deficit) {
-    reserved_.push_back(engine_detail::depart_replay(n, snapshot_.data(), snapshot_.base(), w,
-                                                     merged_.data(), replay));
+    engine_detail::depart_replay(n, snapshot_.data(), snapshot_.base(), w, merged_.data(), replay);
   }
-  return true;
 }
 
 std::uint32_t engine_detail::depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,

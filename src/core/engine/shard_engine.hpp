@@ -6,7 +6,8 @@
 // parallel.  shard_engine runs each large enough window through the
 // lane-interleaved allocation kernel (core/kernel/) with one master-stream
 // token per window.  Arrival windows and drain blocks share one block
-// skeleton at every shard count (run_block): token, shard folds, commit.
+// skeleton at every shard count (run_block): token and shard folds, then
+// one commit.
 // The window splits into S fixed shards, and min(threads, S) pool tasks
 // claim them from one counter (one shard: one task, on a one-worker pool
 // that starts no thread).  Each task folds every shard it claims into its
@@ -23,15 +24,16 @@
 //     while that slice is L2-hot -- its pending boundary copy, the
 //     validating add and the range's level histogram included;
 //   * a drain block (its shards run kernel_run over the inverted
-//     snapshot: two-choice in reverse, the fuller bin loses a ball) always
-//     takes that ranged pass, and each range's settle also clamps the
-//     counts to snapshot capacity.  After the commit the block re-serves
-//     the clamped deficit under the re-serve law (depart_replay), one
-//     departure per event -- the drain law's one repair, at every shard
-//     count.
-// So a block is two pool fan-outs after its snapshot: the shard folds,
-// and the settle-and-commit; its scratch is min(threads, S) * n bytes of
-// rows.
+//     snapshot: two-choice in reverse, the fuller bin loses a ball) first
+//     settles by range: each range sums the task rows into merged_ and
+//     clamps the counts to snapshot capacity.  The block then re-serves
+//     the clamped deficit into merged_ under the re-serve law
+//     (depart_replay), one event at a time -- the drain law's one repair,
+//     at every shard count -- and commits merged_, which now sums to the
+//     block size, in one ranged commit_departures.
+// So an arrival block is two pool fan-outs after its snapshot (the shard
+// folds, and the settle-and-commit), a drain block three (the folds, the
+// settle, the commit); the scratch is min(threads, S) * n bytes of rows.
 // Consequence: for one (seed, shards, lanes) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling, and counts are sums, so which task folded
@@ -75,11 +77,11 @@ namespace nb {
 /// range and commits each range.  merge stays 0 for arrival
 /// windows, which also count their carry-list entries.  The engine books
 /// its departure blocks into a second record of the same shape (`windows`
-/// counts blocks, commit is commit_departures, with a drain block's row
-/// sum and clamp inside its pass, and merge is that block's re-serve of
-/// the clamped deficit after the commit; a random block books its whole
-/// hypergeometric pass as kernel and no snapshot or merge), which alone
-/// also counts what the drain settle clamped and re-served.
+/// counts blocks, commit is commit_departures, and merge is a drain
+/// block's settle -- the row sum and clamp -- plus its re-serve of the
+/// clamped deficit; a random block books its whole hypergeometric pass as
+/// kernel and no snapshot or merge), which alone also counts what the
+/// drain settle clamped and re-served.
 /// Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
@@ -237,17 +239,17 @@ class shard_engine {
   ///   * drain: the block snapshots the loads inverted, and its shards
   ///     draw their shares like arrival shards, without a capacity check,
   ///     so the counts can overdraw a bin; the settle clamps each bin to
-  ///     its snapshot capacity inside the commit pass, and after the
-  ///     commit the deficit is re-served from the dedicated scalar stream
-  ///     one past the block's own (reserve_deficit) under the re-serve law
-  ///     (engine_detail::depart_replay) and retired one departure at a
-  ///     time -- deterministic, and thread-count invariant like
-  ///     step_many.
-  /// The lease channel commits in bulk unconditionally (RNG-free);
-  /// undersized blocks and span-saturated drain loads fall back to the
-  /// serial per-event loop with a one-time diagnostic.  A request for
-  /// more departures than resident balls throws contract_error before any
-  /// block, state untouched.
+  ///     its snapshot capacity, the deficit is re-served into the counts
+  ///     from the dedicated scalar stream one past the block's own
+  ///     (reserve_deficit) under the re-serve law
+  ///     (engine_detail::depart_replay), and the block commits once --
+  ///     deterministic, and thread-count invariant like step_many.
+  /// Lease requests take the per-event law (nb::depart_many): FIFO expiry
+  /// draws nothing, so that is the whole block.  Undersized blocks and
+  /// span-saturated drain loads fall back to the serial per-event loop
+  /// with a one-time diagnostic.  A request for more departures than
+  /// resident balls throws contract_error before any block, state
+  /// untouched.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
@@ -274,8 +276,9 @@ class shard_engine {
                                         " events exceeds the " + std::to_string(resident) +
                                         " resident balls");
       if (departures.is_lease()) {
-        merged_.clear();
-        process.commit_departures(merged_, count);
+        // FIFO expiry draws no randomness and picks no bins: the per-event
+        // law serves the request as it is.
+        nb::depart_many(process, rng, count);
         return;
       }
       const auto n = static_cast<step_count>(process.state().n());
@@ -391,29 +394,24 @@ class shard_engine {
   /// The drain settle of range r, after count_range: clamps every bin of
   /// the slice to its snapshot capacity (a bin's snapshot load is
   /// base + 255 - byte) and returns the clamped excess, which the block
-  /// re-serves after its commit (reserve_deficit).
+  /// re-serves before its commit (reserve_deficit).
   step_count clamp_range(std::size_t r, bin_count n, weight_t w);
 
   /// The block skeleton of arrival windows and drain blocks alike: draws
-  /// the block's one master-stream token, folds the block's shards into
-  /// the task rows (fold_shards, each shard one `fold`), and `commit()`
-  /// then applies the counts -- directly from a lone task row, or in one
-  /// pass by bin range (block_executor) whose prepare step settles each
-  /// range's slice of merged_ from the task rows just before the range
-  /// commits.  Books the kernel and commit phases, and returns the token.
-  template <typename Fold, typename Commit>
+  /// the block's one master-stream token and folds the block's shards into
+  /// the task rows (fold_shards, each shard one `fold`).  Books the block
+  /// and its kernel phase, and returns the token; the caller then commits
+  /// the rows.
+  template <typename Fold>
   std::uint64_t run_block(rng_t& rng, bin_count n, step_count k, window_phase_times& phases,
-                          Fold&& fold, Commit&& commit) {
+                          Fold&& fold) {
     ++phases.windows;
     const std::int64_t t_kernel = engine_detail::phase_clock_ns();
     // Every stream of the block derives from this token, so no result can
     // depend on the thread count.
     const std::uint64_t token = rng.next();
     fold_shards(n, k, token, fold);
-    const std::int64_t t_commit = engine_detail::phase_clock_ns();
-    phases.kernel_ns += t_commit - t_kernel;
-    commit();
-    phases.commit_ns += engine_detail::phase_clock_ns() - t_commit;
+    phases.kernel_ns += engine_detail::phase_clock_ns() - t_kernel;
     return token;
   }
 
@@ -483,21 +481,23 @@ class shard_engine {
         kernel_run(isa_, opt_.lanes, n, snap, low, carries, balls, seed);
       }
     };
-    run_block(rng, n, k, phases_, fold, [&] {
-      if (rows_.size() == 1) {
-        // Summing a lone row into merged_ first gives the same counts, but
-        // its 4 MB at n = 10^6 raised perfbench batch_insert's peak RSS from
-        // 37.05 to 45.25 MB (10/10 alternating pairs, events/s flat; 4-core
-        // AVX-512 Xeon VM), so the byte row and carries commit directly.
-        process.commit_window(rows_[0], carries_[0], k);
-        return;
-      }
+    run_block(rng, n, k, phases_, fold);
+    const std::int64_t t_commit = engine_detail::phase_clock_ns();
+    if (rows_.size() == 1) {
+      // Summing a lone row into merged_ first gives the same counts, but
+      // its 4 MB at n = 10^6 raised perfbench batch_insert's peak RSS from
+      // 37.05 to 45.25 MB (10/10 alternating pairs, events/s flat; 4-core
+      // AVX-512 Xeon VM), so the byte row and carries commit directly.
+      process.commit_window(rows_[0], carries_[0], k);
+    } else {
+      // The commit reads each range's slice of merged_ right after its
+      // task summed it from the task rows.
       merged_.resize(n);
       process.commit_window(merged_, k, block_executor(n).prepared([this, n](std::size_t r) {
         count_range(r, n);
-        return step_count{0};
       }));
-    });
+    }
+    phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
     for (const std::vector<std::uint32_t>& carries : carries_) {
       phases_.carries += static_cast<step_count>(carries.size());
     }
@@ -519,7 +519,8 @@ class shard_engine {
   /// inverted snapshot at every shard count: per event, the fuller of two
   /// sampled bins (by snapshot) loses a ball, ties fair.  A bin the shards
   /// draw past its capacity, alone or together, is over capacity in the
-  /// summed counts, so the settle's clamp and re-serve repair it.
+  /// summed counts, so the settle's clamp and re-serve repair it before
+  /// the block's one commit.
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
     const bin_count n = process.state().n();
@@ -542,25 +543,24 @@ class shard_engine {
     if (!compact) return false;
     const std::uint8_t* inv = snapshot_.data();
     const weight_t w = drain_weight(process.model().weighting);
-    const std::uint64_t token = run_block(
-        rng, n, k, depart_phases_,
-        [&](std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count events,
-            std::uint64_t seed) {
-          kernel_run(isa_, opt_.lanes, n, inv, low, carries, events, seed);
-        },
-        [&] {
-          merged_.resize(n);
-          range_deficits_.assign(range_count_, 0);
-          // The clamp withholds each range's excess from the commit.
-          process.commit_departures(merged_, k,
-                                    block_executor(n).prepared([this, n, w](std::size_t r) {
-                                      count_range(r, n);
-                                      return range_deficits_[r] = clamp_range(r, n, w);
-                                    }));
-        });
+    const std::uint64_t token =
+        run_block(rng, n, k, depart_phases_,
+                  [&](std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count events,
+                      std::uint64_t seed) {
+                    kernel_run(isa_, opt_.lanes, n, inv, low, carries, events, seed);
+                  });
     const std::int64_t t_merge = engine_detail::phase_clock_ns();
-    if (reserve_deficit(n, w, token)) process.commit_departed_bins(reserved_);
-    depart_phases_.merge_ns += engine_detail::phase_clock_ns() - t_merge;
+    merged_.resize(n);
+    range_deficits_.assign(range_count_, 0);
+    block_executor(n).run([this, n, w](std::size_t r) {
+      count_range(r, n);
+      range_deficits_[r] = clamp_range(r, n, w);
+    });
+    reserve_deficit(n, w, token);
+    const std::int64_t t_commit = engine_detail::phase_clock_ns();
+    depart_phases_.merge_ns += t_commit - t_merge;
+    process.commit_departures(merged_, k, block_executor(n));
+    depart_phases_.commit_ns += engine_detail::phase_clock_ns() - t_commit;
     return true;
   }
 
@@ -572,16 +572,15 @@ class shard_engine {
   /// every bin of merged_.
   void count_random_departures(const load_state& state, step_count k, std::uint64_t token);
 
-  /// The drain block's re-serve, after its commit: books the ranges the
-  /// clamp lowered and draws the clamped deficit into reserved_, one bin
-  /// per event, under the re-serve law (engine_detail::depart_replay) over
-  /// the snapshot and the clamped counts -- which together are the
-  /// just-committed live loads -- from the first stream past the block's
-  /// own: rng_t(derive_seed(token, lanes)) for one shard, whose lanes
-  /// draw from derive_seed(token, 0..lanes-1), and
-  /// rng_t(derive_seed(token, shards)) past the shard substreams of
-  /// S >= 2.  Returns false when nothing was clamped.
-  bool reserve_deficit(bin_count n, weight_t w, std::uint64_t token);
+  /// The drain block's re-serve, between its settle and its commit: books
+  /// the ranges the clamp lowered and adds the clamped deficit to merged_,
+  /// one event at a time, under the re-serve law (engine_detail::
+  /// depart_replay) over the snapshot less the counts so far, from the
+  /// first stream past the block's own: rng_t(derive_seed(token, lanes))
+  /// for one shard, whose lanes draw from derive_seed(token,
+  /// 0..lanes-1), and rng_t(derive_seed(token, shards)) past the shard
+  /// substreams of S >= 2.  Afterwards merged_ sums to the block size.
+  void reserve_deficit(bin_count n, weight_t w, std::uint64_t token);
 
   shard_options opt_;
   kernel_isa isa_;
@@ -604,10 +603,8 @@ class shard_engine {
   /// Bin ranges of 2^range_bits_ bins, range_count_ of them.
   unsigned range_bits_ = 0;
   std::size_t range_count_ = 0;
-  /// Per-range clamped excess of the current drain block ...
+  /// Per-range clamped excess of the current drain block.
   std::vector<step_count> range_deficits_;
-  /// ... and the bins its re-serve drew, one per event.
-  std::vector<bin_index> reserved_;
   window_phase_times phases_;
   window_phase_times depart_phases_;
 };

@@ -310,7 +310,7 @@ load_state::commit_pass load_state::run_commit_pass(const Count* row,
   };
   ranges.assign(exec.ranges(), range_commit{});
   levels_.begin_ranges(exec.ranges(), std::min(exec.chunk(), n));
-  const step_count withheld = exec.run([&](std::size_t r) {
+  exec.run([&](std::size_t r) {
     const auto [lo, hi] = exec.bounds(r, n);
     range_commit& rc = ranges[r];
     rc.culprit = n;
@@ -359,7 +359,6 @@ load_state::commit_pass load_state::run_commit_pass(const Count* row,
     levels_.count_range(r, loads, lo, hi, s.mn, s.mx);
   });
   commit_pass pass;
-  pass.withheld = withheld;
   pass.culprit = n;
   for (const range_commit& rc : ranges) {  // ranges in bin order: first culprit
     pass.total += rc.count;
@@ -422,7 +421,6 @@ void load_state::apply_counts(const std::vector<Count>& low,
   // the old state.
   std::vector<range_commit> ranges;
   const commit_pass pass = run_commit_pass(row, carries, weight_per_ball, false, exec, ranges);
-  NB_ASSERT(pass.withheld == 0);
   const step_count total = pass.total;
   const std::size_t culprit = pass.culprit;
   const weight_t room = max_total_weight - total_weight();
@@ -482,23 +480,22 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
   const commit_pass pass =
       run_commit_pass(rel.data(), no_carries, weight_per_ball, true, exec, ranges);
   const std::size_t i = pass.culprit;
-  const step_count total = pass.total + pass.withheld;
-  if (i != n || total != k || balls_ < k || extra_weight_ < k * (weight_per_ball - 1)) {
+  if (i != n || pass.total != k || balls_ < k || extra_weight_ < k * (weight_per_ball - 1)) {
     undo_commit_pass(rel.data(), no_carries, weight_per_ball, true, exec, ranges);
   }
   NB_REQUIRE(i == n, "release of weight " +
                          std::to_string(static_cast<weight_t>(rel[i]) * weight_per_ball) +
                          " would underflow bin " + std::to_string(i) + " (currently " +
                          std::to_string(loads_[i]) + ")");
-  NB_REQUIRE(total == k, "departure block counts do not sum to the block size");
+  NB_REQUIRE(pass.total == k, "departure block counts do not sum to the block size");
   NB_REQUIRE(balls_ >= k, "release with no resident balls");
   NB_REQUIRE(extra_weight_ >= k * (weight_per_ball - 1),
              "departure block of weight " + std::to_string(weight_per_ball) +
                  " per ball exceeds the resident extra weight (" +
                  std::to_string(extra_weight_) + ")");
   levels_ok_ = levels_.merge_ranges(loads_, pass.mn, pass.mx, exec);
-  balls_ -= pass.total;
-  extra_weight_ -= pass.total * (weight_per_ball - 1);
+  balls_ -= k;
+  extra_weight_ -= k * (weight_per_ball - 1);
 }
 
 void load_state::save(state_writer& w) const {

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -55,9 +54,6 @@ namespace nb {
 class range_executor {
  public:
   using body_fn = std::function<void(std::size_t)>;
-  /// A step run for range r in r's own task, ahead of a pass's body (see
-  /// prepared()).  Returns how many of the pass's events it withheld.
-  using prepare_fn = std::function<step_count(std::size_t)>;
 
   range_executor() = default;
   /// `ranges` ranges of `chunk` bins each (the last ones clipped to n),
@@ -82,11 +78,12 @@ class range_executor {
   /// is cache-hot when the body reads it.  A commit makes exactly one
   /// run() call, so each range is prepared once, by the task that then
   /// commits it.
-  [[nodiscard]] range_executor prepared(prepare_fn step) const {
+  [[nodiscard]] range_executor prepared(body_fn step) const {
     range_executor next = *this;
     if (prepare_) {
       next.prepare_ = [first = prepare_, second = std::move(step)](std::size_t r) {
-        return first(r) + second(r);
+        first(r);
+        second(r);
       };
     } else {
       next.prepare_ = std::move(step);
@@ -94,15 +91,10 @@ class range_executor {
     return next;
   }
 
-  /// Runs the prepare steps and body(r) for every range, and returns the
-  /// events the steps withheld, summed over the ranges (0 without steps).
-  step_count run(const body_fn& body) const {
-    std::atomic<step_count> withheld{0};
+  /// Runs the prepare steps and body(r) for every range.
+  void run(const body_fn& body) const {
     const body_fn task = [&](std::size_t r) {
-      if (prepare_) {
-        const step_count w = prepare_(r);
-        if (w != 0) withheld.fetch_add(w, std::memory_order_relaxed);
-      }
+      if (prepare_) prepare_(r);
       body(r);
     };
     if (pool_ == nullptr) {
@@ -110,7 +102,6 @@ class range_executor {
     } else {
       pool_->for_each(ranges_, task);
     }
-    return withheld.load(std::memory_order_relaxed);
   }
 
   /// Bins [first, second) of range r over n bins, so trailing ranges are
@@ -126,7 +117,7 @@ class range_executor {
   std::size_t ranges_ = 1;
   /// Bins per range; the default's one range takes every bin.
   std::size_t chunk_ = std::numeric_limits<std::size_t>::max();
-  prepare_fn prepare_;
+  body_fn prepare_;
 };
 
 /// Level-compressed summary of a load vector: for each load level L in
@@ -514,18 +505,6 @@ class load_state {
     extra_weight_ -= w - 1;
   }
 
-  /// release(i, w) for every listed bin, in list order: the same checks,
-  /// errors and state as that many calls.  The list is known up front, so
-  /// the walk prefetches the bins ahead of it and overlaps their cache
-  /// misses.
-  void release_each(const std::vector<bin_index>& bins, weight_t w) {
-    constexpr std::size_t ahead = 16;
-    for (std::size_t j = 0; j < bins.size(); ++j) {
-      if (j + ahead < bins.size()) __builtin_prefetch(loads_.data() + bins[j + ahead], 1);
-      release(bins[j], w);
-    }
-  }
-
   /// RAII bulk window: while open, allocate() skips the per-ball level
   /// maintenance; on close the index is rebuilt once from the raw loads
   /// (O(n + span), amortized over the chunk).  Engages only when the
@@ -592,12 +571,7 @@ class load_state {
   /// extra-weight accumulator must cover the retired weight.  Refuses
   /// under lease tracking (a merged block cannot say *which* resident
   /// balls departed; the lease channel expires per-ball through
-  /// release_oldest()).
-  ///
-  /// The events the executor's prepare steps withhold (a multi-shard
-  /// drain settle's clamped excess, see range_executor::prepared) count
-  /// toward k but are not applied: rel then sums to k minus them, and the
-  /// caller retires them afterwards, one release(i, w) each.
+  /// release_oldest()).  rel must sum to k.
   void apply_releases(const std::vector<std::uint32_t>& rel, weight_t weight_per_ball,
                       step_count k, const range_executor& exec = {});
 
@@ -732,11 +706,10 @@ class load_state {
   };
 
   /// What a commit pass found over all ranges: the counts it applied
-  /// (carries included), the events the executor's prepare steps
-  /// withheld, the new loads' min and max, and the first failing bin.
+  /// (carries included), the new loads' min and max, and the first
+  /// failing bin.
   struct commit_pass {
     step_count total = 0;
-    step_count withheld = 0;
     load_t mn = std::numeric_limits<load_t>::max();
     load_t mx = std::numeric_limits<load_t>::min();
     std::size_t culprit = 0;

@@ -94,30 +94,16 @@ class b_batch : public process_base<b_batch> {
     materialize_boundary();
     touched_.push_back(depart_ball(state_, model_, rng));
   }
-  /// Applies one engine-merged departure block (see apply_departure_block).
-  /// Lease blocks make a pending boundary copy, then pop O(k) balls and
-  /// record their bins; drain/random blocks already sweep every bin (by
-  /// range through `exec`), so a pending copy rides that pass -- each
-  /// range copied just before it is released -- and they flag a
+  /// Applies one engine-merged drain or random departure block (see
+  /// apply_departure_block).  The block sweeps every bin (by range through
+  /// `exec`), so a pending boundary copy rides that pass -- each range
+  /// copied just before it is released -- and the block flags a
   /// whole-vector refresh.
   void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
                          const range_executor& exec = {}) {
-    if (model_.departures.is_lease()) {
-      materialize_boundary(exec);
-      for (step_count t = 0; t < k; ++t) touched_.push_back(state_.release_oldest());
-      return;
-    }
     apply_departure_block(state_, model_, rel, k, with_boundary_copy(exec));
     copy_pending_ = false;
     stale_all_ = true;
-  }
-  /// Retires one departure from each listed bin (see apply_departed_bins);
-  /// the bins are refreshed at the next boundary (recorded before they
-  /// move, and not at all while the whole vector is flagged).
-  void commit_departed_bins(const std::vector<bin_index>& bins) {
-    materialize_boundary();
-    if (!stale_all_) touched_.insert(touched_.end(), bins.begin(), bins.end());
-    apply_departed_bins(state_, model_, bins);
   }
 
   /// The load of bin i as reported during the current batch (for tests).
@@ -262,7 +248,6 @@ class b_batch : public process_base<b_batch> {
     return exec.prepared([this, &exec](std::size_t r) {
       const auto [lo, hi] = exec.bounds(r, stale_.size());
       copy_range(lo, hi);
-      return step_count{0};
     });
   }
 

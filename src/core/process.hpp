@@ -267,65 +267,35 @@ inline void depart_many(P& process, rng_t& rng, step_count count) {
 }
 
 /// Applies one merged departure block to `state` -- the bulk counterpart
-/// of depart_ball, shared by every process's commit_departures.  The
-/// lease channel expires the k oldest balls through the ring (RNG-free,
-/// bit-identical to k per-event departures; `rel` is ignored); drain and
-/// random apply an engine block's per-bin counts in one validated
-/// pass, retiring the drain weight (resp. unit quanta) per departing
-/// ball with release()'s contract-error vocabulary on any overdraw.
-/// That pass runs by bin range through `exec` (load_state::
-/// apply_releases); the lease pop is inherently sequential.
+/// of depart_ball, shared by every process's commit_departures: k
+/// departing balls, rel[i] of them leaving bin i (rel sums to k), in one
+/// validated pass by bin range through `exec` (load_state::
+/// apply_releases), retiring the drain weight (resp. unit quanta) per
+/// departing ball with release()'s contract-error vocabulary on any
+/// overdraw.  Only the drain and random channels have per-bin counts:
+/// the lease channel expires the oldest balls per event (depart_ball).
 inline void apply_departure_block(load_state& state, const alloc_model& model,
                                   const std::vector<std::uint32_t>& rel, step_count k,
                                   const range_executor& exec = {}) {
-  const departure_model& departures = model.departures;
-  NB_REQUIRE(!departures.is_none(),
-             "commit_departures needs a departure channel, but the model's "
-             "departure_model is 'none'");
-  switch (departures.departure_kind()) {
-    case departure_model::kind::none:
-      return;  // unreachable: guarded above
-    case departure_model::kind::lease:
-      for (step_count t = 0; t < k; ++t) state.release_oldest();
-      return;
-    case departure_model::kind::drain:
-      state.apply_releases(rel, drain_weight(model.weighting), k, exec);
-      return;
-    case departure_model::kind::random:
-      state.apply_releases(rel, 1, k, exec);
-      return;
-  }
-}
-
-/// Retires one departing ball from each listed bin, in list order, each
-/// through release(i, w) with the channel's departing weight (the drain
-/// weight, or 1 for random) -- the bulk departure's per-ball tail: the
-/// events a drain settle withheld from its block commit and re-served
-/// (core/engine/shard_engine.hpp).  The lease channel has no
-/// chosen bins (it expires the oldest ball) and is refused.
-inline void apply_departed_bins(load_state& state, const alloc_model& model,
-                                const std::vector<bin_index>& bins) {
   const departure_model::kind kind = model.departures.departure_kind();
   NB_REQUIRE(kind == departure_model::kind::drain || kind == departure_model::kind::random,
-             "departures from chosen bins need the drain or random departure channel");
-  state.release_each(bins, kind == departure_model::kind::drain ? drain_weight(model.weighting) : 1);
+             "commit_departures needs the drain or random departure channel");
+  const weight_t w = kind == departure_model::kind::drain ? drain_weight(model.weighting) : 1;
+  state.apply_releases(rel, w, k, exec);
 }
 
-/// A process whose departures can be served in merged blocks: it exposes
-/// its model (the engines route on the departure channel), applies a
-/// per-bin departure-count row in one commit, its O(n) pass ONE run() of
-/// the caller's executor (default: one range on the calling thread; see
-/// commit_window below), and retires departures from listed bins one by
-/// one.  Every
-/// library process implements the pair via apply_departure_block and
-/// apply_departed_bins.
+/// A process whose drain and random departures can be served in merged
+/// blocks: it exposes its model (the engines route on the departure
+/// channel) and applies a per-bin departure-count row in one commit, its
+/// O(n) pass ONE run() of the caller's executor (default: one range on
+/// the calling thread; see commit_window below).  Every library process
+/// implements it via apply_departure_block.
 template <typename P>
 concept batch_departable = departable_process<P> && modeled_process<P> &&
     requires(P p, const std::vector<std::uint32_t>& rel, step_count k,
-             const range_executor& exec, const std::vector<bin_index>& bins) {
+             const range_executor& exec) {
       { p.commit_departures(rel, k) } -> std::same_as<void>;
       { p.commit_departures(rel, k, exec) } -> std::same_as<void>;
-      { p.commit_departed_bins(bins) } -> std::same_as<void>;
     };
 
 /// The skeleton every library process shares.  Each process of the paper
@@ -370,10 +340,6 @@ class process_base {
   void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
                          const range_executor& exec = {}) {
     apply_departure_block(state_, model_, rel, k, exec);
-  }
-  /// Retires one departure from each listed bin (see apply_departed_bins).
-  void commit_departed_bins(const std::vector<bin_index>& bins) {
-    apply_departed_bins(state_, model_, bins);
   }
 
   /// Checkpoint contract: the load state is the only mutable member

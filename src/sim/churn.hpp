@@ -7,8 +7,8 @@
 // followed by a block of `cycle` departures through the SAME engine --
 // qualifying drain blocks run the SIMD kernel over the inverted snapshot
 // and random blocks one exact hypergeometric pass
-// (core/engine/shard_engine.hpp), lease blocks pop the ring in bulk,
-// and everything else (including every serial-engine run) takes the
+// (core/engine/shard_engine.hpp), and everything else (lease
+// departures, which draw nothing, and every serial-engine run) takes the
 // per-event reference loop on the master stream, so fused loops and
 // engine windows keep their speed under churn.  At every cycle
 // boundary the resident ball count is back at `occupancy` -- that is

@@ -103,8 +103,9 @@ class run_engine {
   }
 
   /// Serves `count` departure events through the selected engine: its
-  /// batched blocks for qualifying drain/random requests, the bulk lease
-  /// pop, or the serial per-event reference loop.
+  /// batched blocks for qualifying drain/random requests, lease requests
+  /// on the per-event law after the engine's up-front resident-ball check,
+  /// or the serial per-event reference loop.
   template <single_steppable P>
     requires departable_process<P>
   void depart(P& process, rng_t& rng, step_count count) {

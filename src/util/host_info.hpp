@@ -21,9 +21,8 @@ struct host_info {
   /// std::thread::hardware_concurrency() with a floor of 1 (the standard
   /// permits 0 for "unknown"; a floor keeps ratio arithmetic safe).
   unsigned hardware_concurrency = 1;
-  /// L1 data cache line size in bytes; 64 when undetectable.  This is the
-  /// destructive-interference unit the shard engine's per-shard bucket
-  /// padding targets.
+  /// L1 data cache line size in bytes; 64 when undetectable.  Reported
+  /// with bench results as host context.
   std::size_t cache_line_size = 64;
 };
 

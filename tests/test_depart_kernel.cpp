@@ -2,16 +2,16 @@
 // shard_engine) and their contract.  One drain law serves every shard
 // count: the block's shards run kernel_run over the inverted snapshot of
 // the live loads (the fuller of two sampled bins loses a ball, ties
-// fair), the settle clamps the summed counts to snapshot capacity, and
-// the clamped excess is re-served after the commit under the re-serve
-// law.  The kernel's own contract (backend bit-identity, lanes as a
-// sampling parameter, argument checks) is tests/test_kernel.cpp's.  The
-// suite pins
+// fair), the settle clamps the summed counts to snapshot capacity, the
+// clamped excess is re-served into the counts under the re-serve law, and
+// the block commits once.  The kernel's own contract (backend
+// bit-identity, lanes as a sampling parameter, argument checks) is
+// tests/test_kernel.cpp's.  The suite pins
 //   (1) the drain law and the engines' batched-departure routing: a hand
 //       replay of the one-shard block, the re-serve law's refusal once
 //       nothing can cover the weight, the count sum and capacity bound,
-//       golden digests, ISA- and thread-count invariance and the bulk
-//       lease pop,
+//       one commit per block, golden digests, ISA- and thread-count
+//       invariance and the lease channel's per-event route,
 //   (2) the warn_once diagnostics on every silent serial fallback (no
 //       commit_departures, undersized block, span-saturated drain
 //       snapshot),
@@ -301,14 +301,43 @@ TEST(DepartEngineShard, OneEngineAcrossHeavyDrainBlocksMatchesAFreshEnginePerBlo
   EXPECT_GT(shared.depart_phases().clamped_ranges, 3 * 8 / 2);
 }
 
+/// A process holding exactly the loads it was given, on the `channel`
+/// departure channel and the library's departure laws; it never arrives.
+/// It records each commit_departures call as (k, sum of rel), the sum
+/// read once the commit returned.
+struct placed_loads {
+  load_state st;
+  alloc_model m;
+  std::vector<std::pair<step_count, step_count>> commits;
+
+  explicit placed_loads(const std::vector<load_t>& loads, const char* channel = "random")
+      : st(static_cast<bin_count>(loads.size())) {
+    set_model(make_model("unit", "uniform", st.n(), channel));
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      for (load_t u = 0; u < loads[i]; ++u) st.allocate(static_cast<bin_index>(i));
+    }
+  }
+  void step(rng_t&) {}
+  void depart(rng_t& rng) { (void)depart_ball(st, m, rng); }
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
+                         const range_executor& exec = {}) {
+    apply_departure_block(st, m, rel, k, exec);
+    commits.emplace_back(k, std::accumulate(rel.begin(), rel.end(), step_count{0}));
+  }
+  void set_model(alloc_model model) { install_model(st, m, std::move(model)); }
+  [[nodiscard]] const alloc_model& model() const { return m; }
+  [[nodiscard]] const load_state& state() const { return st; }
+  [[nodiscard]] std::string name() const { return "placed-loads"; }
+};
+
 /// The re-serve law, written out from its documentation: over remaining
 /// load (`loads` less one unit per count in `rel`), redraw a pair
 /// bounded(n), bounded(n) from `replay`; skip it when both bins are
 /// drained dry, else the fuller bin loses a ball, ties by the top bit of
 /// one more raw draw; after 4096 attempts the fullest bin, first index
 /// winning.  Unit weight.
-bin_index reserve_one(const std::vector<load_t>& loads, std::vector<std::uint32_t>& rel,
-                      rng_t& replay) {
+void reserve_one(const std::vector<load_t>& loads, std::vector<std::uint32_t>& rel,
+                 rng_t& replay) {
   const auto n = static_cast<bin_count>(loads.size());
   const auto remaining = [&](std::uint32_t c) { return loads[c] - static_cast<load_t>(rel[c]); };
   for (int attempt = 0; attempt < 4096; ++attempt) {
@@ -322,25 +351,24 @@ bin_index reserve_one(const std::vector<load_t>& loads, std::vector<std::uint32_
       c = (replay.next() >> 63) != 0 ? i : j;
     }
     ++rel[c];
-    return c;
+    return;
   }
   std::uint32_t best = 0;
   for (std::uint32_t i = 1; i < n; ++i) {
     if (remaining(i) > remaining(best)) best = i;
   }
   ++rel[best];
-  return best;
 }
 
 TEST(DepartEngine, DrainBlockIsOneFoldOverTheInvertedLiveSnapshotThenClampAndReserve) {
   // Pins the one-shard drain block to the documented law: one kernel_run
   // over the inverted snapshot of the live loads, seeded by the block
-  // token itself; every bin's count clamped to its snapshot load; then the
-  // clamped excess re-served one event at a time under the re-serve law
-  // from rng_t(derive_seed(token, lanes)), the stream one past the lanes.
-  // On the calling thread whatever the thread count.  The first shape
-  // never overdraws a bin; the second (2900 of 3000 balls leave 64 bins)
-  // re-serves.
+  // token itself; every bin's count clamped to its snapshot load; the
+  // clamped excess re-served into the counts one event at a time under the
+  // re-serve law from rng_t(derive_seed(token, lanes)), the stream one
+  // past the lanes; then one commit of all k events.  On the calling
+  // thread whatever the thread count.  The first shape never overdraws a
+  // bin; the second (2900 of 3000 balls leave 64 bins) re-serves.
   struct shape {
     bin_count n;
     step_count warm;
@@ -368,11 +396,9 @@ TEST(DepartEngine, DrainBlockIsOneFoldOverTheInvertedLiveSnapshotThenClampAndRes
           rel[i] = cap;
         }
       }
-      expected.apply_releases(rel, 1, sh.k - deficit);
       rng_t replay(derive_seed(token, 8));
-      std::vector<bin_index> reserved;
-      for (step_count d = 0; d < deficit; ++d) reserved.push_back(reserve_one(loads, rel, replay));
-      expected.release_each(reserved, 1);
+      for (step_count d = 0; d < deficit; ++d) reserve_one(loads, rel, replay);
+      expected.apply_releases(rel, 1, sh.k);
       EXPECT_EQ(deficit > 0, sh.n == 64) << sh.n << " bins";
 
       shard_engine engine(shard_options{.threads = threads, .shards = 1, .min_window = 1});
@@ -386,6 +412,39 @@ TEST(DepartEngine, DrainBlockIsOneFoldOverTheInvertedLiveSnapshotThenClampAndRes
       EXPECT_EQ(ph.clamped_ranges > 0, clamped_bins > 0) << where;
       EXPECT_EQ(process.state().loads(), expected.loads()) << where;
       EXPECT_EQ(rng.state(), expected_rng.state()) << where;
+    }
+  }
+}
+
+TEST(DepartEngine, EveryDrainBlockIsOneCommitOfAllItsEvents) {
+  // The re-serve lands in the block's counts before the commit, so each
+  // drain block is exactly one commit_departures call whose counts sum to
+  // the block size -- on one shard and on 16, on the heavy block (2900 of
+  // 3000 balls leave 64 bins: the clamp fires and events are re-served)
+  // and on an occupancy-8n block that never overdraws a bin.
+  struct shape {
+    bin_count n;
+    step_count warm;
+    step_count k;
+    bool overdraws;
+  };
+  for (const shape sh : {shape{64, 3000, 2900, true}, shape{4096, 8 * 4096, 4096, false}}) {
+    any_process warmed{two_choice(sh.n)};
+    rng_t warm_rng(5);
+    step_many(warmed, warm_rng, sh.warm);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
+      placed_loads p(warmed.state().loads(), "drain");
+      shard_engine engine(shard_options{.threads = 2, .shards = shards, .min_window = 1});
+      rng_t rng(11);
+      engine.depart_many(p, rng, sh.k);
+      const std::string where =
+          std::to_string(sh.n) + " bins, " + std::to_string(shards) + " shards";
+      EXPECT_EQ(engine.depart_phases().windows, 1) << where;
+      ASSERT_EQ(p.commits.size(), 1u) << where;
+      EXPECT_EQ(p.commits[0].first, sh.k) << where;
+      EXPECT_EQ(p.commits[0].second, sh.k) << where;
+      EXPECT_EQ(engine.depart_phases().reserved_events > 0, sh.overdraws) << where;
+      EXPECT_EQ(p.st.balls(), sh.warm - sh.k) << where;
     }
   }
 }
@@ -483,9 +542,10 @@ TEST(DepartEngine, HeavyOneShardDrainBlockClampsReservesAndMatchesItsDigest) {
   }
 }
 
-TEST(DepartEngineKernel, BulkLeasePopIsBitIdenticalToSerial) {
-  // The lease channel is RNG-free FIFO popping: the engine's bulk path
-  // must be the serial per-event loop exactly, stream position included.
+TEST(DepartEngineKernel, LeaseRequestsTakeThePerEventLaw) {
+  // The lease channel is RNG-free FIFO popping: the engine hands lease
+  // requests to the serial per-event loop, so the result is that loop's
+  // exactly, stream position included.
   rng_t rng_a(3);
   any_process batched = churned_process("lease", 32, 5000, 3, rng_a);
   shard_engine engine(shard_options{.shards = 1, .min_window = 1});
@@ -610,7 +670,8 @@ TEST(DepartEngine, MoreDeparturesThanResidentBallsThrowUpFront) {
     step_count resident;
     step_count request;
   };
-  for (const ask& a : {ask{"random", 5000, 6000}, ask{"drain", 200, 4096}}) {
+  for (const ask& a :
+       {ask{"random", 5000, 6000}, ask{"drain", 200, 4096}, ask{"lease", 3000, 3001}}) {
     for (const int mode : {0, 1, 4}) {
       b_batch p(n, n);
       p.set_model(make_model("unit", "uniform", n, a.channel));
@@ -637,7 +698,7 @@ TEST(DepartEngine, DepartingEveryResidentBallEmptiesTheSystem) {
   // The boundary of the guard: exactly the resident count is served, on
   // every engine, through the clamp/repair path at its most stressed.
   const bin_count n = 8192;
-  for (const char* channel : {"random", "drain"}) {
+  for (const char* channel : {"random", "drain", "lease"}) {
     for (const int mode : {0, 1, 4}) {
       b_batch p(n, n);
       p.set_model(make_model("unit", "uniform", n, channel));
@@ -668,32 +729,6 @@ TEST(DepartEngine, NonBatchDepartableFallsBackToSerialWithDiagnostic) {
 // (4) Exact laws.  Random blocks: one exact serial pass of hypergeometric
 // counts over the live loads, whatever the shard, thread, lane and ISA
 // setting.  Drain blocks no clamp touches: multinomial under max-select.
-
-/// A process holding exactly the loads it was given, on the `channel`
-/// departure channel and the library's departure laws; it never arrives.
-struct placed_loads {
-  load_state st;
-  alloc_model m;
-
-  explicit placed_loads(const std::vector<load_t>& loads, const char* channel = "random")
-      : st(static_cast<bin_count>(loads.size())) {
-    set_model(make_model("unit", "uniform", st.n(), channel));
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-      for (load_t u = 0; u < loads[i]; ++u) st.allocate(static_cast<bin_index>(i));
-    }
-  }
-  void step(rng_t&) {}
-  void depart(rng_t& rng) { (void)depart_ball(st, m, rng); }
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k,
-                         const range_executor& exec = {}) {
-    apply_departure_block(st, m, rel, k, exec);
-  }
-  void commit_departed_bins(const std::vector<bin_index>& bins) { apply_departed_bins(st, m, bins); }
-  void set_model(alloc_model model) { install_model(st, m, std::move(model)); }
-  [[nodiscard]] const alloc_model& model() const { return m; }
-  [[nodiscard]] const load_state& state() const { return st; }
-  [[nodiscard]] std::string name() const { return "placed-loads"; }
-};
 
 /// The multivariate hypergeometric pmf of k departures over `loads`: cell
 /// c (mixed radix loads[i] + 1, bin 0 fastest) holds prod C(loads[i],
