@@ -32,7 +32,7 @@ struct bench_config {
   std::int64_t m_multiplier = 1000; // m = multiplier * n (the paper's ratio)
   std::uint64_t seed = 1;
   std::size_t threads = 0;          // 0 = hardware concurrency
-  engine_config engine;             // --threads-per-run/--shards/--kernel/--lanes
+  engine_config engine;             // --threads-per-run/--shards/--kernel
   std::string weighting = "unit";   // ball-weighting spec (make_weighting)
   std::string sampler = "uniform";  // bin-sampler spec (make_sampler)
   std::string departures = "none";  // departure-channel spec (make_departures)

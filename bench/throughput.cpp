@@ -335,7 +335,7 @@ scale_entry time_scale_leg(std::string kernel, std::string isa, std::size_t thre
 /// matrix through it instead of being timed twice under one gate key.
 void run_threads_matrix(bin_count n, step_count m, step_count interval,
                         const std::vector<std::size_t>& threads_list, std::size_t shards,
-                        std::size_t lanes, std::uint64_t seed, std::size_t shard_leg,
+                        std::uint64_t seed, std::size_t shard_leg,
                         std::vector<scale_entry>& results) {
   if (threads_list.empty()) return;
   const auto work = static_cast<double>(m);
@@ -350,7 +350,7 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
       // master thread.
       perf_counter_set counters;
       shard_engine engine(
-          shard_options{.threads = t, .shards = shards, .lanes = lanes, .isa = g_isa_request});
+          shard_options{.threads = t, .shards = shards, .isa = g_isa_request});
       results.push_back(time_scale_leg("shard", kernel_isa_name(engine.isa()), t, n, m, interval,
                                        seed, counters,
                                        [&engine](b_batch& p, rng_t& rng, step_count chunk) {
@@ -362,9 +362,9 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
     scale_entry& entry = timed ? results[shard_leg] : results.back();
     if (!entry.parity_checked) {
       // Per-leg parity replay: 1 worker, scalar backend, same (seed,
-      // shards, lanes) sampling contract.
-      shard_engine replay_engine(shard_options{
-          .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
+      // shards) sampling contract.
+      shard_engine replay_engine(
+          shard_options{.threads = 1, .shards = shards, .isa = kernel_isa::scalar});
       const auto replay = scale_observed_run(
           n, m, interval, seed, [&replay_engine](b_batch& p, rng_t& rng, step_count chunk) {
             replay_engine.step_many(p, rng, chunk);
@@ -397,8 +397,8 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
 /// JSON must be byte-identical to the 1-worker leg's (the orchestrator's
 /// determinism contract under any claim order).
 void run_workers_matrix(bin_count n, step_count total_m,
-                        const std::vector<std::size_t>& workers_list, std::size_t lanes,
-                        std::uint64_t seed, std::vector<scale_entry>& results) {
+                        const std::vector<std::size_t>& workers_list, std::uint64_t seed,
+                        std::vector<scale_entry>& results) {
   if (workers_list.empty()) return;
   constexpr std::size_t kCells = 8;
   const step_count m_cell = std::max<step_count>(1, total_m / kCells);
@@ -430,7 +430,7 @@ void run_workers_matrix(bin_count n, step_count total_m,
     opt.repeats = 1;
     opt.seed = seed;
     opt.threads = w;
-    opt.engine = engine_config{.use_kernel = true, .lanes = lanes, .isa = g_isa_request};
+    opt.engine = engine_config{.use_kernel = true, .isa = g_isa_request};
     perf_counter_set counters;
     counters.start();
     scale_entry entry;
@@ -506,8 +506,8 @@ double measure_checkpoint_overhead(bin_count n, step_count m, step_count every,
 }
 
 void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::size_t shards,
-                         std::size_t lanes, const std::string& kernel_flag, std::uint64_t seed,
-                         bool verify, const std::string& alias_spec, step_count checkpoint_every,
+                         const std::string& kernel_flag, std::uint64_t seed, bool verify,
+                         const std::string& alias_spec, step_count checkpoint_every,
                          const std::vector<std::size_t>& threads_list,
                          const std::vector<std::size_t>& workers_list,
                          const std::string& departures_spec, step_count churn_occupancy,
@@ -517,7 +517,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   const kernel_isa best = detect_kernel_isa();
   const host_info host = detect_host_info();
   std::printf("\nscale benchmark: b-batch b=n observed run, n = %u, m = %lld, lanes = %zu\n", n,
-              static_cast<long long>(m), lanes);
+              static_cast<long long>(m), kernel_lanes);
   std::printf("  warm median of %d reps (+%d warmup); CPU's best backend: %s\n", kReps, kWarmup,
               kernel_isa_name(best));
   std::printf("  host: %s (%u hardware threads, %zu-byte cache lines)\n",
@@ -558,7 +558,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   const std::size_t first_kernel_leg = results.size();
   for (const kernel_isa isa : backends) {
     perf_counter_set counters;
-    shard_engine engine(shard_options{.shards = 1, .lanes = lanes, .isa = isa});
+    shard_engine engine(shard_options{.shards = 1, .isa = isa});
     results.push_back(time_scale_leg(
         "kernel", kernel_isa_name(engine.isa()), 1, n, m, interval, seed, counters,
         [&engine](b_batch& p, rng_t& rng, step_count chunk) {
@@ -568,7 +568,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   }
 
   // Kernel contract spot-check at full scale: every backend's leg ran the
-  // same (seed, lanes) sampling, so loads AND observations must be
+  // same seed's sampling, so loads AND observations must be
   // bit-identical across the board.
   for (std::size_t i = first_kernel_leg + 1; i < results.size(); ++i) {
     if (results[i].run.loads != results[first_kernel_leg].run.loads ||
@@ -604,8 +604,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   // Shard leg: the shard-parallel engine with the kernel inside each
   // shard (counters before the engine so pool threads are inherited).
   perf_counter_set shard_counters;
-  shard_engine engine(shard_options{
-      .threads = threads, .shards = shards, .lanes = lanes, .isa = g_isa_request});
+  shard_engine engine(shard_options{.threads = threads, .shards = shards, .isa = g_isa_request});
   results.push_back(time_scale_leg(
       "shard", kernel_isa_name(engine.isa()), engine.threads(), n, m, interval, seed,
       shard_counters,
@@ -723,7 +722,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       warmed.set_model(make_model("unit", "uniform", n, channel));
       rng_t warm_rng(seed);
       {
-        shard_engine warm_engine(shard_options{.shards = 1, .lanes = lanes, .isa = g_isa_request});
+        shard_engine warm_engine(shard_options{.shards = 1, .isa = g_isa_request});
         warm_engine.step_many(warmed, warm_rng, occupancy);
       }
       // Times cycles of `arrive` then `depart` from the warmed system.
@@ -778,7 +777,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       }
       {
         perf_counter_set churn_counters;
-        shard_engine kengine(shard_options{.shards = 1, .lanes = lanes, .isa = g_isa_request});
+        shard_engine kengine(shard_options{.shards = 1, .isa = g_isa_request});
         churn_counters.start();
         scale_entry leg = time_batch_churn(
             "churn-kernel", 1, churn_counters,
@@ -796,8 +795,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       {
         perf_counter_set churn_counters;  // before the engine: pool threads inherit it
         churn_counters.start();
-        shard_engine sengine(shard_options{
-            .threads = threads, .shards = shards, .lanes = lanes, .isa = g_isa_request});
+        shard_engine sengine(
+            shard_options{.threads = threads, .shards = shards, .isa = g_isa_request});
         scale_entry leg = time_batch_churn(
             "churn-shard", sengine.threads(), churn_counters,
             [&](b_batch& p, rng_t& rng, step_count k) { sengine.step_many(p, rng, k); },
@@ -823,11 +822,10 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
 
   bool identical = true;
   if (verify) {
-    // Determinism contract: same seed + same (shards, lanes) under ONE
+    // Determinism contract: same seed + same shards under ONE
     // worker thread and the scalar backend must reproduce the
     // multi-threaded SIMD run bit for bit, including every checkpoint.
-    shard_engine engine1(shard_options{
-        .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
+    shard_engine engine1(shard_options{.threads = 1, .shards = shards, .isa = kernel_isa::scalar});
     const auto replay = scale_observed_run(
         n, m, interval, seed, [&engine1](b_batch& p, rng_t& rng, step_count chunk) {
           engine1.step_many(p, rng, chunk);
@@ -843,10 +841,10 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   }
 
   // The scaling matrix: intra-run threads x cross-run campaign workers.
-  run_threads_matrix(n, m, interval, threads_list, shards, lanes, seed, shard_leg, results);
+  run_threads_matrix(n, m, interval, threads_list, shards, seed, shard_leg, results);
   // Campaign legs split a half-size total over 8 heterogeneous cells;
   // scheduling overhead, not per-ball throughput, is what they measure.
-  run_workers_matrix(n, m / 2, workers_list, lanes, seed, results);
+  run_workers_matrix(n, m / 2, workers_list, seed, results);
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -882,7 +880,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                  "  \"timing\": {\"warmup\": %d, \"reps\": %d, \"statistic\": \"median\"},\n"
                  "  \"results\": [\n",
                  n, static_cast<long long>(m), n, static_cast<long long>(interval),
-                 static_cast<unsigned long long>(seed), shards, lanes, cpu_model.c_str(),
+                 static_cast<unsigned long long>(seed), shards, kernel_lanes, cpu_model.c_str(),
                  host.hardware_concurrency, host.cache_line_size, supported_isas.c_str(),
                  g_isa_forced.empty() ? "null" : "\"", g_isa_forced.c_str(),
                  g_isa_forced.empty() ? "" : "\"", kWarmup, kReps);
@@ -1053,7 +1051,6 @@ int main(int argc, char** argv) {
                  "force one kernel ISA backend for every scale leg (scalar | avx2 | "
                  "avx512; \"\" = auto-detect; unsupported requests warn once and fall "
                  "back)");
-  cli.add_int("lanes", 8, "kernel RNG lanes (sampling contract, like shards)");
   cli.add_bool("scale-verify", true,
                "replay the shard leg on 1 thread with the scalar backend and require bit parity");
   cli.add_string("alias-sampler", "zipf:1",
@@ -1123,7 +1120,6 @@ int main(int argc, char** argv) {
     const std::size_t shards = shard_count_flag("--shards", cli.get_int("shards"));
     const std::size_t scale_threads =
         thread_count_flag("--scale-threads", cli.get_int("scale-threads"));
-    const std::size_t lanes = kernel_lanes_flag(cli.get_int("lanes"));
     const std::string kernel_flag = cli.get_string("kernel");
     NB_REQUIRE(kernel_flag == "scalar" || kernel_flag == "simd" || kernel_flag == "auto",
                "--kernel got '" + kernel_flag + "'; accepted: scalar, simd, auto");
@@ -1150,7 +1146,7 @@ int main(int argc, char** argv) {
     }
     run_scale_benchmark(static_cast<bin_count>(cli.get_int("scale-n")),
                         static_cast<step_count>(cli.get_int("scale-m")),
-                        scale_threads, shards, lanes, kernel_flag, seed,
+                        scale_threads, shards, kernel_flag, seed,
                         cli.get_bool("scale-verify"), cli.get_string("alias-sampler"),
                         static_cast<step_count>(cli.get_int("checkpoint-every")),
                         parse_count_list("threads-list", cli.get_string("threads-list")),

@@ -17,8 +17,6 @@ shard_options checked(shard_options opt) {
              "shards got " + std::to_string(opt.shards) + "; it must be in [1, " +
                  std::to_string(max_thread_flag) + "]");
   NB_REQUIRE(opt.min_window >= 1, "min_window must be positive");
-  NB_REQUIRE(opt.lanes >= 1 && opt.lanes <= kernel_max_lanes,
-             "kernel lanes must be in [1, kernel_max_lanes]");
   return opt;
 }
 
@@ -128,7 +126,7 @@ void shard_engine::reserve_deficit(bin_count n, weight_t w, std::uint64_t token)
   }
   if (deficit == 0) return;
   depart_phases_.reserved_events += deficit;
-  rng_t replay(derive_seed(token, opt_.shards == 1 ? opt_.lanes : opt_.shards));
+  rng_t replay(derive_seed(token, opt_.shards == 1 ? kernel_lanes : opt_.shards));
   for (; deficit > 0; --deficit) {
     engine_detail::depart_replay(n, snapshot_.data(), snapshot_.base(), w, merged_.data(), replay);
   }

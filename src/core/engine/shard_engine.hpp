@@ -15,7 +15,9 @@
 // is its byte plus 256 per carry entry), which stays L2-resident beside
 // the snapshot where a 4 MB uint32 row would not.  A lone shard draws
 // from the token itself (lane l from derive_seed(token, l)); shard s of
-// S >= 2 from the substream shard_stream_seed(token, s).  Then:
+// S >= 2 from the substream shard_stream_seed(token, s).  No window or
+// block is cut below what the caller asked for: a byte row with its carry
+// list counts any number of balls.  Then:
 //   * an arrival window with one task row (one shard, or one thread)
 //     commits that row and its carries directly; with more task rows, ONE
 //     pass over power-of-two bin ranges settles and commits: range r's
@@ -34,7 +36,7 @@
 // So an arrival block is two pool fan-outs after its snapshot (the shard
 // folds, and the settle-and-commit), a drain block three (the folds, the
 // settle, the commit); the scratch is min(threads, S) * n bytes of rows.
-// Consequence: for one (seed, shards, lanes) the result is bit-identical
+// Consequence: for one (seed, shards) the result is bit-identical
 // for ANY thread count and ISA backend -- threads only execute shards,
 // they never influence sampling, and counts are sums, so which task folded
 // which shard cannot change the merged row.  Relative to the serial
@@ -45,7 +47,7 @@
 // A random-departure block folds no shards: at every shard count it is
 // one exact serial pass of hypergeometric counts over the live loads
 // (depart_block), so its counts depend on (loads, k, token) alone -- not
-// on shards, lanes, threads or ISA.
+// on shards, threads or ISA.
 //
 // The chunk pattern handed to step_many is also part of the sampling
 // contract: a call boundary inside a window splits it into two smaller
@@ -122,10 +124,10 @@ std::uint32_t depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_ba
 
 }  // namespace engine_detail
 
-/// Configuration of the windowed engine.  `shards` and `lanes` are part of
-/// the sampling contract (they decide which streams exist and hence the
-/// drawn randomness); `threads` and `isa` are execution only and never
-/// affect results.
+/// Configuration of the windowed engine.  `shards` is part of the sampling
+/// contract (it decides which streams exist and hence the drawn
+/// randomness); `threads` and `isa` are execution only and never affect
+/// results.
 struct shard_options {
   /// Pool workers; 0 = one per hardware core.  One shard always runs on
   /// the calling thread: its pool has one worker whatever this says.
@@ -139,20 +141,24 @@ struct shard_options {
   /// would dominate); the engine also requires window >= n/4 so its O(n)
   /// passes amortize.
   step_count min_window = 4096;
-  /// Kernel lanes per shard.  Part of the sampling contract exactly like
-  /// `shards`: lane seeds derive from the shard stream, so changing the
-  /// lane count changes the drawn randomness.
-  std::size_t lanes = 8;
   /// Kernel instruction-set backend.  Execution only: backends are
-  /// bit-identical for a fixed lane count (kernel contract, enforced by
-  /// tests/test_kernel.cpp), so like `threads` this never affects results.
+  /// bit-identical (kernel contract, enforced by tests/test_kernel.cpp), so
+  /// like `threads` this never affects results.
   kernel_isa isa = kernel_isa::auto_detect;
 };
 
-/// The options of the single-shard case under its older name, kept as an
-/// alias because the repo benchmark (perfbench/) reads
-/// kernel_options{}.min_window for its engine-route probes.
+/// Leftovers the repo benchmark (perfbench/) reads, which ROADMAP item 4's
+/// declared benchmark change removes; the engine reads neither.  The
+/// options under their older single-shard name (perfbench's engine-route
+/// probes read kernel_options{}.min_window), and the per-shard bound of
+/// the deleted multi-shard block cap (churn_drain's route probe still caps
+/// windows at shards * max_row_count).  The other lane leftovers,
+/// engine_config::lanes (sim/runner.hpp) and the uint32 kernel_run's
+/// `lanes`, refuse anything but kernel_lanes.
 using kernel_options = shard_options;
+struct shard_deltas {
+  static constexpr step_count max_row_count = 65535;
+};
 
 /// The windowed batch engine.  Owns the per-window scratch (compact
 /// snapshot, merged count row, byte rows) and the worker pool, so one
@@ -178,9 +184,8 @@ class shard_engine {
   /// run each sufficiently large stale-snapshot window through the kernel;
   /// everything else takes the serial fused loop, drawing from `rng`
   /// exactly like nb::step_many.  The walk cuts `count` at window
-  /// boundaries (and at the row cap, which splits oversized windows
-  /// deterministically) and routes undersized windows (below min_window
-  /// or shorter than n/4 balls, where the per-window O(n) work would not
+  /// boundaries only, and routes undersized windows (below min_window or
+  /// shorter than n/4 balls, where the per-window O(n) work would not
   /// amortize) and span-saturated snapshots to the serial loop on the
   /// master stream.
   template <single_steppable P>
@@ -220,7 +225,7 @@ class shard_engine {
           nb::step_many(process, rng, count);
           return;
         }
-        const step_count k = std::min({window, count, block_cap()});
+        const step_count k = std::min(window, count);
         if (k < opt_.min_window || k * 4 < n || !run_window(process, rng, k)) {
           nb::step_many(process, rng, k);
         }
@@ -229,13 +234,12 @@ class shard_engine {
     }
   }
 
-  /// Serves `count` departure events through `process`.  Each
-  /// sufficiently large drain or random block reads the LIVE loads
+  /// Serves `count` departure events through `process`.  A sufficiently
+  /// large drain or random request is one block that reads the LIVE loads
   /// (departures need no frozen window of their own, so windowless
   /// processes batch too) and draws one master-stream token:
-  ///   * random: the whole request is one block, one exact serial pass of
-  ///     hypergeometric counts over the live loads (depart_block) --
-  ///     no snapshot, no span limit, no cut at block_cap();
+  ///   * random: one exact serial pass of hypergeometric counts over the
+  ///     live loads (depart_block) -- no snapshot, no span limit;
   ///   * drain: the block snapshots the loads inverted, and its shards
   ///     draw their shares like arrival shards, without a capacity check,
   ///     so the counts can overdraw a bin; the settle clamps each bin to
@@ -245,7 +249,7 @@ class shard_engine {
   ///     (engine_detail::depart_replay), and the block commits once --
   ///     deterministic, and thread-count invariant like step_many.
   /// Lease requests take the per-event law (nb::depart_many): FIFO expiry
-  /// draws nothing, so that is the whole block.  Undersized blocks and
+  /// draws nothing, so that is the whole block.  Undersized requests and
   /// span-saturated drain loads fall back to the serial per-event loop
   /// with a one-time diagnostic.  A request for more departures than
   /// resident balls throws contract_error before any block, state
@@ -282,25 +286,20 @@ class shard_engine {
         return;
       }
       const auto n = static_cast<step_count>(process.state().n());
-      const bool random = departures.departure_kind() == departure_model::kind::random;
-      while (count > 0) {
-        const step_count k = random ? count : std::min(count, block_cap());
-        if (k < opt_.min_window || k * 4 < n) {
-          warn_once("depart-engine-window/" + process.name(),
-                    "batched departures fall back to the serial per-event loop on process '" +
-                        process.name() +
-                        "': departure blocks under min_window (or shorter than n/4 events) "
-                        "cannot amortize the per-block snapshot");
-          nb::depart_many(process, rng, k);
-        } else if (!depart_block(process, rng, k)) {
-          warn_once("depart-engine-drain-span/" + process.name(),
-                    "batched drain departures fall back to the serial per-event loop on "
-                    "process '" +
-                        process.name() +
-                        "': the live load span exceeds the compact snapshot's 8-bit range");
-          nb::depart_many(process, rng, k);
-        }
-        count -= k;
+      if (count < opt_.min_window || count * 4 < n) {
+        warn_once("depart-engine-window/" + process.name(),
+                  "batched departures fall back to the serial per-event loop on process '" +
+                      process.name() +
+                      "': departure blocks under min_window (or shorter than n/4 events) "
+                      "cannot amortize the per-block snapshot");
+        nb::depart_many(process, rng, count);
+      } else if (!depart_block(process, rng, count)) {
+        warn_once("depart-engine-drain-span/" + process.name(),
+                  "batched drain departures fall back to the serial per-event loop on "
+                  "process '" +
+                      process.name() +
+                      "': the live load span exceeds the compact snapshot's 8-bit range");
+        nb::depart_many(process, rng, count);
       }
     }
   }
@@ -329,17 +328,6 @@ class shard_engine {
   /// 2^14 up, so no size below the cutoff shows a resolved gain from
   /// pooling, and 2^12 shows a loss.
   static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
-
-  /// Largest arrival window or drain block one call serves: a shard of
-  /// S >= 2 serves at most shard_deltas::max_row_count balls or events,
-  /// so multi-shard windows split deterministically (the cap depends only
-  /// on the shard count, never on threads).  One shard's window is never
-  /// cut (its byte row carries every wrap), and a run is bounded by
-  /// max_run_balls.
-  [[nodiscard]] step_count block_cap() const noexcept {
-    return opt_.shards == 1 ? max_run_balls
-                            : static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
-  }
 
   /// Widest bin range of the settle: 2^16 bins, so a range's
   /// slice of merged_ (256 KiB) stays L2-resident while every task row's
@@ -475,10 +463,10 @@ class shard_engine {
     const auto fold = [&](std::uint8_t* low, std::vector<std::uint32_t>& carries,
                           step_count balls, std::uint64_t seed) {
       if (table != nullptr) {
-        kernel_run_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(), low,
-                         carries, balls, seed);
+        kernel_run_alias(isa_, n, snap, table->thresholds(), table->aliases(), low, carries, balls,
+                         seed);
       } else {
-        kernel_run(isa_, opt_.lanes, n, snap, low, carries, balls, seed);
+        kernel_run(isa_, n, snap, low, carries, balls, seed);
       }
     };
     run_block(rng, n, k, phases_, fold);
@@ -513,7 +501,7 @@ class shard_engine {
   /// over the live loads: count_random_departures draws them exactly in
   /// one serial pass from rng_t(token), at every shard count, and the
   /// counts are committed directly -- no snapshot, kernel, clamp or
-  /// re-serve, and nothing a shard, lane, thread or ISA setting changes.
+  /// re-serve, and nothing a shard, thread or ISA setting changes.
   ///
   /// Drain shards run the unchecked byte form of kernel_run over the
   /// inverted snapshot at every shard count: per event, the fuller of two
@@ -547,7 +535,7 @@ class shard_engine {
         run_block(rng, n, k, depart_phases_,
                   [&](std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count events,
                       std::uint64_t seed) {
-                    kernel_run(isa_, opt_.lanes, n, inv, low, carries, events, seed);
+                    kernel_run(isa_, n, inv, low, carries, events, seed);
                   });
     const std::int64_t t_merge = engine_detail::phase_clock_ns();
     merged_.resize(n);
@@ -576,10 +564,11 @@ class shard_engine {
   /// the ranges the clamp lowered and adds the clamped deficit to merged_,
   /// one event at a time, under the re-serve law (engine_detail::
   /// depart_replay) over the snapshot less the counts so far, from the
-  /// first stream past the block's own: rng_t(derive_seed(token, lanes))
-  /// for one shard, whose lanes draw from derive_seed(token,
-  /// 0..lanes-1), and rng_t(derive_seed(token, shards)) past the shard
-  /// substreams of S >= 2.  Afterwards merged_ sums to the block size.
+  /// first stream past the block's own: rng_t(derive_seed(token,
+  /// kernel_lanes)) for one shard, whose lanes draw from
+  /// derive_seed(token, 0..kernel_lanes-1), and rng_t(derive_seed(token,
+  /// shards)) past the shard substreams of S >= 2.  Afterwards merged_
+  /// sums to the block size.
   void reserve_deficit(bin_count n, weight_t w, std::uint64_t token);
 
   shard_options opt_;

@@ -2,7 +2,7 @@
 //
 // The driver owns everything backend-independent: lane-state setup, the
 // Lemire threshold hoist, cutting the run into L1-resident blocks (always
-// at multiples of the lane count, so every backend sees the same aligned
+// at multiples of kernel_lanes, so every backend sees the same aligned
 // lane rotation), and folding the decided bins into the caller's counts
 // (a uint32 row, or a byte row with a carry list).  Backends only fill
 // the block's chosen-bin buffer; which backend runs is the backend table's
@@ -12,6 +12,7 @@
 #include <string>
 #include <utility>
 
+#include "common/error.hpp"
 #include "core/kernel/kernel_common.hpp"
 
 namespace nb {
@@ -30,16 +31,15 @@ constexpr std::pair<const char*, kernel_isa> kIsaNames[] = {
 /// L1-resident blocks, each decided into a local buffer that
 /// `fold(chosen, count)` then counts.
 template <typename Fill, typename Fold, typename... Tables>
-void run_blocks(Fill fill, Fold fold, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                step_count balls, std::uint64_t seed, const Tables*... tables) {
-  NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
+void run_blocks(Fill fill, Fold fold, bin_count n, const std::uint8_t* snap, step_count balls,
+                std::uint64_t seed, const Tables*... tables) {
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
   NB_ASSERT(balls >= 0 && snap != nullptr && ((tables != nullptr) && ...));
   kernel_detail::lane_soa state;
-  state.init(lanes, seed);
+  state.init(seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
-  const std::size_t block = kernel_detail::block_balls(lanes);
-  alignas(64) std::uint32_t buffer[kernel_detail::kBlockBalls];
+  constexpr std::size_t block = kernel_detail::kBlockBalls;
+  alignas(64) std::uint32_t buffer[block];
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
@@ -157,30 +157,24 @@ std::optional<kernel_isa> kernel_isa_flag(std::string_view flag, std::string_vie
                        "'; accepted: " + accepted + "simd");
 }
 
-std::size_t kernel_lanes_flag(std::int64_t lanes) {
-  NB_REQUIRE(lanes >= 1 && lanes <= static_cast<std::int64_t>(kernel_max_lanes),
-             "--lanes got " + std::to_string(lanes) + "; it must be in [1, " +
-                 std::to_string(kernel_max_lanes) + "]");
-  return static_cast<std::size_t>(lanes);
-}
-
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill, fold_row(row), lanes, n, snap, balls, seed);
+  NB_REQUIRE(lanes == kernel_lanes, "kernel_run got " + std::to_string(lanes) +
+                                        " lanes; the kernel runs exactly " +
+                                        std::to_string(kernel_lanes));
+  run_blocks(kernel_detail::backend_for(isa).fill, fold_row(row), n, snap, balls, seed);
 }
 
-void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count balls,
-                std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill, fold_bytes(low, carries), lanes, n, snap, balls,
-             seed);
+void kernel_run(kernel_isa isa, bin_count n, const std::uint8_t* snap, std::uint8_t* low,
+                std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed) {
+  run_blocks(kernel_detail::backend_for(isa).fill, fold_bytes(low, carries), n, snap, balls, seed);
 }
 
-void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+void kernel_run_alias(kernel_isa isa, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint8_t* low,
                       std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill_alias, fold_bytes(low, carries), lanes, n, snap,
-             balls, seed, thresh, alias);
+  run_blocks(kernel_detail::backend_for(isa).fill_alias, fold_bytes(low, carries), n, snap, balls,
+             seed, thresh, alias);
 }
 
 }  // namespace nb

@@ -4,9 +4,9 @@
 // One kernel call answers "given a frozen 8-bit load snapshot, allocate
 // `balls` two-sample decisions and count the chosen bins" -- the body of a
 // shard in the parallel engine and of a whole window in the serial kernel
-// engine.  The kernel runs L independent xoshiro256++ *lanes* (lane l is
-// seeded derive_seed(seed, l)); ball t belongs to lane t % L, and each ball
-// consumes from its lane, in order:
+// engine.  The kernel runs kernel_lanes = 8 independent xoshiro256++
+// *lanes* (lane l is seeded derive_seed(seed, l)); ball t belongs to lane
+// t % 8, and each ball consumes from its lane, in order:
 //
 //   1. one-or-more raw u64 draws for the first bin index i1 (Lemire
 //      multiply-shift with rejection -- unbiased, same accept rule as
@@ -21,13 +21,11 @@
 // (the form the windowed engine folds into at every shard count).
 //
 // CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts are
-// a pure function of (lanes, n, snapshot, balls, seed).  The instruction-
-// set backend -- scalar, AVX2 or AVX-512, selected at runtime -- is
-// execution only and NEVER affects results; `lanes` is a sampling
-// parameter exactly like shard_options::shards (changing it changes which
-// lane streams exist and therefore the drawn randomness).  Each backend
-// runs one plain loop, one lane round at a time.  CPUs without AVX2
-// (including every aarch64 CPU) run the scalar backend.
+// a pure function of (n, snapshot, balls, seed).  The instruction-set
+// backend -- scalar, AVX2 or AVX-512, selected at runtime -- is execution
+// only and NEVER affects results.  Each backend runs one plain loop, one
+// lane round (one AVX-512 vector, two AVX2 vectors) at a time.  CPUs
+// without AVX2 (including every aarch64 CPU) run the scalar backend.
 //
 // Snapshot gather safety: vector backends read the snapshot 4 bytes at a
 // time, so `snap` must stay readable for 3 bytes past index n - 1.
@@ -45,7 +43,7 @@
 namespace nb {
 
 /// Instruction-set backend of the allocation kernel.  Execution-only:
-/// every backend is bit-identical for a fixed lane count.  The numeric
+/// every backend is bit-identical.  The numeric
 /// values are NOT serialized anywhere (checkpoint fingerprints and the
 /// bench JSON both use the names), so the enum may grow freely.
 enum class kernel_isa : std::uint8_t {
@@ -55,9 +53,11 @@ enum class kernel_isa : std::uint8_t {
   auto_detect = 3,  ///< resolve to the best backend this CPU supports
 };
 
-/// Ceiling on the lane count (keeps lane state stack-resident; far above
-/// any useful configuration -- AVX2 consumes 4 lanes per vector).
-inline constexpr std::size_t kernel_max_lanes = 64;
+/// The kernel's lane count: one AVX-512 vector, two AVX2 vectors.  Fixed,
+/// so the lane streams are not a sampling parameter: 1 lane ran at scalar
+/// speed on every backend, and 16 or 32 lanes did not measure faster
+/// (README "Lanes fixed at 8").
+inline constexpr std::size_t kernel_lanes = 8;
 
 /// Best backend the running CPU supports (never auto_detect).  CPUs
 /// without AVX2 resolve to scalar.
@@ -89,13 +89,12 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 [[nodiscard]] std::optional<kernel_isa> kernel_isa_flag(std::string_view flag,
                                                         std::string_view value, bool allow_off);
 
-/// Validates a --lanes value: returns it as a lane count, or throws
-/// contract_error naming the value unless it lies in [1, kernel_max_lanes].
-[[nodiscard]] std::size_t kernel_lanes_flag(std::int64_t lanes);
-
 /// Runs `balls` lane-interleaved decisions against `snap` (n bins, 8-bit
 /// offsets, 3 bytes of tail padding) and accumulates `++row[chosen]` per
-/// ball.
+/// ball.  A leftover the repo benchmark (perfbench batch_insert) pins: its
+/// `lanes` must be kernel_lanes (anything else throws contract_error
+/// naming the value), and ROADMAP item 4's declared benchmark change
+/// deletes this overload for the byte form below.
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed);
 
@@ -109,9 +108,8 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// engine folds each pool task's shards into one such pair; an arrival
 /// window with one task row commits its pair directly
 /// (load_state::apply_increments), otherwise the engine sums the pairs.
-void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint8_t* low, std::vector<std::uint32_t>& carries, step_count balls,
-                std::uint64_t seed);
+void kernel_run(kernel_isa isa, bin_count n, const std::uint8_t* snap, std::uint8_t* low,
+                std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed);
 
 /// Alias-sampled variant (non-uniform bin probabilities): each of a ball's
 /// two bin indices is one alias draw -- a Lemire-bounded slot over [n)
@@ -120,10 +118,10 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// an nb::alias_table).  The decision over the snapshot is unchanged, and
 /// the counts fold into a byte row with a carry list exactly as in the
 /// byte form of kernel_run.  Same hard contract as kernel_run with the
-/// table joining the pure-function inputs: counts depend only on (lanes,
-/// n, snap, thresh, alias, balls, seed); backends are bit-identical (AVX2
+/// table joining the pure-function inputs: counts depend only on (n,
+/// snap, thresh, alias, balls, seed); backends are bit-identical (AVX2
 /// and AVX-512 gather the tables and the snapshot).
-void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+void kernel_run_alias(kernel_isa isa, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint8_t* low,
                       std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed);
 

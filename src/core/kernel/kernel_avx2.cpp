@@ -1,4 +1,5 @@
-// AVX2 backend of the allocation kernel: 4 lanes per 256-bit vector.
+// AVX2 backend of the allocation kernel: 4 lanes per 256-bit vector, so
+// one round of the kernel's 8 lanes is two vectors.
 //
 // Per round (one ball per lane) each group of 4 lanes takes three
 // vectorized xoshiro256++ steps (draws a, b, c), a vectorized Lemire
@@ -7,9 +8,8 @@
 // draw c -- no data-dependent branch anywhere on the fast path.  The only
 // exits are the coarse rejection test (fires with probability ~2^-32 per
 // sample; the affected group replays through the scalar queue path, which
-// preserves the per-lane draw order exactly) and remainder lanes
-// (lane count not a multiple of 4) plus the trailing partial round, which
-// take the same scalar replay path.
+// preserves the per-lane draw order exactly) and the trailing partial
+// round, which takes the same scalar replay path.
 //
 // Compiled with per-function target attributes so the rest of the build
 // stays portable; kernel dispatch never calls this backend unless the CPU
@@ -58,8 +58,6 @@ NB_TGT_AVX2 inline void lemire4(__m256i x, __m256i bound, __m256i& candidate, __
 NB_TGT_AVX2 void fill_avx2_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
                                 const std::uint8_t* snap, std::uint32_t* chosen,
                                 std::size_t balls) {
-  const std::size_t lanes = st.lanes;
-  const std::size_t vec_lanes = lanes - lanes % 4;  // lanes handled 4 at a time
   const auto bound64 = static_cast<std::uint64_t>(n);
   const __m256i bound = _mm256_set1_epi64x(static_cast<long long>(bound64));
   const __m256i zero = _mm256_setzero_si256();
@@ -68,8 +66,8 @@ NB_TGT_AVX2 void fill_avx2_impl(lane_soa& st, bin_count n, std::uint64_t thresho
   const __m256i odd_dwords = _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
 
   std::size_t t = 0;
-  while (t + lanes <= balls) {  // full rounds only; the tail runs scalar
-    for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 4) {
+  while (t + kernel_lanes <= balls) {  // full rounds only; the tail runs scalar
+    for (std::size_t lane0 = 0; lane0 < kernel_lanes; lane0 += 4) {
       __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s0.data() + lane0));
       __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s1.data() + lane0));
       __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s2.data() + lane0));
@@ -131,25 +129,13 @@ NB_TGT_AVX2 void fill_avx2_impl(lane_soa& st, bin_count n, std::uint64_t thresho
       const __m128i ch = _mm_or_si128(_mm_and_si128(pick, i1_32), _mm_andnot_si128(pick, i2_32));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(chosen + t + lane0), ch);
     }
-    for (std::size_t l = vec_lanes; l < lanes; ++l) {  // remainder lanes
-      chosen[t + l] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
-    }
-    t += lanes;
+    t += kernel_lanes;
   }
   for (std::size_t l = 0; t < balls; ++l, ++t) {  // trailing partial round
     chosen[t] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
   }
 }
 
-/// Alias-sampled fill, fully gather-based: per 4-lane group five
-/// vectorized xoshiro steps (slot1, u1, slot2, u2, tie), the Lemire
-/// multiply-shift for both slots, then hardware gathers of the slots'
-/// 64-bit keep-thresholds and 32-bit aliases, an unsigned 64-bit
-/// compare (sign-flip + cmpgt) for the keep test, a blend to the final
-/// bin indices, and the same gathered snapshot min-select as the uniform
-/// fill.  Rejections, remainder lanes and partial rounds replay through
-/// the scalar queue path with the five pre-drawn values, preserving the
-/// per-lane draw order exactly.
 /// One alias pick for 4 lanes: slot (64-bit lanes) + raw u64 draw ->
 /// final bin index, still in 64-bit lanes for the snapshot gather.  keep
 /// iff u < thresh[slot], unsigned (sign-flip + signed cmpgt).
@@ -164,12 +150,19 @@ NB_TGT_AVX2 inline __m256i pick4(__m256i slot, __m256i u, const std::uint64_t* t
   return _mm256_blendv_epi8(al, slot, keep);
 }
 
+/// Alias-sampled fill, fully gather-based: per 4-lane group five
+/// vectorized xoshiro steps (slot1, u1, slot2, u2, tie), the Lemire
+/// multiply-shift for both slots, then hardware gathers of the slots'
+/// 64-bit keep-thresholds and 32-bit aliases, an unsigned 64-bit
+/// compare (sign-flip + cmpgt) for the keep test, a blend to the final
+/// bin indices, and the same gathered snapshot min-select as the uniform
+/// fill.  Rejections and the trailing partial round replay through the
+/// scalar queue path with the five pre-drawn values, preserving the
+/// per-lane draw order exactly.
 NB_TGT_AVX2 void fill_alias_avx2_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
                                       const std::uint8_t* snap, const std::uint64_t* thresh,
                                       const bin_index* alias, std::uint32_t* chosen,
                                       std::size_t balls) {
-  const std::size_t lanes = st.lanes;
-  const std::size_t vec_lanes = lanes - lanes % 4;
   const auto bound64 = static_cast<std::uint64_t>(n);
   const __m256i bound = _mm256_set1_epi64x(static_cast<long long>(bound64));
   const __m256i zero = _mm256_setzero_si256();
@@ -178,8 +171,8 @@ NB_TGT_AVX2 void fill_alias_avx2_impl(lane_soa& st, bin_count n, std::uint64_t t
   const __m256i odd_dwords = _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
 
   std::size_t t = 0;
-  while (t + lanes <= balls) {
-    for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 4) {
+  while (t + kernel_lanes <= balls) {
+    for (std::size_t lane0 = 0; lane0 < kernel_lanes; lane0 += 4) {
       __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s0.data() + lane0));
       __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s1.data() + lane0));
       __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(st.s2.data() + lane0));
@@ -243,10 +236,7 @@ NB_TGT_AVX2 void fill_alias_avx2_impl(lane_soa& st, bin_count n, std::uint64_t t
       const __m128i ch = _mm_or_si128(_mm_and_si128(pick, i1_32), _mm_andnot_si128(pick, i2_32));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(chosen + t + lane0), ch);
     }
-    for (std::size_t l = vec_lanes; l < lanes; ++l) {
-      chosen[t + l] = replay_ball_alias(st, l, bound64, threshold, snap, thresh, alias, nullptr, 0);
-    }
-    t += lanes;
+    t += kernel_lanes;
   }
   for (std::size_t l = 0; t < balls; ++l, ++t) {
     chosen[t] = replay_ball_alias(st, l, bound64, threshold, snap, thresh, alias, nullptr, 0);

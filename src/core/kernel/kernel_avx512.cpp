@@ -1,4 +1,5 @@
-// AVX-512 backend of the allocation kernel: 8 lanes per 512-bit vector.
+// AVX-512 backend of the allocation kernel: 8 lanes per 512-bit vector,
+// so one round of the kernel's 8 lanes is one vector.
 //
 // Structurally the AVX2 backend doubled, with three upgrades the wider
 // ISA makes cheap:
@@ -74,57 +75,50 @@ NB_TGT_AVX512 inline __m256i select8(__m512i i1, __m512i i2, __m512i c,
 NB_TGT_AVX512 void fill_avx512_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
                                     const std::uint8_t* snap, std::uint32_t* chosen,
                                     std::size_t balls) {
-  const std::size_t lanes = st.lanes;
-  const std::size_t vec_lanes = lanes - lanes % 8;  // lanes handled 8 at a time
   const auto bound64 = static_cast<std::uint64_t>(n);
   const __m512i bound = _mm512_set1_epi64(static_cast<long long>(bound64));
   const __m512i thr = _mm512_set1_epi64(static_cast<long long>(threshold));
 
   std::size_t t = 0;
-  while (t + lanes <= balls) {  // full rounds only; the tail runs scalar
-    for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 8) {
-      __m512i s0 = _mm512_load_si512(st.s0.data() + lane0);
-      __m512i s1 = _mm512_load_si512(st.s1.data() + lane0);
-      __m512i s2 = _mm512_load_si512(st.s2.data() + lane0);
-      __m512i s3 = _mm512_load_si512(st.s3.data() + lane0);
-      const __m512i a = xo_step(s0, s1, s2, s3);
-      const __m512i b = xo_step(s0, s1, s2, s3);
-      const __m512i c = xo_step(s0, s1, s2, s3);
-      _mm512_store_si512(st.s0.data() + lane0, s0);
-      _mm512_store_si512(st.s1.data() + lane0, s1);
-      _mm512_store_si512(st.s2.data() + lane0, s2);
-      _mm512_store_si512(st.s3.data() + lane0, s3);
+  while (t + kernel_lanes <= balls) {  // full rounds only; the tail runs scalar
+    __m512i s0 = _mm512_load_si512(st.s0.data());
+    __m512i s1 = _mm512_load_si512(st.s1.data());
+    __m512i s2 = _mm512_load_si512(st.s2.data());
+    __m512i s3 = _mm512_load_si512(st.s3.data());
+    const __m512i a = xo_step(s0, s1, s2, s3);
+    const __m512i b = xo_step(s0, s1, s2, s3);
+    const __m512i c = xo_step(s0, s1, s2, s3);
+    _mm512_store_si512(st.s0.data(), s0);
+    _mm512_store_si512(st.s1.data(), s1);
+    _mm512_store_si512(st.s2.data(), s2);
+    _mm512_store_si512(st.s3.data(), s3);
 
-      __m512i i1;
-      __m512i i2;
-      __m512i low_a;
-      __m512i low_b;
-      lemire8(a, bound, i1, low_a);
-      lemire8(b, bound, i2, low_b);
-      const __mmask8 rej =
-          _mm512_cmplt_epu64_mask(low_a, thr) | _mm512_cmplt_epu64_mask(low_b, thr);
+    __m512i i1;
+    __m512i i2;
+    __m512i low_a;
+    __m512i low_b;
+    lemire8(a, bound, i1, low_a);
+    lemire8(b, bound, i2, low_b);
+    const __mmask8 rej =
+        _mm512_cmplt_epu64_mask(low_a, thr) | _mm512_cmplt_epu64_mask(low_b, thr);
 
-      const __m256i ch = select8(i1, i2, c, snap);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t + lane0), ch);
+    const __m256i ch = select8(i1, i2, c, snap);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t), ch);
 
-      if (rej != 0) [[unlikely]] {  // masked replay: rejected lanes only
-        alignas(64) std::uint64_t qa[8];
-        alignas(64) std::uint64_t qb[8];
-        alignas(64) std::uint64_t qc[8];
-        _mm512_store_si512(qa, a);
-        _mm512_store_si512(qb, b);
-        _mm512_store_si512(qc, c);
-        for (std::size_t l = 0; l < 8; ++l) {
-          if (((rej >> l) & 1u) == 0) continue;
-          const std::uint64_t queue[3] = {qa[l], qb[l], qc[l]};
-          chosen[t + lane0 + l] = replay_ball(st, lane0 + l, bound64, threshold, snap, queue, 3);
-        }
+    if (rej != 0) [[unlikely]] {  // masked replay: rejected lanes only
+      alignas(64) std::uint64_t qa[8];
+      alignas(64) std::uint64_t qb[8];
+      alignas(64) std::uint64_t qc[8];
+      _mm512_store_si512(qa, a);
+      _mm512_store_si512(qb, b);
+      _mm512_store_si512(qc, c);
+      for (std::size_t l = 0; l < kernel_lanes; ++l) {
+        if (((rej >> l) & 1u) == 0) continue;
+        const std::uint64_t queue[3] = {qa[l], qb[l], qc[l]};
+        chosen[t + l] = replay_ball(st, l, bound64, threshold, snap, queue, 3);
       }
     }
-    for (std::size_t l = vec_lanes; l < lanes; ++l) {
-      chosen[t + l] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
-    }
-    t += lanes;
+    t += kernel_lanes;
   }
   for (std::size_t l = 0; t < balls; ++l, ++t) {  // trailing partial round
     chosen[t] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
@@ -147,64 +141,56 @@ NB_TGT_AVX512 void fill_alias_avx512_impl(lane_soa& st, bin_count n, std::uint64
                                           const std::uint8_t* snap, const std::uint64_t* thresh,
                                           const bin_index* alias, std::uint32_t* chosen,
                                           std::size_t balls) {
-  const std::size_t lanes = st.lanes;
-  const std::size_t vec_lanes = lanes - lanes % 8;
   const auto bound64 = static_cast<std::uint64_t>(n);
   const __m512i bound = _mm512_set1_epi64(static_cast<long long>(bound64));
   const __m512i thr = _mm512_set1_epi64(static_cast<long long>(threshold));
 
   std::size_t t = 0;
-  while (t + lanes <= balls) {
-    for (std::size_t lane0 = 0; lane0 < vec_lanes; lane0 += 8) {
-      __m512i s0 = _mm512_load_si512(st.s0.data() + lane0);
-      __m512i s1 = _mm512_load_si512(st.s1.data() + lane0);
-      __m512i s2 = _mm512_load_si512(st.s2.data() + lane0);
-      __m512i s3 = _mm512_load_si512(st.s3.data() + lane0);
-      const __m512i a = xo_step(s0, s1, s2, s3);   // slot 1
-      const __m512i u1 = xo_step(s0, s1, s2, s3);  // keep/alias test 1
-      const __m512i b = xo_step(s0, s1, s2, s3);   // slot 2
-      const __m512i u2 = xo_step(s0, s1, s2, s3);  // keep/alias test 2
-      const __m512i c = xo_step(s0, s1, s2, s3);   // tie bit
-      _mm512_store_si512(st.s0.data() + lane0, s0);
-      _mm512_store_si512(st.s1.data() + lane0, s1);
-      _mm512_store_si512(st.s2.data() + lane0, s2);
-      _mm512_store_si512(st.s3.data() + lane0, s3);
+  while (t + kernel_lanes <= balls) {
+    __m512i s0 = _mm512_load_si512(st.s0.data());
+    __m512i s1 = _mm512_load_si512(st.s1.data());
+    __m512i s2 = _mm512_load_si512(st.s2.data());
+    __m512i s3 = _mm512_load_si512(st.s3.data());
+    const __m512i a = xo_step(s0, s1, s2, s3);   // slot 1
+    const __m512i u1 = xo_step(s0, s1, s2, s3);  // keep/alias test 1
+    const __m512i b = xo_step(s0, s1, s2, s3);   // slot 2
+    const __m512i u2 = xo_step(s0, s1, s2, s3);  // keep/alias test 2
+    const __m512i c = xo_step(s0, s1, s2, s3);   // tie bit
+    _mm512_store_si512(st.s0.data(), s0);
+    _mm512_store_si512(st.s1.data(), s1);
+    _mm512_store_si512(st.s2.data(), s2);
+    _mm512_store_si512(st.s3.data(), s3);
 
-      __m512i sl1;
-      __m512i sl2;
-      __m512i low_a;
-      __m512i low_b;
-      lemire8(a, bound, sl1, low_a);
-      lemire8(b, bound, sl2, low_b);
-      const __mmask8 rej =
-          _mm512_cmplt_epu64_mask(low_a, thr) | _mm512_cmplt_epu64_mask(low_b, thr);
+    __m512i sl1;
+    __m512i sl2;
+    __m512i low_a;
+    __m512i low_b;
+    lemire8(a, bound, sl1, low_a);
+    lemire8(b, bound, sl2, low_b);
+    const __mmask8 rej =
+        _mm512_cmplt_epu64_mask(low_a, thr) | _mm512_cmplt_epu64_mask(low_b, thr);
 
-      // Unconditional vector compute: even a rejected slot candidate is
-      // < bound, so the table and snapshot gathers stay in-bounds.
-      const __m512i i1 = pick8(sl1, u1, thresh, alias);
-      const __m512i i2 = pick8(sl2, u2, thresh, alias);
-      const __m256i ch = select8(i1, i2, c, snap);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t + lane0), ch);
+    // Unconditional vector compute: even a rejected slot candidate is
+    // < bound, so the table and snapshot gathers stay in-bounds.
+    const __m512i i1 = pick8(sl1, u1, thresh, alias);
+    const __m512i i2 = pick8(sl2, u2, thresh, alias);
+    const __m256i ch = select8(i1, i2, c, snap);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t), ch);
 
-      if (rej != 0) [[unlikely]] {  // masked replay: rejected lanes only
-        alignas(64) std::uint64_t q[5][8];
-        _mm512_store_si512(q[0], a);
-        _mm512_store_si512(q[1], u1);
-        _mm512_store_si512(q[2], b);
-        _mm512_store_si512(q[3], u2);
-        _mm512_store_si512(q[4], c);
-        for (std::size_t l = 0; l < 8; ++l) {
-          if (((rej >> l) & 1u) == 0) continue;
-          const std::uint64_t queue[5] = {q[0][l], q[1][l], q[2][l], q[3][l], q[4][l]};
-          chosen[t + lane0 + l] =
-              replay_ball_alias(st, lane0 + l, bound64, threshold, snap, thresh, alias, queue, 5);
-        }
+    if (rej != 0) [[unlikely]] {  // masked replay: rejected lanes only
+      alignas(64) std::uint64_t q[5][8];
+      _mm512_store_si512(q[0], a);
+      _mm512_store_si512(q[1], u1);
+      _mm512_store_si512(q[2], b);
+      _mm512_store_si512(q[3], u2);
+      _mm512_store_si512(q[4], c);
+      for (std::size_t l = 0; l < kernel_lanes; ++l) {
+        if (((rej >> l) & 1u) == 0) continue;
+        const std::uint64_t queue[5] = {q[0][l], q[1][l], q[2][l], q[3][l], q[4][l]};
+        chosen[t + l] = replay_ball_alias(st, l, bound64, threshold, snap, thresh, alias, queue, 5);
       }
     }
-    for (std::size_t l = vec_lanes; l < lanes; ++l) {
-      chosen[t + l] = replay_ball_alias(st, l, bound64, threshold, snap, thresh, alias, nullptr, 0);
-    }
-    t += lanes;
+    t += kernel_lanes;
   }
   for (std::size_t l = 0; t < balls; ++l, ++t) {
     chosen[t] = replay_ball_alias(st, l, bound64, threshold, snap, thresh, alias, nullptr, 0);

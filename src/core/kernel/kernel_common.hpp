@@ -4,8 +4,8 @@
 // The scalar pieces here (lane state stepping, the queue-replay ball) are
 // the single source of truth for the kernel's sampling semantics: vector
 // backends generate raw draws in bulk and fall back to replay_ball for
-// remainder lanes, partial rounds and the (astronomically rare, ~2^-32
-// per sample) Lemire rejections, so every backend consumes each lane's
+// the trailing partial round and the (astronomically rare, ~2^-32 per
+// sample) Lemire rejections, so every backend consumes each lane's
 // stream in exactly the reference order.  The backend table at the end
 // (backend_for) is the kernel's only ISA dispatch: kernel.cpp takes its
 // fills from it.  There are two fill shapes, uniform and alias; the
@@ -16,28 +16,24 @@
 #include <array>
 #include <cstdint>
 
-#include "common/error.hpp"
 #include "common/types.hpp"
 #include "core/kernel/kernel.hpp"
 #include "rng/rng.hpp"
 
 namespace nb::kernel_detail {
 
-/// Structure-of-arrays state of the kernel's xoshiro256++ lanes: word w of
-/// lane l sits at sW[l], so a vector backend loads W consecutive lanes'
-/// states with one aligned vector load per word.  Lane l's stream is
-/// bit-identical to nb::xoshiro256pp(derive_seed(seed, l)).
+/// Structure-of-arrays state of the kernel's kernel_lanes xoshiro256++
+/// lanes: word w of lane l sits at sW[l], so a vector backend loads
+/// consecutive lanes' states with one aligned vector load per word.  Lane
+/// l's stream is bit-identical to nb::xoshiro256pp(derive_seed(seed, l)).
 struct lane_soa {
-  std::size_t lanes = 0;
-  alignas(64) std::array<std::uint64_t, kernel_max_lanes> s0{};
-  alignas(64) std::array<std::uint64_t, kernel_max_lanes> s1{};
-  alignas(64) std::array<std::uint64_t, kernel_max_lanes> s2{};
-  alignas(64) std::array<std::uint64_t, kernel_max_lanes> s3{};
+  alignas(64) std::array<std::uint64_t, kernel_lanes> s0{};
+  alignas(64) std::array<std::uint64_t, kernel_lanes> s1{};
+  alignas(64) std::array<std::uint64_t, kernel_lanes> s2{};
+  alignas(64) std::array<std::uint64_t, kernel_lanes> s3{};
 
-  void init(std::size_t lane_count, std::uint64_t seed) noexcept {
-    NB_ASSERT(lane_count >= 1 && lane_count <= kernel_max_lanes);
-    lanes = lane_count;
-    for (std::size_t l = 0; l < lanes; ++l) {
+  void init(std::uint64_t seed) noexcept {
+    for (std::size_t l = 0; l < kernel_lanes; ++l) {
       // Same state expansion as xoshiro256pp::reseed.
       splitmix64 sm(derive_seed(seed, l));
       s0[l] = sm.next();
@@ -115,7 +111,7 @@ struct ball_stream {
 
 /// A backend fills chosen[0..balls) with the decided bin per ball, in ball
 /// order, continuing the lane rotation from lane 0 (the driver only cuts
-/// blocks at multiples of the lane count, so rotation stays aligned).
+/// blocks at multiples of kernel_lanes, so rotation stays aligned).
 using fill_fn = void (*)(lane_soa& st, bin_count n, std::uint64_t threshold,
                          const std::uint8_t* snap, std::uint32_t* chosen, std::size_t balls);
 
@@ -141,8 +137,8 @@ void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold, const std::
 //
 // The decision over the snapshot is unchanged (canonical min rule).  The
 // scalar pieces below define the order; vector backends bulk-generate the
-// five draws and fall back to the queue replay for rejections, remainder
-// lanes and partial rounds, exactly like the uniform path.
+// five draws and fall back to the queue replay for rejections and the
+// trailing partial round, exactly like the uniform path.
 
 /// One alias pick: keep the slot iff u clears its 64-bit fixed-point
 /// threshold, else take its alias (the exact expression every backend and
@@ -191,16 +187,11 @@ void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
 // ---------------------------------------------------------------------------
 // Dispatch: the one place that decides which ISA runs which fill.
 
-/// Chosen-bin buffer capacity of one block: 32 KiB, L1-resident
-/// alongside the lane state.
+/// Balls per block, the chosen-bin buffer's capacity: 32 KiB, L1-resident
+/// alongside the lane state, and a multiple of kernel_lanes, so every
+/// backend sees an aligned rotation.
 inline constexpr std::size_t kBlockBalls = 8192;
-static_assert(kBlockBalls % kernel_max_lanes == 0);
-
-/// The block size runs are cut into: kBlockBalls rounded down to a
-/// multiple of the lane count, so every backend sees an aligned rotation.
-[[nodiscard]] constexpr std::size_t block_balls(std::size_t lanes) noexcept {
-  return (kBlockBalls / lanes) * lanes;
-}
+static_assert(kBlockBalls % kernel_lanes == 0);
 
 /// Every fill one backend runs.
 struct backend {

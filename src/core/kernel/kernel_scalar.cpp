@@ -10,11 +10,10 @@ namespace nb::kernel_detail {
 
 void fill_scalar(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                  std::uint32_t* chosen, std::size_t balls) {
-  const std::size_t lanes = st.lanes;
   const auto bound = static_cast<std::uint64_t>(n);
   std::size_t t = 0;
-  while (t + lanes <= balls) {  // full rounds: one ball per lane
-    for (std::size_t l = 0; l < lanes; ++l, ++t) {
+  while (t + kernel_lanes <= balls) {  // full rounds: one ball per lane
+    for (std::size_t l = 0; l < kernel_lanes; ++l, ++t) {
       chosen[t] = replay_ball(st, l, bound, threshold, snap, nullptr, 0);
     }
   }
@@ -26,11 +25,10 @@ void fill_scalar(lane_soa& st, bin_count n, std::uint64_t threshold, const std::
 void fill_alias_scalar(lane_soa& st, bin_count n, std::uint64_t threshold,
                        const std::uint8_t* snap, const std::uint64_t* thresh,
                        const bin_index* alias, std::uint32_t* chosen, std::size_t balls) {
-  const std::size_t lanes = st.lanes;
   const auto bound = static_cast<std::uint64_t>(n);
   std::size_t t = 0;
-  while (t + lanes <= balls) {
-    for (std::size_t l = 0; l < lanes; ++l, ++t) {
+  while (t + kernel_lanes <= balls) {
+    for (std::size_t l = 0; l < kernel_lanes; ++l, ++t) {
       chosen[t] = replay_ball_alias(st, l, bound, threshold, snap, thresh, alias, nullptr, 0);
     }
   }

@@ -410,14 +410,6 @@ class compact_snapshot {
   bool ok_ = false;
 };
 
-/// The multi-shard engine's per-shard bound: one shard decides at most
-/// max_row_count balls (or drain departure events) per window.
-/// shard_engine caps its windows at shards * max_row_count, which makes
-/// the bound part of the sampling contract.
-struct shard_deltas {
-  static constexpr step_count max_row_count = 65535;
-};
-
 class load_state {
  public:
   /// Creates n empty bins.  n must be at least 1.

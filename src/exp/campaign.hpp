@@ -89,7 +89,7 @@ struct model_overrides {
 void apply_model_overrides(std::vector<campaign_config>& configs, const model_overrides& o);
 
 /// Campaign execution knobs.  Only `repeats`, `seed` and the engine's
-/// mode, shards and lanes are part of the sampling contract; threads,
+/// mode and shards are part of the sampling contract; threads,
 /// worker counts and the ISA backend never affect results.
 struct campaign_options {
   std::size_t repeats = 10;

@@ -178,7 +178,7 @@ step_count restore_checkpoint_identity(any_process& process, rng_t& rng,
                  "'");
   NB_REQUIRE(ckpt.engine == engine_fingerprint,
              "checkpoint was written under engine '" + ckpt.engine + "', not '" +
-                 engine_fingerprint + "' (shards/lanes are part of the sampling contract)");
+                 engine_fingerprint + "' (shards are part of the sampling contract)");
   NB_REQUIRE(ckpt.cell == cell, "checkpoint belongs to a different campaign cell");
   NB_REQUIRE(ckpt.seed == seed, "checkpoint seed does not match this run's seed");
   state_reader r(ckpt.process_state);

@@ -111,7 +111,7 @@ void write_checkpoint_file(const std::string& path, const run_checkpoint& ckpt);
 /// Restores `ckpt` into a freshly constructed process + RNG, validating
 /// the full identity first: process name, engine fingerprint (sampling
 /// contract -- resuming under a different thread count or ISA backend is
-/// legal by construction, under different shards/lanes is not), cell,
+/// legal by construction, under different shards is not), cell,
 /// seed, and 0 <= balls_done <= m; after the payload is applied the
 /// process must agree it holds balls_done balls.  Returns balls_done.
 step_count restore_from_checkpoint(any_process& process, rng_t& rng, const run_checkpoint& ckpt,

@@ -16,7 +16,7 @@
 //
 // Sampling contract: `cycle` is part of it (it decides how arrivals and
 // departures interleave in the master stream), exactly like the engines'
-// shard/lane counts and the batched-departure path itself
+// shard counts and the batched-departure path itself
 // (run_engine::churn_fingerprint); threads and the ISA backend remain
 // execution-only.  The gap trajectory is therefore bit-identical for any
 // thread count, across ISA backends, and -- for processes without

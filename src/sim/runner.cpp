@@ -10,7 +10,6 @@ engine_config engine_from_flags(const engine_flag_values& flags) {
   engine.threads_per_run = flags.threads_per_run;
   engine.shards = flags.shards;
   engine.use_kernel = backend.has_value() && engine.threads_per_run == 0;
-  engine.lanes = kernel_lanes_flag(flags.lanes);
   engine.isa = backend.value_or(kernel_isa::auto_detect);
   return engine;
 }

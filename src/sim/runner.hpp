@@ -31,8 +31,8 @@ struct run_result {
 /// driver); campaign_options holds one as its `engine` member.
 /// threads_per_run > 0 selects the windowed engine with `shards` shards on
 /// that many workers, else use_kernel the same engine with one shard (the
-/// serial SIMD engine), else the plain fused loop.  shards / use_kernel /
-/// lanes are part of the sampling contract; threads_per_run and isa are
+/// serial SIMD engine), else the plain fused loop.  shards / use_kernel
+/// are part of the sampling contract; threads_per_run and isa are
 /// execution-only and never affect results.
 ///
 /// threads_per_run > 0 is intended for few, huge runs: combined with a
@@ -43,7 +43,11 @@ struct engine_config {
   std::size_t threads_per_run = 0;
   std::size_t shards = 16;
   bool use_kernel = false;
-  std::size_t lanes = 8;
+  /// A leftover the repo benchmark (perfbench/) pins, next to
+  /// kernel_options (core/engine/shard_engine.hpp): it must be
+  /// kernel_lanes, and anything else throws contract_error naming the
+  /// value.  ROADMAP item 4's declared benchmark change removes it.
+  std::size_t lanes = kernel_lanes;
   kernel_isa isa = kernel_isa::auto_detect;
 
   /// Returns *this, so the older accessor spelling `options.engine()`
@@ -53,10 +57,10 @@ struct engine_config {
 
 struct engine_flag_values;
 
-/// The engine the shared --threads-per-run / --shards / --kernel / --lanes
-/// flags (util/cli add_engine_flags) select: --kernel off keeps serial runs
-/// on the fused loop, a backend name routes them through the kernel.
-/// Throws contract_error naming the offending --kernel or --lanes value.
+/// The engine the shared --threads-per-run / --shards / --kernel flags
+/// (util/cli add_engine_flags) select: --kernel off keeps serial runs on
+/// the fused loop, a backend name routes them through the kernel.  Throws
+/// contract_error naming the offending --kernel value.
 [[nodiscard]] engine_config engine_from_flags(const engine_flag_values& flags);
 
 /// One run's engine: owns the shard_engine the options select (if any)
@@ -70,7 +74,6 @@ class run_engine {
     if (opt.threads_per_run > 0 || opt.use_kernel) {
       engine_.emplace(shard_options{.threads = opt.threads_per_run,
                                     .shards = opt.threads_per_run > 0 ? opt.shards : 1,
-                                    .lanes = opt.lanes,
                                     .isa = opt.isa});
       // Engine-selected runs serve departure blocks through the batched
       // path, an additional sampling-contract parameter the insertion
@@ -81,11 +84,18 @@ class run_engine {
   }
 
   /// The fingerprint() of the engine `opt` selects, without building it:
-  /// "serial", "kernel[lanes=L]" for one shard (use_kernel, or
-  /// threads_per_run with shards = 1), "shard[shards=S,lanes=L]" for more.
+  /// "serial", "kernel[lanes=8]" for one shard (use_kernel, or
+  /// threads_per_run with shards = 1), "shard[shards=S,lanes=8]" for more.
+  /// The constant lane count stays in the string, so journals and
+  /// checkpoints written while it was a setting still resume.  Throws
+  /// contract_error when opt.lanes is not kernel_lanes.
   [[nodiscard]] static std::string fingerprint_of(const engine_config& opt) {
+    NB_REQUIRE(opt.lanes == kernel_lanes, "engine_config::lanes got " +
+                                              std::to_string(opt.lanes) +
+                                              "; the kernel runs exactly " +
+                                              std::to_string(kernel_lanes) + " lanes");
     if (opt.threads_per_run == 0 && !opt.use_kernel) return "serial";
-    const std::string lanes = "lanes=" + std::to_string(opt.lanes) + "]";
+    const std::string lanes = "lanes=" + std::to_string(kernel_lanes) + "]";
     if (opt.threads_per_run == 0 || opt.shards == 1) return "kernel[" + lanes;
     return "shard[shards=" + std::to_string(opt.shards) + "," + lanes;
   }
@@ -116,8 +126,8 @@ class run_engine {
     }
   }
 
-  /// The engine's sampling-contract identity: mode plus the parameters
-  /// that influence the drawn randomness (shards, lanes) -- and nothing
+  /// The engine's sampling-contract identity: mode plus the parameter
+  /// that influences the drawn randomness (shards) -- and nothing
   /// execution-only (threads, ISA backend).  A checkpoint written under
   /// one fingerprint may only be restored under the same one; resuming
   /// with a different thread count or ISA is legal by construction.

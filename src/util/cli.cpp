@@ -188,8 +188,7 @@ void add_engine_flags(cli_parser& cli) {
                  "allocation-kernel backend for frozen windows: off | scalar | "
                  "avx2 | avx512 | auto | simd (auto/simd = best this CPU supports; "
                  "an unsupported request warns once and falls back; backends are "
-                 "bit-identical for a fixed lane count)");
-  cli.add_int("lanes", 8, "kernel RNG lanes (sampling contract, like shards)");
+                 "bit-identical)");
 }
 
 engine_flag_values get_engine_flags(const cli_parser& cli) {
@@ -197,7 +196,6 @@ engine_flag_values get_engine_flags(const cli_parser& cli) {
   v.threads_per_run = thread_count_flag("--threads-per-run", cli.get_int("threads-per-run"));
   v.shards = shard_count_flag("--shards", cli.get_int("shards"));
   v.kernel = cli.get_string("kernel");
-  v.lanes = cli.get_int("lanes");
   return v;
 }
 

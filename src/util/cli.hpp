@@ -79,17 +79,15 @@ inline constexpr std::int64_t max_thread_flag = 1024;
 // make_departures, kernel_isa_from_name, ...).
 
 /// Raw values of the engine-selection family (execution routing; shards
-/// and lanes are part of the sampling contract, the rest never affects
-/// results).
+/// are part of the sampling contract, the rest never affects results).
 struct engine_flag_values {
   std::size_t threads_per_run = 0;
   std::size_t shards = 16;
   std::string kernel;  ///< "off" or a kernel backend spec
-  std::int64_t lanes = 8;
 };
 
-/// Registers --threads-per-run, --shards, --kernel, --lanes.  --kernel and
-/// --lanes are validated by engine_from_flags (sim/runner.hpp).
+/// Registers --threads-per-run, --shards, --kernel.  --kernel is validated
+/// by engine_from_flags (sim/runner.hpp).
 void add_engine_flags(cli_parser& cli);
 [[nodiscard]] engine_flag_values get_engine_flags(const cli_parser& cli);
 

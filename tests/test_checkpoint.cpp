@@ -289,7 +289,6 @@ TEST(ResumeIdentity, ShardEngineAcrossKinds) {
   engine_config eopt;
   eopt.threads_per_run = 2;
   eopt.shards = 4;
-  eopt.lanes = 4;
   // A window-parallel process (the engine's real path), a serial-fallback
   // process, and a window-probed always-zero process.
   expect_resume_identical(process_spec{"b-batch", 96, 480.0}, 4800, eopt, 700);
@@ -300,7 +299,6 @@ TEST(ResumeIdentity, ShardEngineAcrossKinds) {
 TEST(ResumeIdentity, KernelEngine) {
   engine_config eopt;
   eopt.use_kernel = true;
-  eopt.lanes = 4;
   expect_resume_identical(process_spec{"b-batch", 96, 480.0}, 4800, eopt, 700);
 }
 

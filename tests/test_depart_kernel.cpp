@@ -5,7 +5,7 @@
 // fair), the settle clamps the summed counts to snapshot capacity, the
 // clamped excess is re-served into the counts under the re-serve law, and
 // the block commits once.  The kernel's own contract (backend
-// bit-identity, lanes as a sampling parameter, argument checks) is
+// bit-identity, the fixed lane count, argument checks) is
 // tests/test_kernel.cpp's.  The suite pins
 //   (1) the drain law and the engines' batched-departure routing: a hand
 //       replay of the one-shard block, the re-serve law's refusal once
@@ -75,7 +75,7 @@ TEST(DepartEngineKernel, BatchedBitIdenticalAcrossIsaBackends) {
     for (const kernel_isa isa : supported_backends()) {
       rng_t rng(7);
       any_process process = churned_process(channel, 64, 20000, 7, rng);
-      shard_engine engine(shard_options{.shards = 1, .min_window = 1, .lanes = 8, .isa = isa});
+      shard_engine engine(shard_options{.shards = 1, .min_window = 1, .isa = isa});
       engine.depart_many(process, rng, 8000);
       EXPECT_EQ(process.state().balls(), 12000) << channel;
       if (reference.empty()) {
@@ -104,7 +104,7 @@ TEST(DepartEngineShard, BatchedBitIdenticalAcrossThreadCountsAndBackends) {
       rng_t rng(21);
       any_process process = churned_process("drain", 64, 20000, 21, rng);
       shard_engine engine(shard_options{
-          .threads = threads, .shards = 8, .min_window = 1, .lanes = 8, .isa = isa});
+          .threads = threads, .shards = 8, .min_window = 1, .isa = isa});
       engine.depart_many(process, rng, 8000);
       EXPECT_EQ(process.state().balls(), 12000);
       if (reference.empty()) {
@@ -125,7 +125,7 @@ std::uint64_t shard_departure_digest(std::size_t threads, const char* channel) {
   process.set_model(make_model("unit", "uniform", 64, channel));
   step_many(process, rng, 3000);
   shard_engine engine(
-      shard_options{.threads = threads, .shards = 8, .min_window = 1, .lanes = 8});
+      shard_options{.threads = threads, .shards = 8, .min_window = 1});
   engine.depart_many(process, rng, 2900);
   const std::vector<load_t>& loads = process.state().loads();
   std::vector<std::uint64_t> digest(loads.begin(), loads.end());
@@ -162,7 +162,7 @@ drain_block_run shard_drain_block(bin_count n, step_count warm, step_count k, st
   process.set_model(make_model("unit", "uniform", n, "drain"));
   step_many(process, rng, warm);
   shard_engine engine(shard_options{
-      .threads = threads, .shards = shards, .min_window = 1, .lanes = 8, .isa = isa});
+      .threads = threads, .shards = shards, .min_window = 1, .isa = isa});
   engine.depart_many(process, rng, k);
   drain_block_run run{.phases = engine.depart_phases(),
                       .loads = process.state().loads(),
@@ -240,7 +240,7 @@ drain_block_run pooled_batch_drain_block(std::size_t threads) {
   rng_t rng(17);
   b_batch process(n, half);
   process.set_model(make_model("unit", "uniform", n, "drain"));
-  shard_engine engine(shard_options{.threads = threads, .shards = 2, .lanes = 8});
+  shard_engine engine(shard_options{.threads = threads, .shards = 2});
   engine.step_many(process, rng, half);
   engine.depart_many(process, rng, half - 1000);
   drain_block_run run{.phases = engine.depart_phases(),
@@ -281,7 +281,7 @@ TEST(DepartEngineShard, OneEngineAcrossHeavyDrainBlocksMatchesAFreshEnginePerBlo
   // No state of one block may leak into the next: an engine reused across
   // the blocks serves the same loads and stream as a fresh one per block.
   const bin_count n = 4096;
-  const shard_options opt{.threads = 2, .shards = 8, .min_window = 1, .lanes = 8};
+  const shard_options opt{.threads = 2, .shards = 8, .min_window = 1};
   rng_t rng(9);
   any_process shared_run{two_choice(n)};
   shared_run.set_model(make_model("unit", "uniform", n, "drain"));
@@ -365,8 +365,8 @@ TEST(DepartEngine, DrainBlockIsOneFoldOverTheInvertedLiveSnapshotThenClampAndRes
   // over the inverted snapshot of the live loads, seeded by the block
   // token itself; every bin's count clamped to its snapshot load; the
   // clamped excess re-served into the counts one event at a time under the
-  // re-serve law from rng_t(derive_seed(token, lanes)), the stream one
-  // past the lanes; then one commit of all k events.  On the calling
+  // re-serve law from rng_t(derive_seed(token, kernel_lanes)), the stream
+  // one past the lanes; then one commit of all k events.  On the calling
   // thread whatever the thread count.  The first shape never overdraws a
   // bin; the second (2900 of 3000 balls leave 64 bins) re-serves.
   struct shape {
@@ -447,6 +447,28 @@ TEST(DepartEngine, EveryDrainBlockIsOneCommitOfAllItsEvents) {
       EXPECT_EQ(p.st.balls(), sh.warm - sh.k) << where;
     }
   }
+}
+
+TEST(DepartEngine, MultiShardDrainRequestIsOneBlockAtAnySize) {
+  // No drain request is cut below its size: 200 000 events on 2 shards,
+  // above 2 * 65 535 (the per-shard bound that once cut multi-shard
+  // blocks), are one block and one commit, and retire exactly k balls.
+  const bin_count n = 4096;
+  const step_count warm = 400000;
+  const step_count k = 200000;
+  any_process warmed{two_choice(n)};
+  rng_t warm_rng(5);
+  step_many(warmed, warm_rng, warm);
+  placed_loads p(warmed.state().loads(), "drain");
+  shard_engine engine(shard_options{.threads = 2, .shards = 2});
+  rng_t rng(12);
+  engine.depart_many(p, rng, k);
+  EXPECT_EQ(engine.depart_phases().windows, 1);
+  ASSERT_EQ(p.commits.size(), 1u);
+  EXPECT_EQ(p.commits[0].first, k);
+  EXPECT_EQ(p.commits[0].second, k);
+  EXPECT_EQ(nb::testing::total_balls(p.st.loads()), warm - k);
+  EXPECT_EQ(p.st.balls(), warm - k);
 }
 
 TEST(DepartEngine, OneShardDrainCountsSumToKAndStayWithinCapacity) {
@@ -879,10 +901,10 @@ TEST(DepartEngineRandom, BlockIsOneHypergeometricPassOverTheLiveLoads) {
   }
 }
 
-TEST(DepartEngineRandom, BlocksIdenticalAtEveryShardThreadLaneAndIsaSetting) {
+TEST(DepartEngineRandom, BlocksIdenticalAtEveryShardThreadAndIsaSetting) {
   // Loads and master stream after two random blocks, at shards {1, 2, 16}
-  // x threads {1, 2, 4} x lanes {1, 8} x every supported ISA.  At
-  // n = 2^17 the pooled engines commit by range.
+  // x threads {1, 2, 4} x every supported ISA.  At n = 2^17 the pooled
+  // engines commit by range.
   const bin_count n = bin_count{1} << 17;
   b_batch warmed(n, n);
   warmed.set_model(make_model("unit", "uniform", n, "random"));
@@ -892,28 +914,23 @@ TEST(DepartEngineRandom, BlocksIdenticalAtEveryShardThreadLaneAndIsaSetting) {
   std::array<std::uint64_t, 4> reference_stream{};
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
-        for (const kernel_isa isa : supported_backends()) {
-          b_batch p = warmed;
-          rng_t rng = warm_rng;
-          shard_engine engine(shard_options{
-              .threads = threads, .shards = shards, .lanes = lanes, .isa = isa});
-          engine.depart_many(p, rng, n);
-          engine.depart_many(p, rng, n / 2);
-          EXPECT_EQ(engine.depart_phases().windows, 2);
-          EXPECT_EQ(p.state().balls(), 3 * static_cast<step_count>(n) / 2);
-          if (reference.empty()) {
-            reference = p.state().loads();
-            reference_stream = rng.state();
-            continue;
-          }
-          EXPECT_EQ(p.state().loads(), reference)
-              << shards << " shards, " << threads << " threads, " << lanes << " lanes, "
-              << kernel_isa_name(isa);
-          EXPECT_EQ(rng.state(), reference_stream)
-              << shards << " shards, " << threads << " threads, " << lanes << " lanes, "
-              << kernel_isa_name(isa);
+      for (const kernel_isa isa : supported_backends()) {
+        b_batch p = warmed;
+        rng_t rng = warm_rng;
+        shard_engine engine(shard_options{.threads = threads, .shards = shards, .isa = isa});
+        engine.depart_many(p, rng, n);
+        engine.depart_many(p, rng, n / 2);
+        EXPECT_EQ(engine.depart_phases().windows, 2);
+        EXPECT_EQ(p.state().balls(), 3 * static_cast<step_count>(n) / 2);
+        if (reference.empty()) {
+          reference = p.state().loads();
+          reference_stream = rng.state();
+          continue;
         }
+        EXPECT_EQ(p.state().loads(), reference)
+            << shards << " shards, " << threads << " threads, " << kernel_isa_name(isa);
+        EXPECT_EQ(rng.state(), reference_stream)
+            << shards << " shards, " << threads << " threads, " << kernel_isa_name(isa);
       }
     }
   }

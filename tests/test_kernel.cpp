@@ -1,24 +1,27 @@
 // The lane-interleaved SIMD allocation kernel (core/kernel/) and its hard
-// contract: the accumulated counts are a pure function of (lanes, n,
-// snapshot, balls, seed) -- the instruction-set backend is execution only
-// and NEVER affects results, while `lanes` is a sampling parameter exactly
-// like shard_options::shards.  The suite pins
+// contract: the accumulated counts are a pure function of (n, snapshot,
+// balls, seed) -- the instruction-set backend is execution only and NEVER
+// affects results, and the lane count is fixed at kernel_lanes.  The suite
+// pins
 //   (1) the lane streams to the public xoshiro256++/derive_seed reference,
 //   (2) the scalar backend to an independently written replay of the
 //       documented per-ball draw order (Lemire i1, Lemire i2, tie draw),
 //   (3) every vector backend to the scalar backend, bit for bit, including
-//       partial rounds, remainder lanes and the rejection replay path,
+//       partial rounds, multi-block runs and the rejection replay path,
 //   (4) the windowed engine (one shard and several) to ISA- and
-//       thread-count-invariance for every registered process, plus
-//       distributional parity with the serial bulk path,
-//   (5) a lane-count golden value so the sampling contract cannot drift
-//       silently between releases.
+//       thread-count-invariance for every registered process, to the
+//       exact min-select law of a window, and to distributional parity
+//       with the serial bulk path,
+//   (5) a golden value so the sampling contract cannot drift silently
+//       between releases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 #include <numeric>
 #include <string>
 
+#include "core/analysis/allocation_probability.hpp"
 #include "core/kernel/kernel_common.hpp"
 #include "test_support.hpp"
 
@@ -51,11 +54,11 @@ std::vector<std::uint8_t> make_snapshot(bin_count n) {
   return snap;
 }
 
-std::vector<std::uint32_t> kernel_counts(kernel_isa isa, std::size_t lanes, bin_count n,
+std::vector<std::uint32_t> kernel_counts(kernel_isa isa, bin_count n,
                                          const std::vector<std::uint8_t>& snap, step_count balls,
                                          std::uint64_t seed) {
   std::vector<std::uint32_t> row(n, 0);
-  kernel_run(isa, lanes, n, snap.data(), row.data(), balls, seed);
+  kernel_run(isa, kernel_lanes, n, snap.data(), row.data(), balls, seed);
   return row;
 }
 
@@ -67,8 +70,8 @@ TEST(KernelLanes, LaneStreamsMatchDerivedXoshiroReference) {
   // exactly -- this is what makes the kernel's sampling auditable from the
   // public RNG API alone.
   kernel_detail::lane_soa st;
-  st.init(5, 2024);
-  for (std::size_t l = 0; l < 5; ++l) {
+  st.init(2024);
+  for (std::size_t l = 0; l < kernel_lanes; ++l) {
     rng_t reference(derive_seed(2024, l));
     for (int i = 0; i < 100; ++i) {
       ASSERT_EQ(st.next(l), reference.next()) << "lane " << l << " draw " << i;
@@ -82,7 +85,7 @@ TEST(KernelLanes, LaneStreamsMatchDerivedXoshiroReference) {
 
 TEST(Kernel, ScalarMatchesDocumentedDrawOrder) {
   const bin_count n = 97;
-  const std::size_t lanes = 4;
+  const std::size_t lanes = kernel_lanes;
   const step_count balls = 1003;  // partial trailing round on purpose
   const std::uint64_t seed = 77;
   const auto snap = make_snapshot(n);
@@ -103,7 +106,7 @@ TEST(Kernel, ScalarMatchesDocumentedDrawOrder) {
     ++expected[chosen];
   }
 
-  EXPECT_EQ(kernel_counts(kernel_isa::scalar, lanes, n, snap, balls, seed), expected);
+  EXPECT_EQ(kernel_counts(kernel_isa::scalar, n, snap, balls, seed), expected);
   EXPECT_EQ(std::accumulate(expected.begin(), expected.end(), std::int64_t{0}), balls);
 }
 
@@ -141,7 +144,7 @@ TEST(Kernel, ReplayBallConsumesQueueThenLiveStream) {
   const std::uint8_t snap[8] = {0, 1, 2, 0, 1, 2, 0, 1};
 
   kernel_detail::lane_soa st;
-  st.init(2, 99);
+  st.init(99);
   const std::uint64_t queue[3] = {0, 5, std::uint64_t{1} << 63};  // draw 1 rejects
   const std::uint32_t got = kernel_detail::replay_ball(st, 1, bound, threshold, snap, queue, 3);
 
@@ -173,24 +176,21 @@ TEST(Kernel, ReplayBallConsumesQueueThenLiveStream) {
 
 TEST(Kernel, BackendsBitIdenticalAcrossShapes) {
   // Every supported backend must reproduce the scalar counts bit for bit
-  // over awkward shapes: lane counts that leave AVX2/AVX-512 remainder lanes
-  // (1, 3, 5, 7), tiny bins, ball counts that end mid-round, and multiple
-  // blocks (balls > the driver's 8192-ball block).
+  // over awkward shapes: tiny bins, ball counts below one round and ending
+  // mid-round, whole rounds, and multiple blocks (balls > the driver's
+  // 8192-ball block, one ball past a block boundary included).
   const auto isas = supported_backends();
   ASSERT_GE(isas.size(), 1u);
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{5},
-                                    std::size_t{8}, std::size_t{64}}) {
-      for (const step_count balls : {step_count{1}, step_count{63}, step_count{1000},
-                                     step_count{20000}}) {
-        const auto reference = kernel_counts(kernel_isa::scalar, lanes, n, snap, balls, 31337);
-        EXPECT_EQ(std::accumulate(reference.begin(), reference.end(), std::int64_t{0}), balls);
-        for (const kernel_isa isa : isas) {
-          EXPECT_EQ(kernel_counts(isa, lanes, n, snap, balls, 31337), reference)
-              << kernel_isa_name(isa) << " n=" << n << " lanes=" << lanes
-              << " balls=" << balls;
-        }
+    for (const step_count balls : {step_count{1}, step_count{7}, step_count{63},
+                                   step_count{1000}, step_count{1003}, step_count{8193},
+                                   step_count{20000}}) {
+      const auto reference = kernel_counts(kernel_isa::scalar, n, snap, balls, 31337);
+      EXPECT_EQ(std::accumulate(reference.begin(), reference.end(), std::int64_t{0}), balls);
+      for (const kernel_isa isa : isas) {
+        EXPECT_EQ(kernel_counts(isa, n, snap, balls, 31337), reference)
+            << kernel_isa_name(isa) << " n=" << n << " balls=" << balls;
       }
     }
   }
@@ -200,38 +200,35 @@ TEST(Kernel, BackendsBitIdenticalAcrossShapes) {
 // Alias-sampled lane path (PR 5): non-uniform bin probabilities through
 // the same lane contract.
 
-std::vector<std::uint32_t> kernel_alias_counts(kernel_isa isa, std::size_t lanes, bin_count n,
+std::vector<std::uint32_t> kernel_alias_counts(kernel_isa isa, bin_count n,
                                                const std::vector<std::uint8_t>& snap,
                                                const alias_table& table, step_count balls,
                                                std::uint64_t seed) {
   std::vector<std::uint8_t> low(n, 0);
   std::vector<std::uint32_t> carries;
-  kernel_run_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(), low.data(),
-                   carries, balls, seed);
+  kernel_run_alias(isa, n, snap.data(), table.thresholds(), table.aliases(), low.data(), carries,
+                   balls, seed);
   return nb::testing::widen_counts(low, carries);
 }
 
 TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
   // The alias lane path's backend contract, over the same awkward shapes
-  // as the uniform path: remainder lanes, tiny bins, mid-round tails,
-  // multi-block runs.  AVX2 and AVX-512 use hardware gathers for the
-  // threshold / alias / snapshot lookups -- both must match the scalar
-  // reference bit for bit.
+  // as the uniform path: tiny bins, mid-round tails, multi-block runs.
+  // AVX2 and AVX-512 use hardware gathers for the threshold / alias /
+  // snapshot lookups -- both must match the scalar reference bit for bit.
   const auto isas = supported_backends();
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
     std::vector<double> weights(n);
     for (bin_count i = 0; i < n; ++i) weights[i] = 1.0 / (1.0 + static_cast<double>(i));
     const alias_table table(weights);
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-      for (const step_count balls : {step_count{1}, step_count{63}, step_count{20000}}) {
-        const auto reference =
-            kernel_alias_counts(kernel_isa::scalar, lanes, n, snap, table, balls, 99);
-        EXPECT_EQ(std::accumulate(reference.begin(), reference.end(), std::int64_t{0}), balls);
-        for (const kernel_isa isa : isas) {
-          EXPECT_EQ(kernel_alias_counts(isa, lanes, n, snap, table, balls, 99), reference)
-              << kernel_isa_name(isa) << " n=" << n << " lanes=" << lanes << " balls=" << balls;
-        }
+    for (const step_count balls : {step_count{1}, step_count{7}, step_count{63},
+                                   step_count{1003}, step_count{8193}, step_count{20000}}) {
+      const auto reference = kernel_alias_counts(kernel_isa::scalar, n, snap, table, balls, 99);
+      EXPECT_EQ(std::accumulate(reference.begin(), reference.end(), std::int64_t{0}), balls);
+      for (const kernel_isa isa : isas) {
+        EXPECT_EQ(kernel_alias_counts(isa, n, snap, table, balls, 99), reference)
+            << kernel_isa_name(isa) << " n=" << n << " balls=" << balls;
       }
     }
   }
@@ -240,15 +237,14 @@ TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
 /// The alias kernel's counts replayed in a uint32 row from the documented
 /// draw order -- per ball and lane: slot1 (Lemire draws), u1, slot2, u2,
 /// tie -- through the public RNG API and the table alone.
-std::vector<std::uint32_t> documented_alias_counts(std::size_t lanes, bin_count n,
-                                                   const std::uint8_t* snap,
+std::vector<std::uint32_t> documented_alias_counts(bin_count n, const std::uint8_t* snap,
                                                    const alias_table& table, step_count balls,
                                                    std::uint64_t seed) {
   std::vector<std::uint32_t> expected(n, 0);
   std::vector<rng_t> lane_rng;
-  for (std::size_t l = 0; l < lanes; ++l) lane_rng.emplace_back(derive_seed(seed, l));
+  for (std::size_t l = 0; l < kernel_lanes; ++l) lane_rng.emplace_back(derive_seed(seed, l));
   for (step_count t = 0; t < balls; ++t) {
-    rng_t& rng = lane_rng[static_cast<std::size_t>(t) % lanes];
+    rng_t& rng = lane_rng[static_cast<std::size_t>(t) % kernel_lanes];
     const auto slot1 = static_cast<bin_index>(bounded(rng, n));
     const std::uint64_t u1 = rng.next();
     const bin_index i1 = u1 < table.thresholds()[slot1] ? slot1 : table.aliases()[slot1];
@@ -268,8 +264,8 @@ TEST(KernelAlias, ScalarMatchesDocumentedAliasDrawOrder) {
   std::vector<double> weights(n, 1.0);
   weights[3] = 8.0;  // something non-uniform
   const alias_table table(weights);
-  EXPECT_EQ(kernel_alias_counts(kernel_isa::scalar, 3, n, snap, table, 500, 4242),
-            documented_alias_counts(3, n, snap.data(), table, 500, 4242));
+  EXPECT_EQ(kernel_alias_counts(kernel_isa::scalar, n, snap, table, 500, 4242),
+            documented_alias_counts(n, snap.data(), table, 500, 4242));
 }
 
 // ---------------------------------------------------------------------------
@@ -283,21 +279,20 @@ alias_table skewed_table(bin_count n) {
   return alias_table(weights);
 }
 
-TEST(KernelByteRow, CountsMatchTheUint32RowAtEveryIsaAndLaneCount) {
+TEST(KernelByteRow, CountsMatchTheUint32RowAtEveryIsa) {
   // 16 bins and 16 000 balls: a bin takes about 1000 balls, so most bytes
-  // wrap, several times over.
+  // wrap, several times over; 16 003 balls end in a partial round.
   const bin_count n = 16;
-  const step_count balls = 16000;
   const auto snap = make_snapshot(n);
   const alias_table table = skewed_table(n);
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+  for (const step_count balls : {step_count{16000}, step_count{16003}}) {
     for (const kernel_isa isa : supported_backends()) {
       std::vector<std::uint8_t> low(n, 0);
       std::vector<std::uint32_t> carries;
-      kernel_run(isa, lanes, n, snap.data(), low.data(), carries, balls, 17);
-      const std::vector<std::uint32_t> wide = kernel_counts(isa, lanes, n, snap, balls, 17);
+      kernel_run(isa, n, snap.data(), low.data(), carries, balls, 17);
+      const std::vector<std::uint32_t> wide = kernel_counts(isa, n, snap, balls, 17);
       EXPECT_EQ(nb::testing::widen_counts(low, carries), wide)
-          << kernel_isa_name(isa) << " lanes=" << lanes;
+          << kernel_isa_name(isa) << " balls=" << balls;
       EXPECT_GE(*std::max_element(wide.begin(), wide.end()), 512u);
       std::size_t wraps = 0;
       for (const std::uint32_t c : wide) wraps += c / 256;
@@ -307,12 +302,12 @@ TEST(KernelByteRow, CountsMatchTheUint32RowAtEveryIsaAndLaneCount) {
       // the documented draw order replayed into a uint32 row.
       low.assign(n, 0);
       carries.clear();
-      kernel_run_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(), low.data(),
+      kernel_run_alias(isa, n, snap.data(), table.thresholds(), table.aliases(), low.data(),
                        carries, balls, 17);
       const std::vector<std::uint32_t> alias_wide =
-          documented_alias_counts(lanes, n, snap.data(), table, balls, 17);
+          documented_alias_counts(n, snap.data(), table, balls, 17);
       EXPECT_EQ(nb::testing::widen_counts(low, carries), alias_wide)
-          << kernel_isa_name(isa) << " lanes=" << lanes;
+          << kernel_isa_name(isa) << " balls=" << balls;
       std::size_t alias_wraps = 0;
       for (const std::uint32_t c : alias_wide) alias_wraps += c / 256;
       EXPECT_EQ(carries.size(), alias_wraps);
@@ -329,21 +324,10 @@ TEST(KernelByteRow, AccumulatesOntoARow) {
   std::vector<std::uint32_t> carries;
   std::vector<std::uint32_t> wide(n, 0);
   for (const std::uint64_t seed : {3u, 4u, 5u}) {
-    kernel_run(kernel_isa::scalar, 8, n, snap.data(), low.data(), carries, 3000, seed);
-    kernel_run(kernel_isa::scalar, 8, n, snap.data(), wide.data(), 3000, seed);
+    kernel_run(kernel_isa::scalar, n, snap.data(), low.data(), carries, 3000, seed);
+    kernel_run(kernel_isa::scalar, kernel_lanes, n, snap.data(), wide.data(), 3000, seed);
   }
   EXPECT_EQ(nb::testing::widen_counts(low, carries), wide);
-}
-
-TEST(Kernel, LaneCountIsASamplingParameter) {
-  // Different lane counts are different substream sets, so (with the same
-  // seed) they must draw different randomness -- while each stays
-  // internally ISA-invariant (covered above).
-  const bin_count n = 512;
-  const auto snap = make_snapshot(n);
-  const auto l4 = kernel_counts(kernel_isa::scalar, 4, n, snap, 10000, 42);
-  const auto l8 = kernel_counts(kernel_isa::scalar, 8, n, snap, 10000, 42);
-  EXPECT_NE(l4, l8);
 }
 
 TEST(Kernel, GoldenLaneContractRegression) {
@@ -357,7 +341,7 @@ TEST(Kernel, GoldenLaneContractRegression) {
   const bin_count n = 101;
   const auto snap = make_snapshot(n);
   for (const kernel_isa isa : supported_backends()) {
-    const auto counts = kernel_counts(isa, 8, n, snap, 100000, 42);
+    const auto counts = kernel_counts(isa, n, snap, 100000, 42);
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::int64_t{0}), 100000)
         << kernel_isa_name(isa);
     EXPECT_EQ(fnv1a(counts), 852822278533736135ULL) << kernel_isa_name(isa);
@@ -370,28 +354,25 @@ TEST(Kernel, GoldenLaneContractRegression) {
 }
 
 TEST(Kernel, FixedScheduleBitIdenticalAcrossBackends) {
-  // The one schedule each backend runs (the row prefetch in the fold, the
-  // AVX-512 two-rounds-per-iteration loop) must match the scalar
-  // reference bit for bit, uniform and alias.  Shapes cover the two-round
-  // path (balls >> lanes), odd ball counts that end it mid-round and hand
-  // the tail to the single-round loop, remainder lanes, and multi-block
-  // runs.
+  // The one schedule each backend runs -- one round of kernel_lanes balls
+  // per iteration, the trailing partial round replayed scalar -- must
+  // match the scalar reference bit for bit, uniform and alias.  Shapes
+  // cover whole rounds (balls >> lanes), odd ball counts that end
+  // mid-round and hand the tail to the replay loop, and multi-block runs.
   const bin_count n = 257;
   const auto snap = make_snapshot(n);
   std::vector<double> weights(n);
   for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 5) + 1);
   const alias_table table(weights);
-  for (const std::size_t lanes : {std::size_t{8}, std::size_t{13}, std::size_t{16}}) {
-    for (const step_count balls : {step_count{40}, step_count{1001}, step_count{30000}}) {
-      const auto reference = kernel_counts(kernel_isa::scalar, lanes, n, snap, balls, 2026);
-      const auto alias_reference =
-          kernel_alias_counts(kernel_isa::scalar, lanes, n, snap, table, balls, 2026);
-      for (const kernel_isa isa : supported_backends()) {
-        EXPECT_EQ(kernel_counts(isa, lanes, n, snap, balls, 2026), reference)
-            << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls;
-        EXPECT_EQ(kernel_alias_counts(isa, lanes, n, snap, table, balls, 2026), alias_reference)
-            << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls;
-      }
+  for (const step_count balls : {step_count{40}, step_count{1001}, step_count{30000}}) {
+    const auto reference = kernel_counts(kernel_isa::scalar, n, snap, balls, 2026);
+    const auto alias_reference =
+        kernel_alias_counts(kernel_isa::scalar, n, snap, table, balls, 2026);
+    for (const kernel_isa isa : supported_backends()) {
+      EXPECT_EQ(kernel_counts(isa, n, snap, balls, 2026), reference)
+          << kernel_isa_name(isa) << " balls=" << balls;
+      EXPECT_EQ(kernel_alias_counts(isa, n, snap, table, balls, 2026), alias_reference)
+          << kernel_isa_name(isa) << " balls=" << balls;
     }
   }
 }
@@ -400,11 +381,11 @@ TEST(Kernel, FixedScheduleBitIdenticalAcrossBackends) {
 // (4) Engines: ISA- and thread-count invariance, serial fallbacks, and
 // distributional parity.
 
-std::vector<load_t> single_shard_loads(kernel_isa isa, std::size_t lanes, bin_count n,
-                                        step_count m, std::uint64_t seed) {
+std::vector<load_t> single_shard_loads(kernel_isa isa, bin_count n, step_count m,
+                                        std::uint64_t seed) {
   b_batch process(n, n);
   rng_t rng(seed);
-  shard_engine engine(shard_options{.shards = 1, .min_window = 1, .lanes = lanes, .isa = isa});
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1, .isa = isa});
   engine.step_many(process, rng, m);
   return process.state().loads();
 }
@@ -412,15 +393,13 @@ std::vector<load_t> single_shard_loads(kernel_isa isa, std::size_t lanes, bin_co
 TEST(KernelEngine, BitIdenticalAcrossIsaBackends) {
   const bin_count n = 1024;
   const step_count m = 64 * n;
-  const auto reference = single_shard_loads(kernel_isa::scalar, 8, n, m, 7);
+  const auto reference = single_shard_loads(kernel_isa::scalar, n, m, 7);
   EXPECT_EQ(nb::testing::total_balls(reference), m);
   for (const kernel_isa isa : supported_backends()) {
-    EXPECT_EQ(single_shard_loads(isa, 8, n, m, 7), reference) << kernel_isa_name(isa);
+    EXPECT_EQ(single_shard_loads(isa, n, m, 7), reference) << kernel_isa_name(isa);
   }
   // auto_detect resolves to one of the backends, so it matches too.
-  EXPECT_EQ(single_shard_loads(kernel_isa::auto_detect, 8, n, m, 7), reference);
-  // Different lanes: different sampling.
-  EXPECT_NE(single_shard_loads(kernel_isa::scalar, 4, n, m, 7), reference);
+  EXPECT_EQ(single_shard_loads(kernel_isa::auto_detect, n, m, 7), reference);
 }
 
 TEST(KernelEngine, WindowIsOneKernelCallSeededByTheToken) {
@@ -442,7 +421,7 @@ TEST(KernelEngine, WindowIsOneKernelCallSeededByTheToken) {
     compact_snapshot snap;
     ASSERT_TRUE(snap.assign(expected.window_snapshot()));
     std::vector<std::uint32_t> inc(n, 0);
-    kernel_run(kernel_isa::scalar, 8, n, snap.data(), inc.data(), b, token);
+    kernel_run(kernel_isa::scalar, kernel_lanes, n, snap.data(), inc.data(), b, token);
     expected.commit_window(inc, b);
 
     shard_engine engine(shard_options{.threads = threads, .shards = 1, .min_window = 1});
@@ -458,44 +437,40 @@ TEST(KernelEngine, ByteRowWindowsMatchTheWideCommit) {
   // One-shard windows in which every bin takes >= 256 balls: the engine's
   // byte row with carries must commit what a uint32 row and the wide
   // commit_window give -- kernel_run's row for uniform sampling, the
-  // documented alias draw order replayed for alias sampling -- at lanes 1
-  // and 8, on every ISA, with fixed weight 3.
+  // documented alias draw order replayed for alias sampling -- on every
+  // ISA, with fixed weight 3.
   const bin_count n = 16;
   const step_count b = 16000;
   const step_count warm = 40;  // serial balls first: uneven loads
   for (const char* sampler : {"uniform", "zipf:1"}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
-      for (const kernel_isa isa : supported_backends()) {
-        b_batch process(n, b);
-        process.set_model(make_model("fixed:3", sampler, n, "none"));
-        rng_t rng(9);
-        step_many(process, rng, warm);
-        b_batch expected = process;
-        rng_t expected_rng = rng;
-        const std::uint64_t token = expected_rng.next();
-        compact_snapshot snap;
-        ASSERT_TRUE(snap.assign(expected.window_snapshot()));
-        std::vector<std::uint32_t> inc(n, 0);
-        if (process.model().sampler.is_uniform()) {
-          kernel_run(isa, lanes, n, snap.data(), inc.data(), b - warm, token);
-        } else {
-          inc = documented_alias_counts(lanes, n, snap.data(), process.model().sampler.table(),
-                                        b - warm, token);
-        }
-        ASSERT_GE(*std::max_element(inc.begin(), inc.end()), 512u);
-        expected.commit_window(inc, b - warm);
-
-        shard_engine engine(
-            shard_options{.shards = 1, .min_window = 1, .lanes = lanes, .isa = isa});
-        engine.step_many(process, rng, b - warm);
-        const std::string where = std::string(sampler) + " lanes=" + std::to_string(lanes) +
-                                  " " + kernel_isa_name(isa);
-        EXPECT_EQ(engine.phases().windows, 1) << where;
-        EXPECT_GT(engine.phases().carries, 0) << where;
-        EXPECT_EQ(process.state().loads(), expected.state().loads()) << where;
-        EXPECT_EQ(process.state().total_weight(), expected.state().total_weight()) << where;
-        EXPECT_EQ(rng.state(), expected_rng.state()) << where;
+    for (const kernel_isa isa : supported_backends()) {
+      b_batch process(n, b);
+      process.set_model(make_model("fixed:3", sampler, n, "none"));
+      rng_t rng(9);
+      step_many(process, rng, warm);
+      b_batch expected = process;
+      rng_t expected_rng = rng;
+      const std::uint64_t token = expected_rng.next();
+      compact_snapshot snap;
+      ASSERT_TRUE(snap.assign(expected.window_snapshot()));
+      std::vector<std::uint32_t> inc(n, 0);
+      if (process.model().sampler.is_uniform()) {
+        kernel_run(isa, kernel_lanes, n, snap.data(), inc.data(), b - warm, token);
+      } else {
+        inc = documented_alias_counts(n, snap.data(), process.model().sampler.table(), b - warm,
+                                      token);
       }
+      ASSERT_GE(*std::max_element(inc.begin(), inc.end()), 512u);
+      expected.commit_window(inc, b - warm);
+
+      shard_engine engine(shard_options{.shards = 1, .min_window = 1, .isa = isa});
+      engine.step_many(process, rng, b - warm);
+      const std::string where = std::string(sampler) + " " + kernel_isa_name(isa);
+      EXPECT_EQ(engine.phases().windows, 1) << where;
+      EXPECT_GT(engine.phases().carries, 0) << where;
+      EXPECT_EQ(process.state().loads(), expected.state().loads()) << where;
+      EXPECT_EQ(process.state().total_weight(), expected.state().total_weight()) << where;
+      EXPECT_EQ(rng.state(), expected_rng.state()) << where;
     }
   }
 }
@@ -511,6 +486,50 @@ TEST(KernelEngine, PaperScaleWindowsNeedNoCarries) {
   EXPECT_EQ(engine.phases().windows, 2);
   EXPECT_EQ(engine.phases().carries, 0);
   EXPECT_EQ(process.state().balls(), 2 * static_cast<step_count>(n));
+}
+
+TEST(KernelEngine, WindowCountsFollowTheExactMinSelectLaw) {
+  // An arrival window's exact law: every ball of a window decides against
+  // the window snapshot alone -- the less loaded of two uniform bins, ties
+  // fair -- independently of the others, so a window's counts are
+  // Multinomial(b, p) with p the two-choice law over the snapshot loads,
+  // and the summed counts of independent windows from one snapshot are
+  // Multinomial(windows * b, p).  One b-Batch(16, 256) is warmed serially
+  // to a batch boundary, then 4000 one-window copies of it run through the
+  // engine per shard count on pinned seeds, G-tested at alpha = 10^-3.
+  const bin_count n = 16;
+  const step_count b = 256;
+  b_batch warmed(n, b);
+  rng_t warm_rng(41);
+  step_many(warmed, warm_rng, 4 * b);
+  ASSERT_EQ(warmed.snapshot_window(), b);  // at a boundary: a whole window ahead
+  const std::vector<load_t> loads = warmed.state().loads();
+  std::vector<load_t> levels = loads;
+  std::sort(levels.begin(), levels.end());
+  const auto distinct = std::unique(levels.begin(), levels.end()) - levels.begin();
+  ASSERT_GE(distinct, 3) << "the law needs distinct levels";
+  ASSERT_LT(distinct, static_cast<std::ptrdiff_t>(n)) << "and ties";
+  const std::vector<double> p = two_choice_probabilities(loads);
+  std::cout << "arrival min-select law, loads =";
+  for (const load_t l : loads) std::cout << " " << l;
+  std::cout << "\n";
+  const int windows = 4000;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
+    shard_engine engine(shard_options{.threads = 2, .shards = shards, .min_window = 1});
+    rng_t rng(derive_seed(2027, shards));
+    std::vector<std::int64_t> counts(n, 0);
+    for (int w = 0; w < windows; ++w) {
+      b_batch q = warmed;
+      engine.step_many(q, rng, b);
+      for (bin_index i = 0; i < n; ++i) counts[i] += q.state().loads()[i] - loads[i];
+    }
+    EXPECT_EQ(engine.phases().windows, windows) << shards << " shards";
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::int64_t{0}), windows * b);
+    const double pv = nb::testing::g_test_p_value(counts, p);
+    std::cout << "arrival min-select oracle, " << n << " bins, b = " << b << ", " << shards
+              << " shards: G-test p = " << pv << "\n";
+    EXPECT_GT(pv, 1e-3) << shards << " shards";
+  }
 }
 
 TEST(KernelEngine, UndersizedWindowsFallBackToSerialExactly) {
@@ -592,15 +611,15 @@ std::vector<load_t> shard_kernel_loads(std::size_t threads, kernel_isa isa, bin_
                                        step_count m, std::uint64_t seed) {
   b_batch process(n, n);
   rng_t rng(seed);
-  shard_engine engine(shard_options{
-      .threads = threads, .shards = 8, .min_window = 1, .lanes = 8, .isa = isa});
+  shard_engine engine(
+      shard_options{.threads = threads, .shards = 8, .min_window = 1, .isa = isa});
   engine.step_many(process, rng, m);
   return process.state().loads();
 }
 
 TEST(ShardEngineKernel, BitIdenticalAcrossThreadCountsAndBackends) {
   // The shard engine now runs min-select shards through the kernel: the
-  // result must stay a pure function of (seed, shards, lanes) -- invariant
+  // result must stay a pure function of (seed, shards) -- invariant
   // in BOTH the thread count and the ISA backend, jointly.
   const bin_count n = 256;
   const step_count m = 32 * n;
@@ -631,7 +650,6 @@ TEST(ShardEngineKernel, GapHistogramInvariantAcrossBackendsForRegistry) {
     opt.threads = 1;
     opt.engine.threads_per_run = 1;
     opt.engine.shards = 4;
-    opt.engine.lanes = 8;
     opt.engine.isa = kernel_isa::scalar;
     const auto scalar_run = run_campaign(configs, opt);
     opt.threads = 2;
@@ -733,9 +751,6 @@ TEST(KernelIsa, FlagValidationNamesTheRejectedValue) {
   EXPECT_NE(neon.find("--isa"), std::string::npos) << neon;
   EXPECT_NE(neon.find("'neon'"), std::string::npos) << neon;
 
-  const std::string lanes = rejection_message([&] { (void)engine_for({"--lanes", "65"}); });
-  EXPECT_NE(lanes.find("65"), std::string::npos) << lanes;
-  EXPECT_EQ(engine_for({"--lanes", "64", "--kernel", "scalar"}).lanes, kernel_max_lanes);
   EXPECT_TRUE(engine_for({"--kernel", "scalar"}).use_kernel);
   EXPECT_FALSE(engine_for({}).use_kernel);
 }
@@ -800,17 +815,31 @@ TEST(KernelIsa, UnsupportedForcedIsaWarnsOnceOnFallback) {
 TEST(Kernel, RejectsContractViolations) {
   const auto snap = make_snapshot(8);
   std::vector<std::uint32_t> row(8, 0);
-  EXPECT_THROW(kernel_run(kernel_isa::scalar, 0, 8, snap.data(), row.data(), 10, 1),
-               contract_error);
-  EXPECT_THROW(
-      kernel_run(kernel_isa::scalar, kernel_max_lanes + 1, 8, snap.data(), row.data(), 10, 1),
-      contract_error);
-  EXPECT_THROW(kernel_run(kernel_isa::scalar, 8, 0, snap.data(), row.data(), 10, 1),
-               contract_error);
-  EXPECT_THROW(static_cast<void>(shard_engine(shard_options{.lanes = 0})), contract_error);
-  EXPECT_THROW(static_cast<void>(shard_engine(shard_options{.shards = 1, .lanes = 65})),
+  EXPECT_THROW(kernel_run(kernel_isa::scalar, kernel_lanes, 0, snap.data(), row.data(), 10, 1),
                contract_error);
   EXPECT_THROW(static_cast<void>(shard_engine(shard_options{.shards = 0})), contract_error);
+}
+
+TEST(KernelLanes, LeftoverLaneSettingsRefuseAnythingButEight) {
+  // The two lane settings the repo benchmark still spells out -- the
+  // uint32 kernel_run's `lanes` and engine_config::lanes -- accept only
+  // kernel_lanes, and the refusal names the rejected value.
+  ASSERT_EQ(kernel_lanes, 8u);
+  const auto snap = make_snapshot(8);
+  std::vector<std::uint32_t> row(8, 0);
+  const std::string kernel = rejection_message(
+      [&] { kernel_run(kernel_isa::scalar, 16, 8, snap.data(), row.data(), 10, 1); });
+  EXPECT_NE(kernel.find("16"), std::string::npos) << kernel;
+  EXPECT_EQ(row, std::vector<std::uint32_t>(8, 0));
+  const std::string engine =
+      rejection_message([] { (void)run_engine(engine_config{.use_kernel = true, .lanes = 4}); });
+  EXPECT_NE(engine.find("lanes got 4"), std::string::npos) << engine;
+  const std::string serial = rejection_message([] { (void)run_engine(engine_config{.lanes = 4}); });
+  EXPECT_NE(serial.find("lanes got 4"), std::string::npos) << serial;
+  EXPECT_EQ(run_engine(engine_config{.use_kernel = true, .lanes = 8}).fingerprint(),
+            "kernel[lanes=8]");
+  EXPECT_EQ(run_engine(engine_config{.threads_per_run = 1, .shards = 4}).fingerprint(),
+            "shard[shards=4,lanes=8]");
 }
 
 }  // namespace

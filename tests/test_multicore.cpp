@@ -79,7 +79,6 @@ std::string campaign_json(std::size_t workers) {
   opt.seed = 77;
   opt.threads = workers;
   opt.engine.use_kernel = true;
-  opt.engine.lanes = 8;
   return run_campaign(configs, opt).to_json();
 }
 

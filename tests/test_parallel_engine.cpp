@@ -64,7 +64,8 @@ TEST(ShardEngine, TaskRowCountsEqualPlainRecount) {
   // these counts, including partial last ranges, ranges of a single bin,
   // empty shards, 2^16-bin ranges and task rows whose bytes wrap (n = 16,
   // k = 65536: thousands of balls per bin and task), where the carries
-  // reach the sum.
+  // reach the sum.  No window is cut below its size: k = 1 100 000 on 16
+  // shards, above 16 * 65 535, is one window too.
   struct shape {
     bin_count n;
     step_count k;
@@ -78,6 +79,7 @@ TEST(ShardEngine, TaskRowCountsEqualPlainRecount) {
                          shape{1000, 5000, "zipf:1", 0},              // alias sampler
                          shape{16, 65536, "uniform", 0},              // task bytes wrap
                          shape{16, 65536, "zipf:1", 0},
+                         shape{16, 1'100'000, "uniform", 0},          // one uncut window
                          shape{1100003, 300000, "uniform", 300000}}) {  // widest ranges
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
       b_batch process(c.n, c.k);
@@ -100,7 +102,7 @@ TEST(ShardEngine, TaskRowCountsEqualPlainRecount) {
           const alias_table& table = process.model().sampler.table();
           std::vector<std::uint8_t> low(c.n, 0);
           std::vector<std::uint32_t> carries;
-          kernel_run_alias(kernel_isa::scalar, 8, c.n, snap.data(), table.thresholds(),
+          kernel_run_alias(kernel_isa::scalar, c.n, snap.data(), table.thresholds(),
                            table.aliases(), low.data(), carries, share,
                            shard_stream_seed(token, s));
           row = nb::testing::widen_counts(low, carries);
@@ -110,8 +112,7 @@ TEST(ShardEngine, TaskRowCountsEqualPlainRecount) {
       load_state expected = process.state();
       expected.apply_increments(inc);
 
-      shard_engine engine(shard_options{
-          .threads = threads, .shards = shards, .min_window = 1, .lanes = 8});
+      shard_engine engine(shard_options{.threads = threads, .shards = shards, .min_window = 1});
       engine.step_many(process, rng, c.k);
       const std::string where = "n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) + " " +
                                 c.sampler + " threads=" + std::to_string(threads);
@@ -140,8 +141,7 @@ TEST(ShardEngine, ThreadLayoutsThatDoNotMatchTheShardsAreBitIdentical) {
       b_batch process(n, n);
       process.set_model(make_model("unit", "uniform", n, "drain"));
       rng_t rng(31);
-      shard_engine engine(shard_options{
-          .threads = threads, .shards = l.shards, .min_window = 1, .lanes = 8});
+      shard_engine engine(shard_options{.threads = threads, .shards = l.shards, .min_window = 1});
       engine.step_many(process, rng, 8 * static_cast<step_count>(n));
       for (int cycle = 0; cycle < 3; ++cycle) {
         engine.step_many(process, rng, n);
@@ -209,7 +209,7 @@ std::uint64_t shard_arrival_digest(std::size_t threads, const char* sampler) {
   process.set_model(make_model("unit", sampler, n, "none"));
   rng_t rng(11);
   shard_engine engine(
-      shard_options{.threads = threads, .shards = 8, .min_window = 1, .lanes = 8});
+      shard_options{.threads = threads, .shards = 8, .min_window = 1});
   engine.step_many(process, rng, 20 * n + 123);
   const std::vector<load_t>& loads = process.state().loads();
   std::vector<std::uint64_t> digest(loads.begin(), loads.end());

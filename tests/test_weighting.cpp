@@ -318,8 +318,8 @@ std::vector<load_t> run_weighted_batch_shard(std::size_t threads, kernel_isa isa
   const step_count m = 100000;
   b_batch process(n, 8192);
   process.set_model(make_model(weighting, sampler, n));
-  shard_engine engine(shard_options{.threads = threads, .shards = 8, .min_window = 1024,
-                                    .lanes = 4, .isa = isa});
+  shard_engine engine(
+      shard_options{.threads = threads, .shards = 8, .min_window = 1024, .isa = isa});
   rng_t rng(77);
   engine.step_many(process, rng, m);
   return process.state().loads();
@@ -338,7 +338,7 @@ std::vector<load_t> run_weighted_batch_kernel(kernel_isa isa, const std::string&
   const step_count m = 100000;
   b_batch process(n, 8192);
   process.set_model(make_model("fixed:2", sampler, n));
-  shard_engine engine(shard_options{.shards = 1, .min_window = 1024, .lanes = 4, .isa = isa});
+  shard_engine engine(shard_options{.shards = 1, .min_window = 1024, .isa = isa});
   rng_t rng(78);
   engine.step_many(process, rng, m);
   return process.state().loads();

@@ -18,7 +18,7 @@ passes the churn occupancy through (default: m resident balls), e.g.
 --churn N for occupancy n, where every drain block drains each resident
 ball and the multi-shard settle clamps and re-serves.
 
---kernel, --threads-per-run, --shards and --lanes pass through to the
+--kernel, --threads-per-run and --shards pass through to the
 campaign's engine flags, so the kill points can land inside the windowed
 engine's one-shard (--kernel scalar) or multi-shard (--threads-per-run 2
 --shards 4) windows and departure blocks; pick --n >= 8192 so b-Batch
@@ -53,7 +53,7 @@ def campaign_cmd(binary, args, json_path, journal=None, resume=False):
         cmd += ["--departures", args.departures]
     if args.churn is not None:
         cmd += ["--churn", str(args.churn)]
-    for flag in ("kernel", "threads_per_run", "shards", "lanes"):
+    for flag in ("kernel", "threads_per_run", "shards"):
         value = getattr(args, flag)
         if value is not None:
             cmd += ["--" + flag.replace("_", "-"), str(value)]
@@ -148,8 +148,6 @@ def main():
                         help="campaign --threads-per-run (windowed engine workers)")
     parser.add_argument("--shards", type=int, default=None,
                         help="campaign --shards (sampling contract)")
-    parser.add_argument("--lanes", type=int, default=None,
-                        help="campaign --lanes (sampling contract)")
     parser.add_argument("--max-resumes", type=int, default=40)
     args = parser.parse_args()
 
