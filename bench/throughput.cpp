@@ -213,8 +213,8 @@ struct scale_entry {
   window_phase_times phases;
   /// Engine churn legs: the same split for the engine's departure blocks
   /// (emitted per block as depart_phases_ms, whose merge is a drain
-  /// block's settle + re-serve, with the record's repair counts as
-  /// depart_repairs).
+  /// block's settle + re-serve and whose reserve is the re-serve alone,
+  /// with the record's repair counts as depart_repairs).
   window_phase_times depart_phases;
   /// Like-with-like ratios (0 = not reported): a shard leg's rate over the
   /// one-shard kernel leg at t = 1 on the same ISA, and the churn-shard
@@ -258,16 +258,17 @@ void note_phases(scale_entry& entry, const window_phase_times& phases) {
 /// Prints an engine churn leg's per-departure-block split and repairs.  A
 /// drain block's merge phase is its settle (the task-row sum and clamp)
 /// plus the re-serve of the clamped deficit, both before its one commit,
-/// at every shard count.
+/// at every shard count; the re-serve column is that re-serve alone.
 void note_depart_phases(const window_phase_times& phases) {
   if (phases.windows == 0) return;
   const double ms = 1e-6 / static_cast<double>(phases.windows);
   std::printf("    per departure block: snapshot %.3f ms, kernel %.3f ms, "
-              "settle + re-serve %.3f ms, commit %.3f ms; repairs: %lld clamped ranges, "
-              "%lld re-served events\n",
+              "settle + re-serve %.3f ms (re-serve %.3f ms), commit %.3f ms; repairs: %lld "
+              "clamped ranges, %lld re-served events\n",
               static_cast<double>(phases.snapshot_ns) * ms,
               static_cast<double>(phases.kernel_ns) * ms,
               static_cast<double>(phases.merge_ns) * ms,
+              static_cast<double>(phases.reserve_ns) * ms,
               static_cast<double>(phases.commit_ns) * ms,
               static_cast<long long>(phases.clamped_ranges),
               static_cast<long long>(phases.reserved_events));
@@ -915,9 +916,10 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                      e.speedup_vs_1t, e.efficiency, e.parity_checked ? "true" : "false");
       }
       // Per-window (per-block) phase splits, when the leg's engine booked any.
-      // One-shard kernel legs add the carry count of their byte rows.
+      // One-shard kernel legs add the carry count of their byte rows, and
+      // departure blocks the re-serve part of their merge.
       const auto emit_phases = [f](const char* key, const char* count_key,
-                                   const window_phase_times& p, bool carries) {
+                                   const window_phase_times& p, bool carries, bool reserve) {
         if (p.windows == 0) return;
         const double ms = 1e-6 / static_cast<double>(p.windows);
         std::fprintf(f,
@@ -928,10 +930,11 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                      static_cast<double>(p.kernel_ns) * ms, static_cast<double>(p.merge_ns) * ms,
                      static_cast<double>(p.commit_ns) * ms);
         if (carries) std::fprintf(f, ", \"carries\": %lld", static_cast<long long>(p.carries));
+        if (reserve) std::fprintf(f, ", \"reserve\": %.4f", static_cast<double>(p.reserve_ns) * ms);
         std::fprintf(f, "}");
       };
-      emit_phases("window_phases_ms", "windows", e.phases, e.kernel == "kernel");
-      emit_phases("depart_phases_ms", "blocks", e.depart_phases, false);
+      emit_phases("window_phases_ms", "windows", e.phases, e.kernel == "kernel", false);
+      emit_phases("depart_phases_ms", "blocks", e.depart_phases, false, true);
       if (e.depart_phases.windows > 0) {
         std::fprintf(f,
                      ",\n     \"depart_repairs\": {\"clamped_ranges\": %lld, "

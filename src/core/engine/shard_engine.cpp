@@ -126,10 +126,12 @@ void shard_engine::reserve_deficit(bin_count n, weight_t w, std::uint64_t token)
   }
   if (deficit == 0) return;
   depart_phases_.reserved_events += deficit;
+  const std::int64_t t_reserve = engine_detail::phase_clock_ns();
   rng_t replay(derive_seed(token, opt_.shards == 1 ? kernel_lanes : opt_.shards));
   for (; deficit > 0; --deficit) {
     engine_detail::depart_replay(n, snapshot_.data(), snapshot_.base(), w, merged_.data(), replay);
   }
+  depart_phases_.reserve_ns += engine_detail::phase_clock_ns() - t_reserve;
 }
 
 std::uint32_t engine_detail::depart_replay(bin_count n, const std::uint8_t* inv, load_t snap_base,

@@ -82,8 +82,8 @@ namespace nb {
 /// counts blocks, commit is commit_departures, and merge is a drain
 /// block's settle -- the row sum and clamp -- plus its re-serve of the
 /// clamped deficit; a random block books its whole hypergeometric pass as
-/// kernel and no snapshot or merge), which alone also counts what the
-/// drain settle clamped and re-served.
+/// kernel and no snapshot or merge), which alone also times the re-serve
+/// by itself and counts what the drain settle clamped and re-served.
 /// Never read by the sampling code.
 struct window_phase_times {
   step_count windows = 0;
@@ -99,6 +99,9 @@ struct window_phase_times {
   step_count clamped_ranges = 0;
   /// Clamped drain deficit events re-served through depart_replay.
   step_count reserved_events = 0;
+  /// The drain re-serve alone (reserve_deficit's replay loop), part of
+  /// merge_ns; 0 while no block re-served an event.
+  std::int64_t reserve_ns = 0;
 };
 
 namespace engine_detail {
@@ -326,7 +329,15 @@ class shard_engine {
   /// At 2^17 bins, where both builds pool, the same pairs read 2/14 and
   /// 6/14: the host's multi-thread spread is as wide as every gap from
   /// 2^14 up, so no size below the cutoff shows a resolved gain from
-  /// pooling, and 2^12 shows a loss.
+  /// pooling, and 2^12 shows a loss.  Re-measured once drain blocks ran
+  /// the settle and the commit as two ranged passes (same host, same
+  /// flags but --scale-m 2e7 only, churn-shard at t = 4, 10 alternating
+  /// pairs per size, cutoff vs pooled medians in events per second, pairs
+  /// pooling won): 2^14 bins 2.32e8 vs 2.03e8 (1/10), settle + commit
+  /// 0.025 vs 0.032 ms per block; 2^16 bins 2.51e8 vs 2.31e8 (2/10),
+  /// 0.096 vs 0.112 ms.  Pooling below the cutoff still does not win;
+  /// the cutoff leads 9/10 and 8/10, by less than its own interquartile
+  /// spread (3.4e7 and 7.4e7).
   static constexpr bin_count kMinPooledCommitBins = bin_count{1} << 17;
 
   /// Widest bin range of the settle: 2^16 bins, so a range's

@@ -5,8 +5,8 @@
 // at multiples of kernel_lanes, so every backend sees the same aligned
 // lane rotation), and folding the decided bins into the caller's counts
 // (a uint32 row, or a byte row with a carry list).  Backends only fill
-// the block's chosen-bin buffer; which backend runs is the backend table's
-// call (kernel_common.hpp).
+// the block's chosen-bin buffer; which backend runs is fill_for's call
+// (kernel_common.hpp).
 #include "core/kernel/kernel.hpp"
 
 #include <string>
@@ -26,15 +26,15 @@ constexpr std::pair<const char*, kernel_isa> kIsaNames[] = {
 };
 
 /// The one block driver: seeds the lane state, hoists the Lemire
-/// threshold, then runs the backend `fill` (the plain or the alias form;
-/// `tables` are the alias form's threshold and alias arrays) over
-/// L1-resident blocks, each decided into a local buffer that
+/// threshold, then runs `isa`'s fill for the `bins` draw (uniform or
+/// alias) over L1-resident blocks, each decided into a local buffer that
 /// `fold(chosen, count)` then counts.
-template <typename Fill, typename Fold, typename... Tables>
-void run_blocks(Fill fill, Fold fold, bin_count n, const std::uint8_t* snap, step_count balls,
-                std::uint64_t seed, const Tables*... tables) {
+template <typename Bins, typename Fold>
+void run_blocks(kernel_isa isa, Bins bins, Fold fold, bin_count n, const std::uint8_t* snap,
+                step_count balls, std::uint64_t seed) {
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
-  NB_ASSERT(balls >= 0 && snap != nullptr && ((tables != nullptr) && ...));
+  NB_ASSERT(balls >= 0 && snap != nullptr);
+  const kernel_detail::fill_fn<Bins> fill = kernel_detail::fill_for<Bins>(isa);
   kernel_detail::lane_soa state;
   state.init(seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
@@ -43,7 +43,7 @@ void run_blocks(Fill fill, Fold fold, bin_count n, const std::uint8_t* snap, ste
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    fill(state, n, threshold, snap, tables..., buffer, count);
+    fill(state, n, threshold, snap, bins, buffer, count);
     fold(buffer, count);
     balls -= static_cast<step_count>(count);
   }
@@ -162,19 +162,20 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
   NB_REQUIRE(lanes == kernel_lanes, "kernel_run got " + std::to_string(lanes) +
                                         " lanes; the kernel runs exactly " +
                                         std::to_string(kernel_lanes));
-  run_blocks(kernel_detail::backend_for(isa).fill, fold_row(row), n, snap, balls, seed);
+  run_blocks(isa, kernel_detail::uniform_bins{}, fold_row(row), n, snap, balls, seed);
 }
 
 void kernel_run(kernel_isa isa, bin_count n, const std::uint8_t* snap, std::uint8_t* low,
                 std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill, fold_bytes(low, carries), n, snap, balls, seed);
+  run_blocks(isa, kernel_detail::uniform_bins{}, fold_bytes(low, carries), n, snap, balls, seed);
 }
 
 void kernel_run_alias(kernel_isa isa, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint8_t* low,
                       std::vector<std::uint32_t>& carries, step_count balls, std::uint64_t seed) {
-  run_blocks(kernel_detail::backend_for(isa).fill_alias, fold_bytes(low, carries), n, snap, balls,
-             seed, thresh, alias);
+  NB_ASSERT(thresh != nullptr && alias != nullptr);
+  run_blocks(isa, kernel_detail::alias_bins{thresh, alias}, fold_bytes(low, carries), n, snap,
+             balls, seed);
 }
 
 }  // namespace nb

@@ -24,7 +24,8 @@
 // a pure function of (n, snapshot, balls, seed).  The instruction-set
 // backend -- scalar, AVX2 or AVX-512, selected at runtime -- is execution
 // only and NEVER affects results.  Each backend runs one plain loop, one
-// lane round (one AVX-512 vector, two AVX2 vectors) at a time.  CPUs
+// lane round (one AVX-512 vector, two AVX2 vectors) at a time, the same
+// fill for uniform and alias bin draws.  CPUs
 // without AVX2 (including every aarch64 CPU) run the scalar backend.
 //
 // Snapshot gather safety: vector backends read the snapshot 4 bytes at a

@@ -21,15 +21,15 @@
 //    replay, not a whole group's.
 //
 // Dispatch requires avx512f+dq+bw+vl (Skylake-SP+), checked on top of
-// AVX2.  Compiled with per-function target attributes so the rest of the
-// build stays portable.
+// AVX2.  Compiled with per-function target attributes (NB_TGT_AVX512) so
+// the rest of the build stays portable.
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
-#include "core/kernel/kernel_common.hpp"
+#include <type_traits>
 
-#define NB_TGT_AVX512 __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl")))
+#include "core/kernel/kernel_common.hpp"
 
 namespace nb::kernel_detail {
 namespace {
@@ -72,59 +72,6 @@ NB_TGT_AVX512 inline __m256i select8(__m512i i1, __m512i i2, __m512i c,
   return _mm256_mask_blend_epi32(pick, _mm512_cvtepi64_epi32(i2), _mm512_cvtepi64_epi32(i1));
 }
 
-NB_TGT_AVX512 void fill_avx512_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
-                                    const std::uint8_t* snap, std::uint32_t* chosen,
-                                    std::size_t balls) {
-  const auto bound64 = static_cast<std::uint64_t>(n);
-  const __m512i bound = _mm512_set1_epi64(static_cast<long long>(bound64));
-  const __m512i thr = _mm512_set1_epi64(static_cast<long long>(threshold));
-
-  std::size_t t = 0;
-  while (t + kernel_lanes <= balls) {  // full rounds only; the tail runs scalar
-    __m512i s0 = _mm512_load_si512(st.s0.data());
-    __m512i s1 = _mm512_load_si512(st.s1.data());
-    __m512i s2 = _mm512_load_si512(st.s2.data());
-    __m512i s3 = _mm512_load_si512(st.s3.data());
-    const __m512i a = xo_step(s0, s1, s2, s3);
-    const __m512i b = xo_step(s0, s1, s2, s3);
-    const __m512i c = xo_step(s0, s1, s2, s3);
-    _mm512_store_si512(st.s0.data(), s0);
-    _mm512_store_si512(st.s1.data(), s1);
-    _mm512_store_si512(st.s2.data(), s2);
-    _mm512_store_si512(st.s3.data(), s3);
-
-    __m512i i1;
-    __m512i i2;
-    __m512i low_a;
-    __m512i low_b;
-    lemire8(a, bound, i1, low_a);
-    lemire8(b, bound, i2, low_b);
-    const __mmask8 rej =
-        _mm512_cmplt_epu64_mask(low_a, thr) | _mm512_cmplt_epu64_mask(low_b, thr);
-
-    const __m256i ch = select8(i1, i2, c, snap);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t), ch);
-
-    if (rej != 0) [[unlikely]] {  // masked replay: rejected lanes only
-      alignas(64) std::uint64_t qa[8];
-      alignas(64) std::uint64_t qb[8];
-      alignas(64) std::uint64_t qc[8];
-      _mm512_store_si512(qa, a);
-      _mm512_store_si512(qb, b);
-      _mm512_store_si512(qc, c);
-      for (std::size_t l = 0; l < kernel_lanes; ++l) {
-        if (((rej >> l) & 1u) == 0) continue;
-        const std::uint64_t queue[3] = {qa[l], qb[l], qc[l]};
-        chosen[t + l] = replay_ball(st, l, bound64, threshold, snap, queue, 3);
-      }
-    }
-    t += kernel_lanes;
-  }
-  for (std::size_t l = 0; t < balls; ++l, ++t) {  // trailing partial round
-    chosen[t] = replay_ball(st, l, bound64, threshold, snap, nullptr, 0);
-  }
-}
-
 /// One alias pick for 8 lanes: native 64-bit threshold gather
 /// (vpgatherqq), a 32-bit alias gather widened back to 64-bit index
 /// lanes, and an unsigned 64-bit mask compare for the keep test -- no
@@ -137,78 +84,69 @@ NB_TGT_AVX512 inline __m512i pick8(__m512i slot, __m512i u, const std::uint64_t*
   return _mm512_mask_blend_epi64(keep, _mm512_cvtepu32_epi64(al32), slot);
 }
 
-NB_TGT_AVX512 void fill_alias_avx512_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
-                                          const std::uint8_t* snap, const std::uint64_t* thresh,
-                                          const bin_index* alias, std::uint32_t* chosen,
-                                          std::size_t balls) {
+}  // namespace
+
+template <typename Bins>
+NB_TGT_AVX512 void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
+                               const std::uint8_t* snap, Bins bins, std::uint32_t* chosen,
+                               std::size_t balls) {
+  constexpr int draws = Bins::draws;
   const auto bound64 = static_cast<std::uint64_t>(n);
   const __m512i bound = _mm512_set1_epi64(static_cast<long long>(bound64));
   const __m512i thr = _mm512_set1_epi64(static_cast<long long>(threshold));
 
   std::size_t t = 0;
-  while (t + kernel_lanes <= balls) {
+  while (t + kernel_lanes <= balls) {  // full rounds only; the tail runs scalar
     __m512i s0 = _mm512_load_si512(st.s0.data());
     __m512i s1 = _mm512_load_si512(st.s1.data());
     __m512i s2 = _mm512_load_si512(st.s2.data());
     __m512i s3 = _mm512_load_si512(st.s3.data());
-    const __m512i a = xo_step(s0, s1, s2, s3);   // slot 1
-    const __m512i u1 = xo_step(s0, s1, s2, s3);  // keep/alias test 1
-    const __m512i b = xo_step(s0, s1, s2, s3);   // slot 2
-    const __m512i u2 = xo_step(s0, s1, s2, s3);  // keep/alias test 2
-    const __m512i c = xo_step(s0, s1, s2, s3);   // tie bit
+    __m512i d[draws];  // the round's raw draws, in each lane's draw order
+    for (int k = 0; k < draws; ++k) d[k] = xo_step(s0, s1, s2, s3);
     _mm512_store_si512(st.s0.data(), s0);
     _mm512_store_si512(st.s1.data(), s1);
     _mm512_store_si512(st.s2.data(), s2);
     _mm512_store_si512(st.s3.data(), s3);
 
-    __m512i sl1;
-    __m512i sl2;
+    __m512i i1;
+    __m512i i2;
     __m512i low_a;
     __m512i low_b;
-    lemire8(a, bound, sl1, low_a);
-    lemire8(b, bound, sl2, low_b);
+    lemire8(d[0], bound, i1, low_a);
+    lemire8(d[draws / 2], bound, i2, low_b);
     const __mmask8 rej =
         _mm512_cmplt_epu64_mask(low_a, thr) | _mm512_cmplt_epu64_mask(low_b, thr);
 
-    // Unconditional vector compute: even a rejected slot candidate is
+    // Unconditional vector compute: even a rejected Lemire candidate is
     // < bound, so the table and snapshot gathers stay in-bounds.
-    const __m512i i1 = pick8(sl1, u1, thresh, alias);
-    const __m512i i2 = pick8(sl2, u2, thresh, alias);
-    const __m256i ch = select8(i1, i2, c, snap);
+    if constexpr (std::is_same_v<Bins, alias_bins>) {
+      i1 = pick8(i1, d[1], bins.thresh, bins.alias);
+      i2 = pick8(i2, d[3], bins.thresh, bins.alias);
+    }
+    const __m256i ch = select8(i1, i2, d[draws - 1], snap);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(chosen + t), ch);
 
     if (rej != 0) [[unlikely]] {  // masked replay: rejected lanes only
-      alignas(64) std::uint64_t q[5][8];
-      _mm512_store_si512(q[0], a);
-      _mm512_store_si512(q[1], u1);
-      _mm512_store_si512(q[2], b);
-      _mm512_store_si512(q[3], u2);
-      _mm512_store_si512(q[4], c);
+      alignas(64) std::uint64_t q[draws][8];
+      for (int k = 0; k < draws; ++k) _mm512_store_si512(q[k], d[k]);
       for (std::size_t l = 0; l < kernel_lanes; ++l) {
         if (((rej >> l) & 1u) == 0) continue;
-        const std::uint64_t queue[5] = {q[0][l], q[1][l], q[2][l], q[3][l], q[4][l]};
-        chosen[t + l] = replay_ball_alias(st, l, bound64, threshold, snap, thresh, alias, queue, 5);
+        std::uint64_t queue[draws];
+        for (int k = 0; k < draws; ++k) queue[k] = q[k][l];
+        chosen[t + l] = replay_ball(st, l, bound64, threshold, snap, bins, queue, draws);
       }
     }
     t += kernel_lanes;
   }
-  for (std::size_t l = 0; t < balls; ++l, ++t) {
-    chosen[t] = replay_ball_alias(st, l, bound64, threshold, snap, thresh, alias, nullptr, 0);
+  for (std::size_t l = 0; t < balls; ++l, ++t) {  // trailing partial round
+    chosen[t] = replay_ball(st, l, bound64, threshold, snap, bins, nullptr, 0);
   }
 }
 
-}  // namespace
-
-void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                 std::uint32_t* chosen, std::size_t balls) {
-  fill_avx512_impl(st, n, threshold, snap, chosen, balls);
-}
-
-void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
-                       const std::uint8_t* snap, const std::uint64_t* thresh,
-                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls) {
-  fill_alias_avx512_impl(st, n, threshold, snap, thresh, alias, chosen, balls);
-}
+template void fill_avx512<uniform_bins>(lane_soa&, bin_count, std::uint64_t, const std::uint8_t*,
+                                        uniform_bins, std::uint32_t*, std::size_t);
+template void fill_avx512<alias_bins>(lane_soa&, bin_count, std::uint64_t, const std::uint8_t*,
+                                      alias_bins, std::uint32_t*, std::size_t);
 
 }  // namespace nb::kernel_detail
 

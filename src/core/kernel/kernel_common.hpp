@@ -1,16 +1,18 @@
 // Internal machinery shared by the allocation-kernel backends.  Not part
 // of the public API -- include core/kernel/kernel.hpp instead.
 //
-// The scalar pieces here (lane state stepping, the queue-replay ball) are
-// the single source of truth for the kernel's sampling semantics: vector
+// The scalar pieces here (lane state stepping, the bin draws, the
+// queue-replay ball) are the single source of truth for the kernel's
+// sampling semantics.  Uniform and alias sampling differ only in how a
+// bin index is drawn, so that draw is a policy type (uniform_bins,
+// alias_bins) and each backend has one fill template over it.  Vector
 // backends generate raw draws in bulk and fall back to replay_ball for
 // the trailing partial round and the (astronomically rare, ~2^-32 per
 // sample) Lemire rejections, so every backend consumes each lane's
-// stream in exactly the reference order.  The backend table at the end
-// (backend_for) is the kernel's only ISA dispatch: kernel.cpp takes its
-// fills from it.  There are two fill shapes, uniform and alias; the
-// windowed engine's drain blocks run the uniform one (kernel_run) over a
-// byte-inverted snapshot, so departures add no fill of their own.
+// stream in exactly the reference order.  fill_for, at the end, is the
+// kernel's only ISA dispatch.  The windowed engine's drain blocks run the
+// uniform fill (kernel_run) over a byte-inverted snapshot, so departures
+// add no fill of their own.
 #pragma once
 
 #include <array>
@@ -92,96 +94,80 @@ struct ball_stream {
   }
 };
 
+/// Uniform bin draws: each bin index is one Lemire-bounded draw over [n).
+/// A ball draws bounded(i1), bounded(i2), one raw tie draw: `draws` raw
+/// values when neither bounded draw rejects.
+struct uniform_bins {
+  static constexpr int draws = 3;
+
+  [[nodiscard]] std::uint32_t draw(ball_stream& stream, std::uint64_t bound,
+                                   std::uint64_t threshold) const noexcept {
+    return stream.draw_bounded(bound, threshold);
+  }
+};
+
+/// Alias bin draws (non-uniform bin probabilities): each bin index is a
+/// Lemire-bounded alias slot s, then exactly one raw keep draw u; the bin
+/// is s when u clears the slot's 64-bit fixed-point threshold, else its
+/// alias (the expression the serial alias_table::sample shares).  A ball
+/// draws bounded(s1), u1, bounded(s2), u2, one raw tie draw.
+struct alias_bins {
+  static constexpr int draws = 5;
+  const std::uint64_t* thresh;
+  const bin_index* alias;
+
+  [[nodiscard]] std::uint32_t draw(ball_stream& stream, std::uint64_t bound,
+                                   std::uint64_t threshold) const noexcept {
+    const std::uint32_t slot = stream.draw_bounded(bound, threshold);
+    return stream.draw() < thresh[slot] ? slot : alias[slot];
+  }
+};
+
 /// One ball of lane l, decided scalar -- the single source of truth for
-/// the uniform per-ball draw order: bounded(i1), bounded(i2), one raw tie
-/// draw.  Raw draws come first from `queue` (draws a vector backend
-/// already generated for this ball), then live from the lane.  With an
-/// accept-first queue of {a, b, c} this consumes exactly the three queued
-/// values -- identical to the vector fast path -- and on rejection it
-/// transparently continues on the lane's live stream.
-[[nodiscard]] inline std::uint32_t replay_ball(lane_soa& st, std::size_t l, std::uint64_t bound,
-                                               std::uint64_t threshold, const std::uint8_t* snap,
-                                               const std::uint64_t* queue, int queued) noexcept {
+/// the per-ball draw order: bin i1, bin i2 (each drawn by `bins`), one
+/// raw tie draw.  Raw draws come first from `queue` (draws a vector
+/// backend already generated for this ball), then live from the lane.
+/// With an accept-first queue of Bins::draws values this consumes exactly
+/// the queued values -- identical to the vector fast path -- and on
+/// rejection it transparently continues on the lane's live stream.
+template <typename Bins>
+[[nodiscard]] std::uint32_t replay_ball(lane_soa& st, std::size_t l, std::uint64_t bound,
+                                        std::uint64_t threshold, const std::uint8_t* snap,
+                                        const Bins& bins, const std::uint64_t* queue,
+                                        int queued) noexcept {
   ball_stream stream{st, l, queue, queued};
-  const std::uint32_t i1 = stream.draw_bounded(bound, threshold);
-  const std::uint32_t i2 = stream.draw_bounded(bound, threshold);
+  const std::uint32_t i1 = bins.draw(stream, bound, threshold);
+  const std::uint32_t i2 = bins.draw(stream, bound, threshold);
   const std::uint64_t c = stream.draw();
   return decide(snap[i1], snap[i2], c, i1, i2);
 }
 
 /// A backend fills chosen[0..balls) with the decided bin per ball, in ball
 /// order, continuing the lane rotation from lane 0 (the driver only cuts
-/// blocks at multiples of kernel_lanes, so rotation stays aligned).
+/// blocks at multiples of kernel_lanes, so rotation stays aligned).  Each
+/// backend defines one fill template, instantiated for both bin draws.
+template <typename Bins>
 using fill_fn = void (*)(lane_soa& st, bin_count n, std::uint64_t threshold,
-                         const std::uint8_t* snap, std::uint32_t* chosen, std::size_t balls);
+                         const std::uint8_t* snap, Bins bins, std::uint32_t* chosen,
+                         std::size_t balls);
 
+template <typename Bins>
 void fill_scalar(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                 std::uint32_t* chosen, std::size_t balls);
+                 Bins bins, std::uint32_t* chosen, std::size_t balls);
 #if defined(__x86_64__) || defined(__i386__)
-void fill_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls);
-void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                 std::uint32_t* chosen, std::size_t balls);
-#endif
-
-// ---------------------------------------------------------------------------
-// Alias-sampled lane path (non-uniform bin probabilities).
-//
-// Same lane contract as the uniform path, but each bin index is one alias
-// draw instead of one Lemire draw.  Per ball, lane l consumes, in order:
-//
-//   1. one-or-more raw u64 draws for alias slot s1 (Lemire over [n)),
-//   2. exactly one raw u64 u1; bin i1 = u1 < thresh[s1] ? s1 : alias[s1],
-//   3. the same two-draw pattern for i2,
-//   4. exactly one raw u64 c for the tie bit.
-//
-// The decision over the snapshot is unchanged (canonical min rule).  The
-// scalar pieces below define the order; vector backends bulk-generate the
-// five draws and fall back to the queue replay for rejections and the
-// trailing partial round, exactly like the uniform path.
-
-/// One alias pick: keep the slot iff u clears its 64-bit fixed-point
-/// threshold, else take its alias (the exact expression every backend and
-/// the serial alias_table::sample share).
-[[nodiscard]] inline std::uint32_t alias_pick(const std::uint64_t* thresh,
-                                              const bin_index* alias, std::uint32_t slot,
-                                              std::uint64_t u) noexcept {
-  return u < thresh[slot] ? slot : alias[slot];
-}
-
-/// One alias-sampled ball of lane l, decided scalar -- the single source
-/// of truth for the alias per-ball draw order: bounded(s1), u1,
-/// bounded(s2), u2, one raw tie draw.  `queue` semantics as in
-/// replay_ball (an accept-first queue of {s1, u1, s2, u2, c} consumes
-/// exactly the five queued values -- the vector fast path -- and spills to
-/// the lane's live stream on rejection).
-[[nodiscard]] inline std::uint32_t replay_ball_alias(
-    lane_soa& st, std::size_t l, std::uint64_t bound, std::uint64_t threshold,
-    const std::uint8_t* snap, const std::uint64_t* thresh, const bin_index* alias,
-    const std::uint64_t* queue, int queued) noexcept {
-  ball_stream stream{st, l, queue, queued};
-  const std::uint32_t s1 = stream.draw_bounded(bound, threshold);
-  const std::uint32_t i1 = alias_pick(thresh, alias, s1, stream.draw());
-  const std::uint32_t s2 = stream.draw_bounded(bound, threshold);
-  const std::uint32_t i2 = alias_pick(thresh, alias, s2, stream.draw());
-  const std::uint64_t c = stream.draw();
-  return decide(snap[i1], snap[i2], c, i1, i2);
-}
-
-using fill_alias_fn = void (*)(lane_soa& st, bin_count n, std::uint64_t threshold,
-                               const std::uint8_t* snap, const std::uint64_t* thresh,
-                               const bin_index* alias, std::uint32_t* chosen, std::size_t balls);
-
-void fill_alias_scalar(lane_soa& st, bin_count n, std::uint64_t threshold,
-                       const std::uint8_t* snap, const std::uint64_t* thresh,
-                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls);
-#if defined(__x86_64__) || defined(__i386__)
-void fill_alias_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                     const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls);
-void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
-                       const std::uint8_t* snap, const std::uint64_t* thresh,
-                       const bin_index* alias, std::uint32_t* chosen, std::size_t balls);
+// The vector fills carry their target on every declaration, so the
+// backend files compile their intrinsics without raising the whole
+// build's ISA.
+#define NB_TGT_AVX2 __attribute__((target("avx2")))
+#define NB_TGT_AVX512 __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl")))
+template <typename Bins>
+NB_TGT_AVX2 void fill_avx2(lane_soa& st, bin_count n, std::uint64_t threshold,
+                           const std::uint8_t* snap, Bins bins, std::uint32_t* chosen,
+                           std::size_t balls);
+template <typename Bins>
+NB_TGT_AVX512 void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
+                               const std::uint8_t* snap, Bins bins, std::uint32_t* chosen,
+                               std::size_t balls);
 #endif
 
 // ---------------------------------------------------------------------------
@@ -193,24 +179,19 @@ void fill_alias_avx512(lane_soa& st, bin_count n, std::uint64_t threshold,
 inline constexpr std::size_t kBlockBalls = 8192;
 static_assert(kBlockBalls % kernel_lanes == 0);
 
-/// Every fill one backend runs.
-struct backend {
-  fill_fn fill;
-  fill_alias_fn fill_alias;
-};
-
-/// The backend table: resolves `isa` (resolve_kernel_isa) and returns its
-/// fills.
-[[nodiscard]] inline backend backend_for(kernel_isa isa) noexcept {
+/// The kernel's only ISA dispatch: resolves `isa` (resolve_kernel_isa)
+/// and returns its fill for the `Bins` draw.
+template <typename Bins>
+[[nodiscard]] fill_fn<Bins> fill_for(kernel_isa isa) noexcept {
   switch (resolve_kernel_isa(isa)) {
 #if defined(__x86_64__) || defined(__i386__)
     case kernel_isa::avx2:
-      return {fill_avx2, fill_alias_avx2};
+      return fill_avx2<Bins>;
     case kernel_isa::avx512:
-      return {fill_avx512, fill_alias_avx512};
+      return fill_avx512<Bins>;
 #endif
     default:
-      return {fill_scalar, fill_alias_scalar};
+      return fill_scalar<Bins>;
   }
 }
 

@@ -410,6 +410,10 @@ TEST(DepartEngine, DrainBlockIsOneFoldOverTheInvertedLiveSnapshotThenClampAndRes
       EXPECT_EQ(ph.windows, 1);
       EXPECT_EQ(ph.reserved_events, deficit) << where;
       EXPECT_EQ(ph.clamped_ranges > 0, clamped_bins > 0) << where;
+      // The re-serve's own time is part of the merge phase, and it books
+      // time exactly when the block re-served events.
+      EXPECT_LE(ph.reserve_ns, ph.merge_ns) << where;
+      EXPECT_EQ(ph.reserve_ns > 0, deficit > 0) << where;
       EXPECT_EQ(process.state().loads(), expected.loads()) << where;
       EXPECT_EQ(rng.state(), expected_rng.state()) << where;
     }
@@ -896,6 +900,7 @@ TEST(DepartEngineRandom, BlockIsOneHypergeometricPassOverTheLiveLoads) {
     EXPECT_EQ(ph.windows, 1);
     EXPECT_EQ(ph.snapshot_ns, 0);
     EXPECT_EQ(ph.merge_ns, 0);
+    EXPECT_EQ(ph.reserve_ns, 0);
     EXPECT_EQ(ph.clamped_ranges, 0);
     EXPECT_EQ(ph.reserved_events, 0);
   }

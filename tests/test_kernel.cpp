@@ -136,39 +136,59 @@ TEST(Kernel, ReplayBallConsumesQueueThenLiveStream) {
   // Force a genuine Lemire rejection through the queue: for bound = 3 the
   // threshold is (2^64 mod 3) = 1 and x = 0 yields low = 0 < 1, so a
   // queued first draw of 0 must be rejected and the retry must come from
-  // the lane's live stream -- the exact continuation the vector backends
-  // rely on when their coarse rejection test fires.
+  // the queue's next value, then the lane's live stream -- the exact
+  // continuation the vector backends rely on when their rejection test
+  // fires.  Both bin draws: uniform (3 queued draws) and alias (5).
   const std::uint64_t bound = 3;
   const std::uint64_t threshold = kernel_detail::lemire_threshold(bound);
   ASSERT_EQ(threshold, 1u);
   const std::uint8_t snap[8] = {0, 1, 2, 0, 1, 2, 0, 1};
+  const alias_table table(std::vector<double>{1.0, 2.0, 5.0});
+  const std::vector<std::uint64_t> queue = {0, 5, std::uint64_t{1} << 63, ~std::uint64_t{0} / 3,
+                                            std::uint64_t{1} << 62};
 
-  kernel_detail::lane_soa st;
-  st.init(99);
-  const std::uint64_t queue[3] = {0, 5, std::uint64_t{1} << 63};  // draw 1 rejects
-  const std::uint32_t got = kernel_detail::replay_ball(st, 1, bound, threshold, snap, queue, 3);
+  for (const bool alias : {false, true}) {
+    const int queued = alias ? 5 : 3;
+    kernel_detail::lane_soa st;
+    st.init(99);
+    const std::uint32_t got =
+        alias ? kernel_detail::replay_ball(st, 1, bound, threshold, snap,
+                                           kernel_detail::alias_bins{table.thresholds(),
+                                                                     table.aliases()},
+                                           queue.data(), queued)
+              : kernel_detail::replay_ball(st, 1, bound, threshold, snap,
+                                           kernel_detail::uniform_bins{}, queue.data(), queued);
 
-  // Reference: same composite stream (queue, then lane 1's live draws).
-  rng_t live(derive_seed(99, 1));
-  std::vector<std::uint64_t> stream = {0, 5, std::uint64_t{1} << 63};
-  for (int i = 0; i < 8; ++i) stream.push_back(live.next());
-  std::size_t pos = 0;
-  const auto draw_bounded = [&] {
-    for (;;) {
-      const std::uint64_t x = stream[pos++];
-      const auto m = static_cast<__uint128_t>(x) * bound;
-      if (static_cast<std::uint64_t>(m) >= threshold) return static_cast<std::uint32_t>(m >> 64);
-    }
-  };
-  const std::uint32_t i1 = draw_bounded();
-  const std::uint32_t i2 = draw_bounded();
-  const std::uint64_t c = stream[pos++];
-  EXPECT_EQ(got, kernel_detail::decide(snap[i1], snap[i2], c, i1, i2));
-  EXPECT_GE(pos, 4u);  // the rejection actually consumed an extra draw
+    // Reference: same composite stream (queue, then lane 1's live draws).
+    rng_t live(derive_seed(99, 1));
+    std::vector<std::uint64_t> stream(queue.begin(), queue.begin() + queued);
+    for (int i = 0; i < 8; ++i) stream.push_back(live.next());
+    std::size_t pos = 0;
+    const auto draw_bounded = [&] {
+      for (;;) {
+        const std::uint64_t x = stream[pos++];
+        const auto m = static_cast<__uint128_t>(x) * bound;
+        if (static_cast<std::uint64_t>(m) >= threshold) return static_cast<std::uint32_t>(m >> 64);
+      }
+    };
+    // Alias: a slot, then one keep draw against the slot's threshold.
+    const auto draw_bin = [&] {
+      const std::uint32_t slot = draw_bounded();
+      if (!alias) return slot;
+      const std::uint64_t u = stream[pos++];
+      return u < table.thresholds()[slot] ? slot : table.aliases()[slot];
+    };
+    const std::uint32_t i1 = draw_bin();
+    const std::uint32_t i2 = draw_bin();
+    const std::uint64_t c = stream[pos++];
+    EXPECT_EQ(got, kernel_detail::decide(snap[i1], snap[i2], c, i1, i2)) << "alias=" << alias;
+    // The rejection actually consumed an extra draw, past the queue.
+    EXPECT_EQ(pos, static_cast<std::size_t>(queued) + 1) << "alias=" << alias;
 
-  // The lane must sit exactly past the draws the ball consumed: its next
-  // output continues the reference stream.
-  EXPECT_EQ(st.next(1), stream[pos]);
+    // The lane must sit exactly past the draws the ball consumed: its next
+    // output continues the reference stream.
+    EXPECT_EQ(st.next(1), stream[pos]) << "alias=" << alias;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -373,6 +393,60 @@ TEST(Kernel, FixedScheduleBitIdenticalAcrossBackends) {
           << kernel_isa_name(isa) << " balls=" << balls;
       EXPECT_EQ(kernel_alias_counts(isa, n, snap, table, balls, 2026), alias_reference)
           << kernel_isa_name(isa) << " balls=" << balls;
+    }
+  }
+}
+
+/// `isa`'s fill of `balls` balls from lane state `from`: the chosen bins
+/// and the lane state the fill leaves behind.
+struct fill_result {
+  std::vector<std::uint32_t> chosen;
+  kernel_detail::lane_soa state;
+};
+
+template <typename Bins>
+fill_result run_fill(kernel_isa isa, const kernel_detail::lane_soa& from, bin_count n,
+                     const std::vector<std::uint8_t>& snap, Bins bins, std::size_t balls) {
+  fill_result out{std::vector<std::uint32_t>(balls), from};
+  kernel_detail::fill_for<Bins>(isa)(out.state, n, kernel_detail::lemire_threshold(n), snap.data(),
+                                     bins, out.chosen.data(), balls);
+  return out;
+}
+
+TEST(Kernel, ForcedRejectionsReplayExactlyOnEveryBackend) {
+  // A lane whose s0 and s3 are both 0 outputs 0 on its next step, and a
+  // draw of 0 is a Lemire rejection for any n that is not a power of two
+  // (low = 0 < 2^64 mod n).  Forcing it in a vector round drives each
+  // vector backend's rejection replay -- otherwise reached with
+  // probability ~2^-32 per draw -- which must match the scalar fill bit
+  // for bit: the chosen bins, and the lane state the replay leaves.
+  const bin_count n = 97;
+  const auto snap = make_snapshot(n);
+  const alias_table table = skewed_table(n);
+  ASSERT_GT(kernel_detail::lemire_threshold(n), 0u);
+  for (const std::size_t lane : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
+    kernel_detail::lane_soa from;
+    from.init(606);
+    from.s0[lane] = 0;
+    from.s3[lane] = 0;
+    kernel_detail::lane_soa probe = from;
+    ASSERT_EQ(probe.next(lane), 0u);
+    for (const std::size_t balls : {std::size_t{8}, std::size_t{13}, std::size_t{24}}) {
+      const auto check = [&](auto bins, const char* draw) {
+        const fill_result want = run_fill(kernel_isa::scalar, from, n, snap, bins, balls);
+        for (const kernel_isa isa : supported_backends()) {
+          const fill_result got = run_fill(isa, from, n, snap, bins, balls);
+          const std::string where = std::string(kernel_isa_name(isa)) + " " + draw +
+                                    " lane=" + std::to_string(lane) +
+                                    " balls=" + std::to_string(balls);
+          EXPECT_EQ(got.chosen, want.chosen) << where;
+          EXPECT_TRUE(got.state.s0 == want.state.s0 && got.state.s1 == want.state.s1 &&
+                      got.state.s2 == want.state.s2 && got.state.s3 == want.state.s3)
+              << where;
+        }
+      };
+      check(kernel_detail::uniform_bins{}, "uniform");
+      check(kernel_detail::alias_bins{table.thresholds(), table.aliases()}, "alias");
     }
   }
 }
